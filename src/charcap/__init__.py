@@ -9,8 +9,6 @@ Library layout:
 - ``track_features``: body geometry, track statistics, normalization
 - ``linker``: semi-supervised mention-to-track linking (attention targets)
 - ``decoder``: joint attention sentence decoder with manual gradients
-- ``evaluation``: recall, three-level F1, heuristic baselines
-- ``pipeline`` / ``cli``: end-to-end reproducible runs
 """
 
 __version__ = "0.1.0"

@@ -424,7 +424,7 @@ def planted_alpha_targets(pair: ClipPair):
     """Exact joint attention targets from the planted grounding."""
     grounding = planted_prev_grounding(pair)
     prev_pos = {char: i + 1 for i, (_, char, _) in enumerate(grounding)}
-    track_index = {t.id: i + 1 for i, t in enumerate(pair.cur.tracks)}
+    track_index = {t.id: i + 1 for i, t in enumerate(cap_tracks(pair.cur.tracks))}
     out = []
     for m in pair.cur.mentions:
         if not m.gt_track_ids or m.gt_track_ids[0] not in track_index:

@@ -25,14 +25,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import C_MAX, P_MAX, ClipPair, Corpus, Vocabulary
+from .corpus import P_MAX, ClipPair, Corpus, Vocabulary, cap_tracks
 from .numerics import (
     FLOAT, glorot_uniform, lstm_init, lstm_step_backward, lstm_step_forward,
-    make_optimizer, rng_stream, softmax, zeros_like_params,
+    make_optimizer, masked_softmax, rng_stream, softmax, zeros_like_params,
 )
-from .track_features import NormStats, apply_norm
-
-STAT_DIM = 11
+from .track_features import STAT_DIM, NormStats, apply_norm
 
 
 class TrainingDiverged(RuntimeError):
@@ -54,8 +52,6 @@ class DecoderConfig:
     d_emb: int = 64
     hidden: int = 128
     max_len: int = 30
-    c_max: int = C_MAX
-    p_max: int = P_MAX
     attention_supervision: bool = True
     optimizer: str = "adam"
     lr: float = 0.003
@@ -121,7 +117,7 @@ def pair_features(pair: ClipPair, prev_grounding, norm: NormStats,
     """Assemble features for the decoder; previous candidates come from
     ``prev_grounding`` (track_id, char, gender) triples of the pair's
     previous clip."""
-    cur = [apply_norm(t, norm) for t in pair.cur.tracks[:config.c_max]]
+    cur = [apply_norm(t, norm) for t in cap_tracks(pair.cur.tracks)]
     C = len(cur)
     ch = np.zeros((max(C, 1), config.d_head), dtype=FLOAT)
     cb = np.zeros((max(C, 1), config.d_body), dtype=FLOAT)
@@ -136,7 +132,7 @@ def pair_features(pair: ClipPair, prev_grounding, norm: NormStats,
     prev_tracks = []
     if pair.prev is not None:
         by_id = {t.id: t for t in pair.prev.tracks}
-        for tid, _, _ in prev_grounding[:config.p_max]:
+        for tid, _, _ in prev_grounding[:P_MAX]:
             if tid in by_id:
                 prev_tracks.append(apply_norm(by_id[tid], norm))
     P = len(prev_tracks)
@@ -192,9 +188,7 @@ def attention_step(params, h_prev, feats: PairFeatures):
         d_gr = 2 * Vh.shape[1] + Vb.shape[1] + Vs.shape[1]
         return None, np.zeros(d_gr, dtype=FLOAT), None
 
-    zmax = logits[valid].max()
-    e = np.where(valid, np.exp(np.where(valid, logits, zmax) - zmax), 0.0)
-    alpha = e / e.sum()
+    alpha = masked_softmax(logits, valid)
 
     cell = np.concatenate([
         np.broadcast_to(Vh[None, :, :], M.shape).copy(),

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import P_MAX, AlphaTarget, Clip, ClipPair, Corpus
+from .corpus import P_MAX, AlphaTarget, Clip, ClipPair, Corpus, cap_tracks
 from .numerics import (
     FLOAT, glorot_uniform, lstm_init, lstm_step_backward, lstm_step_forward,
     make_optimizer, rng_stream, softmax, zeros_like_params,
@@ -316,7 +316,7 @@ def build_attention_gt(linker: Linker, corpus: Corpus):
         prev_pos = {char: i + 1 for i, (_, char, _) in enumerate(grounding)}
         targets = []
         if pair.cur.tracks:
-            index_of = {t.id: i + 1 for i, t in enumerate(pair.cur.tracks)}
+            index_of = {t.id: i + 1 for i, t in enumerate(cap_tracks(pair.cur.tracks))}
             for m, tid, _ in linker.link_clip(pair.cur):
                 c = index_of.get(tid)
                 if c is None:

@@ -6,13 +6,18 @@ Level 2 groups the surviving tracks across shots by appearance, with edge
 costs cosine_similarity - beta on mean-pooled head vectors.
 
 ``solve_multicut`` maximizes the total intra-cluster cost (positive cost
-rewards joining, negative rewards cutting) by greedy edge contraction
-followed by Kernighan-Lin-style refinement: best-improvement node moves,
-cluster merges, and an escape pass that chains tentative moves and keeps
-the best prefix. ``brute_force_multicut`` enumerates all set partitions
-and is the exactness oracle for small instances.
+rewards joining, negative rewards cutting). It splits the nodes into the
+connected components of the positive-edge graph, which an optimal
+partition never joins, and solves each component alone: a component with
+no negative internal edge is one cluster; any other gets greedy edge
+contraction followed by Kernighan-Lin-style refinement (best-improvement
+node moves, and an escape pass that chains tentative moves and keeps the
+best prefix) and perturbation restarts. ``brute_force_multicut``
+enumerates all set partitions and is the exactness oracle for small
+instances.
 """
 
+import bisect
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +29,7 @@ MIN_DET_SCORE = 0.5
 MIN_DET_SIDE = 40.0
 MIN_TRACK_FRAMES = 5
 DEFAULT_BETA = 0.5
+RESTARTS = 16  # perturbation restarts per searched component
 
 
 def filter_detections(detections):
@@ -188,66 +194,6 @@ def _node_move_pass(W, labels):
     return labels, improved
 
 
-def _pair_move_pass(W, labels):
-    """Best-improvement joint relocation of node pairs.
-
-    Catches coupled nodes whose individual moves lose but whose joint
-    move wins (the classic single-move blind spot)."""
-    n = W.shape[0]
-    improved = False
-    while True:
-        k = labels.max() + 1
-        onehot = np.zeros((n, k + 1))
-        onehot[np.arange(n), labels] = 1.0
-        A = W @ onehot  # A[x, c] = affinity of node x to cluster c; col k empty
-        best = None
-        for u in range(n):
-            lu = labels[u]
-            for v in range(u + 1, n):
-                lv = labels[v]
-                wuv = W[u, v]
-                base_u = A[u, lu] - (wuv if lv == lu else 0.0)
-                base_v = A[v, lv] - (wuv if lu == lv else 0.0)
-                gain_uv = wuv * (0.0 if lu == lv else 1.0)
-                for g in range(k + 1):
-                    if g == lu and g == lv:
-                        continue
-                    gain = ((A[u, g] - (wuv if lv == g else 0.0)) - base_u
-                            + (A[v, g] - (wuv if lu == g else 0.0)) - base_v
-                            + gain_uv)
-                    if gain > 1e-12 and (best is None or gain > best[0] + 1e-15):
-                        best = (gain, u, v, g)
-        if best is None:
-            break
-        _, u, v, g = best
-        labels[u] = g
-        labels[v] = g
-        labels = _compact(labels)
-        improved = True
-    return labels, improved
-
-
-def _merge_pass(W, labels):
-    improved = False
-    while True:
-        k = labels.max() + 1
-        if k < 2:
-            break
-        inter = np.zeros((k, k))
-        for a in range(k):
-            ia = np.flatnonzero(labels == a)
-            for b in range(a + 1, k):
-                ib = np.flatnonzero(labels == b)
-                inter[a, b] = W[np.ix_(ia, ib)].sum()
-        a, b = np.unravel_index(np.argmax(inter), inter.shape)
-        if inter[a, b] <= 1e-12:
-            break
-        labels[labels == b] = a
-        labels = _compact(labels)
-        improved = True
-    return labels, improved
-
-
 def _best_forced_move(W, cur, moved):
     k = cur.max() + 2  # one spare slot for "new singleton"
     cand = None
@@ -316,29 +262,40 @@ def _escape_pass(W, labels, deep_limit=24):
 
 def _refine(W, labels):
     for _ in range(50):
-        labels, a = _node_move_pass(W, labels)
-        labels, b = _pair_move_pass(W, labels)
-        labels, c = _merge_pass(W, labels)
-        labels, d = _escape_pass(W, labels)
-        if not (a or b or c or d):
+        labels, moved = _node_move_pass(W, labels)
+        labels, escaped = _escape_pass(W, labels)
+        if not (moved or escaped):
             break
     return labels
 
 
-def solve_multicut(n, edges, restarts=16):
-    """Partition maximizing total intra-cluster cost, heuristically.
+def _positive_components(W):
+    """Node lists of the connected components over the edges with W > 0,
+    ordered by their smallest node."""
+    parent = list(range(W.shape[0]))
 
-    Greedy contraction start, then alternating node-move, merge, and
-    escape passes to a local optimum; deterministic perturbation restarts
-    of rotating strength guard against shallow local optima.
-    """
-    if n <= 0:
-        return Partition(labels=np.zeros(0, dtype=int), objective=0.0)
-    W = _cost_matrix(n, edges)
+    def find(u):
+        while parent[u] != u:
+            parent[u] = parent[parent[u]]
+            u = parent[u]
+        return u
+
+    for i, j in zip(*np.nonzero(np.triu(W, 1) > 0.0)):
+        parent[find(i)] = find(j)
+    comps = {}
+    for u in range(W.shape[0]):
+        comps.setdefault(find(u), []).append(u)
+    return list(comps.values())
+
+
+def _search(W):
+    """Greedy contraction, refinement to a local optimum, then
+    deterministic perturbation restarts of rotating strength."""
+    n = W.shape[0]
     labels = _refine(W, greedy_contraction(W))
     best_obj = _objective(W, labels)
     rng = rng_stream(0, "multicut-restarts")
-    for r in range(restarts):
+    for r in range(RESTARTS):
         if r % 4 == 3:  # occasional fresh random start escapes the incumbent basin
             pert = rng.integers(0, max(1, (n + 1) // 2), size=n)
         else:
@@ -350,7 +307,31 @@ def solve_multicut(n, edges, restarts=16):
         obj = _objective(W, cand)
         if obj > best_obj + 1e-12:
             best_obj, labels = obj, cand
-    return Partition(labels=labels, objective=best_obj)
+    return labels
+
+
+def solve_multicut(n, edges):
+    """Partition maximizing total intra-cluster cost.
+
+    The nodes are first split into the connected components of the
+    positive-edge graph. An optimal partition never joins two components,
+    since every edge between them is non-positive, so each component is
+    solved alone: one with no negative internal edge is one cluster
+    (exact, no search), and any other goes through ``_search`` on its own
+    sub-matrix (heuristic: greedy contraction, node-move and escape
+    passes, and ``RESTARTS`` perturbation restarts).
+    """
+    if n <= 0:
+        return Partition(labels=np.zeros(0, dtype=int), objective=0.0)
+    W = _cost_matrix(n, edges)
+    labels = np.empty(n, dtype=int)
+    k = 0
+    for comp in _positive_components(W):
+        sub = W[np.ix_(comp, comp)]
+        sub_labels = np.zeros(len(comp), dtype=int) if sub.min() >= 0.0 else _search(sub)
+        labels[comp] = k + sub_labels
+        k += sub_labels.max() + 1
+    return Partition(labels=labels, objective=_objective(W, labels))
 
 
 def _set_partitions(n):
@@ -389,14 +370,6 @@ def brute_force_multicut(n, edges):
 # two-level track building
 # ---------------------------------------------------------------------------
 
-def _shot_index(boundaries, t):
-    idx = 0
-    for b in sorted(boundaries):
-        if t >= b:
-            idx += 1
-    return idx
-
-
 def _cosine_similarity(a, b):
     na, nb = np.linalg.norm(a), np.linalg.norm(b)
     if na == 0.0 or nb == 0.0:
@@ -421,9 +394,11 @@ def build_tracks(detections, boundaries, model, appearance, beta=DEFAULT_BETA,
     if body_appearance is not None:
         body_appearance = np.asarray(body_appearance, dtype=FLOAT)
 
+    # shot index = number of cuts at or before t
+    cuts = sorted(boundaries)
     shots = {}
     for idx, d in enumerate(detections):
-        shots.setdefault(_shot_index(boundaries, d.t), []).append(idx)
+        shots.setdefault(bisect.bisect_right(cuts, d.t), []).append(idx)
 
     proto = []
     for shot in sorted(shots):

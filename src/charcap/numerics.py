@@ -80,12 +80,6 @@ def zeros_like_params(params):
     return {k: np.zeros_like(v) for k, v in params.items()}
 
 
-def add_params(acc, grads, scale=1.0):
-    for k, g in grads.items():
-        acc[k] += scale * g
-    return acc
-
-
 # ---------------------------------------------------------------------------
 # affine / LSTM primitives with manual backward
 # ---------------------------------------------------------------------------

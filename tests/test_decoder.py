@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from charcap.corpus import (
-    BOS, EOS, PERSON_TOKENS, CorpusConfig, Vocabulary, generate_corpus,
+    BOS, C_MAX, EOS, PERSON_TOKENS, CorpusConfig, Vocabulary, generate_corpus,
     planted_alpha_targets, planted_prev_grounding,
 )
 from charcap.decoder import (
@@ -61,6 +61,24 @@ def separable():
                          hidden=48, epochs=25, lr=0.005, batch_size=8)
     trained = train_decoder(train, planted_supervision(train), dcfg, seed=5)
     return trained, train, test
+
+
+class TestTrackCap:
+    def test_planted_targets_index_the_capped_tracks(self):
+        # clips with up to 62 tracks, where some mentioned tracks sit past
+        # position C_MAX in the clip's track list
+        corpus = generate_corpus(CorpusConfig(n_pairs=200, n_characters=70,
+                                              max_distractors=60), seed=11)
+        norm = fit_norm_stats([t for clip in corpus.clips for t in clip.tracks])
+        cfg = DecoderConfig()
+        assert max(len(p.cur.tracks) for p in corpus.pairs) > C_MAX
+        for pair in corpus.pairs:
+            feats = pair_features(pair, planted_prev_grounding(pair), norm, cfg)
+            targets = {t.tau: t for t in planted_alpha_targets(pair)}
+            for m in pair.cur.mentions:
+                tgt = targets[m.pos]
+                assert tgt.c <= C_MAX
+                assert feats.cur_track_ids[tgt.c - 1] == m.gt_track_ids[0]
 
 
 class TestAttentionStep:

@@ -154,6 +154,40 @@ class TestSolver:
             solve_multicut(3, [(1, 1, 0.5)])
 
 
+class TestComponentSplit:
+    def test_blocks_joined_by_negative_edges_solve_exactly(self):
+        # n = 24 is past the brute-force limit; each 8-node block is not
+        rng = rng_stream(13, "blocks")
+        size, n_blocks = 8, 3
+        n = size * n_blocks
+        edges, exact = [], 0.0
+        for b in range(n_blocks):
+            block = random_instance(rng, size)
+            exact += brute_force_multicut(size, block).objective
+            edges += [(i + b * size, j + b * size, c) for i, j, c in block]
+        for i in range(n):
+            for j in range(i + 1, n):
+                if i // size != j // size:
+                    edges.append((i, j, -float(rng.uniform(0.1, 1.0))))
+        part = solve_multicut(n, edges)
+        assert abs(part.objective - exact) < 1e-9
+        for cluster in part.as_sets():
+            assert len({node // size for node in cluster}) == 1
+
+    def test_level1_shaped_chain_gives_its_lanes(self):
+        frames, lanes = 100, 3
+        edges = []
+        for t in range(frames - 1):
+            for a in range(lanes):
+                for b in range(lanes):
+                    c = 2.0 if a == b else -2.0
+                    edges.append((t * lanes + a, (t + 1) * lanes + b, c))
+        part = solve_multicut(frames * lanes, edges)
+        assert part.as_sets() == frozenset(
+            frozenset(t * lanes + a for t in range(frames)) for a in range(lanes))
+        assert part.objective == 2.0 * (frames - 1) * lanes
+
+
 def smooth_detections(n=8, x0=50.0, step=3.0, w=50.0):
     return [det(t, x0 + step * t, 60.0, w, w) for t in range(n)]
 
