@@ -9,13 +9,21 @@ Two cues per frame pair, combined with OR so recall stays high:
   a search radius stays below a threshold. Corners come from the
   structure-tensor minimum-eigenvalue response.
 
+The survival search tries shifts ring by ring from the centre out and
+stops once every corner has matched; within a shot that is usually the
+innermost ring, and only cut pairs search the whole radius. A corner
+survives if any shift matches, and each shift's SSD is computed exactly
+as a full-frame box filter would, so the ratio equals the exhaustive
+search's bit for bit.
+
 A boundary index i means a cut between frames i-1 and i.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import maximum_filter, uniform_filter
+from numpy.lib.stride_tricks import sliding_window_view
+from scipy.ndimage import maximum_filter, uniform_filter, uniform_filter1d
 
 from .numerics import FLOAT
 
@@ -25,6 +33,9 @@ DEFAULT_RADIUS = 16
 DEFAULT_MAX_CORNERS = 200
 DEFAULT_SSD_THRESHOLD = 0.004  # mean squared gray difference, [0,1] scale
 CORNER_EPS = 1e-10
+# shifts per filtered chunk: k = max(1, SHIFT_CHUNK_ELEMS // (h*w)); larger
+# temporaries cross glibc's mmap threshold and raise peak RSS
+SHIFT_CHUNK_ELEMS = 1 << 13
 
 
 @dataclass
@@ -38,8 +49,10 @@ def _as_float_rgb(frame):
     f = np.asarray(frame)
     if f.ndim != 3 or f.shape[2] != 3 or f.shape[0] == 0 or f.shape[1] == 0:
         raise ValueError("frame must be a nonempty (H, W, 3) array")
+    # integer frames are always 0-255; a float frame is 0-1 unless it exceeds 1
+    scale = np.issubdtype(f.dtype, np.integer)
     f = f.astype(FLOAT)
-    if f.max() > 1.0:
+    if scale or f.max() > 1.0:
         f = f / 255.0
     return np.clip(f, 0.0, 1.0)
 
@@ -87,27 +100,54 @@ def hist_distance(sig_a: FrameSignature, sig_b: FrameSignature):
     return float(np.abs(sig_a.histogram - sig_b.histogram).sum())
 
 
+def _ring_offsets(r):
+    """Yield every shift with |dy|, |dx| <= r as (dy, dx) arrays, one pair
+    per Chebyshev ring max(|dy|, |dx|), nearest ring first. Rings are made
+    as they are reached, so an early stop never builds the outer ones."""
+    for d in range(r + 1):
+        dy, dx = np.mgrid[-d:d + 1, -d:d + 1].reshape(2, -1)
+        on_ring = np.maximum(abs(dy), abs(dx)) == d
+        yield dy[on_ring], dx[on_ring]
+
+
 def survival_ratio(frame_a, frame_b, corners,
                    patch_size=DEFAULT_PATCH, search_radius=DEFAULT_RADIUS,
                    ssd_threshold=DEFAULT_SSD_THRESHOLD):
     """Fraction of corners whose best block match stays under the SSD
-    threshold. Without corners the ratio is 1 (nothing was lost)."""
+    threshold. Without corners the ratio is 1 (nothing was lost).
+
+    Shifts are searched ring by ring from the centre out, a chunk of at
+    most SHIFT_CHUNK_ELEMS elements at a time, and the search stops once
+    every corner has matched. A corner survives if any shift matches, so
+    the order and the early stop leave the ratio equal to that of the
+    exhaustive search; each SSD is bitwise the 2-D ``uniform_filter`` of
+    its shift, since the stack is filtered along rows, then columns."""
+    if patch_size < 1:
+        raise ValueError("patch_size must be >= 1")
     if len(corners) == 0:
         return 1.0
     ga = _grayscale(_as_float_rgb(frame_a))
     gb = _grayscale(_as_float_rgb(frame_b))
     h, w = ga.shape
     r = search_radius
-    gb_pad = np.pad(gb, r, mode="edge")
+    shifted = sliding_window_view(np.pad(gb, r, mode="edge"), (h, w))
     rows = corners[:, 0]
     cols = corners[:, 1]
-    best = np.full(len(corners), np.inf)
-    for dy in range(-r, r + 1):
-        for dx in range(-r, r + 1):
-            shifted = gb_pad[r + dy:r + dy + h, r + dx:r + dx + w]
-            ssd = uniform_filter((ga - shifted) ** 2, size=patch_size)
-            np.minimum(best, ssd[rows, cols], out=best)
-    return float(np.mean(best <= ssd_threshold))
+    lost = np.ones(len(corners), dtype=bool)
+    k = max(1, SHIFT_CHUNK_ELEMS // (h * w))
+    for dy, dx in _ring_offsets(r):
+        for start in range(0, len(dy), k):
+            ssd = shifted[r + dy[start:start + k], r + dx[start:start + k]]
+            np.subtract(ga, ssd, out=ssd)
+            np.square(ssd, out=ssd)
+            uniform_filter1d(ssd, patch_size, axis=1, output=ssd)
+            uniform_filter1d(ssd, patch_size, axis=2, output=ssd)
+            idx = np.flatnonzero(lost)
+            matched = (ssd[:, rows[idx], cols[idx]] <= ssd_threshold).any(axis=0)
+            lost[idx[matched]] = False
+            if not lost.any():
+                return 1.0
+    return float(np.mean(~lost))
 
 
 def pair_features(frames, bins=DEFAULT_BINS, patch_size=DEFAULT_PATCH,
@@ -147,13 +187,18 @@ class ShotThresholds:
     f_score: float  # pooled F1 on the fitting set
 
 
+def _f1(tp, fp, fn):
+    """Boundary F1 from counts, elementwise over arrays; 1 when there is
+    nothing to find and nothing was found."""
+    tp, fp, fn = (np.asarray(x, dtype=FLOAT) for x in (tp, fp, fn))
+    denom = 2.0 * tp + fp + fn
+    return np.divide(2.0 * tp, denom, out=np.ones_like(denom), where=denom > 0)
+
+
 def boundary_f_score(predicted, actual):
     pred = set(predicted)
     act = set(actual)
-    tp = len(pred & act)
-    fp = len(pred - act)
-    fn = len(act - pred)
-    return 2.0 * tp / (2.0 * tp + fp + fn) if (2 * tp + fp + fn) else 1.0
+    return float(_f1(len(pred & act), len(pred - act), len(act - pred)))
 
 
 def _candidates(values, limit=60):
@@ -169,9 +214,16 @@ def _candidates(values, limit=60):
 
 def fit_thresholds(videos, **feature_kw):
     """Grid-search (theta_hist, theta_survive) maximizing pooled boundary
-    F1 over labeled videos: list of (frames, boundary index list)."""
+    F1 over labeled videos: list of (frames, boundary index list). Ties go
+    to the smallest theta_hist, then the smallest theta_survive."""
+    if len(videos) == 0:
+        raise ValueError("need at least one labeled video")
     dists, survs, labels = [], [], []
-    for frames, gt in videos:
+    for v, (frames, gt) in enumerate(videos):
+        for b in gt:
+            if not 1 <= b <= len(frames) - 1:
+                raise ValueError(f"video {v}: boundary index {b} outside "
+                                 f"1..{len(frames) - 1}")
         d, s = pair_features(frames, **feature_kw)
         dists.append(d)
         survs.append(s)
@@ -186,19 +238,14 @@ def fit_thresholds(videos, **feature_kw):
     hist_cand = _candidates(dists)
     surv_cand = np.clip(_candidates(survs), 0.0, 1.0)
     surv_cand = np.unique(np.concatenate([surv_cand, [0.0]]))  # 0 disables the cue
-    best = None
-    for th in hist_cand:
-        fired_h = dists > th
-        for ts in surv_cand:
-            fired = fired_h | (survs < ts)
-            tp = int(np.sum(fired & labels))
-            fp = int(np.sum(fired & ~labels))
-            fn = int(np.sum(~fired & labels))
-            f1 = 2.0 * tp / (2.0 * tp + fp + fn) if (2 * tp + fp + fn) else 1.0
-            if best is None or f1 > best[0] + 1e-12:
-                best = (f1, float(th), float(ts))
-    f1, th, ts = best
-    return ShotThresholds(theta_hist=th, theta_survive=ts, f_score=f1)
+    # fired[i, j, n]: pair n fires at (hist_cand[i], surv_cand[j])
+    fired = ((dists > hist_cand[:, None])[:, None, :]
+             | (survs < surv_cand[:, None])[None, :, :])
+    tp = (fired & labels).sum(axis=2)
+    f1 = _f1(tp, fired.sum(axis=2) - tp, labels.sum() - tp)
+    i, j = np.unravel_index(np.argmax(f1), f1.shape)  # first best in (i, j) order
+    return ShotThresholds(theta_hist=float(hist_cand[i]), theta_survive=float(surv_cand[j]),
+                          f_score=float(f1[i, j]))
 
 
 def synthetic_cut_video(rng, n_frames, n_cuts, height=24, width=32,

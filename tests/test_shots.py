@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from scipy.ndimage import uniform_filter
 
+from charcap import shots
 from charcap.numerics import rng_stream
 from charcap.shots import (
-    boundary_f_score, detect_boundaries, fit_thresholds, frame_signature,
-    hist_distance, pair_features, survival_ratio, synthetic_cut_video,
+    DEFAULT_SSD_THRESHOLD, SHIFT_CHUNK_ELEMS, boundary_f_score, detect_boundaries,
+    fit_thresholds, frame_signature, hist_distance, pair_features, survival_ratio,
+    synthetic_cut_video,
 )
 
 
@@ -52,6 +55,12 @@ class TestSignature:
         with pytest.raises(ValueError):
             frame_signature(solid(1, 2, 3), bins=1)
 
+    def test_dark_integer_frame_is_not_full_range(self):
+        # an all-1 uint8 frame is near black, not white
+        d = hist_distance(frame_signature(solid(0, 0, 0)),
+                          frame_signature(solid(1, 1, 1)))
+        assert d == 0.0
+
 
 class TestSurvival:
     def test_identical_frames_full_survival(self):
@@ -76,6 +85,75 @@ class TestSurvival:
         frames, _ = synthetic_cut_video(rng, 6, 2)
         _, survs = pair_features(frames, search_radius=4)
         assert ((survs >= 0) & (survs <= 1)).all()
+
+
+def exhaustive_survival(frame_a, frame_b, corners, patch_size, search_radius,
+                        ssd_threshold=DEFAULT_SSD_THRESHOLD):
+    """Reference: every shift, one full-frame uniform_filter each."""
+    if len(corners) == 0:
+        return 1.0
+    ga = shots._grayscale(shots._as_float_rgb(frame_a))
+    gb = shots._grayscale(shots._as_float_rgb(frame_b))
+    h, w = ga.shape
+    r = search_radius
+    gb_pad = np.pad(gb, r, mode="edge")
+    best = np.full(len(corners), np.inf)
+    for dy in range(-r, r + 1):
+        for dx in range(-r, r + 1):
+            shifted = gb_pad[r + dy:r + dy + h, r + dx:r + dx + w]
+            ssd = uniform_filter((ga - shifted) ** 2, size=patch_size)
+            np.minimum(best, ssd[corners[:, 0], corners[:, 1]], out=best)
+    return float(np.mean(best <= ssd_threshold))
+
+
+class TestSurvivalSearch:
+    # 100 x 100 exceeds SHIFT_CHUNK_ELEMS, so each chunk is one shift
+    @pytest.mark.parametrize("height,width", [(5, 7), (24, 32), (100, 100)])
+    def test_equals_exhaustive_search(self, height, width):
+        assert (height * width > SHIFT_CHUNK_ELEMS) == (height == 100)
+        rng = rng_stream(height * width, "survival")
+        frames, cuts = synthetic_cut_video(rng, 4, 1, height=height, width=width)
+        border = np.array([[0, width // 2], [height - 1, width // 2],
+                           [height // 2, 0], [height // 2, width - 1],
+                           [0, 0], [height - 1, width - 1]])
+        ratios = []
+        for i in range(len(frames) - 1):
+            a, b = frames[i], frames[i + 1]
+            corners = np.concatenate([frame_signature(a).corners, border])
+            for radius in (0, 1, 4, 16):
+                for patch in (3, 9):
+                    got = survival_ratio(a, b, corners, patch_size=patch,
+                                         search_radius=radius)
+                    assert got == exhaustive_survival(a, b, corners, patch, radius)
+                    ratios.append(got)
+        # both kinds of pair: a full match and an exhausted search
+        assert cuts and 1.0 in ratios and min(ratios) < 1.0
+
+    def test_stops_once_every_corner_matched(self, monkeypatch):
+        rng = rng_stream(8, "shot")
+        f = rng.integers(0, 256, size=(24, 24, 3)).astype(np.uint8)
+        g = rng.integers(0, 256, size=(24, 24, 3)).astype(np.uint8)
+        corners = frame_signature(f).corners
+        filtered = []
+        real = shots.uniform_filter1d
+
+        def counting(stack, *args, **kw):
+            filtered.append(len(stack))
+            return real(stack, *args, **kw)
+
+        monkeypatch.setattr(shots, "uniform_filter1d", counting)
+        # identical frames: ring 0's one shift matches every corner
+        assert survival_ratio(f, f, corners, search_radius=4) == 1.0
+        assert filtered == [1, 1]  # one shift, filtered along rows then columns
+        # unrelated frames keep lost corners, so every shift is searched
+        filtered.clear()
+        assert survival_ratio(f, g, corners, search_radius=4) < 1.0
+        assert sum(filtered) == 2 * 9 * 9
+
+    def test_patch_size_validated(self):
+        f = solid(10, 10, 10)
+        with pytest.raises(ValueError, match="patch_size"):
+            survival_ratio(f, f, np.array([[1, 1]]), patch_size=0)
 
 
 class TestBoundaries:
@@ -106,6 +184,10 @@ class TestBoundaries:
         with pytest.raises(ValueError):
             detect_boundaries(frames[:1], 0.1, 0.5)
 
+    def test_near_black_fade_has_no_boundaries(self):
+        z, o, t = solid(0, 0, 0), solid(1, 1, 1), solid(2, 2, 2)
+        assert detect_boundaries([z, z, o, o, t, t], 0.5, 0.0) == []
+
 
 class TestFit:
     def test_fitted_thresholds_reach_high_f(self):
@@ -126,3 +208,16 @@ class TestFit:
         assert boundary_f_score([1, 3], [1, 2]) == 0.5
         assert boundary_f_score([], []) == 1.0
         assert boundary_f_score([], [2]) == 0.0
+
+
+class TestFitValidation:
+    @pytest.mark.parametrize("bad", [0, 6, -1])
+    def test_boundary_index_out_of_range(self, bad):
+        frames = [solid(90, 120, 40) for _ in range(6)]
+        good = [solid(10, 10, 10) for _ in range(4)]
+        with pytest.raises(ValueError, match=f"video 1: boundary index {bad} outside 1..5"):
+            fit_thresholds([(good, []), (frames, [2, bad])], search_radius=1)
+
+    def test_no_videos(self):
+        with pytest.raises(ValueError, match="at least one"):
+            fit_thresholds([])
