@@ -43,6 +43,7 @@ ALL_VERBS = VERBS + (GREET_VERB,)
 
 C_MAX = 50  # current-clip track cap
 P_MAX = 7   # previous-track candidates in addition to the null track
+GLOBAL_NOISE = 0.05  # std of the Gaussian noise on every v_global entry
 
 
 class ConfigError(ValueError):
@@ -88,9 +89,6 @@ class Vocabulary:
             return self._index[token]
         except KeyError:
             raise KeyError(f"token {token!r} not in vocabulary") from None
-
-    def is_person(self, token):
-        return token in PERSON_TOKENS
 
 
 @dataclass
@@ -175,12 +173,7 @@ class CorpusConfig:
     singleton_fraction: float = 0.15
     frame_w: float = 192.0
     frame_h: float = 108.0
-    global_noise: float = 0.05
-    described_biggest: bool = False
-    distractor_near_center: bool = False
     emit_frames: bool = False
-    frame_px_w: int = 32
-    frame_px_h: int = 24
     frames_per_clip: int = 9
     cuts_per_clip: int = 2
 
@@ -225,27 +218,21 @@ def _make_characters(config, rng):
     return chars
 
 
-def _described_geometry(rng, config, off_center=False):
-    lo, hi = (56.0, 72.0) if config.described_biggest else (48.0, 72.0)
-    n = int(rng.integers(8, 11)) if config.described_biggest else int(rng.integers(5, 10))
-    w = rng.uniform(lo, hi)
+def _described_geometry(rng, config):
+    n = int(rng.integers(5, 10))
+    w = rng.uniform(48.0, 72.0)
     h = w * rng.uniform(0.9, 1.1)
     cx = config.frame_w / 2.0 + rng.normal(0.0, config.frame_w / 10.0)
     cy = config.frame_h / 2.0 + rng.normal(0.0, config.frame_h / 10.0)
-    if off_center:
-        cx = config.frame_w * 0.75 + rng.normal(0.0, config.frame_w / 20.0)
     return n, w, h, cx, cy
 
 
-def _distractor_geometry(rng, config, at_center=False):
-    lo, hi = (28.0, 40.0) if config.described_biggest else (28.0, 44.0)
+def _distractor_geometry(rng, config):
     n = int(rng.integers(3, 6))
-    w = rng.uniform(lo, hi)
+    w = rng.uniform(28.0, 44.0)
     h = w * rng.uniform(0.9, 1.1)
     cx = rng.uniform(0.15, 0.85) * config.frame_w
     cy = rng.uniform(0.15, 0.85) * config.frame_h
-    if at_center:
-        cx, cy = config.frame_w / 2.0, config.frame_h / 2.0
     return n, w, h, cx, cy
 
 
@@ -269,26 +256,19 @@ def _appearance(rng, center, sigma):
     return (center + rng.normal(0.0, sigma, size=center.shape)).astype(FLOAT)
 
 
-def _render_video(rng, config):
-    return synthetic_cut_video(rng, config.frames_per_clip, config.cuts_per_clip,
-                               height=config.frame_px_h, width=config.frame_px_w)
-
-
 def _make_clip(clip_id, mentioned, distractor_chars, config, rng):
     """mentioned: list of (Character, coref_flag)."""
     # build tracks first so the two-mention order can follow track size
     entries = []  # (char, coref_flag_or_None_for_distractor, track)
-    for idx, (ch, coref) in enumerate(mentioned):
-        off = config.distractor_near_center and idx == 0
-        n, w, h, cx, cy = _described_geometry(rng, config, off_center=off)
+    for ch, coref in mentioned:
+        n, w, h, cx, cy = _described_geometry(rng, config)
         dets = _make_detections(rng, n, w, h, cx, cy, 0.7, 1.0)
         tr = Track(id=0, detections=dets,
                    v_head=_appearance(rng, ch.head_center, config.sigma),
                    v_body=_appearance(rng, ch.body_center, config.sigma))
         entries.append((ch, coref, tr))
-    for idx, ch in enumerate(distractor_chars):
-        at_center = config.distractor_near_center and idx == 0
-        n, w, h, cx, cy = _distractor_geometry(rng, config, at_center=at_center)
+    for ch in distractor_chars:
+        n, w, h, cx, cy = _distractor_geometry(rng, config)
         dets = _make_detections(rng, n, w, h, cx, cy, 0.5, 0.9)
         tr = Track(id=0, detections=dets,
                    v_head=_appearance(rng, ch.head_center, config.sigma),
@@ -325,12 +305,13 @@ def _make_clip(clip_id, mentioned, distractor_chars, config, rng):
 
     v_global = np.zeros(config.d_global, dtype=FLOAT)
     v_global[ALL_VERBS.index(verb)] = 3.0
-    v_global += rng.normal(0.0, config.global_noise, size=config.d_global)
+    v_global += rng.normal(0.0, GLOBAL_NOISE, size=config.d_global)
 
     clip = Clip(id=clip_id, tracks=tracks, v_global=v_global,
                 sentence=sentence, mentions=mentions, track_chars=track_chars)
     if config.emit_frames:
-        clip.frames, clip.gt_boundaries = _render_video(rng, config)
+        clip.frames, clip.gt_boundaries = synthetic_cut_video(
+            rng, config.frames_per_clip, config.cuts_per_clip)
     return clip
 
 
@@ -395,23 +376,8 @@ def generate_corpus(config: CorpusConfig, seed):
 
 
 # ---------------------------------------------------------------------------
-# planted ground truth
+# attention supervision from a grounding (planted or linked)
 # ---------------------------------------------------------------------------
-
-def planted_prev_grounding(pair: ClipPair):
-    """(track_id, char_id, gender) per previous-sentence mention, in
-    sentence order, first occurrence per character."""
-    out = []
-    seen = set()
-    if pair.prev is None:
-        return out
-    for m in sorted(pair.prev.mentions, key=lambda m: m.pos):
-        if m.char_id in seen or not m.gt_track_ids:
-            continue
-        seen.add(m.char_id)
-        out.append((m.gt_track_ids[0], m.char_id, m.gender))
-    return out[:P_MAX]
-
 
 @dataclass
 class AlphaTarget:
@@ -420,60 +386,52 @@ class AlphaTarget:
     c: int     # 1-based index into the current clip's (capped) track list
 
 
+@dataclass
+class PairSupervision:
+    pair_id: int
+    prev_grounding: list  # (track_id, char_id, gender), sentence order
+    targets: list         # AlphaTarget per supervised person-word position
+
+
+def pair_supervision(pair: ClipPair, prev_links, cur_links):
+    """Joint attention supervision of one pair from a grounding: the
+    (mention, track_id) links of its previous and current clip, each in
+    sentence order. The previous candidates are each character's first
+    linked track, at most ``P_MAX``. A current mention targets its track's
+    1-based index in ``cap_tracks(pair.cur.tracks)`` (none if capped away)
+    and its co-referent's candidate slot, else the null slot 0."""
+    first = {}
+    for m, tid in prev_links:
+        first.setdefault(m.char_id, (tid, m.char_id, m.gender))
+    grounding = list(first.values())[:P_MAX]
+    prev_pos = {char: i + 1 for i, (_, char, _) in enumerate(grounding)}
+    index_of = {t.id: i + 1 for i, t in enumerate(cap_tracks(pair.cur.tracks))}
+    targets = []
+    for m, tid in cur_links:
+        if tid in index_of:
+            p = prev_pos.get(m.coref_prev, 0) if m.coref_prev is not None else 0
+            targets.append(AlphaTarget(tau=m.pos, p=p, c=index_of[tid]))
+    return PairSupervision(pair_id=pair.id, prev_grounding=grounding, targets=targets)
+
+
+def _planted_supervision(pair: ClipPair):
+    def links(clip):  # each mention's first ground-truth track, sentence order
+        if clip is None:
+            return []
+        return [(m, m.gt_track_ids[0])
+                for m in sorted(clip.mentions, key=lambda m: m.pos) if m.gt_track_ids]
+    return pair_supervision(pair, links(pair.prev), links(pair.cur))
+
+
+def planted_prev_grounding(pair: ClipPair):
+    """(track_id, char_id, gender) per previous-sentence mention, in
+    sentence order, first occurrence per character."""
+    return _planted_supervision(pair).prev_grounding
+
+
 def planted_alpha_targets(pair: ClipPair):
     """Exact joint attention targets from the planted grounding."""
-    grounding = planted_prev_grounding(pair)
-    prev_pos = {char: i + 1 for i, (_, char, _) in enumerate(grounding)}
-    track_index = {t.id: i + 1 for i, t in enumerate(cap_tracks(pair.cur.tracks))}
-    out = []
-    for m in pair.cur.mentions:
-        if not m.gt_track_ids or m.gt_track_ids[0] not in track_index:
-            continue
-        c = track_index[m.gt_track_ids[0]]
-        p = prev_pos.get(m.coref_prev, 0) if m.coref_prev is not None else 0
-        out.append(AlphaTarget(tau=m.pos, p=p, c=c))
-    return out
-
-
-def planted_eval_gt(pair: ClipPair):
-    """Per person-word slot: the reference word, acceptable current track
-    ids, and the correct previous track id (0 = null)."""
-    grounding = planted_prev_grounding(pair)
-    prev_track = {char: tid for tid, char, _ in grounding}
-    out = []
-    for m in sorted(pair.cur.mentions, key=lambda m: m.pos):
-        p_track = prev_track.get(m.coref_prev, 0) if m.coref_prev is not None else 0
-        out.append({
-            "pair_id": pair.id,
-            "tau": m.pos,
-            "word": pair.cur.sentence[m.pos],
-            "gt_tracks": list(m.gt_track_ids),
-            "p_track": p_track,
-        })
-    return out
-
-
-def planted_annotations(corpus: Corpus, per_mention=2):
-    """Sampled (frame, box) annotations of ground-truth tracks, for the
-    detection/track recall metrics."""
-    out = []
-    for pair in corpus.pairs:
-        for role, clip in (("prev", pair.prev), ("cur", pair.cur)):
-            if clip is None:
-                continue
-            for m in clip.mentions:
-                if not m.gt_track_ids:
-                    continue
-                tr = clip.track_by_id(m.gt_track_ids[0])
-                dets = sorted(tr.detections, key=lambda d: d.t)
-                step = max(1, len(dets) // per_mention)
-                for d in dets[::step][:per_mention]:
-                    out.append({
-                        "pair_id": pair.id, "clip": role, "clip_id": clip.id,
-                        "frame": d.t, "box": [d.x, d.y, d.w, d.h],
-                        "char": m.char_id,
-                    })
-    return out
+    return _planted_supervision(pair).targets
 
 
 # ---------------------------------------------------------------------------
@@ -543,6 +501,28 @@ def _need(obj, key, line, kind=None):
     return val
 
 
+def _is_number(v, kind=(int, float)):
+    return isinstance(v, kind) and not isinstance(v, bool)
+
+
+def _parse_frames(raw, line):
+    """Equal-shape (H, W, 3) grids of integers 0-255, as uint8 arrays."""
+    if not isinstance(raw, list):
+        raise CorpusFormatError(line, "frames", "expected a list of pixel grids")
+    frames = []
+    for k, f in enumerate(raw):
+        try:
+            arr = np.asarray(f)
+        except ValueError:
+            raise CorpusFormatError(line, "frames", f"frame {k} is ragged") from None
+        if (arr.ndim != 3 or arr.shape[2] != 3 or (frames and arr.shape != frames[0].shape)
+                or arr.dtype.kind not in "iu" or arr.min() < 0 or arr.max() > 255):
+            raise CorpusFormatError(line, "frames", f"frame {k} is not an (H, W, 3) grid "
+                                    "of integers 0-255 shaped like frame 0")
+        frames.append(arr.astype(np.uint8))
+    return frames
+
+
 def _parse_clip(obj, line):
     if not isinstance(obj, dict):
         raise CorpusFormatError(line, "<root>", "clip line must be a JSON object")
@@ -550,6 +530,8 @@ def _parse_clip(obj, line):
     tracks = []
     dims = {}
     for traw in _need(obj, "tracks", line, list):
+        if not isinstance(traw, dict):
+            raise CorpusFormatError(line, "tracks", "each track must be a JSON object")
         tid = _need(traw, "id", line)
         frames = _need(traw, "frames", line, list)
         boxes = _need(traw, "boxes", line, list)
@@ -562,6 +544,12 @@ def _parse_clip(obj, line):
         for t, box, s in zip(frames, boxes, scores):
             if not (isinstance(box, list) and len(box) == 4):
                 raise CorpusFormatError(line, "boxes", "each box must be [cx, cy, w, h]")
+            if not all(_is_number(v) for v in box):
+                raise CorpusFormatError(line, "boxes", "box values must be numbers")
+            if not _is_number(t, int):
+                raise CorpusFormatError(line, "frames", "frame indices must be integers")
+            if not _is_number(s):
+                raise CorpusFormatError(line, "score", "scores must be numbers")
             if box[2] <= 0 or box[3] <= 0:
                 raise CorpusFormatError(line, "boxes", "box width/height must be positive")
             dets.append(Detection(t=int(t), x=float(box[0]), y=float(box[1]),
@@ -588,6 +576,8 @@ def _parse_clip(obj, line):
         raise CorpusFormatError(line, "sentence", "tokens must be strings")
     mentions = []
     for mraw in _need(obj, "mentions", line, list):
+        if not isinstance(mraw, dict):
+            raise CorpusFormatError(line, "mentions", "each mention must be a JSON object")
         pos = _need(mraw, "pos", line, int)
         if not 0 <= pos < len(sentence):
             raise CorpusFormatError(line, "pos", "mention position out of range")
@@ -608,7 +598,7 @@ def _parse_clip(obj, line):
     clip = Clip(id=clip_id, tracks=tracks, v_global=v_global,
                 sentence=list(sentence), mentions=mentions)
     if "frames" in obj:
-        clip.frames = [np.asarray(f, dtype=np.uint8) for f in obj["frames"]]
+        clip.frames = _parse_frames(obj["frames"], line)
     return clip
 
 

@@ -21,16 +21,18 @@ followed by raw little-endian float64 blocks, one per named weight.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .corpus import P_MAX, ClipPair, Corpus, Vocabulary, cap_tracks
+from .corpus import (
+    BOS, EOS, P_MAX, PERSON_TOKENS, ClipPair, Corpus, Vocabulary, cap_tracks,
+)
 from .numerics import (
     FLOAT, glorot_uniform, lstm_init, lstm_step_backward, lstm_step_forward,
     make_optimizer, masked_softmax, rng_stream, softmax, zeros_like_params,
 )
-from .track_features import STAT_DIM, NormStats, apply_norm
+from .track_features import STAT_DIM, NormStats, apply_norm, fit_norm_stats
 
 
 class TrainingDiverged(RuntimeError):
@@ -106,10 +108,6 @@ class PairFeatures:
     prev_valid: np.ndarray  # (P_slots,) bool
     cur_track_ids: list = field(default_factory=list)
     prev_track_ids: list = field(default_factory=list)
-
-    @property
-    def n_cur(self):
-        return int(self.cur_valid.sum())
 
 
 def pair_features(pair: ClipPair, prev_grounding, norm: NormStats,
@@ -237,11 +235,18 @@ def attention_backward(params, cache, dv_grounded, dlogits_extra, grads):
 
 
 # ---------------------------------------------------------------------------
-# sentence loss (teacher forcing) and its gradients
+# one decoder step, sentence loss (teacher forcing) and its gradients
 # ---------------------------------------------------------------------------
 
+def _step(params, feats, h, c, w_prev):
+    """One step after word ``w_prev``: (alpha, att_cache, lstm_cache, h, c, logits)."""
+    alpha, v_gr, att_cache = attention_step(params, h, feats)
+    x = np.concatenate([v_gr, feats.v_global, params["E"][w_prev]])
+    h, c, lstm_cache = lstm_step_forward(params["W_lstm"], params["b_lstm"], x, h, c)
+    return alpha, att_cache, lstm_cache, h, c, params["W_pred"] @ h + params["b_pred"]
+
+
 def _extend(vocab: Vocabulary, sentence):
-    from .corpus import BOS, EOS
     return [vocab.index(BOS)] + [vocab.index(t) for t in sentence] + [vocab.index(EOS)]
 
 
@@ -253,7 +258,6 @@ def sentence_loss(params, config, vocab, feats: PairFeatures, sentence,
     c in 1..C (1-based); positions pointing at padding cells are skipped
     but counted. Returns (total, word_loss, att_loss, grads, skipped).
     """
-    from .corpus import PERSON_TOKENS
     tokens = _extend(vocab, sentence)
     person_idx = {vocab.index(t) for t in PERSON_TOKENS}
     alpha_targets = alpha_targets or {}
@@ -266,11 +270,8 @@ def sentence_loss(params, config, vocab, feats: PairFeatures, sentence,
     att_loss = 0.0
     skipped = 0
     for step in range(1, len(tokens)):
-        alpha, v_gr, att_cache = attention_step(params, h, feats)
-        x = np.concatenate([v_gr, feats.v_global, params["E"][tokens[step - 1]]])
-        h_new, c_new, lstm_cache = lstm_step_forward(
-            params["W_lstm"], params["b_lstm"], x, h, c)
-        logits = params["W_pred"] @ h_new + params["b_pred"]
+        alpha, att_cache, lstm_cache, h, c, logits = _step(
+            params, feats, h, c, tokens[step - 1])
         if not np.all(np.isfinite(logits)):
             # numeric blow-up: surface as non-finite loss so training aborts
             grads = zeros_like_params(params) if want_grads else None
@@ -288,8 +289,7 @@ def sentence_loss(params, config, vocab, feats: PairFeatures, sentence,
             else:
                 skipped += 1
         steps.append((att_cache, lstm_cache, probs, tokens[step],
-                      tokens[step - 1], target_cell, alpha, h_new))
-        h, c = h_new, c_new
+                      tokens[step - 1], target_cell, alpha, h))
 
     total = word_loss + att_loss
     if not want_grads:
@@ -336,8 +336,9 @@ class TrainItem:
 
 
 def build_train_items(corpus: Corpus, supervision, norm, config: DecoderConfig):
-    """``supervision``: iterable of PairSupervision-like objects carrying
-    pair_id, prev_grounding, and AlphaTarget lists."""
+    """``supervision``: iterable of ``corpus.PairSupervision`` (pair_id,
+    prev_grounding, AlphaTarget list). The targets are dropped when
+    ``config.attention_supervision`` is False."""
     by_pair = {s.pair_id: s for s in supervision} if supervision else {}
     items = []
     for pair in corpus.pairs:
@@ -345,7 +346,7 @@ def build_train_items(corpus: Corpus, supervision, norm, config: DecoderConfig):
         grounding = sup.prev_grounding if sup is not None else []
         feats = pair_features(pair, grounding, norm, config)
         targets = ({t.tau: (t.p, t.c) for t in sup.targets}
-                   if sup is not None else {})
+                   if sup is not None and config.attention_supervision else {})
         items.append(TrainItem(pair.id, feats, pair.cur.sentence, targets))
     return items
 
@@ -378,11 +379,8 @@ def train_decoder(corpus: Corpus, supervision, config: DecoderConfig,
     last finite-loss parameters if the loss or a weight goes non-finite.
     """
     if norm is None:
-        from .track_features import fit_norm_stats
         norm = fit_norm_stats([t for c in corpus.clips for t in c.tracks])
     items = build_train_items(corpus, supervision, norm, config)
-    if not config.attention_supervision:
-        items = [TrainItem(i.pair_id, i.feats, i.sentence, {}) for i in items]
     vocab = corpus.vocab
     params = init_decoder_params(config, len(vocab), seed)
     opt = make_optimizer(config.optimizer, lr=config.lr)
@@ -455,7 +453,6 @@ def decode_pair(trained: TrainedDecoder, pair: ClipPair, prev_grounding):
     person word the argmax attention cell is recorded as the predicted
     grounding and co-reference.
     """
-    from .corpus import BOS, EOS, PERSON_TOKENS
     params, config, vocab = trained.params, trained.config, trained.vocab
     feats = pair_features(pair, prev_grounding, trained.norm, config)
     h = np.zeros(config.hidden, dtype=FLOAT)
@@ -466,10 +463,7 @@ def decode_pair(trained: TrainedDecoder, pair: ClipPair, prev_grounding):
     predictions = []
     alphas = []
     for _ in range(config.max_len):
-        alpha, v_gr, _ = attention_step(params, h, feats)
-        x = np.concatenate([v_gr, feats.v_global, params["E"][w_prev]])
-        h, c, _ = lstm_step_forward(params["W_lstm"], params["b_lstm"], x, h, c)
-        logits = params["W_pred"] @ h + params["b_pred"]
+        alpha, _, _, h, c, logits = _step(params, feats, h, c, w_prev)
         w = int(np.argmax(logits))
         if w == eos:
             break
@@ -494,7 +488,6 @@ def decode_pair(trained: TrainedDecoder, pair: ClipPair, prev_grounding):
 # ---------------------------------------------------------------------------
 
 def save_checkpoint(path, trained: TrainedDecoder):
-    from dataclasses import asdict
     names = sorted(trained.params)
     header = {
         "config": asdict(trained.config),
@@ -510,15 +503,27 @@ def save_checkpoint(path, trained: TrainedDecoder):
 
 
 def load_checkpoint(path):
+    """Inverse of ``save_checkpoint``; a malformed header, a short array
+    block or trailing bytes raise ValueError naming the file."""
     with open(path, "rb") as fh:
-        header = json.loads(fh.readline().decode("utf-8"))
+        try:
+            header = json.loads(fh.readline().decode("utf-8"))
+        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+            raise ValueError(f"{path}: checkpoint header is not JSON: {exc}") from None
+        if not isinstance(header, dict):
+            raise ValueError(f"{path}: checkpoint header is not a JSON object")
         params = {}
         for spec in header["arrays"]:
             shape = tuple(spec["shape"])
             count = int(np.prod(shape)) if shape else 1
             buf = fh.read(count * 8)
+            if len(buf) != count * 8:
+                raise ValueError(f"{path}: array {spec['name']!r} needs {count * 8} "
+                                 f"bytes, the file holds {len(buf)}")
             arr = np.frombuffer(buf, dtype="<f8", count=count).astype(FLOAT)
             params[spec["name"]] = arr.reshape(shape)
+        if fh.read(1):
+            raise ValueError(f"{path}: bytes left over after the last array")
     config = DecoderConfig(**header["config"])
     vocab = Vocabulary(tuple(header["vocab"]))
     norm = NormStats.from_json(header["norm"])

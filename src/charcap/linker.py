@@ -6,8 +6,9 @@ feature) into a logit per track and the softmax is the linking attention.
 Training reconstructs the (gender, name) pair from the attention-weighted
 track feature; clips with a single name and a single track additionally
 supervise the attention directly, which is what seeds the semi-supervised
-loop. The trained linker grounds every mention and from those groundings
-the joint attention supervision targets are assembled.
+loop. The trained linker grounds every mention, and
+``corpus.pair_supervision`` turns those groundings into the joint
+attention supervision targets.
 """
 
 import warnings
@@ -15,7 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import P_MAX, AlphaTarget, Clip, ClipPair, Corpus, cap_tracks
+# PairSupervision is re-exported: build_attention_gt returns it
+from .corpus import Clip, Corpus, PairSupervision, pair_supervision  # noqa: F401
 from .numerics import (
     FLOAT, glorot_uniform, lstm_init, lstm_step_backward, lstm_step_forward,
     make_optimizer, rng_stream, softmax, zeros_like_params,
@@ -29,7 +31,6 @@ class LinkerConfig:
     hidden: int = 32
     scorer_hidden: int = 32
     recon_hidden: int = 32
-    lam: float = 1.0  # weight of the supervised attention term
     optimizer: str = "adam"
     lr: float = 0.01
     epochs: int = 60
@@ -105,7 +106,7 @@ def _instance_loss_and_grads(params, config, inst, gender_row, name_row,
     p_n = softmax(logits_n)
     loss = -np.log(max(p_g[gender_idx], 1e-300)) - np.log(max(p_n[name_idx], 1e-300))
     if inst.supervised:
-        loss += config.lam * -np.log(max(att[0], 1e-300))
+        loss += -np.log(max(att[0], 1e-300))
 
     # reconstruction heads
     dg = p_g.copy()
@@ -129,7 +130,7 @@ def _instance_loss_and_grads(params, config, inst, gender_row, name_row,
     if inst.supervised:
         sup = att.copy()
         sup[0] -= 1.0
-        ds += config.lam * sup
+        ds += sup
 
     grads["w_s2"] += T.T @ ds
     grads["b_s2"][0] += ds.sum()
@@ -157,8 +158,7 @@ class Linker:
     name_rows: dict   # character id -> embedding row
     history: list = field(default_factory=list)
 
-    GENDER_ROWS = {"M": 0, "F": 1}
-    GENDER_IDX = {"M": 0, "F": 1}
+    GENDER_ROWS = {"M": 0, "F": 1}  # embedding row and reconstruction class
 
     def _rows(self, gender, name_id):
         if name_id not in self.name_rows:
@@ -237,7 +237,7 @@ def train_linker(corpus: Corpus, config: LinkerConfig = None, seed=0):
                 total += _instance_loss_and_grads(
                     params, config, inst,
                     Linker.GENDER_ROWS[inst.gender], name_rows[inst.name_id],
-                    Linker.GENDER_IDX[inst.gender], name_idx[inst.name_id],
+                    Linker.GENDER_ROWS[inst.gender], name_idx[inst.name_id],
                     grads)
             for k in grads:
                 grads[k] /= len(batch)
@@ -255,7 +255,7 @@ def linker_loss(params, config, instances, name_rows, name_idx):
         total += _instance_loss_and_grads(
             params, config, inst,
             Linker.GENDER_ROWS[inst.gender], name_rows[inst.name_id],
-            Linker.GENDER_IDX[inst.gender], name_idx[inst.name_id], grads)
+            Linker.GENDER_ROWS[inst.gender], name_idx[inst.name_id], grads)
     n = len(instances)
     for k in grads:
         grads[k] /= n
@@ -281,48 +281,14 @@ def linking_accuracy(linker: Linker, corpus: Corpus):
 # attention supervision targets
 # ---------------------------------------------------------------------------
 
-@dataclass
-class PairSupervision:
-    pair_id: int
-    prev_grounding: list  # (track_id, char_id, gender), sentence order
-    targets: list         # AlphaTarget per supervised person-word position
-
-
-def linked_prev_grounding(linker: Linker, pair: ClipPair):
-    if pair.prev is None or not pair.prev.tracks:
-        return []
-    out = []
-    seen = set()
-    for m, tid, _ in linker.link_clip(pair.prev):
-        if m.char_id in seen:
-            continue
-        seen.add(m.char_id)
-        out.append((tid, m.char_id, m.gender))
-    return out[:P_MAX]
-
-
 def build_attention_gt(linker: Linker, corpus: Corpus):
-    """Joint (previous, current) attention targets from linker groundings.
-
-    For a mention at position tau the current cell is the linked track;
-    the previous cell is the linked track of the co-referent mention in
-    the previous sentence when it survives the candidate cap, else the
-    null track. Mentions whose linked track falls outside the capped
-    track list are left unsupervised (skipped).
-    """
-    out = []
-    for pair in corpus.pairs:
-        grounding = linked_prev_grounding(linker, pair)
-        prev_pos = {char: i + 1 for i, (_, char, _) in enumerate(grounding)}
-        targets = []
-        if pair.cur.tracks:
-            index_of = {t.id: i + 1 for i, t in enumerate(cap_tracks(pair.cur.tracks))}
-            for m, tid, _ in linker.link_clip(pair.cur):
-                c = index_of.get(tid)
-                if c is None:
-                    continue  # capped away: unsupervised position
-                p = prev_pos.get(m.coref_prev, 0) if m.coref_prev is not None else 0
-                targets.append(AlphaTarget(tau=m.pos, p=p, c=c))
-        out.append(PairSupervision(pair_id=pair.id, prev_grounding=grounding,
-                                   targets=targets))
-    return out
+    """Joint (previous, current) attention targets from linker groundings,
+    one ``PairSupervision`` per pair, by ``corpus.pair_supervision``: each
+    mention is grounded in its argmax track, and a clip without tracks
+    grounds nothing."""
+    def links(clip):
+        if clip is None or not clip.tracks:
+            return []
+        return [(m, tid) for m, tid, _ in linker.link_clip(clip)]
+    return [pair_supervision(pair, links(pair.prev), links(pair.cur))
+            for pair in corpus.pairs]

@@ -70,8 +70,8 @@ class PairwisePotentialModel:
                    bias=float(obj["bias"]))
 
 
-def fit_pairwise_model(samples, lr=1.0, iters=2000, l2=0.0):
-    """Logistic regression by plain gradient descent.
+def fit_pairwise_model(samples, iters=2000):
+    """Logistic regression by plain gradient descent with step 1.
 
     ``samples``: list of (8-dim feature, same_person bool). Both classes
     must be present.
@@ -85,8 +85,7 @@ def fit_pairwise_model(samples, lr=1.0, iters=2000, l2=0.0):
     n = len(y)
     for _ in range(iters):
         p = 1.0 / (1.0 + np.exp(-np.clip(Xb @ w, -500, 500)))
-        grad = Xb.T @ (p - y) / n + l2 * w
-        w -= lr * grad
+        w -= Xb.T @ (p - y) / n
     return PairwisePotentialModel(weights=w[:-1], bias=float(w[-1]))
 
 
@@ -112,6 +111,10 @@ class Partition:
 def _cost_matrix(n, edges):
     W = np.zeros((n, n), dtype=FLOAT)
     for i, j, c in edges:
+        for u in (i, j):
+            if not (isinstance(u, (int, np.integer)) and 0 <= u < n):
+                raise ValueError(f"edge ({i!r}, {j!r}): node ids must be "
+                                 f"integers in 0..{n - 1}")
         if i == j:
             raise ValueError("self edges are not allowed")
         if not np.isfinite(c):
@@ -378,12 +381,12 @@ def _cosine_similarity(a, b):
 
 
 def build_tracks(detections, boundaries, model, appearance, beta=DEFAULT_BETA,
-                 body_appearance=None, min_frames=MIN_TRACK_FRAMES):
+                 body_appearance=None):
     """Detections -> identity tracks via the two clustering levels.
 
     ``appearance`` holds one head vector per detection (same order); the
     level-2 affinity uses their per-track means. Tracks spanning fewer
-    than ``min_frames`` distinct frames are dropped between the levels.
+    than ``MIN_TRACK_FRAMES`` distinct frames are dropped between the levels.
     Expects detections already filtered by ``filter_detections``.
     """
     if not detections:
@@ -393,6 +396,8 @@ def build_tracks(detections, boundaries, model, appearance, beta=DEFAULT_BETA,
         raise ValueError("need one appearance vector per detection")
     if body_appearance is not None:
         body_appearance = np.asarray(body_appearance, dtype=FLOAT)
+        if len(body_appearance) != len(detections):
+            raise ValueError("need one body appearance vector per detection")
 
     # shot index = number of cuts at or before t
     cuts = sorted(boundaries)
@@ -418,7 +423,7 @@ def build_tracks(detections, boundaries, model, appearance, beta=DEFAULT_BETA,
         for cluster in part.clusters():
             members = [idxs[i] for i in sorted(cluster)]
             frames = {detections[i].t for i in members}
-            if len(frames) >= min_frames:
+            if len(frames) >= MIN_TRACK_FRAMES:
                 proto.append(members)
 
     if not proto:

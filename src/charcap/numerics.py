@@ -39,14 +39,6 @@ def masked_softmax(logits, valid):
     return e / e.sum()
 
 
-def htan(x):
-    """Hyperbolic-tangent nonlinearity, saturating and overflow-free."""
-    x = np.asarray(x, dtype=FLOAT)
-    if not np.all(np.isfinite(x)):
-        raise ValueError("htan: non-finite input")
-    return np.tanh(x)
-
-
 def sigmoid(x):
     x = np.asarray(x, dtype=FLOAT)
     out = np.empty_like(x)
@@ -81,17 +73,8 @@ def zeros_like_params(params):
 
 
 # ---------------------------------------------------------------------------
-# affine / LSTM primitives with manual backward
+# LSTM primitives with manual backward
 # ---------------------------------------------------------------------------
-
-def affine_forward(W, b, x):
-    return W @ x + b
-
-
-def affine_backward(W, x, dy):
-    """Returns (dW, db, dx) for y = W @ x + b."""
-    return np.outer(dy, x), dy.copy(), W.T @ dy
-
 
 def lstm_init(rng, input_dim, hidden_dim):
     """Gate weights stacked [input, forget, output, candidate] row blocks."""

@@ -33,9 +33,12 @@ DEFAULT_RADIUS = 16
 DEFAULT_MAX_CORNERS = 200
 DEFAULT_SSD_THRESHOLD = 0.004  # mean squared gray difference, [0,1] scale
 CORNER_EPS = 1e-10
+CORNER_WINDOW = 5  # structure-tensor window of the corner response
 # shifts per filtered chunk: k = max(1, SHIFT_CHUNK_ELEMS // (h*w)); larger
 # temporaries cross glibc's mmap threshold and raise peak RSS
 SHIFT_CHUNK_ELEMS = 1 << 13
+SYNTH_COLOR_SPREAD = 40.0  # synthetic_cut_video: pattern spread per channel
+SYNTH_JITTER = 2.0         # synthetic_cut_video: per-frame pixel noise std
 
 
 @dataclass
@@ -61,12 +64,12 @@ def _grayscale(frame01):
     return frame01.mean(axis=2)
 
 
-def min_eig_response(gray, window=5):
+def min_eig_response(gray):
     """Smaller eigenvalue of the windowed structure tensor, per pixel."""
     gy, gx = np.gradient(gray)
-    a = uniform_filter(gx * gx, size=window)
-    b = uniform_filter(gx * gy, size=window)
-    c = uniform_filter(gy * gy, size=window)
+    a = uniform_filter(gx * gx, size=CORNER_WINDOW)
+    b = uniform_filter(gx * gy, size=CORNER_WINDOW)
+    c = uniform_filter(gy * gy, size=CORNER_WINDOW)
     half = np.sqrt((a - c) ** 2 + 4.0 * b * b)
     return (a + c - half) / 2.0
 
@@ -248,10 +251,10 @@ def fit_thresholds(videos, **feature_kw):
                           f_score=float(f1[i, j]))
 
 
-def synthetic_cut_video(rng, n_frames, n_cuts, height=24, width=32,
-                        color_spread=40.0, jitter=2.0):
+def synthetic_cut_video(rng, n_frames, n_cuts, height=24, width=32):
     """Piecewise test video: each segment drifts a colored noise pattern
-    around a segment-specific mean color; cuts switch patterns. Returns
+    (+-SYNTH_COLOR_SPREAD per channel) around a segment-specific mean
+    color, plus SYNTH_JITTER pixel noise; cuts switch patterns. Returns
     (frames, boundary indices)."""
     n_cuts = min(n_cuts, max(0, n_frames - 1))
     if n_cuts > 0:
@@ -262,11 +265,11 @@ def synthetic_cut_video(rng, n_frames, n_cuts, height=24, width=32,
     frames = []
     for s, e in zip([0] + cuts, cuts + [n_frames]):
         mean = rng.uniform(40.0, 215.0, size=3)
-        base = mean[None, None, :] + rng.uniform(-color_spread, color_spread,
-                                                 size=(height, width, 3))
+        base = mean[None, None, :] + rng.uniform(
+            -SYNTH_COLOR_SPREAD, SYNTH_COLOR_SPREAD, size=(height, width, 3))
         dx = int(rng.integers(-1, 2))
         for i in range(e - s):
             img = np.roll(base, shift=dx * i, axis=1)
-            img = img + rng.normal(0.0, jitter, size=img.shape)
+            img = img + rng.normal(0.0, SYNTH_JITTER, size=img.shape)
             frames.append(np.clip(img, 0, 255).astype(np.uint8))
     return frames, cuts

@@ -1,9 +1,9 @@
-"""Track data types, body-region geometry, statistics, and normalization.
+"""Track data types, box overlap, track statistics, and normalization.
 
 Boxes come in two layouts. A ``Detection`` stores a *center-anchored* box
 (x, y are the box center in pixels). Free-standing box tuples, as used by
-``body_region`` and the IOU helpers, are *corner-anchored* ``(x, y, w, h)``
-with (x, y) the top-left corner.
+the IOU helpers, are *corner-anchored* ``(x, y, w, h)`` with (x, y) the
+top-left corner.
 """
 
 from dataclasses import dataclass, replace
@@ -40,16 +40,8 @@ class Track:
     def n_frames(self):
         return len({d.t for d in self.detections})
 
-    def frame_span(self):
-        ts = [d.t for d in self.detections]
-        return min(ts), max(ts)
-
     def mean_area(self):
         return float(np.mean([d.w * d.h for d in self.detections]))
-
-    def mean_center(self):
-        return (float(np.mean([d.x for d in self.detections])),
-                float(np.mean([d.y for d in self.detections])))
 
 
 def box_iou(a, b):
@@ -65,27 +57,6 @@ def box_iou(a, b):
 
 def detection_iou(a: Detection, b: Detection):
     return box_iou(a.corner_box(), b.corner_box())
-
-
-def body_region(head, frame_w=None, frame_h=None):
-    """Body box for a corner-anchored head box: 3x wider, 6x taller.
-
-    Horizontally centered on the head center, top edge aligned with the
-    head top. Clipped to the frame when its dimensions are given.
-    """
-    x, y, w, h = head
-    bw, bh = 3.0 * w, 6.0 * h
-    bx = x + w / 2.0 - bw / 2.0
-    by = y
-    if frame_w is not None:
-        x1 = min(bx + bw, float(frame_w))
-        bx = max(bx, 0.0)
-        bw = x1 - bx
-    if frame_h is not None:
-        y1 = min(by + bh, float(frame_h))
-        by = max(by, 0.0)
-        bh = y1 - by
-    return (bx, by, bw, bh)
 
 
 def track_stats(track: Track):
@@ -111,10 +82,6 @@ def track_stats(track: Track):
         cy.mean(), cy.std(),
         s.mean(), s.std(),
     ], dtype=FLOAT)
-
-
-def with_stats(track: Track):
-    return replace(track, v_stat=track_stats(track))
 
 
 @dataclass

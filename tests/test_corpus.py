@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from charcap.corpus import (
-    NAME_TOKENS, PERSON_TOKENS, ConfigError, CorpusConfig, CorpusFormatError,
-    Track, Vocabulary, cap_tracks, export_jsonl, generate_corpus, ingest_jsonl,
+    C_MAX, NAME_TOKENS, P_MAX, PERSON_TOKENS, AlphaTarget, Clip, ClipPair,
+    ConfigError, CorpusConfig, CorpusFormatError, Mention, Track, Vocabulary,
+    cap_tracks, export_jsonl, generate_corpus, ingest_jsonl, pair_supervision,
     planted_alpha_targets, planted_prev_grounding,
 )
 from charcap.track_features import Detection, track_stats
@@ -196,6 +197,36 @@ class TestJsonl:
             ingest_jsonl(p)
         assert exc.value.line in (1, 2)
 
+    @pytest.mark.parametrize("keys, value, field_name", [
+        (("tracks", 0), 7, "tracks"),
+        (("mentions", 0), 7, "mentions"),
+        (("tracks", 0, "boxes", 0, 0), "left", "boxes"),
+        (("tracks", 0, "frames", 0), "first", "frames"),
+        (("tracks", 0, "score", 0), "high", "score"),
+        (("frames",), [[[1, 2]]], "frames"),
+        (("frames",), [[[300, 0, 0]]], "frames"),
+        (("frames",), [[[[0, 0, 0]], [[0, 0, 0], [0, 0, 0]]]], "frames"),
+        (("frames",), [[[[0, 0, 0]]], [[[0, 0, 0], [0, 0, 0]]]], "frames"),
+    ], ids=["track-not-object", "mention-not-object", "box-string", "frame-index-string",
+            "score-string", "two-channel-frame", "pixel-300", "ragged-rows",
+            "frame-shapes-differ"])
+    def test_malformed_value_names_field_and_line(self, tmp_path, keys, value,
+                                                  field_name):
+        c = generate_corpus(small_config(n_pairs=1), seed=1)
+        p = tmp_path / "c.jsonl"
+        export_jsonl(c, p)
+        lines = p.read_text().splitlines()
+        obj = json.loads(lines[1])
+        target = obj
+        for k in keys[:-1]:
+            target = target[k]
+        target[keys[-1]] = value
+        lines[1] = json.dumps(obj)
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(CorpusFormatError) as exc:
+            ingest_jsonl(p)
+        assert (exc.value.line, exc.value.field) == (2, field_name)
+
     def test_gt_track_must_exist(self, tmp_path):
         c = generate_corpus(small_config(n_pairs=1), seed=1)
         p = tmp_path / "c.jsonl"
@@ -225,3 +256,69 @@ class TestJsonl:
         a, b = c.split(7)
         assert len(a.pairs) == 7 and len(b.pairs) == 3
         assert a.vocab.tokens == b.vocab.tokens
+
+
+def _track(tid, n=3):
+    dets = [Detection(t=i, x=0, y=0, w=10, h=10) for i in range(n)]
+    t = Track(id=tid, detections=dets, v_head=np.zeros(2), v_body=np.zeros(2))
+    t.v_stat = track_stats(t)
+    return t
+
+
+def _pair(prev_tracks, cur_tracks, prev_mentions=(), cur_mentions=()):
+    def clip(cid, tracks, mentions):
+        return Clip(id=cid, tracks=tracks, v_global=np.zeros(8), sentence=[],
+                    mentions=list(mentions))
+    return ClipPair(id=0, prev=clip(0, prev_tracks, prev_mentions),
+                    cur=clip(1, cur_tracks, cur_mentions))
+
+
+class TestPairSupervision:
+    def test_character_mentioned_twice_gives_one_candidate(self):
+        a = Mention(0, char_id=5, gender="M", gt_track_ids=[1])
+        b = Mention(2, char_id=5, gender="M", gt_track_ids=[1])
+        m = Mention(0, char_id=5, gender="M", gt_track_ids=[3], coref_prev=5)
+        pair = _pair([_track(1), _track(2)], [_track(3)], [a, b], [m])
+        # the linker may ground the second mention in another track
+        sup = pair_supervision(pair, [(a, 1), (b, 2)], [(m, 3)])
+        assert sup.prev_grounding == [(1, 5, "M")]
+        assert sup.targets == [AlphaTarget(tau=0, p=1, c=1)]
+
+    def test_candidates_capped_at_p_max(self):
+        prev = [Mention(k, char_id=k, gender="F", gt_track_ids=[k + 1])
+                for k in range(P_MAX + 2)]
+        kept = Mention(0, char_id=P_MAX - 1, gender="F", gt_track_ids=[100],
+                       coref_prev=P_MAX - 1)
+        capped = Mention(2, char_id=P_MAX, gender="F", gt_track_ids=[101],
+                         coref_prev=P_MAX)
+        pair = _pair([_track(k + 1) for k in range(P_MAX + 2)],
+                     [_track(100), _track(101)], prev, [kept, capped])
+        sup = pair_supervision(pair, [(m, m.gt_track_ids[0]) for m in prev],
+                               [(kept, 100), (capped, 101)])
+        assert [g[1] for g in sup.prev_grounding] == list(range(P_MAX))
+        assert sup.targets == [AlphaTarget(tau=0, p=P_MAX, c=1),
+                               AlphaTarget(tau=2, p=0, c=2)]
+
+    def test_current_track_past_c_max_gives_no_target(self):
+        # cap_tracks keeps the C_MAX longest tracks; track 1 is the shortest
+        cur = [_track(1, n=2)] + [_track(k, n=3) for k in range(2, C_MAX + 2)]
+        lost = Mention(0, char_id=1, gender="M", gt_track_ids=[1])
+        kept = Mention(2, char_id=2, gender="M", gt_track_ids=[2])
+        pair = _pair([], cur, (), [lost, kept])
+        sup = pair_supervision(pair, [], [(lost, 1), (kept, 2)])
+        assert [t.id for t in cap_tracks(cur)][0] == 2
+        assert sup.targets == [AlphaTarget(tau=2, p=0, c=1)]
+
+    def test_planted_and_equal_linked_groundings_agree(self):
+        c = generate_corpus(small_config(n_pairs=30, coref_fraction=0.7,
+                                         two_mention_fraction=0.6), seed=8)
+
+        def linked(clip):  # the track planted for each mention's character
+            owner = {ch: tid for tid, ch in clip.track_chars.items()}
+            return [(m, owner[m.char_id])
+                    for m in sorted(clip.mentions, key=lambda m: m.pos)]
+
+        for pair in c.pairs:
+            sup = pair_supervision(pair, linked(pair.prev), linked(pair.cur))
+            assert sup.prev_grounding == planted_prev_grounding(pair)
+            assert sup.targets == planted_alpha_targets(pair)

@@ -299,6 +299,20 @@ class TestTraining:
             train_decoder(corpus, planted_supervision(corpus), cfg, seed=1)
         assert all(np.all(np.isfinite(v)) for v in exc.value.params.values())
 
+    def test_without_attention_supervision_only_words_are_learned(self):
+        ccfg = CorpusConfig(n_pairs=10, n_characters=4, d_head=8, d_body=6,
+                            d_global=8, sigma=0.05)
+        corpus = generate_corpus(ccfg, seed=3)
+        sup = planted_supervision(corpus)
+        dims = dict(d_head=8, d_body=6, d_global=8, d_att=8, d_emb=8, hidden=12,
+                    epochs=5, batch_size=4)
+        with_att = train_decoder(corpus, sup, DecoderConfig(**dims), seed=9)
+        assert all(att > 0.0 for _, _, att in with_att.history)
+        words_only = train_decoder(
+            corpus, sup, DecoderConfig(**dims, attention_supervision=False), seed=9)
+        assert all(att == 0.0 for _, _, att in words_only.history)
+        assert words_only.history[-1][1] < words_only.history[0][1]
+
 
 class TestDecode:
     def test_empty_previous_grounding_forces_null(self, separable):
@@ -374,3 +388,16 @@ class TestCheckpoint:
         with open(path, "rb") as fh:
             header = json.loads(fh.readline())
         assert "vocab" in header and "arrays" in header and "config" in header
+
+    @pytest.mark.parametrize("damage", ["truncated", "appended", "empty"])
+    def test_damaged_file_rejected_by_name(self, separable, tmp_path, damage):
+        trained, _, _ = separable
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, trained)
+        data = path.read_bytes()
+        path.write_bytes({"truncated": data[:-1], "appended": data + bytes(8),
+                          "empty": b""}[damage])
+        with pytest.raises(ValueError, match="model.ckpt") as exc:
+            load_checkpoint(path)
+        if damage == "truncated":  # the last array written is one byte short
+            assert repr(sorted(trained.params)[-1]) in str(exc.value)

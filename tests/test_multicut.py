@@ -153,6 +153,12 @@ class TestSolver:
         with pytest.raises(ValueError):
             solve_multicut(3, [(1, 1, 0.5)])
 
+    @pytest.mark.parametrize("node", [-1, 3, 0.5])
+    def test_node_id_outside_range_rejected(self, node):
+        # a negative id would index the cost matrix from its end
+        with pytest.raises(ValueError, match="node ids"):
+            solve_multicut(3, [(node, 0, 1.0)])
+
 
 class TestComponentSplit:
     def test_blocks_joined_by_negative_edges_solve_exactly(self):
@@ -245,6 +251,13 @@ class TestBuildTracks:
 
     def test_empty_detections(self):
         assert build_tracks([], [], trained_model(), np.zeros((0, 3))) == []
+
+    @pytest.mark.parametrize("rows", [4, 12])
+    def test_body_appearance_row_count_must_match(self, rows):
+        dets = smooth_detections()  # 8 detections
+        with pytest.raises(ValueError, match="body appearance"):
+            build_tracks(dets, [], trained_model(), np.ones((8, 3)),
+                         body_appearance=np.ones((rows, 3)))
 
     def test_two_characters_two_tracks(self):
         dets = []

@@ -4,9 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from charcap.numerics import (
-    affine_backward, affine_forward, finite_diff_check, glorot_uniform, htan,
-    lstm_init, lstm_step_backward, lstm_step_forward, masked_softmax,
-    rng_stream, softmax,
+    finite_diff_check, glorot_uniform, lstm_init, lstm_step_backward,
+    lstm_step_forward, masked_softmax, rng_stream, softmax,
 )
 
 
@@ -47,32 +46,6 @@ class TestSoftmax:
     def test_masked_softmax_needs_valid_cell(self):
         with pytest.raises(ValueError):
             masked_softmax(np.zeros((2, 2)), np.zeros((2, 2), dtype=bool))
-
-
-class TestHtan:
-    def test_zero(self):
-        assert htan(0.0) == 0.0
-
-    def test_odd(self):
-        x = np.linspace(-4, 4, 33)
-        np.testing.assert_allclose(htan(-x), -htan(x), atol=1e-15)
-
-    def test_value_at_one(self):
-        # (e - 1/e) / (e + 1/e)
-        assert abs(htan(1.0) - 0.761594) < 5e-7
-
-    def test_saturates_without_overflow(self):
-        y = htan(np.array([-1e6, 1e6]))
-        np.testing.assert_allclose(y, [-1.0, 1.0])
-
-    @settings(max_examples=30, deadline=None)
-    @given(st.floats(-700, 700))
-    def test_open_interval(self, x):
-        assert -1.0 < htan(x) < 1.0 or abs(x) > 20
-
-    def test_monotone_on_grid(self):
-        x = np.linspace(-6, 6, 500)
-        assert (np.diff(htan(x)) > 0).all()
 
 
 class TestRng:
@@ -128,20 +101,6 @@ class TestFiniteDiff:
 
 
 class TestPrimitives:
-    def test_affine_gradients(self):
-        rng = rng_stream(2, "affine")
-        x = rng.normal(size=6)
-        t = rng.normal(size=4)
-        params = {"W": rng.normal(size=(4, 6)), "b": rng.normal(size=4)}
-
-        def loss(p):
-            y = affine_forward(p["W"], p["b"], x)
-            d = y - t
-            dW, db, _ = affine_backward(p["W"], x, d)
-            return 0.5 * float(d @ d), {"W": dW, "b": db}
-
-        assert finite_diff_check(loss, params) <= 1e-8
-
     def test_lstm_step_gradients(self):
         rng = rng_stream(3, "lstm")
         H, D = 5, 4

@@ -3,8 +3,8 @@ import pytest
 
 from charcap.numerics import rng_stream
 from charcap.track_features import (
-    Detection, NormStats, Track, body_region, box_iou, detection_iou,
-    fit_norm_stats, normalize_dataset, track_stats,
+    Detection, NormStats, Track, box_iou, detection_iou, fit_norm_stats,
+    normalize_dataset, track_stats,
 )
 
 
@@ -14,22 +14,6 @@ def _track(dets, d=4, tid=1, rng=None):
               v_body=rng.normal(size=d))
     t.v_stat = track_stats(t)
     return t
-
-
-class TestBodyRegion:
-    def test_stated_anchoring(self):
-        assert body_region((100, 100, 40, 40)) == (60, 100, 120, 240)
-
-    def test_clipped_at_edge_keeps_positive_area(self):
-        bx, by, bw, bh = body_region((2, 5, 40, 40), frame_w=192, frame_h=108)
-        assert bx == 0 and by == 5
-        assert bw > 0 and bh > 0
-        assert by + bh <= 108
-
-    def test_linearity(self):
-        x, y, w, h = body_region((0, 0, 20, 30))
-        x2, y2, w2, h2 = body_region((0, 0, 40, 60))
-        assert (w2, h2) == (2 * w, 2 * h)
 
 
 class TestIou:
