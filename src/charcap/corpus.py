@@ -21,6 +21,7 @@ the offending line and field.
 """
 
 import json
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -505,6 +506,25 @@ def _is_number(v, kind=(int, float)):
     return isinstance(v, kind) and not isinstance(v, bool)
 
 
+def _is_finite(v):
+    """A JSON number (not a boolean) that is a finite float."""
+    try:
+        return _is_number(v) and math.isfinite(v)
+    except OverflowError:  # an integer past the float range
+        return False
+
+
+def _parse_vector(obj, key, line, dims):
+    """A flat list of finite numbers, as wide as every earlier ``key``
+    vector of the corpus (``dims`` records the widths seen)."""
+    raw = _need(obj, key, line, list)
+    if not raw or not all(_is_finite(v) for v in raw):
+        raise CorpusFormatError(line, key, "expected a non-empty flat list of finite numbers")
+    if dims.setdefault(key, len(raw)) != len(raw):
+        raise CorpusFormatError(line, key, f"{len(raw)} entries, the corpus has {dims[key]!r}")
+    return np.asarray(raw, dtype=FLOAT)
+
+
 def _parse_frames(raw, line):
     """Equal-shape (H, W, 3) grids of integers 0-255, as uint8 arrays."""
     if not isinstance(raw, list):
@@ -523,16 +543,21 @@ def _parse_frames(raw, line):
     return frames
 
 
-def _parse_clip(obj, line):
+def _parse_clip(obj, line, dims, tokens, prev):
+    """One clip line. ``dims`` holds the corpus's vector widths so far;
+    ``tokens``, if not None, is the set of tokens a sentence may use;
+    ``prev`` is the pair's previous clip, or None. A ``coref_prev`` names
+    a character ``prev`` mentions (not checked if it has no mentions)."""
     if not isinstance(obj, dict):
         raise CorpusFormatError(line, "<root>", "clip line must be a JSON object")
     clip_id = _need(obj, "id", line)
     tracks = []
-    dims = {}
     for traw in _need(obj, "tracks", line, list):
         if not isinstance(traw, dict):
             raise CorpusFormatError(line, "tracks", "each track must be a JSON object")
         tid = _need(traw, "id", line)
+        if not _is_number(tid, int):
+            raise CorpusFormatError(line, "id", "track ids must be integers")
         frames = _need(traw, "frames", line, list)
         boxes = _need(traw, "boxes", line, list)
         scores = _need(traw, "score", line, list)
@@ -544,56 +569,64 @@ def _parse_clip(obj, line):
         for t, box, s in zip(frames, boxes, scores):
             if not (isinstance(box, list) and len(box) == 4):
                 raise CorpusFormatError(line, "boxes", "each box must be [cx, cy, w, h]")
-            if not all(_is_number(v) for v in box):
-                raise CorpusFormatError(line, "boxes", "box values must be numbers")
+            if not all(_is_finite(v) for v in box):
+                raise CorpusFormatError(line, "boxes", "box values must be finite numbers")
             if not _is_number(t, int):
                 raise CorpusFormatError(line, "frames", "frame indices must be integers")
-            if not _is_number(s):
-                raise CorpusFormatError(line, "score", "scores must be numbers")
+            if not _is_finite(s):
+                raise CorpusFormatError(line, "score", "scores must be finite numbers")
             if box[2] <= 0 or box[3] <= 0:
                 raise CorpusFormatError(line, "boxes", "box width/height must be positive")
             dets.append(Detection(t=int(t), x=float(box[0]), y=float(box[1]),
                                   w=float(box[2]), h=float(box[3]), score=float(s)))
-        v_head = np.asarray(_need(traw, "v_head", line, list), dtype=FLOAT)
-        v_body = np.asarray(_need(traw, "v_body", line, list), dtype=FLOAT)
-        for name, v in (("v_head", v_head), ("v_body", v_body)):
-            if not np.all(np.isfinite(v)):
-                raise CorpusFormatError(line, name, "non-finite values")
-            if name in dims and dims[name] != v.size:
-                raise CorpusFormatError(line, name, "inconsistent vector dimension")
-            dims[name] = v.size
-        tr = Track(id=int(tid), detections=dets, v_head=v_head, v_body=v_body)
-        tr.v_stat = track_stats(tr)
+        tr = Track(id=tid, detections=dets, v_head=_parse_vector(traw, "v_head", line, dims),
+                   v_body=_parse_vector(traw, "v_body", line, dims))
+        with np.errstate(over="ignore", invalid="ignore"):
+            tr.v_stat = track_stats(tr)
+        finite = np.isfinite(tr.v_stat)
+        if not finite.all():  # the last two entries are the score's mean and std
+            raise CorpusFormatError(line, "score" if finite[:-2].all() else "boxes",
+                                    "values overflow the track statistics")
         tracks.append(tr)
     if len({t.id for t in tracks}) != len(tracks):
         raise CorpusFormatError(line, "tracks", "duplicate track ids")
     tracks = cap_tracks(tracks)
     ids = {t.id for t in tracks}
 
-    v_global = np.asarray(_need(obj, "v_global", line, list), dtype=FLOAT)
+    v_global = _parse_vector(obj, "v_global", line, dims)
     sentence = _need(obj, "sentence", line, list)
     if not all(isinstance(t, str) for t in sentence):
         raise CorpusFormatError(line, "sentence", "tokens must be strings")
+    if tokens is not None and not tokens.issuperset(sentence):
+        unknown = sorted(set(sentence) - tokens)
+        raise CorpusFormatError(line, "sentence", f"tokens {unknown} are not in the vocabulary")
+    prev_chars = {m.char_id for m in prev.mentions} if prev is not None else set()
     mentions = []
     for mraw in _need(obj, "mentions", line, list):
         if not isinstance(mraw, dict):
             raise CorpusFormatError(line, "mentions", "each mention must be a JSON object")
-        pos = _need(mraw, "pos", line, int)
-        if not 0 <= pos < len(sentence):
+        pos = _need(mraw, "pos", line)
+        if not (_is_number(pos, int) and 0 <= pos < len(sentence)):
             raise CorpusFormatError(line, "pos", "mention position out of range")
         if sentence[pos] not in PERSON_TOKENS:
             raise CorpusFormatError(line, "pos", "mention does not point at a person token")
+        char = _need(mraw, "char", line)
+        if not _is_number(char, int):
+            raise CorpusFormatError(line, "char", "character ids must be integers")
         gender = _need(mraw, "gender", line, str)
         if gender not in ("M", "F"):
             raise CorpusFormatError(line, "gender", "gender must be 'M' or 'F'")
         gt = _need(mraw, "gt_tracks", line, list)
         for gid in gt:
-            if gid not in ids:
+            if not (_is_number(gid, int) and gid in ids):
                 raise CorpusFormatError(line, "gt_tracks",
-                                        f"unknown track id {gid} (after capping)")
+                                        f"unknown track id {gid!r} (after capping)")
         coref = mraw.get("coref_prev")
-        mentions.append(Mention(pos=pos, char_id=_need(mraw, "char", line),
-                                gender=gender, gt_track_ids=list(gt),
+        if coref is not None and (prev is None or not _is_number(coref, int)
+                                  or (prev_chars and coref not in prev_chars)):
+            raise CorpusFormatError(line, "coref_prev", f"character {coref!r} is not "
+                                    "mentioned in a previous clip of the pair")
+        mentions.append(Mention(pos=pos, char_id=char, gender=gender, gt_track_ids=list(gt),
                                 coref_prev=coref))
     clip = Clip(id=clip_id, tracks=tracks, v_global=v_global,
                 sentence=list(sentence), mentions=mentions)
@@ -603,7 +636,20 @@ def _parse_clip(obj, line):
 
 
 def ingest_jsonl(path):
-    """Parse and validate a JSONL corpus; pairs consecutive clips."""
+    """Parse and validate a JSONL corpus; pairs consecutive clips.
+
+    The sidecar meta, when present, is read first: its ``d_head``,
+    ``d_body`` and ``d_global`` fix the vector widths and its ``vocab``
+    the tokens a sentence may use.
+    """
+    meta = {}
+    meta_path = str(path) + ".meta.json"
+    if os.path.exists(meta_path):
+        with open(meta_path, "r", encoding="utf-8") as fh:
+            meta = json.load(fh)
+    dims = {f"v_{k}": meta[f"d_{k}"] for k in ("head", "body", "global") if f"d_{k}" in meta}
+    known = set(meta["vocab"]) if "vocab" in meta else None
+
     clips = []
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, raw in enumerate(fh, start=1):
@@ -614,7 +660,8 @@ def ingest_jsonl(path):
                 obj = json.loads(raw)
             except json.JSONDecodeError as exc:
                 raise CorpusFormatError(line_no, "<json>", f"invalid JSON: {exc}") from None
-            clips.append(_parse_clip(obj, line_no))
+            prev = clips[-1] if len(clips) % 2 else None  # odd positions are current clips
+            clips.append(_parse_clip(obj, line_no, dims, known, prev))
 
     pairs = []
     for k in range(0, len(clips) - 1, 2):
@@ -622,12 +669,7 @@ def ingest_jsonl(path):
     if len(clips) % 2 == 1:
         pairs.append(ClipPair(id=len(clips) // 2, prev=None, cur=clips[-1]))
 
-    meta = {}
-    meta_path = str(path) + ".meta.json"
-    if os.path.exists(meta_path):
-        with open(meta_path, "r", encoding="utf-8") as fh:
-            meta = json.load(fh)
-    if "vocab" in meta:
+    if known is not None:
         vocab = Vocabulary(tuple(meta["vocab"]))
     else:
         seen = set()

@@ -16,12 +16,13 @@ cross-entropy at every step, and attention cross-entropy against the
 automatic one-hot targets at supervised person-word steps. All gradients
 are hand-written and finite-difference checked.
 
-Checkpoints are a one-line JSON header (dims, vocab, array table)
-followed by raw little-endian float64 blocks, one per named weight.
+Checkpoints are a one-line JSON header (magic string, format version,
+dims, vocab, array table) followed by raw little-endian float64 blocks,
+one per named weight.
 """
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -487,9 +488,15 @@ def decode_pair(trained: TrainedDecoder, pair: ClipPair, prev_grounding):
 # checkpoints: JSON header line + raw little-endian float64 blocks
 # ---------------------------------------------------------------------------
 
+CHECKPOINT_MAGIC = "charcap-decoder"
+CHECKPOINT_VERSION = 1
+
+
 def save_checkpoint(path, trained: TrainedDecoder):
     names = sorted(trained.params)
     header = {
+        "magic": CHECKPOINT_MAGIC,
+        "version": CHECKPOINT_VERSION,
         "config": asdict(trained.config),
         "vocab": list(trained.vocab.tokens),
         "norm": trained.norm.to_json(),
@@ -503,8 +510,10 @@ def save_checkpoint(path, trained: TrainedDecoder):
 
 
 def load_checkpoint(path):
-    """Inverse of ``save_checkpoint``; a malformed header, a short array
-    block or trailing bytes raise ValueError naming the file."""
+    """Inverse of ``save_checkpoint``. A malformed header, a missing magic
+    string or version, an unknown version, config keys ``DecoderConfig``
+    does not know, a short array block or trailing bytes raise ValueError
+    naming the file."""
     with open(path, "rb") as fh:
         try:
             header = json.loads(fh.readline().decode("utf-8"))
@@ -512,6 +521,13 @@ def load_checkpoint(path):
             raise ValueError(f"{path}: checkpoint header is not JSON: {exc}") from None
         if not isinstance(header, dict):
             raise ValueError(f"{path}: checkpoint header is not a JSON object")
+        stamp = (header.get("magic"), header.get("version"))
+        if stamp != (CHECKPOINT_MAGIC, CHECKPOINT_VERSION):
+            raise ValueError(f"{path}: not a version-{CHECKPOINT_VERSION} charcap decoder "
+                             f"checkpoint (magic string {stamp[0]!r}, format version {stamp[1]!r})")
+        unknown = sorted(set(header["config"]) - {f.name for f in fields(DecoderConfig)})
+        if unknown:
+            raise ValueError(f"{path}: config keys {unknown} are not DecoderConfig settings")
         params = {}
         for spec in header["arrays"]:
             shape = tuple(spec["shape"])

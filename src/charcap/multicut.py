@@ -10,11 +10,12 @@ rewards joining, negative rewards cutting). It splits the nodes into the
 connected components of the positive-edge graph, which an optimal
 partition never joins, and solves each component alone: a component with
 no negative internal edge is one cluster; any other gets greedy edge
-contraction followed by Kernighan-Lin-style refinement (best-improvement
-node moves, and an escape pass that chains tentative moves and keeps the
-best prefix) and perturbation restarts. ``brute_force_multicut``
-enumerates all set partitions and is the exactness oracle for small
-instances.
+contraction, then one local-search move repeated to a local optimum, then
+perturbation restarts. The move is a Kernighan-Lin trajectory on the
+node-to-cluster affinity matrix: it moves the best not-yet-moved node,
+even at a loss, once per node, and keeps the best prefix.
+``brute_force_multicut`` enumerates all set partitions and is the
+exactness oracle for small instances.
 """
 
 import bisect
@@ -143,131 +144,63 @@ def greedy_contraction(W):
     """Merge the most attractive cluster pair while any pair has positive
     total cost; ties go to the lowest (i, j) representative pair."""
     n = W.shape[0]
+    C = np.array(W, dtype=FLOAT)  # C[a, b]: total cost between clusters a and b
+    live = np.triu(np.ones((n, n), dtype=bool), 1)
     labels = np.arange(n)
-    inter = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            if W[i, j] != 0.0:
-                inter[(i, j)] = W[i, j]
-    while True:
-        best_key, best_val = None, 0.0
-        for key in sorted(inter):
-            val = inter[key]
-            if val > best_val + 1e-15 or (best_key is None and val > 0.0):
-                best_key, best_val = key, val
-        if best_key is None:
+    for _ in range(n - 1):  # each merge removes one cluster
+        a, b = divmod(int(np.argmax(np.where(live, C, -np.inf))), n)
+        if not (live[a, b] and C[a, b] > 0.0):
             break
-        a, b = best_key  # a < b; b's nodes join a
+        C[a] += C[b]  # a < b; b's nodes join a
+        C[:, a] += C[:, b]
+        live[b] = live[:, b] = False
         labels[labels == b] = a
-        merged = {}
-        for (i, j), val in inter.items():
-            if (i, j) == (a, b):
-                continue
-            i2 = a if i == b else i
-            j2 = a if j == b else j
-            if i2 == j2:
-                continue
-            key = (min(i2, j2), max(i2, j2))
-            merged[key] = merged.get(key, 0.0) + val
-        inter = merged
     return _compact(labels)
 
 
-def _node_move_pass(W, labels):
-    """Best-improvement single-node moves (including to a new singleton)."""
-    n = W.shape[0]
-    improved = False
-    while True:
-        moved = False
-        k = labels.max() + 1
-        for u in range(n):
-            aff = np.bincount(labels, weights=W[u], minlength=k + 1)
-            own = labels[u]
-            gains = aff - aff[own]
-            gains[own] = 0.0
-            # an empty target cluster has affinity 0
-            best = int(np.argmax(gains))
-            if gains[best] > 1e-12:
-                labels[u] = best
-                labels = _compact(labels)
-                k = labels.max() + 1
-                moved = improved = True
-        if not moved:
-            break
-    return labels, improved
+def _escape_pass(W, labels):
+    """One Kernighan-Lin trajectory: repeatedly move the not-yet-moved node
+    with the best gain, even a negative one, to another cluster or a new
+    singleton, and keep the best prefix. Returns (labels, improved).
 
-
-def _best_forced_move(W, cur, moved):
-    k = cur.max() + 2  # one spare slot for "new singleton"
-    cand = None
-    for u in range(len(cur)):
-        if moved[u]:
-            continue
-        aff = np.bincount(cur, weights=W[u], minlength=k)
-        own = cur[u]
-        gains = aff - aff[own]
-        gains[own] = -np.inf
-        tgt = int(np.argmax(gains))
-        if cand is None or gains[tgt] > cand[0] + 1e-15:
-            cand = (gains[tgt], u, tgt)
-    return cand
-
-
-def _escape_trajectory(W, labels, base, first=None):
-    """Chain forced best moves (possibly negative), each node at most once;
-    returns (best objective, best state) over the chain's prefixes."""
+    ``A[u, g]`` is node u's total cost to cluster g. Its last column in
+    play is always an empty cluster, the new-singleton target; a move
+    into it brings the next (empty) column into play.
+    """
     n = W.shape[0]
     cur = labels.copy()
-    moved = np.zeros(n, dtype=bool)
-    running = base
-    best_obj, best_state = base, None
-    for step in range(n):
-        if step == 0 and first is not None:
-            cand = first
-        else:
-            cand = _best_forced_move(W, cur, moved)
-        if cand is None:
-            break
-        gain, u, tgt = cand
-        cur[u] = tgt
-        cur = _compact(cur)
-        moved[u] = True
-        running += gain
-        if running > best_obj + 1e-12:
-            best_obj, best_state = running, cur.copy()
-    return best_obj, best_state
-
-
-def _escape_pass(W, labels, deep_limit=24):
-    """KL-style escape. On small instances a trajectory is tried from
-    every feasible first move; otherwise only from the globally best one."""
-    n = W.shape[0]
-    base = _objective(W, labels)
-    best_obj, best_state = base, None
-    if n <= deep_limit:
-        k = labels.max() + 2
-        firsts = []
-        for u in range(n):
-            aff = np.bincount(labels, weights=W[u], minlength=k)
-            for g in range(k):
-                if g != labels[u]:
-                    firsts.append((float(aff[g] - aff[labels[u]]), u, g))
-    else:
-        firsts = [None]
-    for first in firsts:
-        obj, state = _escape_trajectory(W, labels, base, first)
-        if state is not None and obj > best_obj + 1e-12:
-            best_obj, best_state = obj, state
-    if best_state is not None:
-        return best_state, True
-    return labels, False
+    k = cur.max() + 1
+    A = np.zeros((n, k + n + 1), dtype=FLOAT)
+    A[:, :k] = W @ np.eye(k, dtype=FLOAT)[cur]
+    m = k + 1  # columns in play
+    rows = np.arange(n)
+    free = rows  # nodes not yet moved, ascending
+    running, best, best_labels = 0.0, 1e-12, None  # a prefix must gain beyond rounding
+    for _ in range(n):
+        own = cur[free]
+        gains = A[free, :m] - A[free, own][:, None]
+        gains[rows[:len(free)], own] = -np.inf
+        i, g = divmod(int(np.argmax(gains)), m)
+        u = free[i]
+        running += gains[i, g]
+        A[:, cur[u]] -= W[:, u]
+        A[:, g] += W[:, u]
+        cur[u] = g
+        if g == m - 1:
+            m += 1
+        free = free[free != u]
+        if running > best:
+            best, best_labels = running, cur.copy()
+    if best_labels is None:
+        return labels, False
+    return _compact(best_labels), True
 
 
 def _refine(W, labels):
+    """Escape passes until none improves (at most 50)."""
     for _ in range(50):
-        labels, moved = _node_move_pass(W, labels)
-        labels, escaped = _escape_pass(W, labels)
-        if not (moved or escaped):
+        labels, improved = _escape_pass(W, labels)
+        if not improved:
             break
     return labels
 
@@ -292,8 +225,9 @@ def _positive_components(W):
 
 
 def _search(W):
-    """Greedy contraction, refinement to a local optimum, then
-    deterministic perturbation restarts of rotating strength."""
+    """Greedy contraction, escape passes to a local optimum, then
+    deterministic perturbation restarts of rotating strength, each
+    refined the same way; the best partition found wins."""
     n = W.shape[0]
     labels = _refine(W, greedy_contraction(W))
     best_obj = _objective(W, labels)
@@ -321,8 +255,9 @@ def solve_multicut(n, edges):
     since every edge between them is non-positive, so each component is
     solved alone: one with no negative internal edge is one cluster
     (exact, no search), and any other goes through ``_search`` on its own
-    sub-matrix (heuristic: greedy contraction, node-move and escape
-    passes, and ``RESTARTS`` perturbation restarts).
+    sub-matrix (heuristic: greedy contraction, Kernighan-Lin escape passes
+    until none improves, and ``RESTARTS`` perturbation restarts), which
+    ends where no single-node move improves the partition.
     """
     if n <= 0:
         return Partition(labels=np.zeros(0, dtype=int), objective=0.0)

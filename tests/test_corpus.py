@@ -1,7 +1,10 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from charcap.corpus import (
     C_MAX, NAME_TOKENS, P_MAX, PERSON_TOKENS, AlphaTarget, Clip, ClipPair,
@@ -256,6 +259,131 @@ class TestJsonl:
         a, b = c.split(7)
         assert len(a.pairs) == 7 and len(b.pairs) == 3
         assert a.vocab.tokens == b.vocab.tokens
+
+
+def _exported_lines(tmp_path):
+    """An exported two-pair corpus: its path and its lines, parsed."""
+    p = tmp_path / "c.jsonl"
+    export_jsonl(generate_corpus(small_config(n_pairs=2), seed=1), p)
+    return p, [json.loads(line) for line in p.read_text().splitlines()]
+
+
+def _write_lines(p, objs):
+    p.write_text("".join(json.dumps(o) + "\n" for o in objs))
+
+
+def _replace(obj, keys, value):
+    for k in keys[:-1]:
+        obj = obj[k]
+    obj[keys[-1]] = value
+
+
+def _assert_valid(c):
+    """The invariants later stages rely on, for a corpus ingest returned."""
+    widths = {}
+    for pair in c.pairs:
+        for clip in (pair.prev, pair.cur):
+            if clip is None:
+                continue
+            vectors = [("v_global", clip.v_global)]
+            for t in clip.tracks:
+                assert isinstance(t.id, int) and not isinstance(t.id, bool)
+                assert np.isfinite(t.v_stat).all()
+                vectors += [("v_head", t.v_head), ("v_body", t.v_body)]
+                for d in t.detections:
+                    assert all(math.isfinite(v) for v in (d.x, d.y, d.w, d.h, d.score))
+                    assert d.w > 0 and d.h > 0
+            for name, v in vectors:
+                assert v.ndim == 1 and v.dtype == np.float64 and np.isfinite(v).all()
+                assert widths.setdefault(name, v.size) == v.size
+            for tok in clip.sentence:
+                c.vocab.index(tok)
+            ids = {t.id for t in clip.tracks}
+            for m in clip.mentions:
+                assert isinstance(m.char_id, int) and not isinstance(m.char_id, bool)
+                assert set(m.gt_track_ids) <= ids
+                if m.coref_prev is not None:
+                    assert clip is pair.cur and pair.prev is not None
+                    chars = {pm.char_id for pm in pair.prev.mentions}
+                    assert not chars or m.coref_prev in chars
+
+
+def _paths(obj, prefix=()):
+    """Every key path inside a parsed JSON line, containers included."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj)
+    for k, v in items:
+        yield prefix + (k,)
+        if isinstance(v, (dict, list)):
+            yield from _paths(v, prefix + (k,))
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=8)
+
+
+class TestIngestErrors:
+    @pytest.mark.parametrize("line, keys, value, field_name", [
+        (2, ("tracks", 0, "v_head", 0), "a", "v_head"),
+        (2, ("tracks", 0, "v_body", 1), "a", "v_body"),
+        (2, ("v_global", 0), "a", "v_global"),
+        (2, ("tracks", 0, "v_head"), [[1.0, 2.0]] * 4, "v_head"),
+        (2, ("v_global", 3), float("nan"), "v_global"),
+        (2, ("v_global", 3), float("inf"), "v_global"),
+        (2, ("tracks", 0, "id"), "x", "id"),
+        (2, ("tracks", 0, "id"), [1], "id"),
+        (2, ("mentions", 0, "char"), "x", "char"),
+        (2, ("mentions", 0, "char"), [1], "char"),
+        (2, ("tracks", 0, "boxes", 0, 2), float("nan"), "boxes"),
+        (2, ("tracks", 0, "boxes", 0, 0), float("-inf"), "boxes"),
+        (2, ("tracks", 0, "score", 0), float("nan"), "score"),
+        (2, ("tracks", 0, "boxes", 0, 0), 1e200, "boxes"),
+        (2, ("v_global",), [0.0, 1.0, 2.0], "v_global"),
+        (2, ("sentence", 1), "flies", "sentence"),
+        (2, ("mentions", 0, "coref_prev"), 999, "coref_prev"),
+        (3, ("mentions", 0, "coref_prev"), 0, "coref_prev"),
+    ], ids=["v_head-string", "v_body-string", "v_global-string", "v_head-nested",
+            "v_global-nan", "v_global-inf", "track-id-string", "track-id-list",
+            "char-string", "char-list", "box-width-nan", "box-x-inf", "score-nan",
+            "box-x-overflows-stats", "v_global-width", "token-not-in-vocab",
+            "coref-not-in-previous-clip", "coref-without-previous-clip"])
+    def test_malformed_value_names_field_and_line(self, tmp_path, line, keys, value,
+                                                  field_name):
+        p, objs = _exported_lines(tmp_path)
+        _replace(objs[line - 1], keys, value)
+        _write_lines(p, objs)
+        with pytest.raises(CorpusFormatError) as exc:
+            ingest_jsonl(p)
+        assert (exc.value.line, exc.value.field) == (line, field_name)
+
+    def test_vector_width_must_match_earlier_clips_without_meta(self, tmp_path):
+        p, objs = _exported_lines(tmp_path)
+        (tmp_path / "c.jsonl.meta.json").unlink()
+        ingest_jsonl(p)  # the unedited corpus needs no meta
+        objs[2]["tracks"][0]["v_body"] = [1.0]
+        _write_lines(p, objs)
+        with pytest.raises(CorpusFormatError) as exc:
+            ingest_jsonl(p)
+        assert (exc.value.line, exc.value.field) == (3, "v_body")
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_any_one_field_replaced_gives_typed_error_or_valid_corpus(self, tmp_path,
+                                                                       data):
+        p, objs = _exported_lines(tmp_path)
+        line = data.draw(st.integers(0, len(objs) - 1), label="line")
+        keys = data.draw(st.sampled_from(list(_paths(objs[line]))), label="path")
+        _replace(objs[line], keys, data.draw(JSON_VALUES, label="value"))
+        _write_lines(p, objs)
+        try:
+            back = ingest_jsonl(p)
+        except CorpusFormatError as exc:
+            assert exc.line == line + 1
+        else:
+            _assert_valid(back)
 
 
 def _track(tid, n=3):

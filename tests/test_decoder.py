@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -401,3 +403,41 @@ class TestCheckpoint:
             load_checkpoint(path)
         if damage == "truncated":  # the last array written is one byte short
             assert repr(sorted(trained.params)[-1]) in str(exc.value)
+
+
+class TestCheckpointVersion:
+    @staticmethod
+    def _rewrite_header(path, edit):
+        head, rest = path.read_bytes().split(b"\n", 1)
+        header = json.loads(head)
+        edit(header)
+        path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + rest)
+
+    def test_header_carries_magic_and_version(self, separable, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, separable[0])
+        header = json.loads(path.read_bytes().split(b"\n", 1)[0])
+        assert (header["magic"], header["version"]) == ("charcap-decoder", 1)
+
+    @pytest.mark.parametrize("key", ["magic", "version"])
+    def test_missing_magic_or_version_rejected_by_name(self, separable, tmp_path, key):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, separable[0])
+        self._rewrite_header(path, lambda h: h.pop(key))
+        with pytest.raises(ValueError, match=rf"model\.ckpt.*{key}.* None"):
+            load_checkpoint(path)
+
+    def test_unknown_version_rejected_by_name(self, separable, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, separable[0])
+        self._rewrite_header(path, lambda h: h.update(version=2))
+        with pytest.raises(ValueError, match=r"model\.ckpt.*format version 2"):
+            load_checkpoint(path)
+
+    def test_unknown_config_keys_rejected_by_name(self, separable, tmp_path):
+        # the track caps left DecoderConfig; old headers still name them
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, separable[0])
+        self._rewrite_header(path, lambda h: h["config"].update(c_max=50, p_max=7))
+        with pytest.raises(ValueError, match=r"model\.ckpt.*\['c_max', 'p_max'\]"):
+            load_checkpoint(path)

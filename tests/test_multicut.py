@@ -285,3 +285,43 @@ class TestLevel2OrderInvariance:
             mapped = frozenset(frozenset(int(perm[m]) for m in cluster)
                                for cluster in ref)
             assert got.as_sets() == mapped
+
+
+def sparse_instance(rng, n):
+    return [(i, j, float(rng.normal())) for i in range(n) for j in range(i + 1, n)
+            if rng.random() < 0.3]
+
+
+def noisy_lanes(rng, frames, lanes):
+    """Level-1-shaped costs: frames up to 2 apart are joined, +2 within a
+    lane and -2 across lanes, plus N(0, 1.5) noise."""
+    edges = []
+    for t in range(frames):
+        for d in (1, 2):
+            if t + d < frames:
+                edges += [(t * lanes + a, (t + d) * lanes + b,
+                           (2.0 if a == b else -2.0) + float(rng.normal(0.0, 1.5)))
+                          for a in range(lanes) for b in range(lanes)]
+    return edges
+
+
+class TestBeyondBruteForce:
+    def test_no_single_node_move_improves(self):
+        rng = rng_stream(14, "local-opt")
+        for trial in range(12):
+            n = int(rng.integers(13, 41))
+            edges = sparse_instance(rng, n)
+            W = _cost_matrix(n, edges)
+            labels = solve_multicut(n, edges).labels
+            k = labels.max() + 1
+            for u in range(n):
+                # affinity of u to every cluster, plus an empty one
+                aff = np.bincount(labels, weights=W[u], minlength=k + 1)
+                assert aff.max() - aff[labels[u]] <= 1e-9, (trial, n, u)
+
+    def test_noisy_lanes_reach_the_planted_objective(self):
+        frames, lanes = 30, 3
+        edges = noisy_lanes(rng_stream(15, "lanes"), frames, lanes)
+        planted = sum(c for i, j, c in edges if i % lanes == j % lanes)
+        part = solve_multicut(frames * lanes, edges)
+        assert part.objective >= planted - 1e-9
