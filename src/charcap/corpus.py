@@ -52,12 +52,14 @@ class ConfigError(ValueError):
 
 
 class CorpusFormatError(ValueError):
-    """JSONL schema violation, carrying the 1-based line and field name."""
+    """JSONL schema violation, carrying the 1-based line (None for the
+    sidecar meta file) and the field name."""
 
     def __init__(self, line, field_name, msg):
         self.line = line
         self.field = field_name
-        super().__init__(f"line {line}: field '{field_name}': {msg}")
+        where = "sidecar meta" if line is None else f"line {line}"
+        super().__init__(f"{where}: field '{field_name}': {msg}")
 
 
 def person_token(gender, coref):
@@ -635,18 +637,42 @@ def _parse_clip(obj, line, dims, tokens, prev):
     return clip
 
 
+def _read_meta(path):
+    """The sidecar meta object at ``path`` ({} when there is none), with its
+    widths, vocabulary and boundaries checked."""
+    if not os.path.exists(path):
+        return {}
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            meta = json.load(fh)
+        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+            raise CorpusFormatError(None, "<json>", f"{path} is not JSON: {exc}") from None
+    if not isinstance(meta, dict):
+        raise CorpusFormatError(None, "<root>", f"{path} must hold a JSON object")
+    for key in ("d_head", "d_body", "d_global"):
+        if key in meta and not (_is_number(meta[key], int) and meta[key] > 0):
+            raise CorpusFormatError(None, key, "expected a positive integer")
+    vocab = meta.get("vocab", [])
+    if not (isinstance(vocab, list) and all(isinstance(t, str) for t in vocab)
+            and len(set(vocab)) == len(vocab)):
+        raise CorpusFormatError(None, "vocab", "expected a list of distinct strings")
+    gtb = meta.get("gt_boundaries", {})
+    if not (isinstance(gtb, dict) and all(
+            isinstance(b, list) and all(_is_number(i, int) for i in b) for b in gtb.values())):
+        raise CorpusFormatError(None, "gt_boundaries",
+                                "expected an object mapping clip ids to lists of integers")
+    return meta
+
+
 def ingest_jsonl(path):
     """Parse and validate a JSONL corpus; pairs consecutive clips.
 
     The sidecar meta, when present, is read first: its ``d_head``,
     ``d_body`` and ``d_global`` fix the vector widths and its ``vocab``
-    the tokens a sentence may use.
+    the tokens a sentence may use. A malformed meta raises
+    ``CorpusFormatError`` with line None.
     """
-    meta = {}
-    meta_path = str(path) + ".meta.json"
-    if os.path.exists(meta_path):
-        with open(meta_path, "r", encoding="utf-8") as fh:
-            meta = json.load(fh)
+    meta = _read_meta(str(path) + ".meta.json")
     dims = {f"v_{k}": meta[f"d_{k}"] for k in ("head", "body", "global") if f"d_{k}" in meta}
     known = set(meta["vocab"]) if "vocab" in meta else None
 

@@ -30,8 +30,9 @@ from .corpus import (
     BOS, EOS, P_MAX, PERSON_TOKENS, ClipPair, Corpus, Vocabulary, cap_tracks,
 )
 from .numerics import (
-    FLOAT, glorot_uniform, lstm_init, lstm_step_backward, lstm_step_forward,
-    make_optimizer, masked_softmax, rng_stream, softmax, zeros_like_params,
+    FLOAT, cross_entropy, glorot_uniform, lstm_init, lstm_step_backward,
+    lstm_step_forward, make_optimizer, masked_softmax, rng_stream, softmax,
+    zeros_like_params,
 )
 from .track_features import STAT_DIM, NormStats, apply_norm, fit_norm_stats
 
@@ -196,7 +197,7 @@ def attention_step(params, h_prev, feats: PairFeatures):
         M,
     ], axis=2)
     v_grounded = np.einsum("pc,pcd->d", alpha, cell)
-    cache = (M, Tf, q, pre_q, u, alpha, cell, valid, h_prev, f_cur, Vh, Vb, Vs)
+    cache = (M, Tf, q, pre_q, u, alpha, cell, valid, h_prev, f_cur, Vh, Vb, Vs, logits)
     return alpha, v_grounded, cache
 
 
@@ -206,7 +207,7 @@ def attention_backward(params, cache, dv_grounded, dlogits_extra, grads):
     ``dlogits_extra`` carries the attention-loss gradient already at the
     logits (softmax cross-entropy shortcut); returns dh_prev.
     """
-    M, Tf, q, pre_q, u, alpha, cell, valid, h_prev, f_cur, Vh, Vb, Vs = cache
+    M, Tf, q, pre_q, u, alpha, cell, valid, h_prev, f_cur, Vh, Vb, Vs, _ = cache
 
     dalpha = np.einsum("pcd,d->pc", cell, dv_grounded)
     s = float((alpha * dalpha).sum())
@@ -252,21 +253,27 @@ def _extend(vocab: Vocabulary, sentence):
 
 
 def sentence_loss(params, config, vocab, feats: PairFeatures, sentence,
-                  alpha_targets=None, want_grads=True):
+                  alpha_targets=None, want_grads=True, grads=None):
     """Teacher-forced loss of one clip pair.
 
     ``alpha_targets``: {sentence position tau: (p, c)} with p in 0..P and
-    c in 1..C (1-based); positions pointing at padding cells are skipped
-    but counted. Returns (total, word_loss, att_loss, grads, skipped).
+    c in 1..C (1-based); targets outside the valid cells of the grid are
+    skipped but counted. The gradients are added into ``grads`` (a fresh
+    zero dict when None). Returns (total, word_loss, att_loss, grads,
+    skipped); grads is None when ``want_grads`` is False.
     """
     tokens = _extend(vocab, sentence)
     person_idx = {vocab.index(t) for t in PERSON_TOKENS}
     alpha_targets = alpha_targets or {}
     H = config.hidden
+    if want_grads and grads is None:
+        grads = zeros_like_params(params)
 
     h = np.zeros(H, dtype=FLOAT)
     c = np.zeros(H, dtype=FLOAT)
     steps = []
+    dlog = []   # per step: softmax(word logits) - onehot(target word)
+    hs = []     # per step: h_t, the input of the output layer
     word_loss = 0.0
     att_loss = 0.0
     skipped = 0
@@ -275,52 +282,57 @@ def sentence_loss(params, config, vocab, feats: PairFeatures, sentence,
             params, feats, h, c, tokens[step - 1])
         if not np.all(np.isfinite(logits)):
             # numeric blow-up: surface as non-finite loss so training aborts
-            grads = zeros_like_params(params) if want_grads else None
-            return np.inf, np.inf, att_loss, grads, skipped
-        probs = softmax(logits)
-        word_loss += -np.log(probs[tokens[step]]) if probs[tokens[step]] > 0 else np.inf
+            return np.inf, np.inf, att_loss, grads if want_grads else None, skipped
+        word_loss += cross_entropy(logits, tokens[step])
 
         target_cell = None
         tau = step - 1  # sentence position this step predicts
         if tokens[step] in person_idx and tau in alpha_targets and alpha is not None:
             p, ci = alpha_targets[tau]
-            if p < alpha.shape[0] and 1 <= ci <= alpha.shape[1] and alpha[p, ci - 1] > 0.0:
-                att_loss += -np.log(max(alpha[p, ci - 1], 1e-300))
+            valid, att_logits = att_cache[7], att_cache[-1]
+            if p < valid.shape[0] and 1 <= ci <= valid.shape[1] and valid[p, ci - 1]:
                 target_cell = (p, ci - 1)
+                att_loss += cross_entropy(att_logits, target_cell, valid)
             else:
                 skipped += 1
-        steps.append((att_cache, lstm_cache, probs, tokens[step],
-                      tokens[step - 1], target_cell, alpha, h))
+        if want_grads:
+            probs = softmax(logits)
+            probs[tokens[step]] -= 1.0
+            dlog.append(probs)
+            hs.append(h)
+            steps.append((att_cache, lstm_cache, target_cell, alpha))
 
     total = word_loss + att_loss
     if not want_grads:
         return total, word_loss, att_loss, None, skipped
 
-    grads = zeros_like_params(params)
+    # output layer and the recurrent weights: one product per sentence
+    dlog = np.stack(dlog)
+    grads["W_pred"] += dlog.T @ np.stack(hs)
+    grads["b_pred"] += dlog.sum(axis=0)
+    dh_out = dlog @ params["W_pred"]
+
+    T = len(steps)
+    da = np.empty((T, 4 * H), dtype=FLOAT)
+    dE = np.empty((T, config.d_emb), dtype=FLOAT)
     dh = np.zeros(H, dtype=FLOAT)
     dc = np.zeros(H, dtype=FLOAT)
     d_gr = config.d_grounded
-    for att_cache, lstm_cache, probs, w_t, w_in, target_cell, alpha, h_t in reversed(steps):
-        dlogits = probs.copy()
-        dlogits[w_t] -= 1.0
-        grads["W_pred"] += np.outer(dlogits, h_t)
-        grads["b_pred"] += dlogits
-        dh = dh + params["W_pred"].T @ dlogits
-
-        dW, db, dx, dh_prev, dc_prev = lstm_step_backward(lstm_cache, dh, dc)
-        grads["W_lstm"] += dW
-        grads["b_lstm"] += db
-        grads["E"][w_in] += dx[d_gr + config.d_global:]
-        dv_gr = dx[:d_gr]
-
-        dlogits_extra = None
-        if target_cell is not None:
-            dlogits_extra = alpha.copy()
-            dlogits_extra[target_cell] -= 1.0
+    for t in range(T - 1, -1, -1):
+        att_cache, lstm_cache, target_cell, alpha = steps[t]
+        da[t], dx, dh_prev, dc_prev = lstm_step_backward(lstm_cache, dh + dh_out[t], dc)
+        dE[t] = dx[d_gr + config.d_global:]
         if att_cache is not None:
-            dh_prev = dh_prev + attention_backward(params, att_cache, dv_gr,
+            dlogits_extra = None
+            if target_cell is not None:
+                dlogits_extra = alpha.copy()
+                dlogits_extra[target_cell] -= 1.0
+            dh_prev = dh_prev + attention_backward(params, att_cache, dx[:d_gr],
                                                    dlogits_extra, grads)
         dh, dc = dh_prev, dc_prev
+    grads["W_lstm"] += da.T @ np.stack([cache[1] for _, cache, _, _ in steps])
+    grads["b_lstm"] += da.sum(axis=0)
+    np.add.at(grads["E"], tokens[:-1], dE)
     return total, word_loss, att_loss, grads, skipped
 
 
@@ -400,14 +412,12 @@ def train_decoder(corpus: Corpus, supervision, config: DecoderConfig,
             for idx in batch:
                 item = items[idx]
                 with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                    t, w, a, g, _ = sentence_loss(
+                    t, w, a, _, _ = sentence_loss(
                         params, config, vocab, item.feats, item.sentence,
-                        item.alpha_targets)
+                        item.alpha_targets, grads=grads)
                 tot += t
                 wl += w
                 al += a
-                for k in g:
-                    grads[k] += g[k]
             for k in grads:
                 grads[k] /= len(batch)
             _clip_gradients(grads, config.grad_clip)

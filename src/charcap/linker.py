@@ -19,8 +19,8 @@ import numpy as np
 # PairSupervision is re-exported: build_attention_gt returns it
 from .corpus import Clip, Corpus, PairSupervision, pair_supervision  # noqa: F401
 from .numerics import (
-    FLOAT, glorot_uniform, lstm_init, lstm_step_backward, lstm_step_forward,
-    make_optimizer, rng_stream, softmax, zeros_like_params,
+    FLOAT, cross_entropy, glorot_uniform, lstm_init, lstm_step_backward,
+    lstm_step_forward, make_optimizer, rng_stream, softmax, zeros_like_params,
 )
 from .track_features import NormStats, apply_norm, fit_norm_stats
 
@@ -96,7 +96,7 @@ def _instance_loss_and_grads(params, config, inst, gender_row, name_row,
                              gender_idx, name_idx, grads):
     """Accumulate gradients for one instance; returns its scalar loss."""
     att, cache = link_scores(params, config, gender_row, name_row, inst.features)
-    m, (cache1, cache2), Z, T, _, V = cache
+    m, (cache1, cache2), Z, T, s, V = cache
     v_att = att @ V
     r_pre = params["W_r"] @ v_att + params["b_r"]
     r = np.tanh(r_pre)
@@ -104,9 +104,9 @@ def _instance_loss_and_grads(params, config, inst, gender_row, name_row,
     logits_n = params["W_n"] @ r + params["b_n"]
     p_g = softmax(logits_g)
     p_n = softmax(logits_n)
-    loss = -np.log(max(p_g[gender_idx], 1e-300)) - np.log(max(p_n[name_idx], 1e-300))
+    loss = cross_entropy(logits_g, gender_idx) + cross_entropy(logits_n, name_idx)
     if inst.supervised:
-        loss += -np.log(max(att[0], 1e-300))
+        loss += cross_entropy(s, 0)
 
     # reconstruction heads
     dg = p_g.copy()
@@ -141,10 +141,10 @@ def _instance_loss_and_grads(params, config, inst, gender_row, name_row,
     dZ = dA @ params["W_s1"]
     dm = dZ[:, :config.hidden].sum(axis=0)
 
-    dW2, db2, dx2, dh1, dc1 = lstm_step_backward(cache2, dm, np.zeros_like(dm))
-    dW1, db1, dx1, _, _ = lstm_step_backward(cache1, dh1, dc1)
-    grads["W_lstm"] += dW1 + dW2
-    grads["b_lstm"] += db1 + db2
+    da2, dx2, dh1, dc1 = lstm_step_backward(cache2, dm, np.zeros_like(dm))
+    da1, dx1, _, _ = lstm_step_backward(cache1, dh1, dc1)
+    grads["W_lstm"] += np.outer(da1, cache1[1]) + np.outer(da2, cache2[1])
+    grads["b_lstm"] += da1 + da2
     grads["E_tok"][name_row] += dx2
     grads["E_tok"][gender_row] += dx1
     return float(loss)

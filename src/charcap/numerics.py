@@ -39,6 +39,21 @@ def masked_softmax(logits, valid):
     return e / e.sum()
 
 
+def cross_entropy(logits, target, valid=None):
+    """-log softmax(logits)[target], as log-sum-exp less the target logit.
+
+    Finite whenever the logits are, also where the target's probability
+    underflows to 0. With ``valid`` the softmax runs over the valid cells
+    only (as ``masked_softmax``); ``target`` indexes ``logits``.
+    """
+    z = np.asarray(logits, dtype=FLOAT)
+    zt = z[target]
+    if valid is not None:
+        z = z[np.asarray(valid, dtype=bool)]
+    zmax = z.max()
+    return float(np.log(np.exp(z - zmax).sum()) - (zt - zmax))
+
+
 def sigmoid(x):
     x = np.asarray(x, dtype=FLOAT)
     out = np.empty_like(x)
@@ -90,9 +105,8 @@ def lstm_step_forward(W, b, x, h_prev, c_prev):
     H = h_prev.shape[0]
     xh = np.concatenate([x, h_prev])
     a = W @ xh + b
-    i = sigmoid(a[:H])
-    f = sigmoid(a[H:2 * H])
-    o = sigmoid(a[2 * H:3 * H])
+    s = sigmoid(a[:3 * H])
+    i, f, o = s[:H], s[H:2 * H], s[2 * H:]
     g = np.tanh(a[3 * H:])
     c = f * c_prev + i * g
     tc = np.tanh(c)
@@ -104,8 +118,12 @@ def lstm_step_forward(W, b, x, h_prev, c_prev):
 def lstm_step_backward(cache, dh, dc):
     """Backward of one LSTM step.
 
-    Returns (dW, db, dx, dh_prev, dc_prev); dh and dc are the gradients
-    flowing into this step's outputs.
+    ``dh`` and ``dc`` are the gradients flowing into this step's outputs.
+    Returns (da, dx, dh_prev, dc_prev), where ``da`` is the gradient of the
+    gate pre-activations ``a = W @ xh + b``. The step's weight gradients
+    are ``np.outer(da, xh)`` for W (``xh = cache[1]``) and ``da`` for b; a
+    caller running several steps stacks their ``da`` and ``xh`` rows and
+    forms the W gradient of all of them as one ``da.T @ xh`` product.
     """
     W, xh, c_prev, i, f, o, g, tc, xdim = cache
     do = dh * tc
@@ -120,10 +138,8 @@ def lstm_step_backward(cache, dh, dc):
         do * o * (1.0 - o),
         dg * (1.0 - g * g),
     ])
-    dW = np.outer(da, xh)
-    db = da
     dxh = W.T @ da
-    return dW, db, dxh[:xdim], dxh[xdim:], dc_prev
+    return da, dxh[:xdim], dxh[xdim:], dc_prev
 
 
 # ---------------------------------------------------------------------------
@@ -160,13 +176,24 @@ class Adam:
             self._v = zeros_like_params(params)
         self._t += 1
         b1, b2 = self.beta1, self.beta2
+        c1, c2 = 1 - b1 ** self._t, 1 - b2 ** self._t
+        # in place, with the rounding of m = b1*m + (1-b1)*g,
+        # v = b2*v + (1-b2)*g*g and p -= lr*mhat / (sqrt(vhat) + eps)
         for k in params:
-            g = grads[k]
-            self._m[k] = b1 * self._m[k] + (1 - b1) * g
-            self._v[k] = b2 * self._v[k] + (1 - b2) * g * g
-            mhat = self._m[k] / (1 - b1 ** self._t)
-            vhat = self._v[k] / (1 - b2 ** self._t)
-            params[k] -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
+            g, m, v = grads[k], self._m[k], self._v[k]
+            m *= b1
+            m += (1 - b1) * g
+            gg = (1 - b2) * g
+            gg *= g
+            v *= b2
+            v += gg
+            step = m / c1
+            step *= self.lr
+            den = v / c2
+            np.sqrt(den, out=den)
+            den += self.eps
+            step /= den
+            params[k] -= step
 
 
 def make_optimizer(name, **hp):

@@ -358,6 +358,33 @@ class TestIngestErrors:
             ingest_jsonl(p)
         assert (exc.value.line, exc.value.field) == (line, field_name)
 
+    @pytest.mark.parametrize("edit, field_name", [
+        (lambda m: "{not json", "<json>"),
+        (lambda m: [m], "<root>"),
+        (lambda m: {**m, "d_head": "8"}, "d_head"),
+        (lambda m: {**m, "d_head": True}, "d_head"),
+        (lambda m: {**m, "d_body": 0}, "d_body"),
+        (lambda m: {**m, "d_global": 2.5}, "d_global"),
+        (lambda m: {**m, "vocab": "abc"}, "vocab"),
+        (lambda m: {**m, "vocab": m["vocab"] + [1]}, "vocab"),
+        (lambda m: {**m, "vocab": m["vocab"] + m["vocab"][:1]}, "vocab"),
+        (lambda m: {**m, "gt_boundaries": {"0": 5}}, "gt_boundaries"),
+        (lambda m: {**m, "gt_boundaries": {"0": ["x"]}}, "gt_boundaries"),
+        (lambda m: {**m, "gt_boundaries": {"0": [True]}}, "gt_boundaries"),
+        (lambda m: {**m, "gt_boundaries": [1]}, "gt_boundaries"),
+    ], ids=["not-json", "not-an-object", "d_head-string", "d_head-bool", "d_body-zero",
+            "d_global-float", "vocab-string", "vocab-number", "vocab-duplicate",
+            "boundaries-number", "boundaries-strings", "boundaries-bools",
+            "boundaries-list"])
+    def test_malformed_meta_names_its_key(self, tmp_path, edit, field_name):
+        p, _ = _exported_lines(tmp_path)
+        meta_path = tmp_path / "c.jsonl.meta.json"
+        meta = edit(json.loads(meta_path.read_text()))
+        meta_path.write_text(meta if isinstance(meta, str) else json.dumps(meta))
+        with pytest.raises(CorpusFormatError) as exc:
+            ingest_jsonl(p)
+        assert (exc.value.line, exc.value.field) == (None, field_name)
+
     def test_vector_width_must_match_earlier_clips_without_meta(self, tmp_path):
         p, objs = _exported_lines(tmp_path)
         (tmp_path / "c.jsonl.meta.json").unlink()

@@ -204,6 +204,45 @@ class TestSentenceLoss:
         assert skipped == 1
         assert att == 0.0
 
+    def test_unlikely_target_word_gives_finite_loss(self):
+        # the target word's probability underflows to 0, its loss does not
+        vocab, cfg, params, rng = self._setup(3)
+        feats = rand_feats(rng, C=2, P=1, cfg=cfg)
+        params["b_pred"][vocab.index("walks")] = -800.0
+        tot, word, _, grads, _ = sentence_loss(params, cfg, vocab, feats, ["walks"])
+        assert np.isfinite(tot) and word > 790.0
+        assert all(np.all(np.isfinite(g)) for g in grads.values())
+
+    def test_underflowed_target_cell_is_supervised(self):
+        # a valid target cell whose attention underflows to exactly 0 is
+        # the worst-predicted target, not a skipped one
+        vocab, cfg, params, rng = self._setup(4)
+        feats = rand_feats(rng, C=3, P=2, cfg=cfg)
+        params["b_h"][:] = 5.0
+        params["w_att"] *= 2000.0
+        alpha, _, cache = attention_step(params, np.zeros(cfg.hidden), feats)
+        p, c = np.argwhere(alpha == 0.0)[0]
+        logits = cache[-1]
+        expected = np.log(np.exp(logits - logits.max()).sum()) - (logits[p, c] - logits.max())
+        _, _, att, grads, skipped = sentence_loss(
+            params, cfg, vocab, feats, ["MaleName", "walks"], {0: (p, c + 1)})
+        assert skipped == 0
+        assert att > 700.0 and abs(att - expected) <= 1e-9 * expected
+        assert all(np.all(np.isfinite(g)) for g in grads.values())
+
+    def test_passed_dict_accumulates_both_sentences(self):
+        vocab, cfg, params, rng = self._setup(5)
+        runs = [(rand_feats(rng, C=3, P=2, cfg=cfg), ["MaleName", "walks", "FemaleCoref"],
+                 {0: (1, 2), 2: (0, 3)}),
+                (rand_feats(rng, C=2, P=1, cfg=cfg), ["FemaleName", "street"], {0: (1, 1)})]
+        fresh = [sentence_loss(params, cfg, vocab, *r)[3] for r in runs]
+        shared = {k: np.zeros_like(v) for k, v in params.items()}
+        for r in runs:
+            assert sentence_loss(params, cfg, vocab, *r, grads=shared)[3] is shared
+        for k in params:
+            np.testing.assert_allclose(shared[k], fresh[0][k] + fresh[1][k],
+                                       rtol=0, atol=1e-12)
+
     def test_hand_computed_fixture(self):
         """Independent plain-loop forward oracle for a 2-track, 1-prev,
         3-word sentence."""

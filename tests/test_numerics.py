@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from charcap.numerics import (
-    finite_diff_check, glorot_uniform, lstm_init, lstm_step_backward,
-    lstm_step_forward, masked_softmax, rng_stream, softmax,
+    Adam, cross_entropy, finite_diff_check, glorot_uniform, lstm_init,
+    lstm_step_backward, lstm_step_forward, masked_softmax, rng_stream, sigmoid,
+    softmax,
 )
 
 
@@ -113,8 +114,9 @@ class TestPrimitives:
         def loss(p):
             h, c, cache = lstm_step_forward(p["W"], p["b"], x, h0, c0)
             d = h - t
-            dW, db, _, _, _ = lstm_step_backward(cache, d, np.zeros(H))
-            return 0.5 * float(d @ d), {"W": dW, "b": db}
+            da, _, _, _ = lstm_step_backward(cache, d, np.zeros(H))
+            dW = np.outer(da, cache[1])
+            return 0.5 * float(d @ d), {"W": dW, "b": da}
 
         assert finite_diff_check(loss, {"W": W, "b": b},
                                  max_coords_per_array=12) <= 1e-7
@@ -130,7 +132,60 @@ class TestPrimitives:
         def loss(p):
             h, c, cache = lstm_step_forward(W, b, p["x"], h0, c0)
             d = h - t
-            _, _, dx, _, _ = lstm_step_backward(cache, d, np.zeros(H))
+            _, dx, _, _ = lstm_step_backward(cache, d, np.zeros(H))
             return 0.5 * float(d @ d), {"x": dx}
 
         assert finite_diff_check(loss, {"x": rng.normal(size=D)}) <= 1e-8
+
+    def test_lstm_forward_equals_per_gate_reference(self):
+        rng = rng_stream(5, "lstm-fwd")
+        H, D = 7, 5
+        W = rng.normal(scale=3.0, size=(4 * H, D + H))
+        b = rng.normal(size=4 * H)
+        x, h0, c0 = rng.normal(size=D), rng.normal(size=H), rng.normal(size=H)
+        h, c, _ = lstm_step_forward(W, b, x, h0, c0)
+        a = W @ np.concatenate([x, h0]) + b
+        i, f, o = sigmoid(a[:H]), sigmoid(a[H:2 * H]), sigmoid(a[2 * H:3 * H])
+        c_ref = f * c0 + i * np.tanh(a[3 * H:])
+        assert np.array_equal(c, c_ref)
+        assert np.array_equal(h, o * np.tanh(c_ref))
+
+
+class TestCrossEntropy:
+    def test_equals_log_softmax(self):
+        z = np.array([0.3, -1.2, 4.0, 0.0])
+        assert abs(cross_entropy(z, 1) + np.log(softmax(z)[1])) <= 1e-12
+
+    def test_masked_cells_are_left_out(self):
+        z = np.array([[1.0, 2.0], [3.0, 4.0]])
+        valid = np.array([[True, False], [True, True]])
+        p = masked_softmax(z, valid)
+        assert abs(cross_entropy(z, (1, 0), valid) + np.log(p[1, 0])) <= 1e-12
+
+    def test_finite_where_the_probability_underflows(self):
+        # exp(-1000) underflows to 0; the loss is the logit gap exactly
+        z = np.array([0.0, -1000.0])
+        assert softmax(z)[1] == 0.0
+        assert cross_entropy(z, 1) == 1000.0
+
+
+class TestAdam:
+    def test_five_steps_bitwise_equal_to_reference(self):
+        rng = rng_stream(6, "adam")
+        shapes = {"W": (4, 3), "b": (4,)}
+        params = {k: rng.normal(size=s) for k, s in shapes.items()}
+        ref = {k: v.copy() for k, v in params.items()}
+        m = {k: np.zeros(s) for k, s in shapes.items()}
+        v = {k: np.zeros(s) for k, s in shapes.items()}
+        lr, b1, b2, eps = 0.003, 0.9, 0.999, 1e-8
+        opt = Adam(lr=lr, beta1=b1, beta2=b2, eps=eps)
+        for t in range(1, 6):
+            grads = {k: rng.normal(scale=10.0 ** -t, size=s) for k, s in shapes.items()}
+            opt.step(params, grads)
+            for k, g in grads.items():
+                m[k] = b1 * m[k] + (1 - b1) * g
+                v[k] = b2 * v[k] + (1 - b2) * g * g
+                mhat = m[k] / (1 - b1 ** t)
+                vhat = v[k] / (1 - b2 ** t)
+                ref[k] -= lr * mhat / (np.sqrt(vhat) + eps)
+            assert all(np.array_equal(params[k], ref[k]) for k in shapes)
