@@ -11,10 +11,17 @@ over real cells gives the attention, whose weighted sum of concatenated
 cell features is the grounded input to the LSTM, next to the global clip
 vector and the previous word embedding.
 
+Only the hidden-state embedding changes from step to step: the cell
+embeddings, their tanh and the cell features (``attention_terms``) are
+built once per sentence and shared by its steps.
+
 Training uses teacher forcing with two equally weighted terms: word
 cross-entropy at every step, and attention cross-entropy against the
 automatic one-hot targets at supervised person-word steps. All gradients
-are hand-written and finite-difference checked.
+are hand-written and finite-difference checked. The backward pass keeps
+only what depends on the hidden state per step; the gradients of the
+weights behind the shared terms, like those of the LSTM and output layer,
+are one matrix product per sentence.
 
 Checkpoints are a one-line JSON header (magic string, format version,
 dims, vocab, array table) followed by raw little-endian float64 blocks,
@@ -23,6 +30,7 @@ one per named weight.
 
 import json
 from dataclasses import asdict, dataclass, field, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -72,26 +80,37 @@ class DecoderConfig:
         return self.d_grounded + self.d_global + self.d_emb
 
 
-def init_decoder_params(config: DecoderConfig, vocab_size, seed):
-    rng = rng_stream(seed, "decoder-init")
-    W_lstm, b_lstm = lstm_init(rng, config.d_input, config.hidden)
-    da = config.d_att
+def _param_shapes(config: DecoderConfig, vocab_size):
+    """Name -> shape of every decoder weight, in ``init_decoder_params`` order."""
+    da, H = config.d_att, config.hidden
     return {
-        "E": glorot_uniform(rng, vocab_size, config.d_emb),
-        "W_lstm": W_lstm,
-        "b_lstm": b_lstm,
-        "W_id": glorot_uniform(rng, da, config.d_head),
-        "W_head": glorot_uniform(rng, da, config.d_head),
-        "W_body": glorot_uniform(rng, da, config.d_body),
-        "W_stat": glorot_uniform(rng, da, STAT_DIM),
-        "b_v": np.zeros(da, dtype=FLOAT),
-        "W_h": glorot_uniform(rng, da, config.hidden),
-        "b_h": np.zeros(da, dtype=FLOAT),
-        "w_att": glorot_uniform(rng, da),
-        "b_att": np.zeros(1, dtype=FLOAT),
-        "W_pred": glorot_uniform(rng, vocab_size, config.hidden),
-        "b_pred": np.zeros(vocab_size, dtype=FLOAT),
+        "E": (vocab_size, config.d_emb),
+        "W_lstm": (4 * H, config.d_input + H),
+        "b_lstm": (4 * H,),
+        "W_id": (da, config.d_head),
+        "W_head": (da, config.d_head),
+        "W_body": (da, config.d_body),
+        "W_stat": (da, STAT_DIM),
+        "b_v": (da,),
+        "W_h": (da, H),
+        "b_h": (da,),
+        "w_att": (da,),
+        "b_att": (1,),
+        "W_pred": (vocab_size, H),
+        "b_pred": (vocab_size,),
     }
+
+
+def init_decoder_params(config: DecoderConfig, vocab_size, seed):
+    """Glorot-uniform weights and zero biases of ``_param_shapes``; the LSTM
+    comes from ``lstm_init``."""
+    shapes = _param_shapes(config, vocab_size)
+    params = {name: np.zeros(shape, dtype=FLOAT) for name, shape in shapes.items()}
+    rng = rng_stream(seed, "decoder-init")
+    params["W_lstm"], params["b_lstm"] = lstm_init(rng, config.d_input, config.hidden)
+    for name in ("E", "W_id", "W_head", "W_body", "W_stat", "W_h", "w_att", "W_pred"):
+        params[name] = glorot_uniform(rng, *shapes[name])  # in this draw order
+    return params
 
 
 @dataclass
@@ -151,14 +170,20 @@ def pair_features(pair: ClipPair, prev_grounding, norm: NormStats,
 # joint attention step
 # ---------------------------------------------------------------------------
 
-def attention_step(params, h_prev, feats: PairFeatures):
-    """One joint attention evaluation.
+class AttentionTerms(NamedTuple):
+    """The parts of one pair's attention that do not depend on the hidden
+    state; ``attention_terms`` builds them once per sentence."""
+    M: np.ndarray      # (P_slots+1, C_slots, d_head) re-identification feature
+    f_cur: np.ndarray  # (C_slots, d_att) current-track embedding
+    Tf: np.ndarray     # (P_slots+1, C_slots, d_att) tanh(M W_id^T + f_cur + b_v)
+    valid: np.ndarray  # (P_slots+1, C_slots) real cells
+    cell: np.ndarray   # (P_slots+1, C_slots, d_grounded) concatenated cell features
 
-    Returns (alpha, v_grounded, cache): alpha has shape (P_slots+1,
-    C_slots) with exact zeros on padding cells; v_grounded is the
-    attention-weighted concatenation [head, body, stat, id] of the
-    current-track features with the pairwise re-identification feature.
-    """
+
+def attention_terms(params, feats: PairFeatures):
+    """Hidden-state-free attention terms of one pair: ``M``, ``f_cur``,
+    ``Tf = tanh(F)`` with ``F = M·W_idᵀ + f_cur + b_v``, the ``valid`` cell
+    mask and the ``cell`` tensor. Every step of a sentence shares them."""
     Vh, Vb, Vs = feats.cur_head, feats.cur_body, feats.cur_stat
     Hp = feats.prev_head
     Cs = Vh.shape[0]
@@ -172,77 +197,94 @@ def attention_step(params, h_prev, feats: PairFeatures):
 
     f_cur = Vh @ params["W_head"].T + Vb @ params["W_body"].T + Vs @ params["W_stat"].T
     F = M @ params["W_id"].T + f_cur[None, :, :] + params["b_v"]
-    Tf = np.tanh(F)
-
-    pre_q = params["W_h"] @ h_prev + params["b_h"]
-    q = np.tanh(pre_q)
-    u = params["w_att"] * q
-    logits = Tf @ u + params["b_att"][0]
 
     valid = np.zeros((Ps + 1, Cs), dtype=bool)
     valid[0] = feats.cur_valid
     if Ps:
         valid[1:] = feats.prev_valid[:, None] & feats.cur_valid[None, :]
 
+    cell = np.concatenate([np.broadcast_to(V, (Ps + 1,) + V.shape) for V in (Vh, Vb, Vs)]
+                          + [M], axis=2)
+    return AttentionTerms(M, f_cur, np.tanh(F), valid, cell)
+
+
+def attention_step(params, h_prev, feats: PairFeatures, terms=None):
+    """One joint attention evaluation.
+
+    Returns (alpha, v_grounded, cache): alpha has shape (P_slots+1,
+    C_slots) with exact zeros on padding cells; v_grounded is the
+    attention-weighted concatenation [head, body, stat, id] of the
+    current-track features with the pairwise re-identification feature.
+    ``terms`` is ``attention_terms(params, feats)``, built here when None;
+    a caller running several steps of one pair passes it.
+    """
+    if terms is None:
+        terms = attention_terms(params, feats)
+    M, f_cur, Tf, valid, cell = terms
     if not valid.any():
-        d_gr = 2 * Vh.shape[1] + Vb.shape[1] + Vs.shape[1]
-        return None, np.zeros(d_gr, dtype=FLOAT), None
+        return None, np.zeros(cell.shape[2], dtype=FLOAT), None
 
+    pre_q = params["W_h"] @ h_prev + params["b_h"]
+    q = np.tanh(pre_q)
+    u = params["w_att"] * q
+    logits = (Tf.reshape(-1, Tf.shape[2]) @ u).reshape(valid.shape) + params["b_att"][0]
     alpha = masked_softmax(logits, valid)
-
-    cell = np.concatenate([
-        np.broadcast_to(Vh[None, :, :], M.shape).copy(),
-        np.broadcast_to(Vb[None, :, :], (Ps + 1, Cs, Vb.shape[1])).copy(),
-        np.broadcast_to(Vs[None, :, :], (Ps + 1, Cs, Vs.shape[1])).copy(),
-        M,
-    ], axis=2)
-    v_grounded = np.einsum("pc,pcd->d", alpha, cell)
-    cache = (M, Tf, q, pre_q, u, alpha, cell, valid, h_prev, f_cur, Vh, Vb, Vs, logits)
+    v_grounded = alpha.reshape(-1) @ cell.reshape(-1, cell.shape[2])
+    cache = (M, Tf, q, pre_q, u, alpha, cell, valid, h_prev, f_cur,
+             feats.cur_head, feats.cur_body, feats.cur_stat, logits)
     return alpha, v_grounded, cache
 
 
 def attention_backward(params, cache, dv_grounded, dlogits_extra, grads):
-    """Backward through one attention step.
+    """The per-step part of the backward through one attention step.
 
     ``dlogits_extra`` carries the attention-loss gradient already at the
-    logits (softmax cross-entropy shortcut); returns dh_prev.
+    logits (softmax cross-entropy shortcut). Adds the gradients of
+    ``w_att``, ``b_att``, ``W_h`` and ``b_h`` into ``grads`` and returns
+    (dh_prev, dlogits). The weights behind ``attention_terms`` get theirs
+    once per sentence: with ``u = cache[4]``, their input gradient is
+    ``dTf = Σ_t dlogits_t ⊗ u_t`` (see ``sentence_loss``).
     """
-    M, Tf, q, pre_q, u, alpha, cell, valid, h_prev, f_cur, Vh, Vb, Vs, _ = cache
+    Tf, q, _, u, alpha, cell, valid, h_prev = cache[1:9]
 
-    dalpha = np.einsum("pcd,d->pc", cell, dv_grounded)
+    dalpha = (cell.reshape(-1, cell.shape[2]) @ dv_grounded).reshape(alpha.shape)
     s = float((alpha * dalpha).sum())
     dlogits = alpha * (dalpha - s)
     if dlogits_extra is not None:
         dlogits = dlogits + dlogits_extra
     dlogits = np.where(valid, dlogits, 0.0)
 
-    du = np.einsum("pc,pcd->d", dlogits, Tf)
-    dTf = dlogits[:, :, None] * u[None, None, :]
+    du = dlogits.reshape(-1) @ Tf.reshape(-1, Tf.shape[2])
     grads["w_att"] += du * q
     grads["b_att"][0] += dlogits.sum()
     dq = du * params["w_att"]
     dpre_q = dq * (1.0 - q * q)
     grads["W_h"] += np.outer(dpre_q, h_prev)
     grads["b_h"] += dpre_q
-    dh_prev = params["W_h"].T @ dpre_q
+    return params["W_h"].T @ dpre_q, dlogits
 
+
+def _attention_terms_backward(terms, feats, dTf, grads):
+    """Gradients of ``W_id``, ``b_v``, ``W_head``, ``W_body`` and ``W_stat``
+    from ``dTf`` ((P_slots+1)·C_slots, d_att), the whole sentence's
+    gradient at ``Tf``."""
+    Tf = terms.Tf.reshape(dTf.shape)
     dF = dTf * (1.0 - Tf * Tf)
-    grads["b_v"] += dF.sum(axis=(0, 1))
-    grads["W_id"] += np.einsum("pck,pcd->kd", dF, M)
-    df_cur = dF.sum(axis=0)
-    grads["W_head"] += df_cur.T @ Vh
-    grads["W_body"] += df_cur.T @ Vb
-    grads["W_stat"] += df_cur.T @ Vs
-    return dh_prev
+    grads["b_v"] += dF.sum(axis=0)
+    grads["W_id"] += dF.T @ terms.M.reshape(len(dF), -1)
+    df_cur = dF.reshape(terms.Tf.shape).sum(axis=0)
+    grads["W_head"] += df_cur.T @ feats.cur_head
+    grads["W_body"] += df_cur.T @ feats.cur_body
+    grads["W_stat"] += df_cur.T @ feats.cur_stat
 
 
 # ---------------------------------------------------------------------------
 # one decoder step, sentence loss (teacher forcing) and its gradients
 # ---------------------------------------------------------------------------
 
-def _step(params, feats, h, c, w_prev):
+def _step(params, feats, terms, h, c, w_prev):
     """One step after word ``w_prev``: (alpha, att_cache, lstm_cache, h, c, logits)."""
-    alpha, v_gr, att_cache = attention_step(params, h, feats)
+    alpha, v_gr, att_cache = attention_step(params, h, feats, terms)
     x = np.concatenate([v_gr, feats.v_global, params["E"][w_prev]])
     h, c, lstm_cache = lstm_step_forward(params["W_lstm"], params["b_lstm"], x, h, c)
     return alpha, att_cache, lstm_cache, h, c, params["W_pred"] @ h + params["b_pred"]
@@ -269,6 +311,7 @@ def sentence_loss(params, config, vocab, feats: PairFeatures, sentence,
     if want_grads and grads is None:
         grads = zeros_like_params(params)
 
+    terms = attention_terms(params, feats)
     h = np.zeros(H, dtype=FLOAT)
     c = np.zeros(H, dtype=FLOAT)
     steps = []
@@ -279,7 +322,7 @@ def sentence_loss(params, config, vocab, feats: PairFeatures, sentence,
     skipped = 0
     for step in range(1, len(tokens)):
         alpha, att_cache, lstm_cache, h, c, logits = _step(
-            params, feats, h, c, tokens[step - 1])
+            params, feats, terms, h, c, tokens[step - 1])
         if not np.all(np.isfinite(logits)):
             # numeric blow-up: surface as non-finite loss so training aborts
             return np.inf, np.inf, att_loss, grads if want_grads else None, skipped
@@ -318,6 +361,8 @@ def sentence_loss(params, config, vocab, feats: PairFeatures, sentence,
     dh = np.zeros(H, dtype=FLOAT)
     dc = np.zeros(H, dtype=FLOAT)
     d_gr = config.d_grounded
+    dlogits = []  # per attention step: gradient at its logits
+    us = []       # per attention step: u, the logits' weight on Tf
     for t in range(T - 1, -1, -1):
         att_cache, lstm_cache, target_cell, alpha = steps[t]
         da[t], dx, dh_prev, dc_prev = lstm_step_backward(lstm_cache, dh + dh_out[t], dc)
@@ -327,9 +372,14 @@ def sentence_loss(params, config, vocab, feats: PairFeatures, sentence,
             if target_cell is not None:
                 dlogits_extra = alpha.copy()
                 dlogits_extra[target_cell] -= 1.0
-            dh_prev = dh_prev + attention_backward(params, att_cache, dx[:d_gr],
-                                                   dlogits_extra, grads)
+            dh_att, dl = attention_backward(params, att_cache, dx[:d_gr],
+                                            dlogits_extra, grads)
+            dh_prev = dh_prev + dh_att
+            dlogits.append(dl.reshape(-1))
+            us.append(att_cache[4])
         dh, dc = dh_prev, dc_prev
+    if dlogits:
+        _attention_terms_backward(terms, feats, np.stack(dlogits).T @ np.stack(us), grads)
     grads["W_lstm"] += da.T @ np.stack([cache[1] for _, cache, _, _ in steps])
     grads["b_lstm"] += da.sum(axis=0)
     np.add.at(grads["E"], tokens[:-1], dE)
@@ -371,16 +421,23 @@ class TrainedDecoder:
     vocab: Vocabulary
     norm: NormStats
     history: list = field(default_factory=list)  # (total, word, att) per epoch
+    # training counts over all epochs; not saved in checkpoints
+    skipped_targets: int = 0   # attention targets outside the valid grid cells
+    clipped_batches: int = 0   # batches whose gradients _clip_gradients scaled
 
 
 def _clip_gradients(grads, max_norm):
+    """Scale ``grads`` to global norm ``max_norm`` when above it (0 or None
+    switches clipping off); returns whether it scaled."""
     if not max_norm:
-        return
+        return False
     total = np.sqrt(sum(float((g * g).sum()) for g in grads.values()))
     if total > max_norm:
         scale = max_norm / total
         for k in grads:
             grads[k] *= scale
+        return True
+    return False
 
 
 def train_decoder(corpus: Corpus, supervision, config: DecoderConfig,
@@ -412,15 +469,16 @@ def train_decoder(corpus: Corpus, supervision, config: DecoderConfig,
             for idx in batch:
                 item = items[idx]
                 with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                    t, w, a, _, _ = sentence_loss(
+                    t, w, a, _, skipped = sentence_loss(
                         params, config, vocab, item.feats, item.sentence,
                         item.alpha_targets, grads=grads)
                 tot += t
                 wl += w
                 al += a
+                trained.skipped_targets += skipped
             for k in grads:
                 grads[k] /= len(batch)
-            _clip_gradients(grads, config.grad_clip)
+            trained.clipped_batches += _clip_gradients(grads, config.grad_clip)
             opt.step(params, grads)
         n = len(items)
         epoch_loss = tot / n
@@ -466,6 +524,7 @@ def decode_pair(trained: TrainedDecoder, pair: ClipPair, prev_grounding):
     """
     params, config, vocab = trained.params, trained.config, trained.vocab
     feats = pair_features(pair, prev_grounding, trained.norm, config)
+    terms = attention_terms(params, feats)
     h = np.zeros(config.hidden, dtype=FLOAT)
     c = np.zeros(config.hidden, dtype=FLOAT)
     w_prev = vocab.index(BOS)
@@ -474,7 +533,7 @@ def decode_pair(trained: TrainedDecoder, pair: ClipPair, prev_grounding):
     predictions = []
     alphas = []
     for _ in range(config.max_len):
-        alpha, _, _, h, c, logits = _step(params, feats, h, c, w_prev)
+        alpha, _, _, h, c, logits = _step(params, feats, terms, h, c, w_prev)
         w = int(np.argmax(logits))
         if w == eos:
             break
@@ -519,11 +578,64 @@ def save_checkpoint(path, trained: TrainedDecoder):
             fh.write(np.ascontiguousarray(trained.params[n], dtype="<f8").tobytes())
 
 
+def _is_shape(shape):
+    return isinstance(shape, list) and all(
+        isinstance(n, int) and not isinstance(n, bool) and n >= 0 for n in shape)
+
+
+def _header_contents(path, header):
+    """Config, vocabulary, norm and array table of a checkpoint header whose
+    magic string and version are checked; the table must name exactly the
+    weights ``init_decoder_params`` builds for that config and vocabulary,
+    with their shapes."""
+    missing = [k for k in ("config", "vocab", "norm", "arrays") if k not in header]
+    if missing:
+        raise ValueError(f"{path}: checkpoint header lacks {missing}")
+    cfg, vocab, arrays = header["config"], header["vocab"], header["arrays"]
+    if not isinstance(cfg, dict):
+        raise ValueError(f"{path}: checkpoint config is not a JSON object")
+    unknown = sorted(set(cfg) - {f.name for f in fields(DecoderConfig)})
+    if unknown:
+        raise ValueError(f"{path}: config keys {unknown} are not DecoderConfig settings")
+    if not (isinstance(vocab, list) and all(isinstance(t, str) for t in vocab)):
+        raise ValueError(f"{path}: checkpoint vocab is not a list of strings")
+    try:
+        norm = NormStats.from_json(header["norm"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: checkpoint norm is malformed: {exc!r}") from None
+    config = DecoderConfig(**cfg)
+    try:
+        expected = _param_shapes(config, len(vocab))
+    except TypeError as exc:
+        raise ValueError(f"{path}: config {cfg} gives no weight shapes: {exc}") from None
+    if not isinstance(arrays, list):
+        raise ValueError(f"{path}: checkpoint arrays is not a list")
+    table = {}
+    for spec in arrays:
+        name = spec.get("name") if isinstance(spec, dict) else None
+        shape = spec.get("shape") if isinstance(spec, dict) else None
+        if not isinstance(name, str) or name not in expected or name in table:
+            raise ValueError(f"{path}: array {name!r} is not a decoder weight or repeats")
+        if not _is_shape(shape):
+            raise ValueError(f"{path}: array {name!r} has shape {shape!r}, "
+                             "not a list of non-negative integers")
+        if tuple(shape) != expected[name]:
+            raise ValueError(f"{path}: array {name!r} has shape {tuple(shape)}, "
+                             f"the config gives {expected[name]}")
+        table[name] = tuple(shape)
+    absent = sorted(set(expected) - set(table))
+    if absent:
+        raise ValueError(f"{path}: arrays {absent} are missing")
+    return config, Vocabulary(tuple(vocab)), norm, table
+
+
 def load_checkpoint(path):
     """Inverse of ``save_checkpoint``. A malformed header, a missing magic
-    string or version, an unknown version, config keys ``DecoderConfig``
-    does not know, a short array block or trailing bytes raise ValueError
-    naming the file."""
+    string or version, an unknown version, a missing config, vocab, norm or
+    array table, config keys ``DecoderConfig`` does not know, an array
+    table that does not match the weights of that config and vocabulary
+    (names and integer shapes), a short array block or trailing bytes raise
+    ValueError naming the file."""
     with open(path, "rb") as fh:
         try:
             header = json.loads(fh.readline().decode("utf-8"))
@@ -535,22 +647,16 @@ def load_checkpoint(path):
         if stamp != (CHECKPOINT_MAGIC, CHECKPOINT_VERSION):
             raise ValueError(f"{path}: not a version-{CHECKPOINT_VERSION} charcap decoder "
                              f"checkpoint (magic string {stamp[0]!r}, format version {stamp[1]!r})")
-        unknown = sorted(set(header["config"]) - {f.name for f in fields(DecoderConfig)})
-        if unknown:
-            raise ValueError(f"{path}: config keys {unknown} are not DecoderConfig settings")
+        config, vocab, norm, table = _header_contents(path, header)
         params = {}
-        for spec in header["arrays"]:
-            shape = tuple(spec["shape"])
+        for name, shape in table.items():
             count = int(np.prod(shape)) if shape else 1
             buf = fh.read(count * 8)
             if len(buf) != count * 8:
-                raise ValueError(f"{path}: array {spec['name']!r} needs {count * 8} "
+                raise ValueError(f"{path}: array {name!r} needs {count * 8} "
                                  f"bytes, the file holds {len(buf)}")
             arr = np.frombuffer(buf, dtype="<f8", count=count).astype(FLOAT)
-            params[spec["name"]] = arr.reshape(shape)
+            params[name] = arr.reshape(shape)
         if fh.read(1):
             raise ValueError(f"{path}: bytes left over after the last array")
-    config = DecoderConfig(**header["config"])
-    vocab = Vocabulary(tuple(header["vocab"]))
-    norm = NormStats.from_json(header["norm"])
     return TrainedDecoder(params=params, config=config, vocab=vocab, norm=norm)

@@ -6,9 +6,11 @@ feature) into a logit per track and the softmax is the linking attention.
 Training reconstructs the (gender, name) pair from the attention-weighted
 track feature; clips with a single name and a single track additionally
 supervise the attention directly, which is what seeds the semi-supervised
-loop. The trained linker grounds every mention, and
-``corpus.pair_supervision`` turns those groundings into the joint
-attention supervision targets.
+loop. A mini-batch of mentions runs as ``(B, ·)`` arrays, each mention's
+tracks padded to the batch's largest count and masked out of the softmax;
+``link_scores`` is the one-mention view of the same scorer. The trained
+linker grounds every mention, and ``corpus.pair_supervision`` turns those
+groundings into the joint attention supervision targets.
 """
 
 import warnings
@@ -19,8 +21,8 @@ import numpy as np
 # PairSupervision is re-exported: build_attention_gt returns it
 from .corpus import Clip, Corpus, PairSupervision, pair_supervision  # noqa: F401
 from .numerics import (
-    FLOAT, cross_entropy, glorot_uniform, lstm_init, lstm_step_backward,
-    lstm_step_forward, make_optimizer, rng_stream, softmax, zeros_like_params,
+    FLOAT, glorot_uniform, lstm_init, lstm_step_backward, lstm_step_forward,
+    make_optimizer, rng_stream, softmax_cross_entropy, zeros_like_params,
 )
 from .track_features import NormStats, apply_norm, fit_norm_stats
 
@@ -67,86 +69,113 @@ def init_linker_params(config: LinkerConfig, n_names, d_head, seed):
     }
 
 
-def _encode_mention(params, config, gender_row, name_row):
+def _pad_tracks(features):
+    """Stack per-mention track features ``(C_b, d_head)`` into ``(B, C, d_head)``
+    rows padded with zeros to the largest C; returns (V, valid)."""
+    C = max(len(f) for f in features)
+    V = np.zeros((len(features), C, features[0].shape[1]), dtype=FLOAT)
+    valid = np.zeros((len(features), C), dtype=bool)
+    for b, f in enumerate(features):
+        V[b, :len(f)] = f
+        valid[b, :len(f)] = True
+    return V, valid
+
+
+def _score(params, config, gender_rows, name_rows, V, valid):
+    """Attention of B mentions over their tracks.
+
+    ``V`` (B, C, d_head) holds each mention's track features, ``valid``
+    (B, C) marks the real ones; padding tracks get exactly 0 attention.
+    The scorer's first layer ``W_s1 @ [m; v]`` is applied as a mention part
+    (once per mention) plus a track part (once per track), so the pair
+    ``[m; v]`` is never formed. Returns (att, ce_first, T, m, lstm_caches),
+    with ``ce_first`` each row's cross-entropy against its first track, the
+    supervised loss of a singleton clip's mention.
+    """
     H = config.hidden
-    h0 = np.zeros(H, dtype=FLOAT)
-    c0 = np.zeros(H, dtype=FLOAT)
-    x1 = params["E_tok"][gender_row]
-    x2 = params["E_tok"][name_row]
-    h1, c1, cache1 = lstm_step_forward(params["W_lstm"], params["b_lstm"], x1, h0, c0)
-    h2, c2, cache2 = lstm_step_forward(params["W_lstm"], params["b_lstm"], x2, h1, c1)
-    return h2, (cache1, cache2)
+    B, C, d = V.shape
+    W, b = params["W_lstm"], params["b_lstm"]
+    zeros = np.zeros((B, H), dtype=FLOAT)
+    h1, c1, cache1 = lstm_step_forward(W, b, params["E_tok"][gender_rows], zeros, zeros)
+    m, _, cache2 = lstm_step_forward(W, b, params["E_tok"][name_rows], h1, c1)
+    W1 = params["W_s1"]
+    A = ((V.reshape(-1, d) @ W1[:, H:].T).reshape(B, C, -1)
+         + (m @ W1[:, :H].T)[:, None, :] + params["b_s1"])
+    T = np.tanh(A)
+    s = T @ params["w_s2"] + params["b_s2"][0]
+    att, ce_first = softmax_cross_entropy(s, np.zeros(B, dtype=int), valid)
+    return att, ce_first, T, m, (cache1, cache2)
 
 
 def link_scores(params, config, gender_row, name_row, features):
-    """Attention over tracks for one mention; returns (att, caches)."""
+    """Attention over tracks for one mention; returns (att, caches).
+
+    The one-mention view of the batched scorer that training uses.
+    """
     features = np.asarray(features, dtype=FLOAT)
     if features.ndim != 2 or features.shape[0] == 0:
         raise ValueError("link_scores: need at least one track")
-    m, enc_caches = _encode_mention(params, config, gender_row, name_row)
-    Z = np.hstack([np.tile(m, (features.shape[0], 1)), features])
-    A = Z @ params["W_s1"].T + params["b_s1"]
-    T = np.tanh(A)
-    s = T @ params["w_s2"] + params["b_s2"][0]
-    att = softmax(s)
-    return att, (m, enc_caches, Z, T, s, features)
+    att, *caches = _score(params, config, [gender_row], [name_row], features[None],
+                          np.ones((1, len(features)), dtype=bool))
+    return att[0], caches
 
 
-def _instance_loss_and_grads(params, config, inst, gender_row, name_row,
-                             gender_idx, name_idx, grads):
-    """Accumulate gradients for one instance; returns its scalar loss."""
-    att, cache = link_scores(params, config, gender_row, name_row, inst.features)
-    m, (cache1, cache2), Z, T, s, V = cache
-    v_att = att @ V
-    r_pre = params["W_r"] @ v_att + params["b_r"]
-    r = np.tanh(r_pre)
-    logits_g = params["W_g"] @ r + params["b_g"]
-    logits_n = params["W_n"] @ r + params["b_n"]
-    p_g = softmax(logits_g)
-    p_n = softmax(logits_n)
-    loss = cross_entropy(logits_g, gender_idx) + cross_entropy(logits_n, name_idx)
-    if inst.supervised:
-        loss += cross_entropy(s, 0)
+def _batch_loss_and_grads(params, config, instances, name_rows, name_idx, grads):
+    """Accumulate the gradients of a batch of instances into ``grads``;
+    returns the batch's summed loss.
+
+    The batch runs as ``(B, ·)`` arrays: tracks padded to the batch's
+    largest C, the two-step mention encoder on rows, a masked softmax over
+    tracks and the reconstruction heads as matmuls.
+    """
+    H = config.hidden
+    genders = np.array([Linker.GENDER_ROWS[i.gender] for i in instances])
+    rows = np.array([name_rows[i.name_id] for i in instances])
+    names = np.array([name_idx[i.name_id] for i in instances])
+    sup = np.array([i.supervised for i in instances])
+    V, valid = _pad_tracks([i.features for i in instances])
+    B, C, d = V.shape
+    att, ce_first, T, m, (cache1, cache2) = _score(params, config, genders, rows, V, valid)
+
+    v_att = (att[:, None, :] @ V)[:, 0]
+    r = np.tanh(v_att @ params["W_r"].T + params["b_r"])
+    dg, loss_g = softmax_cross_entropy(r @ params["W_g"].T + params["b_g"], genders)
+    dn, loss_n = softmax_cross_entropy(r @ params["W_n"].T + params["b_n"], names)
+    loss = loss_g.sum() + loss_n.sum() + ce_first[sup].sum()
 
     # reconstruction heads
-    dg = p_g.copy()
-    dg[gender_idx] -= 1.0
-    dn = p_n.copy()
-    dn[name_idx] -= 1.0
-    grads["W_g"] += np.outer(dg, r)
-    grads["b_g"] += dg
-    grads["W_n"] += np.outer(dn, r)
-    grads["b_n"] += dn
-    dr = params["W_g"].T @ dg + params["W_n"].T @ dn
-    dr_pre = dr * (1.0 - r * r)
-    grads["W_r"] += np.outer(dr_pre, v_att)
-    grads["b_r"] += dr_pre
-    dv_att = params["W_r"].T @ dr_pre
+    dg[np.arange(B), genders] -= 1.0
+    dn[np.arange(B), names] -= 1.0
+    grads["W_g"] += dg.T @ r
+    grads["b_g"] += dg.sum(axis=0)
+    grads["W_n"] += dn.T @ r
+    grads["b_n"] += dn.sum(axis=0)
+    dr_pre = (dg @ params["W_g"] + dn @ params["W_n"]) * (1.0 - r * r)
+    grads["W_r"] += dr_pre.T @ v_att
+    grads["b_r"] += dr_pre.sum(axis=0)
+    dv_att = dr_pre @ params["W_r"]
 
     # attention: softmax jacobian from the pooled feature, plus the
     # supervised cross-entropy applied directly at the logits
-    datt = V @ dv_att
-    ds = att * (datt - float(att @ datt))
-    if inst.supervised:
-        sup = att.copy()
-        sup[0] -= 1.0
-        ds += sup
+    datt = (V @ dv_att[:, :, None])[:, :, 0]
+    ds = att * (datt - (att * datt).sum(axis=1, keepdims=True))
+    ds[sup] += att[sup]
+    ds[sup, 0] -= 1.0
 
-    grads["w_s2"] += T.T @ ds
+    grads["w_s2"] += T.reshape(B * C, -1).T @ ds.reshape(-1)
     grads["b_s2"][0] += ds.sum()
-    dT = np.outer(ds, params["w_s2"])
-    dA = dT * (1.0 - T * T)
-    grads["W_s1"] += dA.T @ Z
-    grads["b_s1"] += dA.sum(axis=0)
-    dZ = dA @ params["W_s1"]
-    dm = dZ[:, :config.hidden].sum(axis=0)
+    dA = ds[:, :, None] * params["w_s2"] * (1.0 - T * T)
+    dA_m = dA.sum(axis=1)  # the mention part feeds every track's row
+    grads["W_s1"][:, :H] += dA_m.T @ m
+    grads["W_s1"][:, H:] += dA.reshape(B * C, -1).T @ V.reshape(B * C, d)
+    grads["b_s1"] += dA_m.sum(axis=0)
+    dm = dA_m @ params["W_s1"][:, :H]
 
     da2, dx2, dh1, dc1 = lstm_step_backward(cache2, dm, np.zeros_like(dm))
     da1, dx1, _, _ = lstm_step_backward(cache1, dh1, dc1)
-    grads["W_lstm"] += np.outer(da1, cache1[1]) + np.outer(da2, cache2[1])
-    grads["b_lstm"] += da1 + da2
-    grads["E_tok"][name_row] += dx2
-    grads["E_tok"][gender_row] += dx1
+    grads["W_lstm"] += np.vstack([da1, da2]).T @ np.vstack([cache1[1], cache2[1]])
+    grads["b_lstm"] += da1.sum(axis=0) + da2.sum(axis=0)
+    np.add.at(grads["E_tok"], np.concatenate([genders, rows]), np.vstack([dx1, dx2]))
     return float(loss)
 
 
@@ -157,6 +186,7 @@ class Linker:
     norm: NormStats
     name_rows: dict   # character id -> embedding row
     history: list = field(default_factory=list)
+    supervised_instances: int = 0  # training instances from singleton clips
 
     GENDER_ROWS = {"M": 0, "F": 1}  # embedding row and reconstruction class
 
@@ -179,11 +209,14 @@ class Linker:
         if not clip.tracks:
             raise ValueError(f"clip {clip.id}: no tracks to link against")
         feats = np.stack([apply_norm(t, self.norm).v_head for t in clip.tracks])
-        out = []
-        for m in sorted(clip.mentions, key=lambda m: m.pos):
-            att = self.attention(m.gender, m.char_id, feats)
-            out.append((m, clip.tracks[int(np.argmax(att))].id, att))
-        return out
+        mentions = sorted(clip.mentions, key=lambda m: m.pos)
+        if not mentions:
+            return []
+        genders, rows = zip(*(self._rows(m.gender, m.char_id) for m in mentions))
+        shape = (len(mentions),) + feats.shape
+        att = _score(self.params, self.config, list(genders), list(rows),
+                     np.broadcast_to(feats, shape), np.ones(shape[:2], dtype=bool))[0]
+        return [(m, clip.tracks[int(np.argmax(a))].id, a) for m, a in zip(mentions, att)]
 
 
 def build_link_instances(corpus: Corpus, norm: NormStats):
@@ -230,32 +263,23 @@ def train_linker(corpus: Corpus, config: LinkerConfig = None, seed=0):
         total = 0.0
         bs = config.batch_size or len(instances)
         for start in range(0, len(order), bs):
-            batch = order[start:start + bs]
+            batch = [instances[i] for i in order[start:start + bs]]
             grads = zeros_like_params(params)
-            for idx in batch:
-                inst = instances[idx]
-                total += _instance_loss_and_grads(
-                    params, config, inst,
-                    Linker.GENDER_ROWS[inst.gender], name_rows[inst.name_id],
-                    Linker.GENDER_ROWS[inst.gender], name_idx[inst.name_id],
-                    grads)
+            total += _batch_loss_and_grads(params, config, batch, name_rows,
+                                           name_idx, grads)
             for k in grads:
                 grads[k] /= len(batch)
             opt.step(params, grads)
         history.append(total / len(instances))
     return Linker(params=params, config=config, norm=norm,
-                  name_rows=name_rows, history=history)
+                  name_rows=name_rows, history=history,
+                  supervised_instances=sum(i.supervised for i in instances))
 
 
 def linker_loss(params, config, instances, name_rows, name_idx):
     """Mean loss and gradients over fixed instances (for checks/tests)."""
     grads = zeros_like_params(params)
-    total = 0.0
-    for inst in instances:
-        total += _instance_loss_and_grads(
-            params, config, inst,
-            Linker.GENDER_ROWS[inst.gender], name_rows[inst.name_id],
-            Linker.GENDER_ROWS[inst.gender], name_idx[inst.name_id], grads)
+    total = _batch_loss_and_grads(params, config, instances, name_rows, name_idx, grads)
     n = len(instances)
     for k in grads:
         grads[k] /= n

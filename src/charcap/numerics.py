@@ -54,6 +54,24 @@ def cross_entropy(logits, target, valid=None):
     return float(np.log(np.exp(z - zmax).sum()) - (zt - zmax))
 
 
+def softmax_cross_entropy(logits, targets, valid=None):
+    """Row-wise softmax of ``(B, K)`` logits and each row's cross-entropy.
+
+    Returns ``(probs, losses)``: ``probs`` is the softmax of every row over
+    its ``valid`` entries (all when None; invalid entries get exactly 0),
+    ``losses[b] = -log probs[b, targets[b]]`` by log-sum-exp, finite where
+    the probability underflows. Every row needs a valid entry.
+    """
+    z = np.asarray(logits, dtype=FLOAT)
+    if valid is not None:
+        z = np.where(valid, z, -np.inf)
+    zmax = z.max(axis=-1, keepdims=True)
+    e = np.exp(z - zmax)
+    total = e.sum(axis=-1, keepdims=True)
+    zt = np.take_along_axis(z, np.asarray(targets)[:, None], axis=-1)
+    return e / total, (np.log(total) - (zt - zmax))[:, 0]
+
+
 def sigmoid(x):
     x = np.asarray(x, dtype=FLOAT)
     out = np.empty_like(x)
@@ -101,29 +119,36 @@ def lstm_init(rng, input_dim, hidden_dim):
 
 
 def lstm_step_forward(W, b, x, h_prev, c_prev):
-    """One LSTM step; returns (h, c, cache) with cache for the backward."""
-    H = h_prev.shape[0]
-    xh = np.concatenate([x, h_prev])
-    a = W @ xh + b
-    s = sigmoid(a[:3 * H])
-    i, f, o = s[:H], s[H:2 * H], s[2 * H:]
-    g = np.tanh(a[3 * H:])
+    """One LSTM step; returns (h, c, cache) with cache for the backward.
+
+    ``x``, ``h_prev`` and ``c_prev`` are one step's vectors, or rows
+    ``(B, ·)`` of B independent sequences advanced together; the gates are
+    sliced on the last axis either way, and a 1-D step is bitwise the
+    ``W @ xh`` product.
+    """
+    H = h_prev.shape[-1]
+    xh = np.concatenate([x, h_prev], axis=-1)
+    a = xh @ W.T + b
+    s = sigmoid(a[..., :3 * H])
+    i, f, o = s[..., :H], s[..., H:2 * H], s[..., 2 * H:]
+    g = np.tanh(a[..., 3 * H:])
     c = f * c_prev + i * g
     tc = np.tanh(c)
     h = o * tc
-    cache = (W, xh, c_prev, i, f, o, g, tc, x.shape[0])
+    cache = (W, xh, c_prev, i, f, o, g, tc, x.shape[-1])
     return h, c, cache
 
 
 def lstm_step_backward(cache, dh, dc):
-    """Backward of one LSTM step.
+    """Backward of one LSTM step (1-D or rows, as its forward ran).
 
     ``dh`` and ``dc`` are the gradients flowing into this step's outputs.
     Returns (da, dx, dh_prev, dc_prev), where ``da`` is the gradient of the
-    gate pre-activations ``a = W @ xh + b``. The step's weight gradients
+    gate pre-activations ``a = xh @ W.T + b``. The step's weight gradients
     are ``np.outer(da, xh)`` for W (``xh = cache[1]``) and ``da`` for b; a
-    caller running several steps stacks their ``da`` and ``xh`` rows and
-    forms the W gradient of all of them as one ``da.T @ xh`` product.
+    caller running several steps or rows stacks their ``da`` and ``xh``
+    rows and forms the W gradient of all of them as one ``da.T @ xh``
+    product.
     """
     W, xh, c_prev, i, f, o, g, tc, xdim = cache
     do = dh * tc
@@ -137,9 +162,9 @@ def lstm_step_backward(cache, dh, dc):
         df * f * (1.0 - f),
         do * o * (1.0 - o),
         dg * (1.0 - g * g),
-    ])
-    dxh = W.T @ da
-    return da, dxh[:xdim], dxh[xdim:], dc_prev
+    ], axis=-1)
+    dxh = da @ W
+    return da, dxh[..., :xdim], dxh[..., xdim:], dc_prev
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,12 @@ from charcap.decoder import (
     build_train_items, decode_pair, init_decoder_params, load_checkpoint,
     pair_features, save_checkpoint, sentence_loss, train_decoder,
 )
+from charcap.corpus import AlphaTarget
+from charcap.decoder import attention_terms
 from charcap.linker import PairSupervision
-from charcap.numerics import finite_diff_check, rng_stream
+from charcap.numerics import (
+    finite_diff_check, lstm_step_backward, lstm_step_forward, rng_stream, softmax,
+)
 from charcap.track_features import fit_norm_stats
 
 
@@ -479,4 +483,175 @@ class TestCheckpointVersion:
         save_checkpoint(path, separable[0])
         self._rewrite_header(path, lambda h: h["config"].update(c_max=50, p_max=7))
         with pytest.raises(ValueError, match=r"model\.ckpt.*\['c_max', 'p_max'\]"):
+            load_checkpoint(path)
+
+
+def _reference_attention_backward(params, cache, dv_grounded, dlogits_extra, grads):
+    """Per-step backward through one attention step, every weight's
+    gradient formed at the step (the formula before the per-sentence
+    terms); returns dh_prev."""
+    M, Tf, q, pre_q, u, alpha, cell, valid, h_prev, f_cur, Vh, Vb, Vs, _ = cache
+    dalpha = np.einsum("pcd,d->pc", cell, dv_grounded)
+    dlogits = alpha * (dalpha - float((alpha * dalpha).sum()))
+    if dlogits_extra is not None:
+        dlogits = dlogits + dlogits_extra
+    dlogits = np.where(valid, dlogits, 0.0)
+    du = np.einsum("pc,pcd->d", dlogits, Tf)
+    grads["w_att"] += du * q
+    grads["b_att"][0] += dlogits.sum()
+    dpre_q = du * params["w_att"] * (1.0 - q * q)
+    grads["W_h"] += np.outer(dpre_q, h_prev)
+    grads["b_h"] += dpre_q
+    dF = dlogits[:, :, None] * u[None, None, :] * (1.0 - Tf * Tf)
+    grads["b_v"] += dF.sum(axis=(0, 1))
+    grads["W_id"] += np.einsum("pck,pcd->kd", dF, M)
+    df_cur = dF.sum(axis=0)
+    grads["W_head"] += df_cur.T @ Vh
+    grads["W_body"] += df_cur.T @ Vb
+    grads["W_stat"] += df_cur.T @ Vs
+    return params["W_h"].T @ dpre_q
+
+
+def _reference_sentence_grads(params, cfg, vocab, feats, sentence, targets):
+    """Teacher-forced gradients of one sentence, one outer product per step."""
+    tokens = [vocab.index(t) for t in [BOS] + sentence + [EOS]]
+    person = {vocab.index(t) for t in PERSON_TOKENS}
+    grads = {k: np.zeros_like(v) for k, v in params.items()}
+    h = np.zeros(cfg.hidden)
+    c = np.zeros(cfg.hidden)
+    steps = []
+    for step in range(1, len(tokens)):
+        alpha, v_gr, att_cache = attention_step(params, h, feats)
+        x = np.concatenate([v_gr, feats.v_global, params["E"][tokens[step - 1]]])
+        h, c, lstm_cache = lstm_step_forward(params["W_lstm"], params["b_lstm"], x, h, c)
+        dlog = softmax(params["W_pred"] @ h + params["b_pred"])
+        dlog[tokens[step]] -= 1.0
+        extra = None
+        if tokens[step] in person and step - 1 in targets:
+            p, ci = targets[step - 1]
+            extra = alpha.copy()
+            extra[p, ci - 1] -= 1.0
+        steps.append((att_cache, lstm_cache, extra, dlog, h))
+    dh = np.zeros(cfg.hidden)
+    dc = np.zeros(cfg.hidden)
+    d_gr = cfg.d_grounded
+    for t in range(len(steps) - 1, -1, -1):
+        att_cache, lstm_cache, extra, dlog, h_t = steps[t]
+        grads["W_pred"] += np.outer(dlog, h_t)
+        grads["b_pred"] += dlog
+        da, dx, dh_prev, dc = lstm_step_backward(lstm_cache, dh + params["W_pred"].T @ dlog, dc)
+        grads["W_lstm"] += np.outer(da, lstm_cache[1])
+        grads["b_lstm"] += da
+        grads["E"][tokens[t]] += dx[d_gr + cfg.d_global:]
+        dh = dh_prev + _reference_attention_backward(params, att_cache, dx[:d_gr], extra, grads)
+    return grads
+
+
+class TestAttentionTerms:
+    def test_passed_terms_give_the_bitwise_same_step(self):
+        cfg = tiny_decoder_cfg()
+        rng = rng_stream(11, "terms")
+        for C, P, c_slots, p_slots in [(1, 0, None, None), (4, 2, None, None), (3, 2, 6, 4)]:
+            params = init_decoder_params(cfg, 8, seed=C)
+            feats = rand_feats(rng, C, P, cfg, c_slots=c_slots, p_slots=p_slots)
+            terms = attention_terms(params, feats)
+            for _ in range(3):
+                h = rng.normal(size=cfg.hidden)
+                a1, v1, k1 = attention_step(params, h, feats)
+                a2, v2, k2 = attention_step(params, h, feats, terms)
+                assert a1.tobytes() == a2.tobytes() and v1.tobytes() == v2.tobytes()
+                assert len(k1) == len(k2)
+                assert all(x.tobytes() == y.tobytes() for x, y in zip(k1, k2))
+
+    def test_sentence_gradients_equal_the_per_step_formula(self):
+        # the attention weights' gradients are formed once per sentence; the
+        # summation order changes, so equality is to 1e-12 of each array.
+        # b_att's true gradient is 0 (the softmax is shift-invariant), so
+        # both sides are rounding noise there
+        vocab = Vocabulary.build(["walks", "street"])
+        cfg = tiny_decoder_cfg()
+        params = init_decoder_params(cfg, len(vocab), seed=12)
+        rng = rng_stream(12, "per-sentence")
+        runs = [(rand_feats(rng, C=3, P=2, cfg=cfg, c_slots=5, p_slots=3),
+                 ["MaleName", "walks", "FemaleCoref"], {0: (1, 2), 2: (0, 3)}),
+                (rand_feats(rng, C=2, P=1, cfg=cfg),
+                 ["FemaleName", "street", "MaleName"], {0: (1, 1), 2: (0, 2)})]
+        got = {k: np.zeros_like(v) for k, v in params.items()}
+        want = {k: np.zeros_like(v) for k, v in params.items()}
+        for feats, sentence, targets in runs:
+            sentence_loss(params, cfg, vocab, feats, sentence, targets, grads=got)
+            for k, g in _reference_sentence_grads(params, cfg, vocab, feats,
+                                                  sentence, targets).items():
+                want[k] += g
+        for k in params:
+            if k == "b_att":
+                assert abs(got[k][0]) <= 1e-14 and abs(want[k][0]) <= 1e-14
+            else:
+                assert np.abs(got[k] - want[k]).max() <= 1e-12 * np.abs(want[k]).max(), k
+
+
+class TestTrainingCounts:
+    DIMS = dict(d_head=8, d_body=6, d_global=8, d_att=8, d_emb=8, hidden=12,
+                epochs=3, batch_size=4)
+
+    @staticmethod
+    def _corpus():
+        corpus = generate_corpus(CorpusConfig(n_pairs=6, n_characters=4, d_head=8, d_body=6,
+                                              d_global=8, sigma=0.1), seed=4)
+        assert len(corpus.pairs) == 6  # two batches of at most 4 per epoch
+        return corpus
+
+    def test_skipped_targets_are_totalled_over_epochs(self):
+        corpus = self._corpus()
+        sup = planted_supervision(corpus)
+        assert train_decoder(corpus, sup, DecoderConfig(**self.DIMS), seed=1).skipped_targets == 0
+        first = sup[0].targets[0]
+        sup[0].targets[0] = AlphaTarget(tau=first.tau, p=0, c=C_MAX + 1)  # past every grid
+        trained = train_decoder(corpus, sup, DecoderConfig(**self.DIMS), seed=1)
+        assert trained.skipped_targets == 3  # once per epoch
+
+    @pytest.mark.parametrize("grad_clip, clipped", [(1e-6, 6), (1e6, 0), (0.0, 0)])
+    def test_clipped_batches_are_counted(self, grad_clip, clipped):
+        corpus = self._corpus()
+        cfg = DecoderConfig(**self.DIMS, grad_clip=grad_clip)
+        trained = train_decoder(corpus, planted_supervision(corpus), cfg, seed=1)
+        assert trained.clipped_batches == clipped
+
+
+def _drop_w_pred(header):
+    header["arrays"] = [a for a in header["arrays"] if a["name"] != "W_pred"]
+
+
+def _transpose_w_lstm(header):
+    next(a for a in header["arrays"] if a["name"] == "W_lstm")["shape"].reverse()
+
+
+def _drop_config(header):
+    del header["config"]
+
+
+def _text_shape(header):
+    next(a for a in header["arrays"] if a["name"] == "b_att")["shape"] = ["x"]
+
+
+class TestCheckpointTable:
+    @pytest.mark.parametrize("edit, named", [
+        (_drop_w_pred, "'W_pred'"), (_transpose_w_lstm, "'W_lstm'"),
+        (_drop_config, "config"), (_text_shape, "'b_att'"),
+    ], ids=["no-W_pred", "transposed-W_lstm", "no-config", "text-shape"])
+    def test_table_checked_against_the_config(self, separable, tmp_path, edit, named):
+        # each edit keeps the file self-consistent: the blocks follow the table
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, separable[0])
+        head, rest = path.read_bytes().split(b"\n", 1)
+        header = json.loads(head)
+        blocks, pos = {}, 0
+        for spec in header["arrays"]:
+            n = 8 * int(np.prod(spec["shape"]))
+            blocks[spec["name"]] = rest[pos:pos + n]
+            pos += n
+        edit(header)
+        body = b"".join(blocks[spec["name"]] for spec in header["arrays"])
+        path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + body)
+        with pytest.raises(ValueError, match=rf"model\.ckpt.*{named}"):
             load_checkpoint(path)

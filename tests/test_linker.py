@@ -7,7 +7,11 @@ from charcap.linker import (
     init_linker_params, link_scores, linker_loss, linking_accuracy,
     train_linker,
 )
-from charcap.numerics import finite_diff_check, rng_stream
+from charcap.linker import LinkInstance, _pad_tracks, _score
+from charcap.numerics import (
+    cross_entropy, finite_diff_check, lstm_step_backward, lstm_step_forward,
+    rng_stream, softmax,
+)
 from charcap.track_features import fit_norm_stats
 
 
@@ -159,3 +163,109 @@ class TestAttentionGt:
                     assert s.prev_grounding[p - 1][1] == m.coref_prev
                     checked += 1
         assert checked > 0
+
+
+def _reference_instance(params, cfg, inst, name_row, name_index, grads):
+    """One instance's loss, its gradients added into ``grads``: one mention
+    at a time, with the scorer input [m; v] tiled per track."""
+    H = cfg.hidden
+    g = Linker.GENDER_ROWS[inst.gender]
+    W, b, E = params["W_lstm"], params["b_lstm"], params["E_tok"]
+    h1, c1, k1 = lstm_step_forward(W, b, E[g], np.zeros(H), np.zeros(H))
+    m, _, k2 = lstm_step_forward(W, b, E[name_row], h1, c1)
+    V = inst.features
+    Z = np.hstack([np.tile(m, (len(V), 1)), V])
+    T = np.tanh(Z @ params["W_s1"].T + params["b_s1"])
+    s = T @ params["w_s2"] + params["b_s2"][0]
+    att = softmax(s)
+    v_att = att @ V
+    r = np.tanh(params["W_r"] @ v_att + params["b_r"])
+    lg = params["W_g"] @ r + params["b_g"]
+    ln = params["W_n"] @ r + params["b_n"]
+    loss = cross_entropy(lg, g) + cross_entropy(ln, name_index)
+    dg = softmax(lg)
+    dg[g] -= 1.0
+    dn = softmax(ln)
+    dn[name_index] -= 1.0
+    grads["W_g"] += np.outer(dg, r)
+    grads["b_g"] += dg
+    grads["W_n"] += np.outer(dn, r)
+    grads["b_n"] += dn
+    dr_pre = (params["W_g"].T @ dg + params["W_n"].T @ dn) * (1.0 - r * r)
+    grads["W_r"] += np.outer(dr_pre, v_att)
+    grads["b_r"] += dr_pre
+    datt = V @ (params["W_r"].T @ dr_pre)
+    ds = att * (datt - att @ datt)
+    if inst.supervised:
+        loss += cross_entropy(s, 0)
+        sup = att.copy()
+        sup[0] -= 1.0
+        ds += sup
+    grads["w_s2"] += T.T @ ds
+    grads["b_s2"][0] += ds.sum()
+    dA = np.outer(ds, params["w_s2"]) * (1.0 - T * T)
+    grads["W_s1"] += dA.T @ Z
+    grads["b_s1"] += dA.sum(axis=0)
+    dm = (dA @ params["W_s1"])[:, :H].sum(axis=0)
+    da2, dx2, dh1, dc1 = lstm_step_backward(k2, dm, np.zeros(H))
+    da1, dx1, _, _ = lstm_step_backward(k1, dh1, dc1)
+    grads["W_lstm"] += np.outer(da1, k1[1]) + np.outer(da2, k2[1])
+    grads["b_lstm"] += da1 + da2
+    grads["E_tok"][name_row] += dx2
+    grads["E_tok"][g] += dx1
+    return loss
+
+
+class TestBatch:
+    @staticmethod
+    def _batch():
+        # C = 1 and C > 1, supervised and not, padded to C = 4
+        rng = rng_stream(8, "batch")
+        cfg = LinkerConfig(d_emb=5, hidden=6, scorer_hidden=5, recon_hidden=5)
+        spec = [("M", 0, 1, True), ("F", 1, 4, False), ("F", 2, 1, False),
+                ("M", 1, 3, True), ("M", 2, 2, False)]
+        insts = [LinkInstance(gender=g, name_id=n, features=rng.normal(size=(C, 7)),
+                              track_ids=list(range(C)), supervised=sup)
+                 for g, n, C, sup in spec]
+        rows = {n: 2 + n for n in range(3)}
+        idx = {n: n for n in range(3)}
+        return cfg, init_linker_params(cfg, 3, 7, seed=4), insts, rows, idx
+
+    def test_batched_loss_and_gradients_equal_per_instance(self):
+        # the batch sums in another order: equal to 1e-12 of each array.
+        # b_s2's true gradient is 0 (the softmax over tracks is
+        # shift-invariant), so both sides are rounding noise there
+        cfg, params, insts, rows, idx = self._batch()
+        loss, grads = linker_loss(params, cfg, insts, rows, idx)
+        want = {k: np.zeros_like(v) for k, v in params.items()}
+        want_loss = sum(_reference_instance(params, cfg, i, rows[i.name_id], idx[i.name_id], want)
+                        for i in insts) / len(insts)
+        assert abs(loss - want_loss) <= 1e-12 * want_loss
+        for k in params:
+            want[k] /= len(insts)
+            if k == "b_s2":
+                assert abs(grads[k][0]) <= 1e-15 and abs(want[k][0]) <= 1e-15
+            else:
+                assert np.abs(grads[k] - want[k]).max() <= 1e-12 * np.abs(want[k]).max(), k
+
+    def test_padding_tracks_get_zero_attention(self):
+        cfg, params, insts, rows, _ = self._batch()
+        V, valid = _pad_tracks([i.features for i in insts])
+        genders = [Linker.GENDER_ROWS[i.gender] for i in insts]
+        names = [rows[i.name_id] for i in insts]
+        att = _score(params, cfg, genders, names, V, valid)[0]
+        assert valid.sum() < valid.size
+        assert (att[~valid] == 0.0).all()
+        for b, inst in enumerate(insts):
+            one, _ = link_scores(params, cfg, genders[b], names[b], inst.features)
+            np.testing.assert_allclose(att[b, :len(one)], one, rtol=0, atol=1e-15)
+
+
+class TestCounts:
+    def test_supervised_instances_are_the_singleton_clip_mentions(self):
+        corpus = generate_corpus(corpus_cfg(n_pairs=12), seed=5)
+        want = sum(1 for pair in corpus.pairs for clip in (pair.prev, pair.cur)
+                   if clip is not None and len(clip.tracks) == 1 and len(clip.mentions) == 1)
+        assert want > 0
+        linker = train_linker(corpus, LinkerConfig(epochs=1), seed=0)
+        assert linker.supervised_instances == want

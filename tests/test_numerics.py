@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from charcap.numerics import (
     Adam, cross_entropy, finite_diff_check, glorot_uniform, lstm_init,
     lstm_step_backward, lstm_step_forward, masked_softmax, rng_stream, sigmoid,
-    softmax,
+    softmax, softmax_cross_entropy,
 )
 
 
@@ -151,6 +151,21 @@ class TestPrimitives:
         assert np.array_equal(h, o * np.tanh(c_ref))
 
 
+class TestRowBatchedLstm:
+    def test_rows_equal_separate_steps(self):
+        rng = rng_stream(7, "lstm-rows")
+        H, D, B = 6, 5, 4
+        W, b = lstm_init(rng, D, H)
+        x, h0, c0, dh, dc = (rng.normal(size=(B, n)) for n in (D, H, H, H, H))
+        h, c, cache = lstm_step_forward(W, b, x, h0, c0)
+        back = lstm_step_backward(cache, dh, dc)
+        for r in range(B):
+            h1, c1, cache1 = lstm_step_forward(W, b, x[r], h0[r], c0[r])
+            back1 = lstm_step_backward(cache1, dh[r], dc[r])
+            for got, want in zip((h, c, cache[1]) + back, (h1, c1, cache1[1]) + back1):
+                np.testing.assert_allclose(got[r], want, rtol=0, atol=1e-15)
+
+
 class TestCrossEntropy:
     def test_equals_log_softmax(self):
         z = np.array([0.3, -1.2, 4.0, 0.0])
@@ -167,6 +182,17 @@ class TestCrossEntropy:
         z = np.array([0.0, -1000.0])
         assert softmax(z)[1] == 0.0
         assert cross_entropy(z, 1) == 1000.0
+
+
+class TestSoftmaxCrossEntropyRows:
+    def test_rows_equal_the_one_row_functions(self):
+        z = np.array([[0.3, -1.2, 2.0], [5.0, 0.0, -1000.0]])
+        valid = np.array([[True, True, True], [True, False, True]])
+        probs, losses = softmax_cross_entropy(z, [2, 2], valid)
+        np.testing.assert_allclose(probs[0], softmax(z[0]), rtol=0, atol=1e-15)
+        assert probs[1, 1] == 0.0 and probs[1, 2] == 0.0
+        assert abs(losses[0] - cross_entropy(z[0], 2)) <= 1e-15
+        assert losses[1] == cross_entropy(z[1, [0, 2]], 1) == 1005.0
 
 
 class TestAdam:
