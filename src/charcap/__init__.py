@@ -2,7 +2,7 @@
 
 Library layout:
 
-- ``numerics``: dense kernels, activations, seeded RNG, gradient checker
+- ``numerics``: dense kernels, activations, seeded RNG, Adam, gradient checker
 - ``corpus``: synthetic clip-pair corpora, JSONL ingestion, and the joint
   attention targets of a grounding (``pair_supervision``)
 - ``shots``: shot-boundary detection from histograms and point survival

@@ -417,24 +417,18 @@ def pair_supervision(pair: ClipPair, prev_links, cur_links):
     return PairSupervision(pair_id=pair.id, prev_grounding=grounding, targets=targets)
 
 
-def _planted_supervision(pair: ClipPair):
-    def links(clip):  # each mention's first ground-truth track, sentence order
+def planted_supervision(pair: ClipPair):
+    """``pair_supervision`` of the planted grounding: each mention linked to
+    its first ground-truth track, mentions without one left out. Its
+    ``prev_grounding`` is the (track_id, char_id, gender) of each
+    character's first previous-sentence mention, and its ``targets`` are
+    the exact joint attention targets the linker's grounding approximates."""
+    def links(clip):  # sentence order
         if clip is None:
             return []
         return [(m, m.gt_track_ids[0])
                 for m in sorted(clip.mentions, key=lambda m: m.pos) if m.gt_track_ids]
     return pair_supervision(pair, links(pair.prev), links(pair.cur))
-
-
-def planted_prev_grounding(pair: ClipPair):
-    """(track_id, char_id, gender) per previous-sentence mention, in
-    sentence order, first occurrence per character."""
-    return _planted_supervision(pair).prev_grounding
-
-
-def planted_alpha_targets(pair: ClipPair):
-    """Exact joint attention targets from the planted grounding."""
-    return _planted_supervision(pair).targets
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,9 @@ and statistics features; the cell logit multiplies that embedding
 element-wise with an embedding of the recurrent hidden state. Softmax
 over real cells gives the attention, whose weighted sum of concatenated
 cell features is the grounded input to the LSTM, next to the global clip
-vector and the previous word embedding.
+vector and the previous word embedding. The logits carry no bias: the
+softmax is shift-invariant, so a bias would change no output and its
+gradient would be exactly 0.
 
 Only the hidden-state embedding changes from step to step: the cell
 embeddings, their tanh and the cell features (``attention_terms``) are
@@ -25,7 +27,8 @@ are one matrix product per sentence.
 
 Checkpoints are a one-line JSON header (magic string, format version,
 dims, vocab, array table) followed by raw little-endian float64 blocks,
-one per named weight.
+one per named weight. Format version 2 is version 1 without the
+attention logit bias; a version-1 file is rejected by its stamp.
 """
 
 import json
@@ -38,9 +41,8 @@ from .corpus import (
     BOS, EOS, P_MAX, PERSON_TOKENS, ClipPair, Corpus, Vocabulary, cap_tracks,
 )
 from .numerics import (
-    FLOAT, cross_entropy, glorot_uniform, lstm_init, lstm_step_backward,
-    lstm_step_forward, make_optimizer, masked_softmax, rng_stream, softmax,
-    zeros_like_params,
+    Adam, FLOAT, cross_entropy, glorot_uniform, lstm_init, lstm_step_backward,
+    lstm_step_forward, masked_softmax, rng_stream, softmax, zeros_like_params,
 )
 from .track_features import STAT_DIM, NormStats, apply_norm, fit_norm_stats
 
@@ -65,7 +67,6 @@ class DecoderConfig:
     hidden: int = 128
     max_len: int = 30
     attention_supervision: bool = True
-    optimizer: str = "adam"
     lr: float = 0.003
     epochs: int = 30
     batch_size: int = 8
@@ -95,7 +96,6 @@ def _param_shapes(config: DecoderConfig, vocab_size):
         "W_h": (da, H),
         "b_h": (da,),
         "w_att": (da,),
-        "b_att": (1,),
         "W_pred": (vocab_size, H),
         "b_pred": (vocab_size,),
     }
@@ -122,7 +122,7 @@ class PairFeatures:
     """
     cur_head: np.ndarray    # (C_slots, d_head)
     cur_body: np.ndarray    # (C_slots, d_body)
-    cur_stat: np.ndarray    # (C_slots, 11)
+    cur_stat: np.ndarray    # (C_slots, STAT_DIM)
     prev_head: np.ndarray   # (P_slots, d_head), excludes the null track
     v_global: np.ndarray
     cur_valid: np.ndarray   # (C_slots,) bool
@@ -227,7 +227,7 @@ def attention_step(params, h_prev, feats: PairFeatures, terms=None):
     pre_q = params["W_h"] @ h_prev + params["b_h"]
     q = np.tanh(pre_q)
     u = params["w_att"] * q
-    logits = (Tf.reshape(-1, Tf.shape[2]) @ u).reshape(valid.shape) + params["b_att"][0]
+    logits = (Tf.reshape(-1, Tf.shape[2]) @ u).reshape(valid.shape)
     alpha = masked_softmax(logits, valid)
     v_grounded = alpha.reshape(-1) @ cell.reshape(-1, cell.shape[2])
     cache = (M, Tf, q, pre_q, u, alpha, cell, valid, h_prev, f_cur,
@@ -240,7 +240,7 @@ def attention_backward(params, cache, dv_grounded, dlogits_extra, grads):
 
     ``dlogits_extra`` carries the attention-loss gradient already at the
     logits (softmax cross-entropy shortcut). Adds the gradients of
-    ``w_att``, ``b_att``, ``W_h`` and ``b_h`` into ``grads`` and returns
+    ``w_att``, ``W_h`` and ``b_h`` into ``grads`` and returns
     (dh_prev, dlogits). The weights behind ``attention_terms`` get theirs
     once per sentence: with ``u = cache[4]``, their input gradient is
     ``dTf = Σ_t dlogits_t ⊗ u_t`` (see ``sentence_loss``).
@@ -256,7 +256,6 @@ def attention_backward(params, cache, dv_grounded, dlogits_extra, grads):
 
     du = dlogits.reshape(-1) @ Tf.reshape(-1, Tf.shape[2])
     grads["w_att"] += du * q
-    grads["b_att"][0] += dlogits.sum()
     dq = du * params["w_att"]
     dpre_q = dq * (1.0 - q * q)
     grads["W_h"] += np.outer(dpre_q, h_prev)
@@ -295,20 +294,20 @@ def _extend(vocab: Vocabulary, sentence):
 
 
 def sentence_loss(params, config, vocab, feats: PairFeatures, sentence,
-                  alpha_targets=None, want_grads=True, grads=None):
+                  alpha_targets=None, grads=None):
     """Teacher-forced loss of one clip pair.
 
     ``alpha_targets``: {sentence position tau: (p, c)} with p in 0..P and
     c in 1..C (1-based); targets outside the valid cells of the grid are
     skipped but counted. The gradients are added into ``grads`` (a fresh
     zero dict when None). Returns (total, word_loss, att_loss, grads,
-    skipped); grads is None when ``want_grads`` is False.
+    skipped).
     """
     tokens = _extend(vocab, sentence)
     person_idx = {vocab.index(t) for t in PERSON_TOKENS}
     alpha_targets = alpha_targets or {}
     H = config.hidden
-    if want_grads and grads is None:
+    if grads is None:
         grads = zeros_like_params(params)
 
     terms = attention_terms(params, feats)
@@ -325,7 +324,7 @@ def sentence_loss(params, config, vocab, feats: PairFeatures, sentence,
             params, feats, terms, h, c, tokens[step - 1])
         if not np.all(np.isfinite(logits)):
             # numeric blow-up: surface as non-finite loss so training aborts
-            return np.inf, np.inf, att_loss, grads if want_grads else None, skipped
+            return np.inf, np.inf, att_loss, grads, skipped
         word_loss += cross_entropy(logits, tokens[step])
 
         target_cell = None
@@ -338,17 +337,13 @@ def sentence_loss(params, config, vocab, feats: PairFeatures, sentence,
                 att_loss += cross_entropy(att_logits, target_cell, valid)
             else:
                 skipped += 1
-        if want_grads:
-            probs = softmax(logits)
-            probs[tokens[step]] -= 1.0
-            dlog.append(probs)
-            hs.append(h)
-            steps.append((att_cache, lstm_cache, target_cell, alpha))
+        probs = softmax(logits)
+        probs[tokens[step]] -= 1.0
+        dlog.append(probs)
+        hs.append(h)
+        steps.append((att_cache, lstm_cache, target_cell, alpha))
 
     total = word_loss + att_loss
-    if not want_grads:
-        return total, word_loss, att_loss, None, skipped
-
     # output layer and the recurrent weights: one product per sentence
     dlog = np.stack(dlog)
     grads["W_pred"] += dlog.T @ np.stack(hs)
@@ -441,7 +436,7 @@ def _clip_gradients(grads, max_norm):
 
 
 def train_decoder(corpus: Corpus, supervision, config: DecoderConfig,
-                  seed=0, norm=None, checkpoint_path=None):
+                  seed=0, norm=None):
     """Mini-batch training with teacher forcing; deterministic per seed.
 
     Attention supervision is dropped when config.attention_supervision is
@@ -453,7 +448,7 @@ def train_decoder(corpus: Corpus, supervision, config: DecoderConfig,
     items = build_train_items(corpus, supervision, norm, config)
     vocab = corpus.vocab
     params = init_decoder_params(config, len(vocab), seed)
-    opt = make_optimizer(config.optimizer, lr=config.lr)
+    opt = Adam(lr=config.lr)
     rng = rng_stream(seed, "decoder-train")
     trained = TrainedDecoder(params=params, config=config, vocab=vocab,
                              norm=norm, history=[])
@@ -488,8 +483,6 @@ def train_decoder(corpus: Corpus, supervision, config: DecoderConfig,
             raise TrainingDiverged(epoch, last_good)
         trained.history.append((epoch_loss, wl / n, al / n))
         last_good = {k: v.copy() for k, v in params.items()}
-        if checkpoint_path is not None:
-            save_checkpoint(checkpoint_path, trained)
     return trained
 
 
@@ -558,7 +551,7 @@ def decode_pair(trained: TrainedDecoder, pair: ClipPair, prev_grounding):
 # ---------------------------------------------------------------------------
 
 CHECKPOINT_MAGIC = "charcap-decoder"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 def save_checkpoint(path, trained: TrainedDecoder):

@@ -3,6 +3,8 @@
 A mention (gender, name) is encoded by a two-step LSTM over its gender
 and name token embeddings; a scorer turns (mention encoding, track head
 feature) into a logit per track and the softmax is the linking attention.
+The logits carry no bias: the softmax over tracks is shift-invariant, so a
+bias would change no output and its gradient would be exactly 0.
 Training reconstructs the (gender, name) pair from the attention-weighted
 track feature; clips with a single name and a single track additionally
 supervise the attention directly, which is what seeds the semi-supervised
@@ -21,10 +23,10 @@ import numpy as np
 # PairSupervision is re-exported: build_attention_gt returns it
 from .corpus import Clip, Corpus, PairSupervision, pair_supervision  # noqa: F401
 from .numerics import (
-    FLOAT, glorot_uniform, lstm_init, lstm_step_backward, lstm_step_forward,
-    make_optimizer, rng_stream, softmax_cross_entropy, zeros_like_params,
+    Adam, FLOAT, glorot_uniform, lstm_init, lstm_step_backward, lstm_step_forward,
+    rng_stream, softmax_cross_entropy, zeros_like_params,
 )
-from .track_features import NormStats, apply_norm, fit_norm_stats
+from .track_features import NormStats, fit_norm_stats
 
 
 @dataclass
@@ -33,7 +35,6 @@ class LinkerConfig:
     hidden: int = 32
     scorer_hidden: int = 32
     recon_hidden: int = 32
-    optimizer: str = "adam"
     lr: float = 0.01
     epochs: int = 60
     batch_size: int = 16
@@ -59,7 +60,6 @@ def init_linker_params(config: LinkerConfig, n_names, d_head, seed):
         "W_s1": glorot_uniform(rng, config.scorer_hidden, config.hidden + d_head),
         "b_s1": np.zeros(config.scorer_hidden, dtype=FLOAT),
         "w_s2": glorot_uniform(rng, config.scorer_hidden),
-        "b_s2": np.zeros(1, dtype=FLOAT),
         "W_r": glorot_uniform(rng, config.recon_hidden, d_head),
         "b_r": np.zeros(config.recon_hidden, dtype=FLOAT),
         "W_g": glorot_uniform(rng, 2, config.recon_hidden),
@@ -67,6 +67,13 @@ def init_linker_params(config: LinkerConfig, n_names, d_head, seed):
         "W_n": glorot_uniform(rng, n_names, config.recon_hidden),
         "b_n": np.zeros(n_names, dtype=FLOAT),
     }
+
+
+def _heads(tracks, norm: NormStats):
+    """Normalized head vectors of ``tracks`` as one ``(C, d_head)`` array;
+    element for element the ``v_head`` of ``apply_norm(track, norm)``."""
+    heads = np.stack([t.v_head for t in tracks])
+    return (heads - norm.mean["v_head"]) / norm.std["v_head"]
 
 
 def _pad_tracks(features):
@@ -102,7 +109,7 @@ def _score(params, config, gender_rows, name_rows, V, valid):
     A = ((V.reshape(-1, d) @ W1[:, H:].T).reshape(B, C, -1)
          + (m @ W1[:, :H].T)[:, None, :] + params["b_s1"])
     T = np.tanh(A)
-    s = T @ params["w_s2"] + params["b_s2"][0]
+    s = T @ params["w_s2"]
     att, ce_first = softmax_cross_entropy(s, np.zeros(B, dtype=int), valid)
     return att, ce_first, T, m, (cache1, cache2)
 
@@ -163,7 +170,6 @@ def _batch_loss_and_grads(params, config, instances, name_rows, name_idx, grads)
     ds[sup, 0] -= 1.0
 
     grads["w_s2"] += T.reshape(B * C, -1).T @ ds.reshape(-1)
-    grads["b_s2"][0] += ds.sum()
     dA = ds[:, :, None] * params["w_s2"] * (1.0 - T * T)
     dA_m = dA.sum(axis=1)  # the mention part feeds every track's row
     grads["W_s1"][:, :H] += dA_m.T @ m
@@ -208,7 +214,7 @@ class Linker:
         """
         if not clip.tracks:
             raise ValueError(f"clip {clip.id}: no tracks to link against")
-        feats = np.stack([apply_norm(t, self.norm).v_head for t in clip.tracks])
+        feats = _heads(clip.tracks, self.norm)
         mentions = sorted(clip.mentions, key=lambda m: m.pos)
         if not mentions:
             return []
@@ -226,7 +232,7 @@ def build_link_instances(corpus: Corpus, norm: NormStats):
         for clip in (pair.prev, pair.cur):
             if clip is None or not clip.tracks:
                 continue
-            feats = np.stack([apply_norm(t, norm).v_head for t in clip.tracks])
+            feats = _heads(clip.tracks, norm)
             names_in_sentence = len(clip.mentions)
             singleton = len(clip.tracks) == 1 and names_in_sentence == 1
             for m in clip.mentions:
@@ -254,7 +260,7 @@ def train_linker(corpus: Corpus, config: LinkerConfig = None, seed=0):
     name_idx = {nid: k for k, nid in enumerate(name_ids)}
     d_head = instances[0].features.shape[1]
     params = init_linker_params(config, len(name_ids), d_head, seed)
-    opt = make_optimizer(config.optimizer, lr=config.lr)
+    opt = Adam(lr=config.lr)
     rng = rng_stream(seed, "linker-train")
 
     history = []

@@ -3,7 +3,8 @@
 Everything is float64 numpy. Parameters of a model are kept in a plain
 ``dict[str, np.ndarray]`` (a "param set"); gradients use the same keys.
 Each forward kernel has a hand-written backward companion, verified by
-``finite_diff_check`` in the test suite.
+``finite_diff_check`` in the test suite. Both trainers update their
+param sets with ``Adam``.
 """
 
 import zlib
@@ -168,24 +169,13 @@ def lstm_step_backward(cache, dh, dc):
 
 
 # ---------------------------------------------------------------------------
-# optimizers
+# optimizer
 # ---------------------------------------------------------------------------
 
-class Sgd:
-    def __init__(self, lr=0.1, momentum=0.0):
-        self.lr = lr
-        self.momentum = momentum
-        self._vel = None
-
-    def step(self, params, grads):
-        if self._vel is None:
-            self._vel = zeros_like_params(params)
-        for k in params:
-            self._vel[k] = self.momentum * self._vel[k] - self.lr * grads[k]
-            params[k] += self._vel[k]
-
-
 class Adam:
+    """Adam (Kingma and Ba, 2015) with bias correction, the optimizer of
+    both trainers; ``step`` updates a param set in place from its gradients."""
+
     def __init__(self, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
         self.lr = lr
         self.beta1 = beta1
@@ -219,14 +209,6 @@ class Adam:
             den += self.eps
             step /= den
             params[k] -= step
-
-
-def make_optimizer(name, **hp):
-    if name == "sgd":
-        return Sgd(**hp)
-    if name == "adam":
-        return Adam(**hp)
-    raise ValueError(f"unknown optimizer {name!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -111,6 +111,9 @@ def _block(track, name):
 
 
 def fit_norm_stats(tracks):
+    """Per-dimension mean and std of each feature block over ``tracks``
+    (the training split only); constant dimensions get std 1, so
+    ``apply_norm`` maps them to zero."""
     if not tracks:
         raise ValueError("fit_norm_stats: empty training split")
     mean, std = {}, {}
@@ -130,13 +133,3 @@ def apply_norm(track: Track, stats: NormStats):
         v_body=(_block(track, "v_body") - stats.mean["v_body"]) / stats.std["v_body"],
         v_stat=(_block(track, "v_stat") - stats.mean["v_stat"]) / stats.std["v_stat"],
     )
-
-
-def normalize_dataset(tracks, fit_on):
-    """Normalize every feature dim of ``tracks`` element-wise.
-
-    Mean/std are fitted on ``fit_on`` (the training split) only; constant
-    dimensions get std 1 so they map to zero.
-    """
-    stats = fit_norm_stats(fit_on)
-    return [apply_norm(t, stats) for t in tracks], stats

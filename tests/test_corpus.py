@@ -10,7 +10,7 @@ from charcap.corpus import (
     C_MAX, NAME_TOKENS, P_MAX, PERSON_TOKENS, AlphaTarget, Clip, ClipPair,
     ConfigError, CorpusConfig, CorpusFormatError, Mention, Track, Vocabulary,
     cap_tracks, export_jsonl, generate_corpus, ingest_jsonl, pair_supervision,
-    planted_alpha_targets, planted_prev_grounding,
+    planted_supervision,
 )
 from charcap.track_features import Detection, track_stats
 
@@ -80,8 +80,9 @@ class TestGeneration:
     def test_alpha_targets_match_plant(self):
         c = generate_corpus(small_config(n_pairs=30, coref_fraction=0.7), seed=8)
         for pair in c.pairs:
-            grounding = planted_prev_grounding(pair)
-            targets = {t.tau: t for t in planted_alpha_targets(pair)}
+            planted = planted_supervision(pair)
+            grounding = planted.prev_grounding
+            targets = {t.tau: t for t in planted.targets}
             for m in pair.cur.mentions:
                 tgt = targets[m.pos]
                 assert pair.cur.tracks[tgt.c - 1].id == m.gt_track_ids[0]
@@ -475,5 +476,4 @@ class TestPairSupervision:
 
         for pair in c.pairs:
             sup = pair_supervision(pair, linked(pair.prev), linked(pair.cur))
-            assert sup.prev_grounding == planted_prev_grounding(pair)
-            assert sup.targets == planted_alpha_targets(pair)
+            assert sup == planted_supervision(pair)

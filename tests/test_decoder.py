@@ -5,7 +5,7 @@ import pytest
 
 from charcap.corpus import (
     BOS, C_MAX, EOS, PERSON_TOKENS, CorpusConfig, Vocabulary, generate_corpus,
-    planted_alpha_targets, planted_prev_grounding,
+    planted_supervision,
 )
 from charcap.decoder import (
     DecoderConfig, PairFeatures, TrainingDiverged, attention_step,
@@ -14,7 +14,6 @@ from charcap.decoder import (
 )
 from charcap.corpus import AlphaTarget
 from charcap.decoder import attention_terms
-from charcap.linker import PairSupervision
 from charcap.numerics import (
     finite_diff_check, lstm_step_backward, lstm_step_forward, rng_stream, softmax,
 )
@@ -49,11 +48,8 @@ def rand_feats(rng, C, P, cfg, c_slots=None, p_slots=None):
                         prev_track_ids=list(range(1, p_slots + 1)))
 
 
-def planted_supervision(corpus):
-    return [PairSupervision(pair_id=p.id,
-                            prev_grounding=planted_prev_grounding(p),
-                            targets=planted_alpha_targets(p))
-            for p in corpus.pairs]
+def planted(corpus):
+    return [planted_supervision(p) for p in corpus.pairs]
 
 
 @pytest.fixture(scope="module")
@@ -65,7 +61,7 @@ def separable():
     train, test = corpus.split(120)
     dcfg = DecoderConfig(d_head=16, d_body=8, d_global=12, d_att=32, d_emb=16,
                          hidden=48, epochs=25, lr=0.005, batch_size=8)
-    trained = train_decoder(train, planted_supervision(train), dcfg, seed=5)
+    trained = train_decoder(train, planted(train), dcfg, seed=5)
     return trained, train, test
 
 
@@ -79,8 +75,9 @@ class TestTrackCap:
         cfg = DecoderConfig()
         assert max(len(p.cur.tracks) for p in corpus.pairs) > C_MAX
         for pair in corpus.pairs:
-            feats = pair_features(pair, planted_prev_grounding(pair), norm, cfg)
-            targets = {t.tau: t for t in planted_alpha_targets(pair)}
+            sup = planted_supervision(pair)
+            feats = pair_features(pair, sup.prev_grounding, norm, cfg)
+            targets = {t.tau: t for t in sup.targets}
             for m in pair.cur.mentions:
                 tgt = targets[m.pos]
                 assert tgt.c <= C_MAX
@@ -97,11 +94,10 @@ class TestAttentionStep:
         assert alpha.shape == (1, 1)
         assert alpha[0, 0] == 1.0
 
-    def test_only_bias_gives_uniform(self):
+    def test_zero_weights_give_uniform(self):
         cfg = tiny_decoder_cfg()
         params = {k: np.zeros_like(v)
                   for k, v in init_decoder_params(cfg, 8, seed=0).items()}
-        params["b_att"][0] = 0.7
         rng = rng_stream(1, "att")
         feats = rand_feats(rng, C=5, P=3, cfg=cfg)
         alpha, _, _ = attention_step(params, np.zeros(cfg.hidden), feats)
@@ -120,17 +116,6 @@ class TestAttentionStep:
             assert abs(alpha.sum() - 1.0) <= 1e-9
             assert (alpha[:, C:] == 0.0).all()
             assert (alpha[P + 1:, :] == 0.0).all()
-
-    def test_argmax_invariant_to_logit_bias(self):
-        cfg = tiny_decoder_cfg()
-        params = init_decoder_params(cfg, 8, seed=3)
-        rng = rng_stream(3, "att")
-        feats = rand_feats(rng, C=6, P=2, cfg=cfg)
-        h = rng.normal(size=cfg.hidden)
-        a1, _, _ = attention_step(params, h, feats)
-        params["b_att"][0] += 5.5
-        a2, _, _ = attention_step(params, h, feats)
-        assert np.argmax(a1) == np.argmax(a2)
 
     def test_grounded_vector_in_cell_hull(self):
         cfg = tiny_decoder_cfg()
@@ -164,8 +149,9 @@ class TestGradients:
         norm = fit_norm_stats([t for c in corpus.clips for t in c.tracks])
         cfg = tiny_decoder_cfg()
         pair = corpus.pairs[1]
-        feats = pair_features(pair, planted_prev_grounding(pair), norm, cfg)
-        targets = {t.tau: (t.p, t.c) for t in planted_alpha_targets(pair)}
+        sup = planted_supervision(pair)
+        feats = pair_features(pair, sup.prev_grounding, norm, cfg)
+        targets = {t.tau: (t.p, t.c) for t in sup.targets}
         params = init_decoder_params(cfg, len(corpus.vocab), seed=0)
 
         def loss_fn(p):
@@ -259,8 +245,7 @@ class TestSentenceLoss:
         sentence = ["MaleName", "walks", "street"]
         targets = {0: (1, 2)}
         total, word, att, _, _ = sentence_loss(params, cfg, vocab, feats,
-                                               sentence, targets,
-                                               want_grads=False)
+                                               sentence, targets)
 
         # ---- oracle: direct loops over the published equations ----
         def sig(v):
@@ -284,8 +269,7 @@ class TestSentenceLoss:
                             + params["W_stat"] @ Vs[cc] + params["W_id"] @ vid
                             + params["b_v"])
                     q = np.tanh(params["W_h"] @ h + params["b_h"])
-                    logits[p, cc] = (params["w_att"] @ (q * np.tanh(fvis))
-                                     + params["b_att"][0])
+                    logits[p, cc] = params["w_att"] @ (q * np.tanh(fvis))
                     cells[(p, cc)] = np.concatenate([Vh[cc], Vb[cc], Vs[cc], vid])
             e = np.exp(logits - logits.max())
             alpha = e / e.sum()
@@ -315,7 +299,7 @@ class TestTraining:
         corpus = generate_corpus(ccfg, seed=3)
         cfg = DecoderConfig(d_head=8, d_body=6, d_global=8, d_att=8, d_emb=8,
                             hidden=12, epochs=3, batch_size=4)
-        sup = planted_supervision(corpus)
+        sup = planted(corpus)
         a = train_decoder(corpus, sup, cfg, seed=9)
         b = train_decoder(corpus, sup, cfg, seed=9)
         assert all(np.array_equal(a.params[k], b.params[k]) for k in a.params)
@@ -327,7 +311,7 @@ class TestTraining:
         cfg = DecoderConfig(d_head=12, d_body=6, d_global=10, d_att=24,
                             d_emb=12, hidden=32, epochs=30, lr=0.005,
                             batch_size=8)
-        trained = train_decoder(corpus, planted_supervision(corpus), cfg, seed=1)
+        trained = train_decoder(corpus, planted(corpus), cfg, seed=1)
         first = trained.history[0][0]
         last = trained.history[-1][0]
         assert last <= 0.1 * first
@@ -341,14 +325,14 @@ class TestTraining:
                             hidden=12, epochs=3, lr=0.01, batch_size=3,
                             grad_clip=0.0)
         with pytest.raises(TrainingDiverged) as exc:
-            train_decoder(corpus, planted_supervision(corpus), cfg, seed=1)
+            train_decoder(corpus, planted(corpus), cfg, seed=1)
         assert all(np.all(np.isfinite(v)) for v in exc.value.params.values())
 
     def test_without_attention_supervision_only_words_are_learned(self):
         ccfg = CorpusConfig(n_pairs=10, n_characters=4, d_head=8, d_body=6,
                             d_global=8, sigma=0.05)
         corpus = generate_corpus(ccfg, seed=3)
-        sup = planted_supervision(corpus)
+        sup = planted(corpus)
         dims = dict(d_head=8, d_body=6, d_global=8, d_att=8, d_emb=8, hidden=12,
                     epochs=5, batch_size=4)
         with_att = train_decoder(corpus, sup, DecoderConfig(**dims), seed=9)
@@ -371,7 +355,7 @@ class TestDecode:
         trained, train, test = separable
         hits = checked = 0
         for pair in test.pairs:
-            grounding = planted_prev_grounding(pair)
+            grounding = planted_supervision(pair).prev_grounding
             coref_chars = {m.coref_prev for m in pair.cur.mentions
                            if m.coref_prev is not None}
             if not coref_chars or len(pair.cur.mentions) != 1:
@@ -404,7 +388,7 @@ class TestDecode:
         short = dataclasses.replace(trained.config, max_len=2)
         clone = dataclasses.replace(trained, config=short)
         dec = decode_pair(clone, test.pairs[0],
-                          planted_prev_grounding(test.pairs[0]))
+                          planted_supervision(test.pairs[0]).prev_grounding)
         assert len(dec.tokens) <= 2
 
 
@@ -419,7 +403,7 @@ class TestCheckpoint:
             np.testing.assert_array_equal(back.params[k], trained.params[k])
         assert back.vocab.tokens == trained.vocab.tokens
         pair = test.pairs[1]
-        g = planted_prev_grounding(pair)
+        g = planted_supervision(pair).prev_grounding
         d1 = decode_pair(trained, pair, g)
         d2 = decode_pair(back, pair, g)
         assert d1.tokens == d2.tokens
@@ -460,7 +444,7 @@ class TestCheckpointVersion:
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, separable[0])
         header = json.loads(path.read_bytes().split(b"\n", 1)[0])
-        assert (header["magic"], header["version"]) == ("charcap-decoder", 1)
+        assert (header["magic"], header["version"]) == ("charcap-decoder", 2)
 
     @pytest.mark.parametrize("key", ["magic", "version"])
     def test_missing_magic_or_version_rejected_by_name(self, separable, tmp_path, key):
@@ -473,8 +457,24 @@ class TestCheckpointVersion:
     def test_unknown_version_rejected_by_name(self, separable, tmp_path):
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, separable[0])
-        self._rewrite_header(path, lambda h: h.update(version=2))
-        with pytest.raises(ValueError, match=r"model\.ckpt.*format version 2"):
+        self._rewrite_header(path, lambda h: h.update(version=1))
+        with pytest.raises(ValueError, match=r"model\.ckpt.*format version 1"):
+            load_checkpoint(path)
+
+    def test_version_two_table_with_the_logit_bias_rejected(self, separable, tmp_path):
+        # a format-1 array table, attention logit bias and its block
+        # included, stamped with the version that dropped the bias
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, separable[0])
+        head, rest = path.read_bytes().split(b"\n", 1)
+        header = json.loads(head)
+        header["version"] = 2
+        header["arrays"] = sorted(header["arrays"] + [{"name": "b_att", "shape": [1]}],
+                                  key=lambda a: a["name"])
+        at = 8 * sum(int(np.prod(a["shape"])) for a in header["arrays"] if a["name"] < "b_att")
+        path.write_bytes(json.dumps(header).encode("utf-8") + b"\n"
+                         + rest[:at] + bytes(8) + rest[at:])
+        with pytest.raises(ValueError, match=r"model\.ckpt.*'b_att'"):
             load_checkpoint(path)
 
     def test_unknown_config_keys_rejected_by_name(self, separable, tmp_path):
@@ -498,7 +498,6 @@ def _reference_attention_backward(params, cache, dv_grounded, dlogits_extra, gra
     dlogits = np.where(valid, dlogits, 0.0)
     du = np.einsum("pc,pcd->d", dlogits, Tf)
     grads["w_att"] += du * q
-    grads["b_att"][0] += dlogits.sum()
     dpre_q = du * params["w_att"] * (1.0 - q * q)
     grads["W_h"] += np.outer(dpre_q, h_prev)
     grads["b_h"] += dpre_q
@@ -565,9 +564,7 @@ class TestAttentionTerms:
 
     def test_sentence_gradients_equal_the_per_step_formula(self):
         # the attention weights' gradients are formed once per sentence; the
-        # summation order changes, so equality is to 1e-12 of each array.
-        # b_att's true gradient is 0 (the softmax is shift-invariant), so
-        # both sides are rounding noise there
+        # summation order changes, so equality is to 1e-12 of each array
         vocab = Vocabulary.build(["walks", "street"])
         cfg = tiny_decoder_cfg()
         params = init_decoder_params(cfg, len(vocab), seed=12)
@@ -584,10 +581,7 @@ class TestAttentionTerms:
                                                   sentence, targets).items():
                 want[k] += g
         for k in params:
-            if k == "b_att":
-                assert abs(got[k][0]) <= 1e-14 and abs(want[k][0]) <= 1e-14
-            else:
-                assert np.abs(got[k] - want[k]).max() <= 1e-12 * np.abs(want[k]).max(), k
+            assert np.abs(got[k] - want[k]).max() <= 1e-12 * np.abs(want[k]).max(), k
 
 
 class TestTrainingCounts:
@@ -603,7 +597,7 @@ class TestTrainingCounts:
 
     def test_skipped_targets_are_totalled_over_epochs(self):
         corpus = self._corpus()
-        sup = planted_supervision(corpus)
+        sup = planted(corpus)
         assert train_decoder(corpus, sup, DecoderConfig(**self.DIMS), seed=1).skipped_targets == 0
         first = sup[0].targets[0]
         sup[0].targets[0] = AlphaTarget(tau=first.tau, p=0, c=C_MAX + 1)  # past every grid
@@ -614,7 +608,7 @@ class TestTrainingCounts:
     def test_clipped_batches_are_counted(self, grad_clip, clipped):
         corpus = self._corpus()
         cfg = DecoderConfig(**self.DIMS, grad_clip=grad_clip)
-        trained = train_decoder(corpus, planted_supervision(corpus), cfg, seed=1)
+        trained = train_decoder(corpus, planted(corpus), cfg, seed=1)
         assert trained.clipped_batches == clipped
 
 
@@ -631,13 +625,13 @@ def _drop_config(header):
 
 
 def _text_shape(header):
-    next(a for a in header["arrays"] if a["name"] == "b_att")["shape"] = ["x"]
+    next(a for a in header["arrays"] if a["name"] == "b_h")["shape"] = ["x"]
 
 
 class TestCheckpointTable:
     @pytest.mark.parametrize("edit, named", [
         (_drop_w_pred, "'W_pred'"), (_transpose_w_lstm, "'W_lstm'"),
-        (_drop_config, "config"), (_text_shape, "'b_att'"),
+        (_drop_config, "config"), (_text_shape, "'b_h'"),
     ], ids=["no-W_pred", "transposed-W_lstm", "no-config", "text-shape"])
     def test_table_checked_against_the_config(self, separable, tmp_path, edit, named):
         # each edit keeps the file self-consistent: the blocks follow the table

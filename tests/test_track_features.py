@@ -3,8 +3,8 @@ import pytest
 
 from charcap.numerics import rng_stream
 from charcap.track_features import (
-    Detection, NormStats, Track, box_iou, detection_iou, fit_norm_stats,
-    normalize_dataset, track_stats,
+    Detection, NormStats, Track, apply_norm, box_iou, detection_iou,
+    fit_norm_stats, track_stats,
 )
 
 
@@ -77,7 +77,8 @@ class TestNormalization:
 
     def test_training_split_standardized(self):
         tracks = self._tracks()
-        normed, stats = normalize_dataset(tracks, fit_on=tracks)
+        stats = fit_norm_stats(tracks)
+        normed = [apply_norm(t, stats) for t in tracks]
         for blk in ("v_head", "v_body", "v_stat"):
             data = np.stack([getattr(t, blk) for t in normed])
             mu, sd = data.mean(axis=0), data.std(axis=0)
@@ -89,19 +90,21 @@ class TestNormalization:
         tracks = self._tracks()
         for t in tracks:
             t.v_head[0] = 3.14
-        normed, _ = normalize_dataset(tracks, fit_on=tracks)
+        stats = fit_norm_stats(tracks)
+        normed = [apply_norm(t, stats) for t in tracks]
         assert all(t.v_head[0] == 0.0 for t in normed)
 
     def test_reapplying_stats_is_not_identity(self):
-        from charcap.track_features import apply_norm
         tracks = self._tracks()
-        normed, stats = normalize_dataset(tracks, fit_on=tracks)
+        stats = fit_norm_stats(tracks)
+        normed = [apply_norm(t, stats) for t in tracks]
         twice = [apply_norm(t, stats) for t in normed]
         assert not np.allclose(twice[0].v_head, normed[0].v_head)
 
     def test_argsort_preserved_per_dimension(self):
         tracks = self._tracks()
-        normed, _ = normalize_dataset(tracks, fit_on=tracks)
+        stats = fit_norm_stats(tracks)
+        normed = [apply_norm(t, stats) for t in tracks]
         raw = np.stack([t.v_stat for t in tracks])
         out = np.stack([t.v_stat for t in normed])
         for dim in range(raw.shape[1]):
@@ -112,9 +115,8 @@ class TestNormalization:
     def test_test_split_reuses_training_stats(self):
         train = self._tracks(seed=1)
         test = self._tracks(seed=2)
-        normed, stats = normalize_dataset(test, fit_on=train)
-        fitted = fit_norm_stats(train)
-        np.testing.assert_allclose(stats.mean["v_stat"], fitted.mean["v_stat"])
+        stats = fit_norm_stats(train)
+        normed = [apply_norm(t, stats) for t in test]
         data = np.stack([t.v_stat for t in normed])
         # test split is not exactly standardized under training stats
         assert np.abs(data.mean(axis=0)).max() > 1e-6
