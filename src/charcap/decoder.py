@@ -13,17 +13,25 @@ vector and the previous word embedding. The logits carry no bias: the
 softmax is shift-invariant, so a bias would change no output and its
 gradient would be exactly 0.
 
-Only the hidden-state embedding changes from step to step: the cell
+Only what depends on the hidden state is computed per step. The cell
 embeddings, their tanh and the cell features (``attention_terms``) are
-built once per sentence and shared by its steps.
+built once per sentence. Of the LSTM input ``[v_grounded, v_global,
+E[w_prev]]`` only ``v_grounded`` comes out of the recurrence, so
+``W_lstm`` is split (``_split_lstm``) once per mini-batch or decoded
+pair: each step multiplies only the grounded and hidden-state columns and
+adds ``W_glob @ v_global + b_lstm + EW[w_prev]``, an input contribution
+known before the loop (the input-GEMM hoist of Appleyard, Kočiský and
+Blunsom, arXiv 1604.01946).
 
 Training uses teacher forcing with two equally weighted terms: word
 cross-entropy at every step, and attention cross-entropy against the
 automatic one-hot targets at supervised person-word steps. All gradients
 are hand-written and finite-difference checked. The backward pass keeps
-only what depends on the hidden state per step; the gradients of the
-weights behind the shared terms, like those of the LSTM and output layer,
-are one matrix product per sentence.
+only what depends on the hidden state per step. The weights behind the
+shared attention terms get their gradients once per sentence; the LSTM,
+output layer and word embeddings get theirs once per mini-batch, one
+product each over the rows its sentences hand back. ``W_lstm`` stays one
+stored array.
 
 Checkpoints are a one-line JSON header (magic string, format version,
 dims, vocab, array table) followed by raw little-endian float64 blocks,
@@ -281,12 +289,48 @@ def _attention_terms_backward(terms, feats, dTf, grads):
 # one decoder step, sentence loss (teacher forcing) and its gradients
 # ---------------------------------------------------------------------------
 
-def _step(params, feats, terms, h, c, w_prev):
-    """One step after word ``w_prev``: (alpha, att_cache, lstm_cache, h, c, logits)."""
+def _split_lstm(params, config):
+    """``W_lstm`` split by what its columns multiply: (W_rec, W_glob, EW).
+    ``W_rec`` (4H, d_grounded + H) is a contiguous copy of the grounded
+    and hidden-state columns, ``W_glob`` a view of the ``v_global``
+    columns, and ``EW`` (V, 4H) the word table ``E @ W_emb^T``."""
+    W = params["W_lstm"]
+    gr, glob = config.d_grounded, config.d_grounded + config.d_global
+    W_rec = np.concatenate([W[:, :gr], W[:, config.d_input:]], axis=1)
+    return W_rec, W[:, gr:glob], params["E"] @ W[:, glob:config.d_input].T
+
+
+def _step(params, W_rec, feats, terms, h, c, b):
+    """One step with input contribution ``b`` (``b_lstm`` plus the global
+    clip vector's and the previous word's part of the gate
+    pre-activation): (alpha, att_cache, lstm_cache, h, c, logits)."""
     alpha, v_gr, att_cache = attention_step(params, h, feats, terms)
-    x = np.concatenate([v_gr, feats.v_global, params["E"][w_prev]])
-    h, c, lstm_cache = lstm_step_forward(params["W_lstm"], params["b_lstm"], x, h, c)
+    h, c, lstm_cache = lstm_step_forward(W_rec, b, v_gr, h, c)
     return alpha, att_cache, lstm_cache, h, c, params["W_pred"] @ h + params["b_pred"]
+
+
+def _add_row_grads(params, config, grads, rows):
+    """Add the ``W_lstm``, ``b_lstm``, ``W_pred``, ``b_pred`` and ``E``
+    gradients of one or more sentences into ``grads``, one product each
+    over all their steps. Each sentence gives its per-step rows (words,
+    xh, da, h, dlog): input words, LSTM inputs ``[v_grounded, v_global,
+    E[w], h]``, gate pre-activation gradients, hidden states and
+    ``softmax(word logits) - onehot(target word)``."""
+    words, xh, da, h, dlog = (np.concatenate(part) for part in zip(*rows))
+    grads["W_lstm"] += da.T @ xh
+    grads["b_lstm"] += da.sum(axis=0)
+    grads["W_pred"] += dlog.T @ h
+    grads["b_pred"] += dlog.sum(axis=0)
+    emb = slice(config.d_grounded + config.d_global, config.d_input)
+    np.add.at(grads["E"], words, da @ params["W_lstm"][:, emb])
+
+
+class _BatchGrads(dict):
+    """A gradient dict that carries one mini-batch's ``_split_lstm``
+    (``split``) and collects its sentences' rows for ``_add_row_grads``
+    (``rows``); ``_batch_gradients`` sets both and forms the gradients."""
+    split = None
+    rows = None
 
 
 def _extend(vocab: Vocabulary, sentence):
@@ -301,7 +345,9 @@ def sentence_loss(params, config, vocab, feats: PairFeatures, sentence,
     c in 1..C (1-based); targets outside the valid cells of the grid are
     skipped but counted. The gradients are added into ``grads`` (a fresh
     zero dict when None). Returns (total, word_loss, att_loss, grads,
-    skipped).
+    skipped). Given a ``_BatchGrads``, the sentence uses its split of
+    ``W_lstm`` and appends its rows to it, leaving the LSTM, output-layer
+    and embedding gradients to ``_batch_gradients``.
     """
     tokens = _extend(vocab, sentence)
     person_idx = {vocab.index(t) for t in PERSON_TOKENS}
@@ -309,8 +355,12 @@ def sentence_loss(params, config, vocab, feats: PairFeatures, sentence,
     H = config.hidden
     if grads is None:
         grads = zeros_like_params(params)
+    batch = isinstance(grads, _BatchGrads)
+    W_rec, W_glob, EW = grads.split if batch else _split_lstm(params, config)
 
     terms = attention_terms(params, feats)
+    words = np.asarray(tokens[:-1])
+    inputs = W_glob @ feats.v_global + params["b_lstm"] + EW[words]
     h = np.zeros(H, dtype=FLOAT)
     c = np.zeros(H, dtype=FLOAT)
     steps = []
@@ -321,7 +371,7 @@ def sentence_loss(params, config, vocab, feats: PairFeatures, sentence,
     skipped = 0
     for step in range(1, len(tokens)):
         alpha, att_cache, lstm_cache, h, c, logits = _step(
-            params, feats, terms, h, c, tokens[step - 1])
+            params, W_rec, feats, terms, h, c, inputs[step - 1])
         if not np.all(np.isfinite(logits)):
             # numeric blow-up: surface as non-finite loss so training aborts
             return np.inf, np.inf, att_loss, grads, skipped
@@ -344,40 +394,41 @@ def sentence_loss(params, config, vocab, feats: PairFeatures, sentence,
         steps.append((att_cache, lstm_cache, target_cell, alpha))
 
     total = word_loss + att_loss
-    # output layer and the recurrent weights: one product per sentence
     dlog = np.stack(dlog)
-    grads["W_pred"] += dlog.T @ np.stack(hs)
-    grads["b_pred"] += dlog.sum(axis=0)
     dh_out = dlog @ params["W_pred"]
 
     T = len(steps)
     da = np.empty((T, 4 * H), dtype=FLOAT)
-    dE = np.empty((T, config.d_emb), dtype=FLOAT)
     dh = np.zeros(H, dtype=FLOAT)
     dc = np.zeros(H, dtype=FLOAT)
-    d_gr = config.d_grounded
     dlogits = []  # per attention step: gradient at its logits
     us = []       # per attention step: u, the logits' weight on Tf
     for t in range(T - 1, -1, -1):
         att_cache, lstm_cache, target_cell, alpha = steps[t]
+        # dx is v_grounded's gradient: the recurrent block has no other inputs
         da[t], dx, dh_prev, dc_prev = lstm_step_backward(lstm_cache, dh + dh_out[t], dc)
-        dE[t] = dx[d_gr + config.d_global:]
         if att_cache is not None:
             dlogits_extra = None
             if target_cell is not None:
                 dlogits_extra = alpha.copy()
                 dlogits_extra[target_cell] -= 1.0
-            dh_att, dl = attention_backward(params, att_cache, dx[:d_gr],
-                                            dlogits_extra, grads)
+            dh_att, dl = attention_backward(params, att_cache, dx, dlogits_extra, grads)
             dh_prev = dh_prev + dh_att
             dlogits.append(dl.reshape(-1))
             us.append(att_cache[4])
         dh, dc = dh_prev, dc_prev
     if dlogits:
         _attention_terms_backward(terms, feats, np.stack(dlogits).T @ np.stack(us), grads)
-    grads["W_lstm"] += da.T @ np.stack([cache[1] for _, cache, _, _ in steps])
-    grads["b_lstm"] += da.sum(axis=0)
-    np.add.at(grads["E"], tokens[:-1], dE)
+
+    rec = np.stack([cache[1] for _, cache, _, _ in steps])  # [v_grounded, h] rows
+    d_gr = config.d_grounded
+    xh = np.concatenate([rec[:, :d_gr], np.broadcast_to(feats.v_global, (T, config.d_global)),
+                         params["E"][words], rec[:, d_gr:]], axis=1)
+    rows = (words, xh, da, np.stack(hs), dlog)
+    if batch:
+        grads.rows.append(rows)
+    else:
+        _add_row_grads(params, config, grads, [rows])
     return total, word_loss, att_loss, grads, skipped
 
 
@@ -416,9 +467,31 @@ class TrainedDecoder:
     vocab: Vocabulary
     norm: NormStats
     history: list = field(default_factory=list)  # (total, word, att) per epoch
-    # training counts over all epochs; not saved in checkpoints
-    skipped_targets: int = 0   # attention targets outside the valid grid cells
-    clipped_batches: int = 0   # batches whose gradients _clip_gradients scaled
+    # training counts; not saved in checkpoints
+    skipped_targets: int = 0   # attention targets outside the valid grid cells, all epochs
+    clipped_batches: int = 0   # batches whose gradients _clip_gradients scaled, all epochs
+    capped_tracks: int = 0     # current-clip tracks cap_tracks dropped from the training items
+
+
+def _batch_gradients(params, config, vocab, batch, grads):
+    """Zero the ``_BatchGrads`` ``grads`` in place and add the summed
+    gradients of the ``TrainItem``s in ``batch``, ``W_lstm`` split once
+    for all of them. Returns each item's (total, word, att) loss and the
+    number of skipped targets."""
+    for g in grads.values():
+        g.fill(0.0)
+    grads.split = _split_lstm(params, config)
+    grads.rows = []
+    losses = []
+    skipped = 0
+    for item in batch:
+        t, w, a, _, s = sentence_loss(params, config, vocab, item.feats, item.sentence,
+                                      item.alpha_targets, grads=grads)
+        losses.append((t, w, a))
+        skipped += s
+    if grads.rows:  # empty when every sentence's loss went non-finite
+        _add_row_grads(params, config, grads, grads.rows)
+    return losses, skipped
 
 
 def _clip_gradients(grads, max_norm):
@@ -426,7 +499,7 @@ def _clip_gradients(grads, max_norm):
     switches clipping off); returns whether it scaled."""
     if not max_norm:
         return False
-    total = np.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+    total = np.sqrt(sum(float(np.vdot(g, g)) for g in grads.values()))
     if total > max_norm:
         scale = max_norm / total
         for k in grads:
@@ -450,9 +523,12 @@ def train_decoder(corpus: Corpus, supervision, config: DecoderConfig,
     params = init_decoder_params(config, len(vocab), seed)
     opt = Adam(lr=config.lr)
     rng = rng_stream(seed, "decoder-train")
+    capped = sum(len(pair.cur.tracks) - len(item.feats.cur_track_ids)
+                 for pair, item in zip(corpus.pairs, items))
     trained = TrainedDecoder(params=params, config=config, vocab=vocab,
-                             norm=norm, history=[])
+                             norm=norm, history=[], capped_tracks=capped)
     last_good = {k: v.copy() for k, v in params.items()}
+    grads = _BatchGrads(zeros_like_params(params))
 
     bs = config.batch_size or len(items)
     for epoch in range(config.epochs):
@@ -460,17 +536,14 @@ def train_decoder(corpus: Corpus, supervision, config: DecoderConfig,
         tot = wl = al = 0.0
         for start in range(0, len(order), bs):
             batch = order[start:start + bs]
-            grads = zeros_like_params(params)
-            for idx in batch:
-                item = items[idx]
-                with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                    t, w, a, _, skipped = sentence_loss(
-                        params, config, vocab, item.feats, item.sentence,
-                        item.alpha_targets, grads=grads)
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                losses, skipped = _batch_gradients(
+                    params, config, vocab, [items[i] for i in batch], grads)
+            for t, w, a in losses:
                 tot += t
                 wl += w
                 al += a
-                trained.skipped_targets += skipped
+            trained.skipped_targets += skipped
             for k in grads:
                 grads[k] /= len(batch)
             trained.clipped_batches += _clip_gradients(grads, config.grad_clip)
@@ -518,6 +591,8 @@ def decode_pair(trained: TrainedDecoder, pair: ClipPair, prev_grounding):
     params, config, vocab = trained.params, trained.config, trained.vocab
     feats = pair_features(pair, prev_grounding, trained.norm, config)
     terms = attention_terms(params, feats)
+    W_rec, W_glob, EW = _split_lstm(params, config)
+    base = W_glob @ feats.v_global + params["b_lstm"]
     h = np.zeros(config.hidden, dtype=FLOAT)
     c = np.zeros(config.hidden, dtype=FLOAT)
     w_prev = vocab.index(BOS)
@@ -526,7 +601,7 @@ def decode_pair(trained: TrainedDecoder, pair: ClipPair, prev_grounding):
     predictions = []
     alphas = []
     for _ in range(config.max_len):
-        alpha, _, _, h, c, logits = _step(params, feats, terms, h, c, w_prev)
+        alpha, _, _, h, c, logits = _step(params, W_rec, feats, terms, h, c, base + EW[w_prev])
         w = int(np.argmax(logits))
         if w == eos:
             break

@@ -7,9 +7,11 @@ Each forward kernel has a hand-written backward companion, verified by
 param sets with ``Adam``.
 """
 
+import math
 import zlib
 
 import numpy as np
+from scipy.special import expit
 
 FLOAT = np.float64
 
@@ -73,14 +75,9 @@ def softmax_cross_entropy(logits, targets, valid=None):
     return e / total, (np.log(total) - (zt - zmax))[:, 0]
 
 
-def sigmoid(x):
-    x = np.asarray(x, dtype=FLOAT)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+# the logistic function 1 / (1 + exp(-x)); finite in [0, 1] for every
+# finite x, with no overflow warning far from 0
+sigmoid = expit
 
 
 def rng_stream(seed, label=""):
@@ -126,6 +123,13 @@ def lstm_step_forward(W, b, x, h_prev, c_prev):
     ``(B, ·)`` of B independent sequences advanced together; the gates are
     sliced on the last axis either way, and a 1-D step is bitwise the
     ``W @ xh`` product.
+
+    ``W`` and ``b`` need not be a whole LSTM's weights. A caller whose
+    input is partly known before the recurrence passes as ``W`` the
+    recurrent block (the columns of the inputs formed at each step and of
+    ``h``) and as ``b`` the step's input contribution: the bias plus the
+    other columns times their inputs. ``x`` then holds only the per-step
+    inputs, and the backward's ``dx`` covers only those.
     """
     H = h_prev.shape[-1]
     xh = np.concatenate([x, h_prev], axis=-1)
@@ -174,7 +178,19 @@ def lstm_step_backward(cache, dh, dc):
 
 class Adam:
     """Adam (Kingma and Ba, 2015) with bias correction, the optimizer of
-    both trainers; ``step`` updates a param set in place from its gradients."""
+    both trainers; ``step`` updates a param set in place from its gradients.
+
+    ``step`` walks each array in blocks of about ``BLOCK`` elements (whole
+    slices along the first axis), so that every intermediate of a block
+    stays in cache. The intermediates are written into one pair of scratch
+    buffers made at the first step, with the moments; later steps
+    allocate nothing the size of a weight. The operations and their order
+    are those of ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*g*g`` and
+    ``p -= lr*mhat / (sqrt(vhat) + eps)``, so the result is bitwise that
+    formula's.
+    """
+
+    BLOCK = 1 << 16
 
     def __init__(self, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
         self.lr = lr
@@ -183,32 +199,42 @@ class Adam:
         self.eps = eps
         self._m = None
         self._v = None
+        self._scratch = None
         self._t = 0
+
+    def _rows(self, p):
+        """First-axis slices of ``p`` per block."""
+        return max(1, self.BLOCK // max(1, math.prod(p.shape[1:])))
 
     def step(self, params, grads):
         if self._m is None:
             self._m = zeros_like_params(params)
             self._v = zeros_like_params(params)
+            size = max((min(len(p), self._rows(p)) * math.prod(p.shape[1:])
+                        for p in params.values()), default=0)
+            self._scratch = (np.empty(size, dtype=FLOAT), np.empty(size, dtype=FLOAT))
         self._t += 1
         b1, b2 = self.beta1, self.beta2
         c1, c2 = 1 - b1 ** self._t, 1 - b2 ** self._t
-        # in place, with the rounding of m = b1*m + (1-b1)*g,
-        # v = b2*v + (1-b2)*g*g and p -= lr*mhat / (sqrt(vhat) + eps)
-        for k in params:
-            g, m, v = grads[k], self._m[k], self._v[k]
-            m *= b1
-            m += (1 - b1) * g
-            gg = (1 - b2) * g
-            gg *= g
-            v *= b2
-            v += gg
-            step = m / c1
-            step *= self.lr
-            den = v / c2
-            np.sqrt(den, out=den)
-            den += self.eps
-            step /= den
-            params[k] -= step
+        for k, p in params.items():
+            n = self._rows(p)
+            for a in range(0, len(p), n):
+                g, m, v = grads[k][a:a + n], self._m[k][a:a + n], self._v[k][a:a + n]
+                step, den = (s[:g.size].reshape(g.shape) for s in self._scratch)
+                m *= b1
+                np.multiply(1 - b1, g, out=step)
+                m += step
+                np.multiply(1 - b2, g, out=step)
+                step *= g
+                v *= b2
+                v += step
+                np.divide(m, c1, out=step)
+                step *= self.lr
+                np.divide(v, c2, out=den)
+                np.sqrt(den, out=den)
+                den += self.eps
+                step /= den
+                p[a:a + n] -= step
 
 
 # ---------------------------------------------------------------------------

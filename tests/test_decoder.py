@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -13,9 +14,10 @@ from charcap.decoder import (
     pair_features, save_checkpoint, sentence_loss, train_decoder,
 )
 from charcap.corpus import AlphaTarget
-from charcap.decoder import attention_terms
+from charcap.decoder import TrainItem, _batch_gradients, _BatchGrads, attention_terms
 from charcap.numerics import (
     finite_diff_check, lstm_step_backward, lstm_step_forward, rng_stream, softmax,
+    zeros_like_params,
 )
 from charcap.track_features import fit_norm_stats
 
@@ -382,6 +384,36 @@ class TestDecode:
         assert isinstance(dec.tokens, list)
         assert dec.predictions == []
 
+    def test_equals_a_plain_greedy_loop_over_the_whole_lstm(self, separable):
+        # decode_pair splits W_lstm; the oracle multiplies it whole
+        trained, _, test = separable
+        params, cfg, vocab = trained.params, trained.config, trained.vocab
+        eos = vocab.index(EOS)
+        for pair in test.pairs[:12]:
+            for grounding in (planted_supervision(pair).prev_grounding, []):
+                feats = pair_features(pair, grounding, trained.norm, cfg)
+                h, c = np.zeros(cfg.hidden), np.zeros(cfg.hidden)
+                w = vocab.index(BOS)
+                tokens, cells, alphas = [], [], []
+                for _ in range(cfg.max_len):
+                    alpha, v_gr, _ = attention_step(params, h, feats)
+                    x = np.concatenate([v_gr, feats.v_global, params["E"][w]])
+                    h, c, _ = lstm_step_forward(params["W_lstm"], params["b_lstm"], x, h, c)
+                    w = int(np.argmax(params["W_pred"] @ h + params["b_pred"]))
+                    if w == eos:
+                        break
+                    tokens.append(vocab.tokens[w])
+                    alphas.append(alpha)
+                    if vocab.tokens[w] in PERSON_TOKENS:
+                        p, ci = np.unravel_index(int(np.argmax(alpha)), alpha.shape)
+                        cells.append((len(tokens) - 1, (int(p), int(ci) + 1)))
+                dec = decode_pair(trained, pair, grounding)
+                assert dec.tokens == tokens
+                assert [(pr.tau, pr.cell) for pr in dec.predictions] == cells
+                assert len(dec.alphas) == len(alphas)
+                for got, want in zip(dec.alphas, alphas):
+                    assert np.abs(got - want).max() <= 1e-12
+
     def test_respects_max_len(self, separable):
         trained, train, test = separable
         import dataclasses
@@ -584,6 +616,39 @@ class TestAttentionTerms:
             assert np.abs(got[k] - want[k]).max() <= 1e-12 * np.abs(want[k]).max(), k
 
 
+class TestBatchGradients:
+    def test_batch_equals_the_per_step_formula_summed(self):
+        # one product per mini-batch instead of one outer product per step:
+        # the summation order changes, so equality is to 1e-12 of each array
+        vocab = Vocabulary.build(["walks", "street"])
+        cfg = tiny_decoder_cfg()
+        params = init_decoder_params(cfg, len(vocab), seed=14)
+        rng = rng_stream(14, "per-batch")
+        items = [
+            TrainItem(0, rand_feats(rng, C=3, P=2, cfg=cfg, c_slots=5, p_slots=4),
+                      ["MaleName", "walks", "FemaleCoref"], {0: (1, 2), 2: (0, 3)}),
+            TrainItem(1, rand_feats(rng, C=2, P=0, cfg=cfg),  # null-only previous slot
+                      ["FemaleName", "street"], {0: (0, 2)}),
+            TrainItem(2, rand_feats(rng, C=4, P=1, cfg=cfg),
+                      ["street", "MaleName", "walks", "MaleCoref"], {1: (0, 3), 3: (1, 3)}),
+        ]
+        want = zeros_like_params(params)
+        for item in items:
+            for k, g in _reference_sentence_grads(params, cfg, vocab, item.feats,
+                                                  item.sentence, item.alpha_targets).items():
+                want[k] += g
+        grads = _BatchGrads(zeros_like_params(params))
+        for _ in range(2):  # the second batch starts from the first one's dict
+            losses, skipped = _batch_gradients(params, cfg, vocab, items, grads)
+            assert skipped == 0
+            for k in params:
+                assert np.abs(grads[k] - want[k]).max() <= 1e-12 * np.abs(want[k]).max(), k
+        for item, loss in zip(items, losses):
+            alone = sentence_loss(params, cfg, vocab, item.feats, item.sentence,
+                                  item.alpha_targets)
+            assert loss == alone[:3]
+
+
 class TestTrainingCounts:
     DIMS = dict(d_head=8, d_body=6, d_global=8, d_att=8, d_emb=8, hidden=12,
                 epochs=3, batch_size=4)
@@ -610,6 +675,22 @@ class TestTrainingCounts:
         cfg = DecoderConfig(**self.DIMS, grad_clip=grad_clip)
         trained = train_decoder(corpus, planted(corpus), cfg, seed=1)
         assert trained.clipped_batches == clipped
+
+
+    def test_capped_tracks_are_counted_and_not_saved(self, tmp_path):
+        corpus = self._corpus()
+        cfg = DecoderConfig(**self.DIMS)
+        assert train_decoder(corpus, planted(corpus), cfg, seed=1).capped_tracks == 0
+        cur = corpus.pairs[2].cur
+        next_id = 1 + max(t.id for clip in corpus.clips for t in clip.tracks)
+        cur.tracks = cur.tracks + [dataclasses.replace(cur.tracks[0], id=next_id + i)
+                                   for i in range(C_MAX + 3 - len(cur.tracks))]
+        trained = train_decoder(corpus, planted(corpus), cfg, seed=1)
+        assert trained.capped_tracks == 3
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, trained)
+        assert b"capped_tracks" not in path.read_bytes().split(b"\n", 1)[0]
+        assert load_checkpoint(path).capped_tracks == 0
 
 
 def _drop_w_pred(header):

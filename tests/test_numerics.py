@@ -1,3 +1,6 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -215,3 +218,56 @@ class TestAdam:
                 vhat = v[k] / (1 - b2 ** t)
                 ref[k] -= lr * mhat / (np.sqrt(vhat) + eps)
             assert all(np.array_equal(params[k], ref[k]) for k in shapes)
+
+    def test_later_steps_allocate_nothing_weight_sized(self):
+        rng = rng_stream(8, "adam-alloc")
+        shapes = {"W": (400, 200), "b": (300,)}  # W takes two blocks of first-axis slices
+        assert Adam.BLOCK < 400 * 200
+        params = {k: rng.normal(size=s) for k, s in shapes.items()}
+        ref = {k: v.copy() for k, v in params.items()}
+        m = {k: np.zeros(s) for k, s in shapes.items()}
+        v = {k: np.zeros(s) for k, s in shapes.items()}
+        lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
+        steps = [{k: rng.normal(size=s) for k, s in shapes.items()} for _ in range(3)]
+        opt = Adam(lr=lr, beta1=b1, beta2=b2, eps=eps)
+        opt.step(params, steps[0])
+        tracemalloc.start()
+        try:
+            opt.step(params, steps[1])
+            opt.step(params, steps[2])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < params["W"].nbytes
+        for t, grads in enumerate(steps, start=1):
+            for k, g in grads.items():
+                m[k] = b1 * m[k] + (1 - b1) * g
+                v[k] = b2 * v[k] + (1 - b2) * g * g
+                ref[k] -= lr * (m[k] / (1 - b1 ** t)) / (np.sqrt(v[k] / (1 - b2 ** t)) + eps)
+        assert all(np.array_equal(params[k], ref[k]) for k in shapes)
+
+
+def _two_branch_sigmoid(x):
+    """The masked two-branch logistic formula ``sigmoid`` replaced."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+class TestSigmoid:
+    def test_within_four_ulp_of_the_two_branch_formula(self):
+        rng = rng_stream(9, "sigmoid")
+        x = np.concatenate([np.linspace(-700.0, 700.0, 140001),
+                            rng.uniform(-40.0, 40.0, size=20000)])
+        got, want = sigmoid(x), _two_branch_sigmoid(x)
+        assert (np.abs(got - want) <= 4 * np.spacing(want)).all()
+
+    def test_saturates_in_range_without_warnings(self):
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            y = sigmoid(np.array([-1000.0, -745.0, 745.0, 1000.0]))
+        assert np.isfinite(y).all() and (y >= 0.0).all() and (y <= 1.0).all()
+        assert y[0] == 0.0 and y[-1] == 1.0
