@@ -543,7 +543,7 @@ def _parse_clip(obj, line, dims, tokens, prev):
     """One clip line. ``dims`` holds the corpus's vector widths so far;
     ``tokens``, if not None, is the set of tokens a sentence may use;
     ``prev`` is the pair's previous clip, or None. A ``coref_prev`` names
-    a character ``prev`` mentions (not checked if it has no mentions)."""
+    a character ``prev`` mentions."""
     if not isinstance(obj, dict):
         raise CorpusFormatError(line, "<root>", "clip line must be a JSON object")
     clip_id = _need(obj, "id", line)
@@ -618,8 +618,7 @@ def _parse_clip(obj, line, dims, tokens, prev):
                 raise CorpusFormatError(line, "gt_tracks",
                                         f"unknown track id {gid!r} (after capping)")
         coref = mraw.get("coref_prev")
-        if coref is not None and (prev is None or not _is_number(coref, int)
-                                  or (prev_chars and coref not in prev_chars)):
+        if coref is not None and (not _is_number(coref, int) or coref not in prev_chars):
             raise CorpusFormatError(line, "coref_prev", f"character {coref!r} is not "
                                     "mentioned in a previous clip of the pair")
         mentions.append(Mention(pos=pos, char_id=char, gender=gender, gt_track_ids=list(gt),

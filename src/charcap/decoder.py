@@ -26,12 +26,14 @@ Blunsom, arXiv 1604.01946).
 Training uses teacher forcing with two equally weighted terms: word
 cross-entropy at every step, and attention cross-entropy against the
 automatic one-hot targets at supervised person-word steps. All gradients
-are hand-written and finite-difference checked. The backward pass keeps
-only what depends on the hidden state per step. The weights behind the
-shared attention terms get their gradients once per sentence; the LSTM,
-output layer and word embeddings get theirs once per mini-batch, one
-product each over the rows its sentences hand back. ``W_lstm`` stays one
-stored array.
+are hand-written and finite-difference checked. The work is split in two.
+``sentence_loss`` runs the recurrence only: attention and LSTM forward per
+step, then the word loss of all steps at once (under teacher forcing the
+output layer is not part of the recurrence), then the LSTM and attention
+backward per step. It returns rows: per step, per grid cell and per
+current track. ``weight_gradients`` forms every weight's gradient from the
+rows of one or more sentences, one product per weight; training calls it
+once per mini-batch. ``W_lstm`` stays one stored array.
 
 Checkpoints are a one-line JSON header (magic string, format version,
 dims, vocab, array table) followed by raw little-endian float64 blocks,
@@ -50,9 +52,10 @@ from .corpus import (
 )
 from .numerics import (
     Adam, FLOAT, cross_entropy, glorot_uniform, lstm_init, lstm_step_backward,
-    lstm_step_forward, masked_softmax, rng_stream, softmax, zeros_like_params,
+    lstm_step_forward, masked_softmax, rng_stream, softmax_cross_entropy,
+    zeros_like_params,
 )
-from .track_features import STAT_DIM, NormStats, apply_norm, fit_norm_stats
+from .track_features import STAT_DIM, NormStats, fit_norm_stats, normalized
 
 
 class TrainingDiverged(RuntimeError):
@@ -144,32 +147,21 @@ def pair_features(pair: ClipPair, prev_grounding, norm: NormStats,
     """Assemble features for the decoder; previous candidates come from
     ``prev_grounding`` (track_id, char, gender) triples of the pair's
     previous clip."""
-    cur = [apply_norm(t, norm) for t in cap_tracks(pair.cur.tracks)]
+    cur = cap_tracks(pair.cur.tracks)
     C = len(cur)
-    ch = np.zeros((max(C, 1), config.d_head), dtype=FLOAT)
-    cb = np.zeros((max(C, 1), config.d_body), dtype=FLOAT)
-    cs = np.zeros((max(C, 1), STAT_DIM), dtype=FLOAT)
-    cur_valid = np.zeros(max(C, 1), dtype=bool)
-    for i, t in enumerate(cur):
-        ch[i] = t.v_head
-        cb[i] = t.v_body
-        cs[i] = t.v_stat
-        cur_valid[i] = True
-
+    # a clip without tracks keeps one zero padding slot
+    ch, cb, cs = (normalized(cur, norm, name) if C else np.zeros((1, d), dtype=FLOAT)
+                  for name, d in (("v_head", config.d_head), ("v_body", config.d_body),
+                                  ("v_stat", STAT_DIM)))
     prev_tracks = []
     if pair.prev is not None:
         by_id = {t.id: t for t in pair.prev.tracks}
-        for tid, _, _ in prev_grounding[:P_MAX]:
-            if tid in by_id:
-                prev_tracks.append(apply_norm(by_id[tid], norm))
-    P = len(prev_tracks)
-    ph = np.zeros((P, config.d_head), dtype=FLOAT)
-    for i, t in enumerate(prev_tracks):
-        ph[i] = t.v_head
+        prev_tracks = [by_id[tid] for tid, _, _ in prev_grounding[:P_MAX] if tid in by_id]
     return PairFeatures(
-        cur_head=ch, cur_body=cb, cur_stat=cs, prev_head=ph,
+        cur_head=ch, cur_body=cb, cur_stat=cs,
+        prev_head=normalized(prev_tracks, norm, "v_head"),
         v_global=np.asarray(pair.cur.v_global, dtype=FLOAT),
-        cur_valid=cur_valid, prev_valid=np.ones(P, dtype=bool),
+        cur_valid=np.arange(len(ch)) < C, prev_valid=np.ones(len(prev_tracks), dtype=bool),
         cur_track_ids=[t.id for t in cur],
         prev_track_ids=[t.id for t in prev_tracks])
 
@@ -243,17 +235,16 @@ def attention_step(params, h_prev, feats: PairFeatures, terms=None):
     return alpha, v_grounded, cache
 
 
-def attention_backward(params, cache, dv_grounded, dlogits_extra, grads):
-    """The per-step part of the backward through one attention step.
+def attention_backward(params, cache, dv_grounded, dlogits_extra):
+    """The backward through one attention step, without weight gradients.
 
     ``dlogits_extra`` carries the attention-loss gradient already at the
-    logits (softmax cross-entropy shortcut). Adds the gradients of
-    ``w_att``, ``W_h`` and ``b_h`` into ``grads`` and returns
-    (dh_prev, dlogits). The weights behind ``attention_terms`` get theirs
-    once per sentence: with ``u = cache[4]``, their input gradient is
-    ``dTf = Σ_t dlogits_t ⊗ u_t`` (see ``sentence_loss``).
+    logits (softmax cross-entropy shortcut). Returns (dh_prev, dlogits,
+    du): the gradients at the hidden state, at the cell logits and at
+    ``u = w_att ∘ q``, from which ``sentence_loss`` builds the rows of
+    ``weight_gradients``.
     """
-    Tf, q, _, u, alpha, cell, valid, h_prev = cache[1:9]
+    Tf, q, _, _, alpha, cell, valid = cache[1:8]
 
     dalpha = (cell.reshape(-1, cell.shape[2]) @ dv_grounded).reshape(alpha.shape)
     s = float((alpha * dalpha).sum())
@@ -263,30 +254,12 @@ def attention_backward(params, cache, dv_grounded, dlogits_extra, grads):
     dlogits = np.where(valid, dlogits, 0.0)
 
     du = dlogits.reshape(-1) @ Tf.reshape(-1, Tf.shape[2])
-    grads["w_att"] += du * q
-    dq = du * params["w_att"]
-    dpre_q = dq * (1.0 - q * q)
-    grads["W_h"] += np.outer(dpre_q, h_prev)
-    grads["b_h"] += dpre_q
-    return params["W_h"].T @ dpre_q, dlogits
-
-
-def _attention_terms_backward(terms, feats, dTf, grads):
-    """Gradients of ``W_id``, ``b_v``, ``W_head``, ``W_body`` and ``W_stat``
-    from ``dTf`` ((P_slots+1)·C_slots, d_att), the whole sentence's
-    gradient at ``Tf``."""
-    Tf = terms.Tf.reshape(dTf.shape)
-    dF = dTf * (1.0 - Tf * Tf)
-    grads["b_v"] += dF.sum(axis=0)
-    grads["W_id"] += dF.T @ terms.M.reshape(len(dF), -1)
-    df_cur = dF.reshape(terms.Tf.shape).sum(axis=0)
-    grads["W_head"] += df_cur.T @ feats.cur_head
-    grads["W_body"] += df_cur.T @ feats.cur_body
-    grads["W_stat"] += df_cur.T @ feats.cur_stat
+    dpre_q = du * params["w_att"] * (1.0 - q * q)
+    return params["W_h"].T @ dpre_q, dlogits, du
 
 
 # ---------------------------------------------------------------------------
-# one decoder step, sentence loss (teacher forcing) and its gradients
+# sentence loss (teacher forcing) and the weight gradients
 # ---------------------------------------------------------------------------
 
 def _split_lstm(params, config):
@@ -300,136 +273,127 @@ def _split_lstm(params, config):
     return W_rec, W[:, gr:glob], params["E"] @ W[:, glob:config.d_input].T
 
 
-def _step(params, W_rec, feats, terms, h, c, b):
-    """One step with input contribution ``b`` (``b_lstm`` plus the global
-    clip vector's and the previous word's part of the gate
-    pre-activation): (alpha, att_cache, lstm_cache, h, c, logits)."""
-    alpha, v_gr, att_cache = attention_step(params, h, feats, terms)
-    h, c, lstm_cache = lstm_step_forward(W_rec, b, v_gr, h, c)
-    return alpha, att_cache, lstm_cache, h, c, params["W_pred"] @ h + params["b_pred"]
-
-
-def _add_row_grads(params, config, grads, rows):
-    """Add the ``W_lstm``, ``b_lstm``, ``W_pred``, ``b_pred`` and ``E``
-    gradients of one or more sentences into ``grads``, one product each
-    over all their steps. Each sentence gives its per-step rows (words,
-    xh, da, h, dlog): input words, LSTM inputs ``[v_grounded, v_global,
-    E[w], h]``, gate pre-activation gradients, hidden states and
-    ``softmax(word logits) - onehot(target word)``."""
-    words, xh, da, h, dlog = (np.concatenate(part) for part in zip(*rows))
-    grads["W_lstm"] += da.T @ xh
-    grads["b_lstm"] += da.sum(axis=0)
-    grads["W_pred"] += dlog.T @ h
-    grads["b_pred"] += dlog.sum(axis=0)
-    emb = slice(config.d_grounded + config.d_global, config.d_input)
-    np.add.at(grads["E"], words, da @ params["W_lstm"][:, emb])
-
-
-class _BatchGrads(dict):
-    """A gradient dict that carries one mini-batch's ``_split_lstm``
-    (``split``) and collects its sentences' rows for ``_add_row_grads``
-    (``rows``); ``_batch_gradients`` sets both and forms the gradients."""
-    split = None
-    rows = None
-
-
-def _extend(vocab: Vocabulary, sentence):
-    return [vocab.index(BOS)] + [vocab.index(t) for t in sentence] + [vocab.index(EOS)]
-
-
 def sentence_loss(params, config, vocab, feats: PairFeatures, sentence,
-                  alpha_targets=None, grads=None):
-    """Teacher-forced loss of one clip pair.
+                  alpha_targets=None, split=None):
+    """Teacher-forced loss of one clip pair, and the rows its weight
+    gradients are formed from.
 
     ``alpha_targets``: {sentence position tau: (p, c)} with p in 0..P and
-    c in 1..C (1-based); targets outside the valid cells of the grid are
-    skipped but counted. The gradients are added into ``grads`` (a fresh
-    zero dict when None). Returns (total, word_loss, att_loss, grads,
-    skipped). Given a ``_BatchGrads``, the sentence uses its split of
-    ``W_lstm`` and appends its rows to it, leaving the LSTM, output-layer
-    and embedding gradients to ``_batch_gradients``.
+    c in 1..C (1-based); targets outside the valid cells of the grid,
+    including every target of a pair without a valid cell, are skipped
+    and counted. ``split`` is ``_split_lstm(params, config)``, made here
+    when None; a caller running several sentences passes it. Returns
+    (total, word_loss, att_loss, rows, skipped); ``rows`` (see
+    ``weight_gradients``) is None when the word logits are not finite, and
+    the word losses are then inf, so that training aborts.
     """
-    tokens = _extend(vocab, sentence)
+    tokens = [vocab.index(t) for t in [BOS, *sentence, EOS]]
     person_idx = {vocab.index(t) for t in PERSON_TOKENS}
     alpha_targets = alpha_targets or {}
-    H = config.hidden
-    if grads is None:
-        grads = zeros_like_params(params)
-    batch = isinstance(grads, _BatchGrads)
-    W_rec, W_glob, EW = grads.split if batch else _split_lstm(params, config)
+    W_rec, W_glob, EW = _split_lstm(params, config) if split is None else split
 
     terms = attention_terms(params, feats)
-    words = np.asarray(tokens[:-1])
+    valid = terms.valid
+    words, targets = np.asarray(tokens[:-1]), np.asarray(tokens[1:])
     inputs = W_glob @ feats.v_global + params["b_lstm"] + EW[words]
-    h = np.zeros(H, dtype=FLOAT)
-    c = np.zeros(H, dtype=FLOAT)
+    T, H = len(words), config.hidden
+    h = c = np.zeros(H, dtype=FLOAT)
+    hs = np.empty((T, H), dtype=FLOAT)
     steps = []
-    dlog = []   # per step: softmax(word logits) - onehot(target word)
-    hs = []     # per step: h_t, the input of the output layer
-    word_loss = 0.0
     att_loss = 0.0
     skipped = 0
-    for step in range(1, len(tokens)):
-        alpha, att_cache, lstm_cache, h, c, logits = _step(
-            params, W_rec, feats, terms, h, c, inputs[step - 1])
-        if not np.all(np.isfinite(logits)):
-            # numeric blow-up: surface as non-finite loss so training aborts
-            return np.inf, np.inf, att_loss, grads, skipped
-        word_loss += cross_entropy(logits, tokens[step])
-
-        target_cell = None
-        tau = step - 1  # sentence position this step predicts
-        if tokens[step] in person_idx and tau in alpha_targets and alpha is not None:
-            p, ci = alpha_targets[tau]
-            valid, att_logits = att_cache[7], att_cache[-1]
+    for t in range(T):  # step t reads word t and predicts word t + 1 (position tau = t)
+        alpha, v_gr, att_cache = attention_step(params, h, feats, terms)
+        h, c, lstm_cache = lstm_step_forward(W_rec, inputs[t], v_gr, h, c)
+        hs[t] = h
+        dlogits_extra = None
+        if targets[t] in person_idx and t in alpha_targets:
+            p, ci = alpha_targets[t]
             if p < valid.shape[0] and 1 <= ci <= valid.shape[1] and valid[p, ci - 1]:
-                target_cell = (p, ci - 1)
-                att_loss += cross_entropy(att_logits, target_cell, valid)
+                att_loss += cross_entropy(att_cache[-1], (p, ci - 1), valid)
+                dlogits_extra = alpha.copy()
+                dlogits_extra[p, ci - 1] -= 1.0
             else:
                 skipped += 1
-        probs = softmax(logits)
-        probs[tokens[step]] -= 1.0
-        dlog.append(probs)
-        hs.append(h)
-        steps.append((att_cache, lstm_cache, target_cell, alpha))
+        steps.append((att_cache, lstm_cache, dlogits_extra))
 
-    total = word_loss + att_loss
-    dlog = np.stack(dlog)
+    logits = hs @ params["W_pred"].T + params["b_pred"]
+    if not np.all(np.isfinite(logits)):
+        return np.inf, np.inf, att_loss, None, skipped
+    dlog, word_losses = softmax_cross_entropy(logits, targets)
+    dlog[np.arange(T), targets] -= 1.0
+    word_loss = float(word_losses.sum())
     dh_out = dlog @ params["W_pred"]
 
-    T = len(steps)
     da = np.empty((T, 4 * H), dtype=FLOAT)
-    dh = np.zeros(H, dtype=FLOAT)
-    dc = np.zeros(H, dtype=FLOAT)
-    dlogits = []  # per attention step: gradient at its logits
-    us = []       # per attention step: u, the logits' weight on Tf
+    # q, du and dlogits stay 0 on a pair without a valid cell
+    q = np.zeros((T, config.d_att), dtype=FLOAT)
+    du = np.zeros_like(q)
+    dlogits = np.zeros((T, valid.size), dtype=FLOAT)
+    dh = dc = np.zeros(H, dtype=FLOAT)
     for t in range(T - 1, -1, -1):
-        att_cache, lstm_cache, target_cell, alpha = steps[t]
+        att_cache, lstm_cache, dlogits_extra = steps[t]
         # dx is v_grounded's gradient: the recurrent block has no other inputs
-        da[t], dx, dh_prev, dc_prev = lstm_step_backward(lstm_cache, dh + dh_out[t], dc)
+        da[t], dx, dh, dc = lstm_step_backward(lstm_cache, dh + dh_out[t], dc)
         if att_cache is not None:
-            dlogits_extra = None
-            if target_cell is not None:
-                dlogits_extra = alpha.copy()
-                dlogits_extra[target_cell] -= 1.0
-            dh_att, dl = attention_backward(params, att_cache, dx, dlogits_extra, grads)
-            dh_prev = dh_prev + dh_att
-            dlogits.append(dl.reshape(-1))
-            us.append(att_cache[4])
-        dh, dc = dh_prev, dc_prev
-    if dlogits:
-        _attention_terms_backward(terms, feats, np.stack(dlogits).T @ np.stack(us), grads)
+            dh_att, dl, du[t] = attention_backward(params, att_cache, dx, dlogits_extra)
+            dh = dh + dh_att
+            dlogits[t] = dl.reshape(-1)
+            q[t] = att_cache[2]
 
-    rec = np.stack([cache[1] for _, cache, _, _ in steps])  # [v_grounded, h] rows
+    rec = np.stack([cache[1] for _, cache, _ in steps])  # [v_grounded, h_prev] rows
     d_gr = config.d_grounded
     xh = np.concatenate([rec[:, :d_gr], np.broadcast_to(feats.v_global, (T, config.d_global)),
                          params["E"][words], rec[:, d_gr:]], axis=1)
-    rows = (words, xh, da, np.stack(hs), dlog)
-    if batch:
-        grads.rows.append(rows)
-    else:
-        _add_row_grads(params, config, grads, [rows])
-    return total, word_loss, att_loss, grads, skipped
+    Tf = terms.Tf.reshape(valid.size, -1)
+    dF = (dlogits.T @ (q * params["w_att"])) * (1.0 - Tf * Tf)
+    cur = np.concatenate([feats.cur_head, feats.cur_body, feats.cur_stat], axis=1)
+    rows = (words, xh, da, hs, dlog, q, du, terms.M.reshape(valid.size, -1), dF,
+            cur, dF.reshape(terms.Tf.shape).sum(axis=0))
+    return word_loss + att_loss, word_loss, att_loss, rows, skipped
+
+
+def weight_gradients(params, config, rows, grads=None):
+    """Add the gradients of all 13 weights into ``grads`` (a fresh zero
+    dict when None) and return it, one product per weight over the rows of
+    the sentences in ``rows``.
+
+    Each sentence's rows are the tuple ``sentence_loss`` returns:
+    (words, xh, da, h, dlog, q, du, M, dF, cur, df_cur). Per step: the
+    input word, the LSTM input ``[v_grounded, v_global, E[w], h_prev]``,
+    the gradient at the gate pre-activations, the hidden state ``h``,
+    ``softmax(word logits) - onehot(target word)``, the attention query
+    ``q = tanh(W_h h_prev + b_h)`` and the gradient ``du`` at
+    ``u = w_att ∘ q`` (``q`` and ``du`` are 0 on a pair without a valid
+    cell, so they add nothing). Per grid cell: the re-identification
+    feature ``M`` and ``dF = (dlogitsᵀ U) ∘ (1 - Tf²)``, the sentence's
+    gradient at ``F = M W_idᵀ + f_cur + b_v``. Per current-track slot: the
+    features ``[head, body, stat]`` and ``df_cur``, the gradient at their
+    embedding ``f_cur``.
+    """
+    if grads is None:
+        grads = zeros_like_params(params)
+    words, xh, da, h, dlog, q, du, M, dF, cur, df_cur = (
+        np.concatenate(part) for part in zip(*rows))
+    grads["W_lstm"] += da.T @ xh
+    grads["b_lstm"] += da.sum(axis=0)
+    emb = slice(config.d_grounded + config.d_global, config.d_input)
+    np.add.at(grads["E"], words, da @ params["W_lstm"][:, emb])
+    grads["W_pred"] += dlog.T @ h
+    grads["b_pred"] += dlog.sum(axis=0)
+
+    grads["w_att"] += (du * q).sum(axis=0)
+    dpre_q = du * params["w_att"] * (1.0 - q * q)
+    grads["W_h"] += dpre_q.T @ xh[:, -config.hidden:]  # h_prev, the LSTM's own input
+    grads["b_h"] += dpre_q.sum(axis=0)
+    grads["W_id"] += dF.T @ M
+    grads["b_v"] += dF.sum(axis=0)
+    d_cur = df_cur.T @ cur
+    hb = config.d_head + config.d_body
+    grads["W_head"] += d_cur[:, :config.d_head]
+    grads["W_body"] += d_cur[:, config.d_head:hb]
+    grads["W_stat"] += d_cur[:, hb:]
+    return grads
 
 
 # ---------------------------------------------------------------------------
@@ -474,23 +438,26 @@ class TrainedDecoder:
 
 
 def _batch_gradients(params, config, vocab, batch, grads):
-    """Zero the ``_BatchGrads`` ``grads`` in place and add the summed
-    gradients of the ``TrainItem``s in ``batch``, ``W_lstm`` split once
-    for all of them. Returns each item's (total, word, att) loss and the
-    number of skipped targets."""
+    """Zero ``grads`` in place and add the summed gradients of the
+    ``TrainItem``s in ``batch``: ``W_lstm`` is split once for all of them,
+    and one ``weight_gradients`` call forms every weight's gradient from
+    their rows. Returns each item's (total, word, att) loss and the number
+    of skipped targets."""
     for g in grads.values():
         g.fill(0.0)
-    grads.split = _split_lstm(params, config)
-    grads.rows = []
+    split = _split_lstm(params, config)
     losses = []
+    rows = []
     skipped = 0
     for item in batch:
-        t, w, a, _, s = sentence_loss(params, config, vocab, item.feats, item.sentence,
-                                      item.alpha_targets, grads=grads)
+        t, w, a, r, s = sentence_loss(params, config, vocab, item.feats, item.sentence,
+                                      item.alpha_targets, split)
         losses.append((t, w, a))
         skipped += s
-    if grads.rows:  # empty when every sentence's loss went non-finite
-        _add_row_grads(params, config, grads, grads.rows)
+        if r is not None:  # None when the sentence's loss went non-finite
+            rows.append(r)
+    if rows:
+        weight_gradients(params, config, rows, grads)
     return losses, skipped
 
 
@@ -528,7 +495,7 @@ def train_decoder(corpus: Corpus, supervision, config: DecoderConfig,
     trained = TrainedDecoder(params=params, config=config, vocab=vocab,
                              norm=norm, history=[], capped_tracks=capped)
     last_good = {k: v.copy() for k, v in params.items()}
-    grads = _BatchGrads(zeros_like_params(params))
+    grads = zeros_like_params(params)
 
     bs = config.batch_size or len(items)
     for epoch in range(config.epochs):
@@ -593,16 +560,16 @@ def decode_pair(trained: TrainedDecoder, pair: ClipPair, prev_grounding):
     terms = attention_terms(params, feats)
     W_rec, W_glob, EW = _split_lstm(params, config)
     base = W_glob @ feats.v_global + params["b_lstm"]
-    h = np.zeros(config.hidden, dtype=FLOAT)
-    c = np.zeros(config.hidden, dtype=FLOAT)
+    h = c = np.zeros(config.hidden, dtype=FLOAT)
     w_prev = vocab.index(BOS)
     eos = vocab.index(EOS)
     tokens = []
     predictions = []
     alphas = []
     for _ in range(config.max_len):
-        alpha, _, _, h, c, logits = _step(params, W_rec, feats, terms, h, c, base + EW[w_prev])
-        w = int(np.argmax(logits))
+        alpha, v_gr, _ = attention_step(params, h, feats, terms)
+        h, c, _ = lstm_step_forward(W_rec, base + EW[w_prev], v_gr, h, c)
+        w = int(np.argmax(params["W_pred"] @ h + params["b_pred"]))
         if w == eos:
             break
         tau = len(tokens)

@@ -10,9 +10,9 @@ track feature; clips with a single name and a single track additionally
 supervise the attention directly, which is what seeds the semi-supervised
 loop. A mini-batch of mentions runs as ``(B, ·)`` arrays, each mention's
 tracks padded to the batch's largest count and masked out of the softmax;
-``link_scores`` is the one-mention view of the same scorer. The trained
-linker grounds every mention, and ``corpus.pair_supervision`` turns those
-groundings into the joint attention supervision targets.
+``Linker.link_clip`` scores all mentions of a clip the same way. The
+trained linker grounds every mention, and ``corpus.pair_supervision``
+turns those groundings into the joint attention supervision targets.
 """
 
 import warnings
@@ -26,7 +26,7 @@ from .numerics import (
     Adam, FLOAT, glorot_uniform, lstm_init, lstm_step_backward, lstm_step_forward,
     rng_stream, softmax_cross_entropy, zeros_like_params,
 )
-from .track_features import NormStats, fit_norm_stats
+from .track_features import NormStats, fit_norm_stats, normalized
 
 
 @dataclass
@@ -69,13 +69,6 @@ def init_linker_params(config: LinkerConfig, n_names, d_head, seed):
     }
 
 
-def _heads(tracks, norm: NormStats):
-    """Normalized head vectors of ``tracks`` as one ``(C, d_head)`` array;
-    element for element the ``v_head`` of ``apply_norm(track, norm)``."""
-    heads = np.stack([t.v_head for t in tracks])
-    return (heads - norm.mean["v_head"]) / norm.std["v_head"]
-
-
 def _pad_tracks(features):
     """Stack per-mention track features ``(C_b, d_head)`` into ``(B, C, d_head)``
     rows padded with zeros to the largest C; returns (V, valid)."""
@@ -112,19 +105,6 @@ def _score(params, config, gender_rows, name_rows, V, valid):
     s = T @ params["w_s2"]
     att, ce_first = softmax_cross_entropy(s, np.zeros(B, dtype=int), valid)
     return att, ce_first, T, m, (cache1, cache2)
-
-
-def link_scores(params, config, gender_row, name_row, features):
-    """Attention over tracks for one mention; returns (att, caches).
-
-    The one-mention view of the batched scorer that training uses.
-    """
-    features = np.asarray(features, dtype=FLOAT)
-    if features.ndim != 2 or features.shape[0] == 0:
-        raise ValueError("link_scores: need at least one track")
-    att, *caches = _score(params, config, [gender_row], [name_row], features[None],
-                          np.ones((1, len(features)), dtype=bool))
-    return att[0], caches
 
 
 def _batch_loss_and_grads(params, config, instances, name_rows, name_idx, grads):
@@ -201,11 +181,6 @@ class Linker:
             raise KeyError(f"linker was not trained on character {name_id}")
         return self.GENDER_ROWS[gender], self.name_rows[name_id]
 
-    def attention(self, gender, name_id, features):
-        g, nrow = self._rows(gender, name_id)
-        att, _ = link_scores(self.params, self.config, g, nrow, features)
-        return att
-
     def link_clip(self, clip: Clip):
         """Grounded track id per mention of a clip, in sentence order.
 
@@ -214,7 +189,7 @@ class Linker:
         """
         if not clip.tracks:
             raise ValueError(f"clip {clip.id}: no tracks to link against")
-        feats = _heads(clip.tracks, self.norm)
+        feats = normalized(clip.tracks, self.norm, "v_head")
         mentions = sorted(clip.mentions, key=lambda m: m.pos)
         if not mentions:
             return []
@@ -232,7 +207,7 @@ def build_link_instances(corpus: Corpus, norm: NormStats):
         for clip in (pair.prev, pair.cur):
             if clip is None or not clip.tracks:
                 continue
-            feats = _heads(clip.tracks, norm)
+            feats = normalized(clip.tracks, norm, "v_head")
             names_in_sentence = len(clip.mentions)
             singleton = len(clip.tracks) == 1 and names_in_sentence == 1
             for m in clip.mentions:

@@ -6,7 +6,7 @@ the IOU helpers, are *corner-anchored* ``(x, y, w, h)`` with (x, y) the
 top-left corner.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -113,7 +113,7 @@ def _block(track, name):
 def fit_norm_stats(tracks):
     """Per-dimension mean and std of each feature block over ``tracks``
     (the training split only); constant dimensions get std 1, so
-    ``apply_norm`` maps them to zero."""
+    ``normalized`` maps them to zero."""
     if not tracks:
         raise ValueError("fit_norm_stats: empty training split")
     mean, std = {}, {}
@@ -126,10 +126,10 @@ def fit_norm_stats(tracks):
     return NormStats(mean=mean, std=std)
 
 
-def apply_norm(track: Track, stats: NormStats):
-    return replace(
-        track,
-        v_head=(_block(track, "v_head") - stats.mean["v_head"]) / stats.std["v_head"],
-        v_body=(_block(track, "v_body") - stats.mean["v_body"]) / stats.std["v_body"],
-        v_stat=(_block(track, "v_stat") - stats.mean["v_stat"]) / stats.std["v_stat"],
-    )
+def normalized(tracks, stats: NormStats, name):
+    """The ``name`` block (``v_head``, ``v_body`` or ``v_stat``) of every
+    track, standardised with ``stats``, as one ``(len(tracks), d)`` array;
+    a track missing the block raises ValueError naming it."""
+    d = len(stats.mean[name])
+    rows = np.array([_block(t, name) for t in tracks], dtype=FLOAT).reshape(len(tracks), d)
+    return (rows - stats.mean[name]) / stats.std[name]

@@ -181,6 +181,8 @@ class TestJsonl:
             big.tracks.append(t)
             next_id += 1
         big.mentions = []  # gt tracks may be capped away; drop mentions
+        for m in clips[1].mentions:  # nothing left in clip 0 to co-refer to
+            m.coref_prev = None
         p = tmp_path / "three.jsonl"
         from charcap.corpus import _clip_to_obj
         with open(p, "w") as fh:
@@ -305,8 +307,7 @@ def _assert_valid(c):
                 assert set(m.gt_track_ids) <= ids
                 if m.coref_prev is not None:
                     assert clip is pair.cur and pair.prev is not None
-                    chars = {pm.char_id for pm in pair.prev.mentions}
-                    assert not chars or m.coref_prev in chars
+                    assert m.coref_prev in {pm.char_id for pm in pair.prev.mentions}
 
 
 def _paths(obj, prefix=()):
@@ -385,6 +386,15 @@ class TestIngestErrors:
         with pytest.raises(CorpusFormatError) as exc:
             ingest_jsonl(p)
         assert (exc.value.line, exc.value.field) == (None, field_name)
+
+    def test_coref_into_a_previous_clip_without_mentions_rejected(self, tmp_path):
+        p, objs = _exported_lines(tmp_path)
+        objs[1]["mentions"][0]["coref_prev"] = objs[0]["mentions"][0]["char"]
+        objs[0]["mentions"] = []
+        _write_lines(p, objs)
+        with pytest.raises(CorpusFormatError) as exc:
+            ingest_jsonl(p)
+        assert (exc.value.line, exc.value.field) == (2, "coref_prev")
 
     def test_vector_width_must_match_earlier_clips_without_meta(self, tmp_path):
         p, objs = _exported_lines(tmp_path)

@@ -11,10 +11,10 @@ from charcap.corpus import (
 from charcap.decoder import (
     DecoderConfig, PairFeatures, TrainingDiverged, attention_step,
     build_train_items, decode_pair, init_decoder_params, load_checkpoint,
-    pair_features, save_checkpoint, sentence_loss, train_decoder,
+    pair_features, save_checkpoint, sentence_loss, train_decoder, weight_gradients,
 )
 from charcap.corpus import AlphaTarget
-from charcap.decoder import TrainItem, _batch_gradients, _BatchGrads, attention_terms
+from charcap.decoder import TrainItem, _batch_gradients, attention_terms
 from charcap.numerics import (
     finite_diff_check, lstm_step_backward, lstm_step_forward, rng_stream, softmax,
     zeros_like_params,
@@ -157,9 +157,9 @@ class TestGradients:
         params = init_decoder_params(cfg, len(corpus.vocab), seed=0)
 
         def loss_fn(p):
-            t, _, _, g, _ = sentence_loss(p, cfg, corpus.vocab, feats,
-                                          pair.cur.sentence, targets)
-            return t, g
+            t, _, _, rows, _ = sentence_loss(p, cfg, corpus.vocab, feats,
+                                             pair.cur.sentence, targets)
+            return t, weight_gradients(p, cfg, [rows])
 
         assert finite_diff_check(loss_fn, params, max_coords_per_array=6) <= 1e-4
 
@@ -196,12 +196,29 @@ class TestSentenceLoss:
         assert skipped == 1
         assert att == 0.0
 
+    def test_target_on_a_pair_without_a_grid_is_skipped_and_counted(self):
+        vocab, cfg, params, rng = self._setup(6)
+        feats = rand_feats(rng, C=0, P=0, cfg=cfg)
+        sentence, targets = ["MaleName", "walks"], {0: (0, 1)}
+        _, _, att, rows, skipped = sentence_loss(params, cfg, vocab, feats, sentence, targets)
+        assert skipped == 1 and att == 0.0
+        grads = weight_gradients(params, cfg, [rows])
+        for k in ("W_id", "W_head", "W_body", "W_stat", "b_v", "W_h", "b_h", "w_att"):
+            assert (grads[k] == 0.0).all(), k
+
+        def loss_fn(p):
+            t, _, _, r, _ = sentence_loss(p, cfg, vocab, feats, sentence, targets)
+            return t, weight_gradients(p, cfg, [r])
+
+        assert finite_diff_check(loss_fn, params, max_coords_per_array=6) <= 1e-4
+
     def test_unlikely_target_word_gives_finite_loss(self):
         # the target word's probability underflows to 0, its loss does not
         vocab, cfg, params, rng = self._setup(3)
         feats = rand_feats(rng, C=2, P=1, cfg=cfg)
         params["b_pred"][vocab.index("walks")] = -800.0
-        tot, word, _, grads, _ = sentence_loss(params, cfg, vocab, feats, ["walks"])
+        tot, word, _, rows, _ = sentence_loss(params, cfg, vocab, feats, ["walks"])
+        grads = weight_gradients(params, cfg, [rows])
         assert np.isfinite(tot) and word > 790.0
         assert all(np.all(np.isfinite(g)) for g in grads.values())
 
@@ -216,8 +233,9 @@ class TestSentenceLoss:
         p, c = np.argwhere(alpha == 0.0)[0]
         logits = cache[-1]
         expected = np.log(np.exp(logits - logits.max()).sum()) - (logits[p, c] - logits.max())
-        _, _, att, grads, skipped = sentence_loss(
+        _, _, att, rows, skipped = sentence_loss(
             params, cfg, vocab, feats, ["MaleName", "walks"], {0: (p, c + 1)})
+        grads = weight_gradients(params, cfg, [rows])
         assert skipped == 0
         assert att > 700.0 and abs(att - expected) <= 1e-9 * expected
         assert all(np.all(np.isfinite(g)) for g in grads.values())
@@ -227,10 +245,12 @@ class TestSentenceLoss:
         runs = [(rand_feats(rng, C=3, P=2, cfg=cfg), ["MaleName", "walks", "FemaleCoref"],
                  {0: (1, 2), 2: (0, 3)}),
                 (rand_feats(rng, C=2, P=1, cfg=cfg), ["FemaleName", "street"], {0: (1, 1)})]
-        fresh = [sentence_loss(params, cfg, vocab, *r)[3] for r in runs]
+        fresh = [weight_gradients(params, cfg, [sentence_loss(params, cfg, vocab, *r)[3]])
+                 for r in runs]
         shared = {k: np.zeros_like(v) for k, v in params.items()}
         for r in runs:
-            assert sentence_loss(params, cfg, vocab, *r, grads=shared)[3] is shared
+            rows = sentence_loss(params, cfg, vocab, *r)[3]
+            assert weight_gradients(params, cfg, [rows], shared) is shared
         for k in params:
             np.testing.assert_allclose(shared[k], fresh[0][k] + fresh[1][k],
                                        rtol=0, atol=1e-12)
@@ -608,7 +628,8 @@ class TestAttentionTerms:
         got = {k: np.zeros_like(v) for k, v in params.items()}
         want = {k: np.zeros_like(v) for k, v in params.items()}
         for feats, sentence, targets in runs:
-            sentence_loss(params, cfg, vocab, feats, sentence, targets, grads=got)
+            rows = sentence_loss(params, cfg, vocab, feats, sentence, targets)[3]
+            weight_gradients(params, cfg, [rows], got)
             for k, g in _reference_sentence_grads(params, cfg, vocab, feats,
                                                   sentence, targets).items():
                 want[k] += g
@@ -637,7 +658,7 @@ class TestBatchGradients:
             for k, g in _reference_sentence_grads(params, cfg, vocab, item.feats,
                                                   item.sentence, item.alpha_targets).items():
                 want[k] += g
-        grads = _BatchGrads(zeros_like_params(params))
+        grads = zeros_like_params(params)
         for _ in range(2):  # the second batch starts from the first one's dict
             losses, skipped = _batch_gradients(params, cfg, vocab, items, grads)
             assert skipped == 0

@@ -1,18 +1,19 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from charcap.corpus import CorpusConfig, generate_corpus, planted_supervision
 from charcap.linker import (
     Linker, LinkerConfig, build_attention_gt, build_link_instances,
-    init_linker_params, link_scores, linker_loss, linking_accuracy,
-    train_linker,
+    init_linker_params, linker_loss, linking_accuracy, train_linker,
 )
-from charcap.linker import LinkInstance, _heads, _pad_tracks, _score
+from charcap.linker import LinkInstance, _pad_tracks, _score
 from charcap.numerics import (
     cross_entropy, finite_diff_check, lstm_step_backward, lstm_step_forward,
     rng_stream, softmax,
 )
-from charcap.track_features import apply_norm, fit_norm_stats
+from charcap.track_features import fit_norm_stats, normalized
 
 
 def corpus_cfg(**kw):
@@ -30,26 +31,32 @@ def trained():
     return linker, train, test
 
 
+def one_mention(params, cfg, gender_row, name_row, features):
+    """``_score``'s attention for a single mention over all of ``features``."""
+    return _score(params, cfg, [gender_row], [name_row], features[None],
+                  np.ones((1, len(features)), dtype=bool))[0][0]
+
+
 class TestForward:
     def test_single_track_attention_is_one(self):
         cfg = LinkerConfig(d_emb=4, hidden=5, scorer_hidden=4, recon_hidden=4)
         params = init_linker_params(cfg, n_names=3, d_head=6, seed=0)
-        att, _ = link_scores(params, cfg, 0, 2, np.ones((1, 6)))
+        att = one_mention(params, cfg, 0, 2, np.ones((1, 6)))
         np.testing.assert_allclose(att, [1.0])
 
     def test_untrained_distribution_normalized(self):
         cfg = LinkerConfig(d_emb=4, hidden=5, scorer_hidden=4, recon_hidden=4)
         params = init_linker_params(cfg, n_names=3, d_head=6, seed=1)
         rng = rng_stream(2, "feat")
-        att, _ = link_scores(params, cfg, 1, 3, rng.normal(size=(7, 6)))
+        att = one_mention(params, cfg, 1, 3, rng.normal(size=(7, 6)))
         assert abs(att.sum() - 1.0) <= 1e-9
         assert (att >= 0).all()
 
-    def test_empty_track_list_rejected(self):
-        cfg = LinkerConfig()
-        params = init_linker_params(cfg, n_names=2, d_head=4, seed=0)
+    def test_empty_track_list_rejected(self, trained):
+        linker, _, test = trained
+        clip = dataclasses.replace(test.clips[0], tracks=[])
         with pytest.raises(ValueError):
-            link_scores(params, cfg, 0, 2, np.zeros((0, 4)))
+            linker.link_clip(clip)
 
 
 class TestGradients:
@@ -85,7 +92,8 @@ class TestTraining:
             # features no longer describe their tracks: position argmax is
             # right only when the permutation fixes the ground-truth row
             perm = rng.permutation(c)
-            att = linker.attention(inst.gender, inst.name_id, inst.features[perm])
+            g, nrow = linker._rows(inst.gender, inst.name_id)
+            att = one_mention(linker.params, linker.config, g, nrow, inst.features[perm])
             chosen = inst.track_ids[int(np.argmax(att))]
             hits += chosen in inst.gt_track_ids
             n += 1
@@ -110,9 +118,11 @@ class TestTraining:
             train_linker(corpus, LinkerConfig(epochs=1), seed=0)
 
     def test_unknown_character_rejected(self, trained):
-        linker, _, _ = trained
+        linker, _, test = trained
+        clip = next(c for c in test.clips if c.tracks and c.mentions)
+        unknown = dataclasses.replace(clip.mentions[0], char_id=999_999)
         with pytest.raises(KeyError):
-            linker.attention("M", 999_999, np.zeros((2, 16)))
+            linker.link_clip(dataclasses.replace(clip, mentions=[unknown]))
 
 
 class TestAttentionGt:
@@ -244,7 +254,7 @@ class TestBatch:
         assert valid.sum() < valid.size
         assert (att[~valid] == 0.0).all()
         for b, inst in enumerate(insts):
-            one, _ = link_scores(params, cfg, genders[b], names[b], inst.features)
+            one = one_mention(params, cfg, genders[b], names[b], inst.features)
             np.testing.assert_allclose(att[b, :len(one)], one, rtol=0, atol=1e-15)
 
 
@@ -253,8 +263,9 @@ class TestHeads:
         corpus = generate_corpus(corpus_cfg(n_pairs=6, sigma=0.3), seed=2)
         norm = fit_norm_stats([t for c in corpus.clips for t in c.tracks[:2]])
         for clip in corpus.clips:
-            want = np.stack([apply_norm(t, norm).v_head for t in clip.tracks])
-            got = _heads(clip.tracks, norm)
+            want = np.stack([(t.v_head - norm.mean["v_head"]) / norm.std["v_head"]
+                             for t in clip.tracks])
+            got = normalized(clip.tracks, norm, "v_head")
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 

@@ -1,10 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from charcap.numerics import rng_stream
 from charcap.track_features import (
-    Detection, NormStats, Track, apply_norm, box_iou, detection_iou,
-    fit_norm_stats, track_stats,
+    Detection, NormStats, Track, box_iou, detection_iou, fit_norm_stats,
+    normalized, track_stats,
 )
 
 
@@ -78,9 +80,8 @@ class TestNormalization:
     def test_training_split_standardized(self):
         tracks = self._tracks()
         stats = fit_norm_stats(tracks)
-        normed = [apply_norm(t, stats) for t in tracks]
         for blk in ("v_head", "v_body", "v_stat"):
-            data = np.stack([getattr(t, blk) for t in normed])
+            data = normalized(tracks, stats, blk)
             mu, sd = data.mean(axis=0), data.std(axis=0)
             assert np.abs(mu).max() <= 1e-9
             nonconst = np.stack([getattr(t, blk) for t in tracks]).std(axis=0) > 1e-8
@@ -91,22 +92,21 @@ class TestNormalization:
         for t in tracks:
             t.v_head[0] = 3.14
         stats = fit_norm_stats(tracks)
-        normed = [apply_norm(t, stats) for t in tracks]
-        assert all(t.v_head[0] == 0.0 for t in normed)
+        assert all(normalized(tracks, stats, "v_head")[:, 0] == 0.0)
 
     def test_reapplying_stats_is_not_identity(self):
         tracks = self._tracks()
         stats = fit_norm_stats(tracks)
-        normed = [apply_norm(t, stats) for t in tracks]
-        twice = [apply_norm(t, stats) for t in normed]
-        assert not np.allclose(twice[0].v_head, normed[0].v_head)
+        once = normalized(tracks, stats, "v_head")
+        normed = [dataclasses.replace(t, v_head=v) for t, v in zip(tracks, once)]
+        twice = normalized(normed, stats, "v_head")
+        assert not np.allclose(twice[0], once[0])
 
     def test_argsort_preserved_per_dimension(self):
         tracks = self._tracks()
         stats = fit_norm_stats(tracks)
-        normed = [apply_norm(t, stats) for t in tracks]
         raw = np.stack([t.v_stat for t in tracks])
-        out = np.stack([t.v_stat for t in normed])
+        out = normalized(tracks, stats, "v_stat")
         for dim in range(raw.shape[1]):
             if raw[:, dim].std() > 1e-8:
                 np.testing.assert_array_equal(np.argsort(raw[:, dim]),
@@ -116,10 +116,16 @@ class TestNormalization:
         train = self._tracks(seed=1)
         test = self._tracks(seed=2)
         stats = fit_norm_stats(train)
-        normed = [apply_norm(t, stats) for t in test]
-        data = np.stack([t.v_stat for t in normed])
+        data = normalized(test, stats, "v_stat")
         # test split is not exactly standardized under training stats
         assert np.abs(data.mean(axis=0)).max() > 1e-6
+
+    def test_missing_block_names_the_track(self):
+        tracks = self._tracks(n=4)
+        stats = fit_norm_stats(tracks)
+        tracks[2].v_stat = None
+        with pytest.raises(ValueError, match=f"track {tracks[2].id} is missing v_stat"):
+            normalized(tracks, stats, "v_stat")
 
     def test_stats_json_roundtrip(self):
         stats = fit_norm_stats(self._tracks())
