@@ -55,7 +55,7 @@ from .numerics import (
     lstm_step_forward, masked_softmax, rng_stream, softmax_cross_entropy,
     zeros_like_params,
 )
-from .track_features import STAT_DIM, NormStats, fit_norm_stats, normalized
+from .track_features import STAT_DIM, NormStats, apply_norm, fit_norm_stats
 
 
 class TrainingDiverged(RuntimeError):
@@ -149,17 +149,21 @@ def pair_features(pair: ClipPair, prev_grounding, norm: NormStats,
     previous clip."""
     cur = cap_tracks(pair.cur.tracks)
     C = len(cur)
-    # a clip without tracks keeps one zero padding slot
-    ch, cb, cs = (normalized(cur, norm, name) if C else np.zeros((1, d), dtype=FLOAT)
-                  for name, d in (("v_head", config.d_head), ("v_body", config.d_body),
-                                  ("v_stat", STAT_DIM)))
+    if C:
+        ch = apply_norm(cur, norm, "v_head")
+        cb = apply_norm(cur, norm, "v_body")
+        cs = apply_norm(cur, norm, "v_stat")
+    else:  # a clip without tracks keeps one zero padding slot
+        ch = np.zeros((1, config.d_head), dtype=FLOAT)
+        cb = np.zeros((1, config.d_body), dtype=FLOAT)
+        cs = np.zeros((1, STAT_DIM), dtype=FLOAT)
     prev_tracks = []
     if pair.prev is not None:
         by_id = {t.id: t for t in pair.prev.tracks}
         prev_tracks = [by_id[tid] for tid, _, _ in prev_grounding[:P_MAX] if tid in by_id]
     return PairFeatures(
         cur_head=ch, cur_body=cb, cur_stat=cs,
-        prev_head=normalized(prev_tracks, norm, "v_head"),
+        prev_head=apply_norm(prev_tracks, norm, "v_head"),
         v_global=np.asarray(pair.cur.v_global, dtype=FLOAT),
         cur_valid=np.arange(len(ch)) < C, prev_valid=np.ones(len(prev_tracks), dtype=bool),
         cur_track_ids=[t.id for t in cur],
@@ -240,9 +244,9 @@ def attention_backward(params, cache, dv_grounded, dlogits_extra):
 
     ``dlogits_extra`` carries the attention-loss gradient already at the
     logits (softmax cross-entropy shortcut). Returns (dh_prev, dlogits,
-    du): the gradients at the hidden state, at the cell logits and at
-    ``u = w_att ∘ q``, from which ``sentence_loss`` builds the rows of
-    ``weight_gradients``.
+    du, dpre_q): the gradients at the hidden state, at the cell logits, at
+    ``u = w_att ∘ q`` and at ``pre_q = W_h h_prev + b_h``, from which
+    ``sentence_loss`` builds the rows of ``weight_gradients``.
     """
     Tf, q, _, _, alpha, cell, valid = cache[1:8]
 
@@ -255,7 +259,7 @@ def attention_backward(params, cache, dv_grounded, dlogits_extra):
 
     du = dlogits.reshape(-1) @ Tf.reshape(-1, Tf.shape[2])
     dpre_q = du * params["w_att"] * (1.0 - q * q)
-    return params["W_h"].T @ dpre_q, dlogits, du
+    return params["W_h"].T @ dpre_q, dlogits, du, dpre_q
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +301,8 @@ def sentence_loss(params, config, vocab, feats: PairFeatures, sentence,
     words, targets = np.asarray(tokens[:-1]), np.asarray(tokens[1:])
     inputs = W_glob @ feats.v_global + params["b_lstm"] + EW[words]
     T, H = len(words), config.hidden
-    h = c = np.zeros(H, dtype=FLOAT)
+    h = np.zeros(H, dtype=FLOAT)
+    c = np.zeros(H, dtype=FLOAT)
     hs = np.empty((T, H), dtype=FLOAT)
     steps = []
     att_loss = 0.0
@@ -326,17 +331,20 @@ def sentence_loss(params, config, vocab, feats: PairFeatures, sentence,
     dh_out = dlog @ params["W_pred"]
 
     da = np.empty((T, 4 * H), dtype=FLOAT)
-    # q, du and dlogits stay 0 on a pair without a valid cell
+    # q, du, dpre_q and dlogits stay 0 on a pair without a valid cell
     q = np.zeros((T, config.d_att), dtype=FLOAT)
     du = np.zeros_like(q)
+    dpre_q = np.zeros_like(q)
     dlogits = np.zeros((T, valid.size), dtype=FLOAT)
-    dh = dc = np.zeros(H, dtype=FLOAT)
+    dh = np.zeros(H, dtype=FLOAT)
+    dc = np.zeros(H, dtype=FLOAT)
     for t in range(T - 1, -1, -1):
         att_cache, lstm_cache, dlogits_extra = steps[t]
         # dx is v_grounded's gradient: the recurrent block has no other inputs
         da[t], dx, dh, dc = lstm_step_backward(lstm_cache, dh + dh_out[t], dc)
         if att_cache is not None:
-            dh_att, dl, du[t] = attention_backward(params, att_cache, dx, dlogits_extra)
+            dh_att, dl, du[t], dpre_q[t] = attention_backward(params, att_cache, dx,
+                                                              dlogits_extra)
             dh = dh + dh_att
             dlogits[t] = dl.reshape(-1)
             q[t] = att_cache[2]
@@ -347,9 +355,8 @@ def sentence_loss(params, config, vocab, feats: PairFeatures, sentence,
                          params["E"][words], rec[:, d_gr:]], axis=1)
     Tf = terms.Tf.reshape(valid.size, -1)
     dF = (dlogits.T @ (q * params["w_att"])) * (1.0 - Tf * Tf)
-    cur = np.concatenate([feats.cur_head, feats.cur_body, feats.cur_stat], axis=1)
-    rows = (words, xh, da, hs, dlog, q, du, terms.M.reshape(valid.size, -1), dF,
-            cur, dF.reshape(terms.Tf.shape).sum(axis=0))
+    rows = (words, xh, da, hs, dlog, q, du, dpre_q, terms.M.reshape(valid.size, -1), dF,
+            feats.cur_head, feats.cur_body, feats.cur_stat, dF.reshape(terms.Tf.shape).sum(axis=0))
     return word_loss + att_loss, word_loss, att_loss, rows, skipped
 
 
@@ -359,21 +366,22 @@ def weight_gradients(params, config, rows, grads=None):
     the sentences in ``rows``.
 
     Each sentence's rows are the tuple ``sentence_loss`` returns:
-    (words, xh, da, h, dlog, q, du, M, dF, cur, df_cur). Per step: the
-    input word, the LSTM input ``[v_grounded, v_global, E[w], h_prev]``,
-    the gradient at the gate pre-activations, the hidden state ``h``,
-    ``softmax(word logits) - onehot(target word)``, the attention query
-    ``q = tanh(W_h h_prev + b_h)`` and the gradient ``du`` at
-    ``u = w_att ∘ q`` (``q`` and ``du`` are 0 on a pair without a valid
+    (words, xh, da, h, dlog, q, du, dpre_q, M, dF, head, body, stat,
+    df_cur). Per step: the input word, the LSTM input ``[v_grounded,
+    v_global, E[w], h_prev]``, the gradient at the gate pre-activations,
+    the hidden state ``h``, ``softmax(word logits) - onehot(target
+    word)``, the attention query ``q = tanh(pre_q)`` and the gradients
+    ``du`` at ``u = w_att ∘ q`` and ``dpre_q`` at ``pre_q = W_h h_prev +
+    b_h`` (``q``, ``du`` and ``dpre_q`` are 0 on a pair without a valid
     cell, so they add nothing). Per grid cell: the re-identification
     feature ``M`` and ``dF = (dlogitsᵀ U) ∘ (1 - Tf²)``, the sentence's
     gradient at ``F = M W_idᵀ + f_cur + b_v``. Per current-track slot: the
-    features ``[head, body, stat]`` and ``df_cur``, the gradient at their
+    head, body and stat features and ``df_cur``, the gradient at their
     embedding ``f_cur``.
     """
     if grads is None:
         grads = zeros_like_params(params)
-    words, xh, da, h, dlog, q, du, M, dF, cur, df_cur = (
+    words, xh, da, h, dlog, q, du, dpre_q, M, dF, head, body, stat, df_cur = (
         np.concatenate(part) for part in zip(*rows))
     grads["W_lstm"] += da.T @ xh
     grads["b_lstm"] += da.sum(axis=0)
@@ -383,16 +391,13 @@ def weight_gradients(params, config, rows, grads=None):
     grads["b_pred"] += dlog.sum(axis=0)
 
     grads["w_att"] += (du * q).sum(axis=0)
-    dpre_q = du * params["w_att"] * (1.0 - q * q)
     grads["W_h"] += dpre_q.T @ xh[:, -config.hidden:]  # h_prev, the LSTM's own input
     grads["b_h"] += dpre_q.sum(axis=0)
     grads["W_id"] += dF.T @ M
     grads["b_v"] += dF.sum(axis=0)
-    d_cur = df_cur.T @ cur
-    hb = config.d_head + config.d_body
-    grads["W_head"] += d_cur[:, :config.d_head]
-    grads["W_body"] += d_cur[:, config.d_head:hb]
-    grads["W_stat"] += d_cur[:, hb:]
+    grads["W_head"] += df_cur.T @ head
+    grads["W_body"] += df_cur.T @ body
+    grads["W_stat"] += df_cur.T @ stat
     return grads
 
 
@@ -560,7 +565,8 @@ def decode_pair(trained: TrainedDecoder, pair: ClipPair, prev_grounding):
     terms = attention_terms(params, feats)
     W_rec, W_glob, EW = _split_lstm(params, config)
     base = W_glob @ feats.v_global + params["b_lstm"]
-    h = c = np.zeros(config.hidden, dtype=FLOAT)
+    h = np.zeros(config.hidden, dtype=FLOAT)
+    c = np.zeros(config.hidden, dtype=FLOAT)
     w_prev = vocab.index(BOS)
     eos = vocab.index(EOS)
     tokens = []

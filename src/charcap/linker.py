@@ -26,7 +26,7 @@ from .numerics import (
     Adam, FLOAT, glorot_uniform, lstm_init, lstm_step_backward, lstm_step_forward,
     rng_stream, softmax_cross_entropy, zeros_like_params,
 )
-from .track_features import NormStats, fit_norm_stats, normalized
+from .track_features import NormStats, apply_norm, fit_norm_stats
 
 
 @dataclass
@@ -189,7 +189,7 @@ class Linker:
         """
         if not clip.tracks:
             raise ValueError(f"clip {clip.id}: no tracks to link against")
-        feats = normalized(clip.tracks, self.norm, "v_head")
+        feats = apply_norm(clip.tracks, self.norm, "v_head")
         mentions = sorted(clip.mentions, key=lambda m: m.pos)
         if not mentions:
             return []
@@ -207,7 +207,7 @@ def build_link_instances(corpus: Corpus, norm: NormStats):
         for clip in (pair.prev, pair.cur):
             if clip is None or not clip.tracks:
                 continue
-            feats = normalized(clip.tracks, norm, "v_head")
+            feats = apply_norm(clip.tracks, norm, "v_head")
             names_in_sentence = len(clip.mentions)
             singleton = len(clip.tracks) == 1 and names_in_sentence == 1
             for m in clip.mentions:

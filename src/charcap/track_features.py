@@ -113,7 +113,7 @@ def _block(track, name):
 def fit_norm_stats(tracks):
     """Per-dimension mean and std of each feature block over ``tracks``
     (the training split only); constant dimensions get std 1, so
-    ``normalized`` maps them to zero."""
+    ``apply_norm`` maps them to zero."""
     if not tracks:
         raise ValueError("fit_norm_stats: empty training split")
     mean, std = {}, {}
@@ -126,7 +126,7 @@ def fit_norm_stats(tracks):
     return NormStats(mean=mean, std=std)
 
 
-def normalized(tracks, stats: NormStats, name):
+def apply_norm(tracks, stats: NormStats, name):
     """The ``name`` block (``v_head``, ``v_body`` or ``v_stat``) of every
     track, standardised with ``stats``, as one ``(len(tracks), d)`` array;
     a track missing the block raises ValueError naming it."""

@@ -13,7 +13,7 @@ from charcap.numerics import (
     cross_entropy, finite_diff_check, lstm_step_backward, lstm_step_forward,
     rng_stream, softmax,
 )
-from charcap.track_features import fit_norm_stats, normalized
+from charcap.track_features import apply_norm, fit_norm_stats
 
 
 def corpus_cfg(**kw):
@@ -265,7 +265,7 @@ class TestHeads:
         for clip in corpus.clips:
             want = np.stack([(t.v_head - norm.mean["v_head"]) / norm.std["v_head"]
                              for t in clip.tracks])
-            got = normalized(clip.tracks, norm, "v_head")
+            got = apply_norm(clip.tracks, norm, "v_head")
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 

@@ -5,8 +5,8 @@ import pytest
 
 from charcap.numerics import rng_stream
 from charcap.track_features import (
-    Detection, NormStats, Track, box_iou, detection_iou, fit_norm_stats,
-    normalized, track_stats,
+    Detection, NormStats, Track, apply_norm, box_iou, detection_iou,
+    fit_norm_stats, track_stats,
 )
 
 
@@ -81,7 +81,7 @@ class TestNormalization:
         tracks = self._tracks()
         stats = fit_norm_stats(tracks)
         for blk in ("v_head", "v_body", "v_stat"):
-            data = normalized(tracks, stats, blk)
+            data = apply_norm(tracks, stats, blk)
             mu, sd = data.mean(axis=0), data.std(axis=0)
             assert np.abs(mu).max() <= 1e-9
             nonconst = np.stack([getattr(t, blk) for t in tracks]).std(axis=0) > 1e-8
@@ -92,21 +92,21 @@ class TestNormalization:
         for t in tracks:
             t.v_head[0] = 3.14
         stats = fit_norm_stats(tracks)
-        assert all(normalized(tracks, stats, "v_head")[:, 0] == 0.0)
+        assert all(apply_norm(tracks, stats, "v_head")[:, 0] == 0.0)
 
     def test_reapplying_stats_is_not_identity(self):
         tracks = self._tracks()
         stats = fit_norm_stats(tracks)
-        once = normalized(tracks, stats, "v_head")
+        once = apply_norm(tracks, stats, "v_head")
         normed = [dataclasses.replace(t, v_head=v) for t, v in zip(tracks, once)]
-        twice = normalized(normed, stats, "v_head")
+        twice = apply_norm(normed, stats, "v_head")
         assert not np.allclose(twice[0], once[0])
 
     def test_argsort_preserved_per_dimension(self):
         tracks = self._tracks()
         stats = fit_norm_stats(tracks)
         raw = np.stack([t.v_stat for t in tracks])
-        out = normalized(tracks, stats, "v_stat")
+        out = apply_norm(tracks, stats, "v_stat")
         for dim in range(raw.shape[1]):
             if raw[:, dim].std() > 1e-8:
                 np.testing.assert_array_equal(np.argsort(raw[:, dim]),
@@ -116,7 +116,7 @@ class TestNormalization:
         train = self._tracks(seed=1)
         test = self._tracks(seed=2)
         stats = fit_norm_stats(train)
-        data = normalized(test, stats, "v_stat")
+        data = apply_norm(test, stats, "v_stat")
         # test split is not exactly standardized under training stats
         assert np.abs(data.mean(axis=0)).max() > 1e-6
 
@@ -125,7 +125,7 @@ class TestNormalization:
         stats = fit_norm_stats(tracks)
         tracks[2].v_stat = None
         with pytest.raises(ValueError, match=f"track {tracks[2].id} is missing v_stat"):
-            normalized(tracks, stats, "v_stat")
+            apply_norm(tracks, stats, "v_stat")
 
     def test_stats_json_roundtrip(self):
         stats = fit_norm_stats(self._tracks())
