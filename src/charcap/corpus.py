@@ -435,12 +435,12 @@ def planted_supervision(pair: ClipPair):
 # capping and JSONL
 # ---------------------------------------------------------------------------
 
-def cap_tracks(tracks, c_max=C_MAX):
-    """Keep the longest ``c_max`` tracks (by detection count, id breaking
+def cap_tracks(tracks):
+    """Keep the longest ``C_MAX`` tracks (by detection count, id breaking
     ties); order is untouched when nothing is dropped."""
-    if len(tracks) <= c_max:
+    if len(tracks) <= C_MAX:
         return list(tracks)
-    return sorted(tracks, key=lambda t: (-len(t.detections), t.id))[:c_max]
+    return sorted(tracks, key=lambda t: (-len(t.detections), t.id))[:C_MAX]
 
 
 def _clip_to_obj(clip: Clip):
@@ -547,6 +547,8 @@ def _parse_clip(obj, line, dims, tokens, prev):
     if not isinstance(obj, dict):
         raise CorpusFormatError(line, "<root>", "clip line must be a JSON object")
     clip_id = _need(obj, "id", line)
+    if not _is_number(clip_id, int):
+        raise CorpusFormatError(line, "id", "clip ids must be integers")
     tracks = []
     for traw in _need(obj, "tracks", line, list):
         if not isinstance(traw, dict):

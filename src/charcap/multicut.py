@@ -3,7 +3,7 @@
 Level 1 groups head detections on consecutive frames within a shot, with
 edge costs from a logistic join model over geometric pair features.
 Level 2 groups the surviving tracks across shots by appearance, with edge
-costs cosine_similarity - beta on mean-pooled head vectors.
+costs cosine_similarity - BETA on mean-pooled head vectors.
 
 ``solve_multicut`` maximizes the total intra-cluster cost (positive cost
 rewards joining, negative rewards cutting). It splits the nodes into the
@@ -29,7 +29,8 @@ from .track_features import Detection, Track, detection_iou, track_stats
 MIN_DET_SCORE = 0.5
 MIN_DET_SIDE = 40.0
 MIN_TRACK_FRAMES = 5
-DEFAULT_BETA = 0.5
+BETA = 0.5  # level-2 cosine similarity at which joining and cutting tie
+FIT_ITERS = 2000  # gradient steps of fit_pairwise_model
 RESTARTS = 16  # perturbation restarts per searched component
 
 
@@ -71,8 +72,8 @@ class PairwisePotentialModel:
                    bias=float(obj["bias"]))
 
 
-def fit_pairwise_model(samples, iters=2000):
-    """Logistic regression by plain gradient descent with step 1.
+def fit_pairwise_model(samples):
+    """Logistic regression by ``FIT_ITERS`` gradient-descent steps of size 1.
 
     ``samples``: list of (8-dim feature, same_person bool). Both classes
     must be present.
@@ -84,7 +85,7 @@ def fit_pairwise_model(samples, iters=2000):
     Xb = np.hstack([X, np.ones((len(y), 1))])
     w = np.zeros(Xb.shape[1], dtype=FLOAT)
     n = len(y)
-    for _ in range(iters):
+    for _ in range(FIT_ITERS):
         p = 1.0 / (1.0 + np.exp(-np.clip(Xb @ w, -500, 500)))
         w -= Xb.T @ (p - y) / n
     return PairwisePotentialModel(weights=w[:-1], bias=float(w[-1]))
@@ -315,8 +316,7 @@ def _cosine_similarity(a, b):
     return float(a @ b / (na * nb))
 
 
-def build_tracks(detections, boundaries, model, appearance, beta=DEFAULT_BETA,
-                 body_appearance=None):
+def build_tracks(detections, boundaries, model, appearance, body_appearance=None):
     """Detections -> identity tracks via the two clustering levels.
 
     ``appearance`` holds one head vector per detection (same order); the
@@ -368,7 +368,7 @@ def build_tracks(detections, boundaries, model, appearance, beta=DEFAULT_BETA,
     edges = []
     for i in range(len(proto)):
         for j in range(i + 1, len(proto)):
-            edges.append((i, j, _cosine_similarity(means[i], means[j]) - beta))
+            edges.append((i, j, _cosine_similarity(means[i], means[j]) - BETA))
     part = solve_multicut(len(proto), edges)
 
     tracks = []

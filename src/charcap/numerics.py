@@ -14,10 +14,15 @@ import numpy as np
 from scipy.special import expit
 
 FLOAT = np.float64
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 def softmax(logits):
-    """Shift-invariant softmax of a nonempty finite 1-D vector."""
+    """Shift-invariant softmax of a nonempty finite 1-D vector: the reference
+    the tests check ``cross_entropy``, ``softmax_cross_entropy`` and the
+    linker and decoder gradient oracles against."""
     z = np.asarray(logits, dtype=FLOAT)
     if z.size == 0:
         raise ValueError("softmax: empty input")
@@ -186,17 +191,14 @@ class Adam:
     buffers made at the first step, with the moments; later steps
     allocate nothing the size of a weight. The operations and their order
     are those of ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*g*g`` and
-    ``p -= lr*mhat / (sqrt(vhat) + eps)``, so the result is bitwise that
-    formula's.
+    ``p -= lr*mhat / (sqrt(vhat) + eps)`` (``ADAM_BETA1``, ``ADAM_BETA2``,
+    ``ADAM_EPS``), so the result is bitwise that formula's.
     """
 
     BLOCK = 1 << 16
 
-    def __init__(self, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, lr=1e-3):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self._m = None
         self._v = None
         self._scratch = None
@@ -214,7 +216,7 @@ class Adam:
                         for p in params.values()), default=0)
             self._scratch = (np.empty(size, dtype=FLOAT), np.empty(size, dtype=FLOAT))
         self._t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
         c1, c2 = 1 - b1 ** self._t, 1 - b2 ** self._t
         for k, p in params.items():
             n = self._rows(p)
@@ -232,7 +234,7 @@ class Adam:
                 step *= self.lr
                 np.divide(v, c2, out=den)
                 np.sqrt(den, out=den)
-                den += self.eps
+                den += eps
                 step /= den
                 p[a:a + n] -= step
 

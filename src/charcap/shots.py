@@ -9,6 +9,10 @@ Two cues per frame pair, combined with OR so recall stays high:
   a search radius stays below a threshold. Corners come from the
   structure-tensor minimum-eigenvalue response.
 
+Frames are (H, W, 3) uint8 arrays, of one shape within a video. Each is
+converted to [0, 1] once, into one ``FrameSignature`` (histogram, corners,
+gray image) that both cues of its pairs read.
+
 The survival search tries shifts ring by ring from the centre out and
 stops once every corner has matched; within a shot that is usually the
 innermost ring, and only cut pairs search the whole radius. A corner
@@ -27,11 +31,12 @@ from scipy.ndimage import maximum_filter, uniform_filter, uniform_filter1d
 
 from .numerics import FLOAT
 
-DEFAULT_BINS = 32
-DEFAULT_PATCH = 9
-DEFAULT_RADIUS = 16
-DEFAULT_MAX_CORNERS = 200
-DEFAULT_SSD_THRESHOLD = 0.004  # mean squared gray difference, [0,1] scale
+BINS = 32  # histogram bins per channel
+PATCH_SIZE = 9
+SEARCH_RADIUS = 16
+MAX_CORNERS = 200
+SSD_THRESHOLD = 0.004  # mean squared gray difference, [0,1] scale
+MAX_CANDIDATES = 60  # thresholds fit_thresholds tries per cue
 CORNER_EPS = 1e-10
 CORNER_WINDOW = 5  # structure-tensor window of the corner response
 # shifts per filtered chunk: k = max(1, SHIFT_CHUNK_ELEMS // (h*w)); larger
@@ -43,25 +48,16 @@ SYNTH_JITTER = 2.0         # synthetic_cut_video: per-frame pixel noise std
 
 @dataclass
 class FrameSignature:
-    histogram: np.ndarray        # length 3*bins, sums to 1
-    corners: np.ndarray          # (K, 2) integer (row, col)
-    corner_scores: np.ndarray    # (K,) min-eigenvalue responses
+    histogram: np.ndarray  # length 3*BINS, sums to 1
+    corners: np.ndarray    # (K, 2) integer (row, col)
+    gray: np.ndarray       # (H, W) channel mean, [0,1] scale
 
 
 def _as_float_rgb(frame):
     f = np.asarray(frame)
-    if f.ndim != 3 or f.shape[2] != 3 or f.shape[0] == 0 or f.shape[1] == 0:
-        raise ValueError("frame must be a nonempty (H, W, 3) array")
-    # integer frames are always 0-255; a float frame is 0-1 unless it exceeds 1
-    scale = np.issubdtype(f.dtype, np.integer)
-    f = f.astype(FLOAT)
-    if scale or f.max() > 1.0:
-        f = f / 255.0
-    return np.clip(f, 0.0, 1.0)
-
-
-def _grayscale(frame01):
-    return frame01.mean(axis=2)
+    if f.dtype != np.uint8 or f.ndim != 3 or f.shape[2] != 3 or f.size == 0:
+        raise ValueError(f"expected a non-empty (H, W, 3) uint8 frame, got {f.dtype} {f.shape}")
+    return f / 255.0
 
 
 def min_eig_response(gray):
@@ -74,29 +70,26 @@ def min_eig_response(gray):
     return (a + c - half) / 2.0
 
 
-def frame_signature(frame, bins=DEFAULT_BINS, max_corners=DEFAULT_MAX_CORNERS):
-    """Color histogram plus top-K minimum-eigenvalue corners.
+def frame_signature(frame):
+    """Color histogram, top ``MAX_CORNERS`` corners and gray image of a frame.
 
     A degenerate (uniform) frame yields an empty corner list but still a
     valid histogram.
     """
-    if bins < 2:
-        raise ValueError("bins must be >= 2")
     f = _as_float_rgb(frame)
     hist = np.concatenate([
-        np.histogram(f[:, :, ch], bins=bins, range=(0.0, 1.0))[0]
+        np.histogram(f[:, :, ch], bins=BINS, range=(0.0, 1.0))[0]
         for ch in range(3)
     ]).astype(FLOAT)
     hist /= hist.sum()
 
-    resp = min_eig_response(_grayscale(f))
+    gray = f.mean(axis=2)
+    resp = min_eig_response(gray)
     local_max = resp == maximum_filter(resp, size=3)
     cand = np.argwhere(local_max & (resp > CORNER_EPS))
-    if cand.size == 0:
-        return FrameSignature(hist, np.zeros((0, 2), dtype=int), np.zeros(0))
     scores = resp[cand[:, 0], cand[:, 1]]
-    order = np.lexsort((cand[:, 1], cand[:, 0], -scores))[:max_corners]
-    return FrameSignature(hist, cand[order], scores[order])
+    order = np.lexsort((cand[:, 1], cand[:, 0], -scores))[:MAX_CORNERS]
+    return FrameSignature(hist, cand[order], gray)
 
 
 def hist_distance(sig_a: FrameSignature, sig_b: FrameSignature):
@@ -113,26 +106,23 @@ def _ring_offsets(r):
         yield dy[on_ring], dx[on_ring]
 
 
-def survival_ratio(frame_a, frame_b, corners,
-                   patch_size=DEFAULT_PATCH, search_radius=DEFAULT_RADIUS,
-                   ssd_threshold=DEFAULT_SSD_THRESHOLD):
-    """Fraction of corners whose best block match stays under the SSD
+def survival_ratio(sig_a: FrameSignature, sig_b: FrameSignature):
+    """Fraction of ``sig_a``'s corners whose best block match in the gray
+    image of ``sig_b``, a frame of the same shape, stays under the SSD
     threshold. Without corners the ratio is 1 (nothing was lost).
 
-    Shifts are searched ring by ring from the centre out, a chunk of at
-    most SHIFT_CHUNK_ELEMS elements at a time, and the search stops once
-    every corner has matched. A corner survives if any shift matches, so
-    the order and the early stop leave the ratio equal to that of the
-    exhaustive search; each SSD is bitwise the 2-D ``uniform_filter`` of
-    its shift, since the stack is filtered along rows, then columns."""
-    if patch_size < 1:
-        raise ValueError("patch_size must be >= 1")
+    Shifts up to SEARCH_RADIUS are searched ring by ring from the centre out,
+    a chunk of at most SHIFT_CHUNK_ELEMS elements at a time, and the search
+    stops once every corner has matched. A corner survives if any shift
+    matches, so the order and the early stop leave the ratio equal to that
+    of the exhaustive search; each SSD is bitwise the 2-D ``uniform_filter``
+    of its shift, since the stack is filtered along rows, then columns."""
+    corners = sig_a.corners
     if len(corners) == 0:
         return 1.0
-    ga = _grayscale(_as_float_rgb(frame_a))
-    gb = _grayscale(_as_float_rgb(frame_b))
+    ga, gb = sig_a.gray, sig_b.gray
     h, w = ga.shape
-    r = search_radius
+    r = SEARCH_RADIUS
     shifted = sliding_window_view(np.pad(gb, r, mode="edge"), (h, w))
     rows = corners[:, 0]
     cols = corners[:, 1]
@@ -143,42 +133,43 @@ def survival_ratio(frame_a, frame_b, corners,
             ssd = shifted[r + dy[start:start + k], r + dx[start:start + k]]
             np.subtract(ga, ssd, out=ssd)
             np.square(ssd, out=ssd)
-            uniform_filter1d(ssd, patch_size, axis=1, output=ssd)
-            uniform_filter1d(ssd, patch_size, axis=2, output=ssd)
+            uniform_filter1d(ssd, PATCH_SIZE, axis=1, output=ssd)
+            uniform_filter1d(ssd, PATCH_SIZE, axis=2, output=ssd)
             idx = np.flatnonzero(lost)
-            matched = (ssd[:, rows[idx], cols[idx]] <= ssd_threshold).any(axis=0)
+            matched = (ssd[:, rows[idx], cols[idx]] <= SSD_THRESHOLD).any(axis=0)
             lost[idx[matched]] = False
             if not lost.any():
                 return 1.0
     return float(np.mean(~lost))
 
 
-def pair_features(frames, bins=DEFAULT_BINS, patch_size=DEFAULT_PATCH,
-                  search_radius=DEFAULT_RADIUS, max_corners=DEFAULT_MAX_CORNERS,
-                  ssd_threshold=DEFAULT_SSD_THRESHOLD):
-    """(histogram distance, survival ratio) for every consecutive pair."""
+def pair_features(frames):
+    """(histogram distance, survival ratio) for every consecutive pair,
+    from one signature per frame. A frame that is not a non-empty (H, W, 3)
+    uint8 array shaped like frame 0 raises ``ValueError`` naming it."""
     if len(frames) < 2:
         raise ValueError("need at least 2 frames")
-    sigs = [frame_signature(f, bins=bins, max_corners=max_corners) for f in frames]
-    dists = np.empty(len(frames) - 1)
-    survs = np.empty(len(frames) - 1)
-    for i in range(len(frames) - 1):
-        dists[i] = hist_distance(sigs[i], sigs[i + 1])
-        survs[i] = survival_ratio(frames[i], frames[i + 1], sigs[i].corners,
-                                  patch_size=patch_size,
-                                  search_radius=search_radius,
-                                  ssd_threshold=ssd_threshold)
-    return dists, survs
+    sigs = []
+    for k, frame in enumerate(frames):
+        try:
+            sigs.append(frame_signature(frame))
+        except ValueError as exc:
+            raise ValueError(f"frame {k}: {exc}") from None
+        if sigs[k].gray.shape != sigs[0].gray.shape:
+            raise ValueError(f"frame {k}: shape {np.shape(frame)} is not frame 0's")
+    pairs = list(zip(sigs, sigs[1:]))
+    return (np.array([hist_distance(a, b) for a, b in pairs]),
+            np.array([survival_ratio(a, b) for a, b in pairs]))
 
 
-def detect_boundaries(frames, theta_hist, theta_survive, **feature_kw):
+def detect_boundaries(frames, theta_hist, theta_survive):
     """Boundary between i-1 and i iff the histogram distance exceeds
     theta_hist OR the survival ratio falls below theta_survive."""
     if theta_hist < 0:
         raise ValueError("theta_hist must be >= 0")
     if not 0.0 <= theta_survive <= 1.0:
         raise ValueError("theta_survive must be in [0, 1]")
-    dists, survs = pair_features(frames, **feature_kw)
+    dists, survs = pair_features(frames)
     fired = (dists > theta_hist) | (survs < theta_survive)
     return [i + 1 for i in np.flatnonzero(fired)]
 
@@ -204,18 +195,18 @@ def boundary_f_score(predicted, actual):
     return float(_f1(len(pred & act), len(pred - act), len(act - pred)))
 
 
-def _candidates(values, limit=60):
+def _candidates(values):
     vals = np.unique(values)
     mids = (vals[:-1] + vals[1:]) / 2.0 if len(vals) > 1 else np.empty(0)
     cand = np.concatenate([mids, [vals.min() - 1e-6, vals.max() + 1e-6]])
     cand = np.unique(cand)
-    if len(cand) > limit:
-        idx = np.linspace(0, len(cand) - 1, limit).round().astype(int)
+    if len(cand) > MAX_CANDIDATES:
+        idx = np.linspace(0, len(cand) - 1, MAX_CANDIDATES).round().astype(int)
         cand = cand[idx]
     return cand
 
 
-def fit_thresholds(videos, **feature_kw):
+def fit_thresholds(videos):
     """Grid-search (theta_hist, theta_survive) maximizing pooled boundary
     F1 over labeled videos: list of (frames, boundary index list). Ties go
     to the smallest theta_hist, then the smallest theta_survive."""
@@ -223,11 +214,13 @@ def fit_thresholds(videos, **feature_kw):
         raise ValueError("need at least one labeled video")
     dists, survs, labels = [], [], []
     for v, (frames, gt) in enumerate(videos):
+        if len(frames) < 2:
+            raise ValueError(f"video {v}: need at least 2 frames, got {len(frames)}")
         for b in gt:
             if not 1 <= b <= len(frames) - 1:
                 raise ValueError(f"video {v}: boundary index {b} outside "
                                  f"1..{len(frames) - 1}")
-        d, s = pair_features(frames, **feature_kw)
+        d, s = pair_features(frames)
         dists.append(d)
         survs.append(s)
         lab = np.zeros(len(frames) - 1, dtype=bool)

@@ -132,8 +132,8 @@ class TestCapping:
 
     def test_keeps_longest(self):
         tracks = [self._track(i, n=i + 1) for i in range(60)]
-        kept = cap_tracks(tracks, c_max=50)
-        assert len(kept) == 50
+        kept = cap_tracks(tracks)
+        assert len(kept) == C_MAX == 50
         assert min(len(t.detections) for t in kept) == 11
 
     def test_no_cap_below_limit(self):
@@ -288,6 +288,7 @@ def _assert_valid(c):
         for clip in (pair.prev, pair.cur):
             if clip is None:
                 continue
+            assert isinstance(clip.id, int) and not isinstance(clip.id, bool)
             vectors = [("v_global", clip.v_global)]
             for t in clip.tracks:
                 assert isinstance(t.id, int) and not isinstance(t.id, bool)
@@ -336,6 +337,9 @@ class TestIngestErrors:
         (2, ("v_global", 3), float("inf"), "v_global"),
         (2, ("tracks", 0, "id"), "x", "id"),
         (2, ("tracks", 0, "id"), [1], "id"),
+        (2, ("id",), "1", "id"),
+        (2, ("id",), [1], "id"),
+        (2, ("id",), True, "id"),
         (2, ("mentions", 0, "char"), "x", "char"),
         (2, ("mentions", 0, "char"), [1], "char"),
         (2, ("tracks", 0, "boxes", 0, 2), float("nan"), "boxes"),
@@ -348,6 +352,7 @@ class TestIngestErrors:
         (3, ("mentions", 0, "coref_prev"), 0, "coref_prev"),
     ], ids=["v_head-string", "v_body-string", "v_global-string", "v_head-nested",
             "v_global-nan", "v_global-inf", "track-id-string", "track-id-list",
+            "clip-id-string", "clip-id-list", "clip-id-bool",
             "char-string", "char-list", "box-width-nan", "box-x-inf", "score-nan",
             "box-x-overflows-stats", "v_global-width", "token-not-in-vocab",
             "coref-not-in-previous-clip", "coref-without-previous-clip"])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from charcap import multicut
 from charcap.multicut import (
     PairwisePotentialModel, Partition, brute_force_multicut, build_tracks,
     filter_detections, fit_pairwise_model, greedy_contraction, _cost_matrix,
@@ -66,11 +67,12 @@ class TestLogisticModel:
         acc = np.mean([model.predict(f) == lab for f, lab in samples])
         assert acc >= 0.99
 
-    def test_label_flip_negates_weights(self):
+    def test_label_flip_negates_weights(self, monkeypatch):
+        monkeypatch.setattr(multicut, "FIT_ITERS", 500)
         samples = self._separable(80)
         flipped = [(f, not lab) for f, lab in samples]
-        m1 = fit_pairwise_model(samples, iters=500)
-        m2 = fit_pairwise_model(flipped, iters=500)
+        m1 = fit_pairwise_model(samples)
+        m2 = fit_pairwise_model(flipped)
         np.testing.assert_allclose(m1.weights, -m2.weights, atol=1e-8)
         assert abs(m1.bias + m2.bias) < 1e-8
 
@@ -227,7 +229,7 @@ class TestBuildTracks:
         dets = smooth_detections(n=6, x0=50) + \
             [det(t, 300.0 + 3 * (t - 6), 60.0) for t in range(6, 12)]
         app = np.tile(np.array([0.5, 0.5, 0.0]), (len(dets), 1))
-        tracks = build_tracks(dets, [6], trained_model(), app, beta=0.5)
+        tracks = build_tracks(dets, [6], trained_model(), app)
         assert len(tracks) == 1
         assert tracks[0].n_frames() == 12
 
@@ -236,7 +238,7 @@ class TestBuildTracks:
             [det(t, 300.0 + 3 * (t - 6), 60.0) for t in range(6, 12)]
         app = np.vstack([np.tile([1.0, 0.0, 0.0], (6, 1)),
                          np.tile([-1.0, 0.0, 0.0], (6, 1))])
-        tracks = build_tracks(dets, [6], trained_model(), app, beta=0.5)
+        tracks = build_tracks(dets, [6], trained_model(), app)
         assert len(tracks) == 2
 
     def test_short_chain_dropped(self):

@@ -207,7 +207,7 @@ class TestAdam:
         m = {k: np.zeros(s) for k, s in shapes.items()}
         v = {k: np.zeros(s) for k, s in shapes.items()}
         lr, b1, b2, eps = 0.003, 0.9, 0.999, 1e-8
-        opt = Adam(lr=lr, beta1=b1, beta2=b2, eps=eps)
+        opt = Adam(lr=lr)
         for t in range(1, 6):
             grads = {k: rng.normal(scale=10.0 ** -t, size=s) for k, s in shapes.items()}
             opt.step(params, grads)
@@ -229,7 +229,7 @@ class TestAdam:
         v = {k: np.zeros(s) for k, s in shapes.items()}
         lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
         steps = [{k: rng.normal(size=s) for k, s in shapes.items()} for _ in range(3)]
-        opt = Adam(lr=lr, beta1=b1, beta2=b2, eps=eps)
+        opt = Adam(lr=lr)
         opt.step(params, steps[0])
         tracemalloc.start()
         try:

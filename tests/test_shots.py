@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.ndimage import uniform_filter
@@ -5,9 +7,8 @@ from scipy.ndimage import uniform_filter
 from charcap import shots
 from charcap.numerics import rng_stream
 from charcap.shots import (
-    DEFAULT_SSD_THRESHOLD, SHIFT_CHUNK_ELEMS, boundary_f_score, detect_boundaries,
-    fit_thresholds, frame_signature, hist_distance, pair_features, survival_ratio,
-    synthetic_cut_video,
+    SHIFT_CHUNK_ELEMS, boundary_f_score, detect_boundaries, fit_thresholds,
+    frame_signature, hist_distance, pair_features, survival_ratio, synthetic_cut_video,
 )
 
 
@@ -20,8 +21,9 @@ def solid(r, g, b, h=20, w=24):
 
 
 class TestSignature:
-    def test_uniform_gray_one_bin_per_channel(self):
-        sig = frame_signature(solid(128, 128, 128), bins=4)
+    def test_uniform_gray_one_bin_per_channel(self, monkeypatch):
+        monkeypatch.setattr(shots, "BINS", 4)
+        sig = frame_signature(solid(128, 128, 128))
         hist = sig.histogram.reshape(3, 4)
         for ch in range(3):
             nz = np.flatnonzero(hist[ch])
@@ -45,15 +47,12 @@ class TestSignature:
                           frame_signature(solid(0, 0, 255)))
         assert abs(d - 4.0 / 3.0) < 1e-12
 
-    def test_textured_frame_respects_corner_budget(self):
+    def test_textured_frame_respects_corner_budget(self, monkeypatch):
+        monkeypatch.setattr(shots, "MAX_CORNERS", 50)
         rng = rng_stream(1, "shot")
         f = rng.integers(0, 256, size=(32, 32, 3)).astype(np.uint8)
-        sig = frame_signature(f, max_corners=50)
+        sig = frame_signature(f)
         assert 0 < len(sig.corners) <= 50
-
-    def test_bins_validated(self):
-        with pytest.raises(ValueError):
-            frame_signature(solid(1, 2, 3), bins=1)
 
     def test_dark_integer_frame_is_not_full_range(self):
         # an all-1 uint8 frame is near black, not white
@@ -67,49 +66,51 @@ class TestSurvival:
         rng = rng_stream(2, "shot")
         f = rng.integers(0, 256, size=(24, 24, 3)).astype(np.uint8)
         sig = frame_signature(f)
-        assert survival_ratio(f, f, sig.corners) == 1.0
+        assert survival_ratio(sig, sig) == 1.0
 
     def test_no_corners_counts_as_full_survival(self):
-        a, b = solid(10, 10, 10), solid(240, 240, 240)
-        assert survival_ratio(a, b, np.zeros((0, 2), dtype=int)) == 1.0
+        a, b = frame_signature(solid(10, 10, 10)), frame_signature(solid(240, 240, 240))
+        assert len(a.corners) == 0
+        assert survival_ratio(a, b) == 1.0
 
-    def test_unrelated_frames_lose_points(self):
+    def test_unrelated_frames_lose_points(self, monkeypatch):
+        monkeypatch.setattr(shots, "SEARCH_RADIUS", 6)
         rng = rng_stream(3, "shot")
         a = (128 + rng.uniform(-40, 40, size=(24, 32, 3))).astype(np.uint8)
         b = (60 + rng.uniform(-40, 40, size=(24, 32, 3))).astype(np.uint8)
-        sig = frame_signature(a)
-        assert survival_ratio(a, b, sig.corners, search_radius=6) < 0.5
+        assert survival_ratio(frame_signature(a), frame_signature(b)) < 0.5
 
-    def test_ratio_in_unit_interval(self):
+    def test_ratio_in_unit_interval(self, monkeypatch):
+        monkeypatch.setattr(shots, "SEARCH_RADIUS", 4)
         rng = rng_stream(4, "shot")
         frames, _ = synthetic_cut_video(rng, 6, 2)
-        _, survs = pair_features(frames, search_radius=4)
+        _, survs = pair_features(frames)
         assert ((survs >= 0) & (survs <= 1)).all()
 
 
-def exhaustive_survival(frame_a, frame_b, corners, patch_size, search_radius,
-                        ssd_threshold=DEFAULT_SSD_THRESHOLD):
-    """Reference: every shift, one full-frame uniform_filter each."""
+def exhaustive_survival(frame_a, frame_b, corners):
+    """Reference: every shift within shots.SEARCH_RADIUS, one full-frame
+    uniform_filter of shots.PATCH_SIZE each."""
     if len(corners) == 0:
         return 1.0
-    ga = shots._grayscale(shots._as_float_rgb(frame_a))
-    gb = shots._grayscale(shots._as_float_rgb(frame_b))
+    ga = (frame_a / 255.0).mean(axis=2)
+    gb = (frame_b / 255.0).mean(axis=2)
     h, w = ga.shape
-    r = search_radius
+    r = shots.SEARCH_RADIUS
     gb_pad = np.pad(gb, r, mode="edge")
     best = np.full(len(corners), np.inf)
     for dy in range(-r, r + 1):
         for dx in range(-r, r + 1):
             shifted = gb_pad[r + dy:r + dy + h, r + dx:r + dx + w]
-            ssd = uniform_filter((ga - shifted) ** 2, size=patch_size)
+            ssd = uniform_filter((ga - shifted) ** 2, size=shots.PATCH_SIZE)
             np.minimum(best, ssd[corners[:, 0], corners[:, 1]], out=best)
-    return float(np.mean(best <= ssd_threshold))
+    return float(np.mean(best <= shots.SSD_THRESHOLD))
 
 
 class TestSurvivalSearch:
     # 100 x 100 exceeds SHIFT_CHUNK_ELEMS, so each chunk is one shift
     @pytest.mark.parametrize("height,width", [(5, 7), (24, 32), (100, 100)])
-    def test_equals_exhaustive_search(self, height, width):
+    def test_equals_exhaustive_search(self, height, width, monkeypatch):
         assert (height * width > SHIFT_CHUNK_ELEMS) == (height == 100)
         rng = rng_stream(height * width, "survival")
         frames, cuts = synthetic_cut_video(rng, 4, 1, height=height, width=width)
@@ -119,12 +120,15 @@ class TestSurvivalSearch:
         ratios = []
         for i in range(len(frames) - 1):
             a, b = frames[i], frames[i + 1]
-            corners = np.concatenate([frame_signature(a).corners, border])
+            sig_a = frame_signature(a)
+            sig_a = dataclasses.replace(sig_a, corners=np.concatenate([sig_a.corners, border]))
+            sig_b = frame_signature(b)
             for radius in (0, 1, 4, 16):
+                monkeypatch.setattr(shots, "SEARCH_RADIUS", radius)
                 for patch in (3, 9):
-                    got = survival_ratio(a, b, corners, patch_size=patch,
-                                         search_radius=radius)
-                    assert got == exhaustive_survival(a, b, corners, patch, radius)
+                    monkeypatch.setattr(shots, "PATCH_SIZE", patch)
+                    got = survival_ratio(sig_a, sig_b)
+                    assert got == exhaustive_survival(a, b, sig_a.corners)
                     ratios.append(got)
         # both kinds of pair: a full match and an exhausted search
         assert cuts and 1.0 in ratios and min(ratios) < 1.0
@@ -133,7 +137,7 @@ class TestSurvivalSearch:
         rng = rng_stream(8, "shot")
         f = rng.integers(0, 256, size=(24, 24, 3)).astype(np.uint8)
         g = rng.integers(0, 256, size=(24, 24, 3)).astype(np.uint8)
-        corners = frame_signature(f).corners
+        sig_f, sig_g = frame_signature(f), frame_signature(g)
         filtered = []
         real = shots.uniform_filter1d
 
@@ -142,37 +146,73 @@ class TestSurvivalSearch:
             return real(stack, *args, **kw)
 
         monkeypatch.setattr(shots, "uniform_filter1d", counting)
+        monkeypatch.setattr(shots, "SEARCH_RADIUS", 4)
         # identical frames: ring 0's one shift matches every corner
-        assert survival_ratio(f, f, corners, search_radius=4) == 1.0
+        assert survival_ratio(sig_f, sig_f) == 1.0
         assert filtered == [1, 1]  # one shift, filtered along rows then columns
         # unrelated frames keep lost corners, so every shift is searched
         filtered.clear()
-        assert survival_ratio(f, g, corners, search_radius=4) < 1.0
+        assert survival_ratio(sig_f, sig_g) < 1.0
         assert sum(filtered) == 2 * 9 * 9
 
-    def test_patch_size_validated(self):
-        f = solid(10, 10, 10)
-        with pytest.raises(ValueError, match="patch_size"):
-            survival_ratio(f, f, np.array([[1, 1]]), patch_size=0)
+
+class TestPairFeatures:
+    def test_converts_each_frame_once(self, monkeypatch):
+        monkeypatch.setattr(shots, "SEARCH_RADIUS", 4)
+        rng = rng_stream(9, "shot")
+        frames = [rng.integers(0, 256, size=(16, 16, 3)).astype(np.uint8) for _ in range(5)]
+        converted = []
+        real = shots._as_float_rgb
+
+        def counting(frame):
+            converted.append(frame)
+            return real(frame)
+
+        monkeypatch.setattr(shots, "_as_float_rgb", counting)
+        pair_features(frames)
+        assert len(converted) == len(frames)
+
+    def test_survival_equals_exhaustive_search(self):
+        rng = rng_stream(10, "shot")
+        frames, cuts = synthetic_cut_video(rng, 6, 2)
+        _, survs = pair_features(frames)
+        want = [exhaustive_survival(a, b, frame_signature(a).corners)
+                for a, b in zip(frames, frames[1:])]
+        assert survs.tolist() == want
+        assert cuts and min(want) < 1.0
+
+    @pytest.mark.parametrize("bad", [
+        lambda f: f / 255.0,
+        lambda f: f.astype(np.int64),
+        lambda f: np.concatenate([f, f]),
+    ], ids=["float", "int64", "taller"])
+    def test_frame_not_uint8_like_frame_0_rejected(self, bad):
+        frames = [solid(10, 20, 30) for _ in range(4)]
+        frames[2] = bad(frames[2])
+        with pytest.raises(ValueError, match="frame 2"):
+            pair_features(frames)
 
 
 class TestBoundaries:
-    def test_constant_video_has_no_boundaries(self):
+    def test_constant_video_has_no_boundaries(self, monkeypatch):
+        monkeypatch.setattr(shots, "SEARCH_RADIUS", 4)
         frames = [solid(90, 120, 40) for _ in range(6)]
-        assert detect_boundaries(frames, 0.2, 0.5, search_radius=4) == []
+        assert detect_boundaries(frames, 0.2, 0.5) == []
 
-    def test_three_segments_two_boundaries(self):
+    def test_three_segments_two_boundaries(self, monkeypatch):
+        monkeypatch.setattr(shots, "SEARCH_RADIUS", 4)
         rng = rng_stream(5, "shot")
         frames, cuts = synthetic_cut_video(rng, 12, 2)
-        got = detect_boundaries(frames, 0.5, 0.5, search_radius=4)
+        got = detect_boundaries(frames, 0.5, 0.5)
         assert got == cuts
         assert len(got) == 2
 
-    def test_lowering_theta_hist_only_adds(self):
+    def test_lowering_theta_hist_only_adds(self, monkeypatch):
+        monkeypatch.setattr(shots, "SEARCH_RADIUS", 4)
         rng = rng_stream(6, "shot")
         frames, _ = synthetic_cut_video(rng, 10, 2)
-        hi = set(detect_boundaries(frames, 0.8, 0.0, search_radius=4))
-        lo = set(detect_boundaries(frames, 0.1, 0.0, search_radius=4))
+        hi = set(detect_boundaries(frames, 0.8, 0.0))
+        lo = set(detect_boundaries(frames, 0.1, 0.0))
         assert hi <= lo
 
     def test_threshold_validation(self):
@@ -190,18 +230,18 @@ class TestBoundaries:
 
 
 class TestFit:
-    def test_fitted_thresholds_reach_high_f(self):
+    def test_fitted_thresholds_reach_high_f(self, monkeypatch):
+        monkeypatch.setattr(shots, "SEARCH_RADIUS", 4)
         rng = rng_stream(7, "shot")
         videos = []
         for _ in range(12):
             frames, cuts = synthetic_cut_video(rng, 8, int(rng.integers(1, 3)))
             videos.append((frames, cuts))
-        fit = fit_thresholds(videos, search_radius=4)
+        fit = fit_thresholds(videos)
         assert fit.f_score >= 0.98
         # thresholds generalize to fresh videos from the same process
         frames, cuts = synthetic_cut_video(rng, 10, 2)
-        got = detect_boundaries(frames, fit.theta_hist, fit.theta_survive,
-                                search_radius=4)
+        got = detect_boundaries(frames, fit.theta_hist, fit.theta_survive)
         assert boundary_f_score(got, cuts) >= 0.5
 
     def test_f_score_fixture(self):
@@ -212,11 +252,18 @@ class TestFit:
 
 class TestFitValidation:
     @pytest.mark.parametrize("bad", [0, 6, -1])
-    def test_boundary_index_out_of_range(self, bad):
+    def test_boundary_index_out_of_range(self, bad, monkeypatch):
+        monkeypatch.setattr(shots, "SEARCH_RADIUS", 1)
         frames = [solid(90, 120, 40) for _ in range(6)]
         good = [solid(10, 10, 10) for _ in range(4)]
         with pytest.raises(ValueError, match=f"video 1: boundary index {bad} outside 1..5"):
-            fit_thresholds([(good, []), (frames, [2, bad])], search_radius=1)
+            fit_thresholds([(good, []), (frames, [2, bad])])
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_video_shorter_than_two_frames(self, n):
+        good = [solid(10, 10, 10) for _ in range(4)]
+        with pytest.raises(ValueError, match="video 1: need at least 2 frames"):
+            fit_thresholds([(good, []), (good[:n], [])])
 
     def test_no_videos(self):
         with pytest.raises(ValueError, match="at least one"):
