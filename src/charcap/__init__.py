@@ -8,7 +8,7 @@ Library layout:
 - ``shots``: shot-boundary detection from histograms and point survival
 - ``multicut``: two-level clustering tracker over signed pairwise costs
 - ``track_features``: track types, box overlap, statistics, normalization
-- ``linker``: semi-supervised mention-to-track linking (linked groundings)
+- ``linker``: mention-to-track linking by reconstruction (linked groundings)
 - ``decoder``: joint attention sentence decoder with manual gradients
 """
 

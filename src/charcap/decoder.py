@@ -485,9 +485,17 @@ def train_decoder(corpus: Corpus, supervision, config: DecoderConfig,
     """Mini-batch training with teacher forcing; deterministic per seed.
 
     Attention supervision is dropped when config.attention_supervision is
-    False (the words-only ablation). Raises TrainingDiverged with the
+    False (the words-only ablation). Raises ValueError when a corpus
+    vector is not as wide as ``config`` says, and TrainingDiverged with the
     last finite-loss parameters if the loss or a weight goes non-finite.
     """
+    for clip in corpus.clips:
+        for name, v in [("v_global", clip.v_global)] + [
+                (n, getattr(t, n)) for t in clip.tracks for n in ("v_head", "v_body")]:
+            dim = "d_" + name[2:]
+            if len(v) != getattr(config, dim):
+                raise ValueError(f"train_decoder: corpus {name} width {len(v)} differs "
+                                 f"from DecoderConfig.{dim} = {getattr(config, dim)}")
     if norm is None:
         norm = fit_norm_stats([t for c in corpus.clips for t in c.tracks])
     items = build_train_items(corpus, supervision, norm, config)

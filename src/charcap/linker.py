@@ -1,4 +1,4 @@
-"""Semi-supervised linking of character mentions to tracks.
+"""Linking of character mentions to tracks by reconstruction.
 
 A mention (gender, name) is encoded by a two-step LSTM over its gender
 and name token embeddings; a scorer turns (mention encoding, track head
@@ -6,16 +6,16 @@ feature) into a logit per track and the softmax is the linking attention.
 The logits carry no bias: the softmax over tracks is shift-invariant, so a
 bias would change no output and its gradient would be exactly 0.
 Training reconstructs the (gender, name) pair from the attention-weighted
-track feature; clips with a single name and a single track additionally
-supervise the attention directly, which is what seeds the semi-supervised
-loop. A mini-batch of mentions runs as ``(B, ·)`` arrays, each mention's
-tracks padded to the batch's largest count and masked out of the softmax;
-``Linker.link_clip`` scores all mentions of a clip the same way. The
-trained linker grounds every mention, and ``corpus.pair_supervision``
-turns those groundings into the joint attention supervision targets.
+track feature (GroundeR's loss; Rohrbach et al., ECCV 2016) and supervises
+no link: a singleton clip's one track has attention exactly 1, so its
+cross-entropy would be 0. A mini-batch of mentions runs as ``(B, ·)``
+arrays, each mention's tracks padded to the batch's largest count and
+masked out of the softmax; ``Linker.link_clip`` scores all mentions of a
+clip the same way. The trained linker grounds every mention, and
+``corpus.pair_supervision`` turns those groundings into the joint
+attention supervision targets.
 """
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,9 +45,7 @@ class LinkInstance:
     gender: str
     name_id: int
     features: np.ndarray          # (C, d_head) normalized track heads
-    track_ids: list               # aligned with rows of features
-    supervised: bool              # singleton clip: one name, one track
-    gt_track_ids: list = field(default_factory=list)
+    supervised: bool              # singleton clip (one name, one track): link known
 
 
 def init_linker_params(config: LinkerConfig, n_names, d_head, seed):
@@ -88,9 +86,7 @@ def _score(params, config, gender_rows, name_rows, V, valid):
     (B, C) marks the real ones; padding tracks get exactly 0 attention.
     The scorer's first layer ``W_s1 @ [m; v]`` is applied as a mention part
     (once per mention) plus a track part (once per track), so the pair
-    ``[m; v]`` is never formed. Returns (att, ce_first, T, m, lstm_caches),
-    with ``ce_first`` each row's cross-entropy against its first track, the
-    supervised loss of a singleton clip's mention.
+    ``[m; v]`` is never formed. Returns (att, T, m, lstm_caches).
     """
     H = config.hidden
     B, C, d = V.shape
@@ -103,36 +99,36 @@ def _score(params, config, gender_rows, name_rows, V, valid):
          + (m @ W1[:, :H].T)[:, None, :] + params["b_s1"])
     T = np.tanh(A)
     s = T @ params["w_s2"]
-    att, ce_first = softmax_cross_entropy(s, np.zeros(B, dtype=int), valid)
-    return att, ce_first, T, m, (cache1, cache2)
+    att = softmax_cross_entropy(s, np.zeros(B, dtype=int), valid)[0]
+    return att, T, m, (cache1, cache2)
 
 
-def _batch_loss_and_grads(params, config, instances, name_rows, name_idx, grads):
+def _batch_loss_and_grads(params, config, instances, names, grads):
     """Accumulate the gradients of a batch of instances into ``grads``;
     returns the batch's summed loss.
 
     The batch runs as ``(B, ·)`` arrays: tracks padded to the batch's
     largest C, the two-step mention encoder on rows, a masked softmax over
-    tracks and the reconstruction heads as matmuls.
+    tracks and the reconstruction heads as matmuls. ``names`` maps each
+    character to its class; its embedding row is ``2 + class``.
     """
     H = config.hidden
     genders = np.array([Linker.GENDER_ROWS[i.gender] for i in instances])
-    rows = np.array([name_rows[i.name_id] for i in instances])
-    names = np.array([name_idx[i.name_id] for i in instances])
-    sup = np.array([i.supervised for i in instances])
+    classes = np.array([names[i.name_id] for i in instances])
+    rows = 2 + classes
     V, valid = _pad_tracks([i.features for i in instances])
     B, C, d = V.shape
-    att, ce_first, T, m, (cache1, cache2) = _score(params, config, genders, rows, V, valid)
+    att, T, m, (cache1, cache2) = _score(params, config, genders, rows, V, valid)
 
     v_att = (att[:, None, :] @ V)[:, 0]
     r = np.tanh(v_att @ params["W_r"].T + params["b_r"])
     dg, loss_g = softmax_cross_entropy(r @ params["W_g"].T + params["b_g"], genders)
-    dn, loss_n = softmax_cross_entropy(r @ params["W_n"].T + params["b_n"], names)
-    loss = loss_g.sum() + loss_n.sum() + ce_first[sup].sum()
+    dn, loss_n = softmax_cross_entropy(r @ params["W_n"].T + params["b_n"], classes)
+    loss = loss_g.sum() + loss_n.sum()
 
     # reconstruction heads
     dg[np.arange(B), genders] -= 1.0
-    dn[np.arange(B), names] -= 1.0
+    dn[np.arange(B), classes] -= 1.0
     grads["W_g"] += dg.T @ r
     grads["b_g"] += dg.sum(axis=0)
     grads["W_n"] += dn.T @ r
@@ -142,12 +138,9 @@ def _batch_loss_and_grads(params, config, instances, name_rows, name_idx, grads)
     grads["b_r"] += dr_pre.sum(axis=0)
     dv_att = dr_pre @ params["W_r"]
 
-    # attention: softmax jacobian from the pooled feature, plus the
-    # supervised cross-entropy applied directly at the logits
+    # attention: softmax jacobian from the pooled feature
     datt = (V @ dv_att[:, :, None])[:, :, 0]
     ds = att * (datt - (att * datt).sum(axis=1, keepdims=True))
-    ds[sup] += att[sup]
-    ds[sup, 0] -= 1.0
 
     grads["w_s2"] += T.reshape(B * C, -1).T @ ds.reshape(-1)
     dA = ds[:, :, None] * params["w_s2"] * (1.0 - T * T)
@@ -170,29 +163,27 @@ class Linker:
     params: dict
     config: LinkerConfig
     norm: NormStats
-    name_rows: dict   # character id -> embedding row
+    names: dict   # character id -> reconstruction class; embedding row 2 + class
     history: list = field(default_factory=list)
-    supervised_instances: int = 0  # training instances from singleton clips
+    supervised_instances: int = 0  # training mentions of singleton clips: link known
 
     GENDER_ROWS = {"M": 0, "F": 1}  # embedding row and reconstruction class
 
     def _rows(self, gender, name_id):
-        if name_id not in self.name_rows:
+        if name_id not in self.names:
             raise KeyError(f"linker was not trained on character {name_id}")
-        return self.GENDER_ROWS[gender], self.name_rows[name_id]
+        return self.GENDER_ROWS[gender], 2 + self.names[name_id]
 
     def link_clip(self, clip: Clip):
         """Grounded track id per mention of a clip, in sentence order.
 
-        Returns list of (mention, track_id, attention). Raises on a clip
-        without tracks; callers skip such clips.
+        Returns list of (mention, track_id, attention); empty for a clip
+        without tracks or without mentions.
         """
-        if not clip.tracks:
-            raise ValueError(f"clip {clip.id}: no tracks to link against")
-        feats = apply_norm(clip.tracks, self.norm, "v_head")
         mentions = sorted(clip.mentions, key=lambda m: m.pos)
-        if not mentions:
+        if not clip.tracks or not mentions:
             return []
+        feats = apply_norm(clip.tracks, self.norm, "v_head")
         genders, rows = zip(*(self._rows(m.gender, m.char_id) for m in mentions))
         shape = (len(mentions),) + feats.shape
         att = _score(self.params, self.config, list(genders), list(rows),
@@ -203,38 +194,28 @@ class Linker:
 def build_link_instances(corpus: Corpus, norm: NormStats):
     """One instance per mention over both clips of every pair."""
     out = []
-    for pair in corpus.pairs:
-        for clip in (pair.prev, pair.cur):
-            if clip is None or not clip.tracks:
-                continue
-            feats = apply_norm(clip.tracks, norm, "v_head")
-            names_in_sentence = len(clip.mentions)
-            singleton = len(clip.tracks) == 1 and names_in_sentence == 1
-            for m in clip.mentions:
-                out.append(LinkInstance(
-                    gender=m.gender, name_id=m.char_id, features=feats,
-                    track_ids=[t.id for t in clip.tracks],
-                    supervised=singleton, gt_track_ids=list(m.gt_track_ids)))
+    for clip in corpus.clips:
+        if not clip.tracks:
+            continue
+        feats = apply_norm(clip.tracks, norm, "v_head")
+        singleton = len(clip.tracks) == 1 and len(clip.mentions) == 1
+        for m in clip.mentions:
+            out.append(LinkInstance(gender=m.gender, name_id=m.char_id,
+                                    features=feats, supervised=singleton))
     return out
 
 
 def train_linker(corpus: Corpus, config: LinkerConfig = None, seed=0):
     """Train on every mention of the corpus; returns a ready ``Linker``."""
     config = config or LinkerConfig()
-    all_tracks = [t for clip in corpus.clips for t in clip.tracks]
-    norm = fit_norm_stats(all_tracks)
+    norm = fit_norm_stats([t for clip in corpus.clips for t in clip.tracks])
     instances = build_link_instances(corpus, norm)
     if not instances:
         raise ValueError("train_linker: corpus has no mentions")
-    if not any(i.supervised for i in instances):
-        warnings.warn("no singleton (one name, one track) clips: training "
-                      "fully unsupervised", stacklevel=2)
 
-    name_ids = sorted({i.name_id for i in instances})
-    name_rows = {nid: 2 + k for k, nid in enumerate(name_ids)}
-    name_idx = {nid: k for k, nid in enumerate(name_ids)}
+    names = {nid: k for k, nid in enumerate(sorted({i.name_id for i in instances}))}
     d_head = instances[0].features.shape[1]
-    params = init_linker_params(config, len(name_ids), d_head, seed)
+    params = init_linker_params(config, len(names), d_head, seed)
     opt = Adam(lr=config.lr)
     rng = rng_stream(seed, "linker-train")
 
@@ -246,39 +227,24 @@ def train_linker(corpus: Corpus, config: LinkerConfig = None, seed=0):
         for start in range(0, len(order), bs):
             batch = [instances[i] for i in order[start:start + bs]]
             grads = zeros_like_params(params)
-            total += _batch_loss_and_grads(params, config, batch, name_rows,
-                                           name_idx, grads)
+            total += _batch_loss_and_grads(params, config, batch, names, grads)
             for k in grads:
                 grads[k] /= len(batch)
             opt.step(params, grads)
         history.append(total / len(instances))
-    return Linker(params=params, config=config, norm=norm,
-                  name_rows=name_rows, history=history,
+    return Linker(params=params, config=config, norm=norm, names=names, history=history,
                   supervised_instances=sum(i.supervised for i in instances))
-
-
-def linker_loss(params, config, instances, name_rows, name_idx):
-    """Mean loss and gradients over fixed instances (for checks/tests)."""
-    grads = zeros_like_params(params)
-    total = _batch_loss_and_grads(params, config, instances, name_rows, name_idx, grads)
-    n = len(instances)
-    for k in grads:
-        grads[k] /= n
-    return total / n, grads
 
 
 def linking_accuracy(linker: Linker, corpus: Corpus):
     """Fraction of mentions whose argmax track is a ground-truth track."""
     hit = n = 0
-    for pair in corpus.pairs:
-        for clip in (pair.prev, pair.cur):
-            if clip is None or not clip.tracks:
+    for clip in corpus.clips:
+        for m, tid, _ in linker.link_clip(clip):
+            if not m.gt_track_ids:
                 continue
-            for m, tid, _ in linker.link_clip(clip):
-                if not m.gt_track_ids:
-                    continue
-                n += 1
-                hit += tid in m.gt_track_ids
+            n += 1
+            hit += tid in m.gt_track_ids
     return hit / n if n else 0.0
 
 
@@ -292,7 +258,7 @@ def build_attention_gt(linker: Linker, corpus: Corpus):
     mention is grounded in its argmax track, and a clip without tracks
     grounds nothing."""
     def links(clip):
-        if clip is None or not clip.tracks:
+        if clip is None:
             return []
         return [(m, tid) for m, tid, _ in linker.link_clip(clip)]
     return [pair_supervision(pair, links(pair.prev), links(pair.cur))

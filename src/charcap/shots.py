@@ -220,7 +220,10 @@ def fit_thresholds(videos):
             if not 1 <= b <= len(frames) - 1:
                 raise ValueError(f"video {v}: boundary index {b} outside "
                                  f"1..{len(frames) - 1}")
-        d, s = pair_features(frames)
+        try:
+            d, s = pair_features(frames)
+        except ValueError as exc:
+            raise ValueError(f"video {v}: {exc}") from None
         dists.append(d)
         survs.append(s)
         lab = np.zeros(len(frames) - 1, dtype=bool)

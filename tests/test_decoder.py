@@ -350,6 +350,17 @@ class TestTraining:
             train_decoder(corpus, planted(corpus), cfg, seed=1)
         assert all(np.all(np.isfinite(v)) for v in exc.value.params.values())
 
+    @pytest.mark.parametrize("field, dim, width", [
+        ("v_head", "d_head", 8), ("v_body", "d_body", 6), ("v_global", "d_global", 10)])
+    def test_corpus_width_must_match_config(self, field, dim, width):
+        corpus = generate_corpus(CorpusConfig(n_pairs=4, d_head=8, d_body=6, d_global=10),
+                                 seed=1)
+        cfg = DecoderConfig(d_head=8, d_body=6, d_global=10, epochs=1)
+        cfg = dataclasses.replace(cfg, **{dim: width + 1})
+        with pytest.raises(ValueError, match=f"{field} width {width} differs "
+                                             f"from DecoderConfig.{dim} = {width + 1}"):
+            train_decoder(corpus, planted(corpus), cfg)
+
     def test_without_attention_supervision_only_words_are_learned(self):
         ccfg = CorpusConfig(n_pairs=10, n_characters=4, d_head=8, d_body=6,
                             d_global=8, sigma=0.05)

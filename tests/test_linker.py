@@ -6,12 +6,12 @@ import pytest
 from charcap.corpus import CorpusConfig, generate_corpus, planted_supervision
 from charcap.linker import (
     Linker, LinkerConfig, build_attention_gt, build_link_instances,
-    init_linker_params, linker_loss, linking_accuracy, train_linker,
+    init_linker_params, linking_accuracy, train_linker,
 )
-from charcap.linker import LinkInstance, _pad_tracks, _score
+from charcap.linker import LinkInstance, _batch_loss_and_grads, _pad_tracks, _score
 from charcap.numerics import (
     cross_entropy, finite_diff_check, lstm_step_backward, lstm_step_forward,
-    rng_stream, softmax,
+    rng_stream, softmax, zeros_like_params,
 )
 from charcap.track_features import apply_norm, fit_norm_stats
 
@@ -29,6 +29,15 @@ def trained():
     train, test = corpus.split(80)
     linker = train_linker(train, LinkerConfig(epochs=50), seed=3)
     return linker, train, test
+
+
+def linker_loss(params, cfg, instances, names):
+    """Mean loss and gradients over fixed instances."""
+    grads = zeros_like_params(params)
+    total = _batch_loss_and_grads(params, cfg, instances, names, grads)
+    for k in grads:
+        grads[k] /= len(instances)
+    return total / len(instances), grads
 
 
 def one_mention(params, cfg, gender_row, name_row, features):
@@ -52,11 +61,10 @@ class TestForward:
         assert abs(att.sum() - 1.0) <= 1e-9
         assert (att >= 0).all()
 
-    def test_empty_track_list_rejected(self, trained):
+    def test_clip_without_tracks_links_nothing(self, trained):
         linker, _, test = trained
-        clip = dataclasses.replace(test.clips[0], tracks=[])
-        with pytest.raises(ValueError):
-            linker.link_clip(clip)
+        clip = next(c for c in test.clips if c.mentions)
+        assert linker.link_clip(dataclasses.replace(clip, tracks=[])) == []
 
 
 class TestGradients:
@@ -65,12 +73,10 @@ class TestGradients:
         norm = fit_norm_stats([t for c in corpus.clips for t in c.tracks])
         insts = build_link_instances(corpus, norm)[:4]
         cfg = LinkerConfig(d_emb=5, hidden=6, scorer_hidden=5, recon_hidden=5)
-        name_ids = sorted({i.name_id for i in insts})
-        rows = {n: 2 + k for k, n in enumerate(name_ids)}
-        idx = {n: k for k, n in enumerate(name_ids)}
-        params = init_linker_params(cfg, len(name_ids), 16, seed=0)
+        names = {n: k for k, n in enumerate(sorted({i.name_id for i in insts}))}
+        params = init_linker_params(cfg, len(names), 16, seed=0)
         err = finite_diff_check(
-            lambda p: linker_loss(p, cfg, insts, rows, idx), params,
+            lambda p: linker_loss(p, cfg, insts, names), params,
             max_coords_per_array=6)
         assert err <= 1e-4
 
@@ -84,38 +90,26 @@ class TestTraining:
         linker, train, test = trained
         rng = rng_stream(9, "shuffle")
         hits, n, inv_c = 0, 0, 0.0
-        insts = build_link_instances(test, linker.norm)
-        for inst in insts:
-            c = len(inst.track_ids)
-            if c < 2 or not inst.gt_track_ids:
+        for clip in test.clips:
+            c = len(clip.tracks)
+            if c < 2:
                 continue
-            # features no longer describe their tracks: position argmax is
-            # right only when the permutation fixes the ground-truth row
-            perm = rng.permutation(c)
-            g, nrow = linker._rows(inst.gender, inst.name_id)
-            att = one_mention(linker.params, linker.config, g, nrow, inst.features[perm])
-            chosen = inst.track_ids[int(np.argmax(att))]
-            hits += chosen in inst.gt_track_ids
-            n += 1
-            inv_c += 1.0 / c
+            feats = apply_norm(clip.tracks, linker.norm, "v_head")
+            for m in clip.mentions:
+                if not m.gt_track_ids:
+                    continue
+                # features no longer describe their tracks: position argmax is
+                # right only when the permutation fixes the ground-truth row
+                perm = rng.permutation(c)
+                g, nrow = linker._rows(m.gender, m.char_id)
+                att = one_mention(linker.params, linker.config, g, nrow, feats[perm])
+                chosen = clip.tracks[int(np.argmax(att))].id
+                hits += chosen in m.gt_track_ids
+                n += 1
+                inv_c += 1.0 / c
         acc = hits / n
         assert acc < 0.55
         assert abs(acc - inv_c / n) < 0.25
-
-    def test_no_singletons_warns(self):
-        corpus = generate_corpus(corpus_cfg(n_pairs=8, singleton_fraction=0.0,
-                                            max_distractors=2), seed=11)
-        # force multi-track clips so no singleton condition holds
-        eligible = all(len(c.tracks) > 1 or len(c.mentions) != 1
-                       for c in corpus.clips)
-        if not eligible:
-            for c in corpus.clips:
-                if len(c.tracks) == 1:
-                    c.tracks = c.tracks * 1  # keep: filtered below
-            corpus.pairs = [p for p in corpus.pairs
-                            if len(p.prev.tracks) > 1 and len(p.cur.tracks) > 1]
-        with pytest.warns(UserWarning, match="unsupervised"):
-            train_linker(corpus, LinkerConfig(epochs=1), seed=0)
 
     def test_unknown_character_rejected(self, trained):
         linker, _, test = trained
@@ -199,11 +193,6 @@ def _reference_instance(params, cfg, inst, name_row, name_index, grads):
     grads["b_r"] += dr_pre
     datt = V @ (params["W_r"].T @ dr_pre)
     ds = att * (datt - att @ datt)
-    if inst.supervised:
-        loss += cross_entropy(s, 0)
-        sup = att.copy()
-        sup[0] -= 1.0
-        ds += sup
     grads["w_s2"] += T.T @ ds
     dA = np.outer(ds, params["w_s2"]) * (1.0 - T * T)
     grads["W_s1"] += dA.T @ Z
@@ -227,29 +216,39 @@ class TestBatch:
         spec = [("M", 0, 1, True), ("F", 1, 4, False), ("F", 2, 1, False),
                 ("M", 1, 3, True), ("M", 2, 2, False)]
         insts = [LinkInstance(gender=g, name_id=n, features=rng.normal(size=(C, 7)),
-                              track_ids=list(range(C)), supervised=sup)
+                              supervised=sup)
                  for g, n, C, sup in spec]
-        rows = {n: 2 + n for n in range(3)}
-        idx = {n: n for n in range(3)}
-        return cfg, init_linker_params(cfg, 3, 7, seed=4), insts, rows, idx
+        names = {n: n for n in range(3)}
+        return cfg, init_linker_params(cfg, 3, 7, seed=4), insts, names
 
     def test_batched_loss_and_gradients_equal_per_instance(self):
         # the batch sums in another order: equal to 1e-12 of each array
-        cfg, params, insts, rows, idx = self._batch()
-        loss, grads = linker_loss(params, cfg, insts, rows, idx)
+        cfg, params, insts, names = self._batch()
+        loss, grads = linker_loss(params, cfg, insts, names)
         want = {k: np.zeros_like(v) for k, v in params.items()}
-        want_loss = sum(_reference_instance(params, cfg, i, rows[i.name_id], idx[i.name_id], want)
+        want_loss = sum(_reference_instance(params, cfg, i, 2 + names[i.name_id],
+                                            names[i.name_id], want)
                         for i in insts) / len(insts)
         assert abs(loss - want_loss) <= 1e-12 * want_loss
         for k in params:
             want[k] /= len(insts)
             assert np.abs(grads[k] - want[k]).max() <= 1e-12 * np.abs(want[k]).max(), k
 
+    def test_supervised_flag_changes_nothing(self):
+        # a singleton clip's link is known but adds no loss term
+        cfg, params, insts, names = self._batch()
+        flipped = [dataclasses.replace(i, supervised=not i.supervised) for i in insts]
+        loss, grads = linker_loss(params, cfg, insts, names)
+        loss_f, grads_f = linker_loss(params, cfg, flipped, names)
+        assert loss == loss_f
+        for k in params:
+            assert grads[k].tobytes() == grads_f[k].tobytes(), k
+
     def test_padding_tracks_get_zero_attention(self):
-        cfg, params, insts, rows, _ = self._batch()
+        cfg, params, insts, classes = self._batch()
         V, valid = _pad_tracks([i.features for i in insts])
         genders = [Linker.GENDER_ROWS[i.gender] for i in insts]
-        names = [rows[i.name_id] for i in insts]
+        names = [2 + classes[i.name_id] for i in insts]
         att = _score(params, cfg, genders, names, V, valid)[0]
         assert valid.sum() < valid.size
         assert (att[~valid] == 0.0).all()

@@ -265,6 +265,12 @@ class TestFitValidation:
         with pytest.raises(ValueError, match="video 1: need at least 2 frames"):
             fit_thresholds([(good, []), (good[:n], [])])
 
+    def test_bad_frame_names_video_and_frame(self):
+        good = [solid(10, 10, 10) for _ in range(4)]
+        bad = [solid(10, 10, 10), solid(10, 10, 10).astype(np.float64)]
+        with pytest.raises(ValueError, match="video 1: frame 1: .*float64"):
+            fit_thresholds([(good, []), (bad, [])])
+
     def test_no_videos(self):
         with pytest.raises(ValueError, match="at least one"):
             fit_thresholds([])
