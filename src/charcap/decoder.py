@@ -13,27 +13,27 @@ vector and the previous word embedding. The logits carry no bias: the
 softmax is shift-invariant, so a bias would change no output and its
 gradient would be exactly 0.
 
-Only what depends on the hidden state is computed per step. The cell
+Only what depends on the hidden state is computed per step: the cell
 embeddings, their tanh and the cell features (``attention_terms``) are
-built once per sentence. Of the LSTM input ``[v_grounded, v_global,
-E[w_prev]]`` only ``v_grounded`` comes out of the recurrence, so
-``W_lstm`` is split (``_split_lstm``) once per mini-batch or decoded
-pair: each step multiplies only the grounded and hidden-state columns and
-adds ``W_glob @ v_global + b_lstm + EW[w_prev]``, an input contribution
+built once per sentence or mini-batch, and ``W_lstm`` is split
+(``_split_lstm``) so that a step multiplies only its grounded and
+hidden-state columns and adds ``W_glob @ v_global + b_lstm + EW[w_prev]``,
 known before the loop (the input-GEMM hoist of Appleyard, Kočiský and
 Blunsom, arXiv 1604.01946).
 
 Training uses teacher forcing with two equally weighted terms: word
 cross-entropy at every step, and attention cross-entropy against the
 automatic one-hot targets at supervised person-word steps. All gradients
-are hand-written and finite-difference checked. The work is split in two.
-``sentence_loss`` runs the recurrence only: attention and LSTM forward per
-step, then the word loss of all steps at once (under teacher forcing the
-output layer is not part of the recurrence), then the LSTM and attention
-backward per step. It returns rows: per step, per grid cell and per
-current track. ``weight_gradients`` forms every weight's gradient from the
-rows of one or more sentences, one product per weight; training calls it
-once per mini-batch. ``W_lstm`` stays one stored array.
+are hand-written and finite-difference checked. ``sentence_loss`` runs a
+mini-batch as one recurrence over ``(B, ·)`` rows, one attention step and
+one LSTM step per time step (the batching half of the same paper). Each
+pair's grid is padded to the batch's largest ``(P+1, C)`` with invalid
+slots and each sentence to the longest with masked steps, which have no
+loss, so their backward is exactly zero; a grid without a valid cell gets
+zero attention and grounded vector. One pair is the same code without the
+batch axis. ``weight_gradients`` forms each weight's gradient in one
+product from the rows of the items' real steps, own grid cells and own
+current-track slots, item after item: padding is dropped.
 
 Checkpoints are a one-line JSON header (magic string, format version,
 dims, vocab, array table) followed by raw little-endian float64 blocks,
@@ -52,7 +52,7 @@ from .corpus import (
 )
 from .numerics import (
     Adam, FLOAT, cross_entropy, glorot_uniform, lstm_init, lstm_step_backward,
-    lstm_step_forward, masked_softmax, rng_stream, softmax_cross_entropy,
+    lstm_step_forward, rng_stream, softmax_cross_entropy,
     zeros_like_params,
 )
 from .track_features import STAT_DIM, NormStats, apply_norm, fit_norm_stats
@@ -126,7 +126,8 @@ def init_decoder_params(config: DecoderConfig, vocab_size, seed):
 
 @dataclass
 class PairFeatures:
-    """Normalized numeric view of one clip pair, ready for the decoder.
+    """Normalized numeric view of one clip pair, ready for the decoder,
+    or of a mini-batch of pairs with a leading batch axis on every array.
 
     Feature rows may include padding slots (zero vectors) masked out by
     ``cur_valid``/``prev_valid``; real rows precede padding.
@@ -154,9 +155,8 @@ def pair_features(pair: ClipPair, prev_grounding, norm: NormStats,
         cb = apply_norm(cur, norm, "v_body")
         cs = apply_norm(cur, norm, "v_stat")
     else:  # a clip without tracks keeps one zero padding slot
-        ch = np.zeros((1, config.d_head), dtype=FLOAT)
-        cb = np.zeros((1, config.d_body), dtype=FLOAT)
-        cs = np.zeros((1, STAT_DIM), dtype=FLOAT)
+        ch, cb, cs = (np.zeros((1, d), dtype=FLOAT)
+                      for d in (config.d_head, config.d_body, STAT_DIM))
     prev_tracks = []
     if pair.prev is not None:
         by_id = {t.id: t for t in pair.prev.tracks}
@@ -175,8 +175,8 @@ def pair_features(pair: ClipPair, prev_grounding, norm: NormStats,
 # ---------------------------------------------------------------------------
 
 class AttentionTerms(NamedTuple):
-    """The parts of one pair's attention that do not depend on the hidden
-    state; ``attention_terms`` builds them once per sentence."""
+    """The parts of the attention that do not depend on the hidden state,
+    after the batch axis of a mini-batch's ``PairFeatures``, if any."""
     M: np.ndarray      # (P_slots+1, C_slots, d_head) re-identification feature
     f_cur: np.ndarray  # (C_slots, d_att) current-track embedding
     Tf: np.ndarray     # (P_slots+1, C_slots, d_att) tanh(M W_id^T + f_cur + b_v)
@@ -184,82 +184,105 @@ class AttentionTerms(NamedTuple):
     cell: np.ndarray   # (P_slots+1, C_slots, d_grounded) concatenated cell features
 
 
+def _stack_features(feats):
+    """The ``PairFeatures`` of a mini-batch as one with a leading batch
+    axis, each pair's slots padded to the batch's largest count with
+    invalid zero slots, and the ``(B, P_slots+1, C_slots)`` mask of the
+    grid cells each pair has itself (its own padding slots included)."""
+    own_cur, own_prev = (np.arange(max(n)) < np.array(n)[:, None] for n in (
+        [len(f.cur_head) for f in feats], [len(f.prev_head) for f in feats]))
+    stacked = {"v_global": np.stack([f.v_global for f in feats])}
+    for name in ("cur_head", "cur_body", "cur_stat", "cur_valid", "prev_head", "prev_valid"):
+        slots = own_cur if name.startswith("cur") else own_prev
+        rows = np.concatenate([getattr(f, name) for f in feats])
+        stacked[name] = np.zeros(slots.shape + rows.shape[1:], dtype=rows.dtype)
+        stacked[name][slots] = rows
+    null = np.ones((len(feats), 1), dtype=bool)
+    own = np.concatenate([null, own_prev], axis=1)[:, :, None] & own_cur[:, None, :]
+    return PairFeatures(**stacked), own
+
+
 def attention_terms(params, feats: PairFeatures):
-    """Hidden-state-free attention terms of one pair: ``M``, ``f_cur``,
-    ``Tf = tanh(F)`` with ``F = M·W_idᵀ + f_cur + b_v``, the ``valid`` cell
-    mask and the ``cell`` tensor. Every step of a sentence shares them."""
-    Vh, Vb, Vs = feats.cur_head, feats.cur_body, feats.cur_stat
-    Hp = feats.prev_head
-    Cs = Vh.shape[0]
-    Ps = Hp.shape[0]
+    """Hidden-state-free attention terms of one pair, or of a batch when
+    ``feats`` has a leading batch axis: ``M``, ``f_cur``, ``Tf = tanh(F)``
+    with ``F = M·W_idᵀ + f_cur + b_v``, the ``valid`` cell mask and the
+    ``cell`` tensor. Every step of a sentence shares them."""
+    Vh, Vb, Vs, Hp = feats.cur_head, feats.cur_body, feats.cur_stat, feats.prev_head
+    grid = Vh.shape[:-2] + (Hp.shape[-2] + 1, Vh.shape[-2])
 
     # cell (0, c) is the null previous track: constant -1 vector
-    M = np.empty((Ps + 1, Cs, Vh.shape[1]), dtype=FLOAT)
-    M[0] = -1.0
-    if Ps:
-        M[1:] = Hp[:, None, :] * Vh[None, :, :]
+    M = np.empty(grid + Vh.shape[-1:], dtype=FLOAT)
+    M[..., 0, :, :] = -1.0
+    M[..., 1:, :, :] = Hp[..., :, None, :] * Vh[..., None, :, :]
 
     f_cur = Vh @ params["W_head"].T + Vb @ params["W_body"].T + Vs @ params["W_stat"].T
-    F = M @ params["W_id"].T + f_cur[None, :, :] + params["b_v"]
+    Tf = M @ params["W_id"].T
+    Tf += f_cur[..., None, :, :]
+    Tf += params["b_v"]
+    np.tanh(Tf, out=Tf)
 
-    valid = np.zeros((Ps + 1, Cs), dtype=bool)
-    valid[0] = feats.cur_valid
-    if Ps:
-        valid[1:] = feats.prev_valid[:, None] & feats.cur_valid[None, :]
+    valid = np.empty(grid, dtype=bool)
+    valid[..., 0, :] = feats.cur_valid
+    valid[..., 1:, :] = feats.prev_valid[..., :, None] & feats.cur_valid[..., None, :]
 
-    cell = np.concatenate([np.broadcast_to(V, (Ps + 1,) + V.shape) for V in (Vh, Vb, Vs)]
-                          + [M], axis=2)
-    return AttentionTerms(M, f_cur, np.tanh(F), valid, cell)
+    cell = np.concatenate([np.broadcast_to(V[..., None, :, :], grid + V.shape[-1:])
+                           for V in (Vh, Vb, Vs)] + [M], axis=-1)
+    return AttentionTerms(M, f_cur, Tf, valid, cell)
 
 
 def attention_step(params, h_prev, feats: PairFeatures, terms=None):
-    """One joint attention evaluation.
+    """One joint attention evaluation of one pair (``h_prev`` 1-D), or of
+    a batch (``h_prev`` rows, ``feats`` with a leading batch axis).
 
-    Returns (alpha, v_grounded, cache): alpha has shape (P_slots+1,
-    C_slots) with exact zeros on padding cells; v_grounded is the
-    attention-weighted concatenation [head, body, stat, id] of the
-    current-track features with the pairwise re-identification feature.
+    Returns (alpha, v_grounded, cache): alpha is each (P_slots+1, C_slots)
+    grid's attention, exactly 0 on padding cells and on a grid without a
+    valid cell; v_grounded is the attention-weighted concatenation [head,
+    body, stat, id] of the current-track and re-identification features.
     ``terms`` is ``attention_terms(params, feats)``, built here when None;
-    a caller running several steps of one pair passes it.
+    a caller running several steps passes it.
     """
-    if terms is None:
-        terms = attention_terms(params, feats)
-    M, f_cur, Tf, valid, cell = terms
-    if not valid.any():
-        return None, np.zeros(cell.shape[2], dtype=FLOAT), None
+    M, f_cur, Tf, valid, cell = attention_terms(params, feats) if terms is None else terms
+    lead = valid.shape[:-2]
 
-    pre_q = params["W_h"] @ h_prev + params["b_h"]
+    pre_q = h_prev @ params["W_h"].T + params["b_h"]
     q = np.tanh(pre_q)
     u = params["w_att"] * q
-    logits = (Tf.reshape(-1, Tf.shape[2]) @ u).reshape(valid.shape)
-    alpha = masked_softmax(logits, valid)
-    v_grounded = alpha.reshape(-1) @ cell.reshape(-1, cell.shape[2])
+    logits = (Tf.reshape(lead + (-1, Tf.shape[-1])) @ u[..., None]).reshape(valid.shape)
+    # softmax over each grid's valid cells; a grid without one has e = 0
+    z = np.where(valid, logits, -np.inf).reshape(lead + (-1,))
+    zmax = z.max(axis=-1, keepdims=True)
+    e = np.exp(z - np.where(zmax > -np.inf, zmax, 0.0))
+    total = e.sum(axis=-1, keepdims=True)
+    alpha = e / np.where(total > 0.0, total, 1.0)
+    v_grounded = (alpha[..., None, :] @ cell.reshape(lead + (-1, cell.shape[-1])))[..., 0, :]
+    alpha = alpha.reshape(valid.shape)
     cache = (M, Tf, q, pre_q, u, alpha, cell, valid, h_prev, f_cur,
              feats.cur_head, feats.cur_body, feats.cur_stat, logits)
     return alpha, v_grounded, cache
 
 
 def attention_backward(params, cache, dv_grounded, dlogits_extra):
-    """The backward through one attention step, without weight gradients.
-
-    ``dlogits_extra`` carries the attention-loss gradient already at the
-    logits (softmax cross-entropy shortcut). Returns (dh_prev, dlogits,
-    du, dpre_q): the gradients at the hidden state, at the cell logits, at
-    ``u = w_att ∘ q`` and at ``pre_q = W_h h_prev + b_h``, from which
-    ``sentence_loss`` builds the rows of ``weight_gradients``.
+    """The backward through one attention step (of one pair or a batch,
+    as it ran), without weight gradients. ``dlogits_extra`` is None or the
+    attention-loss gradient already at the logits. Returns (dh_prev,
+    dlogits, du, dpre_q): the gradients at the hidden state, at the cell
+    logits, at ``u = w_att ∘ q`` and at ``pre_q = W_h h_prev + b_h``, from
+    which ``sentence_loss`` builds the rows of ``weight_gradients``.
     """
     Tf, q, _, _, alpha, cell, valid = cache[1:8]
+    lead = valid.shape[:-2]
 
-    dalpha = (cell.reshape(-1, cell.shape[2]) @ dv_grounded).reshape(alpha.shape)
-    s = float((alpha * dalpha).sum())
-    dlogits = alpha * (dalpha - s)
+    dalpha = (cell.reshape(lead + (-1, cell.shape[-1])) @ dv_grounded[..., None]
+              ).reshape(alpha.shape)
+    s = (alpha * dalpha).reshape(lead + (-1,)).sum(axis=-1)
+    dlogits = alpha * (dalpha - s[..., None, None])
     if dlogits_extra is not None:
         dlogits = dlogits + dlogits_extra
     dlogits = np.where(valid, dlogits, 0.0)
 
-    du = dlogits.reshape(-1) @ Tf.reshape(-1, Tf.shape[2])
+    du = (dlogits.reshape(lead + (1, -1)) @ Tf.reshape(lead + (-1, Tf.shape[-1])))[..., 0, :]
     dpre_q = du * params["w_att"] * (1.0 - q * q)
-    return params["W_h"].T @ dpre_q, dlogits, du, dpre_q
+    return dpre_q @ params["W_h"], dlogits, du, dpre_q
 
 
 # ---------------------------------------------------------------------------
@@ -277,112 +300,115 @@ def _split_lstm(params, config):
     return W_rec, W[:, gr:glob], params["E"] @ W[:, glob:config.d_input].T
 
 
-def sentence_loss(params, config, vocab, feats: PairFeatures, sentence,
-                  alpha_targets=None, split=None):
-    """Teacher-forced loss of one clip pair, and the rows its weight
-    gradients are formed from.
+def sentence_loss(params, config, vocab, batch):
+    """Teacher-forced loss of a mini-batch of ``TrainItem``s, run as one
+    recurrence over ``(B, ·)`` rows, and the rows of its weight gradients.
 
-    ``alpha_targets``: {sentence position tau: (p, c)} with p in 0..P and
-    c in 1..C (1-based); targets outside the valid cells of the grid,
+    An item's ``alpha_targets`` map sentence position tau to (p, c), p in
+    0..P and c in 1..C (1-based); targets outside the item's valid cells,
     including every target of a pair without a valid cell, are skipped
-    and counted. ``split`` is ``_split_lstm(params, config)``, made here
-    when None; a caller running several sentences passes it. Returns
-    (total, word_loss, att_loss, rows, skipped); ``rows`` (see
-    ``weight_gradients``) is None when the word logits are not finite, and
-    the word losses are then inf, so that training aborts.
+    and counted. Returns (total, word_loss, att_loss, rows, skipped): the
+    first three are lists with one float per item. ``rows`` (see
+    ``weight_gradients``) is None when a word logit is not finite, and
+    every word loss is then inf, so that training aborts.
     """
-    tokens = [vocab.index(t) for t in [BOS, *sentence, EOS]]
-    person_idx = {vocab.index(t) for t in PERSON_TOKENS}
-    alpha_targets = alpha_targets or {}
-    W_rec, W_glob, EW = _split_lstm(params, config) if split is None else split
-
+    B, H = len(batch), config.hidden
+    feats, own = _stack_features([item.feats for item in batch])
     terms = attention_terms(params, feats)
     valid = terms.valid
-    words, targets = np.asarray(tokens[:-1]), np.asarray(tokens[1:])
-    inputs = W_glob @ feats.v_global + params["b_lstm"] + EW[words]
-    T, H = len(words), config.hidden
-    h = np.zeros(H, dtype=FLOAT)
-    c = np.zeros(H, dtype=FLOAT)
-    hs = np.empty((T, H), dtype=FLOAT)
-    steps = []
-    att_loss = 0.0
-    skipped = 0
+    W_rec, W_glob, EW = _split_lstm(params, config)
+
+    # sentences padded with EOS to the longest; steps past an item's end are masked
+    lens = np.array([len(item.sentence) + 1 for item in batch])
+    T = int(lens.max())
+    real = np.arange(T) < lens[:, None]  # (B, T)
+    tokens = np.full((B, T + 1), vocab.index(EOS))
+    tokens[np.arange(T + 1) <= lens[:, None]] = [
+        vocab.index(t) for item in batch for t in [BOS, *item.sentence, EOS]]
+    words, targets = tokens[:, :-1], tokens[:, 1:]
+
+    person_idx = {vocab.index(t) for t in PERSON_TOKENS}
+    targeted = [(tau, b, p, ci) for b, item in enumerate(batch)
+                for tau, (p, ci) in item.alpha_targets.items()
+                if 0 <= tau < lens[b] and targets[b, tau] in person_idx]
+    supervised = [[] for _ in range(T)]  # per step: (b, p, c) with c 0-based
+    for tau, b, p, ci in targeted:
+        if 0 <= p < valid.shape[1] and 1 <= ci <= valid.shape[2] and valid[b, p, ci - 1]:
+            supervised[tau].append((b, p, ci - 1))
+    skipped = len(targeted) - sum(map(len, supervised))
+
+    inputs = (feats.v_global @ W_glob.T + params["b_lstm"])[:, None, :] + EW[words]
+    h = c = np.zeros((B, H), dtype=FLOAT)
+    hs = np.empty((B, T, H), dtype=FLOAT)
+    steps, att_loss = [], [0.0] * B
     for t in range(T):  # step t reads word t and predicts word t + 1 (position tau = t)
         alpha, v_gr, att_cache = attention_step(params, h, feats, terms)
-        h, c, lstm_cache = lstm_step_forward(W_rec, inputs[t], v_gr, h, c)
-        hs[t] = h
-        dlogits_extra = None
-        if targets[t] in person_idx and t in alpha_targets:
-            p, ci = alpha_targets[t]
-            if p < valid.shape[0] and 1 <= ci <= valid.shape[1] and valid[p, ci - 1]:
-                att_loss += cross_entropy(att_cache[-1], (p, ci - 1), valid)
-                dlogits_extra = alpha.copy()
-                dlogits_extra[p, ci - 1] -= 1.0
-            else:
-                skipped += 1
+        h, c, lstm_cache = lstm_step_forward(W_rec, inputs[:, t], v_gr, h, c)
+        hs[:, t] = h
+        dlogits_extra = np.zeros_like(alpha) if supervised[t] else None
+        for b, p, ci in supervised[t]:
+            att_loss[b] += cross_entropy(att_cache[-1][b], (p, ci), valid[b])
+            dlogits_extra[b] = alpha[b]
+            dlogits_extra[b, p, ci] -= 1.0
         steps.append((att_cache, lstm_cache, dlogits_extra))
 
-    logits = hs @ params["W_pred"].T + params["b_pred"]
+    logits = hs[real] @ params["W_pred"].T + params["b_pred"]
     if not np.all(np.isfinite(logits)):
-        return np.inf, np.inf, att_loss, None, skipped
-    dlog, word_losses = softmax_cross_entropy(logits, targets)
-    dlog[np.arange(T), targets] -= 1.0
-    word_loss = float(word_losses.sum())
-    dh_out = dlog @ params["W_pred"]
+        return [np.inf] * B, [np.inf] * B, att_loss, None, skipped
+    step_targets = targets[real]
+    dlog, word_losses = softmax_cross_entropy(logits, step_targets)
+    dlog[np.arange(len(step_targets)), step_targets] -= 1.0
+    word_loss = [float(x.sum()) for x in np.split(word_losses, np.cumsum(lens)[:-1])]
+    dh_out = np.zeros((B, T, H), dtype=FLOAT)
+    dh_out[real] = dlog @ params["W_pred"]
 
-    da = np.empty((T, 4 * H), dtype=FLOAT)
-    # q, du, dpre_q and dlogits stay 0 on a pair without a valid cell
-    q = np.zeros((T, config.d_att), dtype=FLOAT)
-    du = np.zeros_like(q)
-    dpre_q = np.zeros_like(q)
-    dlogits = np.zeros((T, valid.size), dtype=FLOAT)
-    dh = np.zeros(H, dtype=FLOAT)
-    dc = np.zeros(H, dtype=FLOAT)
+    back = []
+    dh = dc = np.zeros((B, H), dtype=FLOAT)
     for t in range(T - 1, -1, -1):
         att_cache, lstm_cache, dlogits_extra = steps[t]
         # dx is v_grounded's gradient: the recurrent block has no other inputs
-        da[t], dx, dh, dc = lstm_step_backward(lstm_cache, dh + dh_out[t], dc)
-        if att_cache is not None:
-            dh_att, dl, du[t], dpre_q[t] = attention_backward(params, att_cache, dx,
-                                                              dlogits_extra)
-            dh = dh + dh_att
-            dlogits[t] = dl.reshape(-1)
-            q[t] = att_cache[2]
+        da, dx, dh, dc = lstm_step_backward(lstm_cache, dh + dh_out[:, t], dc)
+        dh_att, dlogits, du, dpre_q = attention_backward(params, att_cache, dx, dlogits_extra)
+        dh = dh + dh_att
+        back.append((da, dlogits, du, dpre_q, att_cache[2], lstm_cache[1]))
+    da, dlogits, du, dpre_q, q, rec = (np.stack(x[::-1], axis=1) for x in zip(*back))
+    # nothing below reads the cell tensor, the step caches or W_rec: freeing
+    # them before the rows are formed lowers the batch's peak memory
+    M, Tf = terms.M, terms.Tf
+    del terms, steps, att_cache, lstm_cache, W_rec
 
-    rec = np.stack([cache[1] for _, cache, _ in steps])  # [v_grounded, h_prev] rows
-    d_gr = config.d_grounded
-    xh = np.concatenate([rec[:, :d_gr], np.broadcast_to(feats.v_global, (T, config.d_global)),
-                         params["E"][words], rec[:, d_gr:]], axis=1)
-    Tf = terms.Tf.reshape(valid.size, -1)
-    dF = (dlogits.T @ (q * params["w_att"])) * (1.0 - Tf * Tf)
-    rows = (words, xh, da, hs, dlog, q, du, dpre_q, terms.M.reshape(valid.size, -1), dF,
-            feats.cur_head, feats.cur_body, feats.cur_stat, dF.reshape(terms.Tf.shape).sum(axis=0))
-    return word_loss + att_loss, word_loss, att_loss, rows, skipped
+    # the rows of weight_gradients: real steps and each pair's own cells,
+    # item-major; padded steps and cells hold exact zeros and are dropped
+    rec, d_gr = rec[real], config.d_grounded  # rec rows: [v_grounded, h_prev]
+    xh = np.concatenate([rec[:, :d_gr], np.repeat(feats.v_global, lens, axis=0),
+                         params["E"][words[real]], rec[:, d_gr:]], axis=1)
+    dF = (dlogits.reshape(B, T, -1).transpose(0, 2, 1) @ (q * params["w_att"])).reshape(Tf.shape)
+    dF *= 1.0 - Tf * Tf
+    own_cur = own[:, 0]
+    rows = (words[real], xh, da[real], hs[real], dlog, q[real], du[real], dpre_q[real],
+            M[own], dF[own], feats.cur_head[own_cur], feats.cur_body[own_cur],
+            feats.cur_stat[own_cur], dF.sum(axis=1)[own_cur])
+    total = [w + a for w, a in zip(word_loss, att_loss)]
+    return total, word_loss, att_loss, rows, skipped
 
 
 def weight_gradients(params, config, rows, grads=None):
     """Add the gradients of all 13 weights into ``grads`` (a fresh zero
-    dict when None) and return it, one product per weight over the rows of
-    the sentences in ``rows``.
-
-    Each sentence's rows are the tuple ``sentence_loss`` returns:
-    (words, xh, da, h, dlog, q, du, dpre_q, M, dF, head, body, stat,
-    df_cur). Per step: the input word, the LSTM input ``[v_grounded,
-    v_global, E[w], h_prev]``, the gradient at the gate pre-activations,
-    the hidden state ``h``, ``softmax(word logits) - onehot(target
-    word)``, the attention query ``q = tanh(pre_q)`` and the gradients
-    ``du`` at ``u = w_att ∘ q`` and ``dpre_q`` at ``pre_q = W_h h_prev +
-    b_h`` (``q``, ``du`` and ``dpre_q`` are 0 on a pair without a valid
-    cell, so they add nothing). Per grid cell: the re-identification
-    feature ``M`` and ``dF = (dlogitsᵀ U) ∘ (1 - Tf²)``, the sentence's
+    dict when None) and return it, one product per weight over ``rows``,
+    the tuple ``sentence_loss`` returns: (words, xh, da, h, dlog, q, du,
+    dpre_q, M, dF, head, body, stat, df_cur), item after item. Per step:
+    the input word, the LSTM input ``[v_grounded, v_global,
+    E[w], h_prev]``, the gradient at the gate pre-activations, the hidden
+    state ``h``, ``softmax(word logits) - onehot(target word)``, the query
+    ``q = tanh(pre_q)`` and the gradients at ``u = w_att ∘ q`` and at
+    ``pre_q = W_h h_prev + b_h`` (both 0 on a pair without a valid cell).
+    Per grid cell: ``M`` and ``dF = (dlogitsᵀ U) ∘ (1 - Tf²)``, the
     gradient at ``F = M W_idᵀ + f_cur + b_v``. Per current-track slot: the
-    head, body and stat features and ``df_cur``, the gradient at their
-    embedding ``f_cur``.
+    head, body and stat features and ``df_cur``, the gradient at ``f_cur``.
     """
     if grads is None:
         grads = zeros_like_params(params)
-    words, xh, da, h, dlog, q, du, dpre_q, M, dF, head, body, stat, df_cur = (
-        np.concatenate(part) for part in zip(*rows))
+    words, xh, da, h, dlog, q, du, dpre_q, M, dF, head, body, stat, df_cur = rows
     grads["W_lstm"] += da.T @ xh
     grads["b_lstm"] += da.sum(axis=0)
     emb = slice(config.d_grounded + config.d_global, config.d_input)
@@ -442,30 +468,6 @@ class TrainedDecoder:
     capped_tracks: int = 0     # current-clip tracks cap_tracks dropped from the training items
 
 
-def _batch_gradients(params, config, vocab, batch, grads):
-    """Zero ``grads`` in place and add the summed gradients of the
-    ``TrainItem``s in ``batch``: ``W_lstm`` is split once for all of them,
-    and one ``weight_gradients`` call forms every weight's gradient from
-    their rows. Returns each item's (total, word, att) loss and the number
-    of skipped targets."""
-    for g in grads.values():
-        g.fill(0.0)
-    split = _split_lstm(params, config)
-    losses = []
-    rows = []
-    skipped = 0
-    for item in batch:
-        t, w, a, r, s = sentence_loss(params, config, vocab, item.feats, item.sentence,
-                                      item.alpha_targets, split)
-        losses.append((t, w, a))
-        skipped += s
-        if r is not None:  # None when the sentence's loss went non-finite
-            rows.append(r)
-    if rows:
-        weight_gradients(params, config, rows, grads)
-    return losses, skipped
-
-
 def _clip_gradients(grads, max_norm):
     """Scale ``grads`` to global norm ``max_norm`` when above it (0 or None
     switches clipping off); returns whether it scaled."""
@@ -508,34 +510,33 @@ def train_decoder(corpus: Corpus, supervision, config: DecoderConfig,
     trained = TrainedDecoder(params=params, config=config, vocab=vocab,
                              norm=norm, history=[], capped_tracks=capped)
     last_good = {k: v.copy() for k, v in params.items()}
-    grads = zeros_like_params(params)
+    grads = zeros_like_params(params)  # reused: a fresh dict per batch costs page faults
 
     bs = config.batch_size or len(items)
     for epoch in range(config.epochs):
         order = rng.permutation(len(items))
         tot = wl = al = 0.0
         for start in range(0, len(order), bs):
-            batch = order[start:start + bs]
+            batch = [items[i] for i in order[start:start + bs]]
+            for g in grads.values():
+                g.fill(0.0)
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                losses, skipped = _batch_gradients(
-                    params, config, vocab, [items[i] for i in batch], grads)
-            for t, w, a in losses:
-                tot += t
-                wl += w
-                al += a
+                total, word, att, rows, skipped = sentence_loss(params, config, vocab, batch)
+                if rows is not None:  # None when a word logit went non-finite
+                    weight_gradients(params, config, rows, grads)
+            for t, w, a in zip(total, word, att):
+                tot, wl, al = tot + t, wl + w, al + a
             trained.skipped_targets += skipped
             for k in grads:
                 grads[k] /= len(batch)
             trained.clipped_batches += _clip_gradients(grads, config.grad_clip)
             opt.step(params, grads)
-        n = len(items)
-        epoch_loss = tot / n
-        finite = np.isfinite(epoch_loss) and all(
-            np.all(np.isfinite(v)) for v in params.values())
-        if not finite:
+        if not (np.isfinite(tot) and all(np.all(np.isfinite(v)) for v in params.values())):
             raise TrainingDiverged(epoch, last_good)
-        trained.history.append((epoch_loss, wl / n, al / n))
+        n = len(items)
+        trained.history.append((tot / n, wl / n, al / n))
         last_good = {k: v.copy() for k, v in params.items()}
+    grads = zeros_like_params(params)  # reused: a fresh dict per batch costs page faults
     return trained
 
 
@@ -566,37 +567,36 @@ def decode_pair(trained: TrainedDecoder, pair: ClipPair, prev_grounding):
     ``prev_grounding``: (track_id, char, gender) triples from the previous
     clip (may be empty, leaving only the null track). At each emitted
     person word the argmax attention cell is recorded as the predicted
-    grounding and co-reference.
+    grounding and co-reference. Raises ValueError when the pair's vectors
+    are not as wide as the trained decoder's.
     """
     params, config, vocab = trained.params, trained.config, trained.vocab
+    if len(pair.cur.v_global) != config.d_global:
+        raise ValueError(f"decode_pair: pair {pair.id} v_global width {len(pair.cur.v_global)} "
+                         f"differs from DecoderConfig.d_global = {config.d_global}")
     feats = pair_features(pair, prev_grounding, trained.norm, config)
     terms = attention_terms(params, feats)
     W_rec, W_glob, EW = _split_lstm(params, config)
     base = W_glob @ feats.v_global + params["b_lstm"]
-    h = np.zeros(config.hidden, dtype=FLOAT)
-    c = np.zeros(config.hidden, dtype=FLOAT)
+    h = c = np.zeros(config.hidden, dtype=FLOAT)
+    grounded = terms.valid.any()
     w_prev = vocab.index(BOS)
     eos = vocab.index(EOS)
-    tokens = []
-    predictions = []
-    alphas = []
+    tokens, predictions, alphas = [], [], []
     for _ in range(config.max_len):
         alpha, v_gr, _ = attention_step(params, h, feats, terms)
         h, c, _ = lstm_step_forward(W_rec, base + EW[w_prev], v_gr, h, c)
         w = int(np.argmax(params["W_pred"] @ h + params["b_pred"]))
         if w == eos:
             break
-        tau = len(tokens)
         word = vocab.tokens[w]
+        if word in PERSON_TOKENS and grounded:
+            p, ci = np.unravel_index(int(np.argmax(alpha)), alpha.shape)
+            predictions.append(GroundingPrediction(
+                tau=len(tokens), word=word, c_track=feats.cur_track_ids[ci],
+                p_track=0 if p == 0 else feats.prev_track_ids[p - 1], cell=(int(p), int(ci) + 1)))
         tokens.append(word)
         alphas.append(alpha)
-        if word in PERSON_TOKENS and alpha is not None:
-            p, ci = np.unravel_index(int(np.argmax(alpha)), alpha.shape)
-            c_track = feats.cur_track_ids[ci]
-            p_track = 0 if p == 0 else feats.prev_track_ids[p - 1]
-            predictions.append(GroundingPrediction(
-                tau=tau, word=word, c_track=c_track, p_track=p_track,
-                cell=(int(p), int(ci) + 1)))
         w_prev = w
     return DecodedClip(pair_id=pair.id, tokens=tokens,
                        predictions=predictions, alphas=alphas)

@@ -99,6 +99,9 @@ def fit_pairwise_model(samples):
 class Partition:
     labels: np.ndarray  # cluster id per node, 0-based, compacted
     objective: float
+    # perturbation restarts that improved the incumbent, summed over the
+    # searched components; 0 where no component needed a search
+    improving_restarts: int = 0
 
     def clusters(self):
         out = {}
@@ -228,10 +231,12 @@ def _positive_components(W):
 def _search(W):
     """Greedy contraction, escape passes to a local optimum, then
     deterministic perturbation restarts of rotating strength, each
-    refined the same way; the best partition found wins."""
+    refined the same way; the best partition found wins. Returns the
+    labels and the number of restarts that improved the incumbent."""
     n = W.shape[0]
     labels = _refine(W, greedy_contraction(W))
     best_obj = _objective(W, labels)
+    improved = 0
     rng = rng_stream(0, "multicut-restarts")
     for r in range(RESTARTS):
         if r % 4 == 3:  # occasional fresh random start escapes the incumbent basin
@@ -245,7 +250,8 @@ def _search(W):
         obj = _objective(W, cand)
         if obj > best_obj + 1e-12:
             best_obj, labels = obj, cand
-    return labels
+            improved += 1
+    return labels, improved
 
 
 def solve_multicut(n, edges):
@@ -258,19 +264,24 @@ def solve_multicut(n, edges):
     (exact, no search), and any other goes through ``_search`` on its own
     sub-matrix (heuristic: greedy contraction, Kernighan-Lin escape passes
     until none improves, and ``RESTARTS`` perturbation restarts), which
-    ends where no single-node move improves the partition.
+    ends where no single-node move improves the partition. The result's
+    ``improving_restarts`` counts the restarts that improved a component's
+    incumbent.
     """
     if n <= 0:
         return Partition(labels=np.zeros(0, dtype=int), objective=0.0)
     W = _cost_matrix(n, edges)
     labels = np.empty(n, dtype=int)
-    k = 0
+    k = restarts = 0
     for comp in _positive_components(W):
         sub = W[np.ix_(comp, comp)]
-        sub_labels = np.zeros(len(comp), dtype=int) if sub.min() >= 0.0 else _search(sub)
+        sub_labels, improved = ((np.zeros(len(comp), dtype=int), 0) if sub.min() >= 0.0
+                                else _search(sub))
         labels[comp] = k + sub_labels
         k += sub_labels.max() + 1
-    return Partition(labels=labels, objective=_objective(W, labels))
+        restarts += improved
+    return Partition(labels=labels, objective=_objective(W, labels),
+                     improving_restarts=restarts)
 
 
 def _set_partitions(n):

@@ -35,8 +35,9 @@ def softmax(logits):
 def masked_softmax(logits, valid):
     """Softmax over the cells where ``valid`` is True; invalid cells get 0.
 
-    Used for attention grids with padding slots. At least one cell must
-    be valid.
+    At least one cell must be valid. The tests check ``cross_entropy``'s
+    masked form against it; the decoder's attention normalises each grid
+    of a mini-batch itself, because a grid there may have no valid cell.
     """
     z = np.asarray(logits, dtype=FLOAT)
     valid = np.asarray(valid, dtype=bool)

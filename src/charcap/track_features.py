@@ -128,8 +128,15 @@ def fit_norm_stats(tracks):
 
 def apply_norm(tracks, stats: NormStats, name):
     """The ``name`` block (``v_head``, ``v_body`` or ``v_stat``) of every
-    track, standardised with ``stats``, as one ``(len(tracks), d)`` array;
-    a track missing the block raises ValueError naming it."""
+    track, standardised with ``stats``, as one ``(len(tracks), d)`` array.
+    A track missing the block, or whose block is not ``d`` wide, raises
+    ValueError naming it."""
     d = len(stats.mean[name])
-    rows = np.array([_block(t, name) for t in tracks], dtype=FLOAT).reshape(len(tracks), d)
+    blocks = [_block(t, name) for t in tracks]
+    try:
+        rows = np.array(blocks, dtype=FLOAT).reshape(len(tracks), d)
+    except ValueError:  # some block is not d wide
+        track, v = next((t, v) for t, v in zip(tracks, blocks) if v.shape != (d,))
+        raise ValueError(f"apply_norm: track {track.id} has a {v.size}-wide {name}, "
+                         f"the norm statistics are {d} wide") from None
     return (rows - stats.mean[name]) / stats.std[name]

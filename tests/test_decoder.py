@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import json
 
@@ -14,7 +15,7 @@ from charcap.decoder import (
     pair_features, save_checkpoint, sentence_loss, train_decoder, weight_gradients,
 )
 from charcap.corpus import AlphaTarget
-from charcap.decoder import TrainItem, _batch_gradients, attention_terms
+from charcap.decoder import TrainItem, attention_terms
 from charcap.numerics import (
     finite_diff_check, lstm_step_backward, lstm_step_forward, rng_stream, softmax,
     zeros_like_params,
@@ -52,6 +53,13 @@ def rand_feats(rng, C, P, cfg, c_slots=None, p_slots=None):
 
 def planted(corpus):
     return [planted_supervision(p) for p in corpus.pairs]
+
+
+def pair_loss(params, cfg, vocab, feats, sentence, targets=None):
+    """``sentence_loss`` of a batch of one pair, with its losses as floats."""
+    total, word, att, rows, skipped = sentence_loss(
+        params, cfg, vocab, [TrainItem(0, feats, sentence, targets or {})])
+    return total[0], word[0], att[0], rows, skipped
 
 
 @pytest.fixture(scope="module")
@@ -137,7 +145,7 @@ class TestAttentionStep:
         rng = rng_stream(5, "att")
         feats = rand_feats(rng, C=0, P=0, cfg=cfg)
         alpha, v_gr, cache = attention_step(params, np.zeros(cfg.hidden), feats)
-        assert alpha is None and cache is None
+        assert alpha.shape == (1, 1) and (alpha == 0).all()
         assert (v_gr == 0).all()
         assert v_gr.shape == (cfg.d_grounded,)
 
@@ -157,9 +165,9 @@ class TestGradients:
         params = init_decoder_params(cfg, len(corpus.vocab), seed=0)
 
         def loss_fn(p):
-            t, _, _, rows, _ = sentence_loss(p, cfg, corpus.vocab, feats,
-                                             pair.cur.sentence, targets)
-            return t, weight_gradients(p, cfg, [rows])
+            t, _, _, rows, _ = pair_loss(p, cfg, corpus.vocab, feats,
+                                         pair.cur.sentence, targets)
+            return t, weight_gradients(p, cfg, rows)
 
         assert finite_diff_check(loss_fn, params, max_coords_per_array=6) <= 1e-4
 
@@ -175,23 +183,23 @@ class TestSentenceLoss:
     def test_no_person_tokens_no_attention_loss(self):
         vocab, cfg, params, rng = self._setup()
         feats = rand_feats(rng, C=3, P=1, cfg=cfg)
-        _, _, att, _, _ = sentence_loss(params, cfg, vocab, feats,
-                                        ["walks", "street"],
-                                        {0: (0, 1), 1: (0, 1)})
+        _, _, att, _, _ = pair_loss(params, cfg, vocab, feats,
+                                    ["walks", "street"],
+                                    {0: (0, 1), 1: (0, 1)})
         assert att == 0.0
 
     def test_one_hot_attention_gives_zero_loss(self):
         # a single real cell makes alpha exactly one-hot: -log 1 = 0
         vocab, cfg, params, rng = self._setup(1)
         feats = rand_feats(rng, C=1, P=0, cfg=cfg)
-        _, _, att, _, _ = sentence_loss(params, cfg, vocab, feats,
-                                        ["MaleName", "walks"], {0: (0, 1)})
+        _, _, att, _, _ = pair_loss(params, cfg, vocab, feats,
+                                    ["MaleName", "walks"], {0: (0, 1)})
         assert att == 0.0
 
     def test_target_at_padding_is_skipped_and_counted(self):
         vocab, cfg, params, rng = self._setup(2)
         feats = rand_feats(rng, C=2, P=1, cfg=cfg)
-        tot, word, att, _, skipped = sentence_loss(
+        tot, word, att, _, skipped = pair_loss(
             params, cfg, vocab, feats, ["MaleName", "walks"], {0: (1, 7)})
         assert skipped == 1
         assert att == 0.0
@@ -200,15 +208,15 @@ class TestSentenceLoss:
         vocab, cfg, params, rng = self._setup(6)
         feats = rand_feats(rng, C=0, P=0, cfg=cfg)
         sentence, targets = ["MaleName", "walks"], {0: (0, 1)}
-        _, _, att, rows, skipped = sentence_loss(params, cfg, vocab, feats, sentence, targets)
+        _, _, att, rows, skipped = pair_loss(params, cfg, vocab, feats, sentence, targets)
         assert skipped == 1 and att == 0.0
-        grads = weight_gradients(params, cfg, [rows])
+        grads = weight_gradients(params, cfg, rows)
         for k in ("W_id", "W_head", "W_body", "W_stat", "b_v", "W_h", "b_h", "w_att"):
             assert (grads[k] == 0.0).all(), k
 
         def loss_fn(p):
-            t, _, _, r, _ = sentence_loss(p, cfg, vocab, feats, sentence, targets)
-            return t, weight_gradients(p, cfg, [r])
+            t, _, _, r, _ = pair_loss(p, cfg, vocab, feats, sentence, targets)
+            return t, weight_gradients(p, cfg, r)
 
         assert finite_diff_check(loss_fn, params, max_coords_per_array=6) <= 1e-4
 
@@ -217,8 +225,8 @@ class TestSentenceLoss:
         vocab, cfg, params, rng = self._setup(3)
         feats = rand_feats(rng, C=2, P=1, cfg=cfg)
         params["b_pred"][vocab.index("walks")] = -800.0
-        tot, word, _, rows, _ = sentence_loss(params, cfg, vocab, feats, ["walks"])
-        grads = weight_gradients(params, cfg, [rows])
+        tot, word, _, rows, _ = pair_loss(params, cfg, vocab, feats, ["walks"])
+        grads = weight_gradients(params, cfg, rows)
         assert np.isfinite(tot) and word > 790.0
         assert all(np.all(np.isfinite(g)) for g in grads.values())
 
@@ -233,9 +241,9 @@ class TestSentenceLoss:
         p, c = np.argwhere(alpha == 0.0)[0]
         logits = cache[-1]
         expected = np.log(np.exp(logits - logits.max()).sum()) - (logits[p, c] - logits.max())
-        _, _, att, rows, skipped = sentence_loss(
+        _, _, att, rows, skipped = pair_loss(
             params, cfg, vocab, feats, ["MaleName", "walks"], {0: (p, c + 1)})
-        grads = weight_gradients(params, cfg, [rows])
+        grads = weight_gradients(params, cfg, rows)
         assert skipped == 0
         assert att > 700.0 and abs(att - expected) <= 1e-9 * expected
         assert all(np.all(np.isfinite(g)) for g in grads.values())
@@ -245,12 +253,12 @@ class TestSentenceLoss:
         runs = [(rand_feats(rng, C=3, P=2, cfg=cfg), ["MaleName", "walks", "FemaleCoref"],
                  {0: (1, 2), 2: (0, 3)}),
                 (rand_feats(rng, C=2, P=1, cfg=cfg), ["FemaleName", "street"], {0: (1, 1)})]
-        fresh = [weight_gradients(params, cfg, [sentence_loss(params, cfg, vocab, *r)[3]])
+        fresh = [weight_gradients(params, cfg, pair_loss(params, cfg, vocab, *r)[3])
                  for r in runs]
         shared = {k: np.zeros_like(v) for k, v in params.items()}
         for r in runs:
-            rows = sentence_loss(params, cfg, vocab, *r)[3]
-            assert weight_gradients(params, cfg, [rows], shared) is shared
+            rows = pair_loss(params, cfg, vocab, *r)[3]
+            assert weight_gradients(params, cfg, rows, shared) is shared
         for k in params:
             np.testing.assert_allclose(shared[k], fresh[0][k] + fresh[1][k],
                                        rtol=0, atol=1e-12)
@@ -266,8 +274,8 @@ class TestSentenceLoss:
         feats = rand_feats(rng, C=2, P=1, cfg=cfg)
         sentence = ["MaleName", "walks", "street"]
         targets = {0: (1, 2)}
-        total, word, att, _, _ = sentence_loss(params, cfg, vocab, feats,
-                                               sentence, targets)
+        total, word, att, _, _ = pair_loss(params, cfg, vocab, feats,
+                                           sentence, targets)
 
         # ---- oracle: direct loops over the published equations ----
         def sig(v):
@@ -455,6 +463,33 @@ class TestDecode:
         assert len(dec.tokens) <= 2
 
 
+class TestDecodeWidths:
+    @pytest.fixture(scope="class")
+    def small(self):
+        corpus = generate_corpus(CorpusConfig(n_pairs=4, d_head=8, d_body=6, d_global=10),
+                                 seed=1)
+        cfg = DecoderConfig(d_head=8, d_body=6, d_global=10, d_att=8, d_emb=8, hidden=12,
+                            epochs=1)
+        return train_decoder(corpus, planted(corpus), cfg), corpus.pairs[0]
+
+    def test_track_of_another_head_width_is_named(self, small):
+        trained, pair = small
+        pair = copy.deepcopy(pair)
+        track = pair.cur.tracks[-1]
+        track.v_head = np.append(track.v_head, 0.0)
+        with pytest.raises(ValueError, match=rf"track {track.id} has a 9-wide v_head, "
+                                             "the norm statistics are 8 wide"):
+            decode_pair(trained, pair, [])
+
+    def test_global_vector_of_another_width_is_rejected(self, small):
+        trained, pair = small
+        pair = copy.deepcopy(pair)
+        pair.cur.v_global = np.append(pair.cur.v_global, [0.0, 0.0])
+        with pytest.raises(ValueError, match=r"v_global width 12 differs "
+                                             r"from DecoderConfig\.d_global = 10"):
+            decode_pair(trained, pair, [])
+
+
 class TestCheckpoint:
     def test_roundtrip_bitwise_and_behavioral(self, separable, tmp_path):
         trained, train, test = separable
@@ -639,8 +674,8 @@ class TestAttentionTerms:
         got = {k: np.zeros_like(v) for k, v in params.items()}
         want = {k: np.zeros_like(v) for k, v in params.items()}
         for feats, sentence, targets in runs:
-            rows = sentence_loss(params, cfg, vocab, feats, sentence, targets)[3]
-            weight_gradients(params, cfg, [rows], got)
+            rows = pair_loss(params, cfg, vocab, feats, sentence, targets)[3]
+            weight_gradients(params, cfg, rows, got)
             for k, g in _reference_sentence_grads(params, cfg, vocab, feats,
                                                   sentence, targets).items():
                 want[k] += g
@@ -648,15 +683,32 @@ class TestAttentionTerms:
             assert np.abs(got[k] - want[k]).max() <= 1e-12 * np.abs(want[k]).max(), k
 
 
+def mixed_batch(cfg, rng):
+    """Sentences of 1 to 4 words over a pair with its own padding slots, a
+    pair with no previous track, a clip without tracks and a pair with one
+    target past its grid; returns the items and, per item, its targets
+    without the skipped one."""
+    items = [
+        TrainItem(0, rand_feats(rng, C=3, P=2, cfg=cfg, c_slots=5, p_slots=4),
+                  ["MaleName"], {0: (2, 3)}),
+        TrainItem(1, rand_feats(rng, C=2, P=0, cfg=cfg), ["FemaleName", "walks"], {0: (0, 2)}),
+        TrainItem(2, rand_feats(rng, C=0, P=0, cfg=cfg), ["street", "walks", "street"], {}),
+        TrainItem(3, rand_feats(rng, C=4, P=1, cfg=cfg),
+                  ["street", "MaleName", "walks", "MaleCoref"], {1: (0, 3), 3: (1, 9)}),
+    ]
+    return items, [item.alpha_targets for item in items[:3]] + [{1: (0, 3)}]
+
+
 class TestBatchGradients:
     def test_batch_equals_the_per_step_formula_summed(self):
-        # one product per mini-batch instead of one outer product per step:
-        # the summation order changes, so equality is to 1e-12 of each array
+        # one recurrence and one product per weight per mini-batch instead
+        # of one outer product per step: the summation order changes, so
+        # equality is to 1e-12 of each array
         vocab = Vocabulary.build(["walks", "street"])
         cfg = tiny_decoder_cfg()
         params = init_decoder_params(cfg, len(vocab), seed=14)
         rng = rng_stream(14, "per-batch")
-        items = [
+        three = [
             TrainItem(0, rand_feats(rng, C=3, P=2, cfg=cfg, c_slots=5, p_slots=4),
                       ["MaleName", "walks", "FemaleCoref"], {0: (1, 2), 2: (0, 3)}),
             TrainItem(1, rand_feats(rng, C=2, P=0, cfg=cfg),  # null-only previous slot
@@ -664,21 +716,65 @@ class TestBatchGradients:
             TrainItem(2, rand_feats(rng, C=4, P=1, cfg=cfg),
                       ["street", "MaleName", "walks", "MaleCoref"], {1: (0, 3), 3: (1, 3)}),
         ]
-        want = zeros_like_params(params)
-        for item in items:
-            for k, g in _reference_sentence_grads(params, cfg, vocab, item.feats,
-                                                  item.sentence, item.alpha_targets).items():
-                want[k] += g
-        grads = zeros_like_params(params)
-        for _ in range(2):  # the second batch starts from the first one's dict
-            losses, skipped = _batch_gradients(params, cfg, vocab, items, grads)
-            assert skipped == 0
+        for items, kept, n_skipped in [(three, [item.alpha_targets for item in three], 0),
+                                       (*mixed_batch(cfg, rng), 1)]:
+            total, word, att, rows, skipped = sentence_loss(params, cfg, vocab, items)
+            grads = weight_gradients(params, cfg, rows)
+            want = zeros_like_params(params)
+            alone_skipped = 0
+            for b, item in enumerate(items):
+                for k, g in _reference_sentence_grads(params, cfg, vocab, item.feats,
+                                                      item.sentence, kept[b]).items():
+                    want[k] += g
+                # a batch runs its LSTM and attention products as gemm, a batch
+                # of one as gemv: the rounding can differ (by 1.1e-16 relative)
+                alone = pair_loss(params, cfg, vocab, item.feats, item.sentence,
+                                  item.alpha_targets)
+                np.testing.assert_allclose((total[b], word[b], att[b]), alone[:3],
+                                           rtol=1e-12, atol=0)
+                alone_skipped += alone[4]
+            assert skipped == alone_skipped == n_skipped
             for k in params:
                 assert np.abs(grads[k] - want[k]).max() <= 1e-12 * np.abs(want[k]).max(), k
-        for item, loss in zip(items, losses):
-            alone = sentence_loss(params, cfg, vocab, item.feats, item.sentence,
-                                  item.alpha_targets)
-            assert loss == alone[:3]
+
+
+def with_batch_axis(feats):
+    """``feats`` as a batch of one: every array gets a leading axis."""
+    return dataclasses.replace(feats, **{
+        f.name: getattr(feats, f.name)[None] for f in dataclasses.fields(feats)
+        if isinstance(getattr(feats, f.name), np.ndarray)})
+
+
+class TestBatchedRecurrence:
+    def test_permuted_batch_permutes_the_losses(self):
+        vocab = Vocabulary.build(["walks", "street"])
+        cfg = tiny_decoder_cfg()
+        params = init_decoder_params(cfg, len(vocab), seed=16)
+        items, _ = mixed_batch(cfg, rng_stream(16, "batched"))
+        order = [3, 0, 2, 1]
+        total, word, att, rows, skipped = sentence_loss(params, cfg, vocab, items)
+        p_total, p_word, p_att, p_rows, p_skipped = sentence_loss(
+            params, cfg, vocab, [items[i] for i in order])
+        assert p_skipped == skipped == 1
+        for got, want in ((p_total, total), (p_word, word), (p_att, att)):
+            np.testing.assert_allclose(got, [want[i] for i in order], rtol=1e-12, atol=0)
+        grads = weight_gradients(params, cfg, rows)
+        p_grads = weight_gradients(params, cfg, p_rows)
+        for k in params:
+            assert np.abs(p_grads[k] - grads[k]).max() <= 1e-12 * np.abs(grads[k]).max(), k
+
+    def test_one_row_with_a_batch_axis_is_bitwise_the_pair_call(self):
+        cfg = tiny_decoder_cfg()
+        rng = rng_stream(17, "batch-axis")
+        for C, P, c_slots, p_slots in [(1, 0, None, None), (4, 2, None, None),
+                                       (3, 2, 6, 4), (0, 0, None, None)]:
+            params = init_decoder_params(cfg, 8, seed=C + P)
+            feats = rand_feats(rng, C, P, cfg, c_slots=c_slots, p_slots=p_slots)
+            h = rng.normal(size=cfg.hidden)
+            a1, v1, k1 = attention_step(params, h, feats)
+            a2, v2, k2 = attention_step(params, h[None], with_batch_axis(feats))
+            assert a1.tobytes() == a2[0].tobytes() and v1.tobytes() == v2[0].tobytes()
+            assert all(x.tobytes() == y[0].tobytes() for x, y in zip(k1, k2))
 
 
 class TestTrainingCounts:

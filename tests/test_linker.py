@@ -67,6 +67,16 @@ class TestForward:
         assert linker.link_clip(dataclasses.replace(clip, tracks=[])) == []
 
 
+    def test_track_of_another_width_is_named(self, trained):
+        linker, _, test = trained
+        clip = next(c for c in test.clips if len(c.tracks) > 1 and c.mentions)
+        wide = dataclasses.replace(clip.tracks[1], v_head=np.append(clip.tracks[1].v_head, 0.0))
+        clip = dataclasses.replace(clip, tracks=[clip.tracks[0], wide] + clip.tracks[2:])
+        with pytest.raises(ValueError, match=rf"track {wide.id} has a 17-wide v_head, "
+                                             "the norm statistics are 16 wide"):
+            linker.link_clip(clip)
+
+
 class TestGradients:
     def test_matches_finite_differences(self):
         corpus = generate_corpus(corpus_cfg(n_pairs=3, sigma=0.3), seed=1)

@@ -114,6 +114,20 @@ class TestSolver:
         part = solve_multicut(5, [(i, j, 0.5) for i in range(5)
                                   for j in range(i + 1, 5)])
         assert len(part.as_sets()) == 1
+        assert part.improving_restarts == 0  # no negative edge: nothing is searched
+
+    def test_improving_restarts_are_counted(self):
+        # a graph whose greedy-and-escape start is not optimal: one restart
+        # finds the optimum, which brute force confirms
+        rng = rng_stream(80, "restart-graph")
+        n = int(rng.integers(6, 10))
+        edges = [(i, j, float(rng.normal())) for i in range(n) for j in range(i + 1, n)
+                 if rng.random() < 0.6]
+        part = solve_multicut(n, edges)
+        exact = brute_force_multicut(n, edges)
+        assert part.improving_restarts >= 1
+        assert exact.improving_restarts == 0
+        assert abs(part.objective - exact.objective) < 1e-12
 
     def test_all_negative_singletons(self):
         part = solve_multicut(5, [(i, j, -0.5) for i in range(5)
