@@ -6,12 +6,12 @@ against current tracks. Per cell, a re-identification feature is the
 element-wise product of the two head vectors (a constant -1 vector for
 the null track), embedded together with the current track's head, body,
 and statistics features; the cell logit multiplies that embedding
-element-wise with an embedding of the recurrent hidden state. Softmax
-over real cells gives the attention, whose weighted sum of concatenated
-cell features is the grounded input to the LSTM, next to the global clip
-vector and the previous word embedding. The logits carry no bias: the
-softmax is shift-invariant, so a bias would change no output and its
-gradient would be exactly 0.
+element-wise with an embedding of the recurrent hidden state.
+``masked_softmax`` over real cells gives the attention, whose weighted
+sum of concatenated cell features is the grounded input to the LSTM,
+next to the global clip vector and the previous word embedding. The
+logits carry no bias: the softmax is shift-invariant, so a bias would
+change no output and its gradient would be exactly 0.
 
 Only what depends on the hidden state is computed per step: the cell
 embeddings, their tanh and the cell features (``attention_terms``) are
@@ -23,17 +23,19 @@ Blunsom, arXiv 1604.01946).
 
 Training uses teacher forcing with two equally weighted terms: word
 cross-entropy at every step, and attention cross-entropy against the
-automatic one-hot targets at supervised person-word steps. All gradients
-are hand-written and finite-difference checked. ``sentence_loss`` runs a
-mini-batch as one recurrence over ``(B, ·)`` rows, one attention step and
-one LSTM step per time step (the batching half of the same paper). Each
-pair's grid is padded to the batch's largest ``(P+1, C)`` with invalid
-slots and each sentence to the longest with masked steps, which have no
-loss, so their backward is exactly zero; a grid without a valid cell gets
-zero attention and grounded vector. One pair is the same code without the
-batch axis. ``weight_gradients`` forms each weight's gradient in one
-product from the rows of the items' real steps, own grid cells and own
-current-track slots, item after item: padding is dropped.
+automatic one-hot targets at supervised person-word steps, all of a
+mini-batch's in one ``softmax_cross_entropy`` call after the forward
+loop. All gradients are hand-written and finite-difference checked.
+``sentence_loss`` runs a mini-batch as one recurrence over ``(B, ·)``
+rows, one attention step and one LSTM step per time step (the batching
+half of the same paper). Each pair's grid is padded (``pad_rows``) to the
+batch's largest ``(P+1, C)`` with invalid slots and each sentence to the
+longest with masked steps, which have no loss, so their backward is
+exactly zero; a grid without a valid cell gets zero attention and
+grounded vector. One pair is the same code without the batch axis.
+``weight_gradients`` forms each weight's gradient in one product from the
+rows of the items' real steps, valid grid cells and valid current-track
+slots, item after item: padding is dropped.
 
 Checkpoints are a one-line JSON header (magic string, format version,
 dims, vocab, array table) followed by raw little-endian float64 blocks,
@@ -51,9 +53,8 @@ from .corpus import (
     BOS, EOS, P_MAX, PERSON_TOKENS, ClipPair, Corpus, Vocabulary, cap_tracks,
 )
 from .numerics import (
-    Adam, FLOAT, cross_entropy, glorot_uniform, lstm_init, lstm_step_backward,
-    lstm_step_forward, rng_stream, softmax_cross_entropy,
-    zeros_like_params,
+    Adam, FLOAT, glorot_uniform, lstm_init, lstm_step_backward, lstm_step_forward,
+    masked_softmax, pad_rows, rng_stream, softmax_cross_entropy, zeros_like_params,
 )
 from .track_features import STAT_DIM, NormStats, apply_norm, fit_norm_stats
 
@@ -178,35 +179,17 @@ class AttentionTerms(NamedTuple):
     """The parts of the attention that do not depend on the hidden state,
     after the batch axis of a mini-batch's ``PairFeatures``, if any."""
     M: np.ndarray      # (P_slots+1, C_slots, d_head) re-identification feature
-    f_cur: np.ndarray  # (C_slots, d_att) current-track embedding
     Tf: np.ndarray     # (P_slots+1, C_slots, d_att) tanh(M W_id^T + f_cur + b_v)
     valid: np.ndarray  # (P_slots+1, C_slots) real cells
     cell: np.ndarray   # (P_slots+1, C_slots, d_grounded) concatenated cell features
 
 
-def _stack_features(feats):
-    """The ``PairFeatures`` of a mini-batch as one with a leading batch
-    axis, each pair's slots padded to the batch's largest count with
-    invalid zero slots, and the ``(B, P_slots+1, C_slots)`` mask of the
-    grid cells each pair has itself (its own padding slots included)."""
-    own_cur, own_prev = (np.arange(max(n)) < np.array(n)[:, None] for n in (
-        [len(f.cur_head) for f in feats], [len(f.prev_head) for f in feats]))
-    stacked = {"v_global": np.stack([f.v_global for f in feats])}
-    for name in ("cur_head", "cur_body", "cur_stat", "cur_valid", "prev_head", "prev_valid"):
-        slots = own_cur if name.startswith("cur") else own_prev
-        rows = np.concatenate([getattr(f, name) for f in feats])
-        stacked[name] = np.zeros(slots.shape + rows.shape[1:], dtype=rows.dtype)
-        stacked[name][slots] = rows
-    null = np.ones((len(feats), 1), dtype=bool)
-    own = np.concatenate([null, own_prev], axis=1)[:, :, None] & own_cur[:, None, :]
-    return PairFeatures(**stacked), own
-
-
 def attention_terms(params, feats: PairFeatures):
     """Hidden-state-free attention terms of one pair, or of a batch when
-    ``feats`` has a leading batch axis: ``M``, ``f_cur``, ``Tf = tanh(F)``
-    with ``F = M·W_idᵀ + f_cur + b_v``, the ``valid`` cell mask and the
-    ``cell`` tensor. Every step of a sentence shares them."""
+    ``feats`` has a leading batch axis: ``M``, ``Tf = tanh(F)`` with ``F =
+    M·W_idᵀ + f_cur + b_v`` (``f_cur`` the current-track embedding), the
+    ``valid`` cell mask and the ``cell`` tensor. Every step of a sentence
+    shares them."""
     Vh, Vb, Vs, Hp = feats.cur_head, feats.cur_body, feats.cur_stat, feats.prev_head
     grid = Vh.shape[:-2] + (Hp.shape[-2] + 1, Vh.shape[-2])
 
@@ -227,7 +210,7 @@ def attention_terms(params, feats: PairFeatures):
 
     cell = np.concatenate([np.broadcast_to(V[..., None, :, :], grid + V.shape[-1:])
                            for V in (Vh, Vb, Vs)] + [M], axis=-1)
-    return AttentionTerms(M, f_cur, Tf, valid, cell)
+    return AttentionTerms(M, Tf, valid, cell)
 
 
 def attention_step(params, h_prev, feats: PairFeatures, terms=None):
@@ -235,49 +218,44 @@ def attention_step(params, h_prev, feats: PairFeatures, terms=None):
     a batch (``h_prev`` rows, ``feats`` with a leading batch axis).
 
     Returns (alpha, v_grounded, cache): alpha is each (P_slots+1, C_slots)
-    grid's attention, exactly 0 on padding cells and on a grid without a
-    valid cell; v_grounded is the attention-weighted concatenation [head,
-    body, stat, id] of the current-track and re-identification features.
-    ``terms`` is ``attention_terms(params, feats)``, built here when None;
-    a caller running several steps passes it.
+    grid's attention, the ``masked_softmax`` of the flattened grid's
+    logits over its valid cells, so exactly 0 on padding cells and on a
+    grid without a valid cell; v_grounded is the attention-weighted
+    concatenation [head, body, stat, id] of the current-track and
+    re-identification features. ``cache`` is (Tf, q, alpha, cell, valid,
+    logits): what ``attention_backward`` reads, and the logits of the
+    attention loss. ``terms`` is ``attention_terms(params, feats)``, built
+    here when None; a caller running several steps passes it.
     """
-    M, f_cur, Tf, valid, cell = attention_terms(params, feats) if terms is None else terms
+    _, Tf, valid, cell = attention_terms(params, feats) if terms is None else terms
     lead = valid.shape[:-2]
 
     pre_q = h_prev @ params["W_h"].T + params["b_h"]
     q = np.tanh(pre_q)
     u = params["w_att"] * q
     logits = (Tf.reshape(lead + (-1, Tf.shape[-1])) @ u[..., None]).reshape(valid.shape)
-    # softmax over each grid's valid cells; a grid without one has e = 0
-    z = np.where(valid, logits, -np.inf).reshape(lead + (-1,))
-    zmax = z.max(axis=-1, keepdims=True)
-    e = np.exp(z - np.where(zmax > -np.inf, zmax, 0.0))
-    total = e.sum(axis=-1, keepdims=True)
-    alpha = e / np.where(total > 0.0, total, 1.0)
+    alpha = masked_softmax(logits.reshape(lead + (-1,)), valid.reshape(lead + (-1,)))
     v_grounded = (alpha[..., None, :] @ cell.reshape(lead + (-1, cell.shape[-1])))[..., 0, :]
     alpha = alpha.reshape(valid.shape)
-    cache = (M, Tf, q, pre_q, u, alpha, cell, valid, h_prev, f_cur,
-             feats.cur_head, feats.cur_body, feats.cur_stat, logits)
-    return alpha, v_grounded, cache
+    return alpha, v_grounded, (Tf, q, alpha, cell, valid, logits)
 
 
 def attention_backward(params, cache, dv_grounded, dlogits_extra):
     """The backward through one attention step (of one pair or a batch,
-    as it ran), without weight gradients. ``dlogits_extra`` is None or the
-    attention-loss gradient already at the logits. Returns (dh_prev,
-    dlogits, du, dpre_q): the gradients at the hidden state, at the cell
-    logits, at ``u = w_att ∘ q`` and at ``pre_q = W_h h_prev + b_h``, from
-    which ``sentence_loss`` builds the rows of ``weight_gradients``.
+    as it ran), without weight gradients. ``dlogits_extra`` is the
+    attention-loss gradient already at the logits (zeros on a step without
+    supervision). Returns (dh_prev, dlogits, du, dpre_q): the gradients at
+    the hidden state, at the cell logits, at ``u = w_att ∘ q`` and at
+    ``pre_q = W_h h_prev + b_h``, from which ``sentence_loss`` builds the
+    rows of ``weight_gradients``.
     """
-    Tf, q, _, _, alpha, cell, valid = cache[1:8]
+    Tf, q, alpha, cell, valid, _ = cache
     lead = valid.shape[:-2]
 
     dalpha = (cell.reshape(lead + (-1, cell.shape[-1])) @ dv_grounded[..., None]
               ).reshape(alpha.shape)
     s = (alpha * dalpha).reshape(lead + (-1,)).sum(axis=-1)
-    dlogits = alpha * (dalpha - s[..., None, None])
-    if dlogits_extra is not None:
-        dlogits = dlogits + dlogits_extra
+    dlogits = alpha * (dalpha - s[..., None, None]) + dlogits_extra
     dlogits = np.where(valid, dlogits, 0.0)
 
     du = (dlogits.reshape(lead + (1, -1)) @ Tf.reshape(lead + (-1, Tf.shape[-1])))[..., 0, :]
@@ -313,7 +291,10 @@ def sentence_loss(params, config, vocab, batch):
     every word loss is then inf, so that training aborts.
     """
     B, H = len(batch), config.hidden
-    feats, own = _stack_features([item.feats for item in batch])
+    # one PairFeatures with a batch axis; each pair's slots padded with invalid zero slots
+    feats = PairFeatures(v_global=np.stack([item.feats.v_global for item in batch]), **{
+        name: pad_rows([getattr(item.feats, name) for item in batch])[0] for name in (
+            "cur_head", "cur_body", "cur_stat", "cur_valid", "prev_head", "prev_valid")})
     terms = attention_terms(params, feats)
     valid = terms.valid
     W_rec, W_glob, EW = _split_lstm(params, config)
@@ -331,26 +312,32 @@ def sentence_loss(params, config, vocab, batch):
     targeted = [(tau, b, p, ci) for b, item in enumerate(batch)
                 for tau, (p, ci) in item.alpha_targets.items()
                 if 0 <= tau < lens[b] and targets[b, tau] in person_idx]
-    supervised = [[] for _ in range(T)]  # per step: (b, p, c) with c 0-based
-    for tau, b, p, ci in targeted:
-        if 0 <= p < valid.shape[1] and 1 <= ci <= valid.shape[2] and valid[b, p, ci - 1]:
-            supervised[tau].append((b, p, ci - 1))
-    skipped = len(targeted) - sum(map(len, supervised))
+    P1, C = valid.shape[1:]
+    # (tau, b, flat cell) of the targets on a valid cell, step by step
+    sup_t, sup_b, sup_cell = np.array(sorted(
+        (tau, b, p * C + ci - 1) for tau, b, p, ci in targeted
+        if 0 <= p < P1 and 1 <= ci <= C and valid[b, p, ci - 1]), dtype=int).reshape(-1, 3).T
+    skipped = len(targeted) - len(sup_t)
 
     inputs = (feats.v_global @ W_glob.T + params["b_lstm"])[:, None, :] + EW[words]
     h = c = np.zeros((B, H), dtype=FLOAT)
     hs = np.empty((B, T, H), dtype=FLOAT)
-    steps, att_loss = [], [0.0] * B
+    steps = []
     for t in range(T):  # step t reads word t and predicts word t + 1 (position tau = t)
-        alpha, v_gr, att_cache = attention_step(params, h, feats, terms)
+        _, v_gr, att_cache = attention_step(params, h, feats, terms)
         h, c, lstm_cache = lstm_step_forward(W_rec, inputs[:, t], v_gr, h, c)
         hs[:, t] = h
-        dlogits_extra = np.zeros_like(alpha) if supervised[t] else None
-        for b, p, ci in supervised[t]:
-            att_loss[b] += cross_entropy(att_cache[-1][b], (p, ci), valid[b])
-            dlogits_extra[b] = alpha[b]
-            dlogits_extra[b, p, ci] -= 1.0
-        steps.append((att_cache, lstm_cache, dlogits_extra))
+        steps.append((att_cache, lstm_cache))
+
+    # every supervised step's attention loss in one call; its probabilities
+    # are bitwise the steps' alpha (see masked_softmax)
+    att_logits = np.stack([att_cache[-1] for att_cache, _ in steps]).reshape(T, B, -1)
+    probs, losses = softmax_cross_entropy(att_logits[sup_t, sup_b], sup_cell,
+                                          valid.reshape(B, -1)[sup_b])
+    probs[np.arange(len(sup_t)), sup_cell] -= 1.0
+    dlogits_extra = np.zeros((T,) + valid.shape, dtype=FLOAT)
+    dlogits_extra.reshape(T, B, -1)[sup_t, sup_b] = probs  # through a view
+    att_loss = [float(losses[sup_b == b].sum()) for b in range(B)]
 
     logits = hs[real] @ params["W_pred"].T + params["b_pred"]
     if not np.all(np.isfinite(logits)):
@@ -365,29 +352,29 @@ def sentence_loss(params, config, vocab, batch):
     back = []
     dh = dc = np.zeros((B, H), dtype=FLOAT)
     for t in range(T - 1, -1, -1):
-        att_cache, lstm_cache, dlogits_extra = steps[t]
+        att_cache, lstm_cache = steps[t]
         # dx is v_grounded's gradient: the recurrent block has no other inputs
         da, dx, dh, dc = lstm_step_backward(lstm_cache, dh + dh_out[:, t], dc)
-        dh_att, dlogits, du, dpre_q = attention_backward(params, att_cache, dx, dlogits_extra)
+        dh_att, dlogits, du, dpre_q = attention_backward(params, att_cache, dx, dlogits_extra[t])
         dh = dh + dh_att
-        back.append((da, dlogits, du, dpre_q, att_cache[2], lstm_cache[1]))
+        back.append((da, dlogits, du, dpre_q, att_cache[1], lstm_cache[1]))
     da, dlogits, du, dpre_q, q, rec = (np.stack(x[::-1], axis=1) for x in zip(*back))
     # nothing below reads the cell tensor, the step caches or W_rec: freeing
     # them before the rows are formed lowers the batch's peak memory
     M, Tf = terms.M, terms.Tf
     del terms, steps, att_cache, lstm_cache, W_rec
 
-    # the rows of weight_gradients: real steps and each pair's own cells,
-    # item-major; padded steps and cells hold exact zeros and are dropped
+    # the rows of weight_gradients: real steps, valid cells and valid current
+    # tracks, item-major; padded steps and cells hold exact zeros and are dropped
     rec, d_gr = rec[real], config.d_grounded  # rec rows: [v_grounded, h_prev]
     xh = np.concatenate([rec[:, :d_gr], np.repeat(feats.v_global, lens, axis=0),
                          params["E"][words[real]], rec[:, d_gr:]], axis=1)
     dF = (dlogits.reshape(B, T, -1).transpose(0, 2, 1) @ (q * params["w_att"])).reshape(Tf.shape)
     dF *= 1.0 - Tf * Tf
-    own_cur = own[:, 0]
+    cur = feats.cur_valid
     rows = (words[real], xh, da[real], hs[real], dlog, q[real], du[real], dpre_q[real],
-            M[own], dF[own], feats.cur_head[own_cur], feats.cur_body[own_cur],
-            feats.cur_stat[own_cur], dF.sum(axis=1)[own_cur])
+            M[valid], dF[valid], feats.cur_head[cur], feats.cur_body[cur],
+            feats.cur_stat[cur], dF.sum(axis=1)[cur])
     total = [w + a for w, a in zip(word_loss, att_loss)]
     return total, word_loss, att_loss, rows, skipped
 
@@ -402,8 +389,8 @@ def weight_gradients(params, config, rows, grads=None):
     state ``h``, ``softmax(word logits) - onehot(target word)``, the query
     ``q = tanh(pre_q)`` and the gradients at ``u = w_att ∘ q`` and at
     ``pre_q = W_h h_prev + b_h`` (both 0 on a pair without a valid cell).
-    Per grid cell: ``M`` and ``dF = (dlogitsᵀ U) ∘ (1 - Tf²)``, the
-    gradient at ``F = M W_idᵀ + f_cur + b_v``. Per current-track slot: the
+    Per valid grid cell: ``M`` and ``dF = (dlogitsᵀ U) ∘ (1 - Tf²)``, the
+    gradient at ``F = M W_idᵀ + f_cur + b_v``. Per valid current track: the
     head, body and stat features and ``df_cur``, the gradient at ``f_cur``.
     """
     if grads is None:
@@ -536,7 +523,6 @@ def train_decoder(corpus: Corpus, supervision, config: DecoderConfig,
         n = len(items)
         trained.history.append((tot / n, wl / n, al / n))
         last_good = {k: v.copy() for k, v in params.items()}
-    grads = zeros_like_params(params)  # reused: a fresh dict per batch costs page faults
     return trained
 
 

@@ -24,7 +24,7 @@ import numpy as np
 from .corpus import Clip, Corpus, PairSupervision, pair_supervision  # noqa: F401
 from .numerics import (
     Adam, FLOAT, glorot_uniform, lstm_init, lstm_step_backward, lstm_step_forward,
-    rng_stream, softmax_cross_entropy, zeros_like_params,
+    masked_softmax, pad_rows, rng_stream, softmax_cross_entropy, zeros_like_params,
 )
 from .track_features import NormStats, apply_norm, fit_norm_stats
 
@@ -67,18 +67,6 @@ def init_linker_params(config: LinkerConfig, n_names, d_head, seed):
     }
 
 
-def _pad_tracks(features):
-    """Stack per-mention track features ``(C_b, d_head)`` into ``(B, C, d_head)``
-    rows padded with zeros to the largest C; returns (V, valid)."""
-    C = max(len(f) for f in features)
-    V = np.zeros((len(features), C, features[0].shape[1]), dtype=FLOAT)
-    valid = np.zeros((len(features), C), dtype=bool)
-    for b, f in enumerate(features):
-        V[b, :len(f)] = f
-        valid[b, :len(f)] = True
-    return V, valid
-
-
 def _score(params, config, gender_rows, name_rows, V, valid):
     """Attention of B mentions over their tracks.
 
@@ -99,7 +87,7 @@ def _score(params, config, gender_rows, name_rows, V, valid):
          + (m @ W1[:, :H].T)[:, None, :] + params["b_s1"])
     T = np.tanh(A)
     s = T @ params["w_s2"]
-    att = softmax_cross_entropy(s, np.zeros(B, dtype=int), valid)[0]
+    att = masked_softmax(s, valid)
     return att, T, m, (cache1, cache2)
 
 
@@ -116,7 +104,7 @@ def _batch_loss_and_grads(params, config, instances, names, grads):
     genders = np.array([Linker.GENDER_ROWS[i.gender] for i in instances])
     classes = np.array([names[i.name_id] for i in instances])
     rows = 2 + classes
-    V, valid = _pad_tracks([i.features for i in instances])
+    V, valid = pad_rows([i.features for i in instances])
     B, C, d = V.shape
     att, T, m, (cache1, cache2) = _score(params, config, genders, rows, V, valid)
 
@@ -220,13 +208,15 @@ def train_linker(corpus: Corpus, config: LinkerConfig = None, seed=0):
     rng = rng_stream(seed, "linker-train")
 
     history = []
+    grads = zeros_like_params(params)  # reused: a fresh dict per batch costs page faults
     for _ in range(config.epochs):
         order = rng.permutation(len(instances))
         total = 0.0
         bs = config.batch_size or len(instances)
         for start in range(0, len(order), bs):
             batch = [instances[i] for i in order[start:start + bs]]
-            grads = zeros_like_params(params)
+            for g in grads.values():
+                g.fill(0.0)
             total += _batch_loss_and_grads(params, config, batch, names, grads)
             for k in grads:
                 grads[k] /= len(batch)

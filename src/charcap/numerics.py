@@ -33,19 +33,28 @@ def softmax(logits):
 
 
 def masked_softmax(logits, valid):
-    """Softmax over the cells where ``valid`` is True; invalid cells get 0.
+    """Softmax of each row (the last axis) over its ``valid`` entries;
+    invalid entries get exactly 0, a row without a valid entry is all 0
+    (with no warning), and a row with one is bitwise
+    ``softmax_cross_entropy``'s ``probs``. The linker's and the decoder's
+    attention."""
+    z = np.where(valid, logits, -np.inf)
+    zmax = z.max(axis=-1, keepdims=True)
+    e = np.exp(z - np.where(zmax > -np.inf, zmax, 0.0))
+    total = e.sum(axis=-1, keepdims=True)
+    return e / np.where(total > 0.0, total, 1.0)
 
-    At least one cell must be valid. The tests check ``cross_entropy``'s
-    masked form against it; the decoder's attention normalises each grid
-    of a mini-batch itself, because a grid there may have no valid cell.
-    """
-    z = np.asarray(logits, dtype=FLOAT)
-    valid = np.asarray(valid, dtype=bool)
-    if not valid.any():
-        raise ValueError("masked_softmax: no valid cells")
-    zmax = z[valid].max()
-    e = np.where(valid, np.exp(np.where(valid, z, zmax) - zmax), 0.0)
-    return e / e.sum()
+
+def pad_rows(arrays):
+    """Stack B arrays of ``(n_b, ...)`` rows into ``(B, max n_b, ...)``,
+    zero-padded (False for bool); ``mask[b, i]`` marks array b's own rows.
+    Returns ``(padded, mask)``."""
+    n = np.array([len(a) for a in arrays])
+    mask = np.arange(n.max()) < n[:, None]
+    rows = np.concatenate(arrays)
+    padded = np.zeros(mask.shape + rows.shape[1:], dtype=rows.dtype)
+    padded[mask] = rows
+    return padded, mask
 
 
 def cross_entropy(logits, target, valid=None):
@@ -53,7 +62,9 @@ def cross_entropy(logits, target, valid=None):
 
     Finite whenever the logits are, also where the target's probability
     underflows to 0. With ``valid`` the softmax runs over the valid cells
-    only (as ``masked_softmax``); ``target`` indexes ``logits``.
+    only (as ``masked_softmax``); ``target`` indexes ``logits``. The
+    reference the tests check ``softmax_cross_entropy``'s losses and the
+    decoder's attention loss against.
     """
     z = np.asarray(logits, dtype=FLOAT)
     zt = z[target]

@@ -134,7 +134,7 @@ class TestAttentionStep:
         feats = rand_feats(rng, C=4, P=2, cfg=cfg)
         alpha, v_gr, cache = attention_step(params, rng.normal(size=cfg.hidden),
                                             feats)
-        cell = cache[6]  # (P+1, C, d_gr) concatenated cell features
+        cell = cache[3]  # (P+1, C, d_gr) concatenated cell features
         flat = cell.reshape(-1, cell.shape[2])
         assert (v_gr >= flat.min(axis=0) - 1e-12).all()
         assert (v_gr <= flat.max(axis=0) + 1e-12).all()
@@ -584,11 +584,15 @@ class TestCheckpointVersion:
             load_checkpoint(path)
 
 
-def _reference_attention_backward(params, cache, dv_grounded, dlogits_extra, grads):
+def _reference_attention_backward(params, feats, cache, h_prev, dv_grounded,
+                                  dlogits_extra, grads):
     """Per-step backward through one attention step, every weight's
     gradient formed at the step (the formula before the per-sentence
     terms); returns dh_prev."""
-    M, Tf, q, pre_q, u, alpha, cell, valid, h_prev, f_cur, Vh, Vb, Vs, _ = cache
+    M = attention_terms(params, feats).M
+    Tf, q, alpha, cell, valid, _ = cache
+    u = params["w_att"] * q
+    Vh, Vb, Vs = feats.cur_head, feats.cur_body, feats.cur_stat
     dalpha = np.einsum("pcd,d->pc", cell, dv_grounded)
     dlogits = alpha * (dalpha - float((alpha * dalpha).sum()))
     if dlogits_extra is not None:
@@ -618,7 +622,8 @@ def _reference_sentence_grads(params, cfg, vocab, feats, sentence, targets):
     c = np.zeros(cfg.hidden)
     steps = []
     for step in range(1, len(tokens)):
-        alpha, v_gr, att_cache = attention_step(params, h, feats)
+        h_prev = h
+        alpha, v_gr, att_cache = attention_step(params, h_prev, feats)
         x = np.concatenate([v_gr, feats.v_global, params["E"][tokens[step - 1]]])
         h, c, lstm_cache = lstm_step_forward(params["W_lstm"], params["b_lstm"], x, h, c)
         dlog = softmax(params["W_pred"] @ h + params["b_pred"])
@@ -628,19 +633,20 @@ def _reference_sentence_grads(params, cfg, vocab, feats, sentence, targets):
             p, ci = targets[step - 1]
             extra = alpha.copy()
             extra[p, ci - 1] -= 1.0
-        steps.append((att_cache, lstm_cache, extra, dlog, h))
+        steps.append((att_cache, lstm_cache, extra, dlog, h_prev, h))
     dh = np.zeros(cfg.hidden)
     dc = np.zeros(cfg.hidden)
     d_gr = cfg.d_grounded
     for t in range(len(steps) - 1, -1, -1):
-        att_cache, lstm_cache, extra, dlog, h_t = steps[t]
+        att_cache, lstm_cache, extra, dlog, h_prev, h_t = steps[t]
         grads["W_pred"] += np.outer(dlog, h_t)
         grads["b_pred"] += dlog
         da, dx, dh_prev, dc = lstm_step_backward(lstm_cache, dh + params["W_pred"].T @ dlog, dc)
         grads["W_lstm"] += np.outer(da, lstm_cache[1])
         grads["b_lstm"] += da
         grads["E"][tokens[t]] += dx[d_gr + cfg.d_global:]
-        dh = dh_prev + _reference_attention_backward(params, att_cache, dx[:d_gr], extra, grads)
+        dh = dh_prev + _reference_attention_backward(params, feats, att_cache, h_prev,
+                                                     dx[:d_gr], extra, grads)
     return grads
 
 
@@ -716,8 +722,17 @@ class TestBatchGradients:
             TrainItem(2, rand_feats(rng, C=4, P=1, cfg=cfg),
                       ["street", "MaleName", "walks", "MaleCoref"], {1: (0, 3), 3: (1, 3)}),
         ]
+        # targets of two items at one step, of one item at two steps, and
+        # one on a cell of the batch's grid that its item lacks
+        same_step = [
+            TrainItem(0, rand_feats(rng, C=3, P=1, cfg=cfg),
+                      ["MaleName", "walks", "FemaleCoref"], {0: (1, 3), 2: (0, 2)}),
+            TrainItem(1, rand_feats(rng, C=2, P=2, cfg=cfg),
+                      ["FemaleName", "MaleCoref"], {0: (2, 1), 1: (0, 3)}),
+        ]
         for items, kept, n_skipped in [(three, [item.alpha_targets for item in three], 0),
-                                       (*mixed_batch(cfg, rng), 1)]:
+                                       (*mixed_batch(cfg, rng), 1),
+                                       (same_step, [{0: (1, 3), 2: (0, 2)}, {0: (2, 1)}], 1)]:
             total, word, att, rows, skipped = sentence_loss(params, cfg, vocab, items)
             grads = weight_gradients(params, cfg, rows)
             want = zeros_like_params(params)

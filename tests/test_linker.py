@@ -8,10 +8,10 @@ from charcap.linker import (
     Linker, LinkerConfig, build_attention_gt, build_link_instances,
     init_linker_params, linking_accuracy, train_linker,
 )
-from charcap.linker import LinkInstance, _batch_loss_and_grads, _pad_tracks, _score
+from charcap.linker import LinkInstance, _batch_loss_and_grads, _score
 from charcap.numerics import (
     cross_entropy, finite_diff_check, lstm_step_backward, lstm_step_forward,
-    rng_stream, softmax, zeros_like_params,
+    pad_rows, rng_stream, softmax, zeros_like_params,
 )
 from charcap.track_features import apply_norm, fit_norm_stats
 
@@ -256,7 +256,7 @@ class TestBatch:
 
     def test_padding_tracks_get_zero_attention(self):
         cfg, params, insts, classes = self._batch()
-        V, valid = _pad_tracks([i.features for i in insts])
+        V, valid = pad_rows([i.features for i in insts])
         genders = [Linker.GENDER_ROWS[i.gender] for i in insts]
         names = [2 + classes[i.name_id] for i in insts]
         att = _score(params, cfg, genders, names, V, valid)[0]

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from charcap.numerics import (
     Adam, cross_entropy, finite_diff_check, glorot_uniform, lstm_init,
-    lstm_step_backward, lstm_step_forward, masked_softmax, rng_stream, sigmoid,
-    softmax, softmax_cross_entropy,
+    lstm_step_backward, lstm_step_forward, masked_softmax, pad_rows, rng_stream,
+    sigmoid, softmax, softmax_cross_entropy,
 )
 
 
@@ -40,16 +40,60 @@ class TestSoftmax:
         assert abs(p.sum() - 1.0) <= 1e-9
         assert (p >= 0).all()
 
-    def test_masked_softmax_zeroes_invalid(self):
-        z = np.array([[1.0, 2.0], [3.0, 4.0]])
-        valid = np.array([[True, False], [True, True]])
-        p = masked_softmax(z, valid)
-        assert p[0, 1] == 0.0
-        assert abs(p.sum() - 1.0) <= 1e-12
 
-    def test_masked_softmax_needs_valid_cell(self):
-        with pytest.raises(ValueError):
-            masked_softmax(np.zeros((2, 2)), np.zeros((2, 2), dtype=bool))
+class TestMaskedSoftmax:
+    def test_each_row_is_the_softmax_of_its_valid_entries(self):
+        z = np.array([[[1.0, 2.0, 0.5], [3.0, 4.0, -1.0]]])
+        valid = np.array([[[True, False, True], [True, True, True]]])
+        p = masked_softmax(z, valid)
+        assert p.shape == z.shape and p[0, 0, 1] == 0.0
+        np.testing.assert_allclose(p[0, 0, [0, 2]], softmax(z[0, 0, [0, 2]]), rtol=0, atol=1e-15)
+        np.testing.assert_allclose(p[0, 1], softmax(z[0, 1]), rtol=0, atol=1e-15)
+
+    def test_a_row_without_a_valid_entry_is_exactly_zero(self):
+        z = np.array([[1.0, 2.0], [3.0, -np.inf], [0.0, 0.0]])
+        valid = np.array([[False, False], [True, False], [False, False]])
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            p = masked_softmax(z, valid)
+            none = masked_softmax(z[:, 0], np.zeros(3, dtype=bool))
+        assert (p[0] == 0.0).all() and (p[2] == 0.0).all()
+        assert p[1].tolist() == [1.0, 0.0]
+        assert none.tolist() == [0.0, 0.0, 0.0]
+
+    def test_bitwise_the_probabilities_of_softmax_cross_entropy(self):
+        # the decoder's alpha comes from masked_softmax and its attention
+        # loss from softmax_cross_entropy: the loss differentiates alpha
+        rng = rng_stream(3, "masked")
+        z = rng.normal(scale=30.0, size=(40, 9))
+        valid = rng.random(size=z.shape) < 0.4
+        valid[:3] = False
+        p = masked_softmax(z, valid)
+        rows = valid.any(axis=1)
+        assert (p[~rows] == 0.0).all() and rows.sum() > 30
+        probs, _ = softmax_cross_entropy(z[rows], valid[rows].argmax(axis=1), valid[rows])
+        assert p[rows].tobytes() == probs.tobytes()
+
+
+class TestPadRows:
+    def test_ragged_rows_are_padded_with_zeros(self):
+        a, b = np.arange(6.0).reshape(3, 2), np.array([[7.0, 8.0]])
+        padded, mask = pad_rows([a, np.zeros((0, 2)), b])
+        assert padded.shape == (3, 3, 2) and padded.dtype == a.dtype
+        assert mask.tolist() == [[True] * 3, [False] * 3, [True, False, False]]
+        assert padded[0].tobytes() == a.tobytes()
+        assert (padded[1] == 0.0).all()
+        assert padded[2].tolist() == [[7.0, 8.0], [0.0, 0.0], [0.0, 0.0]]
+
+    def test_all_empty_arrays_give_zero_rows(self):
+        padded, mask = pad_rows([np.zeros((0, 4)), np.zeros((0, 4))])
+        assert padded.shape == (2, 0, 4) and mask.shape == (2, 0)
+
+    def test_bool_rows_are_padded_with_false(self):
+        padded, mask = pad_rows([np.array([True, True]), np.array([False])])
+        assert padded.dtype == bool
+        assert padded.tolist() == [[True, True], [False, False]]
+        assert mask.tolist() == [[True, True], [True, False]]
 
 
 class TestRng:
@@ -177,7 +221,7 @@ class TestCrossEntropy:
     def test_masked_cells_are_left_out(self):
         z = np.array([[1.0, 2.0], [3.0, 4.0]])
         valid = np.array([[True, False], [True, True]])
-        p = masked_softmax(z, valid)
+        p = masked_softmax(z.reshape(-1), valid.reshape(-1)).reshape(z.shape)
         assert abs(cross_entropy(z, (1, 0), valid) + np.log(p[1, 0])) <= 1e-12
 
     def test_finite_where_the_probability_underflows(self):
