@@ -10,8 +10,15 @@ Two cues per frame pair, combined with OR so recall stays high:
   structure-tensor minimum-eigenvalue response.
 
 Frames are (H, W, 3) uint8 arrays, of one shape within a video. Each is
-converted to [0, 1] once, into one ``FrameSignature`` (histogram, corners,
-gray image) that both cues of its pairs read.
+converted to [0, 1] once, into one ``FrameSignature`` (histogram and gray
+image, corners on first read) that both cues of its pairs read.
+
+``detect_boundaries`` evaluates the OR per pair in order: the histogram
+distance first, and the survival ratio only for a pair the histogram did
+not fire on and only when ``theta_survive > 0`` (a ratio is never below
+0). So a cut pair the histogram catches is never searched, and a frame
+whose corners no search reads never runs the corner detector.
+``pair_features`` computes both cues on every pair.
 
 The survival search tries shifts ring by ring from the centre out and
 stops once every corner has matched; within a shot that is usually the
@@ -24,6 +31,7 @@ A boundary index i means a cut between frames i-1 and i.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -31,7 +39,12 @@ from scipy.ndimage import maximum_filter, uniform_filter, uniform_filter1d
 
 from .numerics import FLOAT
 
-BINS = 32  # histogram bins per channel
+# histogram bins per channel; level k of 0..255 falls in bin
+# min(k * BINS // 255, BINS - 1), which for a power of two is bitwise
+# np.histogram(frame / 255, BINS, (0, 1)) (every edge i / BINS is an exact
+# double and no level 0 < k < 255 lies on one); for some other values
+# (5, 10, 20, 33, ...) np.histogram's float edges put a level one bin off
+BINS = 32
 PATCH_SIZE = 9
 SEARCH_RADIUS = 16
 MAX_CORNERS = 200
@@ -49,8 +62,18 @@ SYNTH_JITTER = 2.0         # synthetic_cut_video: per-frame pixel noise std
 @dataclass
 class FrameSignature:
     histogram: np.ndarray  # length 3*BINS, sums to 1
-    corners: np.ndarray    # (K, 2) integer (row, col)
     gray: np.ndarray       # (H, W) channel mean, [0,1] scale
+
+    @cached_property
+    def corners(self):
+        """(K, 2) integer (row, col) of the top ``MAX_CORNERS`` corners,
+        found on first read; a degenerate (uniform) frame has none."""
+        resp = min_eig_response(self.gray)
+        local_max = resp == maximum_filter(resp, size=3)
+        cand = np.argwhere(local_max & (resp > CORNER_EPS))
+        scores = resp[cand[:, 0], cand[:, 1]]
+        order = np.lexsort((cand[:, 1], cand[:, 0], -scores))[:MAX_CORNERS]
+        return cand[order]
 
 
 def _as_float_rgb(frame):
@@ -71,25 +94,14 @@ def min_eig_response(gray):
 
 
 def frame_signature(frame):
-    """Color histogram, top ``MAX_CORNERS`` corners and gray image of a frame.
-
-    A degenerate (uniform) frame yields an empty corner list but still a
-    valid histogram.
-    """
+    """Color histogram and gray image of a frame; its corners are found
+    when first read."""
     f = _as_float_rgb(frame)
-    hist = np.concatenate([
-        np.histogram(f[:, :, ch], bins=BINS, range=(0.0, 1.0))[0]
-        for ch in range(3)
-    ]).astype(FLOAT)
+    level_bin = np.minimum(np.arange(256) * BINS // 255, BINS - 1)
+    idx = level_bin[np.asarray(frame)] + np.arange(0, 3 * BINS, BINS)
+    hist = np.bincount(idx.ravel(), minlength=3 * BINS).astype(FLOAT)
     hist /= hist.sum()
-
-    gray = f.mean(axis=2)
-    resp = min_eig_response(gray)
-    local_max = resp == maximum_filter(resp, size=3)
-    cand = np.argwhere(local_max & (resp > CORNER_EPS))
-    scores = resp[cand[:, 0], cand[:, 1]]
-    order = np.lexsort((cand[:, 1], cand[:, 0], -scores))[:MAX_CORNERS]
-    return FrameSignature(hist, cand[order], gray)
+    return FrameSignature(hist, f.mean(axis=2))
 
 
 def hist_distance(sig_a: FrameSignature, sig_b: FrameSignature):
@@ -143,10 +155,9 @@ def survival_ratio(sig_a: FrameSignature, sig_b: FrameSignature):
     return float(np.mean(~lost))
 
 
-def pair_features(frames):
-    """(histogram distance, survival ratio) for every consecutive pair,
-    from one signature per frame. A frame that is not a non-empty (H, W, 3)
-    uint8 array shaped like frame 0 raises ``ValueError`` naming it."""
+def _signatures(frames):
+    """One ``FrameSignature`` per frame, each checked as ``pair_features``
+    describes."""
     if len(frames) < 2:
         raise ValueError("need at least 2 frames")
     sigs = []
@@ -157,6 +168,14 @@ def pair_features(frames):
             raise ValueError(f"frame {k}: {exc}") from None
         if sigs[k].gray.shape != sigs[0].gray.shape:
             raise ValueError(f"frame {k}: shape {np.shape(frame)} is not frame 0's")
+    return sigs
+
+
+def pair_features(frames):
+    """(histogram distance, survival ratio) for every consecutive pair,
+    from one signature per frame. A frame that is not a non-empty (H, W, 3)
+    uint8 array shaped like frame 0 raises ``ValueError`` naming it."""
+    sigs = _signatures(frames)
     pairs = list(zip(sigs, sigs[1:]))
     return (np.array([hist_distance(a, b) for a, b in pairs]),
             np.array([survival_ratio(a, b) for a, b in pairs]))
@@ -164,14 +183,20 @@ def pair_features(frames):
 
 def detect_boundaries(frames, theta_hist, theta_survive):
     """Boundary between i-1 and i iff the histogram distance exceeds
-    theta_hist OR the survival ratio falls below theta_survive."""
-    if theta_hist < 0:
-        raise ValueError("theta_hist must be >= 0")
+    theta_hist OR the survival ratio falls below theta_survive, as plain
+    ints. The OR short-circuits per pair: the survival ratio is computed
+    only for a pair the histogram did not fire on, and only when
+    theta_survive > 0. Every frame is checked as ``pair_features`` checks
+    it before any pair is compared; theta_hist = inf switches the
+    histogram cue off, and a NaN threshold is rejected."""
+    if not theta_hist >= 0:
+        raise ValueError(f"theta_hist must be >= 0, got {theta_hist}")
     if not 0.0 <= theta_survive <= 1.0:
-        raise ValueError("theta_survive must be in [0, 1]")
-    dists, survs = pair_features(frames)
-    fired = (dists > theta_hist) | (survs < theta_survive)
-    return [i + 1 for i in np.flatnonzero(fired)]
+        raise ValueError(f"theta_survive must be in [0, 1], got {theta_survive}")
+    sigs = _signatures(frames)
+    return [i for i, (a, b) in enumerate(zip(sigs, sigs[1:]), 1)
+            if hist_distance(a, b) > theta_hist
+            or (theta_survive > 0 and survival_ratio(a, b) < theta_survive)]
 
 
 @dataclass

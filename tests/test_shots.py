@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 from scipy.ndimage import uniform_filter
@@ -59,6 +57,29 @@ class TestSignature:
         d = hist_distance(frame_signature(solid(0, 0, 0)),
                           frame_signature(solid(1, 1, 1)))
         assert d == 0.0
+
+    @pytest.mark.parametrize("bins", [4, 5, 32])
+    def test_histogram_bins_levels_by_rule(self, bins, monkeypatch):
+        # level k falls in bin min(k * BINS // 255, BINS - 1); for a power of
+        # two that is np.histogram on [0, 1], for BINS = 5 it is not
+        monkeypatch.setattr(shots, "BINS", bins)
+        rng = rng_stream(bins, "hist")
+        levels = np.stack([rng.permutation(256) for _ in range(3)], axis=-1)
+        frames = [levels.reshape(16, 16, 3).astype(np.uint8)]
+        frames += [rng.integers(0, 256, size=(12, 20, 3)).astype(np.uint8) for _ in range(3)]
+        level_bin = np.minimum(np.arange(256) * bins // 255, bins - 1)
+        for f in frames:
+            rule = np.concatenate([np.bincount(level_bin[f[:, :, ch]].ravel(), minlength=bins)
+                                   for ch in range(3)]).astype(float)
+            reference = np.concatenate([np.histogram(f[:, :, ch] / 255.0, bins=bins,
+                                                     range=(0.0, 1.0))[0]
+                                        for ch in range(3)]).astype(float)
+            got = frame_signature(f).histogram
+            assert got.tobytes() == (rule / rule.sum()).tobytes()
+            if bins != 5:
+                assert got.tobytes() == (reference / reference.sum()).tobytes()
+            elif f is frames[0]:  # some of the 256 levels sit one bin off
+                assert rule.tolist() != reference.tolist()
 
 
 class TestSurvival:
@@ -121,7 +142,7 @@ class TestSurvivalSearch:
         for i in range(len(frames) - 1):
             a, b = frames[i], frames[i + 1]
             sig_a = frame_signature(a)
-            sig_a = dataclasses.replace(sig_a, corners=np.concatenate([sig_a.corners, border]))
+            sig_a.corners = np.concatenate([sig_a.corners, border])
             sig_b = frame_signature(b)
             for radius in (0, 1, 4, 16):
                 monkeypatch.setattr(shots, "SEARCH_RADIUS", radius)
@@ -171,6 +192,23 @@ class TestPairFeatures:
         monkeypatch.setattr(shots, "_as_float_rgb", counting)
         pair_features(frames)
         assert len(converted) == len(frames)
+
+    def test_corners_found_only_for_first_frames(self, monkeypatch):
+        # the last frame is never the first of a pair, so its corners are
+        # never read
+        monkeypatch.setattr(shots, "SEARCH_RADIUS", 2)
+        rng = rng_stream(11, "shot")
+        frames, _ = synthetic_cut_video(rng, 7, 2)
+        responses = []
+        real = shots.min_eig_response
+
+        def counting(gray):
+            responses.append(gray)
+            return real(gray)
+
+        monkeypatch.setattr(shots, "min_eig_response", counting)
+        pair_features(frames)
+        assert len(responses) == len(frames) - 1
 
     def test_survival_equals_exhaustive_search(self):
         rng = rng_stream(10, "shot")
@@ -224,9 +262,87 @@ class TestBoundaries:
         with pytest.raises(ValueError):
             detect_boundaries(frames[:1], 0.1, 0.5)
 
+    def test_nan_theta_hist_rejected(self, monkeypatch):
+        monkeypatch.setattr(shots, "SEARCH_RADIUS", 2)
+        rng = rng_stream(5, "shot")
+        frames, cuts = synthetic_cut_video(rng, 12, 2)
+        assert cuts and detect_boundaries(frames, 0.5, 0.0) == cuts
+        with pytest.raises(ValueError, match="theta_hist"):
+            detect_boundaries(frames, float("nan"), 0.0)
+        with pytest.raises(ValueError, match="theta_survive"):
+            detect_boundaries(frames, 0.5, float("nan"))
+        # inf switches the histogram cue off
+        assert detect_boundaries(frames, float("inf"), 0.0) == []
+
+    def test_boundaries_are_plain_ints(self, monkeypatch):
+        monkeypatch.setattr(shots, "SEARCH_RADIUS", 2)
+        rng = rng_stream(5, "shot")
+        frames, cuts = synthetic_cut_video(rng, 12, 2)
+        got = detect_boundaries(frames, 0.5, 0.5)
+        assert got == cuts
+        assert all(type(b) is int for b in got)
+
+    def test_bad_frame_named(self):
+        frames = [solid(10, 20, 30) for _ in range(4)]
+        frames[3] = frames[3].astype(np.float64)
+        with pytest.raises(ValueError, match="frame 3: .*float64"):
+            detect_boundaries(frames, 0.5, 0.5)
+
     def test_near_black_fade_has_no_boundaries(self):
         z, o, t = solid(0, 0, 0), solid(1, 1, 1), solid(2, 2, 2)
         assert detect_boundaries([z, z, o, o, t, t], 0.5, 0.0) == []
+
+
+def searched_pairs(monkeypatch, frames):
+    """Record, per survival_ratio call, the index of the pair's first frame."""
+    grays = [(f / 255.0).mean(axis=2).tobytes() for f in frames]
+    searched = []
+    real = shots.survival_ratio
+
+    def recording(sig_a, sig_b):
+        searched.append(grays.index(sig_a.gray.tobytes()))
+        return real(sig_a, sig_b)
+
+    monkeypatch.setattr(shots, "survival_ratio", recording)
+    return searched
+
+
+class TestShortCircuit:
+    def test_equals_eager_rule(self, monkeypatch):
+        monkeypatch.setattr(shots, "SEARCH_RADIUS", 3)
+        rng = rng_stream(12, "shot")
+        videos = [synthetic_cut_video(rng, 9, n)[0] for n in (0, 2, 3)]
+        # a cut between two noise shots of one colour distribution, which
+        # only the survival cue finds at theta_hist 0.3
+        a, b = (rng.integers(0, 256, size=(20, 24, 3)).astype(np.uint8) for _ in range(2))
+        videos.append([a] * 3 + [b] * 3)
+        assert detect_boundaries(videos[-1], 0.3, 0.0) == []
+        assert detect_boundaries(videos[-1], 0.3, 0.7) == [3]
+        for frames in videos:
+            dists, survs = pair_features(frames)
+            for th in (0.0, 0.05, 0.3, 0.8, float("inf")):
+                for ts in (0.0, 0.3, 0.7, 1.0):
+                    want = [int(i) + 1 for i in np.flatnonzero((dists > th) | (survs < ts))]
+                    assert detect_boundaries(frames, th, ts) == want
+
+    def test_survival_cue_off_searches_nothing(self, monkeypatch):
+        rng = rng_stream(13, "shot")
+        frames, cuts = synthetic_cut_video(rng, 10, 2)
+        searched = searched_pairs(monkeypatch, frames)
+        responses = []
+        monkeypatch.setattr(shots, "min_eig_response", lambda gray: responses.append(gray))
+        assert detect_boundaries(frames, 0.5, 0.0) == cuts
+        assert searched == [] and responses == []
+
+    def test_histogram_fired_pair_never_searched(self, monkeypatch):
+        monkeypatch.setattr(shots, "SEARCH_RADIUS", 3)
+        rng = rng_stream(14, "shot")
+        frames, cuts = synthetic_cut_video(rng, 10, 3)
+        dists, _ = pair_features(frames)
+        assert (dists[[c - 1 for c in cuts]] > 0.5).all()
+        searched = searched_pairs(monkeypatch, frames)
+        assert detect_boundaries(frames, 0.5, 0.5) == cuts
+        assert searched == [i for i in range(len(frames) - 1) if i + 1 not in cuts]
 
 
 class TestFit:
