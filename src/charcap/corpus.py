@@ -17,7 +17,9 @@ Consecutive lines form (previous, current) pairs; a trailing odd line is a
 current-only pair. `boxes` entries are center-anchored [cx, cy, w, h]. An
 optional "frames" field holds a small RGB pixel grid per video frame for
 the shot-boundary stage. Ingestion validates all invariants and reports
-the offending line and field.
+the offending line and field, and keeps every track. A grounding
+(planted or linked) becomes a ``PairSupervision`` of track ids; only the
+decoder knows its attention grid and the grid's caps.
 """
 
 import json
@@ -42,8 +44,7 @@ VERB_OBJECT = {"walks": "street", "sits": "bench", "waves": "crowd",
 GREET_VERB = "greets"
 ALL_VERBS = VERBS + (GREET_VERB,)
 
-C_MAX = 50  # current-clip track cap
-P_MAX = 7   # previous-track candidates in addition to the null track
+FRAME_W, FRAME_H = 192.0, 108.0  # the frame the detection boxes are placed in
 GLOBAL_NOISE = 0.05  # std of the Gaussian noise on every v_global entry
 
 
@@ -174,23 +175,31 @@ class CorpusConfig:
     coref_fraction: float = 0.5
     two_mention_fraction: float = 0.3
     singleton_fraction: float = 0.15
-    frame_w: float = 192.0
-    frame_h: float = 108.0
     emit_frames: bool = False
     frames_per_clip: int = 9
     cuts_per_clip: int = 2
 
     def validate(self):
-        if self.n_pairs < 1 or self.n_characters < 1:
-            raise ConfigError("need at least one pair and one character")
-        if self.d_head < 2 or self.d_body < 1:
-            raise ConfigError("d_head must be >= 2 and d_body >= 1")
-        if self.d_global < len(ALL_VERBS):
-            raise ConfigError(f"d_global must be >= {len(ALL_VERBS)} to encode the verb")
-        if self.sigma < 0 or self.margin <= 0:
-            raise ConfigError("sigma must be >= 0 and margin > 0")
-        if not (0 <= self.coref_fraction <= 1):
-            raise ConfigError("coref_fraction must be in [0, 1]")
+        """Raise ``ConfigError`` naming the first field out of its range."""
+        unit = "must be in [0, 1]"
+        for name, ok, rule in (
+                ("n_pairs", self.n_pairs >= 1, "must be >= 1"),
+                ("n_characters", self.n_characters >= 1, "must be >= 1"),
+                ("d_head", self.d_head >= 2, "must be >= 2"),
+                ("d_body", self.d_body >= 1, "must be >= 1"),
+                ("d_global", self.d_global >= len(ALL_VERBS),
+                 f"must be >= {len(ALL_VERBS)} to encode the verb"),
+                ("sigma", self.sigma >= 0, "must be >= 0"),
+                ("margin", self.margin > 0, "must be > 0"),
+                ("max_distractors", self.max_distractors >= 0, "must be >= 0"),
+                ("coref_fraction", 0 <= self.coref_fraction <= 1, unit),
+                ("two_mention_fraction", 0 <= self.two_mention_fraction <= 1, unit),
+                ("singleton_fraction", 0 <= self.singleton_fraction <= 1, unit),
+                ("frames_per_clip", not self.emit_frames or self.frames_per_clip >= 2,
+                 "must be >= 2 when emit_frames is set"),
+                ("cuts_per_clip", self.cuts_per_clip >= 0, "must be >= 0")):
+            if not ok:
+                raise ConfigError(f"CorpusConfig.{name} {rule}, got {getattr(self, name)!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -221,21 +230,21 @@ def _make_characters(config, rng):
     return chars
 
 
-def _described_geometry(rng, config):
+def _described_geometry(rng):
     n = int(rng.integers(5, 10))
     w = rng.uniform(48.0, 72.0)
     h = w * rng.uniform(0.9, 1.1)
-    cx = config.frame_w / 2.0 + rng.normal(0.0, config.frame_w / 10.0)
-    cy = config.frame_h / 2.0 + rng.normal(0.0, config.frame_h / 10.0)
+    cx = FRAME_W / 2.0 + rng.normal(0.0, FRAME_W / 10.0)
+    cy = FRAME_H / 2.0 + rng.normal(0.0, FRAME_H / 10.0)
     return n, w, h, cx, cy
 
 
-def _distractor_geometry(rng, config):
+def _distractor_geometry(rng):
     n = int(rng.integers(3, 6))
     w = rng.uniform(28.0, 44.0)
     h = w * rng.uniform(0.9, 1.1)
-    cx = rng.uniform(0.15, 0.85) * config.frame_w
-    cy = rng.uniform(0.15, 0.85) * config.frame_h
+    cx = rng.uniform(0.15, 0.85) * FRAME_W
+    cy = rng.uniform(0.15, 0.85) * FRAME_H
     return n, w, h, cx, cy
 
 
@@ -264,14 +273,14 @@ def _make_clip(clip_id, mentioned, distractor_chars, config, rng):
     # build tracks first so the two-mention order can follow track size
     entries = []  # (char, coref_flag_or_None_for_distractor, track)
     for ch, coref in mentioned:
-        n, w, h, cx, cy = _described_geometry(rng, config)
+        n, w, h, cx, cy = _described_geometry(rng)
         dets = _make_detections(rng, n, w, h, cx, cy, 0.7, 1.0)
         tr = Track(id=0, detections=dets,
                    v_head=_appearance(rng, ch.head_center, config.sigma),
                    v_body=_appearance(rng, ch.body_center, config.sigma))
         entries.append((ch, coref, tr))
     for ch in distractor_chars:
-        n, w, h, cx, cy = _distractor_geometry(rng, config)
+        n, w, h, cx, cy = _distractor_geometry(rng)
         dets = _make_detections(rng, n, w, h, cx, cy, 0.5, 0.9)
         tr = Track(id=0, detections=dets,
                    v_head=_appearance(rng, ch.head_center, config.sigma),
@@ -371,7 +380,7 @@ def generate_corpus(config: CorpusConfig, seed):
     extra = [*ALL_VERBS, *VERB_OBJECT.values()]
     vocab = Vocabulary.build(extra)
     meta = {
-        "frame_w": config.frame_w, "frame_h": config.frame_h,
+        "frame_w": FRAME_W, "frame_h": FRAME_H,
         "d_head": config.d_head, "d_body": config.d_body,
         "d_global": config.d_global, "seed": int(seed),
     }
@@ -379,50 +388,35 @@ def generate_corpus(config: CorpusConfig, seed):
 
 
 # ---------------------------------------------------------------------------
-# attention supervision from a grounding (planted or linked)
+# supervision from a grounding (planted or linked)
 # ---------------------------------------------------------------------------
-
-@dataclass
-class AlphaTarget:
-    tau: int   # sentence position of the person word
-    p: int     # 0 = null track, else 1-based index into the candidate list
-    c: int     # 1-based index into the current clip's (capped) track list
-
 
 @dataclass
 class PairSupervision:
     pair_id: int
     prev_grounding: list  # (track_id, char_id, gender), sentence order
-    targets: list         # AlphaTarget per supervised person-word position
+    links: list           # (mention, track_id) of the current clip, sentence order
 
 
 def pair_supervision(pair: ClipPair, prev_links, cur_links):
-    """Joint attention supervision of one pair from a grounding: the
-    (mention, track_id) links of its previous and current clip, each in
-    sentence order. The previous candidates are each character's first
-    linked track, at most ``P_MAX``. A current mention targets its track's
-    1-based index in ``cap_tracks(pair.cur.tracks)`` (none if capped away)
-    and its co-referent's candidate slot, else the null slot 0."""
+    """The supervision of one pair from a grounding: the (mention,
+    track_id) links of its previous and current clip, each in sentence
+    order. Its ``prev_grounding`` holds each character's first linked
+    previous track; its ``links`` are the current clip's. The decoder maps
+    them onto its attention grid (``decoder.build_train_items``)."""
     first = {}
     for m, tid in prev_links:
         first.setdefault(m.char_id, (tid, m.char_id, m.gender))
-    grounding = list(first.values())[:P_MAX]
-    prev_pos = {char: i + 1 for i, (_, char, _) in enumerate(grounding)}
-    index_of = {t.id: i + 1 for i, t in enumerate(cap_tracks(pair.cur.tracks))}
-    targets = []
-    for m, tid in cur_links:
-        if tid in index_of:
-            p = prev_pos.get(m.coref_prev, 0) if m.coref_prev is not None else 0
-            targets.append(AlphaTarget(tau=m.pos, p=p, c=index_of[tid]))
-    return PairSupervision(pair_id=pair.id, prev_grounding=grounding, targets=targets)
+    return PairSupervision(pair_id=pair.id, prev_grounding=list(first.values()),
+                           links=list(cur_links))
 
 
 def planted_supervision(pair: ClipPair):
     """``pair_supervision`` of the planted grounding: each mention linked to
     its first ground-truth track, mentions without one left out. Its
     ``prev_grounding`` is the (track_id, char_id, gender) of each
-    character's first previous-sentence mention, and its ``targets`` are
-    the exact joint attention targets the linker's grounding approximates."""
+    character's first previous-sentence mention, and its ``links`` are the
+    exact groundings the linker's approximate."""
     def links(clip):  # sentence order
         if clip is None:
             return []
@@ -432,16 +426,8 @@ def planted_supervision(pair: ClipPair):
 
 
 # ---------------------------------------------------------------------------
-# capping and JSONL
+# JSONL
 # ---------------------------------------------------------------------------
-
-def cap_tracks(tracks):
-    """Keep the longest ``C_MAX`` tracks (by detection count, id breaking
-    ties); order is untouched when nothing is dropped."""
-    if len(tracks) <= C_MAX:
-        return list(tracks)
-    return sorted(tracks, key=lambda t: (-len(t.detections), t.id))[:C_MAX]
-
 
 def _clip_to_obj(clip: Clip):
     tracks = []
@@ -588,7 +574,6 @@ def _parse_clip(obj, line, dims, tokens, prev):
         tracks.append(tr)
     if len({t.id for t in tracks}) != len(tracks):
         raise CorpusFormatError(line, "tracks", "duplicate track ids")
-    tracks = cap_tracks(tracks)
     ids = {t.id for t in tracks}
 
     v_global = _parse_vector(obj, "v_global", line, dims)
@@ -617,8 +602,7 @@ def _parse_clip(obj, line, dims, tokens, prev):
         gt = _need(mraw, "gt_tracks", line, list)
         for gid in gt:
             if not (_is_number(gid, int) and gid in ids):
-                raise CorpusFormatError(line, "gt_tracks",
-                                        f"unknown track id {gid!r} (after capping)")
+                raise CorpusFormatError(line, "gt_tracks", f"unknown track id {gid!r}")
         coref = mraw.get("coref_prev")
         if coref is not None and (not _is_number(coref, int) or coref not in prev_chars):
             raise CorpusFormatError(line, "coref_prev", f"character {coref!r} is not "

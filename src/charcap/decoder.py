@@ -2,7 +2,8 @@
 
 At every step the decoder scores each cell of a (P+1) x C grid: previous
 tracks of the pair (slot 0 is the null track, meaning "new character")
-against current tracks. Per cell, a re-identification feature is the
+against current tracks, at most ``C_MAX`` and ``P_MAX`` (this module
+alone knows these limits). Per cell, a re-identification feature is the
 element-wise product of the two head vectors (a constant -1 vector for
 the null track), embedded together with the current track's head, body,
 and statistics features; the cell logit multiplies that embedding
@@ -25,7 +26,8 @@ Training uses teacher forcing with two equally weighted terms: word
 cross-entropy at every step, and attention cross-entropy against the
 automatic one-hot targets at supervised person-word steps, all of a
 mini-batch's in one ``softmax_cross_entropy`` call after the forward
-loop. All gradients are hand-written and finite-difference checked.
+loop; ``build_train_items`` places them on each pair's grid. All
+gradients are hand-written and finite-difference checked.
 ``sentence_loss`` runs a mini-batch as one recurrence over ``(B, ·)``
 rows, one attention step and one LSTM step per time step (the batching
 half of the same paper). Each pair's grid is padded (``pad_rows``) to the
@@ -49,14 +51,16 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .corpus import (
-    BOS, EOS, P_MAX, PERSON_TOKENS, ClipPair, Corpus, Vocabulary, cap_tracks,
-)
+from .corpus import BOS, EOS, PERSON_TOKENS, ClipPair, Corpus, Vocabulary
 from .numerics import (
-    Adam, FLOAT, glorot_uniform, lstm_init, lstm_step_backward, lstm_step_forward,
-    masked_softmax, pad_rows, rng_stream, softmax_cross_entropy, zeros_like_params,
+    Adam, FLOAT, check_trainer_settings, glorot_uniform, lstm_init, lstm_step_backward,
+    lstm_step_forward, masked_softmax, pad_rows, rng_stream, softmax_cross_entropy,
+    zeros_like_params,
 )
 from .track_features import STAT_DIM, NormStats, apply_norm, fit_norm_stats
+
+C_MAX = 50  # current tracks of a grid: the longest, id breaking ties
+P_MAX = 7   # previous-track candidates in addition to the null track
 
 
 class TrainingDiverged(RuntimeError):
@@ -146,10 +150,14 @@ class PairFeatures:
 
 def pair_features(pair: ClipPair, prev_grounding, norm: NormStats,
                   config: DecoderConfig):
-    """Assemble features for the decoder; previous candidates come from
-    ``prev_grounding`` (track_id, char, gender) triples of the pair's
-    previous clip."""
-    cur = cap_tracks(pair.cur.tracks)
+    """Assemble features for the decoder. The current tracks are the
+    clip's, in order, or its ``C_MAX`` longest (id breaking ties) when it
+    has more; the previous candidates are the tracks of the first
+    ``P_MAX`` ``prev_grounding`` (track_id, char, gender) triples. Raises
+    ValueError when a grounding track is not in the pair's previous clip."""
+    cur = pair.cur.tracks
+    if len(cur) > C_MAX:
+        cur = sorted(cur, key=lambda t: (-len(t.detections), t.id))[:C_MAX]
     C = len(cur)
     if C:
         ch = apply_norm(cur, norm, "v_head")
@@ -158,10 +166,12 @@ def pair_features(pair: ClipPair, prev_grounding, norm: NormStats,
     else:  # a clip without tracks keeps one zero padding slot
         ch, cb, cs = (np.zeros((1, d), dtype=FLOAT)
                       for d in (config.d_head, config.d_body, STAT_DIM))
-    prev_tracks = []
-    if pair.prev is not None:
-        by_id = {t.id: t for t in pair.prev.tracks}
-        prev_tracks = [by_id[tid] for tid, _, _ in prev_grounding[:P_MAX] if tid in by_id]
+    by_id = {t.id: t for t in pair.prev.tracks} if pair.prev is not None else {}
+    for tid, _, _ in prev_grounding:
+        if tid not in by_id:
+            raise ValueError(f"pair {pair.id}: previous-grounding track {tid!r} "
+                             "is not in the previous clip")
+    prev_tracks = [by_id[tid] for tid, _, _ in prev_grounding[:P_MAX]]
     return PairFeatures(
         cur_head=ch, cur_body=cb, cur_stat=cs,
         prev_head=apply_norm(prev_tracks, norm, "v_head"),
@@ -283,12 +293,12 @@ def sentence_loss(params, config, vocab, batch):
     recurrence over ``(B, ·)`` rows, and the rows of its weight gradients.
 
     An item's ``alpha_targets`` map sentence position tau to (p, c), p in
-    0..P and c in 1..C (1-based); targets outside the item's valid cells,
-    including every target of a pair without a valid cell, are skipped
-    and counted. Returns (total, word_loss, att_loss, rows, skipped): the
-    first three are lists with one float per item. ``rows`` (see
-    ``weight_gradients``) is None when a word logit is not finite, and
-    every word loss is then inf, so that training aborts.
+    0..P and c in 1..C (1-based). A target is skipped and counted when tau
+    is not a person word of the sentence or (p, c) not a valid cell, as on
+    a pair without one. Returns (total, word_loss, att_loss, rows,
+    skipped): the first three are lists with one float per item. ``rows``
+    (see ``weight_gradients``) is None when a word logit is not finite,
+    and every word loss is then inf, so that training aborts.
     """
     B, H = len(batch), config.hidden
     # one PairFeatures with a batch axis; each pair's slots padded with invalid zero slots
@@ -309,15 +319,14 @@ def sentence_loss(params, config, vocab, batch):
     words, targets = tokens[:, :-1], tokens[:, 1:]
 
     person_idx = {vocab.index(t) for t in PERSON_TOKENS}
-    targeted = [(tau, b, p, ci) for b, item in enumerate(batch)
-                for tau, (p, ci) in item.alpha_targets.items()
-                if 0 <= tau < lens[b] and targets[b, tau] in person_idx]
     P1, C = valid.shape[1:]
-    # (tau, b, flat cell) of the targets on a valid cell, step by step
+    # (tau, b, flat cell) of the targets on a person word and a valid cell, step by step
     sup_t, sup_b, sup_cell = np.array(sorted(
-        (tau, b, p * C + ci - 1) for tau, b, p, ci in targeted
-        if 0 <= p < P1 and 1 <= ci <= C and valid[b, p, ci - 1]), dtype=int).reshape(-1, 3).T
-    skipped = len(targeted) - len(sup_t)
+        (tau, b, p * C + ci - 1) for b, item in enumerate(batch)
+        for tau, (p, ci) in item.alpha_targets.items()
+        if 0 <= tau < lens[b] and targets[b, tau] in person_idx
+        and 0 <= p < P1 and 1 <= ci <= C and valid[b, p, ci - 1]), dtype=int).reshape(-1, 3).T
+    skipped = sum(len(item.alpha_targets) for item in batch) - len(sup_t)
 
     inputs = (feats.v_global @ W_glob.T + params["b_lstm"])[:, None, :] + EW[words]
     h = c = np.zeros((B, H), dtype=FLOAT)
@@ -427,8 +436,12 @@ class TrainItem:
 
 
 def build_train_items(corpus: Corpus, supervision, norm, config: DecoderConfig):
-    """``supervision``: iterable of ``corpus.PairSupervision`` (pair_id,
-    prev_grounding, AlphaTarget list). The targets are dropped when
+    """``supervision``: iterable of ``corpus.PairSupervision``. Each link
+    (mention, track_id) targets a cell of its pair's grid: ``c`` is the
+    track's 1-based index in ``cur_track_ids``, and ``p`` the slot of the
+    mention's ``coref_prev`` character among ``prev_grounding[:P_MAX]``
+    (1-based), else the null slot 0. A link to a track the cap dropped
+    gives no target. The targets are dropped when
     ``config.attention_supervision`` is False."""
     by_pair = {s.pair_id: s for s in supervision} if supervision else {}
     items = []
@@ -436,8 +449,12 @@ def build_train_items(corpus: Corpus, supervision, norm, config: DecoderConfig):
         sup = by_pair.get(pair.id)
         grounding = sup.prev_grounding if sup is not None else []
         feats = pair_features(pair, grounding, norm, config)
-        targets = ({t.tau: (t.p, t.c) for t in sup.targets}
-                   if sup is not None and config.attention_supervision else {})
+        targets = {}
+        if sup is not None and config.attention_supervision:
+            slot = {char: i + 1 for i, (_, char, _) in enumerate(grounding[:P_MAX])}
+            index = {tid: i + 1 for i, tid in enumerate(feats.cur_track_ids)}
+            targets = {m.pos: (slot.get(m.coref_prev, 0), index[tid])
+                       for m, tid in sup.links if tid in index}
         items.append(TrainItem(pair.id, feats, pair.cur.sentence, targets))
     return items
 
@@ -450,13 +467,13 @@ class TrainedDecoder:
     norm: NormStats
     history: list = field(default_factory=list)  # (total, word, att) per epoch
     # training counts; not saved in checkpoints
-    skipped_targets: int = 0   # attention targets outside the valid grid cells, all epochs
+    skipped_targets: int = 0   # attention targets sentence_loss skipped, all epochs
     clipped_batches: int = 0   # batches whose gradients _clip_gradients scaled, all epochs
-    capped_tracks: int = 0     # current-clip tracks cap_tracks dropped from the training items
+    capped_tracks: int = 0     # current-clip tracks past C_MAX, left out of the training items
 
 
 def _clip_gradients(grads, max_norm):
-    """Scale ``grads`` to global norm ``max_norm`` when above it (0 or None
+    """Scale ``grads`` to global norm ``max_norm`` when above it (0
     switches clipping off); returns whether it scaled."""
     if not max_norm:
         return False
@@ -474,10 +491,12 @@ def train_decoder(corpus: Corpus, supervision, config: DecoderConfig,
     """Mini-batch training with teacher forcing; deterministic per seed.
 
     Attention supervision is dropped when config.attention_supervision is
-    False (the words-only ablation). Raises ValueError when a corpus
+    False (the words-only ablation). Raises ValueError when a training
+    setting is out of range (``check_trainer_settings``) or a corpus
     vector is not as wide as ``config`` says, and TrainingDiverged with the
     last finite-loss parameters if the loss or a weight goes non-finite.
     """
+    check_trainer_settings("train_decoder", config)
     for clip in corpus.clips:
         for name, v in [("v_global", clip.v_global)] + [
                 (n, getattr(t, n)) for t in clip.tracks for n in ("v_head", "v_body")]:
@@ -499,12 +518,11 @@ def train_decoder(corpus: Corpus, supervision, config: DecoderConfig,
     last_good = {k: v.copy() for k, v in params.items()}
     grads = zeros_like_params(params)  # reused: a fresh dict per batch costs page faults
 
-    bs = config.batch_size or len(items)
     for epoch in range(config.epochs):
         order = rng.permutation(len(items))
         tot = wl = al = 0.0
-        for start in range(0, len(order), bs):
-            batch = [items[i] for i in order[start:start + bs]]
+        for start in range(0, len(order), config.batch_size):
+            batch = [items[i] for i in order[start:start + config.batch_size]]
             for g in grads.values():
                 g.fill(0.0)
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):

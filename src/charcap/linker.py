@@ -12,8 +12,9 @@ cross-entropy would be 0. A mini-batch of mentions runs as ``(B, ·)``
 arrays, each mention's tracks padded to the batch's largest count and
 masked out of the softmax; ``Linker.link_clip`` scores all mentions of a
 clip the same way. The trained linker grounds every mention, and
-``corpus.pair_supervision`` turns those groundings into the joint
-attention supervision targets.
+``corpus.pair_supervision`` turns those groundings into each pair's
+previous-clip candidates and current-clip links, which the decoder places
+on its attention grid as supervision targets.
 """
 
 from dataclasses import dataclass, field
@@ -23,8 +24,9 @@ import numpy as np
 # PairSupervision is re-exported: build_attention_gt returns it
 from .corpus import Clip, Corpus, PairSupervision, pair_supervision  # noqa: F401
 from .numerics import (
-    Adam, FLOAT, glorot_uniform, lstm_init, lstm_step_backward, lstm_step_forward,
-    masked_softmax, pad_rows, rng_stream, softmax_cross_entropy, zeros_like_params,
+    Adam, FLOAT, check_trainer_settings, glorot_uniform, lstm_init, lstm_step_backward,
+    lstm_step_forward, masked_softmax, pad_rows, rng_stream, softmax_cross_entropy,
+    zeros_like_params,
 )
 from .track_features import NormStats, apply_norm, fit_norm_stats
 
@@ -194,8 +196,11 @@ def build_link_instances(corpus: Corpus, norm: NormStats):
 
 
 def train_linker(corpus: Corpus, config: LinkerConfig = None, seed=0):
-    """Train on every mention of the corpus; returns a ready ``Linker``."""
+    """Train on every mention of the corpus; returns a ready ``Linker``.
+    Raises ValueError when a training setting is out of range
+    (``check_trainer_settings``) or the corpus has no mentions."""
     config = config or LinkerConfig()
+    check_trainer_settings("train_linker", config)
     norm = fit_norm_stats([t for clip in corpus.clips for t in clip.tracks])
     instances = build_link_instances(corpus, norm)
     if not instances:
@@ -212,9 +217,8 @@ def train_linker(corpus: Corpus, config: LinkerConfig = None, seed=0):
     for _ in range(config.epochs):
         order = rng.permutation(len(instances))
         total = 0.0
-        bs = config.batch_size or len(instances)
-        for start in range(0, len(order), bs):
-            batch = [instances[i] for i in order[start:start + bs]]
+        for start in range(0, len(order), config.batch_size):
+            batch = [instances[i] for i in order[start:start + config.batch_size]]
             for g in grads.values():
                 g.fill(0.0)
             total += _batch_loss_and_grads(params, config, batch, names, grads)
@@ -243,8 +247,8 @@ def linking_accuracy(linker: Linker, corpus: Corpus):
 # ---------------------------------------------------------------------------
 
 def build_attention_gt(linker: Linker, corpus: Corpus):
-    """Joint (previous, current) attention targets from linker groundings,
-    one ``PairSupervision`` per pair, by ``corpus.pair_supervision``: each
+    """The decoder's attention supervision from linker groundings, one
+    ``PairSupervision`` per pair, by ``corpus.pair_supervision``: each
     mention is grounded in its argmax track, and a clip without tracks
     grounds nothing."""
     def links(clip):

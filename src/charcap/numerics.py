@@ -251,6 +251,19 @@ class Adam:
                 p[a:a + n] -= step
 
 
+def check_trainer_settings(trainer, config):
+    """Raise ValueError naming the first setting of ``config`` that would
+    train nothing or train the wrong way: ``batch_size < 1``, ``lr <= 0``,
+    ``epochs < 0``, or ``grad_clip < 0`` where the config has one (0
+    switches clipping off)."""
+    for name, ok in (("batch_size", config.batch_size >= 1), ("lr", config.lr > 0),
+                     ("epochs", config.epochs >= 0),
+                     ("grad_clip", getattr(config, "grad_clip", 0) >= 0)):
+        if not ok:
+            raise ValueError(f"{trainer}: {type(config).__name__}.{name} = "
+                             f"{getattr(config, name)!r} is out of range")
+
+
 # ---------------------------------------------------------------------------
 # finite-difference gradient checking
 # ---------------------------------------------------------------------------

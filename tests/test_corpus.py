@@ -7,12 +7,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from charcap.corpus import (
-    C_MAX, NAME_TOKENS, P_MAX, PERSON_TOKENS, AlphaTarget, Clip, ClipPair,
-    ConfigError, CorpusConfig, CorpusFormatError, Mention, Track, Vocabulary,
-    cap_tracks, export_jsonl, generate_corpus, ingest_jsonl, pair_supervision,
-    planted_supervision,
+    NAME_TOKENS, PERSON_TOKENS, Clip, ClipPair, ConfigError, Corpus, CorpusConfig,
+    CorpusFormatError, Mention, Track, Vocabulary, export_jsonl, generate_corpus,
+    ingest_jsonl, pair_supervision, planted_supervision,
 )
-from charcap.track_features import Detection, track_stats
+from charcap.decoder import C_MAX, P_MAX, DecoderConfig, build_train_items
+from charcap.track_features import Detection, fit_norm_stats, track_stats
 
 
 def small_config(**kw):
@@ -20,6 +20,15 @@ def small_config(**kw):
                 sigma=0.05, margin=1.0)
     base.update(kw)
     return CorpusConfig(**base)
+
+
+def grid_targets(pair, sup):
+    """The decoder's attention targets (tau -> (p, c)) of ``sup`` on the
+    pair's grid."""
+    tracks = [t for clip in (pair.prev, pair.cur) if clip is not None for t in clip.tracks]
+    (item,) = build_train_items(Corpus([pair], Vocabulary.build()), [sup],
+                                fit_norm_stats(tracks), DecoderConfig())
+    return item.alpha_targets
 
 
 class TestGeneration:
@@ -77,19 +86,29 @@ class TestGeneration:
             generate_corpus(small_config(n_characters=40, d_head=2, margin=10.0),
                             seed=0)
 
+    @pytest.mark.parametrize("field_name, value, extra", [
+        ("n_pairs", 0, {}), ("n_characters", 0, {}), ("d_head", 1, {}), ("d_body", 0, {}),
+        ("d_global", 6, {}), ("sigma", -0.1, {}), ("margin", 0.0, {}),
+        ("max_distractors", -1, {}), ("coref_fraction", 1.5, {}),
+        ("two_mention_fraction", -0.5, {}), ("singleton_fraction", 1.2, {}),
+        ("singleton_fraction", float("nan"), {}), ("cuts_per_clip", -1, {}),
+        ("frames_per_clip", 1, {"emit_frames": True})])
+    def test_out_of_range_field_raises_naming_it(self, field_name, value, extra):
+        with pytest.raises(ConfigError, match=rf"CorpusConfig\.{field_name} "):
+            generate_corpus(small_config(**{field_name: value}, **extra), seed=0)
+
     def test_alpha_targets_match_plant(self):
         c = generate_corpus(small_config(n_pairs=30, coref_fraction=0.7), seed=8)
         for pair in c.pairs:
             planted = planted_supervision(pair)
-            grounding = planted.prev_grounding
-            targets = {t.tau: t for t in planted.targets}
+            targets = grid_targets(pair, planted)
             for m in pair.cur.mentions:
-                tgt = targets[m.pos]
-                assert pair.cur.tracks[tgt.c - 1].id == m.gt_track_ids[0]
+                p, ci = targets[m.pos]
+                assert pair.cur.tracks[ci - 1].id == m.gt_track_ids[0]
                 if m.coref_prev is None:
-                    assert tgt.p == 0
+                    assert p == 0
                 else:
-                    assert grounding[tgt.p - 1][1] == m.coref_prev
+                    assert planted.prev_grounding[p - 1][1] == m.coref_prev
 
     def test_singleton_pairs_exist(self):
         c = generate_corpus(small_config(n_pairs=60, singleton_fraction=0.4), seed=2)
@@ -123,24 +142,6 @@ class TestVocabulary:
             v.index("nope")
 
 
-class TestCapping:
-    def _track(self, tid, n):
-        dets = [Detection(t=i, x=0, y=0, w=10, h=10) for i in range(n)]
-        t = Track(id=tid, detections=dets, v_head=np.zeros(2), v_body=np.zeros(2))
-        t.v_stat = track_stats(t)
-        return t
-
-    def test_keeps_longest(self):
-        tracks = [self._track(i, n=i + 1) for i in range(60)]
-        kept = cap_tracks(tracks)
-        assert len(kept) == C_MAX == 50
-        assert min(len(t.detections) for t in kept) == 11
-
-    def test_no_cap_below_limit(self):
-        tracks = [self._track(i, n=3) for i in range(5)]
-        assert cap_tracks(tracks) == tracks
-
-
 class TestJsonl:
     def test_roundtrip_identity(self, tmp_path):
         c = generate_corpus(small_config(), seed=42)
@@ -167,7 +168,16 @@ class TestJsonl:
         assert exc.value.field == "gender"
         assert exc.value.line == 2
 
-    def test_three_clips_capped(self, tmp_path):
+    def test_crowded_roundtrip_keeps_every_track(self, tmp_path):
+        c = generate_corpus(CorpusConfig(n_pairs=32, n_characters=70, max_distractors=60), seed=1)
+        assert max(len(clip.tracks) for clip in c.clips) > C_MAX
+        p = tmp_path / "crowded.jsonl"
+        export_jsonl(c, p)
+        back = ingest_jsonl(p)
+        assert ([[t.id for t in clip.tracks] for clip in back.clips]
+                == [[t.id for t in clip.tracks] for clip in c.clips])
+
+    def test_three_clips_keep_every_track(self, tmp_path):
         c = generate_corpus(small_config(n_pairs=2), seed=7)
         clips = c.clips[:3]
         # blow up the first clip to 55 tracks
@@ -180,9 +190,6 @@ class TestJsonl:
             t.v_stat = track_stats(t)
             big.tracks.append(t)
             next_id += 1
-        big.mentions = []  # gt tracks may be capped away; drop mentions
-        for m in clips[1].mentions:  # nothing left in clip 0 to co-refer to
-            m.coref_prev = None
         p = tmp_path / "three.jsonl"
         from charcap.corpus import _clip_to_obj
         with open(p, "w") as fh:
@@ -192,9 +199,8 @@ class TestJsonl:
         assert len(back.clips) == 3
         assert len(back.pairs) == 2
         assert back.pairs[1].prev is None
-        assert len(back.clips[0].tracks) == 50
-        lengths = [len(t.detections) for t in back.clips[0].tracks]
-        assert min(lengths) >= 2
+        assert [t.id for t in back.clips[0].tracks] == [t.id for t in big.tracks]
+        assert len(big.tracks) == 55
 
     def test_bad_json_reports_line(self, tmp_path):
         p = tmp_path / "bad.jsonl"
@@ -453,7 +459,8 @@ class TestPairSupervision:
         # the linker may ground the second mention in another track
         sup = pair_supervision(pair, [(a, 1), (b, 2)], [(m, 3)])
         assert sup.prev_grounding == [(1, 5, "M")]
-        assert sup.targets == [AlphaTarget(tau=0, p=1, c=1)]
+        assert sup.links == [(m, 3)]
+        assert grid_targets(pair, sup) == {0: (1, 1)}
 
     def test_candidates_capped_at_p_max(self):
         prev = [Mention(k, char_id=k, gender="F", gt_track_ids=[k + 1])
@@ -466,19 +473,19 @@ class TestPairSupervision:
                      [_track(100), _track(101)], prev, [kept, capped])
         sup = pair_supervision(pair, [(m, m.gt_track_ids[0]) for m in prev],
                                [(kept, 100), (capped, 101)])
-        assert [g[1] for g in sup.prev_grounding] == list(range(P_MAX))
-        assert sup.targets == [AlphaTarget(tau=0, p=P_MAX, c=1),
-                               AlphaTarget(tau=2, p=0, c=2)]
+        # the corpus keeps every candidate; the decoder's grid takes the first P_MAX
+        assert [g[1] for g in sup.prev_grounding] == list(range(P_MAX + 2))
+        assert grid_targets(pair, sup) == {0: (P_MAX, 1), 2: (0, 2)}
 
     def test_current_track_past_c_max_gives_no_target(self):
-        # cap_tracks keeps the C_MAX longest tracks; track 1 is the shortest
+        # the grid keeps the C_MAX longest tracks; track 1 is the shortest
         cur = [_track(1, n=2)] + [_track(k, n=3) for k in range(2, C_MAX + 2)]
         lost = Mention(0, char_id=1, gender="M", gt_track_ids=[1])
         kept = Mention(2, char_id=2, gender="M", gt_track_ids=[2])
         pair = _pair([], cur, (), [lost, kept])
         sup = pair_supervision(pair, [], [(lost, 1), (kept, 2)])
-        assert [t.id for t in cap_tracks(cur)][0] == 2
-        assert sup.targets == [AlphaTarget(tau=2, p=0, c=1)]
+        assert sup.links == [(lost, 1), (kept, 2)]
+        assert grid_targets(pair, sup) == {2: (0, 1)}
 
     def test_planted_and_equal_linked_groundings_agree(self):
         c = generate_corpus(small_config(n_pairs=30, coref_fraction=0.7,

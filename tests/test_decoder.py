@@ -6,21 +6,21 @@ import numpy as np
 import pytest
 
 from charcap.corpus import (
-    BOS, C_MAX, EOS, PERSON_TOKENS, CorpusConfig, Vocabulary, generate_corpus,
+    BOS, EOS, PERSON_TOKENS, Clip, ClipPair, CorpusConfig, Vocabulary, generate_corpus,
     planted_supervision,
 )
 from charcap.decoder import (
-    DecoderConfig, PairFeatures, TrainingDiverged, attention_step,
+    C_MAX, DecoderConfig, PairFeatures, TrainingDiverged, attention_step,
     build_train_items, decode_pair, init_decoder_params, load_checkpoint,
     pair_features, save_checkpoint, sentence_loss, train_decoder, weight_gradients,
 )
-from charcap.corpus import AlphaTarget
 from charcap.decoder import TrainItem, attention_terms
+from charcap.linker import LinkerConfig, train_linker
 from charcap.numerics import (
     finite_diff_check, lstm_step_backward, lstm_step_forward, rng_stream, softmax,
     zeros_like_params,
 )
-from charcap.track_features import fit_norm_stats
+from charcap.track_features import Detection, Track, fit_norm_stats, track_stats
 
 
 def tiny_decoder_cfg(**kw):
@@ -75,6 +75,21 @@ def separable():
     return trained, train, test
 
 
+def _track(tid, n):
+    dets = [Detection(t=i, x=0, y=0, w=10, h=10) for i in range(n)]
+    t = Track(id=tid, detections=dets, v_head=np.zeros(2), v_body=np.zeros(2))
+    t.v_stat = track_stats(t)
+    return t
+
+
+def _cur_track_ids(cur_tracks, prev_tracks=(), grounding=()):
+    """``pair_features``' current-track ids of a pair of bare tracks."""
+    clip = dict(v_global=np.zeros(7), sentence=[], mentions=[])
+    pair = ClipPair(0, Clip(0, list(prev_tracks), **clip), Clip(1, list(cur_tracks), **clip))
+    norm = fit_norm_stats(list(cur_tracks) + list(prev_tracks))
+    return pair_features(pair, list(grounding), norm, tiny_decoder_cfg()).cur_track_ids
+
+
 class TestTrackCap:
     def test_planted_targets_index_the_capped_tracks(self):
         # clips with up to 62 tracks, where some mentioned tracks sit past
@@ -82,16 +97,32 @@ class TestTrackCap:
         corpus = generate_corpus(CorpusConfig(n_pairs=200, n_characters=70,
                                               max_distractors=60), seed=11)
         norm = fit_norm_stats([t for clip in corpus.clips for t in clip.tracks])
-        cfg = DecoderConfig()
         assert max(len(p.cur.tracks) for p in corpus.pairs) > C_MAX
-        for pair in corpus.pairs:
-            sup = planted_supervision(pair)
-            feats = pair_features(pair, sup.prev_grounding, norm, cfg)
-            targets = {t.tau: t for t in sup.targets}
+        sup = planted(corpus)
+        items = build_train_items(corpus, sup, norm, DecoderConfig())
+        for pair, s, item in zip(corpus.pairs, sup, items):
             for m in pair.cur.mentions:
-                tgt = targets[m.pos]
-                assert tgt.c <= C_MAX
-                assert feats.cur_track_ids[tgt.c - 1] == m.gt_track_ids[0]
+                p, ci = item.alpha_targets[m.pos]
+                assert ci <= C_MAX
+                assert item.feats.cur_track_ids[ci - 1] == m.gt_track_ids[0]
+                if m.coref_prev is None:
+                    assert p == 0
+                else:
+                    assert s.prev_grounding[p - 1][1] == m.coref_prev
+
+    def test_keeps_longest(self):
+        ids = _cur_track_ids([_track(i, n=i + 1) for i in range(60)])
+        assert len(ids) == C_MAX == 50
+        assert min(ids) == 10  # the ten shortest tracks, ids 0-9, are dropped
+
+    def test_no_cap_below_limit(self):
+        assert _cur_track_ids([_track(i, n=3) for i in (4, 2, 7, 1, 5)]) == [4, 2, 7, 1, 5]
+
+    def test_grounding_track_outside_the_previous_clip_raises(self):
+        prev = [_track(1, n=3), _track(2, n=3)]
+        assert _cur_track_ids([_track(5, n=3)], prev, [(2, 0, "M")]) == [5]
+        with pytest.raises(ValueError, match=r"pair 0: previous-grounding track 9 "):
+            _cur_track_ids([_track(5, n=3)], prev, [(1, 0, "M"), (9, 1, "F")])
 
 
 class TestAttentionStep:
@@ -159,9 +190,8 @@ class TestGradients:
         norm = fit_norm_stats([t for c in corpus.clips for t in c.tracks])
         cfg = tiny_decoder_cfg()
         pair = corpus.pairs[1]
-        sup = planted_supervision(pair)
-        feats = pair_features(pair, sup.prev_grounding, norm, cfg)
-        targets = {t.tau: (t.p, t.c) for t in sup.targets}
+        item = build_train_items(corpus, planted(corpus), norm, cfg)[1]
+        feats, targets = item.feats, item.alpha_targets
         params = init_decoder_params(cfg, len(corpus.vocab), seed=0)
 
         def loss_fn(p):
@@ -202,6 +232,16 @@ class TestSentenceLoss:
         tot, word, att, _, skipped = pair_loss(
             params, cfg, vocab, feats, ["MaleName", "walks"], {0: (1, 7)})
         assert skipped == 1
+        assert att == 0.0
+
+    def test_target_off_a_person_word_is_skipped_and_counted(self):
+        # a verb, the end-of-sentence step and a step past it
+        vocab, cfg, params, rng = self._setup(4)
+        feats = rand_feats(rng, C=2, P=1, cfg=cfg)
+        _, _, att, _, skipped = pair_loss(params, cfg, vocab, feats,
+                                          ["FemaleCoref", "walks", "street"],
+                                          {1: (0, 1), 3: (0, 1), 9: (0, 1)})
+        assert skipped == 3
         assert att == 0.0
 
     def test_target_on_a_pair_without_a_grid_is_skipped_and_counted(self):
@@ -807,8 +847,9 @@ class TestTrainingCounts:
         corpus = self._corpus()
         sup = planted(corpus)
         assert train_decoder(corpus, sup, DecoderConfig(**self.DIMS), seed=1).skipped_targets == 0
-        first = sup[0].targets[0]
-        sup[0].targets[0] = AlphaTarget(tau=first.tau, p=0, c=C_MAX + 1)  # past every grid
+        m, tid = sup[0].links[0]
+        assert corpus.pairs[0].cur.sentence[1] not in PERSON_TOKENS
+        sup[0].links[0] = (dataclasses.replace(m, pos=1), tid)  # on the verb
         trained = train_decoder(corpus, sup, DecoderConfig(**self.DIMS), seed=1)
         assert trained.skipped_targets == 3  # once per epoch
 
@@ -819,6 +860,20 @@ class TestTrainingCounts:
         trained = train_decoder(corpus, planted(corpus), cfg, seed=1)
         assert trained.clipped_batches == clipped
 
+    @pytest.mark.parametrize("trainer, field_name, value", [
+        (trainer, field_name, value) for trainer in ("decoder", "linker")
+        for field_name, value in [("batch_size", 0), ("batch_size", -1), ("lr", 0.0),
+                                  ("lr", -0.01), ("lr", float("nan")), ("epochs", -1)]
+    ] + [("decoder", "grad_clip", -1.0)])
+    def test_out_of_range_setting_raises_naming_it(self, trainer, field_name, value):
+        corpus = self._corpus()
+        config = {"decoder": "DecoderConfig", "linker": "LinkerConfig"}[trainer]
+        with pytest.raises(ValueError, match=rf"train_{trainer}: {config}\.{field_name} = "):
+            if trainer == "linker":
+                train_linker(corpus, LinkerConfig(**{"epochs": 1, field_name: value}))
+            else:
+                train_decoder(corpus, planted(corpus),
+                              DecoderConfig(**{**self.DIMS, field_name: value}))
 
     def test_capped_tracks_are_counted_and_not_saved(self, tmp_path):
         corpus = self._corpus()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from charcap.corpus import CorpusConfig, generate_corpus, planted_supervision
+from charcap.decoder import DecoderConfig, build_train_items
 from charcap.linker import (
     Linker, LinkerConfig, build_attention_gt, build_link_instances,
     init_linker_params, linking_accuracy, train_linker,
@@ -129,43 +130,43 @@ class TestTraining:
             linker.link_clip(dataclasses.replace(clip, mentions=[unknown]))
 
 
+def grid_targets(corpus, supervision):
+    """The decoder's attention targets (tau -> (p, c)) of each pair."""
+    norm = fit_norm_stats([t for clip in corpus.clips for t in clip.tracks])
+    items = build_train_items(corpus, supervision, norm, DecoderConfig())
+    return {item.pair_id: item.alpha_targets for item in items}
+
+
 class TestAttentionGt:
     def test_matches_planted_truth_at_zero_noise(self, trained):
         linker, train, test = trained
-        sup = build_attention_gt(linker, test)
-        by_id = {s.pair_id: s for s in sup}
-        for pair in test.pairs:
-            want = {t.tau: t for t in planted_supervision(pair).targets}
-            got = {t.tau: t for t in by_id[pair.id].targets}
-            assert set(got) == set(want)
-            for tau in want:
-                assert got[tau].c == want[tau].c
-                assert got[tau].p == want[tau].p
+        got = grid_targets(test, build_attention_gt(linker, test))
+        want = grid_targets(test, [planted_supervision(pair) for pair in test.pairs])
+        assert got == want
+        assert any(want.values())
 
     def test_new_character_targets_null(self, trained):
         linker, train, test = trained
-        sup = build_attention_gt(linker, test)
-        by_id = {s.pair_id: s for s in sup}
+        by_id = grid_targets(test, build_attention_gt(linker, test))
         checked = 0
         for pair in test.pairs:
-            targets = {t.tau: t for t in by_id[pair.id].targets}
+            targets = by_id[pair.id]
             for m in pair.cur.mentions:
                 if m.coref_prev is None and m.pos in targets:
-                    assert targets[m.pos].p == 0
+                    assert targets[m.pos][0] == 0
                     checked += 1
         assert checked > 0
 
     def test_reappearing_character_targets_previous_track(self, trained):
         linker, train, test = trained
         sup = build_attention_gt(linker, test)
-        by_id = {s.pair_id: s for s in sup}
+        by_id = grid_targets(test, sup)
         checked = 0
-        for pair in test.pairs:
-            s = by_id[pair.id]
-            targets = {t.tau: t for t in s.targets}
+        for pair, s in zip(test.pairs, sup):
+            targets = by_id[pair.id]
             for m in pair.cur.mentions:
                 if m.coref_prev is not None and m.pos in targets:
-                    p = targets[m.pos].p
+                    p = targets[m.pos][0]
                     assert p >= 1
                     assert s.prev_grounding[p - 1][1] == m.coref_prev
                     checked += 1
