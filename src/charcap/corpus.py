@@ -11,17 +11,21 @@ The JSONL format is one clip per line::
 
     {"id": ..., "tracks": [{"id", "frames", "boxes", "score", "v_head",
      "v_body"}], "v_global": [...], "sentence": ["tok", ...],
-     "mentions": [{"pos", "char", "gender", "gt_tracks", "coref_prev"}]}
+     "mentions": [{"pos", "char", "gender", "gt_tracks", "coref_prev"}],
+     "frames": {"shape": [n, H, W, 3], "uint8": "<base64>"}}
 
 Consecutive lines form (previous, current) pairs; a trailing odd line is a
-current-only pair. `boxes` entries are center-anchored [cx, cy, w, h]. An
-optional "frames" field holds a small RGB pixel grid per video frame for
-the shot-boundary stage. Ingestion validates all invariants and reports
-the offending line and field, and keeps every track. A grounding
-(planted or linked) becomes a ``PairSupervision`` of track ids; only the
-decoder knows its attention grid and the grid's caps.
+current-only pair. `boxes` entries are center-anchored [cx, cy, w, h]. The
+optional clip-level "frames" field holds the clip's n RGB video frames for
+the shot-boundary stage as one block: "uint8" is the standard, padded
+base64 of the frames' n*H*W*3 bytes in C order (frame, row, column, then
+R, G, B). Ingestion validates all invariants and reports the offending
+line and field, and keeps every track. A grounding (planted or linked)
+becomes a ``PairSupervision`` of track ids; only the decoder knows its
+attention grid and the grid's caps.
 """
 
+import base64
 import json
 import math
 import os
@@ -452,12 +456,30 @@ def _clip_to_obj(clip: Clip):
         } for m in clip.mentions],
     }
     if clip.frames is not None:
-        obj["frames"] = [np.asarray(f).tolist() for f in clip.frames]
+        obj["frames"] = _frames_block(clip)
     return obj
 
 
+def _frames_block(clip: Clip):
+    """The clip's frames as one ``{"shape", "uint8"}`` block. The frames
+    must be equal-shaped (H, W, 3) uint8 arrays, H and W at least 1: they
+    are checked, never cast, so a wider pixel cannot wrap silently. An
+    empty list is written with shape [0, 1, 1, 3]."""
+    frames = clip.frames
+    shape = frames[0].shape if len(frames) and isinstance(frames[0], np.ndarray) else (1, 1, 3)
+    if not (len(shape) == 3 and shape[0] >= 1 and shape[1] >= 1 and shape[2] == 3
+            and all(isinstance(f, np.ndarray) and f.dtype == np.uint8 and f.shape == shape
+                    for f in frames)):
+        raise ValueError(f"clip {clip.id}: frames must be equal-shaped (H, W, 3) uint8 arrays")
+    data = b"".join(f.tobytes() for f in frames)
+    return {"shape": [len(frames), *shape], "uint8": base64.b64encode(data).decode("ascii")}
+
+
 def export_jsonl(corpus: Corpus, path):
-    """One clip per line, (prev, cur) consecutive; sidecar meta JSON."""
+    """One clip per line, (prev, cur) consecutive; sidecar meta JSON. A
+    clip's frames are written as one block, ``{"shape": [n, H, W, 3],
+    "uint8": <base64 of the C-order bytes>}``. Raises ValueError naming
+    the clip when its frames are not equal-shaped (H, W, 3) uint8 arrays."""
     with open(path, "w", encoding="utf-8") as fh:
         for pair in corpus.pairs:
             if pair.prev is not None:
@@ -508,21 +530,28 @@ def _parse_vector(obj, key, line, dims):
 
 
 def _parse_frames(raw, line):
-    """Equal-shape (H, W, 3) grids of integers 0-255, as uint8 arrays."""
-    if not isinstance(raw, list):
-        raise CorpusFormatError(line, "frames", "expected a list of pixel grids")
-    frames = []
-    for k, f in enumerate(raw):
-        try:
-            arr = np.asarray(f)
-        except ValueError:
-            raise CorpusFormatError(line, "frames", f"frame {k} is ragged") from None
-        if (arr.ndim != 3 or arr.shape[2] != 3 or (frames and arr.shape != frames[0].shape)
-                or arr.dtype.kind not in "iu" or arr.min() < 0 or arr.max() > 255):
-            raise CorpusFormatError(line, "frames", f"frame {k} is not an (H, W, 3) grid "
-                                    "of integers 0-255 shaped like frame 0")
-        frames.append(arr.astype(np.uint8))
-    return frames
+    """A ``{"shape": [n, H, W, 3], "uint8": <base64>}`` block as n
+    writable (H, W, 3) uint8 arrays, views of one buffer."""
+    if not isinstance(raw, dict):
+        raise CorpusFormatError(line, "frames", 'expected {"shape": [n, H, W, 3], '
+                                '"uint8": <base64>}')
+    shape = raw.get("shape")
+    if not (isinstance(shape, list) and len(shape) == 4
+            and all(_is_number(v, int) for v in shape)
+            and shape[0] >= 0 and shape[1] >= 1 and shape[2] >= 1 and shape[3] == 3):
+        raise CorpusFormatError(line, "frames", f"shape {shape!r} is not [n, H, W, 3] "
+                                "with n >= 0, H >= 1 and W >= 1")
+    encoded = raw.get("uint8")
+    if not isinstance(encoded, str):
+        raise CorpusFormatError(line, "frames", "uint8 must be a base64 string")
+    try:
+        data = bytearray(base64.b64decode(encoded, validate=True))
+    except ValueError as exc:  # binascii.Error, or a non-ASCII character
+        raise CorpusFormatError(line, "frames", f"uint8 is not base64: {exc}") from None
+    if len(data) != math.prod(shape):
+        raise CorpusFormatError(line, "frames", f"uint8 holds {len(data)} bytes, "
+                                f"shape {shape} needs {math.prod(shape)}")
+    return list(np.frombuffer(data, dtype=np.uint8).reshape(shape))
 
 
 def _parse_clip(obj, line, dims, tokens, prev):
@@ -649,7 +678,14 @@ def ingest_jsonl(path):
     The sidecar meta, when present, is read first: its ``d_head``,
     ``d_body`` and ``d_global`` fix the vector widths and its ``vocab``
     the tokens a sentence may use. A malformed meta raises
-    ``CorpusFormatError`` with line None.
+    ``CorpusFormatError`` with line None, as does a ``gt_boundaries``
+    index outside 1..n-1 for a clip with n frames.
+
+    A clip's ``frames`` block, ``{"shape": [n, H, W, 3], "uint8": <base64
+    of the C-order bytes>}``, becomes ``Clip.frames``, a list of n
+    writable (H, W, 3) uint8 arrays. Any other form (the nested pixel
+    lists of older files among them) raises ``CorpusFormatError`` naming
+    the line and ``"frames"``.
     """
     meta = _read_meta(str(path) + ".meta.json")
     dims = {f"v_{k}": meta[f"d_{k}"] for k in ("head", "body", "global") if f"d_{k}" in meta}
@@ -685,4 +721,8 @@ def ingest_jsonl(path):
     for clip in clips:
         if str(clip.id) in gtb:
             clip.gt_boundaries = list(gtb[str(clip.id)])
+            n = len(clip.frames) if clip.frames is not None else None
+            if n is not None and not all(1 <= b < n for b in clip.gt_boundaries):
+                raise CorpusFormatError(None, "gt_boundaries", f"clip {clip.id}: boundaries "
+                                        f"{clip.gt_boundaries} not all in 1..{n - 1}")
     return Corpus(pairs=pairs, vocab=vocab, meta=meta)

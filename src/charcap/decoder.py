@@ -442,7 +442,8 @@ def build_train_items(corpus: Corpus, supervision, norm, config: DecoderConfig):
     mention's ``coref_prev`` character among ``prev_grounding[:P_MAX]``
     (1-based), else the null slot 0. A link to a track the cap dropped
     gives no target. The targets are dropped when
-    ``config.attention_supervision`` is False."""
+    ``config.attention_supervision`` is False. Raises ValueError when a
+    link's track is not in the pair's current clip."""
     by_pair = {s.pair_id: s for s in supervision} if supervision else {}
     items = []
     for pair in corpus.pairs:
@@ -450,11 +451,17 @@ def build_train_items(corpus: Corpus, supervision, norm, config: DecoderConfig):
         grounding = sup.prev_grounding if sup is not None else []
         feats = pair_features(pair, grounding, norm, config)
         targets = {}
-        if sup is not None and config.attention_supervision:
-            slot = {char: i + 1 for i, (_, char, _) in enumerate(grounding[:P_MAX])}
-            index = {tid: i + 1 for i, tid in enumerate(feats.cur_track_ids)}
-            targets = {m.pos: (slot.get(m.coref_prev, 0), index[tid])
-                       for m, tid in sup.links if tid in index}
+        if sup is not None:
+            cur_ids = {t.id for t in pair.cur.tracks}
+            for _, tid in sup.links:
+                if tid not in cur_ids:
+                    raise ValueError(f"pair {pair.id}: linked track {tid!r} "
+                                     "is not in the current clip")
+            if config.attention_supervision:
+                slot = {char: i + 1 for i, (_, char, _) in enumerate(grounding[:P_MAX])}
+                index = {tid: i + 1 for i, tid in enumerate(feats.cur_track_ids)}
+                targets = {m.pos: (slot.get(m.coref_prev, 0), index[tid])
+                           for m, tid in sup.links if tid in index}
         items.append(TrainItem(pair.id, feats, pair.cur.sentence, targets))
     return items
 

@@ -215,13 +215,10 @@ class TestJsonl:
         (("tracks", 0, "boxes", 0, 0), "left", "boxes"),
         (("tracks", 0, "frames", 0), "first", "frames"),
         (("tracks", 0, "score", 0), "high", "score"),
-        (("frames",), [[[1, 2]]], "frames"),
-        (("frames",), [[[300, 0, 0]]], "frames"),
-        (("frames",), [[[[0, 0, 0]], [[0, 0, 0], [0, 0, 0]]]], "frames"),
-        (("frames",), [[[[0, 0, 0]]], [[[0, 0, 0], [0, 0, 0]]]], "frames"),
+        (("frames",), {"shape": [1, 1, 1, 2], "uint8": "AAA="}, "frames"),
+        (("frames",), {"shape": [2, 1, 1, 3], "uint8": "AAAA"}, "frames"),
     ], ids=["track-not-object", "mention-not-object", "box-string", "frame-index-string",
-            "score-string", "two-channel-frame", "pixel-300", "ragged-rows",
-            "frame-shapes-differ"])
+            "score-string", "two-channel-frame", "frame-shapes-differ"])
     def test_malformed_value_names_field_and_line(self, tmp_path, keys, value,
                                                   field_name):
         c = generate_corpus(small_config(n_pairs=1), seed=1)
@@ -252,16 +249,79 @@ class TestJsonl:
             ingest_jsonl(p)
         assert exc.value.field == "gt_tracks"
 
-    def test_frames_survive_roundtrip(self, tmp_path):
+    def test_empty_frame_list_roundtrips(self, tmp_path):
+        c = generate_corpus(small_config(n_pairs=1), seed=1)
+        c.clips[1].frames = []
+        p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        export_jsonl(c, p1)
+        back = ingest_jsonl(p1)
+        assert back.clips[1].frames == [] and back.clips[0].frames is None
+        export_jsonl(back, p2)
+        assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("frames", [
+        [np.full((2, 2, 3), 300, dtype=np.int64)],
+        [np.zeros((2, 2, 3), dtype=np.int64)],
+        [np.zeros((2, 2, 3), dtype=np.float64)],
+        [np.zeros((2, 2, 3), dtype=np.uint8).tolist()],
+        [np.zeros((2, 2, 2), dtype=np.uint8)],
+        [np.zeros((2, 2), dtype=np.uint8)],
+        [np.zeros((0, 2, 3), dtype=np.uint8)],
+        [np.zeros((2, 2, 3), dtype=np.uint8), np.zeros((2, 3, 3), dtype=np.uint8)],
+        [np.zeros((2, 2, 3), dtype=np.uint8), np.zeros((2, 2, 3), dtype=np.int64)],
+    ], ids=["pixel-300", "int64", "float", "nested-list", "two-channel", "two-axes",
+            "zero-height", "shapes-differ", "second-frame-int64"])
+    def test_export_rejects_frames_not_uint8_grids(self, tmp_path, frames):
+        c = generate_corpus(small_config(n_pairs=1), seed=1)
+        c.clips[1].frames = frames
+        with pytest.raises(ValueError, match=rf"clip {c.clips[1].id}: frames"):
+            export_jsonl(c, tmp_path / "c.jsonl")
+
+    def test_nested_list_frames_rejected(self, tmp_path):
         c = generate_corpus(small_config(n_pairs=1, emit_frames=True,
-                                         frames_per_clip=4, cuts_per_clip=1), seed=9)
-        p = tmp_path / "f.jsonl"
+                                         frames_per_clip=3, cuts_per_clip=1), seed=2)
+        p = tmp_path / "c.jsonl"
         export_jsonl(c, p)
-        back = ingest_jsonl(p)
-        orig = c.clips[0].frames[2]
-        got = back.clips[0].frames[2]
-        np.testing.assert_array_equal(orig, got)
-        assert back.clips[0].gt_boundaries == c.clips[0].gt_boundaries
+        objs = [json.loads(line) for line in p.read_text().splitlines()]
+        objs[1]["frames"] = [f.tolist() for f in c.clips[1].frames]
+        _write_lines(p, objs)
+        with pytest.raises(CorpusFormatError) as exc:
+            ingest_jsonl(p)
+        assert (exc.value.line, exc.value.field) == (2, "frames")
+
+    @pytest.mark.parametrize("boundaries", [[99], [0], [4], [1, 4]],
+                             ids=["far-past-end", "zero", "last-frame", "second-past-end"])
+    def test_boundary_outside_the_clips_frames_names_clip(self, tmp_path, boundaries):
+        c = generate_corpus(small_config(n_pairs=1, emit_frames=True,
+                                         frames_per_clip=4, cuts_per_clip=1), seed=2)
+        p = tmp_path / "c.jsonl"
+        export_jsonl(c, p)
+        meta_path = tmp_path / "c.jsonl.meta.json"
+        meta = json.loads(meta_path.read_text())
+        meta["gt_boundaries"]["1"] = boundaries
+        meta_path.write_text(json.dumps(meta))
+        with pytest.raises(CorpusFormatError, match=r"clip 1: .* 1\.\.3") as exc:
+            ingest_jsonl(p)
+        assert (exc.value.line, exc.value.field) == (None, "gt_boundaries")
+        meta["gt_boundaries"]["1"] = [1, 3]
+        meta_path.write_text(json.dumps(meta))
+        assert ingest_jsonl(p).clips[1].gt_boundaries == [1, 3]
+
+    def test_frames_survive_roundtrip(self, tmp_path):
+        c = generate_corpus(small_config(n_pairs=2, emit_frames=True,
+                                         frames_per_clip=5, cuts_per_clip=2), seed=9)
+        p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        export_jsonl(c, p1)
+        back = ingest_jsonl(p1)
+        export_jsonl(back, p2)
+        assert p1.read_bytes() == p2.read_bytes()
+        assert json.loads(p1.read_text().splitlines()[0])["frames"]["shape"] == [5, 24, 32, 3]
+        for orig, got in zip(c.clips, back.clips, strict=True):
+            assert len(got.frames) == len(orig.frames) == 5
+            for f, g in zip(orig.frames, got.frames):
+                assert g.dtype == np.uint8 and g.shape == f.shape and g.flags.writeable
+                np.testing.assert_array_equal(g, f)
+            assert got.gt_boundaries == orig.gt_boundaries
 
     def test_split(self):
         c = generate_corpus(small_config(n_pairs=10), seed=3)
@@ -270,10 +330,10 @@ class TestJsonl:
         assert a.vocab.tokens == b.vocab.tokens
 
 
-def _exported_lines(tmp_path):
+def _exported_lines(tmp_path, **config):
     """An exported two-pair corpus: its path and its lines, parsed."""
     p = tmp_path / "c.jsonl"
-    export_jsonl(generate_corpus(small_config(n_pairs=2), seed=1), p)
+    export_jsonl(generate_corpus(small_config(n_pairs=2, **config), seed=1), p)
     return p, [json.loads(line) for line in p.read_text().splitlines()]
 
 
@@ -308,6 +368,10 @@ def _assert_valid(c):
                 assert widths.setdefault(name, v.size) == v.size
             for tok in clip.sentence:
                 c.vocab.index(tok)
+            if clip.frames is not None:
+                for f in clip.frames:
+                    assert f.dtype == np.uint8 and f.shape == clip.frames[0].shape
+                    assert f.ndim == 3 and f.shape[2] == 3 and f.flags.writeable
             ids = {t.id for t in clip.tracks}
             for m in clip.mentions:
                 assert isinstance(m.char_id, int) and not isinstance(m.char_id, bool)
@@ -398,6 +462,37 @@ class TestIngestErrors:
             ingest_jsonl(p)
         assert (exc.value.line, exc.value.field) == (None, field_name)
 
+    @pytest.mark.parametrize("block", [
+        [], "AAAA", None,
+        {"uint8": "AAAA"}, {"shape": "1,1,1,3", "uint8": "AAAA"},
+        {"shape": [1, 1, 3], "uint8": "AAAA"}, {"shape": [1, 1, 1, 3, 1], "uint8": "AAAA"},
+        {"shape": [True, 1, 1, 3], "uint8": "AAAA"}, {"shape": [1.0, 1, 1, 3], "uint8": "AAAA"},
+        {"shape": ["1", 1, 1, 3], "uint8": "AAAA"}, {"shape": [-1, 1, 1, 3], "uint8": ""},
+        {"shape": [1, 0, 1, 3], "uint8": ""}, {"shape": [1, 1, 0, 3], "uint8": ""},
+        {"shape": [1, 1, 3, 1], "uint8": "AAAA"}, {"shape": [1, 1, 1, 4], "uint8": "AAAAAA=="},
+        {"shape": [1, 1, 1, 3]}, {"shape": [1, 1, 1, 3], "uint8": [0, 0, 0]},
+        {"shape": [1, 1, 1, 3], "uint8": 0}, {"shape": [1, 1, 1, 3], "uint8": "AA*A"},
+        {"shape": [1, 1, 1, 3], "uint8": "AAAA\n"}, {"shape": [1, 1, 1, 3], "uint8": "AAA"},
+        {"shape": [1, 1, 1, 3], "uint8": "AAAAAA==AA=="},
+        {"shape": [1, 1, 1, 3], "uint8": "AAA\u00e9"},
+        {"shape": [1, 1, 1, 3], "uint8": "AAA="}, {"shape": [1, 1, 1, 3], "uint8": "AAAAAA=="},
+        {"shape": [2, 1, 1, 3], "uint8": "AAAA"}, {"shape": [0, 1, 1, 3], "uint8": "AAAA"},
+        {"shape": [10 ** 30, 1, 1, 3], "uint8": "AAAA"},
+    ], ids=["list", "string", "null", "shape-missing", "shape-string", "shape-three-entries",
+            "shape-five-entries", "shape-bool", "shape-float", "shape-entry-string",
+            "n-negative", "height-zero", "width-zero", "channels-not-last", "four-channels",
+            "uint8-missing", "uint8-list", "uint8-number", "uint8-bad-character",
+            "uint8-newline", "uint8-bad-padding", "uint8-data-after-padding",
+            "uint8-non-ascii", "bytes-short", "bytes-long", "second-frame-missing",
+            "no-frames-with-bytes", "huge-shape"])
+    def test_malformed_frames_block_names_frames_and_line(self, tmp_path, block):
+        p, objs = _exported_lines(tmp_path)
+        objs[1]["frames"] = block
+        _write_lines(p, objs)
+        with pytest.raises(CorpusFormatError) as exc:
+            ingest_jsonl(p)
+        assert (exc.value.line, exc.value.field) == (2, "frames")
+
     def test_coref_into_a_previous_clip_without_mentions_rejected(self, tmp_path):
         p, objs = _exported_lines(tmp_path)
         objs[1]["mentions"][0]["coref_prev"] = objs[0]["mentions"][0]["char"]
@@ -431,6 +526,26 @@ class TestIngestErrors:
             back = ingest_jsonl(p)
         except CorpusFormatError as exc:
             assert exc.line == line + 1
+        else:
+            _assert_valid(back)
+
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_any_frames_entry_replaced_gives_frames_error_or_valid_corpus(self, tmp_path,
+                                                                           data):
+        p, objs = _exported_lines(tmp_path, emit_frames=True, frames_per_clip=3,
+                                  cuts_per_clip=1)
+        line = data.draw(st.integers(0, len(objs) - 1), label="line")
+        keys = data.draw(st.sampled_from([("frames",), *_paths(objs[line]["frames"],
+                                                                ("frames",))]), label="path")
+        _replace(objs[line], keys, data.draw(JSON_VALUES, label="value"))
+        _write_lines(p, objs)
+        try:
+            back = ingest_jsonl(p)
+        except CorpusFormatError as exc:
+            assert (exc.line, exc.field) == (line + 1, "frames")
         else:
             _assert_valid(back)
 
@@ -486,6 +601,17 @@ class TestPairSupervision:
         sup = pair_supervision(pair, [], [(lost, 1), (kept, 2)])
         assert sup.links == [(lost, 1), (kept, 2)]
         assert grid_targets(pair, sup) == {2: (0, 1)}
+
+    @pytest.mark.parametrize("tid", [1, 9], ids=["previous-clip-track", "unknown-track"])
+    @pytest.mark.parametrize("supervised", [True, False], ids=["supervised", "unsupervised"])
+    def test_link_outside_the_current_clip_raises(self, tid, supervised):
+        m = Mention(0, char_id=1, gender="M", gt_track_ids=[3])
+        pair = _pair([_track(1)], [_track(3)], (), [m])
+        tracks = pair.prev.tracks + pair.cur.tracks
+        with pytest.raises(ValueError, match=rf"pair 0: linked track {tid} "):
+            build_train_items(Corpus([pair], Vocabulary.build()),
+                              [pair_supervision(pair, [], [(m, tid)])], fit_norm_stats(tracks),
+                              DecoderConfig(attention_supervision=supervised))
 
     def test_planted_and_equal_linked_groundings_agree(self):
         c = generate_corpus(small_config(n_pairs=30, coref_fraction=0.7,
