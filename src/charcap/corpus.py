@@ -678,8 +678,10 @@ def ingest_jsonl(path):
     The sidecar meta, when present, is read first: its ``d_head``,
     ``d_body`` and ``d_global`` fix the vector widths and its ``vocab``
     the tokens a sentence may use. A malformed meta raises
-    ``CorpusFormatError`` with line None, as does a ``gt_boundaries``
-    index outside 1..n-1 for a clip with n frames.
+    ``CorpusFormatError`` with line None, as do a ``gt_boundaries`` key
+    that names no clip and a ``gt_boundaries`` index outside 1..n-1 for a
+    clip with n frames. A repeated clip id raises ``CorpusFormatError``
+    naming its line and ``"id"``.
 
     A clip's ``frames`` block, ``{"shape": [n, H, W, 3], "uint8": <base64
     of the C-order bytes>}``, becomes ``Clip.frames``, a list of n
@@ -691,7 +693,7 @@ def ingest_jsonl(path):
     dims = {f"v_{k}": meta[f"d_{k}"] for k in ("head", "body", "global") if f"d_{k}" in meta}
     known = set(meta["vocab"]) if "vocab" in meta else None
 
-    clips = []
+    clips, ids = [], set()  # ids as strings, the meta's gt_boundaries keys
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, raw in enumerate(fh, start=1):
             raw = raw.strip()
@@ -702,7 +704,11 @@ def ingest_jsonl(path):
             except json.JSONDecodeError as exc:
                 raise CorpusFormatError(line_no, "<json>", f"invalid JSON: {exc}") from None
             prev = clips[-1] if len(clips) % 2 else None  # odd positions are current clips
-            clips.append(_parse_clip(obj, line_no, dims, known, prev))
+            clip = _parse_clip(obj, line_no, dims, known, prev)
+            if str(clip.id) in ids:
+                raise CorpusFormatError(line_no, "id", f"clip id {clip.id} repeats")
+            ids.add(str(clip.id))
+            clips.append(clip)
 
     pairs = []
     for k in range(0, len(clips) - 1, 2):
@@ -718,6 +724,9 @@ def ingest_jsonl(path):
             seen.update(c.sentence)
         vocab = Vocabulary.build(seen)
     gtb = meta.get("gt_boundaries", {})
+    unknown = sorted(set(gtb) - ids)
+    if unknown:
+        raise CorpusFormatError(None, "gt_boundaries", f"keys {unknown} name no clip")
     for clip in clips:
         if str(clip.id) in gtb:
             clip.gt_boundaries = list(gtb[str(clip.id)])

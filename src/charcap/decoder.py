@@ -54,8 +54,8 @@ import numpy as np
 from .corpus import BOS, EOS, PERSON_TOKENS, ClipPair, Corpus, Vocabulary
 from .numerics import (
     Adam, FLOAT, check_trainer_settings, glorot_uniform, lstm_init, lstm_step_backward,
-    lstm_step_forward, masked_softmax, pad_rows, rng_stream, softmax_cross_entropy,
-    zeros_like_params,
+    lstm_step_forward, masked_softmax, pack_params, pad_rows, rng_stream,
+    softmax_cross_entropy, zeros_like_params,
 )
 from .track_features import STAT_DIM, NormStats, apply_norm, fit_norm_stats
 
@@ -479,16 +479,16 @@ class TrainedDecoder:
     capped_tracks: int = 0     # current-clip tracks past C_MAX, left out of the training items
 
 
-def _clip_gradients(grads, max_norm):
-    """Scale ``grads`` to global norm ``max_norm`` when above it (0
-    switches clipping off); returns whether it scaled."""
+def _clip_gradients(gflat, grads, max_norm):
+    """Scale the packed gradients ``gflat`` (``grads`` are its views) to
+    global norm ``max_norm`` when above it (0 switches clipping off);
+    returns whether it scaled. The norm sums each view's ``np.vdot`` in
+    dict order: one ``vdot`` over ``gflat`` rounds differently."""
     if not max_norm:
         return False
     total = np.sqrt(sum(float(np.vdot(g, g)) for g in grads.values()))
     if total > max_norm:
-        scale = max_norm / total
-        for k in grads:
-            grads[k] *= scale
+        gflat *= max_norm / total
         return True
     return False
 
@@ -515,23 +515,23 @@ def train_decoder(corpus: Corpus, supervision, config: DecoderConfig,
         norm = fit_norm_stats([t for c in corpus.clips for t in c.tracks])
     items = build_train_items(corpus, supervision, norm, config)
     vocab = corpus.vocab
-    params = init_decoder_params(config, len(vocab), seed)
+    flat, params = pack_params(init_decoder_params(config, len(vocab), seed))
     opt = Adam(lr=config.lr)
     rng = rng_stream(seed, "decoder-train")
     capped = sum(len(pair.cur.tracks) - len(item.feats.cur_track_ids)
                  for pair, item in zip(corpus.pairs, items))
     trained = TrainedDecoder(params=params, config=config, vocab=vocab,
                              norm=norm, history=[], capped_tracks=capped)
-    last_good = {k: v.copy() for k, v in params.items()}
-    grads = zeros_like_params(params)  # reused: a fresh dict per batch costs page faults
+    good, last_good = pack_params(params)  # a copy, refreshed after each finite epoch
+    # reused: fresh gradients per batch cost page faults
+    gflat, grads = pack_params(zeros_like_params(params))
 
     for epoch in range(config.epochs):
         order = rng.permutation(len(items))
         tot = wl = al = 0.0
         for start in range(0, len(order), config.batch_size):
             batch = [items[i] for i in order[start:start + config.batch_size]]
-            for g in grads.values():
-                g.fill(0.0)
+            gflat.fill(0.0)
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 total, word, att, rows, skipped = sentence_loss(params, config, vocab, batch)
                 if rows is not None:  # None when a word logit went non-finite
@@ -539,15 +539,14 @@ def train_decoder(corpus: Corpus, supervision, config: DecoderConfig,
             for t, w, a in zip(total, word, att):
                 tot, wl, al = tot + t, wl + w, al + a
             trained.skipped_targets += skipped
-            for k in grads:
-                grads[k] /= len(batch)
-            trained.clipped_batches += _clip_gradients(grads, config.grad_clip)
-            opt.step(params, grads)
-        if not (np.isfinite(tot) and all(np.all(np.isfinite(v)) for v in params.values())):
+            gflat /= len(batch)
+            trained.clipped_batches += _clip_gradients(gflat, grads, config.grad_clip)
+            opt.step(flat, gflat)
+        if not (np.isfinite(tot) and np.isfinite(flat).all()):
             raise TrainingDiverged(epoch, last_good)
         n = len(items)
         trained.history.append((tot / n, wl / n, al / n))
-        last_good = {k: v.copy() for k, v in params.items()}
+        good[:] = flat
     return trained
 
 

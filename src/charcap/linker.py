@@ -10,7 +10,8 @@ track feature (GroundeR's loss; Rohrbach et al., ECCV 2016) and supervises
 no link: a singleton clip's one track has attention exactly 1, so its
 cross-entropy would be 0. A mini-batch of mentions runs as ``(B, ·)``
 arrays, each mention's tracks padded to the batch's largest count and
-masked out of the softmax; ``Linker.link_clip`` scores all mentions of a
+masked out of the softmax (training pads every mention once and cuts each
+batch from that); ``Linker.link_clip`` scores all mentions of a
 clip the same way. The trained linker grounds every mention, and
 ``corpus.pair_supervision`` turns those groundings into each pair's
 previous-clip candidates and current-clip links, which the decoder places
@@ -25,8 +26,8 @@ import numpy as np
 from .corpus import Clip, Corpus, PairSupervision, pair_supervision  # noqa: F401
 from .numerics import (
     Adam, FLOAT, check_trainer_settings, glorot_uniform, lstm_init, lstm_step_backward,
-    lstm_step_forward, masked_softmax, pad_rows, rng_stream, softmax_cross_entropy,
-    zeros_like_params,
+    lstm_step_forward, masked_softmax, pack_params, pad_rows, rng_stream,
+    softmax_cross_entropy, zeros_like_params,
 )
 from .track_features import NormStats, apply_norm, fit_norm_stats
 
@@ -93,20 +94,36 @@ def _score(params, config, gender_rows, name_rows, V, valid):
     return att, T, m, (cache1, cache2)
 
 
-def _batch_loss_and_grads(params, config, instances, names, grads):
-    """Accumulate the gradients of a batch of instances into ``grads``;
-    returns the batch's summed loss.
+def _padded_instances(instances, names):
+    """Every instance's gender row and name class (``names`` maps each
+    character to its class) and its tracks, padded once by ``pad_rows``:
+    returns ``(genders, classes, V, valid)`` over all instances."""
+    genders = np.array([Linker.GENDER_ROWS[i.gender] for i in instances])
+    classes = np.array([names[i.name_id] for i in instances])
+    return (genders, classes) + pad_rows([i.features for i in instances])
+
+
+def _batch(padded, idx):
+    """Instances ``idx`` of ``_padded_instances``' arrays, the tracks cut to
+    the batch's largest count: ``V`` and ``valid`` are bitwise ``pad_rows``
+    of the batch's own features."""
+    genders, classes, V, valid = padded
+    c = valid[idx].sum(axis=1).max()
+    return genders[idx], classes[idx], V[idx, :c], valid[idx, :c]
+
+
+def _batch_loss_and_grads(params, config, batch, grads):
+    """Accumulate the gradients of a ``_batch`` into ``grads``; returns the
+    batch's summed loss.
 
     The batch runs as ``(B, ·)`` arrays: tracks padded to the batch's
     largest C, the two-step mention encoder on rows, a masked softmax over
-    tracks and the reconstruction heads as matmuls. ``names`` maps each
-    character to its class; its embedding row is ``2 + class``.
+    tracks and the reconstruction heads as matmuls. A mention's name
+    embedding row is ``2 + class``.
     """
     H = config.hidden
-    genders = np.array([Linker.GENDER_ROWS[i.gender] for i in instances])
-    classes = np.array([names[i.name_id] for i in instances])
+    genders, classes, V, valid = batch
     rows = 2 + classes
-    V, valid = pad_rows([i.features for i in instances])
     B, C, d = V.shape
     att, T, m, (cache1, cache2) = _score(params, config, genders, rows, V, valid)
 
@@ -208,23 +225,23 @@ def train_linker(corpus: Corpus, config: LinkerConfig = None, seed=0):
 
     names = {nid: k for k, nid in enumerate(sorted({i.name_id for i in instances}))}
     d_head = instances[0].features.shape[1]
-    params = init_linker_params(config, len(names), d_head, seed)
+    flat, params = pack_params(init_linker_params(config, len(names), d_head, seed))
     opt = Adam(lr=config.lr)
     rng = rng_stream(seed, "linker-train")
+    padded = _padded_instances(instances, names)
 
     history = []
-    grads = zeros_like_params(params)  # reused: a fresh dict per batch costs page faults
+    # reused: fresh gradients per batch cost page faults
+    gflat, grads = pack_params(zeros_like_params(params))
     for _ in range(config.epochs):
         order = rng.permutation(len(instances))
         total = 0.0
         for start in range(0, len(order), config.batch_size):
-            batch = [instances[i] for i in order[start:start + config.batch_size]]
-            for g in grads.values():
-                g.fill(0.0)
-            total += _batch_loss_and_grads(params, config, batch, names, grads)
-            for k in grads:
-                grads[k] /= len(batch)
-            opt.step(params, grads)
+            idx = order[start:start + config.batch_size]
+            gflat.fill(0.0)
+            total += _batch_loss_and_grads(params, config, _batch(padded, idx), grads)
+            gflat /= len(idx)
+            opt.step(flat, gflat)
         history.append(total / len(instances))
     return Linker(params=params, config=config, norm=norm, names=names, history=history,
                   supervised_instances=sum(i.supervised for i in instances))

@@ -2,12 +2,11 @@
 
 Everything is float64 numpy. Parameters of a model are kept in a plain
 ``dict[str, np.ndarray]`` (a "param set"); gradients use the same keys.
-Each forward kernel has a hand-written backward companion, verified by
-``finite_diff_check`` in the test suite. Both trainers update their
-param sets with ``Adam``.
+A trainer packs both with ``pack_params`` into views of one vector each,
+which ``Adam`` steps as a whole. Each forward kernel has a hand-written
+backward companion, verified by ``finite_diff_check`` in the test suite.
 """
 
-import math
 import zlib
 
 import numpy as np
@@ -17,19 +16,6 @@ FLOAT = np.float64
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-
-
-def softmax(logits):
-    """Shift-invariant softmax of a nonempty finite 1-D vector: the reference
-    the tests check ``cross_entropy``, ``softmax_cross_entropy`` and the
-    linker and decoder gradient oracles against."""
-    z = np.asarray(logits, dtype=FLOAT)
-    if z.size == 0:
-        raise ValueError("softmax: empty input")
-    if not np.all(np.isfinite(z)):
-        raise ValueError("softmax: non-finite input")
-    e = np.exp(z - z.max())
-    return e / e.sum()
 
 
 def masked_softmax(logits, valid):
@@ -55,23 +41,6 @@ def pad_rows(arrays):
     padded = np.zeros(mask.shape + rows.shape[1:], dtype=rows.dtype)
     padded[mask] = rows
     return padded, mask
-
-
-def cross_entropy(logits, target, valid=None):
-    """-log softmax(logits)[target], as log-sum-exp less the target logit.
-
-    Finite whenever the logits are, also where the target's probability
-    underflows to 0. With ``valid`` the softmax runs over the valid cells
-    only (as ``masked_softmax``); ``target`` indexes ``logits``. The
-    reference the tests check ``softmax_cross_entropy``'s losses and the
-    decoder's attention loss against.
-    """
-    z = np.asarray(logits, dtype=FLOAT)
-    zt = z[target]
-    if valid is not None:
-        z = z[np.asarray(valid, dtype=bool)]
-    zmax = z.max()
-    return float(np.log(np.exp(z - zmax).sum()) - (zt - zmax))
 
 
 def softmax_cross_entropy(logits, targets, valid=None):
@@ -118,6 +87,15 @@ def glorot_uniform(rng, rows, cols=None):
 
 def zeros_like_params(params):
     return {k: np.zeros_like(v) for k, v in params.items()}
+
+
+def pack_params(params):
+    """Copy a param set into one contiguous float64 vector, its arrays end
+    to end in dict order. Returns ``(flat, views)``, ``views`` a param set
+    of the same keys and shapes whose arrays are views into ``flat``."""
+    flat = np.concatenate([np.ravel(v) for v in params.values()], dtype=FLOAT)
+    parts = np.split(flat, np.cumsum([v.size for v in params.values()])[:-1])
+    return flat, {k: a.reshape(v.shape) for (k, v), a in zip(params.items(), parts)}
 
 
 # ---------------------------------------------------------------------------
@@ -195,16 +173,16 @@ def lstm_step_backward(cache, dh, dc):
 
 class Adam:
     """Adam (Kingma and Ba, 2015) with bias correction, the optimizer of
-    both trainers; ``step`` updates a param set in place from its gradients.
+    both trainers; ``step(p, g)`` updates ``p``, the vector of a param set
+    packed by ``pack_params``, in place from ``g``, its packed gradients.
 
-    ``step`` walks each array in blocks of about ``BLOCK`` elements (whole
-    slices along the first axis), so that every intermediate of a block
-    stays in cache. The intermediates are written into one pair of scratch
-    buffers made at the first step, with the moments; later steps
-    allocate nothing the size of a weight. The operations and their order
-    are those of ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*g*g`` and
-    ``p -= lr*mhat / (sqrt(vhat) + eps)`` (``ADAM_BETA1``, ``ADAM_BETA2``,
-    ``ADAM_EPS``), so the result is bitwise that formula's.
+    ``step`` walks the vector in blocks of ``BLOCK`` elements, so that
+    every intermediate of a block stays in cache. The intermediates are
+    written into one pair of scratch buffers made at the first step, with
+    the moment vectors; later steps allocate nothing the size of a weight.
+    The operations and their order are those of ``m = b1*m + (1-b1)*g``,
+    ``v = b2*v + (1-b2)*g*g`` and ``p -= lr*mhat / (sqrt(vhat) + eps)``
+    (``ADAM_BETA1``, ``ADAM_BETA2``, ``ADAM_EPS``): bitwise that formula.
     """
 
     BLOCK = 1 << 16
@@ -216,39 +194,31 @@ class Adam:
         self._scratch = None
         self._t = 0
 
-    def _rows(self, p):
-        """First-axis slices of ``p`` per block."""
-        return max(1, self.BLOCK // max(1, math.prod(p.shape[1:])))
-
-    def step(self, params, grads):
+    def step(self, p, g):
         if self._m is None:
-            self._m = zeros_like_params(params)
-            self._v = zeros_like_params(params)
-            size = max((min(len(p), self._rows(p)) * math.prod(p.shape[1:])
-                        for p in params.values()), default=0)
+            self._m, self._v = np.zeros_like(p), np.zeros_like(p)
+            size = min(p.size, self.BLOCK)
             self._scratch = (np.empty(size, dtype=FLOAT), np.empty(size, dtype=FLOAT))
         self._t += 1
         b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
         c1, c2 = 1 - b1 ** self._t, 1 - b2 ** self._t
-        for k, p in params.items():
-            n = self._rows(p)
-            for a in range(0, len(p), n):
-                g, m, v = grads[k][a:a + n], self._m[k][a:a + n], self._v[k][a:a + n]
-                step, den = (s[:g.size].reshape(g.shape) for s in self._scratch)
-                m *= b1
-                np.multiply(1 - b1, g, out=step)
-                m += step
-                np.multiply(1 - b2, g, out=step)
-                step *= g
-                v *= b2
-                v += step
-                np.divide(m, c1, out=step)
-                step *= self.lr
-                np.divide(v, c2, out=den)
-                np.sqrt(den, out=den)
-                den += eps
-                step /= den
-                p[a:a + n] -= step
+        for a in range(0, p.size, self.BLOCK):
+            gb, m, v = (x[a:a + self.BLOCK] for x in (g, self._m, self._v))
+            step, den = (s[:gb.size] for s in self._scratch)
+            m *= b1
+            np.multiply(1 - b1, gb, out=step)
+            m += step
+            np.multiply(1 - b2, gb, out=step)
+            step *= gb
+            v *= b2
+            v += step
+            np.divide(m, c1, out=step)
+            step *= self.lr
+            np.divide(v, c2, out=den)
+            np.sqrt(den, out=den)
+            den += eps
+            step /= den
+            p[a:a + self.BLOCK] -= step
 
 
 def check_trainer_settings(trainer, config):

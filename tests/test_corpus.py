@@ -307,6 +307,28 @@ class TestJsonl:
         meta_path.write_text(json.dumps(meta))
         assert ingest_jsonl(p).clips[1].gt_boundaries == [1, 3]
 
+    @pytest.mark.parametrize("line", [2, 3, 4])
+    def test_repeated_clip_id_names_its_line(self, tmp_path, line):
+        p, objs = _exported_lines(tmp_path)
+        objs[line - 1]["id"] = objs[0]["id"]
+        _write_lines(p, objs)
+        with pytest.raises(CorpusFormatError, match=f"clip id {objs[0]['id']} repeats") as exc:
+            ingest_jsonl(p)
+        assert (exc.value.line, exc.value.field) == (line, "id")
+
+    def test_boundaries_of_no_clip_rejected(self, tmp_path):
+        c = generate_corpus(small_config(n_pairs=1, emit_frames=True,
+                                         frames_per_clip=4, cuts_per_clip=1), seed=2)
+        p = tmp_path / "c.jsonl"
+        export_jsonl(c, p)
+        meta_path = tmp_path / "c.jsonl.meta.json"
+        meta = json.loads(meta_path.read_text())
+        meta["gt_boundaries"]["7"] = [1]
+        meta_path.write_text(json.dumps(meta))
+        with pytest.raises(CorpusFormatError, match=r"keys \['7'\] name no clip") as exc:
+            ingest_jsonl(p)
+        assert (exc.value.line, exc.value.field) == (None, "gt_boundaries")
+
     def test_frames_survive_roundtrip(self, tmp_path):
         c = generate_corpus(small_config(n_pairs=2, emit_frames=True,
                                          frames_per_clip=5, cuts_per_clip=2), seed=9)
@@ -522,10 +544,13 @@ class TestIngestErrors:
         keys = data.draw(st.sampled_from(list(_paths(objs[line]))), label="path")
         _replace(objs[line], keys, data.draw(JSON_VALUES, label="value"))
         _write_lines(p, objs)
+        # a clip id made equal to another clip's is named on the later of the two lines
+        cid = objs[line]["id"]
+        same = [i for i, o in enumerate(objs) if type(cid) is int and o["id"] == cid]
         try:
             back = ingest_jsonl(p)
         except CorpusFormatError as exc:
-            assert exc.line == line + 1
+            assert exc.line == max(same, default=line) + 1
         else:
             _assert_valid(back)
 

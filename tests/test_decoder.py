@@ -17,10 +17,11 @@ from charcap.decoder import (
 from charcap.decoder import TrainItem, attention_terms
 from charcap.linker import LinkerConfig, train_linker
 from charcap.numerics import (
-    finite_diff_check, lstm_step_backward, lstm_step_forward, rng_stream, softmax,
+    finite_diff_check, lstm_step_backward, lstm_step_forward, rng_stream,
     zeros_like_params,
 )
 from charcap.track_features import Detection, Track, fit_norm_stats, track_stats
+from references import softmax
 
 
 def tiny_decoder_cfg(**kw):
@@ -374,6 +375,16 @@ class TestTraining:
         b = train_decoder(corpus, sup, cfg, seed=9)
         assert all(np.array_equal(a.params[k], b.params[k]) for k in a.params)
 
+    def test_trained_params_are_views_into_one_vector(self):
+        corpus = generate_corpus(CorpusConfig(n_pairs=4, d_head=8, d_body=6, d_global=8),
+                                 seed=3)
+        cfg = DecoderConfig(d_head=8, d_body=6, d_global=8, d_att=8, d_emb=8,
+                            hidden=12, epochs=1)
+        params = train_decoder(corpus, planted(corpus), cfg, seed=9).params
+        flat = params["E"].base
+        assert flat.ndim == 1 and flat.size == sum(v.size for v in params.values())
+        assert all(v.base is flat and np.shares_memory(v, flat) for v in params.values())
+
     def test_loss_drops_ninety_percent_on_small_corpus(self):
         ccfg = CorpusConfig(n_pairs=50, n_characters=4, d_head=12, d_body=6,
                             d_global=10, sigma=0.05)
@@ -397,6 +408,10 @@ class TestTraining:
         with pytest.raises(TrainingDiverged) as exc:
             train_decoder(corpus, planted(corpus), cfg, seed=1)
         assert all(np.all(np.isfinite(v)) for v in exc.value.params.values())
+        # a copy taken before the first epoch: that epoch's steps left it alone
+        init = init_decoder_params(cfg, len(corpus.vocab), seed=1)
+        assert exc.value.epoch == 0
+        assert all(exc.value.params[k].tobytes() == v.tobytes() for k, v in init.items())
 
     @pytest.mark.parametrize("field, dim, width", [
         ("v_head", "d_head", 8), ("v_body", "d_body", 6), ("v_global", "d_global", 10)])

@@ -9,12 +9,15 @@ from charcap.linker import (
     Linker, LinkerConfig, build_attention_gt, build_link_instances,
     init_linker_params, linking_accuracy, train_linker,
 )
-from charcap.linker import LinkInstance, _batch_loss_and_grads, _score
+from charcap.linker import (
+    LinkInstance, _batch, _batch_loss_and_grads, _padded_instances, _score,
+)
 from charcap.numerics import (
-    cross_entropy, finite_diff_check, lstm_step_backward, lstm_step_forward,
-    pad_rows, rng_stream, softmax, zeros_like_params,
+    finite_diff_check, lstm_step_backward, lstm_step_forward, pad_rows, rng_stream,
+    zeros_like_params,
 )
 from charcap.track_features import apply_norm, fit_norm_stats
+from references import cross_entropy, softmax
 
 
 def corpus_cfg(**kw):
@@ -35,7 +38,8 @@ def trained():
 def linker_loss(params, cfg, instances, names):
     """Mean loss and gradients over fixed instances."""
     grads = zeros_like_params(params)
-    total = _batch_loss_and_grads(params, cfg, instances, names, grads)
+    batch = _batch(_padded_instances(instances, names), np.arange(len(instances)))
+    total = _batch_loss_and_grads(params, cfg, batch, grads)
     for k in grads:
         grads[k] /= len(instances)
     return total / len(instances), grads
@@ -256,16 +260,28 @@ class TestBatch:
             assert grads[k].tobytes() == grads_f[k].tobytes(), k
 
     def test_padding_tracks_get_zero_attention(self):
-        cfg, params, insts, classes = self._batch()
-        V, valid = pad_rows([i.features for i in insts])
-        genders = [Linker.GENDER_ROWS[i.gender] for i in insts]
-        names = [2 + classes[i.name_id] for i in insts]
-        att = _score(params, cfg, genders, names, V, valid)[0]
+        cfg, params, insts, names = self._batch()
+        genders, classes, V, valid = _batch(_padded_instances(insts, names),
+                                            np.arange(len(insts)))
+        rows = 2 + classes
+        att = _score(params, cfg, genders, rows, V, valid)[0]
         assert valid.sum() < valid.size
         assert (att[~valid] == 0.0).all()
         for b, inst in enumerate(insts):
-            one = one_mention(params, cfg, genders[b], names[b], inst.features)
+            one = one_mention(params, cfg, genders[b], rows[b], inst.features)
             np.testing.assert_allclose(att[b, :len(one)], one, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("idx", [[2, 0], [4, 2, 3], [1], [3, 0, 4, 1, 2]])
+    def test_batch_cut_from_the_padded_instances_is_pad_rows_of_its_features(self, idx):
+        # track counts 1, 4, 1, 3, 2: a cut without instance 1 is narrower than the padding
+        _, _, insts, names = self._batch()
+        genders, classes, V, valid = _batch(_padded_instances(insts, names), np.array(idx))
+        want_V, want_valid = pad_rows([insts[i].features for i in idx])
+        assert V.shape == want_V.shape and V.tobytes() == want_V.tobytes()
+        assert valid.shape == want_valid.shape and valid.tobytes() == want_valid.tobytes()
+        assert V.flags.c_contiguous
+        assert genders.tolist() == [Linker.GENDER_ROWS[insts[i].gender] for i in idx]
+        assert classes.tolist() == [names[insts[i].name_id] for i in idx]
 
 
 class TestHeads:
@@ -277,6 +293,14 @@ class TestHeads:
                              for t in clip.tracks])
             got = apply_norm(clip.tracks, norm, "v_head")
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+class TestPacked:
+    def test_trained_params_are_views_into_one_vector(self, trained):
+        params = trained[0].params
+        flat = params["E_tok"].base
+        assert flat.ndim == 1 and flat.size == sum(v.size for v in params.values())
+        assert all(v.base is flat and np.shares_memory(v, flat) for v in params.values())
 
 
 class TestCounts:

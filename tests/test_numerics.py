@@ -7,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from charcap.numerics import (
-    Adam, cross_entropy, finite_diff_check, glorot_uniform, lstm_init,
-    lstm_step_backward, lstm_step_forward, masked_softmax, pad_rows, rng_stream,
-    sigmoid, softmax, softmax_cross_entropy,
+    Adam, finite_diff_check, glorot_uniform, lstm_init, lstm_step_backward,
+    lstm_step_forward, masked_softmax, pack_params, pad_rows, rng_stream, sigmoid,
+    softmax_cross_entropy,
 )
+from references import cross_entropy, softmax
 
 
 class TestSoftmax:
@@ -242,19 +243,37 @@ class TestSoftmaxCrossEntropyRows:
         assert losses[1] == cross_entropy(z[1, [0, 2]], 1) == 1005.0
 
 
+class TestPackParams:
+    def test_views_into_one_vector_in_dict_order(self):
+        rng = rng_stream(5, "pack")
+        params = {"W": rng.normal(size=(4, 3)), "b": rng.normal(size=4), "s": np.ones(())}
+        flat, views = pack_params(params)
+        assert flat.shape == (17,) and flat.dtype == np.float64 and flat.flags.c_contiguous
+        assert flat.tobytes() == b"".join(v.tobytes() for v in params.values())
+        assert list(views) == list(params)
+        start = 0
+        for k, v in views.items():
+            assert v.shape == params[k].shape and v.base is flat
+            assert v.ctypes.data == flat.ctypes.data + 8 * start
+            assert not np.shares_memory(v, params[k])  # a copy of the input
+            start += v.size
+
+
 class TestAdam:
     def test_five_steps_bitwise_equal_to_reference(self):
         rng = rng_stream(6, "adam")
         shapes = {"W": (4, 3), "b": (4,)}
-        params = {k: rng.normal(size=s) for k, s in shapes.items()}
+        flat, params = pack_params({k: rng.normal(size=s) for k, s in shapes.items()})
+        gflat, grads = pack_params({k: np.zeros(s) for k, s in shapes.items()})
         ref = {k: v.copy() for k, v in params.items()}
         m = {k: np.zeros(s) for k, s in shapes.items()}
         v = {k: np.zeros(s) for k, s in shapes.items()}
         lr, b1, b2, eps = 0.003, 0.9, 0.999, 1e-8
         opt = Adam(lr=lr)
         for t in range(1, 6):
-            grads = {k: rng.normal(scale=10.0 ** -t, size=s) for k, s in shapes.items()}
-            opt.step(params, grads)
+            for k, s in shapes.items():
+                grads[k][...] = rng.normal(scale=10.0 ** -t, size=s)
+            opt.step(flat, gflat)
             for k, g in grads.items():
                 m[k] = b1 * m[k] + (1 - b1) * g
                 v[k] = b2 * v[k] + (1 - b2) * g * g
@@ -265,25 +284,26 @@ class TestAdam:
 
     def test_later_steps_allocate_nothing_weight_sized(self):
         rng = rng_stream(8, "adam-alloc")
-        shapes = {"W": (400, 200), "b": (300,)}  # W takes two blocks of first-axis slices
-        assert Adam.BLOCK < 400 * 200
-        params = {k: rng.normal(size=s) for k, s in shapes.items()}
+        shapes = {"W": (400, 200), "b": (300,)}  # two blocks; the second spans W and b
+        flat, params = pack_params({k: rng.normal(size=s) for k, s in shapes.items()})
+        assert Adam.BLOCK < 400 * 200 < flat.size
         ref = {k: v.copy() for k, v in params.items()}
         m = {k: np.zeros(s) for k, s in shapes.items()}
         v = {k: np.zeros(s) for k, s in shapes.items()}
         lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
-        steps = [{k: rng.normal(size=s) for k, s in shapes.items()} for _ in range(3)]
+        steps = [pack_params({k: rng.normal(size=s) for k, s in shapes.items()})
+                 for _ in range(3)]
         opt = Adam(lr=lr)
-        opt.step(params, steps[0])
+        opt.step(flat, steps[0][0])
         tracemalloc.start()
         try:
-            opt.step(params, steps[1])
-            opt.step(params, steps[2])
+            opt.step(flat, steps[1][0])
+            opt.step(flat, steps[2][0])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < params["W"].nbytes
-        for t, grads in enumerate(steps, start=1):
+        for t, (_, grads) in enumerate(steps, start=1):
             for k, g in grads.items():
                 m[k] = b1 * m[k] + (1 - b1) * g
                 v[k] = b2 * v[k] + (1 - b2) * g * g
