@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import FLOAT, rng_stream
+from .numerics import FLOAT, _is_finite, _is_number, rng_stream
 from .shots import synthetic_cut_video
 from .track_features import Detection, Track, track_stats
 
@@ -504,18 +504,6 @@ def _need(obj, key, line, kind=None):
     if kind is not None and not isinstance(val, kind):
         raise CorpusFormatError(line, key, f"expected {kind}, got {type(val).__name__}")
     return val
-
-
-def _is_number(v, kind=(int, float)):
-    return isinstance(v, kind) and not isinstance(v, bool)
-
-
-def _is_finite(v):
-    """A JSON number (not a boolean) that is a finite float."""
-    try:
-        return _is_number(v) and math.isfinite(v)
-    except OverflowError:  # an integer past the float range
-        return False
 
 
 def _parse_vector(obj, key, line, dims):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import FLOAT, rng_stream
+from .numerics import FLOAT, _is_finite, rng_stream
 from .track_features import Detection, Track, detection_iou, track_stats
 
 MIN_DET_SCORE = 0.5
@@ -32,6 +32,7 @@ MIN_TRACK_FRAMES = 5
 BETA = 0.5  # level-2 cosine similarity at which joining and cutting tie
 FIT_ITERS = 2000  # gradient steps of fit_pairwise_model
 RESTARTS = 16  # perturbation restarts per searched component
+PAIR_FEATURES = 8  # length of a pairwise_feature vector
 
 
 def filter_detections(detections):
@@ -53,7 +54,7 @@ def pairwise_feature(a: Detection, b: Detection):
 
 @dataclass
 class PairwisePotentialModel:
-    weights: np.ndarray  # (8,)
+    weights: np.ndarray  # (PAIR_FEATURES,)
     bias: float
 
     def cost(self, features):
@@ -68,17 +69,42 @@ class PairwisePotentialModel:
 
     @classmethod
     def from_json(cls, obj):
-        return cls(weights=np.asarray(obj["weights"], dtype=FLOAT),
-                   bias=float(obj["bias"]))
+        """Inverse of ``to_json``. A ``weights`` that is not a list of
+        ``PAIR_FEATURES`` finite numbers, or a ``bias`` that is missing or
+        not a finite number, raises ``ValueError`` naming the key."""
+        if not isinstance(obj, dict):
+            raise ValueError(f"PairwisePotentialModel: expected a JSON object, "
+                             f"got {type(obj).__name__}")
+        weights, bias = obj.get("weights"), obj.get("bias")
+        if not (isinstance(weights, list) and len(weights) == PAIR_FEATURES
+                and all(_is_finite(v) for v in weights)):
+            raise ValueError(f"PairwisePotentialModel: 'weights' must be a list of "
+                             f"{PAIR_FEATURES} finite numbers, got {weights!r}")
+        if not _is_finite(bias):
+            raise ValueError(f"PairwisePotentialModel: 'bias' must be a finite number, "
+                             f"got {bias!r}")
+        return cls(weights=np.array(weights, dtype=FLOAT), bias=float(bias))
 
 
 def fit_pairwise_model(samples):
     """Logistic regression by ``FIT_ITERS`` gradient-descent steps of size 1.
 
-    ``samples``: list of (8-dim feature, same_person bool). Both classes
-    must be present.
+    ``samples``: a non-empty list of (feature, same_person bool), each
+    feature ``PAIR_FEATURES`` finite numbers. Both classes must be present.
+    A sample that breaks this raises ``ValueError`` naming it.
     """
-    X = np.stack([np.asarray(f, dtype=FLOAT) for f, _ in samples])
+    if len(samples) == 0:
+        raise ValueError("fit_pairwise_model: need at least one sample")
+    feats = [np.asarray(f, dtype=FLOAT) for f, _ in samples]
+    for k, f in enumerate(feats):
+        if f.shape != (PAIR_FEATURES,):
+            raise ValueError(f"fit_pairwise_model: sample {k}: feature shape {f.shape} "
+                             f"is not ({PAIR_FEATURES},)")
+    X = np.stack(feats)
+    bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
+    if len(bad):
+        raise ValueError(f"fit_pairwise_model: sample {bad[0]}: feature "
+                         f"{X[bad[0]].tolist()} is not finite")
     y = np.array([1.0 if lab else 0.0 for _, lab in samples], dtype=FLOAT)
     if y.min() == y.max():
         raise ValueError("fit_pairwise_model: need both positive and negative pairs")

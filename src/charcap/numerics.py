@@ -5,12 +5,16 @@ Everything is float64 numpy. Parameters of a model are kept in a plain
 A trainer packs both with ``pack_params`` into views of one vector each,
 which ``Adam`` steps as a whole. Each forward kernel has a hand-written
 backward companion, verified by ``finite_diff_check`` in the test suite.
+
+The module needs numpy alone. ``sigmoid`` is numpy's ``exp`` rather than
+``scipy.special.expit``, whose import took longer than the rest of
+``charcap``'s, so ``corpus``, ``linker`` and ``decoder`` load no scipy.
 """
 
+import math
 import zlib
 
 import numpy as np
-from scipy.special import expit
 
 FLOAT = np.float64
 ADAM_BETA1 = 0.9
@@ -61,9 +65,29 @@ def softmax_cross_entropy(logits, targets, valid=None):
     return e / total, (np.log(total) - (zt - zmax))[:, 0]
 
 
-# the logistic function 1 / (1 + exp(-x)); finite in [0, 1] for every
-# finite x, with no overflow warning far from 0
-sigmoid = expit
+def sigmoid(x):
+    """The logistic function ``1 / (1 + exp(-x))`` of an array, as a new
+    float64 array. Finite in [0, 1] for every finite x, without a warning:
+    below about -709 ``exp`` overflows to inf and the result is 0."""
+    with np.errstate(over="ignore", under="ignore"):
+        s = np.negative(x, dtype=FLOAT)
+        np.exp(s, out=s)
+        s += 1.0
+        return np.divide(1.0, s, out=s)
+
+
+def _is_number(v, kind=(int, float)):
+    return isinstance(v, kind) and not isinstance(v, bool)
+
+
+def _is_finite(v):
+    """A JSON number (not a boolean) that is a finite float; the check of
+    outside input (a corpus file, a saved model) in ``corpus`` and
+    ``multicut``."""
+    try:
+        return _is_number(v) and math.isfinite(v)
+    except OverflowError:  # an integer past the float range
+        return False
 
 
 def rng_stream(seed, label=""):

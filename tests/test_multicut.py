@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -94,11 +96,66 @@ class TestLogisticModel:
         with pytest.raises(ValueError):
             fit_pairwise_model([(np.zeros(8), True), (np.ones(8), True)])
 
+    def test_no_samples_rejected(self):
+        with pytest.raises(ValueError, match="at least one sample"):
+            fit_pairwise_model([])
+
+    def test_feature_of_wrong_width_named(self):
+        samples = [(np.zeros(8), True), (np.ones(7), False), (np.ones(8), False)]
+        with pytest.raises(ValueError, match=r"sample 1: feature shape \(7,\)"):
+            fit_pairwise_model(samples)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_feature_named(self, bad):
+        f = np.ones(8)
+        f[3] = bad
+        samples = [(np.zeros(8), True), (np.ones(8), False), (f, False)]
+        with pytest.raises(ValueError, match="sample 2: .* is not finite"):
+            fit_pairwise_model(samples)
+
     def test_json_roundtrip(self):
         m = PairwisePotentialModel(weights=np.arange(8, dtype=float), bias=-1.5)
         back = PairwisePotentialModel.from_json(m.to_json())
         np.testing.assert_array_equal(back.weights, m.weights)
         assert back.bias == m.bias
+
+    def test_fitted_model_survives_json_text_bitwise(self, monkeypatch):
+        monkeypatch.setattr(multicut, "FIT_ITERS", 50)
+        m = fit_pairwise_model(self._separable(40))
+        back = PairwisePotentialModel.from_json(json.loads(json.dumps(m.to_json())))
+        assert back.weights.dtype == np.float64 and back.weights.tobytes() == m.weights.tobytes()
+        assert back.bias == m.bias
+        assert back.cost(np.ones(8)) == m.cost(np.ones(8))
+
+    @pytest.mark.parametrize("key, value", [
+        ("weights", None),
+        ("weights", [0.0] * 7),
+        ("weights", [0.0] * 9),
+        ("weights", [0.0] * 7 + [float("nan")]),
+        ("weights", [0.0] * 7 + [float("inf")]),
+        ("weights", [0.0] * 7 + ["1.0"]),
+        ("weights", [0.0] * 7 + [True]),
+        ("weights", [[0.0]] * 8),
+        ("weights", "0" * 8),
+        ("bias", None),
+        ("bias", float("nan")),
+        ("bias", float("-inf")),
+        ("bias", "1.5"),
+        ("bias", False),
+        ("bias", [1.5]),
+    ])
+    def test_from_json_rejects_unusable_value(self, key, value):
+        obj = {"weights": [0.5] * 8, "bias": -1.0}
+        if value is None:
+            del obj[key]
+        else:
+            obj[key] = value
+        with pytest.raises(ValueError, match=f"'{key}'"):
+            PairwisePotentialModel.from_json(obj)
+
+    def test_from_json_rejects_a_non_object(self):
+        with pytest.raises(ValueError, match="JSON object"):
+            PairwisePotentialModel.from_json([[0.5] * 8, -1.0])
 
 
 def random_instance(rng, n):

@@ -1,7 +1,14 @@
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from scipy import ndimage
 from scipy.ndimage import uniform_filter
 
+import charcap
 from charcap import shots
 from charcap.numerics import rng_stream
 from charcap.shots import (
@@ -160,13 +167,14 @@ class TestSurvivalSearch:
         g = rng.integers(0, 256, size=(24, 24, 3)).astype(np.uint8)
         sig_f, sig_g = frame_signature(f), frame_signature(g)
         filtered = []
-        real = shots.uniform_filter1d
+        real = ndimage.uniform_filter1d
 
         def counting(stack, *args, **kw):
             filtered.append(len(stack))
             return real(stack, *args, **kw)
 
-        monkeypatch.setattr(shots, "uniform_filter1d", counting)
+        # survival_ratio imports the filter from scipy.ndimage at each call
+        monkeypatch.setattr(ndimage, "uniform_filter1d", counting)
         monkeypatch.setattr(shots, "SEARCH_RADIUS", 4)
         # identical frames: ring 0's one shift matches every corner
         assert survival_ratio(sig_f, sig_f) == 1.0
@@ -390,3 +398,34 @@ class TestFitValidation:
     def test_no_videos(self):
         with pytest.raises(ValueError, match="at least one"):
             fit_thresholds([])
+
+
+# run in a fresh interpreter: prints the scipy modules loaded after each step
+_IMPORT_PROBE = """
+import json, sys
+import numpy as np
+from charcap import corpus, decoder, linker, multicut, numerics, shots, track_features
+
+def loaded():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+steps = {"import": loaded()}
+rng = numerics.rng_stream(3, "probe")
+sig = shots.frame_signature(rng.integers(0, 256, size=(16, 16, 3)).astype(np.uint8))
+steps["signature"] = loaded()
+sig.corners
+steps["corners"] = loaded()
+print(json.dumps(steps))
+"""
+
+
+class TestScipyOnFirstUse:
+    def test_only_filtering_a_frame_loads_scipy(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(charcap.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], env=env,
+                             capture_output=True, text=True, check=True, timeout=120)
+        steps = json.loads(out.stdout.splitlines()[-1])
+        assert steps["import"] == []  # all seven modules
+        assert steps["signature"] == []  # a histogram and a gray image filter nothing
+        assert "scipy.ndimage" in steps["corners"]
