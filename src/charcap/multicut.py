@@ -92,6 +92,18 @@ def fit_pairwise_model(samples):
     ``samples``: a non-empty list of (feature, same_person bool), each
     feature ``PAIR_FEATURES`` finite numbers. Both classes must be present.
     A sample that breaks this raises ``ValueError`` naming it.
+
+    With ``Xb`` the features plus a column of ones, ``y`` the 0/1 labels
+    and ``w`` the weights plus bias (starting at 0), each step is
+    ``w -= Xb.T @ (p - y) / n`` with ``p = 1 / (1 + exp(-clip(Xb @ w,
+    -500, 500)))``, run in place on two buffers allocated once: the logits
+    ``z`` go through max, min, negate, ``exp``, add 1, divide into 1 and
+    subtract ``y``, then ``Xb.T @ z`` is divided by ``n`` and subtracted
+    from ``w``. ``p`` is bitwise ``numerics.sigmoid`` of the clipped logits,
+    but the fit keeps its own logistic: ``sigmoid`` enters ``np.errstate``
+    on every call, which made the fit 15-30 % slower (2-core VM, one BLAS
+    thread), and the clip already keeps ``exp`` finite, so no error state
+    is needed.
     """
     if len(samples) == 0:
         raise ValueError("fit_pairwise_model: need at least one sample")
@@ -111,9 +123,20 @@ def fit_pairwise_model(samples):
     Xb = np.hstack([X, np.ones((len(y), 1))])
     w = np.zeros(Xb.shape[1], dtype=FLOAT)
     n = len(y)
+    z = np.empty(n, dtype=FLOAT)
+    g = np.empty_like(w)
     for _ in range(FIT_ITERS):
-        p = 1.0 / (1.0 + np.exp(-np.clip(Xb @ w, -500, 500)))
-        w -= Xb.T @ (p - y) / n
+        np.matmul(Xb, w, out=z)
+        np.maximum(z, -500.0, out=z)
+        np.minimum(z, 500.0, out=z)
+        np.negative(z, out=z)
+        np.exp(z, out=z)
+        np.add(1.0, z, out=z)
+        np.divide(1.0, z, out=z)
+        np.subtract(z, y, out=z)
+        np.matmul(Xb.T, z, out=g)
+        np.divide(g, n, out=g)
+        np.subtract(w, g, out=w)
     return PairwisePotentialModel(weights=w[:-1], bias=float(w[-1]))
 
 

@@ -65,23 +65,21 @@ def track_stats(track: Track):
     Layout: [length, mean_w, std_w, mean_h, std_h, mean_cx, std_cx,
     mean_cy, std_cy, mean_score, std_score]; population standard
     deviation, so a single-detection track has zero std entries.
+
+    The five quantities are the rows of one C-contiguous ``(5, n)`` array,
+    reduced along axis 1, so each row sums in the same order as a 1-D
+    array of it would (an axis-0 reduction of ``(n, 5)`` would not).
     """
     dets = track.detections
     if not dets:
         raise ValueError("track_stats: track has no detections")
-    w = np.array([d.w for d in dets], dtype=FLOAT)
-    h = np.array([d.h for d in dets], dtype=FLOAT)
-    cx = np.array([d.x for d in dets], dtype=FLOAT)
-    cy = np.array([d.y for d in dets], dtype=FLOAT)
-    s = np.array([d.score for d in dets], dtype=FLOAT)
-    return np.array([
-        len(dets),
-        w.mean(), w.std(),
-        h.mean(), h.std(),
-        cx.mean(), cx.std(),
-        cy.mean(), cy.std(),
-        s.mean(), s.std(),
-    ], dtype=FLOAT)
+    rows = np.array([[d.w for d in dets], [d.h for d in dets], [d.x for d in dets],
+                     [d.y for d in dets], [d.score for d in dets]], dtype=FLOAT)
+    out = np.empty(STAT_DIM, dtype=FLOAT)
+    out[0] = len(dets)
+    out[1::2] = rows.mean(axis=1)
+    out[2::2] = rows.std(axis=1)
+    return out
 
 
 @dataclass

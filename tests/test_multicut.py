@@ -9,8 +9,9 @@ from charcap.multicut import (
     filter_detections, fit_pairwise_model, greedy_contraction, _cost_matrix,
     _objective, pairwise_feature, solve_multicut,
 )
-from charcap.numerics import rng_stream
+from charcap.numerics import rng_stream, sigmoid
 from charcap.track_features import Detection
+import references
 
 
 def det(t, x, y, w=50.0, h=50.0, score=0.9):
@@ -48,30 +49,31 @@ class TestDetectionFilter:
         assert kept == [dets[0], dets[3]]
 
 
-class TestLogisticModel:
-    def _separable(self, n=200, seed=0):
-        rng = rng_stream(seed, "pairs")
-        samples = []
-        for _ in range(n):
-            pos = rng.random() < 0.5
-            if pos:
-                f = np.array([rng.uniform(0, .1), rng.uniform(0, .1),
-                              rng.uniform(0, .05), rng.uniform(.7, 1)])
-            else:
-                f = np.array([rng.uniform(.8, 2), rng.uniform(.8, 2),
-                              rng.uniform(.3, 1), rng.uniform(0, .2)])
-            samples.append((np.concatenate([f, f ** 2]), pos))
-        return samples
+def _separable(n=200, seed=0):
+    rng = rng_stream(seed, "pairs")
+    samples = []
+    for _ in range(n):
+        pos = rng.random() < 0.5
+        if pos:
+            f = np.array([rng.uniform(0, .1), rng.uniform(0, .1),
+                          rng.uniform(0, .05), rng.uniform(.7, 1)])
+        else:
+            f = np.array([rng.uniform(.8, 2), rng.uniform(.8, 2),
+                          rng.uniform(.3, 1), rng.uniform(0, .2)])
+        samples.append((np.concatenate([f, f ** 2]), pos))
+    return samples
 
+
+class TestLogisticModel:
     def test_separable_accuracy(self):
-        samples = self._separable()
+        samples = _separable()
         model = fit_pairwise_model(samples)
         acc = np.mean([model.predict(f) == lab for f, lab in samples])
         assert acc >= 0.99
 
     def test_label_flip_negates_weights(self, monkeypatch):
         monkeypatch.setattr(multicut, "FIT_ITERS", 500)
-        samples = self._separable(80)
+        samples = _separable(80)
         flipped = [(f, not lab) for f, lab in samples]
         m1 = fit_pairwise_model(samples)
         m2 = fit_pairwise_model(flipped)
@@ -121,7 +123,7 @@ class TestLogisticModel:
 
     def test_fitted_model_survives_json_text_bitwise(self, monkeypatch):
         monkeypatch.setattr(multicut, "FIT_ITERS", 50)
-        m = fit_pairwise_model(self._separable(40))
+        m = fit_pairwise_model(_separable(40))
         back = PairwisePotentialModel.from_json(json.loads(json.dumps(m.to_json())))
         assert back.weights.dtype == np.float64 and back.weights.tobytes() == m.weights.tobytes()
         assert back.bias == m.bias
@@ -156,6 +158,48 @@ class TestLogisticModel:
     def test_from_json_rejects_a_non_object(self):
         with pytest.raises(ValueError, match="JSON object"):
             PairwisePotentialModel.from_json([[0.5] * 8, -1.0])
+
+
+def _fit_samples(kind, n=120, seed=0):
+    """Labelled ``PAIR_FEATURES`` vectors: ``separable`` classes, ``noisy``
+    labels of a noisy linear rule, or those features scaled by 100 so that
+    the first logits pass the fit's +-500 clip."""
+    if kind == "separable":
+        return _separable(n, seed)
+    rng = rng_stream(seed, f"fit-{kind}")
+    f = rng.normal(size=(n, 4))
+    lab = f @ np.array([1.0, -2.0, 0.5, 1.5]) + rng.normal(scale=1.5, size=n) > 0
+    if kind == "large":
+        f = f * 100.0
+    return [(x, bool(b)) for x, b in zip(np.hstack([f, f ** 2]), lab)]
+
+
+class TestFitMatchesReference:
+    """The in-place fit reproduces the allocating loop in
+    ``references.fit_pairwise_model`` bit for bit."""
+
+    @pytest.mark.parametrize("iters", [None, 7])
+    @pytest.mark.parametrize("kind", ["separable", "noisy", "large"])
+    def test_weights_and_bias_bitwise(self, kind, iters, monkeypatch):
+        if iters is not None:
+            monkeypatch.setattr(multicut, "FIT_ITERS", iters)
+        samples = _fit_samples(kind)
+        steps = []
+        w_ref, b_ref = references.fit_pairwise_model(samples, multicut.FIT_ITERS, steps)
+        model = fit_pairwise_model(samples)
+        assert model.weights.tobytes() == w_ref.tobytes()
+        assert model.bias == b_ref
+        if kind == "large":  # the clip branch runs
+            assert any(np.abs(z).max() > 500.0 for z, _ in steps)
+        else:
+            assert all(np.abs(z).max() < 500.0 for z, _ in steps)
+
+    @pytest.mark.parametrize("kind", ["separable", "noisy", "large"])
+    def test_step_probability_is_sigmoid_of_clipped_logits(self, kind):
+        steps = []
+        references.fit_pairwise_model(_fit_samples(kind), multicut.FIT_ITERS, steps)
+        for z, p in steps:
+            assert p.tobytes() == sigmoid(np.clip(z, -500, 500)).tobytes()
 
 
 def random_instance(rng, n):

@@ -8,6 +8,7 @@ from charcap.track_features import (
     Detection, NormStats, Track, apply_norm, box_iou, detection_iou,
     fit_norm_stats, track_stats,
 )
+import references
 
 
 def _track(dets, d=4, tid=1, rng=None):
@@ -62,6 +63,18 @@ class TestTrackStats:
         b = track_stats(_track(dets[::-1]))
         np.testing.assert_allclose(a, b)
 
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_per_quantity_reference_bitwise(self, seed):
+        # lengths from 1 to 300 cross numpy's pairwise-summation block (8)
+        rng = rng_stream(seed, "stats-ref")
+        for n in [1, 2, 7, 8, 9, 16, 127, 128, 129, 300, *rng.integers(1, 301, size=20)]:
+            scale = 10.0 ** rng.uniform(-3, 4, size=5)
+            v = rng.normal(size=(int(n), 5)) * scale + rng.normal(size=5) * scale * 10
+            dets = [Detection(t=i, x=r[2], y=r[3], w=r[0], h=r[1], score=r[4])
+                    for i, r in enumerate(v.tolist())]
+            t = _track(dets, rng=rng)
+            assert t.v_stat.tobytes() == references.track_stats(t).tobytes()
 
 class TestNormalization:
     def _tracks(self, n=20, d=3, seed=0):
