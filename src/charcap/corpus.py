@@ -11,15 +11,19 @@ The JSONL format is one clip per line::
 
     {"id": ..., "tracks": [{"id", "frames", "boxes", "score", "v_head",
      "v_body"}], "v_global": [...], "sentence": ["tok", ...],
-     "mentions": [{"pos", "char", "gender", "gt_tracks", "coref_prev"}],
-     "frames": {"shape": [n, H, W, 3], "uint8": "<base64>"}}
+     "mentions": [{"pos", "char", "gt_tracks"}],
+     "frames": {"shape": [n, H, W, 3], "uint8": "<base64>"},
+     "gt_boundaries": [b, ...]}
 
 Consecutive lines form (previous, current) pairs; a trailing odd line is a
 current-only pair. `boxes` entries are center-anchored [cx, cy, w, h]. The
 optional clip-level "frames" field holds the clip's n RGB video frames for
 the shot-boundary stage as one block: "uint8" is the standard, padded
 base64 of the frames' n*H*W*3 bytes in C order (frame, row, column, then
-R, G, B). Ingestion validates all invariants and reports the offending
+R, G, B); "gt_boundaries" are its planted cuts, in 1..n-1. A mention's
+gender and ``coref_prev`` are its person token's (``person_of``): a Coref
+token co-refers to its own character, whom the pair's previous clip must
+mention. Ingestion validates all invariants and reports the offending
 line and field, and keeps every track. A grounding (planted or linked)
 becomes a ``PairSupervision`` of track ids; only the decoder knows its
 attention grid and the grid's caps.
@@ -69,6 +73,12 @@ class CorpusFormatError(ValueError):
 
 def person_token(gender, coref):
     return ("Male" if gender == "M" else "Female") + ("Coref" if coref else "Name")
+
+
+def person_of(token):
+    """The (gender, coref) a person token states: ``person_token``'s
+    inverse. Raises KeyError for a token outside ``PERSON_TOKENS``."""
+    return {person_token(g, c): (g, c) for g in "MF" for c in (False, True)}[token]
 
 
 @dataclass
@@ -450,13 +460,13 @@ def _clip_to_obj(clip: Clip):
         "tracks": tracks,
         "v_global": np.asarray(clip.v_global, dtype=FLOAT).tolist(),
         "sentence": list(clip.sentence),
-        "mentions": [{
-            "pos": m.pos, "char": m.char_id, "gender": m.gender,
-            "gt_tracks": list(m.gt_track_ids), "coref_prev": m.coref_prev,
-        } for m in clip.mentions],
+        "mentions": [{"pos": m.pos, "char": m.char_id, "gt_tracks": list(m.gt_track_ids)}
+                     for m in clip.mentions],
     }
     if clip.frames is not None:
         obj["frames"] = _frames_block(clip)
+    if clip.gt_boundaries is not None:
+        obj["gt_boundaries"] = list(clip.gt_boundaries)
     return obj
 
 
@@ -479,7 +489,9 @@ def export_jsonl(corpus: Corpus, path):
     """One clip per line, (prev, cur) consecutive; sidecar meta JSON. A
     clip's frames are written as one block, ``{"shape": [n, H, W, 3],
     "uint8": <base64 of the C-order bytes>}``. Raises ValueError naming
-    the clip when its frames are not equal-shaped (H, W, 3) uint8 arrays."""
+    the clip when its frames are not equal-shaped (H, W, 3) uint8 arrays.
+    A mention's gender and ``coref_prev`` are not written: ingest reads
+    them off its person token."""
     with open(path, "w", encoding="utf-8") as fh:
         for pair in corpus.pairs:
             if pair.prev is not None:
@@ -487,12 +499,6 @@ def export_jsonl(corpus: Corpus, path):
             fh.write(json.dumps(_clip_to_obj(pair.cur)) + "\n")
     meta = dict(corpus.meta)
     meta["vocab"] = list(corpus.vocab.tokens)
-    boundaries = {}
-    for clip in corpus.clips:
-        if clip.gt_boundaries is not None:
-            boundaries[str(clip.id)] = list(clip.gt_boundaries)
-    if boundaries:
-        meta["gt_boundaries"] = boundaries
     with open(str(path) + ".meta.json", "w", encoding="utf-8") as fh:
         json.dump(meta, fh, sort_keys=True)
 
@@ -545,7 +551,7 @@ def _parse_frames(raw, line):
 def _parse_clip(obj, line, dims, tokens, prev):
     """One clip line. ``dims`` holds the corpus's vector widths so far;
     ``tokens``, if not None, is the set of tokens a sentence may use;
-    ``prev`` is the pair's previous clip, or None. A ``coref_prev`` names
+    ``prev`` is the pair's previous clip, or None; a Coref token must name
     a character ``prev`` mentions."""
     if not isinstance(obj, dict):
         raise CorpusFormatError(line, "<root>", "clip line must be a JSON object")
@@ -605,6 +611,9 @@ def _parse_clip(obj, line, dims, tokens, prev):
     for mraw in _need(obj, "mentions", line, list):
         if not isinstance(mraw, dict):
             raise CorpusFormatError(line, "mentions", "each mention must be a JSON object")
+        old = [k for k in ("gender", "coref_prev") if k in mraw]
+        if old:
+            raise CorpusFormatError(line, old[0], "an older format: the token states it")
         pos = _need(mraw, "pos", line)
         if not (_is_number(pos, int) and 0 <= pos < len(sentence)):
             raise CorpusFormatError(line, "pos", "mention position out of range")
@@ -613,29 +622,32 @@ def _parse_clip(obj, line, dims, tokens, prev):
         char = _need(mraw, "char", line)
         if not _is_number(char, int):
             raise CorpusFormatError(line, "char", "character ids must be integers")
-        gender = _need(mraw, "gender", line, str)
-        if gender not in ("M", "F"):
-            raise CorpusFormatError(line, "gender", "gender must be 'M' or 'F'")
         gt = _need(mraw, "gt_tracks", line, list)
         for gid in gt:
             if not (_is_number(gid, int) and gid in ids):
                 raise CorpusFormatError(line, "gt_tracks", f"unknown track id {gid!r}")
-        coref = mraw.get("coref_prev")
-        if coref is not None and (not _is_number(coref, int) or coref not in prev_chars):
-            raise CorpusFormatError(line, "coref_prev", f"character {coref!r} is not "
-                                    "mentioned in a previous clip of the pair")
+        gender, coref = person_of(sentence[pos])
+        if coref and char not in prev_chars:
+            raise CorpusFormatError(line, "char", f"{sentence[pos]} names character {char}, "
+                                    "whom the pair's previous clip does not mention")
         mentions.append(Mention(pos=pos, char_id=char, gender=gender, gt_track_ids=list(gt),
-                                coref_prev=coref))
+                                coref_prev=char if coref else None))
     clip = Clip(id=clip_id, tracks=tracks, v_global=v_global,
                 sentence=list(sentence), mentions=mentions)
     if "frames" in obj:
         clip.frames = _parse_frames(obj["frames"], line)
+    if "gt_boundaries" in obj:
+        cuts, n = obj["gt_boundaries"], math.inf if clip.frames is None else len(clip.frames)
+        if not (isinstance(cuts, list) and all(_is_number(b, int) and 1 <= b < n for b in cuts)):
+            raise CorpusFormatError(line, "gt_boundaries", f"{cuts!r} is not a list of "
+                                    f"frame indices in 1..{n - 1}")
+        clip.gt_boundaries = list(cuts)
     return clip
 
 
 def _read_meta(path):
     """The sidecar meta object at ``path`` ({} when there is none), with its
-    widths, vocabulary and boundaries checked."""
+    widths and vocabulary checked and no ``gt_boundaries`` (an older format)."""
     if not os.path.exists(path):
         return {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -652,11 +664,9 @@ def _read_meta(path):
     if not (isinstance(vocab, list) and all(isinstance(t, str) for t in vocab)
             and len(set(vocab)) == len(vocab)):
         raise CorpusFormatError(None, "vocab", "expected a list of distinct strings")
-    gtb = meta.get("gt_boundaries", {})
-    if not (isinstance(gtb, dict) and all(
-            isinstance(b, list) and all(_is_number(i, int) for i in b) for b in gtb.values())):
-        raise CorpusFormatError(None, "gt_boundaries",
-                                "expected an object mapping clip ids to lists of integers")
+    if "gt_boundaries" in meta:
+        raise CorpusFormatError(None, "gt_boundaries", "an older format: cuts ride on "
+                                "each clip's line")
     return meta
 
 
@@ -666,22 +676,20 @@ def ingest_jsonl(path):
     The sidecar meta, when present, is read first: its ``d_head``,
     ``d_body`` and ``d_global`` fix the vector widths and its ``vocab``
     the tokens a sentence may use. A malformed meta raises
-    ``CorpusFormatError`` with line None, as do a ``gt_boundaries`` key
-    that names no clip and a ``gt_boundaries`` index outside 1..n-1 for a
-    clip with n frames. A repeated clip id raises ``CorpusFormatError``
-    naming its line and ``"id"``.
+    ``CorpusFormatError`` with line None; any other fault names its line
+    and field: ``"id"`` for a repeated clip id, ``"char"`` for a Coref token
+    whose character the pair's previous clip does not mention.
 
-    A clip's ``frames`` block, ``{"shape": [n, H, W, 3], "uint8": <base64
-    of the C-order bytes>}``, becomes ``Clip.frames``, a list of n
-    writable (H, W, 3) uint8 arrays. Any other form (the nested pixel
-    lists of older files among them) raises ``CorpusFormatError`` naming
-    the line and ``"frames"``.
+    A clip's ``frames`` block becomes ``Clip.frames``, a list of n
+    writable (H, W, 3) uint8 arrays. Older files fail on the field that
+    moved: nested pixel lists (``"frames"``), a mention's ``"gender"`` or
+    ``"coref_prev"``, and a sidecar ``"gt_boundaries"``.
     """
     meta = _read_meta(str(path) + ".meta.json")
     dims = {f"v_{k}": meta[f"d_{k}"] for k in ("head", "body", "global") if f"d_{k}" in meta}
     known = set(meta["vocab"]) if "vocab" in meta else None
 
-    clips, ids = [], set()  # ids as strings, the meta's gt_boundaries keys
+    clips, ids = [], set()
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, raw in enumerate(fh, start=1):
             raw = raw.strip()
@@ -693,9 +701,9 @@ def ingest_jsonl(path):
                 raise CorpusFormatError(line_no, "<json>", f"invalid JSON: {exc}") from None
             prev = clips[-1] if len(clips) % 2 else None  # odd positions are current clips
             clip = _parse_clip(obj, line_no, dims, known, prev)
-            if str(clip.id) in ids:
+            if clip.id in ids:
                 raise CorpusFormatError(line_no, "id", f"clip id {clip.id} repeats")
-            ids.add(str(clip.id))
+            ids.add(clip.id)
             clips.append(clip)
 
     pairs = []
@@ -711,15 +719,4 @@ def ingest_jsonl(path):
         for c in clips:
             seen.update(c.sentence)
         vocab = Vocabulary.build(seen)
-    gtb = meta.get("gt_boundaries", {})
-    unknown = sorted(set(gtb) - ids)
-    if unknown:
-        raise CorpusFormatError(None, "gt_boundaries", f"keys {unknown} name no clip")
-    for clip in clips:
-        if str(clip.id) in gtb:
-            clip.gt_boundaries = list(gtb[str(clip.id)])
-            n = len(clip.frames) if clip.frames is not None else None
-            if n is not None and not all(1 <= b < n for b in clip.gt_boundaries):
-                raise CorpusFormatError(None, "gt_boundaries", f"clip {clip.id}: boundaries "
-                                        f"{clip.gt_boundaries} not all in 1..{n - 1}")
     return Corpus(pairs=pairs, vocab=vocab, meta=meta)

@@ -388,10 +388,10 @@ def sentence_loss(params, config, vocab, batch):
     return total, word_loss, att_loss, rows, skipped
 
 
-def weight_gradients(params, config, rows, grads=None):
-    """Add the gradients of all 13 weights into ``grads`` (a fresh zero
-    dict when None) and return it, one product per weight over ``rows``,
-    the tuple ``sentence_loss`` returns: (words, xh, da, h, dlog, q, du,
+def weight_gradients(params, config, rows, grads):
+    """Add the gradients of all 13 weights into ``grads`` and return it,
+    one product per weight over ``rows``, the tuple ``sentence_loss``
+    returns: (words, xh, da, h, dlog, q, du,
     dpre_q, M, dF, head, body, stat, df_cur), item after item. Per step:
     the input word, the LSTM input ``[v_grounded, v_global,
     E[w], h_prev]``, the gradient at the gate pre-activations, the hidden
@@ -402,8 +402,6 @@ def weight_gradients(params, config, rows, grads=None):
     gradient at ``F = M W_idᵀ + f_cur + b_v``. Per valid current track: the
     head, body and stat features and ``df_cur``, the gradient at ``f_cur``.
     """
-    if grads is None:
-        grads = zeros_like_params(params)
     words, xh, da, h, dlog, q, du, dpre_q, M, dF, head, body, stat, df_cur = rows
     grads["W_lstm"] += da.T @ xh
     grads["b_lstm"] += da.sum(axis=0)
@@ -493,8 +491,7 @@ def _clip_gradients(gflat, grads, max_norm):
     return False
 
 
-def train_decoder(corpus: Corpus, supervision, config: DecoderConfig,
-                  seed=0, norm=None):
+def train_decoder(corpus: Corpus, supervision, config: DecoderConfig, seed=0):
     """Mini-batch training with teacher forcing; deterministic per seed.
 
     Attention supervision is dropped when config.attention_supervision is
@@ -511,8 +508,7 @@ def train_decoder(corpus: Corpus, supervision, config: DecoderConfig,
             if len(v) != getattr(config, dim):
                 raise ValueError(f"train_decoder: corpus {name} width {len(v)} differs "
                                  f"from DecoderConfig.{dim} = {getattr(config, dim)}")
-    if norm is None:
-        norm = fit_norm_stats([t for c in corpus.clips for t in c.tracks])
+    norm = fit_norm_stats([t for c in corpus.clips for t in c.tracks])
     items = build_train_items(corpus, supervision, norm, config)
     vocab = corpus.vocab
     flat, params = pack_params(init_decoder_params(config, len(vocab), seed))
@@ -646,7 +642,7 @@ def _header_contents(path, header):
     """Config, vocabulary, norm and array table of a checkpoint header whose
     magic string and version are checked; the table must name exactly the
     weights ``init_decoder_params`` builds for that config and vocabulary,
-    with their shapes."""
+    with their shapes, and the norm blocks as wide as the config's."""
     missing = [k for k in ("config", "vocab", "norm", "arrays") if k not in header]
     if missing:
         raise ValueError(f"{path}: checkpoint header lacks {missing}")
@@ -660,13 +656,17 @@ def _header_contents(path, header):
         raise ValueError(f"{path}: checkpoint vocab is not a list of strings")
     try:
         norm = NormStats.from_json(header["norm"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"{path}: checkpoint norm is malformed: {exc!r}") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: checkpoint {exc}") from None
     config = DecoderConfig(**cfg)
     try:
         expected = _param_shapes(config, len(vocab))
     except TypeError as exc:
         raise ValueError(f"{path}: config {cfg} gives no weight shapes: {exc}") from None
+    for blk, width in zip(NormStats.BLOCKS, (config.d_head, config.d_body, STAT_DIM)):
+        if len(norm.mean[blk]) != width:
+            raise ValueError(f"{path}: checkpoint norm block {blk!r} is "
+                             f"{len(norm.mean[blk])} wide, the config gives {width}")
     if not isinstance(arrays, list):
         raise ValueError(f"{path}: checkpoint arrays is not a list")
     table = {}
@@ -691,10 +691,10 @@ def _header_contents(path, header):
 def load_checkpoint(path):
     """Inverse of ``save_checkpoint``. A malformed header, a missing magic
     string or version, an unknown version, a missing config, vocab, norm or
-    array table, config keys ``DecoderConfig`` does not know, an array
-    table that does not match the weights of that config and vocabulary
-    (names and integer shapes), a short array block or trailing bytes raise
-    ValueError naming the file."""
+    array table, config keys ``DecoderConfig`` does not know, an unusable
+    norm block, an array table that does not match the weights of that
+    config and vocabulary (names and integer shapes), a short array block
+    or trailing bytes raise ValueError naming the file."""
     with open(path, "rb") as fh:
         try:
             header = json.loads(fh.readline().decode("utf-8"))

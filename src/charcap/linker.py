@@ -22,8 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# PairSupervision is re-exported: build_attention_gt returns it
-from .corpus import Clip, Corpus, PairSupervision, pair_supervision  # noqa: F401
+from .corpus import Clip, Corpus, pair_supervision
 from .numerics import (
     Adam, FLOAT, check_trainer_settings, glorot_uniform, lstm_init, lstm_step_backward,
     lstm_step_forward, masked_softmax, pack_params, pad_rows, rng_stream,

@@ -61,9 +61,6 @@ class PairwisePotentialModel:
         """Join log-odds of a feature vector (or batch); the multicut edge cost."""
         return np.asarray(features, dtype=FLOAT) @ self.weights + self.bias
 
-    def predict(self, features):
-        return self.cost(features) > 0
-
     def to_json(self):
         return {"weights": self.weights.tolist(), "bias": float(self.bias)}
 
@@ -157,9 +154,6 @@ class Partition:
         for node, lab in enumerate(self.labels):
             out.setdefault(int(lab), []).append(node)
         return [frozenset(v) for _, v in sorted(out.items())]
-
-    def as_sets(self):
-        return frozenset(self.clusters())
 
 
 def _cost_matrix(n, edges):

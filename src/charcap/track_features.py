@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import FLOAT
+from .numerics import FLOAT, _is_finite
 
 STAT_DIM = 11
 STD_FLOOR = 1e-8
@@ -36,9 +36,6 @@ class Track:
     v_head: np.ndarray
     v_body: np.ndarray
     v_stat: np.ndarray | None = None
-
-    def n_frames(self):
-        return len({d.t for d in self.detections})
 
     def mean_area(self):
         return float(np.mean([d.w * d.h for d in self.detections]))
@@ -96,8 +93,17 @@ class NormStats:
 
     @classmethod
     def from_json(cls, obj):
-        mean = {blk: np.asarray(obj[blk]["mean"], dtype=FLOAT) for blk in cls.BLOCKS}
-        std = {blk: np.asarray(obj[blk]["std"], dtype=FLOAT) for blk in cls.BLOCKS}
+        """Inverse of ``to_json``; a ValueError names a block whose ``mean``
+        and ``std`` are not flat lists of finite numbers of one width."""
+        mean, std = {}, {}
+        for blk in cls.BLOCKS:
+            block = obj.get(blk) if isinstance(obj, dict) else None
+            m, sd = (block.get("mean"), block.get("std")) if isinstance(block, dict) else ((), ())
+            if not (isinstance(m, list) and isinstance(sd, list) and len(m) == len(sd)
+                    and all(_is_finite(v) for v in m + sd) and all(v > 0 for v in sd)):
+                raise ValueError(f"norm block {blk!r}: mean and std must be flat lists of "
+                                 "finite numbers of one width, every std > 0")
+            mean[blk], std[blk] = np.asarray(m, dtype=FLOAT), np.asarray(sd, dtype=FLOAT)
         return cls(mean=mean, std=std)
 
 

@@ -154,19 +154,23 @@ class TestJsonl:
         assert back.vocab.tokens == c.vocab.tokens
         assert len(back.pairs) == len(c.pairs)
 
-    def test_missing_gender_names_field_and_line(self, tmp_path):
-        c = generate_corpus(small_config(n_pairs=1), seed=1)
-        p = tmp_path / "c.jsonl"
-        export_jsonl(c, p)
-        lines = p.read_text().splitlines()
-        obj = json.loads(lines[1])
-        del obj["mentions"][0]["gender"]
-        lines[1] = json.dumps(obj)
-        p.write_text("\n".join(lines) + "\n")
-        with pytest.raises(CorpusFormatError) as exc:
-            ingest_jsonl(p)
-        assert exc.value.field == "gender"
-        assert exc.value.line == 2
+    @pytest.mark.parametrize("config", [
+        dict(coref_fraction=0.0), dict(coref_fraction=1.0),
+        dict(two_mention_fraction=1.0, singleton_fraction=0.0),
+        dict(n_characters=1), dict(n_characters=2, coref_fraction=1.0),
+        dict(emit_frames=True, frames_per_clip=5, cuts_per_clip=2),
+    ], ids=["no-coref", "all-coref", "two-mention", "one-character", "two-characters",
+            "frames"])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_roundtrip_restores_every_planted_fact(self, tmp_path, config, seed):
+        c = generate_corpus(small_config(**config), seed)
+        p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        export_jsonl(c, p1)
+        back = ingest_jsonl(p1)
+        assert [cl.mentions for cl in back.clips] == [cl.mentions for cl in c.clips]
+        assert [cl.gt_boundaries for cl in back.clips] == [cl.gt_boundaries for cl in c.clips]
+        export_jsonl(back, p2)
+        assert p1.read_bytes() == p2.read_bytes()
 
     def test_crowded_roundtrip_keeps_every_track(self, tmp_path):
         c = generate_corpus(CorpusConfig(n_pairs=32, n_characters=70, max_distractors=60), seed=1)
@@ -292,19 +296,15 @@ class TestJsonl:
     @pytest.mark.parametrize("boundaries", [[99], [0], [4], [1, 4]],
                              ids=["far-past-end", "zero", "last-frame", "second-past-end"])
     def test_boundary_outside_the_clips_frames_names_clip(self, tmp_path, boundaries):
-        c = generate_corpus(small_config(n_pairs=1, emit_frames=True,
-                                         frames_per_clip=4, cuts_per_clip=1), seed=2)
-        p = tmp_path / "c.jsonl"
-        export_jsonl(c, p)
-        meta_path = tmp_path / "c.jsonl.meta.json"
-        meta = json.loads(meta_path.read_text())
-        meta["gt_boundaries"]["1"] = boundaries
-        meta_path.write_text(json.dumps(meta))
-        with pytest.raises(CorpusFormatError, match=r"clip 1: .* 1\.\.3") as exc:
+        p, objs = _exported_lines(tmp_path, emit_frames=True, frames_per_clip=4,
+                                  cuts_per_clip=1)
+        objs[1]["gt_boundaries"] = boundaries
+        _write_lines(p, objs)
+        with pytest.raises(CorpusFormatError, match=r"in 1\.\.3") as exc:
             ingest_jsonl(p)
-        assert (exc.value.line, exc.value.field) == (None, "gt_boundaries")
-        meta["gt_boundaries"]["1"] = [1, 3]
-        meta_path.write_text(json.dumps(meta))
+        assert (exc.value.line, exc.value.field) == (2, "gt_boundaries")
+        objs[1]["gt_boundaries"] = [1, 3]
+        _write_lines(p, objs)
         assert ingest_jsonl(p).clips[1].gt_boundaries == [1, 3]
 
     @pytest.mark.parametrize("line", [2, 3, 4])
@@ -315,19 +315,6 @@ class TestJsonl:
         with pytest.raises(CorpusFormatError, match=f"clip id {objs[0]['id']} repeats") as exc:
             ingest_jsonl(p)
         assert (exc.value.line, exc.value.field) == (line, "id")
-
-    def test_boundaries_of_no_clip_rejected(self, tmp_path):
-        c = generate_corpus(small_config(n_pairs=1, emit_frames=True,
-                                         frames_per_clip=4, cuts_per_clip=1), seed=2)
-        p = tmp_path / "c.jsonl"
-        export_jsonl(c, p)
-        meta_path = tmp_path / "c.jsonl.meta.json"
-        meta = json.loads(meta_path.read_text())
-        meta["gt_boundaries"]["7"] = [1]
-        meta_path.write_text(json.dumps(meta))
-        with pytest.raises(CorpusFormatError, match=r"keys \['7'\] name no clip") as exc:
-            ingest_jsonl(p)
-        assert (exc.value.line, exc.value.field) == (None, "gt_boundaries")
 
     def test_frames_survive_roundtrip(self, tmp_path):
         c = generate_corpus(small_config(n_pairs=2, emit_frames=True,
@@ -440,14 +427,27 @@ class TestIngestErrors:
         (2, ("tracks", 0, "boxes", 0, 0), 1e200, "boxes"),
         (2, ("v_global",), [0.0, 1.0, 2.0], "v_global"),
         (2, ("sentence", 1), "flies", "sentence"),
-        (2, ("mentions", 0, "coref_prev"), 999, "coref_prev"),
-        (3, ("mentions", 0, "coref_prev"), 0, "coref_prev"),
+        # a Coref token whose character the pair's previous clip does not mention
+        (2, ("sentence", 0), "MaleCoref", "char"),
+        (3, ("sentence", 0), "MaleCoref", "char"),
+        # older files wrote each mention's gender and coref_prev beside its token
+        (2, ("mentions", 0, "gender"), "M", "gender"),
+        (2, ("mentions", 0, "coref_prev"), None, "coref_prev"),
+        # a clip's cuts, on a clip without frames
+        (3, ("gt_boundaries",), 5, "gt_boundaries"),
+        (3, ("gt_boundaries",), {"0": [1]}, "gt_boundaries"),
+        (3, ("gt_boundaries",), ["x"], "gt_boundaries"),
+        (3, ("gt_boundaries",), [True], "gt_boundaries"),
+        (3, ("gt_boundaries",), [1.0], "gt_boundaries"),
+        (3, ("gt_boundaries",), [0], "gt_boundaries"),
     ], ids=["v_head-string", "v_body-string", "v_global-string", "v_head-nested",
             "v_global-nan", "v_global-inf", "track-id-string", "track-id-list",
             "clip-id-string", "clip-id-list", "clip-id-bool",
             "char-string", "char-list", "box-width-nan", "box-x-inf", "score-nan",
             "box-x-overflows-stats", "v_global-width", "token-not-in-vocab",
-            "coref-not-in-previous-clip", "coref-without-previous-clip"])
+            "coref-not-in-previous-clip", "coref-without-previous-clip",
+            "mention-gender", "mention-coref_prev", "boundaries-number", "boundaries-object",
+            "boundaries-string", "boundaries-bool", "boundaries-float", "boundaries-zero"])
     def test_malformed_value_names_field_and_line(self, tmp_path, line, keys, value,
                                                   field_name):
         p, objs = _exported_lines(tmp_path)
@@ -471,10 +471,11 @@ class TestIngestErrors:
         (lambda m: {**m, "gt_boundaries": {"0": ["x"]}}, "gt_boundaries"),
         (lambda m: {**m, "gt_boundaries": {"0": [True]}}, "gt_boundaries"),
         (lambda m: {**m, "gt_boundaries": [1]}, "gt_boundaries"),
+        (lambda m: {**m, "gt_boundaries": {"0": [1]}}, "gt_boundaries"),
     ], ids=["not-json", "not-an-object", "d_head-string", "d_head-bool", "d_body-zero",
             "d_global-float", "vocab-string", "vocab-number", "vocab-duplicate",
             "boundaries-number", "boundaries-strings", "boundaries-bools",
-            "boundaries-list"])
+            "boundaries-list", "boundaries-old-format"])
     def test_malformed_meta_names_its_key(self, tmp_path, edit, field_name):
         p, _ = _exported_lines(tmp_path)
         meta_path = tmp_path / "c.jsonl.meta.json"
@@ -517,12 +518,17 @@ class TestIngestErrors:
 
     def test_coref_into_a_previous_clip_without_mentions_rejected(self, tmp_path):
         p, objs = _exported_lines(tmp_path)
-        objs[1]["mentions"][0]["coref_prev"] = objs[0]["mentions"][0]["char"]
+        # line 2 co-refers to the character line 1 mentions, and ingests ...
+        objs[1]["sentence"][0] = objs[0]["sentence"][0].replace("Name", "Coref")
+        objs[1]["mentions"][0]["char"] = objs[0]["mentions"][0]["char"]
+        _write_lines(p, objs)
+        assert ingest_jsonl(p).clips[1].mentions[0].coref_prev == objs[0]["mentions"][0]["char"]
+        # ... until line 1 mentions no one
         objs[0]["mentions"] = []
         _write_lines(p, objs)
         with pytest.raises(CorpusFormatError) as exc:
             ingest_jsonl(p)
-        assert (exc.value.line, exc.value.field) == (2, "coref_prev")
+        assert (exc.value.line, exc.value.field) == (2, "char")
 
     def test_vector_width_must_match_earlier_clips_without_meta(self, tmp_path):
         p, objs = _exported_lines(tmp_path)

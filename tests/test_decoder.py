@@ -198,7 +198,7 @@ class TestGradients:
         def loss_fn(p):
             t, _, _, rows, _ = pair_loss(p, cfg, corpus.vocab, feats,
                                          pair.cur.sentence, targets)
-            return t, weight_gradients(p, cfg, rows)
+            return t, weight_gradients(p, cfg, rows, zeros_like_params(p))
 
         assert finite_diff_check(loss_fn, params, max_coords_per_array=6) <= 1e-4
 
@@ -251,13 +251,13 @@ class TestSentenceLoss:
         sentence, targets = ["MaleName", "walks"], {0: (0, 1)}
         _, _, att, rows, skipped = pair_loss(params, cfg, vocab, feats, sentence, targets)
         assert skipped == 1 and att == 0.0
-        grads = weight_gradients(params, cfg, rows)
+        grads = weight_gradients(params, cfg, rows, zeros_like_params(params))
         for k in ("W_id", "W_head", "W_body", "W_stat", "b_v", "W_h", "b_h", "w_att"):
             assert (grads[k] == 0.0).all(), k
 
         def loss_fn(p):
             t, _, _, r, _ = pair_loss(p, cfg, vocab, feats, sentence, targets)
-            return t, weight_gradients(p, cfg, r)
+            return t, weight_gradients(p, cfg, r, zeros_like_params(p))
 
         assert finite_diff_check(loss_fn, params, max_coords_per_array=6) <= 1e-4
 
@@ -267,7 +267,7 @@ class TestSentenceLoss:
         feats = rand_feats(rng, C=2, P=1, cfg=cfg)
         params["b_pred"][vocab.index("walks")] = -800.0
         tot, word, _, rows, _ = pair_loss(params, cfg, vocab, feats, ["walks"])
-        grads = weight_gradients(params, cfg, rows)
+        grads = weight_gradients(params, cfg, rows, zeros_like_params(params))
         assert np.isfinite(tot) and word > 790.0
         assert all(np.all(np.isfinite(g)) for g in grads.values())
 
@@ -284,7 +284,7 @@ class TestSentenceLoss:
         expected = np.log(np.exp(logits - logits.max()).sum()) - (logits[p, c] - logits.max())
         _, _, att, rows, skipped = pair_loss(
             params, cfg, vocab, feats, ["MaleName", "walks"], {0: (p, c + 1)})
-        grads = weight_gradients(params, cfg, rows)
+        grads = weight_gradients(params, cfg, rows, zeros_like_params(params))
         assert skipped == 0
         assert att > 700.0 and abs(att - expected) <= 1e-9 * expected
         assert all(np.all(np.isfinite(g)) for g in grads.values())
@@ -294,7 +294,8 @@ class TestSentenceLoss:
         runs = [(rand_feats(rng, C=3, P=2, cfg=cfg), ["MaleName", "walks", "FemaleCoref"],
                  {0: (1, 2), 2: (0, 3)}),
                 (rand_feats(rng, C=2, P=1, cfg=cfg), ["FemaleName", "street"], {0: (1, 1)})]
-        fresh = [weight_gradients(params, cfg, pair_loss(params, cfg, vocab, *r)[3])
+        fresh = [weight_gradients(params, cfg, pair_loss(params, cfg, vocab, *r)[3],
+                                   zeros_like_params(params))
                  for r in runs]
         shared = {k: np.zeros_like(v) for k, v in params.items()}
         for r in runs:
@@ -638,6 +639,31 @@ class TestCheckpointVersion:
         with pytest.raises(ValueError, match=r"model\.ckpt.*\['c_max', 'p_max'\]"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("blk, edit, why", [
+        ("v_head", lambda b: b.update(mean=b["mean"][:3]), "of one width"),
+        ("v_head", lambda b: b.update(mean=b["mean"][:3], std=b["std"][:3]),
+         "is 3 wide, the config gives 16"),
+        ("v_body", lambda b: b["std"].__setitem__(0, 0.0), "every std > 0"),
+        ("v_stat", lambda b: b["std"].__setitem__(0, -1.0), "every std > 0"),
+        ("v_head", lambda b: b["mean"].__setitem__(0, float("nan")), "finite numbers"),
+        ("v_stat", lambda b: b.update(std=[b["std"]]), "flat lists"),
+        ("v_body", lambda b: b.pop("mean"), "flat lists"),
+    ], ids=["head-mean-3-wide", "head-3-wide", "body-std-zero", "stat-std-negative",
+            "head-mean-nan", "stat-std-nested", "body-mean-missing"])
+    def test_unusable_norm_rejected_by_block(self, separable, tmp_path, blk, edit, why):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, separable[0])
+        self._rewrite_header(path, lambda h: edit(h["norm"][blk]))
+        with pytest.raises(ValueError, match=rf"model\.ckpt: checkpoint norm block '{blk}'.*{why}"):
+            load_checkpoint(path)
+
+    def test_missing_norm_block_named(self, separable, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, separable[0])
+        self._rewrite_header(path, lambda h: h["norm"].pop("v_stat"))
+        with pytest.raises(ValueError, match=r"model\.ckpt: checkpoint norm block 'v_stat'"):
+            load_checkpoint(path)
+
 
 def _reference_attention_backward(params, feats, cache, h_prev, dv_grounded,
                                   dlogits_extra, grads):
@@ -789,7 +815,7 @@ class TestBatchGradients:
                                        (*mixed_batch(cfg, rng), 1),
                                        (same_step, [{0: (1, 3), 2: (0, 2)}, {0: (2, 1)}], 1)]:
             total, word, att, rows, skipped = sentence_loss(params, cfg, vocab, items)
-            grads = weight_gradients(params, cfg, rows)
+            grads = weight_gradients(params, cfg, rows, zeros_like_params(params))
             want = zeros_like_params(params)
             alone_skipped = 0
             for b, item in enumerate(items):
@@ -828,8 +854,8 @@ class TestBatchedRecurrence:
         assert p_skipped == skipped == 1
         for got, want in ((p_total, total), (p_word, word), (p_att, att)):
             np.testing.assert_allclose(got, [want[i] for i in order], rtol=1e-12, atol=0)
-        grads = weight_gradients(params, cfg, rows)
-        p_grads = weight_gradients(params, cfg, p_rows)
+        grads = weight_gradients(params, cfg, rows, zeros_like_params(params))
+        p_grads = weight_gradients(params, cfg, p_rows, zeros_like_params(params))
         for k in params:
             assert np.abs(p_grads[k] - grads[k]).max() <= 1e-12 * np.abs(grads[k]).max(), k
 
