@@ -460,14 +460,27 @@ def _clip_to_obj(clip: Clip):
         "tracks": tracks,
         "v_global": np.asarray(clip.v_global, dtype=FLOAT).tolist(),
         "sentence": list(clip.sentence),
-        "mentions": [{"pos": m.pos, "char": m.char_id, "gt_tracks": list(m.gt_track_ids)}
-                     for m in clip.mentions],
+        "mentions": [_mention_obj(clip, m) for m in clip.mentions],
     }
     if clip.frames is not None:
         obj["frames"] = _frames_block(clip)
     if clip.gt_boundaries is not None:
         obj["gt_boundaries"] = list(clip.gt_boundaries)
     return obj
+
+
+def _mention_obj(clip: Clip, m: Mention):
+    """A mention's entry on its clip's line. Its gender and ``coref_prev``
+    are not written, so they must be what its person token states:
+    ValueError names the clip and ``pos`` otherwise."""
+    token = clip.sentence[m.pos] if 0 <= m.pos < len(clip.sentence) else None
+    if token not in PERSON_TOKENS:
+        raise ValueError(f"clip {clip.id}: mention at pos {m.pos} is not on a person token")
+    gender, coref = person_of(token)
+    if (m.gender, m.coref_prev) != (gender, m.char_id if coref else None):
+        raise ValueError(f"clip {clip.id}: mention at pos {m.pos} has gender {m.gender!r} "
+                         f"and coref_prev {m.coref_prev!r}, its token {token} says otherwise")
+    return {"pos": m.pos, "char": m.char_id, "gt_tracks": list(m.gt_track_ids)}
 
 
 def _frames_block(clip: Clip):
@@ -491,7 +504,9 @@ def export_jsonl(corpus: Corpus, path):
     "uint8": <base64 of the C-order bytes>}``. Raises ValueError naming
     the clip when its frames are not equal-shaped (H, W, 3) uint8 arrays.
     A mention's gender and ``coref_prev`` are not written: ingest reads
-    them off its person token."""
+    them off its person token, and a mention that contradicts its token, or
+    is not on one, raises ValueError naming the clip and the mention's
+    ``pos``."""
     with open(path, "w", encoding="utf-8") as fh:
         for pair in corpus.pairs:
             if pair.prev is not None:
@@ -647,7 +662,8 @@ def _parse_clip(obj, line, dims, tokens, prev):
 
 def _read_meta(path):
     """The sidecar meta object at ``path`` ({} when there is none), with its
-    widths and vocabulary checked and no ``gt_boundaries`` (an older format)."""
+    widths and vocabulary (distinct strings, every special token among
+    them) checked and no ``gt_boundaries`` (an older format)."""
     if not os.path.exists(path):
         return {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -664,6 +680,9 @@ def _read_meta(path):
     if not (isinstance(vocab, list) and all(isinstance(t, str) for t in vocab)
             and len(set(vocab)) == len(vocab)):
         raise CorpusFormatError(None, "vocab", "expected a list of distinct strings")
+    missing = [t for t in (BOS, EOS) + PERSON_TOKENS if t not in vocab]
+    if "vocab" in meta and missing:
+        raise CorpusFormatError(None, "vocab", f"lacks the special tokens {missing}")
     if "gt_boundaries" in meta:
         raise CorpusFormatError(None, "gt_boundaries", "an older format: cuts ride on "
                                 "each clip's line")

@@ -35,9 +35,9 @@ batch's largest ``(P+1, C)`` with invalid slots and each sentence to the
 longest with masked steps, which have no loss, so their backward is
 exactly zero; a grid without a valid cell gets zero attention and
 grounded vector. One pair is the same code without the batch axis.
-``weight_gradients`` forms each weight's gradient in one product from the
-rows of the items' real steps, valid grid cells and valid current-track
-slots, item after item: padding is dropped.
+``sentence_loss`` also adds each weight's gradient, one product over the
+items' real steps, valid grid cells and valid current-track slots, item
+after item: padding is dropped.
 
 Checkpoints are a one-line JSON header (magic string, format version,
 dims, vocab, array table) followed by raw little-endian float64 blocks,
@@ -53,9 +53,9 @@ import numpy as np
 
 from .corpus import BOS, EOS, PERSON_TOKENS, ClipPair, Corpus, Vocabulary
 from .numerics import (
-    Adam, FLOAT, check_trainer_settings, glorot_uniform, lstm_init, lstm_step_backward,
-    lstm_step_forward, masked_softmax, pack_params, pad_rows, rng_stream,
-    softmax_cross_entropy, zeros_like_params,
+    Adam, FLOAT, _is_finite, _is_number, check_trainer_settings, glorot_uniform, lstm_init,
+    lstm_step_backward, lstm_step_forward, masked_softmax, pack_params, pad_rows,
+    rng_stream, softmax_cross_entropy, zeros_like_params,
 )
 from .track_features import STAT_DIM, NormStats, apply_norm, fit_norm_stats
 
@@ -256,8 +256,8 @@ def attention_backward(params, cache, dv_grounded, dlogits_extra):
     attention-loss gradient already at the logits (zeros on a step without
     supervision). Returns (dh_prev, dlogits, du, dpre_q): the gradients at
     the hidden state, at the cell logits, at ``u = w_att ∘ q`` and at
-    ``pre_q = W_h h_prev + b_h``, from which ``sentence_loss`` builds the
-    rows of ``weight_gradients``.
+    ``pre_q = W_h h_prev + b_h``, from which ``sentence_loss`` forms the
+    weight gradients.
     """
     Tf, q, alpha, cell, valid, _ = cache
     lead = valid.shape[:-2]
@@ -288,17 +288,18 @@ def _split_lstm(params, config):
     return W_rec, W[:, gr:glob], params["E"] @ W[:, glob:config.d_input].T
 
 
-def sentence_loss(params, config, vocab, batch):
+def sentence_loss(params, config, vocab, batch, grads):
     """Teacher-forced loss of a mini-batch of ``TrainItem``s, run as one
-    recurrence over ``(B, ·)`` rows, and the rows of its weight gradients.
+    recurrence over ``(B, ·)`` rows; adds the gradients of all 13 weights
+    into ``grads``.
 
     An item's ``alpha_targets`` map sentence position tau to (p, c), p in
     0..P and c in 1..C (1-based). A target is skipped and counted when tau
     is not a person word of the sentence or (p, c) not a valid cell, as on
-    a pair without one. Returns (total, word_loss, att_loss, rows,
-    skipped): the first three are lists with one float per item. ``rows``
-    (see ``weight_gradients``) is None when a word logit is not finite,
-    and every word loss is then inf, so that training aborts.
+    a pair without one. Returns (total, word_loss, att_loss, grads,
+    skipped): the first three are lists with one float per item. When a
+    word logit is not finite, every word loss is inf, so that training
+    aborts, and ``grads`` is left untouched.
     """
     B, H = len(batch), config.hidden
     # one PairFeatures with a batch axis; each pair's slots padded with invalid zero slots
@@ -350,7 +351,7 @@ def sentence_loss(params, config, vocab, batch):
 
     logits = hs[real] @ params["W_pred"].T + params["b_pred"]
     if not np.all(np.isfinite(logits)):
-        return [np.inf] * B, [np.inf] * B, att_loss, None, skipped
+        return [np.inf] * B, [np.inf] * B, att_loss, grads, skipped
     step_targets = targets[real]
     dlog, word_losses = softmax_cross_entropy(logits, step_targets)
     dlog[np.arange(len(step_targets)), step_targets] -= 1.0
@@ -369,56 +370,40 @@ def sentence_loss(params, config, vocab, batch):
         back.append((da, dlogits, du, dpre_q, att_cache[1], lstm_cache[1]))
     da, dlogits, du, dpre_q, q, rec = (np.stack(x[::-1], axis=1) for x in zip(*back))
     # nothing below reads the cell tensor, the step caches or W_rec: freeing
-    # them before the rows are formed lowers the batch's peak memory
+    # them before the products lowers the batch's peak memory
     M, Tf = terms.M, terms.Tf
     del terms, steps, att_cache, lstm_cache, W_rec
 
-    # the rows of weight_gradients: real steps, valid cells and valid current
-    # tracks, item-major; padded steps and cells hold exact zeros and are dropped
-    rec, d_gr = rec[real], config.d_grounded  # rec rows: [v_grounded, h_prev]
+    # one product per weight over the real steps, valid cells and valid current
+    # tracks, item-major; padded steps and cells hold exact zeros and are dropped.
+    # xh is the LSTM input [v_grounded, v_global, E[w], h_prev] of each step
+    words, da, rec, d_gr = words[real], da[real], rec[real], config.d_grounded
     xh = np.concatenate([rec[:, :d_gr], np.repeat(feats.v_global, lens, axis=0),
-                         params["E"][words[real]], rec[:, d_gr:]], axis=1)
+                         params["E"][words], rec[:, d_gr:]], axis=1)
+    # dF is the gradient at F = M W_id^T + f_cur + b_v, per cell
     dF = (dlogits.reshape(B, T, -1).transpose(0, 2, 1) @ (q * params["w_att"])).reshape(Tf.shape)
     dF *= 1.0 - Tf * Tf
-    cur = feats.cur_valid
-    rows = (words[real], xh, da[real], hs[real], dlog, q[real], du[real], dpre_q[real],
-            M[valid], dF[valid], feats.cur_head[cur], feats.cur_body[cur],
-            feats.cur_stat[cur], dF.sum(axis=1)[cur])
-    total = [w + a for w, a in zip(word_loss, att_loss)]
-    return total, word_loss, att_loss, rows, skipped
-
-
-def weight_gradients(params, config, rows, grads):
-    """Add the gradients of all 13 weights into ``grads`` and return it,
-    one product per weight over ``rows``, the tuple ``sentence_loss``
-    returns: (words, xh, da, h, dlog, q, du,
-    dpre_q, M, dF, head, body, stat, df_cur), item after item. Per step:
-    the input word, the LSTM input ``[v_grounded, v_global,
-    E[w], h_prev]``, the gradient at the gate pre-activations, the hidden
-    state ``h``, ``softmax(word logits) - onehot(target word)``, the query
-    ``q = tanh(pre_q)`` and the gradients at ``u = w_att ∘ q`` and at
-    ``pre_q = W_h h_prev + b_h`` (both 0 on a pair without a valid cell).
-    Per valid grid cell: ``M`` and ``dF = (dlogitsᵀ U) ∘ (1 - Tf²)``, the
-    gradient at ``F = M W_idᵀ + f_cur + b_v``. Per valid current track: the
-    head, body and stat features and ``df_cur``, the gradient at ``f_cur``.
-    """
-    words, xh, da, h, dlog, q, du, dpre_q, M, dF, head, body, stat, df_cur = rows
+    q, du, dpre_q = q[real], du[real], dpre_q[real]
     grads["W_lstm"] += da.T @ xh
     grads["b_lstm"] += da.sum(axis=0)
     emb = slice(config.d_grounded + config.d_global, config.d_input)
     np.add.at(grads["E"], words, da @ params["W_lstm"][:, emb])
-    grads["W_pred"] += dlog.T @ h
+    grads["W_pred"] += dlog.T @ hs[real]
     grads["b_pred"] += dlog.sum(axis=0)
 
     grads["w_att"] += (du * q).sum(axis=0)
-    grads["W_h"] += dpre_q.T @ xh[:, -config.hidden:]  # h_prev, the LSTM's own input
+    grads["W_h"] += dpre_q.T @ xh[:, -H:]  # h_prev, the LSTM's own input
     grads["b_h"] += dpre_q.sum(axis=0)
+    cur = feats.cur_valid
+    df_cur = dF.sum(axis=1)[cur]  # the gradient at f_cur, per valid current track
+    dF, M = dF[valid], M[valid]
     grads["W_id"] += dF.T @ M
     grads["b_v"] += dF.sum(axis=0)
-    grads["W_head"] += df_cur.T @ head
-    grads["W_body"] += df_cur.T @ body
-    grads["W_stat"] += df_cur.T @ stat
-    return grads
+    grads["W_head"] += df_cur.T @ feats.cur_head[cur]
+    grads["W_body"] += df_cur.T @ feats.cur_body[cur]
+    grads["W_stat"] += df_cur.T @ feats.cur_stat[cur]
+    total = [w + a for w, a in zip(word_loss, att_loss)]
+    return total, word_loss, att_loss, grads, skipped
 
 
 # ---------------------------------------------------------------------------
@@ -529,9 +514,7 @@ def train_decoder(corpus: Corpus, supervision, config: DecoderConfig, seed=0):
             batch = [items[i] for i in order[start:start + config.batch_size]]
             gflat.fill(0.0)
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                total, word, att, rows, skipped = sentence_loss(params, config, vocab, batch)
-                if rows is not None:  # None when a word logit went non-finite
-                    weight_gradients(params, config, rows, grads)
+                total, word, att, _, skipped = sentence_loss(params, config, vocab, batch, grads)
             for t, w, a in zip(total, word, att):
                 tot, wl, al = tot + t, wl + w, al + a
             trained.skipped_targets += skipped
@@ -638,11 +621,17 @@ def _is_shape(shape):
         isinstance(n, int) and not isinstance(n, bool) and n >= 0 for n in shape)
 
 
+_KIND = {bool: "a boolean", int: "an integer", float: "a finite number"}
+
+
 def _header_contents(path, header):
     """Config, vocabulary, norm and array table of a checkpoint header whose
-    magic string and version are checked; the table must name exactly the
-    weights ``init_decoder_params`` builds for that config and vocabulary,
-    with their shapes, and the norm blocks as wide as the config's."""
+    magic string and version are checked. Each config value must have its
+    ``DecoderConfig`` type (an integer is not a boolean) and lie in the
+    range ``check_trainer_settings`` and ``max_len >= 1`` give; the table
+    must name exactly the weights ``init_decoder_params`` builds for that
+    config and vocabulary, with their shapes, and the norm blocks as wide
+    as the config's."""
     missing = [k for k in ("config", "vocab", "norm", "arrays") if k not in header]
     if missing:
         raise ValueError(f"{path}: checkpoint header lacks {missing}")
@@ -652,6 +641,11 @@ def _header_contents(path, header):
     unknown = sorted(set(cfg) - {f.name for f in fields(DecoderConfig)})
     if unknown:
         raise ValueError(f"{path}: config keys {unknown} are not DecoderConfig settings")
+    for f in fields(DecoderConfig):
+        v = cfg.get(f.name, f.default)
+        if not (isinstance(v, bool) if f.type is bool else
+                _is_finite(v) if f.type is float else _is_number(v, int)):
+            raise ValueError(f"{path}: config {f.name} = {v!r} is not {_KIND[f.type]}")
     if not (isinstance(vocab, list) and all(isinstance(t, str) for t in vocab)):
         raise ValueError(f"{path}: checkpoint vocab is not a list of strings")
     try:
@@ -659,10 +653,11 @@ def _header_contents(path, header):
     except ValueError as exc:
         raise ValueError(f"{path}: checkpoint {exc}") from None
     config = DecoderConfig(**cfg)
-    try:
-        expected = _param_shapes(config, len(vocab))
-    except TypeError as exc:
-        raise ValueError(f"{path}: config {cfg} gives no weight shapes: {exc}") from None
+    check_trainer_settings(f"{path}: checkpoint config", config)
+    if config.max_len < 1:
+        raise ValueError(f"{path}: checkpoint config: DecoderConfig.max_len = "
+                         f"{config.max_len} is out of range")
+    expected = _param_shapes(config, len(vocab))
     for blk, width in zip(NormStats.BLOCKS, (config.d_head, config.d_body, STAT_DIM)):
         if len(norm.mean[blk]) != width:
             raise ValueError(f"{path}: checkpoint norm block {blk!r} is "
@@ -691,10 +686,11 @@ def _header_contents(path, header):
 def load_checkpoint(path):
     """Inverse of ``save_checkpoint``. A malformed header, a missing magic
     string or version, an unknown version, a missing config, vocab, norm or
-    array table, config keys ``DecoderConfig`` does not know, an unusable
-    norm block, an array table that does not match the weights of that
-    config and vocabulary (names and integer shapes), a short array block
-    or trailing bytes raise ValueError naming the file."""
+    array table, config keys ``DecoderConfig`` does not know, a config
+    value of the wrong type or out of range, an unusable norm block, an
+    array table that does not match the weights of that config and
+    vocabulary (names and integer shapes), a short array block or
+    trailing bytes raise ValueError naming the file."""
     with open(path, "rb") as fh:
         try:
             header = json.loads(fh.readline().decode("utf-8"))

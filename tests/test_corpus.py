@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -7,7 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from charcap.corpus import (
-    NAME_TOKENS, PERSON_TOKENS, Clip, ClipPair, ConfigError, Corpus, CorpusConfig,
+    BOS, EOS, NAME_TOKENS, PERSON_TOKENS, Clip, ClipPair, ConfigError, Corpus, CorpusConfig,
     CorpusFormatError, Mention, Track, Vocabulary, export_jsonl, generate_corpus,
     ingest_jsonl, pair_supervision, planted_supervision,
 )
@@ -281,6 +282,24 @@ class TestJsonl:
         with pytest.raises(ValueError, match=rf"clip {c.clips[1].id}: frames"):
             export_jsonl(c, tmp_path / "c.jsonl")
 
+    @pytest.mark.parametrize("edit", [
+        lambda m: {"gender": "F" if m.gender == "M" else "M"},
+        lambda m: {"coref_prev": m.char_id if m.coref_prev is None else None},
+        lambda m: {"coref_prev": m.char_id + 1},
+        lambda m: {"pos": 1},  # the verb
+        lambda m: {"pos": 3},  # past the sentence
+    ], ids=["gender", "coref-flipped", "coref-other-character", "verb", "past-the-end"])
+    def test_export_rejects_a_mention_its_token_contradicts(self, tmp_path, edit):
+        # ingest would read the token's gender and co-reference, not the mention's
+        c = generate_corpus(small_config(n_pairs=2, coref_fraction=0.5), seed=3)
+        for clip in c.clips:
+            m = clip.mentions[0]
+            clip.mentions[0] = dataclasses.replace(m, **edit(m))
+            with pytest.raises(ValueError, match=rf"clip {clip.id}: mention at pos "
+                                                 rf"{clip.mentions[0].pos} "):
+                export_jsonl(c, tmp_path / "c.jsonl")
+            clip.mentions[0] = m
+
     def test_nested_list_frames_rejected(self, tmp_path):
         c = generate_corpus(small_config(n_pairs=1, emit_frames=True,
                                          frames_per_clip=3, cuts_per_clip=1), seed=2)
@@ -467,6 +486,9 @@ class TestIngestErrors:
         (lambda m: {**m, "vocab": "abc"}, "vocab"),
         (lambda m: {**m, "vocab": m["vocab"] + [1]}, "vocab"),
         (lambda m: {**m, "vocab": m["vocab"] + m["vocab"][:1]}, "vocab"),
+        (lambda m: {**m, "vocab": [t for t in m["vocab"] if t != BOS]}, "vocab"),
+        (lambda m: {**m, "vocab": [t for t in m["vocab"] if t != EOS]}, "vocab"),
+        (lambda m: {**m, "vocab": [t for t in m["vocab"] if t != "FemaleCoref"]}, "vocab"),
         (lambda m: {**m, "gt_boundaries": {"0": 5}}, "gt_boundaries"),
         (lambda m: {**m, "gt_boundaries": {"0": ["x"]}}, "gt_boundaries"),
         (lambda m: {**m, "gt_boundaries": {"0": [True]}}, "gt_boundaries"),
@@ -474,6 +496,7 @@ class TestIngestErrors:
         (lambda m: {**m, "gt_boundaries": {"0": [1]}}, "gt_boundaries"),
     ], ids=["not-json", "not-an-object", "d_head-string", "d_head-bool", "d_body-zero",
             "d_global-float", "vocab-string", "vocab-number", "vocab-duplicate",
+            "vocab-without-bos", "vocab-without-eos", "vocab-without-a-person-token",
             "boundaries-number", "boundaries-strings", "boundaries-bools",
             "boundaries-list", "boundaries-old-format"])
     def test_malformed_meta_names_its_key(self, tmp_path, edit, field_name):

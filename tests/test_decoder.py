@@ -12,7 +12,7 @@ from charcap.corpus import (
 from charcap.decoder import (
     C_MAX, DecoderConfig, PairFeatures, TrainingDiverged, attention_step,
     build_train_items, decode_pair, init_decoder_params, load_checkpoint,
-    pair_features, save_checkpoint, sentence_loss, train_decoder, weight_gradients,
+    pair_features, save_checkpoint, sentence_loss, train_decoder,
 )
 from charcap.decoder import TrainItem, attention_terms
 from charcap.linker import LinkerConfig, train_linker
@@ -57,10 +57,12 @@ def planted(corpus):
 
 
 def pair_loss(params, cfg, vocab, feats, sentence, targets=None):
-    """``sentence_loss`` of a batch of one pair, with its losses as floats."""
-    total, word, att, rows, skipped = sentence_loss(
-        params, cfg, vocab, [TrainItem(0, feats, sentence, targets or {})])
-    return total[0], word[0], att[0], rows, skipped
+    """``sentence_loss`` of a batch of one pair, with its losses as floats
+    and its weight gradients added into zeros."""
+    total, word, att, grads, skipped = sentence_loss(
+        params, cfg, vocab, [TrainItem(0, feats, sentence, targets or {})],
+        zeros_like_params(params))
+    return total[0], word[0], att[0], grads, skipped
 
 
 @pytest.fixture(scope="module")
@@ -196,9 +198,9 @@ class TestGradients:
         params = init_decoder_params(cfg, len(corpus.vocab), seed=0)
 
         def loss_fn(p):
-            t, _, _, rows, _ = pair_loss(p, cfg, corpus.vocab, feats,
-                                         pair.cur.sentence, targets)
-            return t, weight_gradients(p, cfg, rows, zeros_like_params(p))
+            t, _, _, grads, _ = pair_loss(p, cfg, corpus.vocab, feats,
+                                          pair.cur.sentence, targets)
+            return t, grads
 
         assert finite_diff_check(loss_fn, params, max_coords_per_array=6) <= 1e-4
 
@@ -249,15 +251,14 @@ class TestSentenceLoss:
         vocab, cfg, params, rng = self._setup(6)
         feats = rand_feats(rng, C=0, P=0, cfg=cfg)
         sentence, targets = ["MaleName", "walks"], {0: (0, 1)}
-        _, _, att, rows, skipped = pair_loss(params, cfg, vocab, feats, sentence, targets)
+        _, _, att, grads, skipped = pair_loss(params, cfg, vocab, feats, sentence, targets)
         assert skipped == 1 and att == 0.0
-        grads = weight_gradients(params, cfg, rows, zeros_like_params(params))
         for k in ("W_id", "W_head", "W_body", "W_stat", "b_v", "W_h", "b_h", "w_att"):
             assert (grads[k] == 0.0).all(), k
 
         def loss_fn(p):
-            t, _, _, r, _ = pair_loss(p, cfg, vocab, feats, sentence, targets)
-            return t, weight_gradients(p, cfg, r, zeros_like_params(p))
+            t, _, _, grads, _ = pair_loss(p, cfg, vocab, feats, sentence, targets)
+            return t, grads
 
         assert finite_diff_check(loss_fn, params, max_coords_per_array=6) <= 1e-4
 
@@ -266,8 +267,7 @@ class TestSentenceLoss:
         vocab, cfg, params, rng = self._setup(3)
         feats = rand_feats(rng, C=2, P=1, cfg=cfg)
         params["b_pred"][vocab.index("walks")] = -800.0
-        tot, word, _, rows, _ = pair_loss(params, cfg, vocab, feats, ["walks"])
-        grads = weight_gradients(params, cfg, rows, zeros_like_params(params))
+        tot, word, _, grads, _ = pair_loss(params, cfg, vocab, feats, ["walks"])
         assert np.isfinite(tot) and word > 790.0
         assert all(np.all(np.isfinite(g)) for g in grads.values())
 
@@ -282,9 +282,8 @@ class TestSentenceLoss:
         p, c = np.argwhere(alpha == 0.0)[0]
         logits = cache[-1]
         expected = np.log(np.exp(logits - logits.max()).sum()) - (logits[p, c] - logits.max())
-        _, _, att, rows, skipped = pair_loss(
+        _, _, att, grads, skipped = pair_loss(
             params, cfg, vocab, feats, ["MaleName", "walks"], {0: (p, c + 1)})
-        grads = weight_gradients(params, cfg, rows, zeros_like_params(params))
         assert skipped == 0
         assert att > 700.0 and abs(att - expected) <= 1e-9 * expected
         assert all(np.all(np.isfinite(g)) for g in grads.values())
@@ -294,13 +293,11 @@ class TestSentenceLoss:
         runs = [(rand_feats(rng, C=3, P=2, cfg=cfg), ["MaleName", "walks", "FemaleCoref"],
                  {0: (1, 2), 2: (0, 3)}),
                 (rand_feats(rng, C=2, P=1, cfg=cfg), ["FemaleName", "street"], {0: (1, 1)})]
-        fresh = [weight_gradients(params, cfg, pair_loss(params, cfg, vocab, *r)[3],
-                                   zeros_like_params(params))
-                 for r in runs]
+        fresh = [pair_loss(params, cfg, vocab, *r)[3] for r in runs]
         shared = {k: np.zeros_like(v) for k, v in params.items()}
-        for r in runs:
-            rows = pair_loss(params, cfg, vocab, *r)[3]
-            assert weight_gradients(params, cfg, rows, shared) is shared
+        for feats, sentence, targets in runs:
+            item = TrainItem(0, feats, sentence, targets)
+            assert sentence_loss(params, cfg, vocab, [item], shared)[3] is shared
         for k in params:
             np.testing.assert_allclose(shared[k], fresh[0][k] + fresh[1][k],
                                        rtol=0, atol=1e-12)
@@ -639,6 +636,33 @@ class TestCheckpointVersion:
         with pytest.raises(ValueError, match=r"model\.ckpt.*\['c_max', 'p_max'\]"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("key, value, why", [
+        ("max_len", "7", "is not an integer"), ("max_len", 7.0, "is not an integer"),
+        ("max_len", True, "is not an integer"), ("hidden", None, "is not an integer"),
+        ("max_len", -2, "is out of range"), ("max_len", 0, "is out of range"),
+        ("batch_size", 0, "is out of range"), ("epochs", -1, "is out of range"),
+        ("attention_supervision", 1, "is not a boolean"),
+        ("lr", "0.01", "is not a finite number"), ("lr", float("nan"), "is not a finite number"),
+        ("grad_clip", True, "is not a finite number"),
+        ("lr", 0.0, "is out of range"), ("grad_clip", -1.0, "is out of range"),
+    ], ids=["max_len-string", "max_len-float", "max_len-bool", "hidden-null",
+            "max_len-negative", "max_len-zero", "batch_size-zero", "epochs-negative",
+            "supervision-int", "lr-string", "lr-nan", "grad_clip-bool", "lr-zero",
+            "grad_clip-negative"])
+    def test_bad_config_value_rejected_by_key(self, separable, tmp_path, key, value, why):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, separable[0])
+        self._rewrite_header(path, lambda h: h["config"].update({key: value}))
+        with pytest.raises(ValueError, match=rf"model\.ckpt: .*{key} = .*{why}"):
+            load_checkpoint(path)
+
+    def test_integer_learning_rate_and_clip_load(self, separable, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, separable[0])
+        self._rewrite_header(path, lambda h: h["config"].update(lr=1, grad_clip=0))
+        config = load_checkpoint(path).config
+        assert (config.lr, config.grad_clip) == (1, 0)
+
     @pytest.mark.parametrize("blk, edit, why", [
         ("v_head", lambda b: b.update(mean=b["mean"][:3]), "of one width"),
         ("v_head", lambda b: b.update(mean=b["mean"][:3], std=b["std"][:3]),
@@ -761,8 +785,7 @@ class TestAttentionTerms:
         got = {k: np.zeros_like(v) for k, v in params.items()}
         want = {k: np.zeros_like(v) for k, v in params.items()}
         for feats, sentence, targets in runs:
-            rows = pair_loss(params, cfg, vocab, feats, sentence, targets)[3]
-            weight_gradients(params, cfg, rows, got)
+            sentence_loss(params, cfg, vocab, [TrainItem(0, feats, sentence, targets)], got)
             for k, g in _reference_sentence_grads(params, cfg, vocab, feats,
                                                   sentence, targets).items():
                 want[k] += g
@@ -814,8 +837,8 @@ class TestBatchGradients:
         for items, kept, n_skipped in [(three, [item.alpha_targets for item in three], 0),
                                        (*mixed_batch(cfg, rng), 1),
                                        (same_step, [{0: (1, 3), 2: (0, 2)}, {0: (2, 1)}], 1)]:
-            total, word, att, rows, skipped = sentence_loss(params, cfg, vocab, items)
-            grads = weight_gradients(params, cfg, rows, zeros_like_params(params))
+            total, word, att, grads, skipped = sentence_loss(params, cfg, vocab, items,
+                                                             zeros_like_params(params))
             want = zeros_like_params(params)
             alone_skipped = 0
             for b, item in enumerate(items):
@@ -848,16 +871,33 @@ class TestBatchedRecurrence:
         params = init_decoder_params(cfg, len(vocab), seed=16)
         items, _ = mixed_batch(cfg, rng_stream(16, "batched"))
         order = [3, 0, 2, 1]
-        total, word, att, rows, skipped = sentence_loss(params, cfg, vocab, items)
-        p_total, p_word, p_att, p_rows, p_skipped = sentence_loss(
-            params, cfg, vocab, [items[i] for i in order])
+        total, word, att, grads, skipped = sentence_loss(params, cfg, vocab, items,
+                                                         zeros_like_params(params))
+        p_total, p_word, p_att, p_grads, p_skipped = sentence_loss(
+            params, cfg, vocab, [items[i] for i in order], zeros_like_params(params))
         assert p_skipped == skipped == 1
         for got, want in ((p_total, total), (p_word, word), (p_att, att)):
             np.testing.assert_allclose(got, [want[i] for i in order], rtol=1e-12, atol=0)
-        grads = weight_gradients(params, cfg, rows, zeros_like_params(params))
-        p_grads = weight_gradients(params, cfg, p_rows, zeros_like_params(params))
         for k in params:
             assert np.abs(p_grads[k] - grads[k]).max() <= 1e-12 * np.abs(grads[k]).max(), k
+
+    def test_non_finite_word_logit_leaves_the_gradients_untouched(self):
+        # one item's NaN input reaches the word logits, not the attention
+        # loss: that item's only target is at step 0, before its state is NaN
+        # (an inf input saturates the gates and leaves the logits finite)
+        vocab = Vocabulary.build(["walks", "street"])
+        cfg = tiny_decoder_cfg()
+        params = init_decoder_params(cfg, len(vocab), seed=18)
+        rng = rng_stream(18, "non-finite")
+        items, _ = mixed_batch(cfg, rng)
+        items[1].feats.v_global[0] = np.nan
+        grads = {k: rng.normal(size=v.shape) for k, v in params.items()}
+        before = {k: v.copy() for k, v in grads.items()}
+        total, word, att, got, skipped = sentence_loss(params, cfg, vocab, items, grads)
+        assert total == word == [np.inf] * len(items)
+        assert np.isfinite(att).all() and skipped == 1
+        assert got is grads
+        assert all(grads[k].tobytes() == before[k].tobytes() for k in params)
 
     def test_one_row_with_a_batch_axis_is_bitwise_the_pair_call(self):
         cfg = tiny_decoder_cfg()
