@@ -33,6 +33,7 @@ import base64
 import json
 import math
 import os
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -83,14 +84,18 @@ def person_of(token):
 
 @dataclass
 class Vocabulary:
+    """Distinct tokens with ``<bos>``, ``<eos>`` and every person token among
+    them: otherwise ValueError names the tokens that repeat or are missing."""
     tokens: tuple
 
     def __post_init__(self):
-        toks = list(self.tokens)
-        for special in (BOS, EOS) + PERSON_TOKENS:
-            if toks.count(special) != 1:
-                raise ValueError(f"vocabulary must contain '{special}' exactly once")
-        self.tokens = tuple(toks)
+        self.tokens = tuple(self.tokens)
+        repeated = sorted(t for t, n in Counter(self.tokens).items() if n > 1)
+        if repeated:
+            raise ValueError(f"vocabulary repeats the tokens {repeated}")
+        missing = [t for t in (BOS, EOS) + PERSON_TOKENS if t not in self.tokens]
+        if missing:
+            raise ValueError(f"vocabulary lacks the special tokens {missing}")
         self._index = {t: i for i, t in enumerate(self.tokens)}
 
     @classmethod
@@ -662,10 +667,10 @@ def _parse_clip(obj, line, dims, tokens, prev):
 
 def _read_meta(path):
     """The sidecar meta object at ``path`` ({} when there is none), with its
-    widths and vocabulary (distinct strings, every special token among
-    them) checked and no ``gt_boundaries`` (an older format)."""
+    widths checked and no ``gt_boundaries`` (an older format), and its
+    ``Vocabulary`` (None when it has no ``vocab``)."""
     if not os.path.exists(path):
-        return {}
+        return {}, None
     with open(path, "r", encoding="utf-8") as fh:
         try:
             meta = json.load(fh)
@@ -676,17 +681,19 @@ def _read_meta(path):
     for key in ("d_head", "d_body", "d_global"):
         if key in meta and not (_is_number(meta[key], int) and meta[key] > 0):
             raise CorpusFormatError(None, key, "expected a positive integer")
-    vocab = meta.get("vocab", [])
-    if not (isinstance(vocab, list) and all(isinstance(t, str) for t in vocab)
-            and len(set(vocab)) == len(vocab)):
-        raise CorpusFormatError(None, "vocab", "expected a list of distinct strings")
-    missing = [t for t in (BOS, EOS) + PERSON_TOKENS if t not in vocab]
-    if "vocab" in meta and missing:
-        raise CorpusFormatError(None, "vocab", f"lacks the special tokens {missing}")
+    vocab = None
+    if "vocab" in meta:
+        tokens = meta["vocab"]
+        if not (isinstance(tokens, list) and all(isinstance(t, str) for t in tokens)):
+            raise CorpusFormatError(None, "vocab", "expected a list of strings")
+        try:
+            vocab = Vocabulary(tuple(tokens))
+        except ValueError as exc:
+            raise CorpusFormatError(None, "vocab", str(exc)) from None
     if "gt_boundaries" in meta:
         raise CorpusFormatError(None, "gt_boundaries", "an older format: cuts ride on "
                                 "each clip's line")
-    return meta
+    return meta, vocab
 
 
 def ingest_jsonl(path):
@@ -704,9 +711,9 @@ def ingest_jsonl(path):
     moved: nested pixel lists (``"frames"``), a mention's ``"gender"`` or
     ``"coref_prev"``, and a sidecar ``"gt_boundaries"``.
     """
-    meta = _read_meta(str(path) + ".meta.json")
+    meta, vocab = _read_meta(str(path) + ".meta.json")
     dims = {f"v_{k}": meta[f"d_{k}"] for k in ("head", "body", "global") if f"d_{k}" in meta}
-    known = set(meta["vocab"]) if "vocab" in meta else None
+    known = set(vocab.tokens) if vocab is not None else None
 
     clips, ids = [], set()
     with open(path, "r", encoding="utf-8") as fh:
@@ -731,9 +738,7 @@ def ingest_jsonl(path):
     if len(clips) % 2 == 1:
         pairs.append(ClipPair(id=len(clips) // 2, prev=None, cur=clips[-1]))
 
-    if known is not None:
-        vocab = Vocabulary(tuple(meta["vocab"]))
-    else:
+    if vocab is None:
         seen = set()
         for c in clips:
             seen.update(c.sentence)

@@ -39,10 +39,19 @@ grounded vector. One pair is the same code without the batch axis.
 items' real steps, valid grid cells and valid current-track slots, item
 after item: padding is dropped.
 
+The feature widths come from the data, as in the linker: ``d_head`` and
+``d_body`` are the widths of the norm fitted on the training tracks,
+``d_global`` that of the clips' ``v_global``; ``DecoderConfig`` holds
+only training choices. Every function that holds the weights or the
+features reads the widths off them.
+
 Checkpoints are a one-line JSON header (magic string, format version,
-dims, vocab, array table) followed by raw little-endian float64 blocks,
-one per named weight. Format version 2 is version 1 without the
-attention logit bias; a version-1 file is rejected by its stamp.
+config, ``d_global``, vocab, norm, array table) followed by raw
+little-endian float64 blocks, one per named weight. Format version 3
+states each width once: ``d_head`` and ``d_body`` are the norm's,
+``d_global`` its own key, and the config keeps only training choices.
+Version 2 repeated the widths in the config and version 1 had an
+attention logit bias; a file of either is rejected by its stamp.
 """
 
 import json
@@ -75,38 +84,48 @@ class TrainingDiverged(RuntimeError):
 
 @dataclass
 class DecoderConfig:
-    d_head: int = 64
-    d_body: int = 64
-    d_global: int = 263
     d_att: int = 64
     d_emb: int = 64
     hidden: int = 128
     max_len: int = 30
-    attention_supervision: bool = True
     lr: float = 0.003
     epochs: int = 30
     batch_size: int = 8
     grad_clip: float = 5.0
 
-    @property
-    def d_grounded(self):
-        return 2 * self.d_head + self.d_body + STAT_DIM
 
-    @property
-    def d_input(self):
-        return self.d_grounded + self.d_global + self.d_emb
+_KIND = {int: "an integer", float: "a finite number"}
 
 
-def _param_shapes(config: DecoderConfig, vocab_size):
+def _check_config(where, config: DecoderConfig):
+    """Raise ValueError naming the first ``DecoderConfig`` field that is not
+    of its type (an integer field takes no boolean or float; a float field
+    takes a finite number, an integer too, but no boolean) or out of range:
+    the ``check_trainer_settings`` rules, ``d_emb >= 0`` and ``d_att``,
+    ``hidden`` and ``max_len`` at least 1. Training and loading run it, so
+    a config that trains also loads."""
+    for f in fields(DecoderConfig):
+        v = getattr(config, f.name)
+        if not (_is_finite(v) if f.type is float else _is_number(v, int)):
+            raise ValueError(f"{where}: DecoderConfig.{f.name} = {v!r} is not {_KIND[f.type]}")
+    check_trainer_settings(where, config)
+    for name, low in (("d_att", 1), ("d_emb", 0), ("hidden", 1), ("max_len", 1)):
+        if getattr(config, name) < low:
+            raise ValueError(f"{where}: DecoderConfig.{name} = "
+                             f"{getattr(config, name)!r} is out of range")
+
+
+def _param_shapes(config: DecoderConfig, vocab_size, d_head, d_body, d_global):
     """Name -> shape of every decoder weight, in ``init_decoder_params`` order."""
     da, H = config.d_att, config.hidden
+    d_input = 2 * d_head + d_body + STAT_DIM + d_global + config.d_emb
     return {
         "E": (vocab_size, config.d_emb),
-        "W_lstm": (4 * H, config.d_input + H),
+        "W_lstm": (4 * H, d_input + H),
         "b_lstm": (4 * H,),
-        "W_id": (da, config.d_head),
-        "W_head": (da, config.d_head),
-        "W_body": (da, config.d_body),
+        "W_id": (da, d_head),
+        "W_head": (da, d_head),
+        "W_body": (da, d_body),
         "W_stat": (da, STAT_DIM),
         "b_v": (da,),
         "W_h": (da, H),
@@ -117,13 +136,14 @@ def _param_shapes(config: DecoderConfig, vocab_size):
     }
 
 
-def init_decoder_params(config: DecoderConfig, vocab_size, seed):
+def init_decoder_params(config: DecoderConfig, vocab_size, d_head, d_body, d_global, seed):
     """Glorot-uniform weights and zero biases of ``_param_shapes``; the LSTM
     comes from ``lstm_init``."""
-    shapes = _param_shapes(config, vocab_size)
+    shapes = _param_shapes(config, vocab_size, d_head, d_body, d_global)
     params = {name: np.zeros(shape, dtype=FLOAT) for name, shape in shapes.items()}
     rng = rng_stream(seed, "decoder-init")
-    params["W_lstm"], params["b_lstm"] = lstm_init(rng, config.d_input, config.hidden)
+    H = config.hidden
+    params["W_lstm"], params["b_lstm"] = lstm_init(rng, shapes["W_lstm"][1] - H, H)
     for name in ("E", "W_id", "W_head", "W_body", "W_stat", "W_h", "w_att", "W_pred"):
         params[name] = glorot_uniform(rng, *shapes[name])  # in this draw order
     return params
@@ -148,13 +168,13 @@ class PairFeatures:
     prev_track_ids: list = field(default_factory=list)
 
 
-def pair_features(pair: ClipPair, prev_grounding, norm: NormStats,
-                  config: DecoderConfig):
+def pair_features(pair: ClipPair, prev_grounding, norm: NormStats, config=None):
     """Assemble features for the decoder. The current tracks are the
     clip's, in order, or its ``C_MAX`` longest (id breaking ties) when it
     has more; the previous candidates are the tracks of the first
-    ``P_MAX`` ``prev_grounding`` (track_id, char, gender) triples. Raises
-    ValueError when a grounding track is not in the pair's previous clip."""
+    ``P_MAX`` ``prev_grounding`` (track_id, char, gender) triples;
+    ``config`` is not read. Raises ValueError when a grounding track is
+    not in the pair's previous clip."""
     cur = pair.cur.tracks
     if len(cur) > C_MAX:
         cur = sorted(cur, key=lambda t: (-len(t.detections), t.id))[:C_MAX]
@@ -164,8 +184,7 @@ def pair_features(pair: ClipPair, prev_grounding, norm: NormStats,
         cb = apply_norm(cur, norm, "v_body")
         cs = apply_norm(cur, norm, "v_stat")
     else:  # a clip without tracks keeps one zero padding slot
-        ch, cb, cs = (np.zeros((1, d), dtype=FLOAT)
-                      for d in (config.d_head, config.d_body, STAT_DIM))
+        ch, cb, cs = (np.zeros((1, len(norm.mean[blk])), dtype=FLOAT) for blk in NormStats.BLOCKS)
     by_id = {t.id: t for t in pair.prev.tracks} if pair.prev is not None else {}
     for tid, _, _ in prev_grounding:
         if tid not in by_id:
@@ -277,15 +296,17 @@ def attention_backward(params, cache, dv_grounded, dlogits_extra):
 # sentence loss (teacher forcing) and the weight gradients
 # ---------------------------------------------------------------------------
 
-def _split_lstm(params, config):
-    """``W_lstm`` split by what its columns multiply: (W_rec, W_glob, EW).
-    ``W_rec`` (4H, d_grounded + H) is a contiguous copy of the grounded
-    and hidden-state columns, ``W_glob`` a view of the ``v_global``
-    columns, and ``EW`` (V, 4H) the word table ``E @ W_emb^T``."""
-    W = params["W_lstm"]
-    gr, glob = config.d_grounded, config.d_grounded + config.d_global
-    W_rec = np.concatenate([W[:, :gr], W[:, config.d_input:]], axis=1)
-    return W_rec, W[:, gr:glob], params["E"] @ W[:, glob:config.d_input].T
+def _split_lstm(params):
+    """``W_lstm`` split by what its columns multiply: (W_rec, W_glob, EW),
+    the widths read off the weights. ``W_rec`` (4H, d_grounded + H) is a
+    contiguous copy of the grounded and hidden-state columns, ``W_glob`` a
+    view of the ``v_global`` columns, and ``EW`` (V, 4H) the word table
+    ``E @ W_emb^T``."""
+    W, H = params["W_lstm"], params["W_h"].shape[1]
+    gr = 2 * params["W_head"].shape[1] + params["W_body"].shape[1] + STAT_DIM
+    glob = W.shape[1] - H - params["E"].shape[1]
+    W_rec = np.concatenate([W[:, :gr], W[:, -H:]], axis=1)
+    return W_rec, W[:, gr:glob], params["E"] @ W[:, glob:-H].T
 
 
 def sentence_loss(params, config, vocab, batch, grads):
@@ -308,7 +329,7 @@ def sentence_loss(params, config, vocab, batch, grads):
             "cur_head", "cur_body", "cur_stat", "cur_valid", "prev_head", "prev_valid")})
     terms = attention_terms(params, feats)
     valid = terms.valid
-    W_rec, W_glob, EW = _split_lstm(params, config)
+    W_rec, W_glob, EW = _split_lstm(params)
 
     # sentences padded with EOS to the longest; steps past an item's end are masked
     lens = np.array([len(item.sentence) + 1 for item in batch])
@@ -377,7 +398,7 @@ def sentence_loss(params, config, vocab, batch, grads):
     # one product per weight over the real steps, valid cells and valid current
     # tracks, item-major; padded steps and cells hold exact zeros and are dropped.
     # xh is the LSTM input [v_grounded, v_global, E[w], h_prev] of each step
-    words, da, rec, d_gr = words[real], da[real], rec[real], config.d_grounded
+    words, da, rec, d_gr = words[real], da[real], rec[real], rec.shape[-1] - H
     xh = np.concatenate([rec[:, :d_gr], np.repeat(feats.v_global, lens, axis=0),
                          params["E"][words], rec[:, d_gr:]], axis=1)
     # dF is the gradient at F = M W_id^T + f_cur + b_v, per cell
@@ -386,7 +407,7 @@ def sentence_loss(params, config, vocab, batch, grads):
     q, du, dpre_q = q[real], du[real], dpre_q[real]
     grads["W_lstm"] += da.T @ xh
     grads["b_lstm"] += da.sum(axis=0)
-    emb = slice(config.d_grounded + config.d_global, config.d_input)
+    emb = slice(d_gr + feats.v_global.shape[-1], -H)
     np.add.at(grads["E"], words, da @ params["W_lstm"][:, emb])
     grads["W_pred"] += dlog.T @ hs[real]
     grads["b_pred"] += dlog.sum(axis=0)
@@ -418,21 +439,21 @@ class TrainItem:
     alpha_targets: dict  # tau -> (p, c)
 
 
-def build_train_items(corpus: Corpus, supervision, norm, config: DecoderConfig):
+def build_train_items(corpus: Corpus, supervision, norm):
     """``supervision``: iterable of ``corpus.PairSupervision``. Each link
     (mention, track_id) targets a cell of its pair's grid: ``c`` is the
     track's 1-based index in ``cur_track_ids``, and ``p`` the slot of the
     mention's ``coref_prev`` character among ``prev_grounding[:P_MAX]``
     (1-based), else the null slot 0. A link to a track the cap dropped
-    gives no target. The targets are dropped when
-    ``config.attention_supervision`` is False. Raises ValueError when a
-    link's track is not in the pair's current clip."""
+    gives no target; supervision without links (the words-only arm) gives
+    none at all. Raises ValueError when a link's track is not in the
+    pair's current clip."""
     by_pair = {s.pair_id: s for s in supervision} if supervision else {}
     items = []
     for pair in corpus.pairs:
         sup = by_pair.get(pair.id)
         grounding = sup.prev_grounding if sup is not None else []
-        feats = pair_features(pair, grounding, norm, config)
+        feats = pair_features(pair, grounding, norm)
         targets = {}
         if sup is not None:
             cur_ids = {t.id for t in pair.cur.tracks}
@@ -440,11 +461,10 @@ def build_train_items(corpus: Corpus, supervision, norm, config: DecoderConfig):
                 if tid not in cur_ids:
                     raise ValueError(f"pair {pair.id}: linked track {tid!r} "
                                      "is not in the current clip")
-            if config.attention_supervision:
-                slot = {char: i + 1 for i, (_, char, _) in enumerate(grounding[:P_MAX])}
-                index = {tid: i + 1 for i, tid in enumerate(feats.cur_track_ids)}
-                targets = {m.pos: (slot.get(m.coref_prev, 0), index[tid])
-                           for m, tid in sup.links if tid in index}
+            slot = {char: i + 1 for i, (_, char, _) in enumerate(grounding[:P_MAX])}
+            index = {tid: i + 1 for i, tid in enumerate(feats.cur_track_ids)}
+            targets = {m.pos: (slot.get(m.coref_prev, 0), index[tid])
+                       for m, tid in sup.links if tid in index}
         items.append(TrainItem(pair.id, feats, pair.cur.sentence, targets))
     return items
 
@@ -479,24 +499,27 @@ def _clip_gradients(gflat, grads, max_norm):
 def train_decoder(corpus: Corpus, supervision, config: DecoderConfig, seed=0):
     """Mini-batch training with teacher forcing; deterministic per seed.
 
-    Attention supervision is dropped when config.attention_supervision is
-    False (the words-only ablation). Raises ValueError when a training
-    setting is out of range (``check_trainer_settings``) or a corpus
-    vector is not as wide as ``config`` says, and TrainingDiverged with the
-    last finite-loss parameters if the loss or a weight goes non-finite.
+    The feature widths are the data's: ``d_head`` and ``d_body`` those of
+    the norm fitted on the corpus's tracks, ``d_global`` that of its clips'
+    ``v_global``. Supervision without links trains the words alone (the
+    words-only arm). Raises ValueError when a config field is of the wrong
+    type or out of range (``_check_config``), a track's block is not as
+    wide as the first track's (``fit_norm_stats``) or a clip's
+    ``v_global`` not as wide as the first clip's, and TrainingDiverged
+    with the last finite-loss parameters if the loss or a weight goes
+    non-finite.
     """
-    check_trainer_settings("train_decoder", config)
-    for clip in corpus.clips:
-        for name, v in [("v_global", clip.v_global)] + [
-                (n, getattr(t, n)) for t in clip.tracks for n in ("v_head", "v_body")]:
-            dim = "d_" + name[2:]
-            if len(v) != getattr(config, dim):
-                raise ValueError(f"train_decoder: corpus {name} width {len(v)} differs "
-                                 f"from DecoderConfig.{dim} = {getattr(config, dim)}")
+    _check_config("train_decoder", config)
     norm = fit_norm_stats([t for c in corpus.clips for t in c.tracks])
-    items = build_train_items(corpus, supervision, norm, config)
+    d_global = len(corpus.clips[0].v_global)
+    for clip in corpus.clips:
+        if len(clip.v_global) != d_global:
+            raise ValueError(f"train_decoder: clip {clip.id} has a {len(clip.v_global)}-wide "
+                             f"v_global, the first clip's is {d_global} wide")
+    items = build_train_items(corpus, supervision, norm)
     vocab = corpus.vocab
-    flat, params = pack_params(init_decoder_params(config, len(vocab), seed))
+    flat, params = pack_params(init_decoder_params(
+        config, len(vocab), len(norm.mean["v_head"]), len(norm.mean["v_body"]), d_global, seed))
     opt = Adam(lr=config.lr)
     rng = rng_stream(seed, "decoder-train")
     capped = sum(len(pair.cur.tracks) - len(item.feats.cur_track_ids)
@@ -560,12 +583,12 @@ def decode_pair(trained: TrainedDecoder, pair: ClipPair, prev_grounding):
     are not as wide as the trained decoder's.
     """
     params, config, vocab = trained.params, trained.config, trained.vocab
-    if len(pair.cur.v_global) != config.d_global:
-        raise ValueError(f"decode_pair: pair {pair.id} v_global width {len(pair.cur.v_global)} "
-                         f"differs from DecoderConfig.d_global = {config.d_global}")
-    feats = pair_features(pair, prev_grounding, trained.norm, config)
+    feats = pair_features(pair, prev_grounding, trained.norm)
+    W_rec, W_glob, EW = _split_lstm(params)
+    if len(feats.v_global) != W_glob.shape[1]:
+        raise ValueError(f"decode_pair: pair {pair.id} has a {len(feats.v_global)}-wide "
+                         f"v_global, the decoder's is {W_glob.shape[1]} wide")
     terms = attention_terms(params, feats)
-    W_rec, W_glob, EW = _split_lstm(params, config)
     base = W_glob @ feats.v_global + params["b_lstm"]
     h = c = np.zeros(config.hidden, dtype=FLOAT)
     grounded = terms.valid.any()
@@ -596,7 +619,7 @@ def decode_pair(trained: TrainedDecoder, pair: ClipPair, prev_grounding):
 # ---------------------------------------------------------------------------
 
 CHECKPOINT_MAGIC = "charcap-decoder"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 def save_checkpoint(path, trained: TrainedDecoder):
@@ -605,6 +628,7 @@ def save_checkpoint(path, trained: TrainedDecoder):
         "magic": CHECKPOINT_MAGIC,
         "version": CHECKPOINT_VERSION,
         "config": asdict(trained.config),
+        "d_global": _split_lstm(trained.params)[1].shape[1],
         "vocab": list(trained.vocab.tokens),
         "norm": trained.norm.to_json(),
         "arrays": [{"name": n, "shape": list(trained.params[n].shape)}
@@ -621,47 +645,40 @@ def _is_shape(shape):
         isinstance(n, int) and not isinstance(n, bool) and n >= 0 for n in shape)
 
 
-_KIND = {bool: "a boolean", int: "an integer", float: "a finite number"}
-
-
 def _header_contents(path, header):
     """Config, vocabulary, norm and array table of a checkpoint header whose
-    magic string and version are checked. Each config value must have its
-    ``DecoderConfig`` type (an integer is not a boolean) and lie in the
-    range ``check_trainer_settings`` and ``max_len >= 1`` give; the table
-    must name exactly the weights ``init_decoder_params`` builds for that
-    config and vocabulary, with their shapes, and the norm blocks as wide
-    as the config's."""
-    missing = [k for k in ("config", "vocab", "norm", "arrays") if k not in header]
+    magic string and version are checked. The config must pass
+    ``_check_config``, the vocabulary ``Vocabulary``'s rules, ``d_global``
+    must be a non-negative integer and the norm's ``v_stat`` block
+    ``STAT_DIM`` wide; the table must name exactly the weights
+    ``init_decoder_params`` builds for that config, vocabulary, the norm's
+    ``d_head`` and ``d_body`` and ``d_global``, with their shapes."""
+    missing = [k for k in ("config", "d_global", "vocab", "norm", "arrays") if k not in header]
     if missing:
         raise ValueError(f"{path}: checkpoint header lacks {missing}")
-    cfg, vocab, arrays = header["config"], header["vocab"], header["arrays"]
+    cfg, d_global, vocab, arrays = (header[k] for k in ("config", "d_global", "vocab", "arrays"))
     if not isinstance(cfg, dict):
         raise ValueError(f"{path}: checkpoint config is not a JSON object")
     unknown = sorted(set(cfg) - {f.name for f in fields(DecoderConfig)})
     if unknown:
         raise ValueError(f"{path}: config keys {unknown} are not DecoderConfig settings")
-    for f in fields(DecoderConfig):
-        v = cfg.get(f.name, f.default)
-        if not (isinstance(v, bool) if f.type is bool else
-                _is_finite(v) if f.type is float else _is_number(v, int)):
-            raise ValueError(f"{path}: config {f.name} = {v!r} is not {_KIND[f.type]}")
+    config = DecoderConfig(**cfg)
+    _check_config(f"{path}: checkpoint config", config)
+    if not (_is_number(d_global, int) and d_global >= 0):
+        raise ValueError(f"{path}: checkpoint d_global = {d_global!r} "
+                         "is not a non-negative integer")
     if not (isinstance(vocab, list) and all(isinstance(t, str) for t in vocab)):
         raise ValueError(f"{path}: checkpoint vocab is not a list of strings")
     try:
+        vocab = Vocabulary(tuple(vocab))
         norm = NormStats.from_json(header["norm"])
     except ValueError as exc:
         raise ValueError(f"{path}: checkpoint {exc}") from None
-    config = DecoderConfig(**cfg)
-    check_trainer_settings(f"{path}: checkpoint config", config)
-    if config.max_len < 1:
-        raise ValueError(f"{path}: checkpoint config: DecoderConfig.max_len = "
-                         f"{config.max_len} is out of range")
-    expected = _param_shapes(config, len(vocab))
-    for blk, width in zip(NormStats.BLOCKS, (config.d_head, config.d_body, STAT_DIM)):
-        if len(norm.mean[blk]) != width:
-            raise ValueError(f"{path}: checkpoint norm block {blk!r} is "
-                             f"{len(norm.mean[blk])} wide, the config gives {width}")
+    if len(norm.mean["v_stat"]) != STAT_DIM:
+        raise ValueError(f"{path}: checkpoint norm block 'v_stat' is "
+                         f"{len(norm.mean['v_stat'])} wide, not {STAT_DIM}")
+    expected = _param_shapes(config, len(vocab), len(norm.mean["v_head"]),
+                             len(norm.mean["v_body"]), d_global)
     if not isinstance(arrays, list):
         raise ValueError(f"{path}: checkpoint arrays is not a list")
     table = {}
@@ -675,22 +692,24 @@ def _header_contents(path, header):
                              "not a list of non-negative integers")
         if tuple(shape) != expected[name]:
             raise ValueError(f"{path}: array {name!r} has shape {tuple(shape)}, "
-                             f"the config gives {expected[name]}")
+                             f"the header gives {expected[name]}")
         table[name] = tuple(shape)
     absent = sorted(set(expected) - set(table))
     if absent:
         raise ValueError(f"{path}: arrays {absent} are missing")
-    return config, Vocabulary(tuple(vocab)), norm, table
+    return config, vocab, norm, table
 
 
 def load_checkpoint(path):
     """Inverse of ``save_checkpoint``. A malformed header, a missing magic
-    string or version, an unknown version, a missing config, vocab, norm or
-    array table, config keys ``DecoderConfig`` does not know, a config
-    value of the wrong type or out of range, an unusable norm block, an
-    array table that does not match the weights of that config and
-    vocabulary (names and integer shapes), a short array block or
-    trailing bytes raise ValueError naming the file."""
+    string or version, another version (an older file included), a missing
+    config, ``d_global``, vocab, norm or array table, config keys
+    ``DecoderConfig`` does not know, a config value of the wrong type or
+    out of range, a bad ``d_global``, a vocabulary that repeats a token or
+    lacks a special one, an unusable norm block, an array table that does
+    not match the weights of those settings and widths (names and integer
+    shapes), a short array block or trailing bytes raise ValueError naming
+    the file."""
     with open(path, "rb") as fh:
         try:
             header = json.loads(fh.readline().decode("utf-8"))

@@ -117,12 +117,19 @@ def _block(track, name):
 def fit_norm_stats(tracks):
     """Per-dimension mean and std of each feature block over ``tracks``
     (the training split only); constant dimensions get std 1, so
-    ``apply_norm`` maps them to zero."""
+    ``apply_norm`` maps them to zero. A track whose block is not as wide
+    as the first track's raises ValueError naming it."""
     if not tracks:
         raise ValueError("fit_norm_stats: empty training split")
     mean, std = {}, {}
     for blk in NormStats.BLOCKS:
-        data = np.stack([_block(t, blk) for t in tracks])
+        blocks = [_block(t, blk) for t in tracks]
+        try:
+            data = np.stack(blocks)
+        except ValueError:  # some block is not as wide as the first
+            track, v = next((t, v) for t, v in zip(tracks, blocks) if v.shape != blocks[0].shape)
+            raise ValueError(f"fit_norm_stats: track {track.id} has a {v.size}-wide {blk}, "
+                             f"the first track's is {blocks[0].size} wide") from None
         mean[blk] = data.mean(axis=0)
         sd = data.std(axis=0)
         sd[sd < STD_FLOOR] = 1.0

@@ -12,7 +12,7 @@ from charcap.corpus import (
     CorpusFormatError, Mention, Track, Vocabulary, export_jsonl, generate_corpus,
     ingest_jsonl, pair_supervision, planted_supervision,
 )
-from charcap.decoder import C_MAX, P_MAX, DecoderConfig, build_train_items
+from charcap.decoder import C_MAX, P_MAX, build_train_items
 from charcap.track_features import Detection, fit_norm_stats, track_stats
 
 
@@ -28,7 +28,7 @@ def grid_targets(pair, sup):
     pair's grid."""
     tracks = [t for clip in (pair.prev, pair.cur) if clip is not None for t in clip.tracks]
     (item,) = build_train_items(Corpus([pair], Vocabulary.build()), [sup],
-                                fit_norm_stats(tracks), DecoderConfig())
+                                fit_norm_stats(tracks))
     return item.alpha_targets
 
 
@@ -136,6 +136,10 @@ class TestVocabulary:
     def test_duplicate_person_token_rejected(self):
         with pytest.raises(ValueError):
             Vocabulary(("<bos>", "<eos>", *PERSON_TOKENS, "MaleName"))
+
+    def test_repeated_token_rejected(self):
+        with pytest.raises(ValueError, match=r"repeats the tokens \['walks'\]"):
+            Vocabulary(("<bos>", "<eos>", *PERSON_TOKENS, "walks", "street", "walks"))
 
     def test_unknown_token(self):
         v = Vocabulary.build([])
@@ -657,15 +661,13 @@ class TestPairSupervision:
         assert grid_targets(pair, sup) == {2: (0, 1)}
 
     @pytest.mark.parametrize("tid", [1, 9], ids=["previous-clip-track", "unknown-track"])
-    @pytest.mark.parametrize("supervised", [True, False], ids=["supervised", "unsupervised"])
-    def test_link_outside_the_current_clip_raises(self, tid, supervised):
+    def test_link_outside_the_current_clip_raises(self, tid):
         m = Mention(0, char_id=1, gender="M", gt_track_ids=[3])
         pair = _pair([_track(1)], [_track(3)], (), [m])
         tracks = pair.prev.tracks + pair.cur.tracks
         with pytest.raises(ValueError, match=rf"pair 0: linked track {tid} "):
             build_train_items(Corpus([pair], Vocabulary.build()),
-                              [pair_supervision(pair, [], [(m, tid)])], fit_norm_stats(tracks),
-                              DecoderConfig(attention_supervision=supervised))
+                              [pair_supervision(pair, [], [(m, tid)])], fit_norm_stats(tracks))
 
     def test_planted_and_equal_linked_groundings_agree(self):
         c = generate_corpus(small_config(n_pairs=30, coref_fraction=0.7,

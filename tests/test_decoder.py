@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from charcap.corpus import (
     BOS, EOS, PERSON_TOKENS, Clip, ClipPair, CorpusConfig, Vocabulary, generate_corpus,
@@ -24,29 +26,33 @@ from charcap.track_features import Detection, Track, fit_norm_stats, track_stats
 from references import softmax
 
 
+TINY = dict(d_head=5, d_body=4, d_global=7)  # the feature widths of the tiny tests
+
+
 def tiny_decoder_cfg(**kw):
-    base = dict(d_head=5, d_body=4, d_global=7, d_att=6, d_emb=5, hidden=8)
+    base = dict(d_att=6, d_emb=5, hidden=8)
     base.update(kw)
     return DecoderConfig(**base)
 
 
-def rand_feats(rng, C, P, cfg, c_slots=None, p_slots=None):
+def rand_feats(rng, C, P, widths=TINY, c_slots=None, p_slots=None):
     c_slots = c_slots or C
     p_slots = p_slots or P
-    ch = np.zeros((max(c_slots, 1), cfg.d_head))
-    cb = np.zeros((max(c_slots, 1), cfg.d_body))
+    d_head, d_body = widths["d_head"], widths["d_body"]
+    ch = np.zeros((max(c_slots, 1), d_head))
+    cb = np.zeros((max(c_slots, 1), d_body))
     cs = np.zeros((max(c_slots, 1), 11))
     cv = np.zeros(max(c_slots, 1), dtype=bool)
-    ch[:C] = rng.normal(size=(C, cfg.d_head))
-    cb[:C] = rng.normal(size=(C, cfg.d_body))
+    ch[:C] = rng.normal(size=(C, d_head))
+    cb[:C] = rng.normal(size=(C, d_body))
     cs[:C] = rng.normal(size=(C, 11))
     cv[:C] = True
-    ph = np.zeros((p_slots, cfg.d_head))
+    ph = np.zeros((p_slots, d_head))
     pv = np.zeros(p_slots, dtype=bool)
-    ph[:P] = rng.normal(size=(P, cfg.d_head))
+    ph[:P] = rng.normal(size=(P, d_head))
     pv[:P] = True
     return PairFeatures(cur_head=ch, cur_body=cb, cur_stat=cs, prev_head=ph,
-                        v_global=rng.normal(size=cfg.d_global),
+                        v_global=rng.normal(size=widths["d_global"]),
                         cur_valid=cv, prev_valid=pv,
                         cur_track_ids=list(range(1, max(c_slots, 1) + 1)),
                         prev_track_ids=list(range(1, p_slots + 1)))
@@ -72,8 +78,7 @@ def separable():
                         two_mention_fraction=0.3, singleton_fraction=0.1)
     corpus = generate_corpus(ccfg, seed=21)
     train, test = corpus.split(120)
-    dcfg = DecoderConfig(d_head=16, d_body=8, d_global=12, d_att=32, d_emb=16,
-                         hidden=48, epochs=25, lr=0.005, batch_size=8)
+    dcfg = DecoderConfig(d_att=32, d_emb=16, hidden=48, epochs=25, lr=0.005, batch_size=8)
     trained = train_decoder(train, planted(train), dcfg, seed=5)
     return trained, train, test
 
@@ -90,7 +95,7 @@ def _cur_track_ids(cur_tracks, prev_tracks=(), grounding=()):
     clip = dict(v_global=np.zeros(7), sentence=[], mentions=[])
     pair = ClipPair(0, Clip(0, list(prev_tracks), **clip), Clip(1, list(cur_tracks), **clip))
     norm = fit_norm_stats(list(cur_tracks) + list(prev_tracks))
-    return pair_features(pair, list(grounding), norm, tiny_decoder_cfg()).cur_track_ids
+    return pair_features(pair, list(grounding), norm).cur_track_ids
 
 
 class TestTrackCap:
@@ -102,7 +107,7 @@ class TestTrackCap:
         norm = fit_norm_stats([t for clip in corpus.clips for t in clip.tracks])
         assert max(len(p.cur.tracks) for p in corpus.pairs) > C_MAX
         sup = planted(corpus)
-        items = build_train_items(corpus, sup, norm, DecoderConfig())
+        items = build_train_items(corpus, sup, norm)
         for pair, s, item in zip(corpus.pairs, sup, items):
             for m in pair.cur.mentions:
                 p, ci = item.alpha_targets[m.pos]
@@ -131,9 +136,9 @@ class TestTrackCap:
 class TestAttentionStep:
     def test_singleton_grid(self):
         cfg = tiny_decoder_cfg()
-        params = init_decoder_params(cfg, 8, seed=0)
+        params = init_decoder_params(cfg, 8, **TINY, seed=0)
         rng = rng_stream(0, "att")
-        feats = rand_feats(rng, C=1, P=0, cfg=cfg)
+        feats = rand_feats(rng, C=1, P=0)
         alpha, v_gr, _ = attention_step(params, rng.normal(size=cfg.hidden), feats)
         assert alpha.shape == (1, 1)
         assert alpha[0, 0] == 1.0
@@ -141,9 +146,9 @@ class TestAttentionStep:
     def test_zero_weights_give_uniform(self):
         cfg = tiny_decoder_cfg()
         params = {k: np.zeros_like(v)
-                  for k, v in init_decoder_params(cfg, 8, seed=0).items()}
+                  for k, v in init_decoder_params(cfg, 8, **TINY, seed=0).items()}
         rng = rng_stream(1, "att")
-        feats = rand_feats(rng, C=5, P=3, cfg=cfg)
+        feats = rand_feats(rng, C=5, P=3)
         alpha, _, _ = attention_step(params, np.zeros(cfg.hidden), feats)
         np.testing.assert_allclose(alpha, 1.0 / 20.0)
 
@@ -153,8 +158,8 @@ class TestAttentionStep:
         for _ in range(25):
             C = int(rng.integers(1, 51))
             P = int(rng.integers(0, 8))
-            params = init_decoder_params(cfg, 8, seed=int(rng.integers(1000)))
-            feats = rand_feats(rng, C, P, cfg, c_slots=50, p_slots=7)
+            params = init_decoder_params(cfg, 8, **TINY, seed=int(rng.integers(1000)))
+            feats = rand_feats(rng, C, P, c_slots=50, p_slots=7)
             alpha, _, _ = attention_step(params, rng.normal(size=cfg.hidden), feats)
             assert alpha.shape == (8, 50)
             assert abs(alpha.sum() - 1.0) <= 1e-9
@@ -163,9 +168,9 @@ class TestAttentionStep:
 
     def test_grounded_vector_in_cell_hull(self):
         cfg = tiny_decoder_cfg()
-        params = init_decoder_params(cfg, 8, seed=4)
+        params = init_decoder_params(cfg, 8, **TINY, seed=4)
         rng = rng_stream(4, "att")
-        feats = rand_feats(rng, C=4, P=2, cfg=cfg)
+        feats = rand_feats(rng, C=4, P=2)
         alpha, v_gr, cache = attention_step(params, rng.normal(size=cfg.hidden),
                                             feats)
         cell = cache[3]  # (P+1, C, d_gr) concatenated cell features
@@ -175,13 +180,13 @@ class TestAttentionStep:
 
     def test_zero_tracks_flagged(self):
         cfg = tiny_decoder_cfg()
-        params = init_decoder_params(cfg, 8, seed=5)
+        params = init_decoder_params(cfg, 8, **TINY, seed=5)
         rng = rng_stream(5, "att")
-        feats = rand_feats(rng, C=0, P=0, cfg=cfg)
+        feats = rand_feats(rng, C=0, P=0)
         alpha, v_gr, cache = attention_step(params, np.zeros(cfg.hidden), feats)
         assert alpha.shape == (1, 1) and (alpha == 0).all()
         assert (v_gr == 0).all()
-        assert v_gr.shape == (cfg.d_grounded,)
+        assert v_gr.shape == (2 * TINY["d_head"] + TINY["d_body"] + 11,)
 
 
 class TestGradients:
@@ -193,9 +198,9 @@ class TestGradients:
         norm = fit_norm_stats([t for c in corpus.clips for t in c.tracks])
         cfg = tiny_decoder_cfg()
         pair = corpus.pairs[1]
-        item = build_train_items(corpus, planted(corpus), norm, cfg)[1]
+        item = build_train_items(corpus, planted(corpus), norm)[1]
         feats, targets = item.feats, item.alpha_targets
-        params = init_decoder_params(cfg, len(corpus.vocab), seed=0)
+        params = init_decoder_params(cfg, len(corpus.vocab), **TINY, seed=0)
 
         def loss_fn(p):
             t, _, _, grads, _ = pair_loss(p, cfg, corpus.vocab, feats,
@@ -209,13 +214,13 @@ class TestSentenceLoss:
     def _setup(self, seed=0):
         vocab = Vocabulary.build(["walks", "street"])
         cfg = tiny_decoder_cfg()
-        params = init_decoder_params(cfg, len(vocab), seed=seed)
+        params = init_decoder_params(cfg, len(vocab), **TINY, seed=seed)
         rng = rng_stream(seed, "loss")
         return vocab, cfg, params, rng
 
     def test_no_person_tokens_no_attention_loss(self):
         vocab, cfg, params, rng = self._setup()
-        feats = rand_feats(rng, C=3, P=1, cfg=cfg)
+        feats = rand_feats(rng, C=3, P=1)
         _, _, att, _, _ = pair_loss(params, cfg, vocab, feats,
                                     ["walks", "street"],
                                     {0: (0, 1), 1: (0, 1)})
@@ -224,14 +229,14 @@ class TestSentenceLoss:
     def test_one_hot_attention_gives_zero_loss(self):
         # a single real cell makes alpha exactly one-hot: -log 1 = 0
         vocab, cfg, params, rng = self._setup(1)
-        feats = rand_feats(rng, C=1, P=0, cfg=cfg)
+        feats = rand_feats(rng, C=1, P=0)
         _, _, att, _, _ = pair_loss(params, cfg, vocab, feats,
                                     ["MaleName", "walks"], {0: (0, 1)})
         assert att == 0.0
 
     def test_target_at_padding_is_skipped_and_counted(self):
         vocab, cfg, params, rng = self._setup(2)
-        feats = rand_feats(rng, C=2, P=1, cfg=cfg)
+        feats = rand_feats(rng, C=2, P=1)
         tot, word, att, _, skipped = pair_loss(
             params, cfg, vocab, feats, ["MaleName", "walks"], {0: (1, 7)})
         assert skipped == 1
@@ -240,7 +245,7 @@ class TestSentenceLoss:
     def test_target_off_a_person_word_is_skipped_and_counted(self):
         # a verb, the end-of-sentence step and a step past it
         vocab, cfg, params, rng = self._setup(4)
-        feats = rand_feats(rng, C=2, P=1, cfg=cfg)
+        feats = rand_feats(rng, C=2, P=1)
         _, _, att, _, skipped = pair_loss(params, cfg, vocab, feats,
                                           ["FemaleCoref", "walks", "street"],
                                           {1: (0, 1), 3: (0, 1), 9: (0, 1)})
@@ -249,7 +254,7 @@ class TestSentenceLoss:
 
     def test_target_on_a_pair_without_a_grid_is_skipped_and_counted(self):
         vocab, cfg, params, rng = self._setup(6)
-        feats = rand_feats(rng, C=0, P=0, cfg=cfg)
+        feats = rand_feats(rng, C=0, P=0)
         sentence, targets = ["MaleName", "walks"], {0: (0, 1)}
         _, _, att, grads, skipped = pair_loss(params, cfg, vocab, feats, sentence, targets)
         assert skipped == 1 and att == 0.0
@@ -265,7 +270,7 @@ class TestSentenceLoss:
     def test_unlikely_target_word_gives_finite_loss(self):
         # the target word's probability underflows to 0, its loss does not
         vocab, cfg, params, rng = self._setup(3)
-        feats = rand_feats(rng, C=2, P=1, cfg=cfg)
+        feats = rand_feats(rng, C=2, P=1)
         params["b_pred"][vocab.index("walks")] = -800.0
         tot, word, _, grads, _ = pair_loss(params, cfg, vocab, feats, ["walks"])
         assert np.isfinite(tot) and word > 790.0
@@ -275,7 +280,7 @@ class TestSentenceLoss:
         # a valid target cell whose attention underflows to exactly 0 is
         # the worst-predicted target, not a skipped one
         vocab, cfg, params, rng = self._setup(4)
-        feats = rand_feats(rng, C=3, P=2, cfg=cfg)
+        feats = rand_feats(rng, C=3, P=2)
         params["b_h"][:] = 5.0
         params["w_att"] *= 2000.0
         alpha, _, cache = attention_step(params, np.zeros(cfg.hidden), feats)
@@ -290,9 +295,9 @@ class TestSentenceLoss:
 
     def test_passed_dict_accumulates_both_sentences(self):
         vocab, cfg, params, rng = self._setup(5)
-        runs = [(rand_feats(rng, C=3, P=2, cfg=cfg), ["MaleName", "walks", "FemaleCoref"],
+        runs = [(rand_feats(rng, C=3, P=2), ["MaleName", "walks", "FemaleCoref"],
                  {0: (1, 2), 2: (0, 3)}),
-                (rand_feats(rng, C=2, P=1, cfg=cfg), ["FemaleName", "street"], {0: (1, 1)})]
+                (rand_feats(rng, C=2, P=1), ["FemaleName", "street"], {0: (1, 1)})]
         fresh = [pair_loss(params, cfg, vocab, *r)[3] for r in runs]
         shared = {k: np.zeros_like(v) for k, v in params.items()}
         for feats, sentence, targets in runs:
@@ -306,11 +311,11 @@ class TestSentenceLoss:
         """Independent plain-loop forward oracle for a 2-track, 1-prev,
         3-word sentence."""
         vocab = Vocabulary.build(["walks", "street"])
-        cfg = DecoderConfig(d_head=2, d_body=1, d_global=2, d_att=2, d_emb=2,
-                            hidden=2)
+        cfg = DecoderConfig(d_att=2, d_emb=2, hidden=2)
+        widths = dict(d_head=2, d_body=1, d_global=2)
         rng = rng_stream(7, "fixture")
-        params = init_decoder_params(cfg, len(vocab), seed=7)
-        feats = rand_feats(rng, C=2, P=1, cfg=cfg)
+        params = init_decoder_params(cfg, len(vocab), **widths, seed=7)
+        feats = rand_feats(rng, C=2, P=1, widths=widths)
         sentence = ["MaleName", "walks", "street"]
         targets = {0: (1, 2)}
         total, word, att, _, _ = pair_loss(params, cfg, vocab, feats,
@@ -366,8 +371,7 @@ class TestTraining:
         ccfg = CorpusConfig(n_pairs=10, n_characters=4, d_head=8, d_body=6,
                             d_global=8, sigma=0.1)
         corpus = generate_corpus(ccfg, seed=3)
-        cfg = DecoderConfig(d_head=8, d_body=6, d_global=8, d_att=8, d_emb=8,
-                            hidden=12, epochs=3, batch_size=4)
+        cfg = DecoderConfig(d_att=8, d_emb=8, hidden=12, epochs=3, batch_size=4)
         sup = planted(corpus)
         a = train_decoder(corpus, sup, cfg, seed=9)
         b = train_decoder(corpus, sup, cfg, seed=9)
@@ -376,8 +380,7 @@ class TestTraining:
     def test_trained_params_are_views_into_one_vector(self):
         corpus = generate_corpus(CorpusConfig(n_pairs=4, d_head=8, d_body=6, d_global=8),
                                  seed=3)
-        cfg = DecoderConfig(d_head=8, d_body=6, d_global=8, d_att=8, d_emb=8,
-                            hidden=12, epochs=1)
+        cfg = DecoderConfig(d_att=8, d_emb=8, hidden=12, epochs=1)
         params = train_decoder(corpus, planted(corpus), cfg, seed=9).params
         flat = params["E"].base
         assert flat.ndim == 1 and flat.size == sum(v.size for v in params.values())
@@ -387,8 +390,7 @@ class TestTraining:
         ccfg = CorpusConfig(n_pairs=50, n_characters=4, d_head=12, d_body=6,
                             d_global=10, sigma=0.05)
         corpus = generate_corpus(ccfg, seed=13)
-        cfg = DecoderConfig(d_head=12, d_body=6, d_global=10, d_att=24,
-                            d_emb=12, hidden=32, epochs=30, lr=0.005,
+        cfg = DecoderConfig(d_att=24, d_emb=12, hidden=32, epochs=30, lr=0.005,
                             batch_size=8)
         trained = train_decoder(corpus, planted(corpus), cfg, seed=1)
         first = trained.history[0][0]
@@ -400,39 +402,45 @@ class TestTraining:
                             d_global=8, sigma=0.05)
         corpus = generate_corpus(ccfg, seed=2)
         corpus.pairs[3].cur.v_global[0] = np.inf
-        cfg = DecoderConfig(d_head=8, d_body=6, d_global=8, d_att=8, d_emb=8,
-                            hidden=12, epochs=3, lr=0.01, batch_size=3,
+        cfg = DecoderConfig(d_att=8, d_emb=8, hidden=12, epochs=3, lr=0.01, batch_size=3,
                             grad_clip=0.0)
         with pytest.raises(TrainingDiverged) as exc:
             train_decoder(corpus, planted(corpus), cfg, seed=1)
         assert all(np.all(np.isfinite(v)) for v in exc.value.params.values())
         # a copy taken before the first epoch: that epoch's steps left it alone
-        init = init_decoder_params(cfg, len(corpus.vocab), seed=1)
+        init = init_decoder_params(cfg, len(corpus.vocab), d_head=8, d_body=6, d_global=8,
+                                   seed=1)
         assert exc.value.epoch == 0
         assert all(exc.value.params[k].tobytes() == v.tobytes() for k, v in init.items())
 
     @pytest.mark.parametrize("field, dim, width", [
         ("v_head", "d_head", 8), ("v_body", "d_body", 6), ("v_global", "d_global", 10)])
     def test_corpus_width_must_match_config(self, field, dim, width):
+        # the corpus config's widths are the data's; one vector one wider is
+        # named: a track's block against the first track's, a clip's
+        # v_global against the first clip's
         corpus = generate_corpus(CorpusConfig(n_pairs=4, d_head=8, d_body=6, d_global=10),
                                  seed=1)
-        cfg = DecoderConfig(d_head=8, d_body=6, d_global=10, epochs=1)
-        cfg = dataclasses.replace(cfg, **{dim: width + 1})
-        with pytest.raises(ValueError, match=f"{field} width {width} differs "
-                                             f"from DecoderConfig.{dim} = {width + 1}"):
-            train_decoder(corpus, planted(corpus), cfg)
+        assert corpus.meta[dim] == width
+        clip = corpus.pairs[2].cur
+        owner = clip if field == "v_global" else clip.tracks[-1]
+        setattr(owner, field, np.append(getattr(owner, field), 0.0))
+        stage, kind = ("train_decoder", "clip") if owner is clip else ("fit_norm_stats", "track")
+        with pytest.raises(ValueError, match=f"{stage}: {kind} {owner.id} has a {width + 1}-wide "
+                                             f"{field}, the first {kind}'s is {width} wide"):
+            train_decoder(corpus, planted(corpus), DecoderConfig(epochs=1))
 
     def test_without_attention_supervision_only_words_are_learned(self):
         ccfg = CorpusConfig(n_pairs=10, n_characters=4, d_head=8, d_body=6,
                             d_global=8, sigma=0.05)
         corpus = generate_corpus(ccfg, seed=3)
         sup = planted(corpus)
-        dims = dict(d_head=8, d_body=6, d_global=8, d_att=8, d_emb=8, hidden=12,
-                    epochs=5, batch_size=4)
-        with_att = train_decoder(corpus, sup, DecoderConfig(**dims), seed=9)
+        cfg = DecoderConfig(d_att=8, d_emb=8, hidden=12, epochs=5, batch_size=4)
+        with_att = train_decoder(corpus, sup, cfg, seed=9)
         assert all(att > 0.0 for _, _, att in with_att.history)
+        # the words-only arm: the same pairs and groundings, no links
         words_only = train_decoder(
-            corpus, sup, DecoderConfig(**dims, attention_supervision=False), seed=9)
+            corpus, [dataclasses.replace(s, links=[]) for s in sup], cfg, seed=9)
         assert all(att == 0.0 for _, _, att in words_only.history)
         assert words_only.history[-1][1] < words_only.history[0][1]
 
@@ -521,8 +529,7 @@ class TestDecodeWidths:
     def small(self):
         corpus = generate_corpus(CorpusConfig(n_pairs=4, d_head=8, d_body=6, d_global=10),
                                  seed=1)
-        cfg = DecoderConfig(d_head=8, d_body=6, d_global=10, d_att=8, d_emb=8, hidden=12,
-                            epochs=1)
+        cfg = DecoderConfig(d_att=8, d_emb=8, hidden=12, epochs=1)
         return train_decoder(corpus, planted(corpus), cfg), corpus.pairs[0]
 
     def test_track_of_another_head_width_is_named(self, small):
@@ -538,8 +545,8 @@ class TestDecodeWidths:
         trained, pair = small
         pair = copy.deepcopy(pair)
         pair.cur.v_global = np.append(pair.cur.v_global, [0.0, 0.0])
-        with pytest.raises(ValueError, match=r"v_global width 12 differs "
-                                             r"from DecoderConfig\.d_global = 10"):
+        with pytest.raises(ValueError, match=rf"pair {pair.id} has a 12-wide v_global, "
+                                             "the decoder's is 10 wide"):
             decode_pair(trained, pair, [])
 
 
@@ -595,7 +602,7 @@ class TestCheckpointVersion:
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, separable[0])
         header = json.loads(path.read_bytes().split(b"\n", 1)[0])
-        assert (header["magic"], header["version"]) == ("charcap-decoder", 2)
+        assert (header["magic"], header["version"]) == ("charcap-decoder", 3)
 
     @pytest.mark.parametrize("key", ["magic", "version"])
     def test_missing_magic_or_version_rejected_by_name(self, separable, tmp_path, key):
@@ -613,27 +620,31 @@ class TestCheckpointVersion:
             load_checkpoint(path)
 
     def test_version_two_table_with_the_logit_bias_rejected(self, separable, tmp_path):
-        # a format-1 array table, attention logit bias and its block
-        # included, stamped with the version that dropped the bias
+        # a version-2 config, which stated the widths and the supervision
+        # flag, over a format-1 table with the attention logit bias: the
+        # stamp rejects it before either is read
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, separable[0])
-        head, rest = path.read_bytes().split(b"\n", 1)
-        header = json.loads(head)
-        header["version"] = 2
-        header["arrays"] = sorted(header["arrays"] + [{"name": "b_att", "shape": [1]}],
-                                  key=lambda a: a["name"])
-        at = 8 * sum(int(np.prod(a["shape"])) for a in header["arrays"] if a["name"] < "b_att")
-        path.write_bytes(json.dumps(header).encode("utf-8") + b"\n"
-                         + rest[:at] + bytes(8) + rest[at:])
-        with pytest.raises(ValueError, match=r"model\.ckpt.*'b_att'"):
+
+        def version_two(header):
+            header["config"].update(d_head=16, d_body=8, d_global=header.pop("d_global"),
+                                    attention_supervision=True)
+            header["arrays"].append({"name": "b_att", "shape": [1]})
+            header["version"] = 2
+
+        self._rewrite_header(path, version_two)
+        with pytest.raises(ValueError, match=r"model\.ckpt: not a version-3 .*format version 2"):
             load_checkpoint(path)
 
     def test_unknown_config_keys_rejected_by_name(self, separable, tmp_path):
-        # the track caps left DecoderConfig; old headers still name them
+        # the track caps and the supervision flag left DecoderConfig; old
+        # headers still name them
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, separable[0])
-        self._rewrite_header(path, lambda h: h["config"].update(c_max=50, p_max=7))
-        with pytest.raises(ValueError, match=r"model\.ckpt.*\['c_max', 'p_max'\]"):
+        self._rewrite_header(path, lambda h: h["config"].update(
+            c_max=50, p_max=7, attention_supervision=True))
+        with pytest.raises(ValueError, match=r"model\.ckpt.*"
+                                             r"\['attention_supervision', 'c_max', 'p_max'\]"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("key, value, why", [
@@ -641,13 +652,13 @@ class TestCheckpointVersion:
         ("max_len", True, "is not an integer"), ("hidden", None, "is not an integer"),
         ("max_len", -2, "is out of range"), ("max_len", 0, "is out of range"),
         ("batch_size", 0, "is out of range"), ("epochs", -1, "is out of range"),
-        ("attention_supervision", 1, "is not a boolean"),
+        ("d_att", 0, "is out of range"), ("hidden", 0, "is out of range"),
         ("lr", "0.01", "is not a finite number"), ("lr", float("nan"), "is not a finite number"),
         ("grad_clip", True, "is not a finite number"),
         ("lr", 0.0, "is out of range"), ("grad_clip", -1.0, "is out of range"),
     ], ids=["max_len-string", "max_len-float", "max_len-bool", "hidden-null",
             "max_len-negative", "max_len-zero", "batch_size-zero", "epochs-negative",
-            "supervision-int", "lr-string", "lr-nan", "grad_clip-bool", "lr-zero",
+            "d_att-zero", "hidden-zero", "lr-string", "lr-nan", "grad_clip-bool", "lr-zero",
             "grad_clip-negative"])
     def test_bad_config_value_rejected_by_key(self, separable, tmp_path, key, value, why):
         path = tmp_path / "model.ckpt"
@@ -665,14 +676,14 @@ class TestCheckpointVersion:
 
     @pytest.mark.parametrize("blk, edit, why", [
         ("v_head", lambda b: b.update(mean=b["mean"][:3]), "of one width"),
-        ("v_head", lambda b: b.update(mean=b["mean"][:3], std=b["std"][:3]),
-         "is 3 wide, the config gives 16"),
+        ("v_stat", lambda b: b.update(mean=b["mean"][:3], std=b["std"][:3]),
+         "is 3 wide, not 11"),
         ("v_body", lambda b: b["std"].__setitem__(0, 0.0), "every std > 0"),
         ("v_stat", lambda b: b["std"].__setitem__(0, -1.0), "every std > 0"),
         ("v_head", lambda b: b["mean"].__setitem__(0, float("nan")), "finite numbers"),
         ("v_stat", lambda b: b.update(std=[b["std"]]), "flat lists"),
         ("v_body", lambda b: b.pop("mean"), "flat lists"),
-    ], ids=["head-mean-3-wide", "head-3-wide", "body-std-zero", "stat-std-negative",
+    ], ids=["head-mean-3-wide", "stat-3-wide", "body-std-zero", "stat-std-negative",
             "head-mean-nan", "stat-std-nested", "body-mean-missing"])
     def test_unusable_norm_rejected_by_block(self, separable, tmp_path, blk, edit, why):
         path = tmp_path / "model.ckpt"
@@ -686,6 +697,34 @@ class TestCheckpointVersion:
         save_checkpoint(path, separable[0])
         self._rewrite_header(path, lambda h: h["norm"].pop("v_stat"))
         with pytest.raises(ValueError, match=r"model\.ckpt: checkpoint norm block 'v_stat'"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("edit, why", [
+        (lambda h: h.pop("d_global"), r"lacks \['d_global'\]"),
+        (lambda h: h.update(d_global=-1), "d_global = -1 is not a non-negative integer"),
+        (lambda h: h.update(d_global="12"), "d_global = '12' is not a non-negative integer"),
+        (lambda h: h.update(d_global=True), "d_global = True is not a non-negative integer"),
+        (lambda h: h.update(d_global=13), r"array 'W_lstm' has shape \(192, 127\), "
+                                          r"the header gives \(192, 128\)"),
+    ], ids=["missing", "negative", "string", "bool", "wider-than-the-weights"])
+    def test_bad_global_width_rejected(self, separable, tmp_path, edit, why):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, separable[0])
+        assert json.loads(path.read_bytes().split(b"\n", 1)[0])["d_global"] == 12
+        self._rewrite_header(path, edit)
+        with pytest.raises(ValueError, match=rf"model\.ckpt: .*{why}"):
+            load_checkpoint(path)
+
+    def test_repeated_vocabulary_token_rejected(self, separable, tmp_path):
+        # the same number of tokens, so that the array table still fits
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, separable[0])
+        vocab = list(separable[0].vocab.tokens)
+        other = next(t for t in vocab if t not in (BOS, EOS, "walks", *PERSON_TOKENS))
+        vocab[vocab.index(other)] = "walks"
+        self._rewrite_header(path, lambda h: h.update(vocab=vocab))
+        with pytest.raises(ValueError, match=r"model\.ckpt: checkpoint vocabulary repeats "
+                                             r"the tokens \['walks'\]"):
             load_checkpoint(path)
 
 
@@ -741,7 +780,8 @@ def _reference_sentence_grads(params, cfg, vocab, feats, sentence, targets):
         steps.append((att_cache, lstm_cache, extra, dlog, h_prev, h))
     dh = np.zeros(cfg.hidden)
     dc = np.zeros(cfg.hidden)
-    d_gr = cfg.d_grounded
+    d_gr = sum(v.shape[-1] for v in (feats.cur_head, feats.cur_body, feats.cur_stat,
+                                      feats.prev_head))
     for t in range(len(steps) - 1, -1, -1):
         att_cache, lstm_cache, extra, dlog, h_prev, h_t = steps[t]
         grads["W_pred"] += np.outer(dlog, h_t)
@@ -749,7 +789,7 @@ def _reference_sentence_grads(params, cfg, vocab, feats, sentence, targets):
         da, dx, dh_prev, dc = lstm_step_backward(lstm_cache, dh + params["W_pred"].T @ dlog, dc)
         grads["W_lstm"] += np.outer(da, lstm_cache[1])
         grads["b_lstm"] += da
-        grads["E"][tokens[t]] += dx[d_gr + cfg.d_global:]
+        grads["E"][tokens[t]] += dx[d_gr + len(feats.v_global):]
         dh = dh_prev + _reference_attention_backward(params, feats, att_cache, h_prev,
                                                      dx[:d_gr], extra, grads)
     return grads
@@ -760,8 +800,8 @@ class TestAttentionTerms:
         cfg = tiny_decoder_cfg()
         rng = rng_stream(11, "terms")
         for C, P, c_slots, p_slots in [(1, 0, None, None), (4, 2, None, None), (3, 2, 6, 4)]:
-            params = init_decoder_params(cfg, 8, seed=C)
-            feats = rand_feats(rng, C, P, cfg, c_slots=c_slots, p_slots=p_slots)
+            params = init_decoder_params(cfg, 8, **TINY, seed=C)
+            feats = rand_feats(rng, C, P, c_slots=c_slots, p_slots=p_slots)
             terms = attention_terms(params, feats)
             for _ in range(3):
                 h = rng.normal(size=cfg.hidden)
@@ -776,11 +816,11 @@ class TestAttentionTerms:
         # summation order changes, so equality is to 1e-12 of each array
         vocab = Vocabulary.build(["walks", "street"])
         cfg = tiny_decoder_cfg()
-        params = init_decoder_params(cfg, len(vocab), seed=12)
+        params = init_decoder_params(cfg, len(vocab), **TINY, seed=12)
         rng = rng_stream(12, "per-sentence")
-        runs = [(rand_feats(rng, C=3, P=2, cfg=cfg, c_slots=5, p_slots=3),
+        runs = [(rand_feats(rng, C=3, P=2, c_slots=5, p_slots=3),
                  ["MaleName", "walks", "FemaleCoref"], {0: (1, 2), 2: (0, 3)}),
-                (rand_feats(rng, C=2, P=1, cfg=cfg),
+                (rand_feats(rng, C=2, P=1),
                  ["FemaleName", "street", "MaleName"], {0: (1, 1), 2: (0, 2)})]
         got = {k: np.zeros_like(v) for k, v in params.items()}
         want = {k: np.zeros_like(v) for k, v in params.items()}
@@ -799,11 +839,11 @@ def mixed_batch(cfg, rng):
     target past its grid; returns the items and, per item, its targets
     without the skipped one."""
     items = [
-        TrainItem(0, rand_feats(rng, C=3, P=2, cfg=cfg, c_slots=5, p_slots=4),
+        TrainItem(0, rand_feats(rng, C=3, P=2, c_slots=5, p_slots=4),
                   ["MaleName"], {0: (2, 3)}),
-        TrainItem(1, rand_feats(rng, C=2, P=0, cfg=cfg), ["FemaleName", "walks"], {0: (0, 2)}),
-        TrainItem(2, rand_feats(rng, C=0, P=0, cfg=cfg), ["street", "walks", "street"], {}),
-        TrainItem(3, rand_feats(rng, C=4, P=1, cfg=cfg),
+        TrainItem(1, rand_feats(rng, C=2, P=0), ["FemaleName", "walks"], {0: (0, 2)}),
+        TrainItem(2, rand_feats(rng, C=0, P=0), ["street", "walks", "street"], {}),
+        TrainItem(3, rand_feats(rng, C=4, P=1),
                   ["street", "MaleName", "walks", "MaleCoref"], {1: (0, 3), 3: (1, 9)}),
     ]
     return items, [item.alpha_targets for item in items[:3]] + [{1: (0, 3)}]
@@ -816,22 +856,22 @@ class TestBatchGradients:
         # equality is to 1e-12 of each array
         vocab = Vocabulary.build(["walks", "street"])
         cfg = tiny_decoder_cfg()
-        params = init_decoder_params(cfg, len(vocab), seed=14)
+        params = init_decoder_params(cfg, len(vocab), **TINY, seed=14)
         rng = rng_stream(14, "per-batch")
         three = [
-            TrainItem(0, rand_feats(rng, C=3, P=2, cfg=cfg, c_slots=5, p_slots=4),
+            TrainItem(0, rand_feats(rng, C=3, P=2, c_slots=5, p_slots=4),
                       ["MaleName", "walks", "FemaleCoref"], {0: (1, 2), 2: (0, 3)}),
-            TrainItem(1, rand_feats(rng, C=2, P=0, cfg=cfg),  # null-only previous slot
+            TrainItem(1, rand_feats(rng, C=2, P=0),  # null-only previous slot
                       ["FemaleName", "street"], {0: (0, 2)}),
-            TrainItem(2, rand_feats(rng, C=4, P=1, cfg=cfg),
+            TrainItem(2, rand_feats(rng, C=4, P=1),
                       ["street", "MaleName", "walks", "MaleCoref"], {1: (0, 3), 3: (1, 3)}),
         ]
         # targets of two items at one step, of one item at two steps, and
         # one on a cell of the batch's grid that its item lacks
         same_step = [
-            TrainItem(0, rand_feats(rng, C=3, P=1, cfg=cfg),
+            TrainItem(0, rand_feats(rng, C=3, P=1),
                       ["MaleName", "walks", "FemaleCoref"], {0: (1, 3), 2: (0, 2)}),
-            TrainItem(1, rand_feats(rng, C=2, P=2, cfg=cfg),
+            TrainItem(1, rand_feats(rng, C=2, P=2),
                       ["FemaleName", "MaleCoref"], {0: (2, 1), 1: (0, 3)}),
         ]
         for items, kept, n_skipped in [(three, [item.alpha_targets for item in three], 0),
@@ -868,7 +908,7 @@ class TestBatchedRecurrence:
     def test_permuted_batch_permutes_the_losses(self):
         vocab = Vocabulary.build(["walks", "street"])
         cfg = tiny_decoder_cfg()
-        params = init_decoder_params(cfg, len(vocab), seed=16)
+        params = init_decoder_params(cfg, len(vocab), **TINY, seed=16)
         items, _ = mixed_batch(cfg, rng_stream(16, "batched"))
         order = [3, 0, 2, 1]
         total, word, att, grads, skipped = sentence_loss(params, cfg, vocab, items,
@@ -887,7 +927,7 @@ class TestBatchedRecurrence:
         # (an inf input saturates the gates and leaves the logits finite)
         vocab = Vocabulary.build(["walks", "street"])
         cfg = tiny_decoder_cfg()
-        params = init_decoder_params(cfg, len(vocab), seed=18)
+        params = init_decoder_params(cfg, len(vocab), **TINY, seed=18)
         rng = rng_stream(18, "non-finite")
         items, _ = mixed_batch(cfg, rng)
         items[1].feats.v_global[0] = np.nan
@@ -904,8 +944,8 @@ class TestBatchedRecurrence:
         rng = rng_stream(17, "batch-axis")
         for C, P, c_slots, p_slots in [(1, 0, None, None), (4, 2, None, None),
                                        (3, 2, 6, 4), (0, 0, None, None)]:
-            params = init_decoder_params(cfg, 8, seed=C + P)
-            feats = rand_feats(rng, C, P, cfg, c_slots=c_slots, p_slots=p_slots)
+            params = init_decoder_params(cfg, 8, **TINY, seed=C + P)
+            feats = rand_feats(rng, C, P, c_slots=c_slots, p_slots=p_slots)
             h = rng.normal(size=cfg.hidden)
             a1, v1, k1 = attention_step(params, h, feats)
             a2, v2, k2 = attention_step(params, h[None], with_batch_axis(feats))
@@ -914,8 +954,7 @@ class TestBatchedRecurrence:
 
 
 class TestTrainingCounts:
-    DIMS = dict(d_head=8, d_body=6, d_global=8, d_att=8, d_emb=8, hidden=12,
-                epochs=3, batch_size=4)
+    DIMS = dict(d_att=8, d_emb=8, hidden=12, epochs=3, batch_size=4)
 
     @staticmethod
     def _corpus():
@@ -945,7 +984,10 @@ class TestTrainingCounts:
         (trainer, field_name, value) for trainer in ("decoder", "linker")
         for field_name, value in [("batch_size", 0), ("batch_size", -1), ("lr", 0.0),
                                   ("lr", -0.01), ("lr", float("nan")), ("epochs", -1)]
-    ] + [("decoder", "grad_clip", -1.0)])
+    ] + [("decoder", "grad_clip", -1.0),
+         # settings that trained but could not be loaded, or failed inside numpy
+         ("decoder", "max_len", 0), ("decoder", "epochs", True), ("decoder", "d_att", 0),
+         ("decoder", "hidden", 0), ("decoder", "batch_size", 2.0)])
     def test_out_of_range_setting_raises_naming_it(self, trainer, field_name, value):
         corpus = self._corpus()
         config = {"decoder": "DecoderConfig", "linker": "LinkerConfig"}[trainer]
@@ -988,13 +1030,54 @@ def _text_shape(header):
     next(a for a in header["arrays"] if a["name"] == "b_h")["shape"] = ["x"]
 
 
+def _add_logit_bias(header):
+    # format 1's attention logit bias, which version 2 dropped
+    header["arrays"].append({"name": "b_att", "shape": [1]})
+
+
+# values of each DecoderConfig field, in range and not (wrong type or out of range)
+IN_RANGE = dict(d_att=[1, 3], d_emb=[0, 2], hidden=[1, 4], max_len=[1, 30], lr=[0.003, 1],
+                epochs=[0, 1, 2], batch_size=[1, 3], grad_clip=[0.0, 5, 1e-6])
+ODD = dict(d_att=[0, -1, 2.0, True], d_emb=[-1, 1.0, False], hidden=[0, None, True],
+           max_len=[0, -2, 1.5, "3"], lr=[0.0, -0.1, float("nan"), float("inf"), True, "0.1"],
+           epochs=[-1, True, 1.0], batch_size=[0, 2.0, False],
+           grad_clip=[-1.0, float("inf"), True])
+
+
+class TestCheckpointRoundTrip:
+    @pytest.fixture(scope="class")
+    def tiny(self):
+        return generate_corpus(CorpusConfig(n_pairs=3, n_characters=3, d_head=3, d_body=2,
+                                            d_global=7), seed=5)
+
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(config=st.builds(DecoderConfig, **{k: st.sampled_from(v) for k, v in IN_RANGE.items()}),
+           odd=st.none() | st.sampled_from([(k, v) for k, vs in ODD.items() for v in vs]))
+    def test_every_config_that_trains_also_loads(self, tiny, tmp_path, config, odd):
+        if odd is not None:  # one field of the wrong type or out of range
+            config = dataclasses.replace(config, **dict([odd]))
+        try:
+            trained = train_decoder(tiny, planted(tiny), config, seed=2)
+        except ValueError as exc:
+            assert "train_decoder: DecoderConfig." in str(exc)
+            return
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, trained)
+        back = load_checkpoint(path)
+        assert back.config == config
+        assert sorted(back.params) == sorted(trained.params)
+        assert all(back.params[k].tobytes() == v.tobytes() for k, v in trained.params.items())
+
+
 class TestCheckpointTable:
     @pytest.mark.parametrize("edit, named", [
         (_drop_w_pred, "'W_pred'"), (_transpose_w_lstm, "'W_lstm'"),
-        (_drop_config, "config"), (_text_shape, "'b_h'"),
-    ], ids=["no-W_pred", "transposed-W_lstm", "no-config", "text-shape"])
+        (_drop_config, "config"), (_text_shape, "'b_h'"), (_add_logit_bias, "'b_att'"),
+    ], ids=["no-W_pred", "transposed-W_lstm", "no-config", "text-shape", "logit-bias"])
     def test_table_checked_against_the_config(self, separable, tmp_path, edit, named):
-        # each edit keeps the file self-consistent: the blocks follow the table
+        # each edit keeps the file self-consistent: the blocks follow the
+        # table, an added one-element array with a zero block
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, separable[0])
         head, rest = path.read_bytes().split(b"\n", 1)
@@ -1005,7 +1088,7 @@ class TestCheckpointTable:
             blocks[spec["name"]] = rest[pos:pos + n]
             pos += n
         edit(header)
-        body = b"".join(blocks[spec["name"]] for spec in header["arrays"])
+        body = b"".join(blocks.get(spec["name"], bytes(8)) for spec in header["arrays"])
         path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + body)
         with pytest.raises(ValueError, match=rf"model\.ckpt.*{named}"):
             load_checkpoint(path)

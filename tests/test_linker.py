@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from charcap.corpus import CorpusConfig, generate_corpus, planted_supervision
-from charcap.decoder import DecoderConfig, build_train_items
+from charcap.decoder import build_train_items
 from charcap.linker import (
     Linker, LinkerConfig, build_attention_gt, build_link_instances,
     init_linker_params, linking_accuracy, train_linker,
@@ -137,7 +137,7 @@ class TestTraining:
 def grid_targets(corpus, supervision):
     """The decoder's attention targets (tau -> (p, c)) of each pair."""
     norm = fit_norm_stats([t for clip in corpus.clips for t in clip.tracks])
-    items = build_train_items(corpus, supervision, norm, DecoderConfig())
+    items = build_train_items(corpus, supervision, norm)
     return {item.pair_id: item.alpha_targets for item in items}
 
 

@@ -140,6 +140,15 @@ class TestNormalization:
         with pytest.raises(ValueError, match=f"track {tracks[2].id} is missing v_stat"):
             apply_norm(tracks, stats, "v_stat")
 
+    @pytest.mark.parametrize("blk", NormStats.BLOCKS)
+    def test_block_of_another_width_names_the_track(self, blk):
+        tracks = self._tracks(n=4)
+        setattr(tracks[2], blk, np.append(getattr(tracks[2], blk), 0.0))
+        width = len(getattr(tracks[0], blk))
+        with pytest.raises(ValueError, match=rf"track {tracks[2].id} has a {width + 1}-wide "
+                                             rf"{blk}, the first track's is {width} wide"):
+            fit_norm_stats(tracks)
+
     def test_stats_json_roundtrip(self):
         stats = fit_norm_stats(self._tracks())
         back = NormStats.from_json(stats.to_json())
