@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import FLOAT, _is_finite, _is_number, rng_stream
+from .numerics import FLOAT, _is_finite, _is_number, check_config, rng_stream
 from .shots import synthetic_cut_video
 from .track_features import Detection, Track, track_stats
 
@@ -199,7 +199,12 @@ class CorpusConfig:
     cuts_per_clip: int = 2
 
     def validate(self):
-        """Raise ``ConfigError`` naming the first field out of its range."""
+        """Raise ``ConfigError`` naming the first field of the wrong type
+        (``numerics.check_config``) or out of its range."""
+        try:
+            check_config("CorpusConfig.validate", self)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         unit = "must be in [0, 1]"
         for name, ok, rule in (
                 ("n_pairs", self.n_pairs >= 1, "must be >= 1"),

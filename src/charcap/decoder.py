@@ -39,34 +39,40 @@ grounded vector. One pair is the same code without the batch axis.
 items' real steps, valid grid cells and valid current-track slots, item
 after item: padding is dropped.
 
-The feature widths come from the data, as in the linker: ``d_head`` and
-``d_body`` are the widths of the norm fitted on the training tracks,
-``d_global`` that of the clips' ``v_global``; ``DecoderConfig`` holds
-only training choices. Every function that holds the weights or the
-features reads the widths off them.
+The feature widths come from the data, as in the linker: ``d_head``,
+``d_body`` and ``d_stat`` are the widths of the norm fitted on the
+training tracks, ``d_global`` that of the clips' ``v_global``;
+``DecoderConfig`` holds only training choices. Every function that holds
+the weights or the features reads the widths off them.
 
-Checkpoints are a one-line JSON header (magic string, format version,
-config, ``d_global``, vocab, norm, array table) followed by raw
-little-endian float64 blocks, one per named weight. Format version 3
-states each width once: ``d_head`` and ``d_body`` are the norm's,
-``d_global`` its own key, and the config keeps only training choices.
-Version 2 repeated the widths in the config and version 1 had an
-attention logit bias; a file of either is rejected by its stamp.
+A checkpoint (format version 4) is a one-line JSON header followed by
+one little-endian float64 vector, and states each fact once. The header
+holds the magic string, the version, the config, the vocabulary and the
+four widths; from these alone the loader works out the vector's layout
+(``_checkpoint_arrays``): the 13 weights in ``_param_shapes`` order, then
+each norm block's mean and std. The loader reads the vector in one call,
+and every loaded array is a view of it. Version 3 listed the arrays in
+the header and wrote the norm as JSON, version 2 repeated the widths in
+the config and version 1 had an attention logit bias; a file of any of
+them is rejected by its stamp.
 """
 
 import json
+import math
+import os
 from dataclasses import asdict, dataclass, field, fields
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
 
 from .corpus import BOS, EOS, PERSON_TOKENS, ClipPair, Corpus, Vocabulary
 from .numerics import (
-    Adam, FLOAT, _is_finite, _is_number, check_trainer_settings, glorot_uniform, lstm_init,
+    Adam, FLOAT, _is_number, check_config, glorot_uniform, lstm_init,
     lstm_step_backward, lstm_step_forward, masked_softmax, pack_params, pad_rows,
     rng_stream, softmax_cross_entropy, zeros_like_params,
 )
-from .track_features import STAT_DIM, NormStats, apply_norm, fit_norm_stats
+from .track_features import NormStats, apply_norm, fit_norm_stats
 
 C_MAX = 50  # current tracks of a grid: the longest, id breaking ties
 P_MAX = 7   # previous-track candidates in addition to the null track
@@ -94,31 +100,17 @@ class DecoderConfig:
     grad_clip: float = 5.0
 
 
-_KIND = {int: "an integer", float: "a finite number"}
-
-
 def _check_config(where, config: DecoderConfig):
-    """Raise ValueError naming the first ``DecoderConfig`` field that is not
-    of its type (an integer field takes no boolean or float; a float field
-    takes a finite number, an integer too, but no boolean) or out of range:
-    the ``check_trainer_settings`` rules, ``d_emb >= 0`` and ``d_att``,
-    ``hidden`` and ``max_len`` at least 1. Training and loading run it, so
-    a config that trains also loads."""
-    for f in fields(DecoderConfig):
-        v = getattr(config, f.name)
-        if not (_is_finite(v) if f.type is float else _is_number(v, int)):
-            raise ValueError(f"{where}: DecoderConfig.{f.name} = {v!r} is not {_KIND[f.type]}")
-    check_trainer_settings(where, config)
-    for name, low in (("d_att", 1), ("d_emb", 0), ("hidden", 1), ("max_len", 1)):
-        if getattr(config, name) < low:
-            raise ValueError(f"{where}: DecoderConfig.{name} = "
-                             f"{getattr(config, name)!r} is out of range")
+    """``check_config`` with the decoder's bounds: ``d_emb >= 0`` and
+    ``d_att``, ``hidden`` and ``max_len`` at least 1. Training and loading
+    run it, so a config that trains also loads."""
+    check_config(where, config, (("d_att", 1), ("d_emb", 0), ("hidden", 1), ("max_len", 1)))
 
 
-def _param_shapes(config: DecoderConfig, vocab_size, d_head, d_body, d_global):
+def _param_shapes(config: DecoderConfig, vocab_size, d_head, d_body, d_stat, d_global):
     """Name -> shape of every decoder weight, in ``init_decoder_params`` order."""
     da, H = config.d_att, config.hidden
-    d_input = 2 * d_head + d_body + STAT_DIM + d_global + config.d_emb
+    d_input = 2 * d_head + d_body + d_stat + d_global + config.d_emb
     return {
         "E": (vocab_size, config.d_emb),
         "W_lstm": (4 * H, d_input + H),
@@ -126,7 +118,7 @@ def _param_shapes(config: DecoderConfig, vocab_size, d_head, d_body, d_global):
         "W_id": (da, d_head),
         "W_head": (da, d_head),
         "W_body": (da, d_body),
-        "W_stat": (da, STAT_DIM),
+        "W_stat": (da, d_stat),
         "b_v": (da,),
         "W_h": (da, H),
         "b_h": (da,),
@@ -136,10 +128,11 @@ def _param_shapes(config: DecoderConfig, vocab_size, d_head, d_body, d_global):
     }
 
 
-def init_decoder_params(config: DecoderConfig, vocab_size, d_head, d_body, d_global, seed):
+def init_decoder_params(config: DecoderConfig, vocab_size, d_head, d_body, d_stat, d_global,
+                        seed):
     """Glorot-uniform weights and zero biases of ``_param_shapes``; the LSTM
     comes from ``lstm_init``."""
-    shapes = _param_shapes(config, vocab_size, d_head, d_body, d_global)
+    shapes = _param_shapes(config, vocab_size, d_head, d_body, d_stat, d_global)
     params = {name: np.zeros(shape, dtype=FLOAT) for name, shape in shapes.items()}
     rng = rng_stream(seed, "decoder-init")
     H = config.hidden
@@ -159,7 +152,7 @@ class PairFeatures:
     """
     cur_head: np.ndarray    # (C_slots, d_head)
     cur_body: np.ndarray    # (C_slots, d_body)
-    cur_stat: np.ndarray    # (C_slots, STAT_DIM)
+    cur_stat: np.ndarray    # (C_slots, d_stat)
     prev_head: np.ndarray   # (P_slots, d_head), excludes the null track
     v_global: np.ndarray
     cur_valid: np.ndarray   # (C_slots,) bool
@@ -303,7 +296,7 @@ def _split_lstm(params):
     view of the ``v_global`` columns, and ``EW`` (V, 4H) the word table
     ``E @ W_emb^T``."""
     W, H = params["W_lstm"], params["W_h"].shape[1]
-    gr = 2 * params["W_head"].shape[1] + params["W_body"].shape[1] + STAT_DIM
+    gr = 2 * params["W_head"].shape[1] + params["W_body"].shape[1] + params["W_stat"].shape[1]
     glob = W.shape[1] - H - params["E"].shape[1]
     W_rec = np.concatenate([W[:, :gr], W[:, -H:]], axis=1)
     return W_rec, W[:, gr:glob], params["E"] @ W[:, glob:-H].T
@@ -499,10 +492,10 @@ def _clip_gradients(gflat, grads, max_norm):
 def train_decoder(corpus: Corpus, supervision, config: DecoderConfig, seed=0):
     """Mini-batch training with teacher forcing; deterministic per seed.
 
-    The feature widths are the data's: ``d_head`` and ``d_body`` those of
-    the norm fitted on the corpus's tracks, ``d_global`` that of its clips'
-    ``v_global``. Supervision without links trains the words alone (the
-    words-only arm). Raises ValueError when a config field is of the wrong
+    The feature widths are the data's: ``d_head``, ``d_body`` and
+    ``d_stat`` those of the norm fitted on the corpus's tracks,
+    ``d_global`` that of its clips' ``v_global``. Supervision without
+    links trains the words alone (the words-only arm). Raises ValueError when a config field is of the wrong
     type or out of range (``_check_config``), a track's block is not as
     wide as the first track's (``fit_norm_stats``) or a clip's
     ``v_global`` not as wide as the first clip's, and TrainingDiverged
@@ -519,7 +512,7 @@ def train_decoder(corpus: Corpus, supervision, config: DecoderConfig, seed=0):
     items = build_train_items(corpus, supervision, norm)
     vocab = corpus.vocab
     flat, params = pack_params(init_decoder_params(
-        config, len(vocab), len(norm.mean["v_head"]), len(norm.mean["v_body"]), d_global, seed))
+        config, len(vocab), *(len(norm.mean[blk]) for blk in NormStats.BLOCKS), d_global, seed))
     opt = Adam(lr=config.lr)
     rng = rng_stream(seed, "decoder-train")
     capped = sum(len(pair.cur.tracks) - len(item.feats.cur_track_ids)
@@ -615,48 +608,48 @@ def decode_pair(trained: TrainedDecoder, pair: ClipPair, prev_grounding):
 
 
 # ---------------------------------------------------------------------------
-# checkpoints: JSON header line + raw little-endian float64 blocks
+# checkpoints: JSON header line + one little-endian float64 vector
 # ---------------------------------------------------------------------------
 
 CHECKPOINT_MAGIC = "charcap-decoder"
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
+_WIDTHS = ("d_head", "d_body", "d_stat", "d_global")
+
+
+def _checkpoint_arrays(config, vocab_size, d_head, d_body, d_stat, d_global):
+    """Name -> shape of every array of a checkpoint's vector, in file order:
+    the weights of ``_param_shapes``, then each norm block's mean and std."""
+    shapes = _param_shapes(config, vocab_size, d_head, d_body, d_stat, d_global)
+    for blk, d in zip(NormStats.BLOCKS, (d_head, d_body, d_stat)):
+        shapes[f"{blk}_mean"] = shapes[f"{blk}_std"] = (d,)
+    return shapes
 
 
 def save_checkpoint(path, trained: TrainedDecoder):
-    names = sorted(trained.params)
-    header = {
-        "magic": CHECKPOINT_MAGIC,
-        "version": CHECKPOINT_VERSION,
-        "config": asdict(trained.config),
-        "d_global": _split_lstm(trained.params)[1].shape[1],
-        "vocab": list(trained.vocab.tokens),
-        "norm": trained.norm.to_json(),
-        "arrays": [{"name": n, "shape": list(trained.params[n].shape)}
-                   for n in names],
-    }
+    params, norm = trained.params, trained.norm
+    d_head, d_body, d_stat = (params[n].shape[1] for n in ("W_head", "W_body", "W_stat"))
+    widths = (d_head, d_body, d_stat, params["W_lstm"].shape[1] - 2 * d_head - d_body - d_stat
+              - params["E"].shape[1] - trained.config.hidden)
+    header = {"magic": CHECKPOINT_MAGIC, "version": CHECKPOINT_VERSION,
+              "config": asdict(trained.config), "vocab": list(trained.vocab.tokens),
+              **dict(zip(_WIDTHS, widths))}
+    stored = {**params, **{f"{blk}_{part}": getattr(norm, part)[blk]
+                           for blk in NormStats.BLOCKS for part in ("mean", "std")}}
     with open(path, "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
-        for n in names:
-            fh.write(np.ascontiguousarray(trained.params[n], dtype="<f8").tobytes())
-
-
-def _is_shape(shape):
-    return isinstance(shape, list) and all(
-        isinstance(n, int) and not isinstance(n, bool) and n >= 0 for n in shape)
+        for name in _checkpoint_arrays(trained.config, len(trained.vocab), *widths):
+            fh.write(np.ascontiguousarray(stored[name], dtype="<f8").tobytes())
 
 
 def _header_contents(path, header):
-    """Config, vocabulary, norm and array table of a checkpoint header whose
-    magic string and version are checked. The config must pass
-    ``_check_config``, the vocabulary ``Vocabulary``'s rules, ``d_global``
-    must be a non-negative integer and the norm's ``v_stat`` block
-    ``STAT_DIM`` wide; the table must name exactly the weights
-    ``init_decoder_params`` builds for that config, vocabulary, the norm's
-    ``d_head`` and ``d_body`` and ``d_global``, with their shapes."""
-    missing = [k for k in ("config", "d_global", "vocab", "norm", "arrays") if k not in header]
+    """Config, vocabulary and widths of a checkpoint header whose magic
+    string and version are checked. The config must pass ``_check_config``,
+    each width be a non-negative integer and the vocabulary keep
+    ``Vocabulary``'s rules."""
+    missing = [k for k in ("config", "vocab", *_WIDTHS) if k not in header]
     if missing:
         raise ValueError(f"{path}: checkpoint header lacks {missing}")
-    cfg, d_global, vocab, arrays = (header[k] for k in ("config", "d_global", "vocab", "arrays"))
+    cfg, vocab = header["config"], header["vocab"]
     if not isinstance(cfg, dict):
         raise ValueError(f"{path}: checkpoint config is not a JSON object")
     unknown = sorted(set(cfg) - {f.name for f in fields(DecoderConfig)})
@@ -664,52 +657,29 @@ def _header_contents(path, header):
         raise ValueError(f"{path}: config keys {unknown} are not DecoderConfig settings")
     config = DecoderConfig(**cfg)
     _check_config(f"{path}: checkpoint config", config)
-    if not (_is_number(d_global, int) and d_global >= 0):
-        raise ValueError(f"{path}: checkpoint d_global = {d_global!r} "
-                         "is not a non-negative integer")
+    for k in _WIDTHS:
+        if not (_is_number(header[k], int) and header[k] >= 0):
+            raise ValueError(f"{path}: checkpoint {k} = {header[k]!r} "
+                             "is not a non-negative integer")
     if not (isinstance(vocab, list) and all(isinstance(t, str) for t in vocab)):
         raise ValueError(f"{path}: checkpoint vocab is not a list of strings")
     try:
         vocab = Vocabulary(tuple(vocab))
-        norm = NormStats.from_json(header["norm"])
     except ValueError as exc:
         raise ValueError(f"{path}: checkpoint {exc}") from None
-    if len(norm.mean["v_stat"]) != STAT_DIM:
-        raise ValueError(f"{path}: checkpoint norm block 'v_stat' is "
-                         f"{len(norm.mean['v_stat'])} wide, not {STAT_DIM}")
-    expected = _param_shapes(config, len(vocab), len(norm.mean["v_head"]),
-                             len(norm.mean["v_body"]), d_global)
-    if not isinstance(arrays, list):
-        raise ValueError(f"{path}: checkpoint arrays is not a list")
-    table = {}
-    for spec in arrays:
-        name = spec.get("name") if isinstance(spec, dict) else None
-        shape = spec.get("shape") if isinstance(spec, dict) else None
-        if not isinstance(name, str) or name not in expected or name in table:
-            raise ValueError(f"{path}: array {name!r} is not a decoder weight or repeats")
-        if not _is_shape(shape):
-            raise ValueError(f"{path}: array {name!r} has shape {shape!r}, "
-                             "not a list of non-negative integers")
-        if tuple(shape) != expected[name]:
-            raise ValueError(f"{path}: array {name!r} has shape {tuple(shape)}, "
-                             f"the header gives {expected[name]}")
-        table[name] = tuple(shape)
-    absent = sorted(set(expected) - set(table))
-    if absent:
-        raise ValueError(f"{path}: arrays {absent} are missing")
-    return config, vocab, norm, table
+    return config, vocab, [header[k] for k in _WIDTHS]
 
 
 def load_checkpoint(path):
-    """Inverse of ``save_checkpoint``. A malformed header, a missing magic
-    string or version, another version (an older file included), a missing
-    config, ``d_global``, vocab, norm or array table, config keys
-    ``DecoderConfig`` does not know, a config value of the wrong type or
-    out of range, a bad ``d_global``, a vocabulary that repeats a token or
-    lacks a special one, an unusable norm block, an array table that does
-    not match the weights of those settings and widths (names and integer
-    shapes), a short array block or trailing bytes raise ValueError naming
-    the file."""
+    """Inverse of ``save_checkpoint``: the arrays are views of one vector.
+    A malformed header, a missing magic string or version, another version
+    (an older file included), a missing config, vocab or width, config keys
+    ``DecoderConfig`` does not know, a config value of the wrong type or out
+    of range, a width that is not a non-negative integer, a vocabulary that
+    repeats a token or lacks a special one, a file that ends inside an array
+    (named) or has bytes after the last, a stored value that is not finite
+    (its array named) and a norm std of 0 or less (its block named) raise
+    ValueError naming the file."""
     with open(path, "rb") as fh:
         try:
             header = json.loads(fh.readline().decode("utf-8"))
@@ -721,16 +691,26 @@ def load_checkpoint(path):
         if stamp != (CHECKPOINT_MAGIC, CHECKPOINT_VERSION):
             raise ValueError(f"{path}: not a version-{CHECKPOINT_VERSION} charcap decoder "
                              f"checkpoint (magic string {stamp[0]!r}, format version {stamp[1]!r})")
-        config, vocab, norm, table = _header_contents(path, header)
-        params = {}
-        for name, shape in table.items():
-            count = int(np.prod(shape)) if shape else 1
-            buf = fh.read(count * 8)
-            if len(buf) != count * 8:
-                raise ValueError(f"{path}: array {name!r} needs {count * 8} "
-                                 f"bytes, the file holds {len(buf)}")
-            arr = np.frombuffer(buf, dtype="<f8", count=count).astype(FLOAT)
-            params[name] = arr.reshape(shape)
-        if fh.read(1):
+        config, vocab, widths = _header_contents(path, header)
+        shapes = _checkpoint_arrays(config, len(vocab), *widths)
+        ends = list(accumulate(math.prod(shape) for shape in shapes.values()))
+        size = os.fstat(fh.fileno()).st_size - fh.tell()
+        if size < 8 * ends[-1]:
+            cut = next(name for name, end in zip(shapes, ends) if 8 * end > size)
+            raise ValueError(f"{path}: the file ends inside array {cut!r}, "
+                             f"{size} of the vector's {8 * ends[-1]} bytes")
+        if size > 8 * ends[-1]:
             raise ValueError(f"{path}: bytes left over after the last array")
-    return TrainedDecoder(params=params, config=config, vocab=vocab, norm=norm)
+        flat = np.empty(ends[-1], dtype="<f8")
+        fh.readinto(flat)
+    arrays = {name: a.reshape(shape) for (name, shape), a in
+              zip(shapes.items(), np.split(flat, ends[:-1]))}
+    if not np.isfinite(flat).all():
+        bad = next(name for name, a in arrays.items() if not np.isfinite(a).all())
+        raise ValueError(f"{path}: array {bad!r} holds a value that is not finite")
+    for blk in NormStats.BLOCKS:
+        if not (arrays[f"{blk}_std"] > 0).all():
+            raise ValueError(f"{path}: checkpoint norm block {blk!r} has a std that is not > 0")
+    norm = NormStats(*({blk: arrays.pop(f"{blk}_{part}") for blk in NormStats.BLOCKS}
+                       for part in ("mean", "std")))
+    return TrainedDecoder(params=arrays, config=config, vocab=vocab, norm=norm)

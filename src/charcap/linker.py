@@ -24,7 +24,7 @@ import numpy as np
 
 from .corpus import Clip, Corpus, pair_supervision
 from .numerics import (
-    Adam, FLOAT, check_trainer_settings, glorot_uniform, lstm_init, lstm_step_backward,
+    Adam, FLOAT, check_config, glorot_uniform, lstm_init, lstm_step_backward,
     lstm_step_forward, masked_softmax, pack_params, pad_rows, rng_stream,
     softmax_cross_entropy, zeros_like_params,
 )
@@ -213,10 +213,12 @@ def build_link_instances(corpus: Corpus, norm: NormStats):
 
 def train_linker(corpus: Corpus, config: LinkerConfig = None, seed=0):
     """Train on every mention of the corpus; returns a ready ``Linker``.
-    Raises ValueError when a training setting is out of range
-    (``check_trainer_settings``) or the corpus has no mentions."""
+    Raises ValueError when a setting is of the wrong type or out of range
+    (``check_config``; every width at least 1) or the corpus has no
+    mentions."""
     config = config or LinkerConfig()
-    check_trainer_settings("train_linker", config)
+    check_config("train_linker", config,
+                 (("d_emb", 1), ("hidden", 1), ("scorer_hidden", 1), ("recon_hidden", 1)))
     norm = fit_norm_stats([t for clip in corpus.clips for t in clip.tracks])
     instances = build_link_instances(corpus, norm)
     if not instances:

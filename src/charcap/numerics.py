@@ -13,6 +13,7 @@ The module needs numpy alone. ``sigmoid`` is numpy's ``exp`` rather than
 
 import math
 import zlib
+from dataclasses import fields
 
 import numpy as np
 
@@ -245,17 +246,31 @@ class Adam:
             p[a:a + self.BLOCK] -= step
 
 
-def check_trainer_settings(trainer, config):
-    """Raise ValueError naming the first setting of ``config`` that would
-    train nothing or train the wrong way: ``batch_size < 1``, ``lr <= 0``,
-    ``epochs < 0``, or ``grad_clip < 0`` where the config has one (0
-    switches clipping off)."""
-    for name, ok in (("batch_size", config.batch_size >= 1), ("lr", config.lr > 0),
-                     ("epochs", config.epochs >= 0),
-                     ("grad_clip", getattr(config, "grad_clip", 0) >= 0)):
+_KIND = {int: ("an integer", lambda v: _is_number(v, int)), float: ("a finite number", _is_finite),
+         bool: ("a boolean", lambda v: isinstance(v, bool))}
+
+
+def check_config(where, config, low=()):
+    """Raise ValueError naming the first field of the dataclass ``config``
+    that is not of its annotated type or is out of range. An ``int`` field
+    takes an integer but no boolean or float, a ``float`` field a finite
+    number (an integer too) but no boolean, a ``bool`` field a boolean.
+    The ranges are the trainer settings', where the config has them:
+    ``batch_size >= 1``, ``lr > 0``, ``epochs >= 0`` and ``grad_clip >= 0``
+    (0 switches clipping off); then each field that ``low``'s (name,
+    bound) pairs name is at least its bound."""
+    cls = type(config).__name__
+    for f in fields(config):
+        kind, ok = _KIND[f.type]
+        if not ok(getattr(config, f.name)):
+            raise ValueError(f"{where}: {cls}.{f.name} = {getattr(config, f.name)!r} is not {kind}")
+    ranges = [(name, getattr(config, name) >= b) for name, b in (
+        ("batch_size", 1), ("epochs", 0), ("grad_clip", 0), *low) if hasattr(config, name)]
+    if hasattr(config, "lr"):
+        ranges.append(("lr", config.lr > 0))
+    for name, ok in ranges:
         if not ok:
-            raise ValueError(f"{trainer}: {type(config).__name__}.{name} = "
-                             f"{getattr(config, name)!r} is out of range")
+            raise ValueError(f"{where}: {cls}.{name} = {getattr(config, name)!r} is out of range")
 
 
 # ---------------------------------------------------------------------------

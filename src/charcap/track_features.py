@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import FLOAT, _is_finite
+from .numerics import FLOAT
 
 STAT_DIM = 11
 STD_FLOOR = 1e-8
@@ -86,25 +86,6 @@ class NormStats:
     std: dict
 
     BLOCKS = ("v_head", "v_body", "v_stat")
-
-    def to_json(self):
-        return {blk: {"mean": self.mean[blk].tolist(), "std": self.std[blk].tolist()}
-                for blk in self.BLOCKS}
-
-    @classmethod
-    def from_json(cls, obj):
-        """Inverse of ``to_json``; a ValueError names a block whose ``mean``
-        and ``std`` are not flat lists of finite numbers of one width."""
-        mean, std = {}, {}
-        for blk in cls.BLOCKS:
-            block = obj.get(blk) if isinstance(obj, dict) else None
-            m, sd = (block.get("mean"), block.get("std")) if isinstance(block, dict) else ((), ())
-            if not (isinstance(m, list) and isinstance(sd, list) and len(m) == len(sd)
-                    and all(_is_finite(v) for v in m + sd) and all(v > 0 for v in sd)):
-                raise ValueError(f"norm block {blk!r}: mean and std must be flat lists of "
-                                 "finite numbers of one width, every std > 0")
-            mean[blk], std[blk] = np.asarray(m, dtype=FLOAT), np.asarray(sd, dtype=FLOAT)
-        return cls(mean=mean, std=std)
 
 
 def _block(track, name):

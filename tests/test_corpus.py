@@ -93,7 +93,11 @@ class TestGeneration:
         ("max_distractors", -1, {}), ("coref_fraction", 1.5, {}),
         ("two_mention_fraction", -0.5, {}), ("singleton_fraction", 1.2, {}),
         ("singleton_fraction", float("nan"), {}), ("cuts_per_clip", -1, {}),
-        ("frames_per_clip", 1, {"emit_frames": True})])
+        ("frames_per_clip", 1, {"emit_frames": True}),
+        # values of the wrong type, which would be accepted or fail inside Python
+        ("n_pairs", 2.5, {}), ("n_characters", 2.5, {}), ("d_head", 3.0, {}),
+        ("frames_per_clip", 3.5, {"emit_frames": True}), ("cuts_per_clip", 1.5, {}),
+        ("max_distractors", 1.5, {}), ("n_pairs", True, {}), ("emit_frames", 1, {})])
     def test_out_of_range_field_raises_naming_it(self, field_name, value, extra):
         with pytest.raises(ConfigError, match=rf"CorpusConfig\.{field_name} "):
             generate_corpus(small_config(**{field_name: value}, **extra), seed=0)

@@ -26,7 +26,7 @@ from charcap.track_features import Detection, Track, fit_norm_stats, track_stats
 from references import softmax
 
 
-TINY = dict(d_head=5, d_body=4, d_global=7)  # the feature widths of the tiny tests
+TINY = dict(d_head=5, d_body=4, d_stat=11, d_global=7)  # the feature widths of the tiny tests
 
 
 def tiny_decoder_cfg(**kw):
@@ -38,14 +38,14 @@ def tiny_decoder_cfg(**kw):
 def rand_feats(rng, C, P, widths=TINY, c_slots=None, p_slots=None):
     c_slots = c_slots or C
     p_slots = p_slots or P
-    d_head, d_body = widths["d_head"], widths["d_body"]
+    d_head, d_body, d_stat = widths["d_head"], widths["d_body"], widths["d_stat"]
     ch = np.zeros((max(c_slots, 1), d_head))
     cb = np.zeros((max(c_slots, 1), d_body))
-    cs = np.zeros((max(c_slots, 1), 11))
+    cs = np.zeros((max(c_slots, 1), d_stat))
     cv = np.zeros(max(c_slots, 1), dtype=bool)
     ch[:C] = rng.normal(size=(C, d_head))
     cb[:C] = rng.normal(size=(C, d_body))
-    cs[:C] = rng.normal(size=(C, 11))
+    cs[:C] = rng.normal(size=(C, d_stat))
     cv[:C] = True
     ph = np.zeros((p_slots, d_head))
     pv = np.zeros(p_slots, dtype=bool)
@@ -312,7 +312,7 @@ class TestSentenceLoss:
         3-word sentence."""
         vocab = Vocabulary.build(["walks", "street"])
         cfg = DecoderConfig(d_att=2, d_emb=2, hidden=2)
-        widths = dict(d_head=2, d_body=1, d_global=2)
+        widths = dict(d_head=2, d_body=1, d_stat=11, d_global=2)
         rng = rng_stream(7, "fixture")
         params = init_decoder_params(cfg, len(vocab), **widths, seed=7)
         feats = rand_feats(rng, C=2, P=1, widths=widths)
@@ -408,8 +408,8 @@ class TestTraining:
             train_decoder(corpus, planted(corpus), cfg, seed=1)
         assert all(np.all(np.isfinite(v)) for v in exc.value.params.values())
         # a copy taken before the first epoch: that epoch's steps left it alone
-        init = init_decoder_params(cfg, len(corpus.vocab), d_head=8, d_body=6, d_global=8,
-                                   seed=1)
+        init = init_decoder_params(cfg, len(corpus.vocab), d_head=8, d_body=6, d_stat=11,
+                                   d_global=8, seed=1)
         assert exc.value.epoch == 0
         assert all(exc.value.params[k].tobytes() == v.tobytes() for k, v in init.items())
 
@@ -574,7 +574,8 @@ class TestCheckpoint:
         save_checkpoint(path, trained)
         with open(path, "rb") as fh:
             header = json.loads(fh.readline())
-        assert "vocab" in header and "arrays" in header and "config" in header
+        assert sorted(header) == ["config", "d_body", "d_global", "d_head", "d_stat", "magic",
+                                  "version", "vocab"]
 
     @pytest.mark.parametrize("damage", ["truncated", "appended", "empty"])
     def test_damaged_file_rejected_by_name(self, separable, tmp_path, damage):
@@ -586,8 +587,8 @@ class TestCheckpoint:
                           "empty": b""}[damage])
         with pytest.raises(ValueError, match="model.ckpt") as exc:
             load_checkpoint(path)
-        if damage == "truncated":  # the last array written is one byte short
-            assert repr(sorted(trained.params)[-1]) in str(exc.value)
+        if damage == "truncated":  # the last array written, the v_stat std, is one byte short
+            assert "'v_stat_std'" in str(exc.value)
 
 
 class TestCheckpointVersion:
@@ -602,7 +603,7 @@ class TestCheckpointVersion:
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, separable[0])
         header = json.loads(path.read_bytes().split(b"\n", 1)[0])
-        assert (header["magic"], header["version"]) == ("charcap-decoder", 3)
+        assert (header["magic"], header["version"]) == ("charcap-decoder", 4)
 
     @pytest.mark.parametrize("key", ["magic", "version"])
     def test_missing_magic_or_version_rejected_by_name(self, separable, tmp_path, key):
@@ -613,10 +614,11 @@ class TestCheckpointVersion:
             load_checkpoint(path)
 
     def test_unknown_version_rejected_by_name(self, separable, tmp_path):
+        # version 3 listed the arrays and wrote the norm as JSON
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, separable[0])
-        self._rewrite_header(path, lambda h: h.update(version=1))
-        with pytest.raises(ValueError, match=r"model\.ckpt.*format version 1"):
+        self._rewrite_header(path, lambda h: h.update(version=3, arrays=[], norm={}))
+        with pytest.raises(ValueError, match=r"model\.ckpt: not a version-4 .*format version 3"):
             load_checkpoint(path)
 
     def test_version_two_table_with_the_logit_bias_rejected(self, separable, tmp_path):
@@ -629,11 +631,11 @@ class TestCheckpointVersion:
         def version_two(header):
             header["config"].update(d_head=16, d_body=8, d_global=header.pop("d_global"),
                                     attention_supervision=True)
-            header["arrays"].append({"name": "b_att", "shape": [1]})
+            header["arrays"] = [{"name": "b_att", "shape": [1]}]
             header["version"] = 2
 
         self._rewrite_header(path, version_two)
-        with pytest.raises(ValueError, match=r"model\.ckpt: not a version-3 .*format version 2"):
+        with pytest.raises(ValueError, match=r"model\.ckpt: not a version-4 .*format version 2"):
             load_checkpoint(path)
 
     def test_unknown_config_keys_rejected_by_name(self, separable, tmp_path):
@@ -674,29 +676,38 @@ class TestCheckpointVersion:
         config = load_checkpoint(path).config
         assert (config.lr, config.grad_clip) == (1, 0)
 
-    @pytest.mark.parametrize("blk, edit, why", [
-        ("v_head", lambda b: b.update(mean=b["mean"][:3]), "of one width"),
-        ("v_stat", lambda b: b.update(mean=b["mean"][:3], std=b["std"][:3]),
-         "is 3 wide, not 11"),
-        ("v_body", lambda b: b["std"].__setitem__(0, 0.0), "every std > 0"),
-        ("v_stat", lambda b: b["std"].__setitem__(0, -1.0), "every std > 0"),
-        ("v_head", lambda b: b["mean"].__setitem__(0, float("nan")), "finite numbers"),
-        ("v_stat", lambda b: b.update(std=[b["std"]]), "flat lists"),
-        ("v_body", lambda b: b.pop("mean"), "flat lists"),
-    ], ids=["head-mean-3-wide", "stat-3-wide", "body-std-zero", "stat-std-negative",
-            "head-mean-nan", "stat-std-nested", "body-mean-missing"])
-    def test_unusable_norm_rejected_by_block(self, separable, tmp_path, blk, edit, why):
+    @staticmethod
+    def _overwrite(path, stored, value):
+        """Write ``value`` over the first entry of the array whose bytes
+        are ``stored``'s, found in the file after the header."""
+        data = bytearray(path.read_bytes())
+        at = data.index(np.asarray(stored, dtype="<f8").tobytes(), data.index(b"\n"))
+        data[at:at + 8] = np.array([value], dtype="<f8").tobytes()
+        path.write_bytes(bytes(data))
+
+    @pytest.mark.parametrize("blk, part, value, why", [
+        ("v_body", "std", 0.0, "has a std that is not > 0"),
+        ("v_stat", "std", -1.0, "has a std that is not > 0"),
+        ("v_head", "mean", float("nan"), "holds a value that is not finite"),
+    ], ids=["body-std-zero", "stat-std-negative", "head-mean-nan"])
+    def test_unusable_norm_rejected_by_block(self, separable, tmp_path, blk, part, value, why):
+        trained = separable[0]
         path = tmp_path / "model.ckpt"
-        save_checkpoint(path, separable[0])
-        self._rewrite_header(path, lambda h: edit(h["norm"][blk]))
-        with pytest.raises(ValueError, match=rf"model\.ckpt: checkpoint norm block '{blk}'.*{why}"):
+        save_checkpoint(path, trained)
+        self._overwrite(path, getattr(trained.norm, part)[blk], value)
+        with pytest.raises(ValueError, match=rf"model\.ckpt: .*'{blk}.*{why}"):
             load_checkpoint(path)
 
-    def test_missing_norm_block_named(self, separable, tmp_path):
+    @pytest.mark.parametrize("name, value", [
+        ("E", float("nan")), ("W_stat", float("inf")), ("b_pred", -float("inf"))])
+    def test_non_finite_weight_rejected_by_name(self, separable, tmp_path, name, value):
+        # a loaded NaN in E would make decode_pair emit <bos> at every step
+        trained = separable[0]
         path = tmp_path / "model.ckpt"
-        save_checkpoint(path, separable[0])
-        self._rewrite_header(path, lambda h: h["norm"].pop("v_stat"))
-        with pytest.raises(ValueError, match=r"model\.ckpt: checkpoint norm block 'v_stat'"):
+        save_checkpoint(path, trained)
+        self._overwrite(path, trained.params[name], value)
+        with pytest.raises(ValueError, match=rf"model\.ckpt: array '{name}' holds a value "
+                                             "that is not finite"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("edit, why", [
@@ -704,8 +715,7 @@ class TestCheckpointVersion:
         (lambda h: h.update(d_global=-1), "d_global = -1 is not a non-negative integer"),
         (lambda h: h.update(d_global="12"), "d_global = '12' is not a non-negative integer"),
         (lambda h: h.update(d_global=True), "d_global = True is not a non-negative integer"),
-        (lambda h: h.update(d_global=13), r"array 'W_lstm' has shape \(192, 127\), "
-                                          r"the header gives \(192, 128\)"),
+        (lambda h: h.update(d_global=13), r"the file ends inside array 'W_pred'"),
     ], ids=["missing", "negative", "string", "bool", "wider-than-the-weights"])
     def test_bad_global_width_rejected(self, separable, tmp_path, edit, why):
         path = tmp_path / "model.ckpt"
@@ -716,7 +726,7 @@ class TestCheckpointVersion:
             load_checkpoint(path)
 
     def test_repeated_vocabulary_token_rejected(self, separable, tmp_path):
-        # the same number of tokens, so that the array table still fits
+        # the same number of tokens, so that the layout still fits the file
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, separable[0])
         vocab = list(separable[0].vocab.tokens)
@@ -987,7 +997,12 @@ class TestTrainingCounts:
     ] + [("decoder", "grad_clip", -1.0),
          # settings that trained but could not be loaded, or failed inside numpy
          ("decoder", "max_len", 0), ("decoder", "epochs", True), ("decoder", "d_att", 0),
-         ("decoder", "hidden", 0), ("decoder", "batch_size", 2.0)])
+         ("decoder", "hidden", 0), ("decoder", "batch_size", 2.0),
+         # settings that would train a linker unable to tell mentions apart,
+         # or fail inside Python
+         ("linker", "hidden", 0), ("linker", "scorer_hidden", 0), ("linker", "recon_hidden", 0),
+         ("linker", "d_emb", 0), ("linker", "epochs", True), ("linker", "epochs", 2.5),
+         ("linker", "batch_size", 2.5), ("linker", "hidden", 2.0)])
     def test_out_of_range_setting_raises_naming_it(self, trainer, field_name, value):
         corpus = self._corpus()
         config = {"decoder": "DecoderConfig", "linker": "LinkerConfig"}[trainer]
@@ -1012,27 +1027,6 @@ class TestTrainingCounts:
         save_checkpoint(path, trained)
         assert b"capped_tracks" not in path.read_bytes().split(b"\n", 1)[0]
         assert load_checkpoint(path).capped_tracks == 0
-
-
-def _drop_w_pred(header):
-    header["arrays"] = [a for a in header["arrays"] if a["name"] != "W_pred"]
-
-
-def _transpose_w_lstm(header):
-    next(a for a in header["arrays"] if a["name"] == "W_lstm")["shape"].reverse()
-
-
-def _drop_config(header):
-    del header["config"]
-
-
-def _text_shape(header):
-    next(a for a in header["arrays"] if a["name"] == "b_h")["shape"] = ["x"]
-
-
-def _add_logit_bias(header):
-    # format 1's attention logit bias, which version 2 dropped
-    header["arrays"].append({"name": "b_att", "shape": [1]})
 
 
 # values of each DecoderConfig field, in range and not (wrong type or out of range)
@@ -1070,25 +1064,48 @@ class TestCheckpointRoundTrip:
         assert all(back.params[k].tobytes() == v.tobytes() for k, v in trained.params.items())
 
 
-class TestCheckpointTable:
-    @pytest.mark.parametrize("edit, named", [
-        (_drop_w_pred, "'W_pred'"), (_transpose_w_lstm, "'W_lstm'"),
-        (_drop_config, "config"), (_text_shape, "'b_h'"), (_add_logit_bias, "'b_att'"),
-    ], ids=["no-W_pred", "transposed-W_lstm", "no-config", "text-shape", "logit-bias"])
-    def test_table_checked_against_the_config(self, separable, tmp_path, edit, named):
-        # each edit keeps the file self-consistent: the blocks follow the
-        # table, an added one-element array with a zero block
+    def test_ten_wide_stat_trains_decodes_and_round_trips(self, tiny, tmp_path):
+        # the v_stat width is the data's, as the other widths are
+        corpus = copy.deepcopy(tiny)
+        for clip in corpus.clips:
+            for t in clip.tracks:
+                t.v_stat = t.v_stat[:10]
+        trained = train_decoder(corpus, planted(corpus), DecoderConfig(epochs=2), seed=2)
+        assert trained.params["W_stat"].shape[1] == 10
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, trained)
+        back = load_checkpoint(path)
+        assert all(back.params[k].tobytes() == v.tobytes() for k, v in trained.params.items())
+        assert all(getattr(back.norm, part)[blk].tobytes() == v.tobytes()
+                   for part in ("mean", "std") for blk, v in getattr(trained.norm, part).items())
+        pair = corpus.pairs[1]
+        grounding = planted_supervision(pair).prev_grounding
+        d1, d2 = decode_pair(trained, pair, grounding), decode_pair(back, pair, grounding)
+        assert (d1.tokens, d1.predictions) == (d2.tokens, d2.predictions)
+        assert np.array_equal(d1.alphas, d2.alphas)
+
+
+class TestCheckpointLayout:
+    @pytest.mark.parametrize("key, step", [
+        *((k, d) for k in ("d_head", "d_body", "d_stat", "d_global") for d in (1, -1)),
+        ("d_att", 1), ("d_emb", 1), ("hidden", 1), ("vocab", 1), ("config", None),
+    ], ids=lambda v: v if isinstance(v, str) else {1: "+1", -1: "-1", None: "dropped"}[v])
+    def test_header_edit_that_moves_the_layout_rejected(self, separable, tmp_path, key, step):
+        # the header alone fixes the vector's layout: an edit that moves it
+        # is rejected by name, never read as other weights
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, separable[0])
         head, rest = path.read_bytes().split(b"\n", 1)
         header = json.loads(head)
-        blocks, pos = {}, 0
-        for spec in header["arrays"]:
-            n = 8 * int(np.prod(spec["shape"]))
-            blocks[spec["name"]] = rest[pos:pos + n]
-            pos += n
-        edit(header)
-        body = b"".join(blocks.get(spec["name"], bytes(8)) for spec in header["arrays"])
-        path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + body)
-        with pytest.raises(ValueError, match=rf"model\.ckpt.*{named}"):
+        if step is None:
+            del header[key]
+        elif key == "vocab":
+            header["vocab"].append("zebra")
+        elif key in header:
+            header[key] += step
+        else:
+            header["config"][key] += step
+        path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + rest)
+        with pytest.raises(ValueError, match=r"model\.ckpt: (the file ends inside array '\w+'|"
+                                             r"bytes left over|checkpoint header lacks)"):
             load_checkpoint(path)

@@ -149,13 +149,6 @@ class TestNormalization:
                                              rf"{blk}, the first track's is {width} wide"):
             fit_norm_stats(tracks)
 
-    def test_stats_json_roundtrip(self):
-        stats = fit_norm_stats(self._tracks())
-        back = NormStats.from_json(stats.to_json())
-        for blk in NormStats.BLOCKS:
-            np.testing.assert_array_equal(back.mean[blk], stats.mean[blk])
-            np.testing.assert_array_equal(back.std[blk], stats.std[blk])
-
     def test_empty_fit_split_rejected(self):
         with pytest.raises(ValueError):
             fit_norm_stats([])
