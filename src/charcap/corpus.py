@@ -7,6 +7,14 @@ in the previous sentence and MaleCoref/FemaleCoref otherwise. Track
 appearance vectors are character centers plus Gaussian noise, so the
 planted grounding is exactly recoverable at zero noise.
 
+Generation makes one scalar draw per detection quantity from one seeded
+stream, so its order is part of the output. The draws are spelled as
+numpy's Generator computes them (``lo + (hi - lo) * rng.random()`` for
+``rng.uniform(lo, hi)``), which is the same stream at a third of the
+per-call cost; ``tests/references.py`` keeps the ``uniform``/``normal``
+calls and the tests pin the two bitwise. A clip's and a line's track
+statistics are one ``track_stats`` call.
+
 The JSONL format is one clip per line::
 
     {"id": ..., "tracks": [{"id", "frames", "boxes", "score", "v_head",
@@ -240,7 +248,8 @@ def _make_characters(config, rng):
             v = rng.normal(0.0, config.margin, size=config.d_head)
             # dimension 0 carries gender so appearance is informative of it
             v[0] = config.margin if gender == "M" else -config.margin
-            if all(np.linalg.norm(v - c) >= config.margin for c in centers):
+            # sqrt(d @ d) is what np.linalg.norm computes for a 1-D vector
+            if all(math.sqrt(d @ d) >= config.margin for d in (v - c for c in centers)):
                 placed = v
                 break
         if placed is None:
@@ -254,42 +263,53 @@ def _make_characters(config, rng):
     return chars
 
 
+# the geometry draws are spelled as _make_detections' are, for its reason
+
 def _described_geometry(rng):
     n = int(rng.integers(5, 10))
-    w = rng.uniform(48.0, 72.0)
-    h = w * rng.uniform(0.9, 1.1)
-    cx = FRAME_W / 2.0 + rng.normal(0.0, FRAME_W / 10.0)
-    cy = FRAME_H / 2.0 + rng.normal(0.0, FRAME_H / 10.0)
+    w = 48.0 + (72.0 - 48.0) * rng.random()
+    h = w * (0.9 + (1.1 - 0.9) * rng.random())
+    cx = FRAME_W / 2.0 + FRAME_W / 10.0 * rng.standard_normal()
+    cy = FRAME_H / 2.0 + FRAME_H / 10.0 * rng.standard_normal()
     return n, w, h, cx, cy
 
 
 def _distractor_geometry(rng):
     n = int(rng.integers(3, 6))
-    w = rng.uniform(28.0, 44.0)
-    h = w * rng.uniform(0.9, 1.1)
-    cx = rng.uniform(0.15, 0.85) * FRAME_W
-    cy = rng.uniform(0.15, 0.85) * FRAME_H
+    w = 28.0 + (44.0 - 28.0) * rng.random()
+    h = w * (0.9 + (1.1 - 0.9) * rng.random())
+    cx = (0.15 + (0.85 - 0.15) * rng.random()) * FRAME_W
+    cy = (0.15 + (0.85 - 0.15) * rng.random()) * FRAME_H
     return n, w, h, cx, cy
 
 
 def _make_detections(rng, n, w, h, cx, cy, score_lo, score_hi):
+    # Five scalar draws per detection, in this order. rng.random() and
+    # rng.standard_normal() cost a third of rng.uniform(lo, hi) and
+    # rng.normal(loc, scale), which compute the same lo + (hi - lo) * u and
+    # loc + scale * g; an array draw per track would reorder the stream.
+    random, gauss = rng.random, rng.standard_normal
     t0 = int(rng.integers(0, 3))
-    vx, vy = rng.normal(0.0, 1.5, size=2)
+    vx, vy = 1.5 * gauss(), 1.5 * gauss()
+    w_range, score_range = 1.03 - 0.97, score_hi - score_lo
     dets = []
     for i in range(n):
         dets.append(Detection(
             t=t0 + i,
-            x=cx + vx * i + rng.normal(0.0, 0.5),
-            y=cy + vy * i + rng.normal(0.0, 0.5),
-            w=w * rng.uniform(0.97, 1.03),
-            h=h * rng.uniform(0.97, 1.03),
-            score=float(rng.uniform(score_lo, score_hi)),
+            x=cx + vx * i + 0.5 * gauss(),
+            y=cy + vy * i + 0.5 * gauss(),
+            w=w * (0.97 + w_range * random()),
+            h=h * (0.97 + w_range * random()),
+            score=score_lo + score_range * random(),
         ))
     return dets
 
 
-def _appearance(rng, center, sigma):
-    return (center + rng.normal(0.0, sigma, size=center.shape)).astype(FLOAT)
+def _appearance(rng, ch, sigma):
+    """A track's (v_head, v_body) around ``ch``'s centers, from one draw."""
+    d = len(ch.head_center)
+    noise = rng.normal(0.0, sigma, size=d + len(ch.body_center))
+    return ch.head_center + noise[:d], ch.body_center + noise[d:]
 
 
 def _make_clip(clip_id, mentioned, distractor_chars, config, rng):
@@ -299,17 +319,11 @@ def _make_clip(clip_id, mentioned, distractor_chars, config, rng):
     for ch, coref in mentioned:
         n, w, h, cx, cy = _described_geometry(rng)
         dets = _make_detections(rng, n, w, h, cx, cy, 0.7, 1.0)
-        tr = Track(id=0, detections=dets,
-                   v_head=_appearance(rng, ch.head_center, config.sigma),
-                   v_body=_appearance(rng, ch.body_center, config.sigma))
-        entries.append((ch, coref, tr))
+        entries.append((ch, coref, Track(0, dets, *_appearance(rng, ch, config.sigma))))
     for ch in distractor_chars:
         n, w, h, cx, cy = _distractor_geometry(rng)
         dets = _make_detections(rng, n, w, h, cx, cy, 0.5, 0.9)
-        tr = Track(id=0, detections=dets,
-                   v_head=_appearance(rng, ch.head_center, config.sigma),
-                   v_body=_appearance(rng, ch.body_center, config.sigma))
-        entries.append((ch, None, tr))
+        entries.append((ch, None, Track(0, dets, *_appearance(rng, ch, config.sigma))))
 
     order = rng.permutation(len(entries))
     track_chars = {}
@@ -317,9 +331,10 @@ def _make_clip(clip_id, mentioned, distractor_chars, config, rng):
     for new_id, j in enumerate(order, start=1):
         ch, _, tr = entries[j]
         tr.id = new_id
-        tr.v_stat = track_stats(tr)
         tracks.append(tr)
         track_chars[new_id] = ch.id
+    for tr, row in zip(tracks, track_stats(tracks)):
+        tr.v_stat = row
 
     mention_entries = [(ch, coref, tr) for ch, coref, tr in entries if coref is not None]
     if len(mention_entries) == 2:
@@ -611,15 +626,18 @@ def _parse_clip(obj, line, dims, tokens, prev):
                 raise CorpusFormatError(line, "boxes", "box width/height must be positive")
             dets.append(Detection(t=int(t), x=float(box[0]), y=float(box[1]),
                                   w=float(box[2]), h=float(box[3]), score=float(s)))
-        tr = Track(id=tid, detections=dets, v_head=_parse_vector(traw, "v_head", line, dims),
-                   v_body=_parse_vector(traw, "v_body", line, dims))
-        with np.errstate(over="ignore", invalid="ignore"):
-            tr.v_stat = track_stats(tr)
-        finite = np.isfinite(tr.v_stat)
-        if not finite.all():  # the last two entries are the score's mean and std
-            raise CorpusFormatError(line, "score" if finite[:-2].all() else "boxes",
-                                    "values overflow the track statistics")
-        tracks.append(tr)
+        tracks.append(Track(id=tid, detections=dets,
+                            v_head=_parse_vector(traw, "v_head", line, dims),
+                            v_body=_parse_vector(traw, "v_body", line, dims)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        stats = track_stats(tracks)
+    finite = np.isfinite(stats)
+    if not finite.all():  # the last two entries are the score's mean and std
+        first = finite[~finite.all(axis=1)][0]
+        raise CorpusFormatError(line, "score" if first[:-2].all() else "boxes",
+                                "values overflow the track statistics")
+    for tr, row in zip(tracks, stats):
+        tr.v_stat = row
     if len({t.id for t in tracks}) != len(tracks):
         raise CorpusFormatError(line, "tracks", "duplicate track ids")
     ids = {t.id for t in tracks}

@@ -434,9 +434,9 @@ def build_tracks(detections, boundaries, model, appearance, body_appearance=None
             v_body = body_appearance[members].mean(axis=0)
         else:
             v_body = np.zeros_like(v_head)
-        tr = Track(id=0, detections=dets, v_head=v_head, v_body=v_body)
-        tr.v_stat = track_stats(tr)
-        tracks.append(tr)
+        tracks.append(Track(id=0, detections=dets, v_head=v_head, v_body=v_body))
+    for tr, row in zip(tracks, track_stats(tracks)):
+        tr.v_stat = row
     tracks.sort(key=lambda t: (t.detections[0].t, t.detections[0].x))
     for tid, t in enumerate(tracks, start=1):
         t.id = tid

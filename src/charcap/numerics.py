@@ -12,6 +12,7 @@ The module needs numpy alone. ``sigmoid`` is numpy's ``exp`` rather than
 """
 
 import math
+import operator
 import zlib
 from dataclasses import fields
 
@@ -95,10 +96,18 @@ def rng_stream(seed, label=""):
     """Seeded generator; equal (seed, label) gives a bit-identical stream.
 
     ``label`` names a substream so one run-level seed can feed many
-    independent consumers deterministically.
+    independent consumers deterministically. ``seed`` is a Python or numpy
+    integer, taken modulo 2**64; anything else (a float, a string, a bool)
+    raises ValueError naming it, since ``int()`` would alias 1.5 to 1.
     """
+    try:
+        if isinstance(seed, bool):
+            raise TypeError
+        seed = operator.index(seed)
+    except TypeError:
+        raise ValueError(f"rng_stream: seed must be an integer, got {seed!r}") from None
     key = zlib.crc32(label.encode("utf-8"))
-    return np.random.default_rng(np.random.SeedSequence([int(seed) & 0xFFFFFFFFFFFFFFFF, key]))
+    return np.random.default_rng(np.random.SeedSequence([seed & 0xFFFFFFFFFFFFFFFF, key]))
 
 
 def glorot_uniform(rng, rows, cols=None):

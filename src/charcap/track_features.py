@@ -1,5 +1,8 @@
 """Track data types, box overlap, track statistics, and normalization.
 
+``track_stats`` and ``apply_norm`` take a list of tracks and return one
+row per track; ``fit_norm_stats`` reduces the list.
+
 Boxes come in two layouts. A ``Detection`` stores a *center-anchored* box
 (x, y are the box center in pixels). Free-standing box tuples, as used by
 the IOU helpers, are *corner-anchored* ``(x, y, w, h)`` with (x, y) the
@@ -56,26 +59,39 @@ def detection_iou(a: Detection, b: Detection):
     return box_iou(a.corner_box(), b.corner_box())
 
 
-def track_stats(track: Track):
-    """11-dim geometry statistics of a track.
+def track_stats(tracks):
+    """11-dim geometry statistics of each track, as one
+    ``(len(tracks), STAT_DIM)`` array.
 
     Layout: [length, mean_w, std_w, mean_h, std_h, mean_cx, std_cx,
     mean_cy, std_cy, mean_score, std_score]; population standard
-    deviation, so a single-detection track has zero std entries.
+    deviation, so a single-detection track has zero std entries. A track
+    with no detections raises ValueError naming it.
 
-    The five quantities are the rows of one C-contiguous ``(5, n)`` array,
-    reduced along axis 1, so each row sums in the same order as a 1-D
-    array of it would (an axis-0 reduction of ``(n, 5)`` would not).
+    Tracks of equal length ``n`` are reduced together: their five
+    quantities are the rows of one C-contiguous ``(5, g, n)`` array,
+    reduced along the last axis, so each row sums in the same order as a
+    1-D array of it would. The mean is the sum over ``n``, the std the
+    square root of the summed squared deviations over ``n``: ``np.mean``'s
+    and ``np.std``'s own steps, so every row is bitwise theirs.
     """
-    dets = track.detections
-    if not dets:
-        raise ValueError("track_stats: track has no detections")
-    rows = np.array([[d.w for d in dets], [d.h for d in dets], [d.x for d in dets],
-                     [d.y for d in dets], [d.score for d in dets]], dtype=FLOAT)
-    out = np.empty(STAT_DIM, dtype=FLOAT)
-    out[0] = len(dets)
-    out[1::2] = rows.mean(axis=1)
-    out[2::2] = rows.std(axis=1)
+    out = np.empty((len(tracks), STAT_DIM), dtype=FLOAT)
+    by_length = {}
+    for i, tr in enumerate(tracks):
+        if not tr.detections:
+            raise ValueError(f"track_stats: track {tr.id} has no detections")
+        by_length.setdefault(len(tr.detections), []).append(i)
+    for n, rows in by_length.items():
+        dets = [d for i in rows for d in tracks[i].detections]
+        x = np.array([[d.w for d in dets], [d.h for d in dets], [d.x for d in dets],
+                      [d.y for d in dets], [d.score for d in dets]],
+                     dtype=FLOAT).reshape(5, len(rows), n)
+        mean = x.sum(axis=2) / n
+        dev = x - mean[:, :, None]
+        dev *= dev
+        out[rows, 0] = n
+        out[rows, 1::2] = mean.T
+        out[rows, 2::2] = np.sqrt(dev.sum(axis=2) / n).T
     return out
 
 
@@ -88,10 +104,10 @@ class NormStats:
     BLOCKS = ("v_head", "v_body", "v_stat")
 
 
-def _block(track, name):
+def _block(track, name, caller):
     v = getattr(track, name)
     if v is None:
-        raise ValueError(f"normalize: track {track.id} is missing {name}")
+        raise ValueError(f"{caller}: track {track.id} is missing {name}")
     return np.asarray(v, dtype=FLOAT)
 
 
@@ -104,7 +120,7 @@ def fit_norm_stats(tracks):
         raise ValueError("fit_norm_stats: empty training split")
     mean, std = {}, {}
     for blk in NormStats.BLOCKS:
-        blocks = [_block(t, blk) for t in tracks]
+        blocks = [_block(t, blk, "fit_norm_stats") for t in tracks]
         try:
             data = np.stack(blocks)
         except ValueError:  # some block is not as wide as the first
@@ -124,7 +140,7 @@ def apply_norm(tracks, stats: NormStats, name):
     A track missing the block, or whose block is not ``d`` wide, raises
     ValueError naming it."""
     d = len(stats.mean[name])
-    blocks = [_block(t, name) for t in tracks]
+    blocks = [_block(t, name, "apply_norm") for t in tracks]
     try:
         rows = np.array(blocks, dtype=FLOAT).reshape(len(tracks), d)
     except ValueError:  # some block is not d wide

@@ -1,8 +1,12 @@
 """Reference functions that the tests check the library against: one-row
-forms of its batched kernels and gradient oracles, and plain allocating
-forms of its in-place loops."""
+forms of its batched kernels and gradient oracles, plain allocating
+forms of its in-place loops, and corpus generation's draws as the
+``rng.uniform`` and ``rng.normal`` calls they stand for."""
 
 import numpy as np
+
+from charcap.corpus import FRAME_H, FRAME_W, Character, ConfigError
+from charcap.track_features import Detection
 
 
 def softmax(logits):
@@ -57,7 +61,8 @@ def fit_pairwise_model(samples, iters, steps=None):
 
 
 def track_stats(track):
-    """``track_features.track_stats`` with one 1-D array per quantity."""
+    """One track's row of ``track_features.track_stats``, with one 1-D
+    array per quantity."""
     dets = track.detections
     w = np.array([d.w for d in dets], dtype=np.float64)
     h = np.array([d.h for d in dets], dtype=np.float64)
@@ -72,3 +77,68 @@ def track_stats(track):
         cy.mean(), cy.std(),
         s.mean(), s.std(),
     ], dtype=np.float64)
+
+
+# corpus generation, one draw call per quantity, as ``corpus`` once made
+# them: the test swaps these in for the ``corpus`` functions of the same
+# name with a leading underscore
+
+def make_characters(config, rng):
+    chars = []
+    centers = []
+    for cid in range(config.n_characters):
+        gender = "M" if cid % 2 == 0 else "F"
+        placed = None
+        for _ in range(500):
+            v = rng.normal(0.0, config.margin, size=config.d_head)
+            v[0] = config.margin if gender == "M" else -config.margin
+            if all(np.linalg.norm(v - c) >= config.margin for c in centers):
+                placed = v
+                break
+        if placed is None:
+            raise ConfigError("cannot place the characters")
+        body = rng.normal(0.0, config.margin, size=config.d_body)
+        body[0] = config.margin if gender == "M" else -config.margin
+        centers.append(placed)
+        chars.append(Character(cid, gender, placed.astype(np.float64), body.astype(np.float64)))
+    return chars
+
+
+def described_geometry(rng):
+    n = int(rng.integers(5, 10))
+    w = rng.uniform(48.0, 72.0)
+    h = w * rng.uniform(0.9, 1.1)
+    cx = FRAME_W / 2.0 + rng.normal(0.0, FRAME_W / 10.0)
+    cy = FRAME_H / 2.0 + rng.normal(0.0, FRAME_H / 10.0)
+    return n, w, h, cx, cy
+
+
+def distractor_geometry(rng):
+    n = int(rng.integers(3, 6))
+    w = rng.uniform(28.0, 44.0)
+    h = w * rng.uniform(0.9, 1.1)
+    cx = rng.uniform(0.15, 0.85) * FRAME_W
+    cy = rng.uniform(0.15, 0.85) * FRAME_H
+    return n, w, h, cx, cy
+
+
+def make_detections(rng, n, w, h, cx, cy, score_lo, score_hi):
+    t0 = int(rng.integers(0, 3))
+    vx, vy = rng.normal(0.0, 1.5, size=2)
+    dets = []
+    for i in range(n):
+        dets.append(Detection(
+            t=t0 + i,
+            x=cx + vx * i + rng.normal(0.0, 0.5),
+            y=cy + vy * i + rng.normal(0.0, 0.5),
+            w=w * rng.uniform(0.97, 1.03),
+            h=h * rng.uniform(0.97, 1.03),
+            score=float(rng.uniform(score_lo, score_hi)),
+        ))
+    return dets
+
+
+def appearance(rng, ch, sigma):
+    head = ch.head_center + rng.normal(0.0, sigma, size=ch.head_center.shape)
+    body = ch.body_center + rng.normal(0.0, sigma, size=ch.body_center.shape)
+    return head, body

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import references
+from charcap import corpus
 from charcap.corpus import (
     BOS, EOS, NAME_TOKENS, PERSON_TOKENS, Clip, ClipPair, ConfigError, Corpus, CorpusConfig,
     CorpusFormatError, Mention, Track, Vocabulary, export_jsonl, generate_corpus,
@@ -41,6 +43,37 @@ class TestGeneration:
             export_jsonl(c, p)
             paths.append(p)
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    @pytest.mark.parametrize("seed", [1, 2, 7])
+    @pytest.mark.parametrize("config", [
+        dict(), dict(n_pairs=32, n_characters=70, max_distractors=60),
+        dict(n_pairs=4, two_mention_fraction=0.0, max_distractors=0, emit_frames=True),
+        dict(n_pairs=30, two_mention_fraction=1.0, singleton_fraction=0.0),
+    ], ids=["default", "crowded", "chain", "two-mention"])
+    def test_draws_match_the_reference_calls_bitwise(self, tmp_path, monkeypatch, config, seed):
+        """The corpus equals the one ``references``' draw calls make, in its
+        export bytes and in every track's ``v_stat`` bytes (the reference
+        computes them one track at a time).
+
+        ``corpus`` draws ``lo + (hi - lo) * rng.random()`` for
+        ``rng.uniform(lo, hi)`` and ``scale * rng.standard_normal()`` for
+        ``rng.normal(0, scale)``. That equality assumes numpy's Generator
+        rounds the product and the sum in two steps (no fused multiply-add).
+        It holds with numpy 2.4.6, and the tier-1 floor job runs this test
+        with numpy 1.24."""
+        def export(c, name):
+            export_jsonl(c, tmp_path / name)
+            return ((tmp_path / name).read_bytes(), (tmp_path / f"{name}.meta.json").read_bytes(),
+                    [t.v_stat.tobytes() for clip in c.clips for t in clip.tracks])
+
+        got = export(generate_corpus(CorpusConfig(**config), seed), "got.jsonl")
+        for name in ("make_characters", "described_geometry", "distractor_geometry",
+                     "make_detections", "appearance"):
+            monkeypatch.setattr(corpus, f"_{name}", getattr(references, name))
+        ref = generate_corpus(CorpusConfig(**config), seed)
+        for t in (t for clip in ref.clips for t in clip.tracks):
+            t.v_stat = references.track_stats(t)
+        assert got == export(ref, "ref.jsonl")
 
     def test_zero_shared_characters_means_all_names(self):
         c = generate_corpus(small_config(coref_fraction=0.0, n_pairs=30), seed=5)
@@ -200,7 +233,7 @@ class TestJsonl:
             dets = [Detection(t=i, x=1, y=1, w=5, h=5) for i in range(2)]
             t = Track(id=next_id, detections=dets, v_head=np.zeros(8),
                       v_body=np.zeros(6))
-            t.v_stat = track_stats(t)
+            t.v_stat = track_stats([t])[0]
             big.tracks.append(t)
             next_id += 1
         p = tmp_path / "three.jsonl"
@@ -484,6 +517,19 @@ class TestIngestErrors:
             ingest_jsonl(p)
         assert (exc.value.line, exc.value.field) == (line, field_name)
 
+    @pytest.mark.parametrize("first, then", [("score", "boxes"), ("boxes", "score")])
+    def test_first_track_whose_statistics_overflow_is_named(self, tmp_path, first, then):
+        p, objs = _exported_lines(tmp_path)
+        tracks = objs[1]["tracks"]
+        tracks.append(json.loads(json.dumps(tracks[0])))
+        tracks[-1]["id"] = max(t["id"] for t in tracks) + 1
+        for track, fault in ((tracks[0], first), (tracks[-1], then)):
+            _replace(track, ("score", 0) if fault == "score" else ("boxes", 0, 0), 1e200)
+        _write_lines(p, objs)
+        with pytest.raises(CorpusFormatError, match="overflow the track statistics") as exc:
+            ingest_jsonl(p)
+        assert (exc.value.line, exc.value.field) == (2, first)
+
     @pytest.mark.parametrize("edit, field_name", [
         (lambda m: "{not json", "<json>"),
         (lambda m: [m], "<root>"),
@@ -615,7 +661,7 @@ class TestIngestErrors:
 def _track(tid, n=3):
     dets = [Detection(t=i, x=0, y=0, w=10, h=10) for i in range(n)]
     t = Track(id=tid, detections=dets, v_head=np.zeros(2), v_body=np.zeros(2))
-    t.v_stat = track_stats(t)
+    t.v_stat = track_stats([t])[0]
     return t
 
 

@@ -86,7 +86,7 @@ def separable():
 def _track(tid, n):
     dets = [Detection(t=i, x=0, y=0, w=10, h=10) for i in range(n)]
     t = Track(id=tid, detections=dets, v_head=np.zeros(2), v_body=np.zeros(2))
-    t.v_stat = track_stats(t)
+    t.v_stat = track_stats([t])[0]
     return t
 
 

@@ -103,6 +103,16 @@ class TestRng:
         b = rng_stream(1234, "init").normal(size=100)
         assert (a == b).all()
 
+    @pytest.mark.parametrize("seed", [1.5, "1", None, True], ids=repr)
+    def test_non_integer_seed_rejected(self, seed):
+        with pytest.raises(ValueError, match=rf"rng_stream: seed must be an integer, got {seed!r}"):
+            rng_stream(seed, "init")
+
+    def test_numpy_and_negative_integer_seeds(self):
+        a = rng_stream(np.int64(-1), "init").random(4)
+        b = rng_stream(2**64 - 1, "init").random(4)
+        assert a.tobytes() == b.tobytes()
+
     def test_labels_are_independent_streams(self):
         a = rng_stream(1234, "a").normal(size=10)
         b = rng_stream(1234, "b").normal(size=10)

@@ -6,7 +6,7 @@ import pytest
 from charcap.numerics import rng_stream
 from charcap.track_features import (
     Detection, NormStats, Track, apply_norm, box_iou, detection_iou,
-    fit_norm_stats, track_stats,
+    STAT_DIM, fit_norm_stats, track_stats,
 )
 import references
 
@@ -15,7 +15,7 @@ def _track(dets, d=4, tid=1, rng=None):
     rng = rng or rng_stream(0, "tf")
     t = Track(id=tid, detections=dets, v_head=rng.normal(size=d),
               v_body=rng.normal(size=d))
-    t.v_stat = track_stats(t)
+    t.v_stat = track_stats([t])[0]
     return t
 
 
@@ -47,34 +47,42 @@ class TestTrackStats:
 
     def test_length_is_detection_count(self):
         dets = [Detection(t=i, x=0, y=0, w=5, h=5) for i in range(7)]
-        assert track_stats(_track(dets))[0] == 7
+        assert track_stats([_track(dets)])[0, 0] == 7
 
     def test_empty_track_rejected(self):
-        with pytest.raises(ValueError):
-            track_stats(Track(id=1, detections=[], v_head=np.zeros(2),
-                              v_body=np.zeros(2)))
+        empty = Track(id=2, detections=[], v_head=np.zeros(2), v_body=np.zeros(2))
+        with pytest.raises(ValueError, match="track 2 has no detections"):
+            track_stats([_track([Detection(t=0, x=0, y=0, w=5, h=5)]), empty])
+
+    def test_no_tracks_give_no_rows(self):
+        assert track_stats([]).shape == (0, STAT_DIM)
 
     def test_permutation_invariant(self):
         rng = rng_stream(5, "perm")
         dets = [Detection(t=i, x=float(rng.uniform(0, 100)), y=1.0,
                           w=float(rng.uniform(10, 50)), h=9.0,
                           score=float(rng.uniform(0, 1))) for i in range(6)]
-        a = track_stats(_track(dets))
-        b = track_stats(_track(dets[::-1]))
+        a, b = track_stats([_track(dets), _track(dets[::-1])])
         np.testing.assert_allclose(a, b)
-
 
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_per_quantity_reference_bitwise(self, seed):
-        # lengths from 1 to 300 cross numpy's pairwise-summation block (8)
+        # One call over mixed lengths, each several times, so tracks of one
+        # length are reduced together. 8 and 128 are the boundaries of
+        # numpy's pairwise summation (an 8-wide unrolled block, and blocks
+        # of 128 split in halves).
         rng = rng_stream(seed, "stats-ref")
-        for n in [1, 2, 7, 8, 9, 16, 127, 128, 129, 300, *rng.integers(1, 301, size=20)]:
+        lengths = [1, 7, 8, 9, 128, 129, 300] * 3 + [2, 16, 127, *rng.integers(1, 301, size=20)]
+        tracks = []
+        for k in rng.permutation(len(lengths)):
             scale = 10.0 ** rng.uniform(-3, 4, size=5)
-            v = rng.normal(size=(int(n), 5)) * scale + rng.normal(size=5) * scale * 10
+            v = rng.normal(size=(int(lengths[k]), 5)) * scale + rng.normal(size=5) * scale * 10
             dets = [Detection(t=i, x=r[2], y=r[3], w=r[0], h=r[1], score=r[4])
                     for i, r in enumerate(v.tolist())]
-            t = _track(dets, rng=rng)
-            assert t.v_stat.tobytes() == references.track_stats(t).tobytes()
+            tracks.append(Track(id=len(tracks), detections=dets, v_head=None, v_body=None))
+        rows = track_stats(tracks)
+        for t, row in zip(tracks, rows, strict=True):
+            assert row.tobytes() == references.track_stats(t).tobytes()
 
 class TestNormalization:
     def _tracks(self, n=20, d=3, seed=0):
@@ -137,8 +145,11 @@ class TestNormalization:
         tracks = self._tracks(n=4)
         stats = fit_norm_stats(tracks)
         tracks[2].v_stat = None
-        with pytest.raises(ValueError, match=f"track {tracks[2].id} is missing v_stat"):
+        missing = f"track {tracks[2].id} is missing v_stat"
+        with pytest.raises(ValueError, match=f"^apply_norm: {missing}"):
             apply_norm(tracks, stats, "v_stat")
+        with pytest.raises(ValueError, match=f"^fit_norm_stats: {missing}"):
+            fit_norm_stats(tracks)
 
     @pytest.mark.parametrize("blk", NormStats.BLOCKS)
     def test_block_of_another_width_names_the_track(self, blk):
