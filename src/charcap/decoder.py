@@ -27,7 +27,9 @@ cross-entropy at every step, and attention cross-entropy against the
 automatic one-hot targets at supervised person-word steps, all of a
 mini-batch's in one ``softmax_cross_entropy`` call after the forward
 loop; ``build_train_items`` places them on each pair's grid. All
-gradients are hand-written and finite-difference checked.
+gradients are hand-written and finite-difference checked. Training runs
+the linker's loop, ``numerics.train_minibatches``, clipping gradients to
+``grad_clip``; each item's (total, word, att) losses are one loss row.
 ``sentence_loss`` runs a mini-batch as one recurrence over ``(B, ·)``
 rows, one attention step and one LSTM step per time step (the batching
 half of the same paper). Each pair's grid is padded (``pad_rows``) to the
@@ -68,24 +70,14 @@ import numpy as np
 
 from .corpus import BOS, EOS, PERSON_TOKENS, ClipPair, Corpus, Vocabulary
 from .numerics import (
-    Adam, FLOAT, _is_number, check_config, glorot_uniform, lstm_init,
-    lstm_step_backward, lstm_step_forward, masked_softmax, pack_params, pad_rows,
-    rng_stream, softmax_cross_entropy, zeros_like_params,
+    FLOAT, TrainingDiverged, _is_number, check_config, glorot_uniform, lstm_init,
+    lstm_step_backward, lstm_step_forward, masked_softmax, pad_rows, rng_stream,
+    softmax_cross_entropy, train_minibatches,
 )
 from .track_features import NormStats, apply_norm, fit_norm_stats
 
 C_MAX = 50  # current tracks of a grid: the longest, id breaking ties
 P_MAX = 7   # previous-track candidates in addition to the null track
-
-
-class TrainingDiverged(RuntimeError):
-    """Loss went non-finite; carries the last finite-loss parameters."""
-
-    def __init__(self, epoch, params):
-        self.epoch = epoch
-        self.params = params
-        super().__init__(f"training diverged at epoch {epoch}; "
-                         "last good checkpoint attached")
 
 
 @dataclass
@@ -471,22 +463,8 @@ class TrainedDecoder:
     history: list = field(default_factory=list)  # (total, word, att) per epoch
     # training counts; not saved in checkpoints
     skipped_targets: int = 0   # attention targets sentence_loss skipped, all epochs
-    clipped_batches: int = 0   # batches whose gradients _clip_gradients scaled, all epochs
+    clipped_batches: int = 0   # batches whose gradients were clipped, all epochs
     capped_tracks: int = 0     # current-clip tracks past C_MAX, left out of the training items
-
-
-def _clip_gradients(gflat, grads, max_norm):
-    """Scale the packed gradients ``gflat`` (``grads`` are its views) to
-    global norm ``max_norm`` when above it (0 switches clipping off);
-    returns whether it scaled. The norm sums each view's ``np.vdot`` in
-    dict order: one ``vdot`` over ``gflat`` rounds differently."""
-    if not max_norm:
-        return False
-    total = np.sqrt(sum(float(np.vdot(g, g)) for g in grads.values()))
-    if total > max_norm:
-        gflat *= max_norm / total
-        return True
-    return False
 
 
 def train_decoder(corpus: Corpus, supervision, config: DecoderConfig, seed=0):
@@ -511,38 +489,20 @@ def train_decoder(corpus: Corpus, supervision, config: DecoderConfig, seed=0):
                              f"v_global, the first clip's is {d_global} wide")
     items = build_train_items(corpus, supervision, norm)
     vocab = corpus.vocab
-    flat, params = pack_params(init_decoder_params(
-        config, len(vocab), *(len(norm.mean[blk]) for blk in NormStats.BLOCKS), d_global, seed))
-    opt = Adam(lr=config.lr)
-    rng = rng_stream(seed, "decoder-train")
     capped = sum(len(pair.cur.tracks) - len(item.feats.cur_track_ids)
                  for pair, item in zip(corpus.pairs, items))
-    trained = TrainedDecoder(params=params, config=config, vocab=vocab,
-                             norm=norm, history=[], capped_tracks=capped)
-    good, last_good = pack_params(params)  # a copy, refreshed after each finite epoch
-    # reused: fresh gradients per batch cost page faults
-    gflat, grads = pack_params(zeros_like_params(params))
+    skipped = []  # per batch
 
-    for epoch in range(config.epochs):
-        order = rng.permutation(len(items))
-        tot = wl = al = 0.0
-        for start in range(0, len(order), config.batch_size):
-            batch = [items[i] for i in order[start:start + config.batch_size]]
-            gflat.fill(0.0)
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                total, word, att, _, skipped = sentence_loss(params, config, vocab, batch, grads)
-            for t, w, a in zip(total, word, att):
-                tot, wl, al = tot + t, wl + w, al + a
-            trained.skipped_targets += skipped
-            gflat /= len(batch)
-            trained.clipped_batches += _clip_gradients(gflat, grads, config.grad_clip)
-            opt.step(flat, gflat)
-        if not (np.isfinite(tot) and np.isfinite(flat).all()):
-            raise TrainingDiverged(epoch, last_good)
-        n = len(items)
-        trained.history.append((tot / n, wl / n, al / n))
-        good[:] = flat
-    return trained
+    def batch_loss(params, idx, grads):
+        *rows, _, n = sentence_loss(params, config, vocab, [items[i] for i in idx], grads)
+        skipped.append(n)
+        return zip(*rows)  # (total, word, att) per item
+
+    params, history, clipped = train_minibatches(init_decoder_params(
+        config, len(vocab), *(len(norm.mean[blk]) for blk in NormStats.BLOCKS), d_global, seed),
+        len(items), batch_loss, config, rng_stream(seed, "decoder-train"), config.grad_clip)
+    return TrainedDecoder(params, config, vocab, norm, history, skipped_targets=sum(skipped),
+                          clipped_batches=clipped, capped_tracks=capped)
 
 
 # ---------------------------------------------------------------------------

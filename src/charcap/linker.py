@@ -12,7 +12,9 @@ cross-entropy would be 0. A mini-batch of mentions runs as ``(B, ·)``
 arrays, each mention's tracks padded to the batch's largest count and
 masked out of the softmax (training pads every mention once and cuts each
 batch from that); ``Linker.link_clip`` scores all mentions of a
-clip the same way. The trained linker grounds every mention, and
+clip the same way. Training runs the decoder's loop,
+``numerics.train_minibatches``, unclipped, with a batch's summed loss as
+its one loss row. The trained linker grounds every mention, and
 ``corpus.pair_supervision`` turns those groundings into each pair's
 previous-clip candidates and current-clip links, which the decoder places
 on its attention grid as supervision targets.
@@ -24,9 +26,8 @@ import numpy as np
 
 from .corpus import Clip, Corpus, pair_supervision
 from .numerics import (
-    Adam, FLOAT, check_config, glorot_uniform, lstm_init, lstm_step_backward,
-    lstm_step_forward, masked_softmax, pack_params, pad_rows, rng_stream,
-    softmax_cross_entropy, zeros_like_params,
+    FLOAT, check_config, glorot_uniform, lstm_init, lstm_step_backward, lstm_step_forward,
+    masked_softmax, pad_rows, rng_stream, softmax_cross_entropy, train_minibatches,
 )
 from .track_features import NormStats, apply_norm, fit_norm_stats
 
@@ -215,7 +216,8 @@ def train_linker(corpus: Corpus, config: LinkerConfig = None, seed=0):
     """Train on every mention of the corpus; returns a ready ``Linker``.
     Raises ValueError when a setting is of the wrong type or out of range
     (``check_config``; every width at least 1) or the corpus has no
-    mentions."""
+    mentions, and ``numerics.TrainingDiverged`` with the last finite-loss
+    parameters if the loss or a weight goes non-finite."""
     config = config or LinkerConfig()
     check_config("train_linker", config,
                  (("d_emb", 1), ("hidden", 1), ("scorer_hidden", 1), ("recon_hidden", 1)))
@@ -225,26 +227,15 @@ def train_linker(corpus: Corpus, config: LinkerConfig = None, seed=0):
         raise ValueError("train_linker: corpus has no mentions")
 
     names = {nid: k for k, nid in enumerate(sorted({i.name_id for i in instances}))}
-    d_head = instances[0].features.shape[1]
-    flat, params = pack_params(init_linker_params(config, len(names), d_head, seed))
-    opt = Adam(lr=config.lr)
-    rng = rng_stream(seed, "linker-train")
     padded = _padded_instances(instances, names)
 
-    history = []
-    # reused: fresh gradients per batch cost page faults
-    gflat, grads = pack_params(zeros_like_params(params))
-    for _ in range(config.epochs):
-        order = rng.permutation(len(instances))
-        total = 0.0
-        for start in range(0, len(order), config.batch_size):
-            idx = order[start:start + config.batch_size]
-            gflat.fill(0.0)
-            total += _batch_loss_and_grads(params, config, _batch(padded, idx), grads)
-            gflat /= len(idx)
-            opt.step(flat, gflat)
-        history.append(total / len(instances))
-    return Linker(params=params, config=config, norm=norm, names=names, history=history,
+    def batch_loss(params, idx, grads):
+        return [(_batch_loss_and_grads(params, config, _batch(padded, idx), grads),)]
+
+    init = init_linker_params(config, len(names), instances[0].features.shape[1], seed)
+    params, history, _ = train_minibatches(init, len(instances), batch_loss, config,
+                                           rng_stream(seed, "linker-train"))
+    return Linker(params, config, norm, names, [loss for loss, in history],
                   supervised_instances=sum(i.supervised for i in instances))
 
 

@@ -2,9 +2,10 @@
 
 Everything is float64 numpy. Parameters of a model are kept in a plain
 ``dict[str, np.ndarray]`` (a "param set"); gradients use the same keys.
-A trainer packs both with ``pack_params`` into views of one vector each,
-which ``Adam`` steps as a whole. Each forward kernel has a hand-written
-backward companion, verified by ``finite_diff_check`` in the test suite.
+The linker and the decoder train in one loop, ``train_minibatches``, on
+weights and gradients packed by ``pack_params`` into one vector each,
+which ``Adam`` steps whole. Each forward kernel has a hand-written
+backward, checked by central differences in the tests.
 
 The module needs numpy alone. ``sigmoid`` is numpy's ``exp`` rather than
 ``scipy.special.expit``, whose import took longer than the rest of
@@ -15,6 +16,7 @@ import math
 import operator
 import zlib
 from dataclasses import fields
+from functools import reduce
 
 import numpy as np
 
@@ -255,6 +257,53 @@ class Adam:
             p[a:a + self.BLOCK] -= step
 
 
+class TrainingDiverged(RuntimeError):
+    """Loss went non-finite; carries the last finite-loss parameters."""
+
+    def __init__(self, epoch, params):
+        self.epoch = epoch
+        self.params = params
+        super().__init__(f"training diverged at epoch {epoch}; last good checkpoint attached")
+
+
+def train_minibatches(params, n, batch_loss, config, rng, grad_clip=0.0):
+    """Mini-batch Adam over ``n`` items for ``config.epochs`` epochs, each cut
+    from ``rng.permutation(n)`` in batches of ``config.batch_size``.
+    ``batch_loss(params, idx, grads)`` adds batch ``idx``'s gradients into
+    ``grads`` and returns its loss rows, tuples of floats; the mean gradient is
+    clipped to global norm ``grad_clip`` unless it is 0. Returns ``(params,
+    history, clipped)``: the packed weights, each epoch's rows summed in order
+    over ``n``, and the clipped batch count. Raises TrainingDiverged with the
+    last finite epoch's weights if a sum or a weight is not finite."""
+    flat, params = pack_params(params)
+    good, last_good = pack_params(params)  # a copy, refreshed after each finite epoch
+    # reused: fresh gradients per batch cost page faults
+    gflat, grads = pack_params(zeros_like_params(params))
+    opt = Adam(lr=config.lr)
+    history, clipped = [], 0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for epoch in range(config.epochs):
+            order, rows = rng.permutation(n), []
+            for start in range(0, n, config.batch_size):
+                idx = order[start:start + config.batch_size]
+                gflat.fill(0.0)
+                rows.extend(batch_loss(params, idx, grads))
+                gflat /= len(idx)
+                if grad_clip:
+                    # per-view vdots in dict order: one vdot over gflat rounds differently
+                    norm = np.sqrt(sum(float(np.vdot(g, g)) for g in grads.values()))
+                    if norm > grad_clip:
+                        gflat *= grad_clip / norm
+                        clipped += 1
+                opt.step(flat, gflat)
+            sums = [reduce(operator.add, col, 0.0) for col in zip(*rows)]
+            if not (np.isfinite(sums).all() and np.isfinite(flat).all()):
+                raise TrainingDiverged(epoch, last_good)
+            history.append(tuple(s / n for s in sums))
+            good[:] = flat
+    return params, history, clipped
+
+
 _KIND = {int: ("an integer", lambda v: _is_number(v, int)), float: ("a finite number", _is_finite),
          bool: ("a boolean", lambda v: isinstance(v, bool))}
 
@@ -280,47 +329,3 @@ def check_config(where, config, low=()):
     for name, ok in ranges:
         if not ok:
             raise ValueError(f"{where}: {cls}.{name} = {getattr(config, name)!r} is out of range")
-
-
-# ---------------------------------------------------------------------------
-# finite-difference gradient checking
-# ---------------------------------------------------------------------------
-
-def finite_diff_check(loss_fn, params, epsilon=1e-5, max_coords_per_array=8, seed=0):
-    """Max relative error between analytic and central-difference gradients.
-
-    ``loss_fn(params) -> (loss, grads)`` must be deterministic in
-    ``params``. For each array up to ``max_coords_per_array`` coordinates
-    are probed (all of them for small arrays). The relative error of a
-    coordinate is |analytic - numeric| / max(1, |analytic| + |numeric|).
-    """
-    if epsilon <= 0:
-        raise ValueError("finite_diff_check: epsilon must be positive")
-    loss0, grads = loss_fn(params)
-    if not np.isfinite(loss0):
-        raise FloatingPointError("finite_diff_check: non-finite loss")
-    rng = rng_stream(seed, "finite_diff_check")
-    worst = 0.0
-    for name in sorted(params):
-        arr = params[name]
-        flat = arr.reshape(-1)
-        n = flat.size
-        if n <= max_coords_per_array:
-            coords = np.arange(n)
-        else:
-            coords = rng.choice(n, size=max_coords_per_array, replace=False)
-        gflat = grads[name].reshape(-1)
-        for idx in coords:
-            orig = flat[idx]
-            flat[idx] = orig + epsilon
-            lp = loss_fn(params)[0]
-            flat[idx] = orig - epsilon
-            lm = loss_fn(params)[0]
-            flat[idx] = orig
-            if not (np.isfinite(lp) and np.isfinite(lm)):
-                raise FloatingPointError("finite_diff_check: non-finite loss")
-            numeric = (lp - lm) / (2.0 * epsilon)
-            analytic = gflat[idx]
-            err = abs(analytic - numeric) / max(1.0, abs(analytic) + abs(numeric))
-            worst = max(worst, err)
-    return worst

@@ -1,12 +1,15 @@
 """Reference functions that the tests check the library against: one-row
-forms of its batched kernels and gradient oracles, plain allocating
-forms of its in-place loops, and corpus generation's draws as the
-``rng.uniform`` and ``rng.normal`` calls they stand for."""
+forms of its batched kernels and gradient oracles, the central-difference
+gradient check, plain allocating forms of its in-place loops, corpus
+generation's draws as the ``rng.uniform`` and ``rng.normal`` calls they
+stand for, and each trainer with its own copy of the mini-batch loop."""
 
 import numpy as np
 
+from charcap import decoder, linker
 from charcap.corpus import FRAME_H, FRAME_W, Character, ConfigError
-from charcap.track_features import Detection
+from charcap.numerics import Adam, pack_params, rng_stream, zeros_like_params
+from charcap.track_features import Detection, NormStats, fit_norm_stats
 
 
 def softmax(logits):
@@ -38,6 +41,46 @@ def cross_entropy(logits, target, valid=None):
         z = z[np.asarray(valid, dtype=bool)]
     zmax = z.max()
     return float(np.log(np.exp(z - zmax).sum()) - (zt - zmax))
+
+
+def finite_diff_check(loss_fn, params, epsilon=1e-5, max_coords_per_array=8, seed=0):
+    """Max relative error between analytic and central-difference gradients.
+
+    ``loss_fn(params) -> (loss, grads)`` must be deterministic in
+    ``params``. For each array up to ``max_coords_per_array`` coordinates
+    are probed (all of them for small arrays). The relative error of a
+    coordinate is |analytic - numeric| / max(1, |analytic| + |numeric|).
+    """
+    if epsilon <= 0:
+        raise ValueError("finite_diff_check: epsilon must be positive")
+    loss0, grads = loss_fn(params)
+    if not np.isfinite(loss0):
+        raise FloatingPointError("finite_diff_check: non-finite loss")
+    rng = rng_stream(seed, "finite_diff_check")
+    worst = 0.0
+    for name in sorted(params):
+        arr = params[name]
+        flat = arr.reshape(-1)
+        n = flat.size
+        if n <= max_coords_per_array:
+            coords = np.arange(n)
+        else:
+            coords = rng.choice(n, size=max_coords_per_array, replace=False)
+        gflat = grads[name].reshape(-1)
+        for idx in coords:
+            orig = flat[idx]
+            flat[idx] = orig + epsilon
+            lp = loss_fn(params)[0]
+            flat[idx] = orig - epsilon
+            lm = loss_fn(params)[0]
+            flat[idx] = orig
+            if not (np.isfinite(lp) and np.isfinite(lm)):
+                raise FloatingPointError("finite_diff_check: non-finite loss")
+            numeric = (lp - lm) / (2.0 * epsilon)
+            analytic = gflat[idx]
+            err = abs(analytic - numeric) / max(1.0, abs(analytic) + abs(numeric))
+            worst = max(worst, err)
+    return worst
 
 
 def fit_pairwise_model(samples, iters, steps=None):
@@ -142,3 +185,74 @@ def appearance(rng, ch, sigma):
     head = ch.head_center + rng.normal(0.0, sigma, size=ch.head_center.shape)
     body = ch.body_center + rng.normal(0.0, sigma, size=ch.body_center.shape)
     return head, body
+
+
+# the two trainers as each once ran its own copy of the mini-batch Adam
+# loop: the shared loop must give their weights, histories and counts
+# bit for bit
+
+def _clip_gradients(gflat, grads, max_norm):
+    if not max_norm:
+        return False
+    total = np.sqrt(sum(float(np.vdot(g, g)) for g in grads.values()))
+    if total > max_norm:
+        gflat *= max_norm / total
+        return True
+    return False
+
+
+def train_linker(corpus, config, seed):
+    norm = fit_norm_stats([t for clip in corpus.clips for t in clip.tracks])
+    instances = linker.build_link_instances(corpus, norm)
+    names = {nid: k for k, nid in enumerate(sorted({i.name_id for i in instances}))}
+    d_head = instances[0].features.shape[1]
+    flat, params = pack_params(linker.init_linker_params(config, len(names), d_head, seed))
+    opt = Adam(lr=config.lr)
+    rng = rng_stream(seed, "linker-train")
+    padded = linker._padded_instances(instances, names)
+    history = []
+    gflat, grads = pack_params(zeros_like_params(params))
+    for _ in range(config.epochs):
+        order = rng.permutation(len(instances))
+        total = 0.0
+        for start in range(0, len(order), config.batch_size):
+            idx = order[start:start + config.batch_size]
+            gflat.fill(0.0)
+            total += linker._batch_loss_and_grads(params, config, linker._batch(padded, idx), grads)
+            gflat /= len(idx)
+            opt.step(flat, gflat)
+        history.append(total / len(instances))
+    return linker.Linker(params=params, config=config, norm=norm, names=names, history=history,
+                         supervised_instances=sum(i.supervised for i in instances))
+
+
+def train_decoder(corpus, supervision, config, seed):
+    norm = fit_norm_stats([t for c in corpus.clips for t in c.tracks])
+    d_global = len(corpus.clips[0].v_global)
+    items = decoder.build_train_items(corpus, supervision, norm)
+    vocab = corpus.vocab
+    flat, params = pack_params(decoder.init_decoder_params(
+        config, len(vocab), *(len(norm.mean[blk]) for blk in NormStats.BLOCKS), d_global, seed))
+    opt = Adam(lr=config.lr)
+    rng = rng_stream(seed, "decoder-train")
+    trained = decoder.TrainedDecoder(params=params, config=config, vocab=vocab, norm=norm,
+                                     history=[])
+    gflat, grads = pack_params(zeros_like_params(params))
+    for epoch in range(config.epochs):
+        order = rng.permutation(len(items))
+        tot = wl = al = 0.0
+        for start in range(0, len(order), config.batch_size):
+            batch = [items[i] for i in order[start:start + config.batch_size]]
+            gflat.fill(0.0)
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                total, word, att, _, skipped = decoder.sentence_loss(
+                    params, config, vocab, batch, grads)
+            for t, w, a in zip(total, word, att):
+                tot, wl, al = tot + t, wl + w, al + a
+            trained.skipped_targets += skipped
+            gflat /= len(batch)
+            trained.clipped_batches += _clip_gradients(gflat, grads, config.grad_clip)
+            opt.step(flat, gflat)
+        n = len(items)
+        trained.history.append((tot / n, wl / n, al / n))
+    return trained

@@ -18,12 +18,10 @@ from charcap.decoder import (
 )
 from charcap.decoder import TrainItem, attention_terms
 from charcap.linker import LinkerConfig, train_linker
-from charcap.numerics import (
-    finite_diff_check, lstm_step_backward, lstm_step_forward, rng_stream,
-    zeros_like_params,
-)
+from charcap.numerics import lstm_step_backward, lstm_step_forward, rng_stream, zeros_like_params
 from charcap.track_features import Detection, Track, fit_norm_stats, track_stats
-from references import softmax
+import references
+from references import finite_diff_check, softmax
 
 
 TINY = dict(d_head=5, d_body=4, d_stat=11, d_global=7)  # the feature widths of the tiny tests
@@ -989,6 +987,24 @@ class TestTrainingCounts:
         cfg = DecoderConfig(**self.DIMS, grad_clip=grad_clip)
         trained = train_decoder(corpus, planted(corpus), cfg, seed=1)
         assert trained.clipped_batches == clipped
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("epochs, batch_size, grad_clip", [
+        (0, 3, 5.0), (2, 3, 1e-6), (2, 4, 1e6), (2, 4, 0.0)])
+    def test_matches_its_own_loop_bitwise(self, seed, epochs, batch_size, grad_clip):
+        corpus = self._corpus()
+        sup = planted(corpus)
+        m, tid = sup[0].links[0]
+        sup[0].links[0] = (dataclasses.replace(m, pos=1), tid)  # skipped, on the verb
+        cfg = DecoderConfig(**{**self.DIMS, "epochs": epochs, "batch_size": batch_size,
+                               "grad_clip": grad_clip})
+        got = train_decoder(corpus, sup, cfg, seed=seed)
+        want = references.train_decoder(corpus, sup, cfg, seed)
+        assert list(got.params) == list(want.params)
+        assert all(got.params[k].tobytes() == v.tobytes() for k, v in want.params.items())
+        assert repr(got.history) == repr(want.history) and len(got.history) == epochs
+        assert got.skipped_targets == want.skipped_targets == epochs
+        assert got.clipped_batches == want.clipped_batches
 
     @pytest.mark.parametrize("trainer, field_name, value", [
         (trainer, field_name, value) for trainer in ("decoder", "linker")

@@ -13,11 +13,12 @@ from charcap.linker import (
     LinkInstance, _batch, _batch_loss_and_grads, _padded_instances, _score,
 )
 from charcap.numerics import (
-    finite_diff_check, lstm_step_backward, lstm_step_forward, pad_rows, rng_stream,
+    TrainingDiverged, lstm_step_backward, lstm_step_forward, pad_rows, rng_stream,
     zeros_like_params,
 )
 from charcap.track_features import apply_norm, fit_norm_stats
-from references import cross_entropy, softmax
+import references
+from references import cross_entropy, finite_diff_check, softmax
 
 
 def corpus_cfg(**kw):
@@ -125,6 +126,33 @@ class TestTraining:
         acc = hits / n
         assert acc < 0.55
         assert abs(acc - inv_c / n) < 0.25
+
+    def test_divergence_aborts_with_last_good_params(self):
+        # lr = 1e308 carries the weights to the edge of the float range in one
+        # step: the first epoch's loss is finite, the second's is not
+        corpus = generate_corpus(CorpusConfig(n_pairs=6, n_characters=4, d_head=8, d_body=6,
+                                              d_global=8, sigma=0.05), seed=2)
+        with pytest.raises(TrainingDiverged) as exc:
+            train_linker(corpus, LinkerConfig(epochs=4, lr=1e308), seed=1)
+        after_first = train_linker(corpus, LinkerConfig(epochs=1, lr=1e308), seed=1).params
+        assert exc.value.epoch == 1
+        assert all(np.isfinite(v).all() for v in exc.value.params.values())
+        assert list(exc.value.params) == list(after_first)
+        assert all(exc.value.params[k].tobytes() == v.tobytes() for k, v in after_first.items())
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("epochs, batch_size", [(0, 4), (3, 5), (3, 4), (2, 16)])
+    def test_matches_its_own_loop_bitwise(self, seed, epochs, batch_size):
+        corpus = generate_corpus(corpus_cfg(n_pairs=4, sigma=0.3), seed=3)
+        assert sum(len(c.mentions) for c in corpus.clips) == 10  # 5 divides it, 4 does not
+        cfg = LinkerConfig(d_emb=5, hidden=6, scorer_hidden=5, recon_hidden=5, epochs=epochs,
+                           batch_size=batch_size)
+        got = train_linker(corpus, cfg, seed=seed)
+        want = references.train_linker(corpus, cfg, seed)
+        assert list(got.params) == list(want.params)
+        assert all(got.params[k].tobytes() == v.tobytes() for k, v in want.params.items())
+        assert repr(got.history) == repr(want.history) and len(got.history) == epochs
+        assert got.supervised_instances == want.supervised_instances == 3
 
     def test_unknown_character_rejected(self, trained):
         linker, _, test = trained

@@ -1,5 +1,6 @@
 import tracemalloc
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,11 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from charcap.numerics import (
-    Adam, finite_diff_check, glorot_uniform, lstm_init, lstm_step_backward,
-    lstm_step_forward, masked_softmax, pack_params, pad_rows, rng_stream, sigmoid,
-    softmax_cross_entropy,
+    Adam, TrainingDiverged, glorot_uniform, lstm_init, lstm_step_backward, lstm_step_forward,
+    masked_softmax, pack_params, pad_rows, rng_stream, sigmoid, softmax_cross_entropy,
+    train_minibatches,
 )
-from references import cross_entropy, softmax
+from references import cross_entropy, finite_diff_check, softmax
 
 
 class TestSoftmax:
@@ -319,6 +320,73 @@ class TestAdam:
                 v[k] = b2 * v[k] + (1 - b2) * g * g
                 ref[k] -= lr * (m[k] / (1 - b1 ** t)) / (np.sqrt(v[k] / (1 - b2 ** t)) + eps)
         assert all(np.array_equal(params[k], ref[k]) for k in shapes)
+
+
+class TestTrainMinibatches:
+    INIT = {"W": np.arange(6.0).reshape(2, 3), "b": np.array([0.5, -0.5])}
+
+    def run(self, batch_loss, epochs, grad_clip=0.0):
+        """Ten items in batches of 4; the loop packs a copy of ``INIT``."""
+        config = SimpleNamespace(lr=0.01, epochs=epochs, batch_size=4)
+        return train_minibatches(self.INIT, 10, batch_loss, config, rng_stream(3, "loop"),
+                                 grad_clip)
+
+    def test_each_epoch_visits_its_permutation_once_in_batches(self):
+        seen = []
+
+        def batch_loss(params, idx, grads):
+            seen.append(idx.copy())
+            grads["W"] += 1.0
+            return [(float(i), 1.0) for i in idx]
+
+        params, history, clipped = self.run(batch_loss, 3)
+        rng = rng_stream(3, "loop")
+        assert [len(idx) for idx in seen] == [4, 4, 2] * 3  # the remainder last
+        for epoch in range(3):
+            order = np.concatenate(seen[3 * epoch:3 * epoch + 3])
+            assert order.tolist() == rng.permutation(10).tolist()
+        assert history == [(4.5, 1.0)] * 3 and clipped == 0  # rows summed over 10 items
+        assert all(v.base is params["W"].base for v in params.values())
+
+    def test_batches_above_the_norm_are_clipped_and_counted(self):
+        def batch_loss(params, idx, grads):
+            grads["b"] += 100.0 * len(idx) if 0 in idx else 0.01 * len(idx)
+            return [(0.0,)] * len(idx)
+
+        # one batch an epoch holds item 0: its norm is 100 * sqrt(2)
+        assert self.run(batch_loss, 3, grad_clip=1.0)[2] == 3
+        assert self.run(batch_loss, 3, grad_clip=1e-3)[2] == 9
+        assert self.run(batch_loss, 3, grad_clip=1e3)[2] == 0
+        assert self.run(batch_loss, 3)[2] == 0
+
+    @pytest.mark.parametrize("bad_epoch", [0, 2])
+    @pytest.mark.parametrize("where", ["loss", "weight"])
+    def test_divergence_returns_the_weights_of_the_epoch_before(self, bad_epoch, where):
+        calls = []
+
+        def batch_loss(params, idx, grads):
+            calls.append(len(idx))
+            grads["W"] += 1.0
+            bad = len(calls) == 3 * bad_epoch + 2  # the middle batch of that epoch
+            if bad and where == "weight":
+                grads["b"] += np.nan
+            return [(np.inf if bad and where == "loss" else 1.0,)] * len(idx)
+
+        with pytest.raises(TrainingDiverged) as exc:
+            self.run(batch_loss, 4)
+        calls.clear()
+        want = self.run(batch_loss, bad_epoch)[0] if bad_epoch else self.INIT
+        assert exc.value.epoch == bad_epoch
+        assert list(exc.value.params) == list(want)
+        assert all(exc.value.params[k].tobytes() == v.tobytes() for k, v in want.items())
+
+    def test_no_epochs_return_the_initial_weights(self):
+        def batch_loss(params, idx, grads):
+            raise AssertionError("no batch runs")
+
+        params, history, clipped = self.run(batch_loss, 0)
+        assert history == [] and clipped == 0
+        assert all(params[k].tobytes() == v.tobytes() for k, v in self.INIT.items())
 
 
 def _two_branch_sigmoid(x):
