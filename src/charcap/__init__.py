@@ -2,7 +2,7 @@
 
 Library layout:
 
-- ``numerics``: dense kernels, activations, seeded RNG, Adam, gradient checker
+- ``numerics``: dense kernels, activations, seeded RNG, Adam, the mini-batch loop
 - ``corpus``: synthetic clip-pair corpora, JSONL ingestion, and the
   supervision of a grounding (``pair_supervision``)
 - ``shots``: shot-boundary detection from histograms and point survival

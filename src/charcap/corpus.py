@@ -13,7 +13,12 @@ numpy's Generator computes them (``lo + (hi - lo) * rng.random()`` for
 ``rng.uniform(lo, hi)``), which is the same stream at a third of the
 per-call cost; ``tests/references.py`` keeps the ``uniform``/``normal``
 calls and the tests pin the two bitwise. A clip's and a line's track
-statistics are one ``track_stats`` call.
+statistics are one ``track_stats`` call. ``CorpusConfig`` holds the five
+settings a workload varies; the vector widths ``D_HEAD``, ``D_BODY`` and
+``D_GLOBAL``, the noise ``SIGMA``, the character ``MARGIN``, the
+``COREF_FRACTION`` and ``SINGLETON_FRACTION`` and a clip's
+``FRAMES_PER_CLIP`` and ``CUTS_PER_CLIP`` are module constants, read at
+each call, as are ``FRAME_W``, ``FRAME_H`` and ``GLOBAL_NOISE``.
 
 The JSONL format is one clip per line::
 
@@ -53,7 +58,6 @@ from .track_features import Detection, Track, track_stats
 BOS = "<bos>"
 EOS = "<eos>"
 PERSON_TOKENS = ("MaleName", "FemaleName", "MaleCoref", "FemaleCoref")
-NAME_TOKENS = ("MaleName", "FemaleName")
 
 VERBS = ("walks", "sits", "waves", "reads", "jumps", "turns")
 VERB_OBJECT = {"walks": "street", "sits": "bench", "waves": "crowd",
@@ -63,6 +67,12 @@ ALL_VERBS = VERBS + (GREET_VERB,)
 
 FRAME_W, FRAME_H = 192.0, 108.0  # the frame the detection boxes are placed in
 GLOBAL_NOISE = 0.05  # std of the Gaussian noise on every v_global entry
+D_HEAD, D_BODY, D_GLOBAL = 64, 64, 263  # widths of v_head, v_body and v_global
+SIGMA = 0.05  # std of the Gaussian noise on a track's appearance around its character
+MARGIN = 1.0  # least distance between two characters' head centers
+COREF_FRACTION = 0.5  # chance that a previous-clip character returns in the current clip
+SINGLETON_FRACTION = 0.15  # chance that a pair has no distractors and one mention a clip
+FRAMES_PER_CLIP, CUTS_PER_CLIP = 9, 2  # a clip's video when emit_frames is set
 
 
 class ConfigError(ValueError):
@@ -193,18 +203,9 @@ class Corpus:
 class CorpusConfig:
     n_pairs: int = 100
     n_characters: int = 6
-    d_head: int = 64
-    d_body: int = 64
-    d_global: int = 263
-    sigma: float = 0.05
-    margin: float = 1.0
     max_distractors: int = 2
-    coref_fraction: float = 0.5
     two_mention_fraction: float = 0.3
-    singleton_fraction: float = 0.15
     emit_frames: bool = False
-    frames_per_clip: int = 9
-    cuts_per_clip: int = 2
 
     def validate(self):
         """Raise ``ConfigError`` naming the first field of the wrong type
@@ -213,23 +214,12 @@ class CorpusConfig:
             check_config("CorpusConfig.validate", self)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        unit = "must be in [0, 1]"
         for name, ok, rule in (
                 ("n_pairs", self.n_pairs >= 1, "must be >= 1"),
                 ("n_characters", self.n_characters >= 1, "must be >= 1"),
-                ("d_head", self.d_head >= 2, "must be >= 2"),
-                ("d_body", self.d_body >= 1, "must be >= 1"),
-                ("d_global", self.d_global >= len(ALL_VERBS),
-                 f"must be >= {len(ALL_VERBS)} to encode the verb"),
-                ("sigma", self.sigma >= 0, "must be >= 0"),
-                ("margin", self.margin > 0, "must be > 0"),
                 ("max_distractors", self.max_distractors >= 0, "must be >= 0"),
-                ("coref_fraction", 0 <= self.coref_fraction <= 1, unit),
-                ("two_mention_fraction", 0 <= self.two_mention_fraction <= 1, unit),
-                ("singleton_fraction", 0 <= self.singleton_fraction <= 1, unit),
-                ("frames_per_clip", not self.emit_frames or self.frames_per_clip >= 2,
-                 "must be >= 2 when emit_frames is set"),
-                ("cuts_per_clip", self.cuts_per_clip >= 0, "must be >= 0")):
+                ("two_mention_fraction", 0 <= self.two_mention_fraction <= 1,
+                 "must be in [0, 1]")):
             if not ok:
                 raise ConfigError(f"CorpusConfig.{name} {rule}, got {getattr(self, name)!r}")
 
@@ -245,19 +235,19 @@ def _make_characters(config, rng):
         gender = "M" if cid % 2 == 0 else "F"
         placed = None
         for _ in range(500):
-            v = rng.normal(0.0, config.margin, size=config.d_head)
+            v = rng.normal(0.0, MARGIN, size=D_HEAD)
             # dimension 0 carries gender so appearance is informative of it
-            v[0] = config.margin if gender == "M" else -config.margin
+            v[0] = MARGIN if gender == "M" else -MARGIN
             # sqrt(d @ d) is what np.linalg.norm computes for a 1-D vector
-            if all(math.sqrt(d @ d) >= config.margin for d in (v - c for c in centers)):
+            if all(math.sqrt(d @ d) >= MARGIN for d in (v - c for c in centers)):
                 placed = v
                 break
         if placed is None:
             raise ConfigError(
                 f"cannot place {config.n_characters} characters with margin "
-                f"{config.margin} in {config.d_head} dims")
-        body = rng.normal(0.0, config.margin, size=config.d_body)
-        body[0] = config.margin if gender == "M" else -config.margin
+                f"{MARGIN} in {D_HEAD} dims")
+        body = rng.normal(0.0, MARGIN, size=D_BODY)
+        body[0] = MARGIN if gender == "M" else -MARGIN
         centers.append(placed)
         chars.append(Character(cid, gender, placed.astype(FLOAT), body.astype(FLOAT)))
     return chars
@@ -305,10 +295,10 @@ def _make_detections(rng, n, w, h, cx, cy, score_lo, score_hi):
     return dets
 
 
-def _appearance(rng, ch, sigma):
+def _appearance(rng, ch):
     """A track's (v_head, v_body) around ``ch``'s centers, from one draw."""
     d = len(ch.head_center)
-    noise = rng.normal(0.0, sigma, size=d + len(ch.body_center))
+    noise = rng.normal(0.0, SIGMA, size=d + len(ch.body_center))
     return ch.head_center + noise[:d], ch.body_center + noise[d:]
 
 
@@ -319,11 +309,11 @@ def _make_clip(clip_id, mentioned, distractor_chars, config, rng):
     for ch, coref in mentioned:
         n, w, h, cx, cy = _described_geometry(rng)
         dets = _make_detections(rng, n, w, h, cx, cy, 0.7, 1.0)
-        entries.append((ch, coref, Track(0, dets, *_appearance(rng, ch, config.sigma))))
+        entries.append((ch, coref, Track(0, dets, *_appearance(rng, ch))))
     for ch in distractor_chars:
         n, w, h, cx, cy = _distractor_geometry(rng)
         dets = _make_detections(rng, n, w, h, cx, cy, 0.5, 0.9)
-        entries.append((ch, None, Track(0, dets, *_appearance(rng, ch, config.sigma))))
+        entries.append((ch, None, Track(0, dets, *_appearance(rng, ch))))
 
     order = rng.permutation(len(entries))
     track_chars = {}
@@ -354,15 +344,14 @@ def _make_clip(clip_id, mentioned, distractor_chars, config, rng):
         sentence = [person_token(ch.gender, co), verb, VERB_OBJECT[verb]]
         mentions = [Mention(0, ch.id, ch.gender, [tr.id], ch.id if co else None)]
 
-    v_global = np.zeros(config.d_global, dtype=FLOAT)
+    v_global = np.zeros(D_GLOBAL, dtype=FLOAT)
     v_global[ALL_VERBS.index(verb)] = 3.0
-    v_global += rng.normal(0.0, GLOBAL_NOISE, size=config.d_global)
+    v_global += rng.normal(0.0, GLOBAL_NOISE, size=D_GLOBAL)
 
     clip = Clip(id=clip_id, tracks=tracks, v_global=v_global,
                 sentence=sentence, mentions=mentions, track_chars=track_chars)
     if config.emit_frames:
-        clip.frames, clip.gt_boundaries = synthetic_cut_video(
-            rng, config.frames_per_clip, config.cuts_per_clip)
+        clip.frames, clip.gt_boundaries = synthetic_cut_video(rng, FRAMES_PER_CLIP, CUTS_PER_CLIP)
     return clip
 
 
@@ -384,13 +373,13 @@ def generate_corpus(config: CorpusConfig, seed):
     by_id = {c.id: c for c in chars}
     pairs = []
     for k in range(config.n_pairs):
-        singleton = rng.random() < config.singleton_fraction
+        singleton = rng.random() < SINGLETON_FRACTION
         two = (not singleton and config.n_characters >= 2
                and rng.random() < config.two_mention_fraction)
         n_prev = 2 if two else 1
         prev_ids = [c.id for c in _pick(rng, chars, n_prev)]
 
-        carried = [cid for cid in prev_ids if rng.random() < config.coref_fraction]
+        carried = [cid for cid in prev_ids if rng.random() < COREF_FRACTION]
         n_cur = 2 if (not singleton and config.n_characters >= 2
                       and rng.random() < config.two_mention_fraction) else 1
         carried = carried[:n_cur]
@@ -420,8 +409,7 @@ def generate_corpus(config: CorpusConfig, seed):
     vocab = Vocabulary.build(extra)
     meta = {
         "frame_w": FRAME_W, "frame_h": FRAME_H,
-        "d_head": config.d_head, "d_body": config.d_body,
-        "d_global": config.d_global, "seed": int(seed),
+        "d_head": D_HEAD, "d_body": D_BODY, "d_global": D_GLOBAL, "seed": int(seed),
     }
     return Corpus(pairs=pairs, vocab=vocab, meta=meta, characters=chars)
 

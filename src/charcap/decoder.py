@@ -28,8 +28,9 @@ automatic one-hot targets at supervised person-word steps, all of a
 mini-batch's in one ``softmax_cross_entropy`` call after the forward
 loop; ``build_train_items`` places them on each pair's grid. All
 gradients are hand-written and finite-difference checked. Training runs
-the linker's loop, ``numerics.train_minibatches``, clipping gradients to
-``grad_clip``; each item's (total, word, att) losses are one loss row.
+the linker's loop, ``numerics.train_minibatches``, in mini-batches of
+``BATCH_SIZE`` pairs at Adam's learning rate ``LR``, clipping gradients to
+``GRAD_CLIP``; each item's (total, word, att) losses are one loss row.
 ``sentence_loss`` runs a mini-batch as one recurrence over ``(B, ·)``
 rows, one attention step and one LSTM step per time step (the batching
 half of the same paper). Each pair's grid is padded (``pad_rows``) to the
@@ -43,20 +44,24 @@ after item: padding is dropped.
 
 The feature widths come from the data, as in the linker: ``d_head``,
 ``d_body`` and ``d_stat`` are the widths of the norm fitted on the
-training tracks, ``d_global`` that of the clips' ``v_global``;
-``DecoderConfig`` holds only training choices. Every function that holds
-the weights or the features reads the widths off them.
+training tracks, ``d_global`` that of the clips' ``v_global``.
+``DecoderConfig`` holds the three model widths and the epoch count; the
+learning rate, batch size and clip norm above and ``decode_pair``'s
+``MAX_LEN`` are module constants, read at each call. Every function that
+holds the weights or the features reads the feature widths off them
+(``_widths``).
 
-A checkpoint (format version 4) is a one-line JSON header followed by
+A checkpoint (format version 5) is a one-line JSON header followed by
 one little-endian float64 vector, and states each fact once. The header
 holds the magic string, the version, the config, the vocabulary and the
 four widths; from these alone the loader works out the vector's layout
 (``_checkpoint_arrays``): the 13 weights in ``_param_shapes`` order, then
 each norm block's mean and std. The loader reads the vector in one call,
-and every loaded array is a view of it. Version 3 listed the arrays in
-the header and wrote the norm as JSON, version 2 repeated the widths in
-the config and version 1 had an attention logit bias; a file of any of
-them is rejected by its stamp.
+and every loaded array is a view of it. Version 4's config also held
+``max_len``, ``lr``, ``batch_size`` and ``grad_clip``, version 3 listed
+the arrays in the header and wrote the norm as JSON, version 2 repeated
+the widths in the config and version 1 had an attention logit bias; a
+file of any of them is rejected by its stamp.
 """
 
 import json
@@ -78,6 +83,10 @@ from .track_features import NormStats, apply_norm, fit_norm_stats
 
 C_MAX = 50  # current tracks of a grid: the longest, id breaking ties
 P_MAX = 7   # previous-track candidates in addition to the null track
+MAX_LEN = 30  # words decode_pair emits at most
+LR = 0.003  # Adam's learning rate
+BATCH_SIZE = 8  # pairs per mini-batch
+GRAD_CLIP = 5.0  # global norm a mini-batch's mean gradient is clipped to
 
 
 @dataclass
@@ -85,18 +94,14 @@ class DecoderConfig:
     d_att: int = 64
     d_emb: int = 64
     hidden: int = 128
-    max_len: int = 30
-    lr: float = 0.003
     epochs: int = 30
-    batch_size: int = 8
-    grad_clip: float = 5.0
 
 
 def _check_config(where, config: DecoderConfig):
-    """``check_config`` with the decoder's bounds: ``d_emb >= 0`` and
-    ``d_att``, ``hidden`` and ``max_len`` at least 1. Training and loading
+    """``check_config`` with the decoder's bounds: ``d_emb`` and ``epochs``
+    at least 0, ``d_att`` and ``hidden`` at least 1. Training and loading
     run it, so a config that trains also loads."""
-    check_config(where, config, (("d_att", 1), ("d_emb", 0), ("hidden", 1), ("max_len", 1)))
+    check_config(where, config, (("d_att", 1), ("d_emb", 0), ("hidden", 1), ("epochs", 0)))
 
 
 def _param_shapes(config: DecoderConfig, vocab_size, d_head, d_body, d_stat, d_global):
@@ -281,15 +286,27 @@ def attention_backward(params, cache, dv_grounded, dlogits_extra):
 # sentence loss (teacher forcing) and the weight gradients
 # ---------------------------------------------------------------------------
 
+def _widths(params):
+    """The feature widths ``(d_head, d_body, d_stat, d_global)`` of a set of
+    decoder weights. ``W_lstm``'s columns multiply, in order, the grounded
+    vector ``[head, body, stat, id]`` (the id part as wide as the head), the
+    ``v_global`` vector, the word embedding and the hidden state."""
+    d_head, d_body, d_stat = (params[n].shape[1] for n in ("W_head", "W_body", "W_stat"))
+    d_global = (params["W_lstm"].shape[1] - 2 * d_head - d_body - d_stat
+                - params["E"].shape[1] - params["W_h"].shape[1])
+    return d_head, d_body, d_stat, d_global
+
+
 def _split_lstm(params):
-    """``W_lstm`` split by what its columns multiply: (W_rec, W_glob, EW),
-    the widths read off the weights. ``W_rec`` (4H, d_grounded + H) is a
-    contiguous copy of the grounded and hidden-state columns, ``W_glob`` a
-    view of the ``v_global`` columns, and ``EW`` (V, 4H) the word table
-    ``E @ W_emb^T``."""
+    """``W_lstm`` split by what its columns multiply (``_widths``): (W_rec,
+    W_glob, EW). ``W_rec`` (4H, d_grounded + H) is a contiguous copy of the
+    grounded and hidden-state columns, ``W_glob`` a view of the
+    ``v_global`` columns, and ``EW`` (V, 4H) the word table ``E @
+    W_emb^T``."""
     W, H = params["W_lstm"], params["W_h"].shape[1]
-    gr = 2 * params["W_head"].shape[1] + params["W_body"].shape[1] + params["W_stat"].shape[1]
-    glob = W.shape[1] - H - params["E"].shape[1]
+    d_head, d_body, d_stat, d_global = _widths(params)
+    gr = 2 * d_head + d_body + d_stat
+    glob = gr + d_global
     W_rec = np.concatenate([W[:, :gr], W[:, -H:]], axis=1)
     return W_rec, W[:, gr:glob], params["E"] @ W[:, glob:-H].T
 
@@ -473,12 +490,12 @@ def train_decoder(corpus: Corpus, supervision, config: DecoderConfig, seed=0):
     The feature widths are the data's: ``d_head``, ``d_body`` and
     ``d_stat`` those of the norm fitted on the corpus's tracks,
     ``d_global`` that of its clips' ``v_global``. Supervision without
-    links trains the words alone (the words-only arm). Raises ValueError when a config field is of the wrong
-    type or out of range (``_check_config``), a track's block is not as
-    wide as the first track's (``fit_norm_stats``) or a clip's
-    ``v_global`` not as wide as the first clip's, and TrainingDiverged
-    with the last finite-loss parameters if the loss or a weight goes
-    non-finite.
+    links trains the words alone (the words-only arm). Raises ValueError
+    when a config field is of the wrong type or out of range
+    (``_check_config``), a track's block is not as wide as the first
+    track's (``fit_norm_stats``) or a clip's ``v_global`` not as wide as
+    the first clip's, and TrainingDiverged with the last finite-loss
+    parameters if the loss or a weight goes non-finite.
     """
     _check_config("train_decoder", config)
     norm = fit_norm_stats([t for c in corpus.clips for t in c.tracks])
@@ -500,7 +517,8 @@ def train_decoder(corpus: Corpus, supervision, config: DecoderConfig, seed=0):
 
     params, history, clipped = train_minibatches(init_decoder_params(
         config, len(vocab), *(len(norm.mean[blk]) for blk in NormStats.BLOCKS), d_global, seed),
-        len(items), batch_loss, config, rng_stream(seed, "decoder-train"), config.grad_clip)
+        len(items), batch_loss, config.epochs, BATCH_SIZE, LR, rng_stream(seed, "decoder-train"),
+        GRAD_CLIP)
     return TrainedDecoder(params, config, vocab, norm, history, skipped_targets=sum(skipped),
                           clipped_batches=clipped, capped_tracks=capped)
 
@@ -548,7 +566,7 @@ def decode_pair(trained: TrainedDecoder, pair: ClipPair, prev_grounding):
     w_prev = vocab.index(BOS)
     eos = vocab.index(EOS)
     tokens, predictions, alphas = [], [], []
-    for _ in range(config.max_len):
+    for _ in range(MAX_LEN):
         alpha, v_gr, _ = attention_step(params, h, feats, terms)
         h, c, _ = lstm_step_forward(W_rec, base + EW[w_prev], v_gr, h, c)
         w = int(np.argmax(params["W_pred"] @ h + params["b_pred"]))
@@ -572,7 +590,7 @@ def decode_pair(trained: TrainedDecoder, pair: ClipPair, prev_grounding):
 # ---------------------------------------------------------------------------
 
 CHECKPOINT_MAGIC = "charcap-decoder"
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 _WIDTHS = ("d_head", "d_body", "d_stat", "d_global")
 
 
@@ -587,9 +605,7 @@ def _checkpoint_arrays(config, vocab_size, d_head, d_body, d_stat, d_global):
 
 def save_checkpoint(path, trained: TrainedDecoder):
     params, norm = trained.params, trained.norm
-    d_head, d_body, d_stat = (params[n].shape[1] for n in ("W_head", "W_body", "W_stat"))
-    widths = (d_head, d_body, d_stat, params["W_lstm"].shape[1] - 2 * d_head - d_body - d_stat
-              - params["E"].shape[1] - trained.config.hidden)
+    widths = _widths(params)
     header = {"magic": CHECKPOINT_MAGIC, "version": CHECKPOINT_VERSION,
               "config": asdict(trained.config), "vocab": list(trained.vocab.tokens),
               **dict(zip(_WIDTHS, widths))}

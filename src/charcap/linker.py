@@ -14,7 +14,11 @@ masked out of the softmax (training pads every mention once and cuts each
 batch from that); ``Linker.link_clip`` scores all mentions of a
 clip the same way. Training runs the decoder's loop,
 ``numerics.train_minibatches``, unclipped, with a batch's summed loss as
-its one loss row. The trained linker grounds every mention, and
+its one loss row. ``LinkerConfig`` holds the epoch count alone; the
+widths ``D_EMB``, ``HIDDEN``, ``SCORER_HIDDEN`` and ``RECON_HIDDEN``,
+Adam's ``LR`` and the ``BATCH_SIZE`` are module constants, read when the
+weights are made and trained; every other function reads the widths off
+the weights. The trained linker grounds every mention, and
 ``corpus.pair_supervision`` turns those groundings into each pair's
 previous-clip candidates and current-clip links, which the decoder places
 on its attention grid as supervision targets.
@@ -31,16 +35,17 @@ from .numerics import (
 )
 from .track_features import NormStats, apply_norm, fit_norm_stats
 
+D_EMB = 16  # width of the gender and name token embeddings
+HIDDEN = 32  # the mention encoder's LSTM width
+SCORER_HIDDEN = 32  # the scorer's hidden width
+RECON_HIDDEN = 32  # the reconstruction heads' hidden width
+LR = 0.01  # Adam's learning rate
+BATCH_SIZE = 16  # mentions per mini-batch
+
 
 @dataclass
 class LinkerConfig:
-    d_emb: int = 16
-    hidden: int = 32
-    scorer_hidden: int = 32
-    recon_hidden: int = 32
-    lr: float = 0.01
     epochs: int = 60
-    batch_size: int = 16
 
 
 @dataclass
@@ -51,37 +56,38 @@ class LinkInstance:
     supervised: bool              # singleton clip (one name, one track): link known
 
 
-def init_linker_params(config: LinkerConfig, n_names, d_head, seed):
+def init_linker_params(n_names, d_head, seed):
     rng = rng_stream(seed, "linker-init")
-    W_lstm, b_lstm = lstm_init(rng, config.d_emb, config.hidden)
+    W_lstm, b_lstm = lstm_init(rng, D_EMB, HIDDEN)
     return {
-        "E_tok": glorot_uniform(rng, 2 + n_names, config.d_emb),
+        "E_tok": glorot_uniform(rng, 2 + n_names, D_EMB),
         "W_lstm": W_lstm,
         "b_lstm": b_lstm,
-        "W_s1": glorot_uniform(rng, config.scorer_hidden, config.hidden + d_head),
-        "b_s1": np.zeros(config.scorer_hidden, dtype=FLOAT),
-        "w_s2": glorot_uniform(rng, config.scorer_hidden),
-        "W_r": glorot_uniform(rng, config.recon_hidden, d_head),
-        "b_r": np.zeros(config.recon_hidden, dtype=FLOAT),
-        "W_g": glorot_uniform(rng, 2, config.recon_hidden),
+        "W_s1": glorot_uniform(rng, SCORER_HIDDEN, HIDDEN + d_head),
+        "b_s1": np.zeros(SCORER_HIDDEN, dtype=FLOAT),
+        "w_s2": glorot_uniform(rng, SCORER_HIDDEN),
+        "W_r": glorot_uniform(rng, RECON_HIDDEN, d_head),
+        "b_r": np.zeros(RECON_HIDDEN, dtype=FLOAT),
+        "W_g": glorot_uniform(rng, 2, RECON_HIDDEN),
         "b_g": np.zeros(2, dtype=FLOAT),
-        "W_n": glorot_uniform(rng, n_names, config.recon_hidden),
+        "W_n": glorot_uniform(rng, n_names, RECON_HIDDEN),
         "b_n": np.zeros(n_names, dtype=FLOAT),
     }
 
 
-def _score(params, config, gender_rows, name_rows, V, valid):
+def _score(params, gender_rows, name_rows, V, valid):
     """Attention of B mentions over their tracks.
 
     ``V`` (B, C, d_head) holds each mention's track features, ``valid``
     (B, C) marks the real ones; padding tracks get exactly 0 attention.
     The scorer's first layer ``W_s1 @ [m; v]`` is applied as a mention part
     (once per mention) plus a track part (once per track), so the pair
-    ``[m; v]`` is never formed. Returns (att, T, m, lstm_caches).
+    ``[m; v]`` is never formed. The LSTM width is read off ``W_lstm``.
+    Returns (att, T, m, lstm_caches).
     """
-    H = config.hidden
     B, C, d = V.shape
     W, b = params["W_lstm"], params["b_lstm"]
+    H = W.shape[0] // 4
     zeros = np.zeros((B, H), dtype=FLOAT)
     h1, c1, cache1 = lstm_step_forward(W, b, params["E_tok"][gender_rows], zeros, zeros)
     m, _, cache2 = lstm_step_forward(W, b, params["E_tok"][name_rows], h1, c1)
@@ -112,7 +118,7 @@ def _batch(padded, idx):
     return genders[idx], classes[idx], V[idx, :c], valid[idx, :c]
 
 
-def _batch_loss_and_grads(params, config, batch, grads):
+def _batch_loss_and_grads(params, batch, grads):
     """Accumulate the gradients of a ``_batch`` into ``grads``; returns the
     batch's summed loss.
 
@@ -121,11 +127,11 @@ def _batch_loss_and_grads(params, config, batch, grads):
     tracks and the reconstruction heads as matmuls. A mention's name
     embedding row is ``2 + class``.
     """
-    H = config.hidden
     genders, classes, V, valid = batch
     rows = 2 + classes
     B, C, d = V.shape
-    att, T, m, (cache1, cache2) = _score(params, config, genders, rows, V, valid)
+    att, T, m, (cache1, cache2) = _score(params, genders, rows, V, valid)
+    H = m.shape[1]
 
     v_att = (att[:, None, :] @ V)[:, 0]
     r = np.tanh(v_att @ params["W_r"].T + params["b_r"])
@@ -193,7 +199,7 @@ class Linker:
         feats = apply_norm(clip.tracks, self.norm, "v_head")
         genders, rows = zip(*(self._rows(m.gender, m.char_id) for m in mentions))
         shape = (len(mentions),) + feats.shape
-        att = _score(self.params, self.config, list(genders), list(rows),
+        att = _score(self.params, list(genders), list(rows),
                      np.broadcast_to(feats, shape), np.ones(shape[:2], dtype=bool))[0]
         return [(m, clip.tracks[int(np.argmax(a))].id, a) for m, a in zip(mentions, att)]
 
@@ -214,13 +220,12 @@ def build_link_instances(corpus: Corpus, norm: NormStats):
 
 def train_linker(corpus: Corpus, config: LinkerConfig = None, seed=0):
     """Train on every mention of the corpus; returns a ready ``Linker``.
-    Raises ValueError when a setting is of the wrong type or out of range
-    (``check_config``; every width at least 1) or the corpus has no
-    mentions, and ``numerics.TrainingDiverged`` with the last finite-loss
-    parameters if the loss or a weight goes non-finite."""
+    Raises ValueError when ``epochs`` is not a non-negative integer
+    (``check_config``) or the corpus has no mentions, and
+    ``numerics.TrainingDiverged`` with the last finite-loss parameters if
+    the loss or a weight goes non-finite."""
     config = config or LinkerConfig()
-    check_config("train_linker", config,
-                 (("d_emb", 1), ("hidden", 1), ("scorer_hidden", 1), ("recon_hidden", 1)))
+    check_config("train_linker", config, (("epochs", 0),))
     norm = fit_norm_stats([t for clip in corpus.clips for t in clip.tracks])
     instances = build_link_instances(corpus, norm)
     if not instances:
@@ -230,11 +235,11 @@ def train_linker(corpus: Corpus, config: LinkerConfig = None, seed=0):
     padded = _padded_instances(instances, names)
 
     def batch_loss(params, idx, grads):
-        return [(_batch_loss_and_grads(params, config, _batch(padded, idx), grads),)]
+        return [(_batch_loss_and_grads(params, _batch(padded, idx), grads),)]
 
-    init = init_linker_params(config, len(names), instances[0].features.shape[1], seed)
-    params, history, _ = train_minibatches(init, len(instances), batch_loss, config,
-                                           rng_stream(seed, "linker-train"))
+    init = init_linker_params(len(names), instances[0].features.shape[1], seed)
+    params, history, _ = train_minibatches(init, len(instances), batch_loss, config.epochs,
+                                           BATCH_SIZE, LR, rng_stream(seed, "linker-train"))
     return Linker(params, config, norm, names, [loss for loss, in history],
                   supervised_instances=sum(i.supervised for i in instances))
 

@@ -13,9 +13,9 @@ no negative internal edge is one cluster; any other gets greedy edge
 contraction, then one local-search move repeated to a local optimum, then
 perturbation restarts. The move is a Kernighan-Lin trajectory on the
 node-to-cluster affinity matrix: it moves the best not-yet-moved node,
-even at a loss, once per node, and keeps the best prefix.
-``brute_force_multicut`` enumerates all set partitions and is the
-exactness oracle for small instances.
+even at a loss, once per node, and keeps the best prefix. The tests'
+exactness oracle for small instances, which enumerates all set
+partitions, is ``brute_force_multicut`` in ``tests/references.py``.
 """
 
 import bisect
@@ -325,38 +325,6 @@ def solve_multicut(n, edges):
         restarts += improved
     return Partition(labels=labels, objective=_objective(W, labels),
                      improving_restarts=restarts)
-
-
-def _set_partitions(n):
-    """All set partitions of range(n) as label arrays (restricted growth)."""
-    labels = np.zeros(n, dtype=int)
-    maxes = np.zeros(n, dtype=int)
-    while True:
-        yield labels.copy()
-        i = n - 1
-        while i > 0:
-            if labels[i] <= maxes[i - 1]:
-                labels[i] += 1
-                maxes[i] = max(maxes[i - 1], labels[i])
-                labels[i + 1:] = 0
-                maxes[i + 1:] = maxes[i]
-                break
-            i -= 1
-        else:
-            return
-
-
-def brute_force_multicut(n, edges):
-    """Exhaustive enumeration over all set partitions; exact but tiny-n only."""
-    if n > 12:
-        raise ValueError("brute force is limited to n <= 12")
-    W = _cost_matrix(n, edges)
-    best_obj, best_labels = -np.inf, None
-    for labels in _set_partitions(n):
-        obj = _objective(W, labels)
-        if obj > best_obj + 1e-15:
-            best_obj, best_labels = obj, labels
-    return Partition(labels=best_labels, objective=best_obj)
 
 
 # ---------------------------------------------------------------------------

@@ -266,9 +266,9 @@ class TrainingDiverged(RuntimeError):
         super().__init__(f"training diverged at epoch {epoch}; last good checkpoint attached")
 
 
-def train_minibatches(params, n, batch_loss, config, rng, grad_clip=0.0):
-    """Mini-batch Adam over ``n`` items for ``config.epochs`` epochs, each cut
-    from ``rng.permutation(n)`` in batches of ``config.batch_size``.
+def train_minibatches(params, n, batch_loss, epochs, batch_size, lr, rng, grad_clip=0.0):
+    """Mini-batch Adam at learning rate ``lr`` over ``n`` items for ``epochs``
+    epochs, each cut from ``rng.permutation(n)`` in batches of ``batch_size``.
     ``batch_loss(params, idx, grads)`` adds batch ``idx``'s gradients into
     ``grads`` and returns its loss rows, tuples of floats; the mean gradient is
     clipped to global norm ``grad_clip`` unless it is 0. Returns ``(params,
@@ -279,13 +279,13 @@ def train_minibatches(params, n, batch_loss, config, rng, grad_clip=0.0):
     good, last_good = pack_params(params)  # a copy, refreshed after each finite epoch
     # reused: fresh gradients per batch cost page faults
     gflat, grads = pack_params(zeros_like_params(params))
-    opt = Adam(lr=config.lr)
+    opt = Adam(lr=lr)
     history, clipped = [], 0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for epoch in range(config.epochs):
+        for epoch in range(epochs):
             order, rows = rng.permutation(n), []
-            for start in range(0, n, config.batch_size):
-                idx = order[start:start + config.batch_size]
+            for start in range(0, n, batch_size):
+                idx = order[start:start + batch_size]
                 gflat.fill(0.0)
                 rows.extend(batch_loss(params, idx, grads))
                 gflat /= len(idx)
@@ -313,19 +313,13 @@ def check_config(where, config, low=()):
     that is not of its annotated type or is out of range. An ``int`` field
     takes an integer but no boolean or float, a ``float`` field a finite
     number (an integer too) but no boolean, a ``bool`` field a boolean.
-    The ranges are the trainer settings', where the config has them:
-    ``batch_size >= 1``, ``lr > 0``, ``epochs >= 0`` and ``grad_clip >= 0``
-    (0 switches clipping off); then each field that ``low``'s (name,
-    bound) pairs name is at least its bound."""
+    Then each field that ``low``'s (name, bound) pairs name is at least its
+    bound."""
     cls = type(config).__name__
     for f in fields(config):
         kind, ok = _KIND[f.type]
         if not ok(getattr(config, f.name)):
             raise ValueError(f"{where}: {cls}.{f.name} = {getattr(config, f.name)!r} is not {kind}")
-    ranges = [(name, getattr(config, name) >= b) for name, b in (
-        ("batch_size", 1), ("epochs", 0), ("grad_clip", 0), *low) if hasattr(config, name)]
-    if hasattr(config, "lr"):
-        ranges.append(("lr", config.lr > 0))
-    for name, ok in ranges:
-        if not ok:
+    for name, bound in low:
+        if not getattr(config, name) >= bound:
             raise ValueError(f"{where}: {cls}.{name} = {getattr(config, name)!r} is out of range")

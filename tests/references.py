@@ -2,12 +2,19 @@
 forms of its batched kernels and gradient oracles, the central-difference
 gradient check, plain allocating forms of its in-place loops, corpus
 generation's draws as the ``rng.uniform`` and ``rng.normal`` calls they
-stand for, and each trainer with its own copy of the mini-batch loop."""
+stand for, each trainer with its own copy of the mini-batch loop, and the
+multicut solver's brute-force oracle.
+
+The library's module constants are read at call time (``corpus.MARGIN``,
+``linker.LR``), so a test that monkeypatches one changes the reference
+with the library."""
 
 import numpy as np
 
+from charcap import corpus as corpus_module
 from charcap import decoder, linker
 from charcap.corpus import FRAME_H, FRAME_W, Character, ConfigError
+from charcap.multicut import Partition, _cost_matrix, _objective
 from charcap.numerics import Adam, pack_params, rng_stream, zeros_like_params
 from charcap.track_features import Detection, NormStats, fit_norm_stats
 
@@ -133,15 +140,15 @@ def make_characters(config, rng):
         gender = "M" if cid % 2 == 0 else "F"
         placed = None
         for _ in range(500):
-            v = rng.normal(0.0, config.margin, size=config.d_head)
-            v[0] = config.margin if gender == "M" else -config.margin
-            if all(np.linalg.norm(v - c) >= config.margin for c in centers):
+            v = rng.normal(0.0, corpus_module.MARGIN, size=corpus_module.D_HEAD)
+            v[0] = corpus_module.MARGIN if gender == "M" else -corpus_module.MARGIN
+            if all(np.linalg.norm(v - c) >= corpus_module.MARGIN for c in centers):
                 placed = v
                 break
         if placed is None:
             raise ConfigError("cannot place the characters")
-        body = rng.normal(0.0, config.margin, size=config.d_body)
-        body[0] = config.margin if gender == "M" else -config.margin
+        body = rng.normal(0.0, corpus_module.MARGIN, size=corpus_module.D_BODY)
+        body[0] = corpus_module.MARGIN if gender == "M" else -corpus_module.MARGIN
         centers.append(placed)
         chars.append(Character(cid, gender, placed.astype(np.float64), body.astype(np.float64)))
     return chars
@@ -181,9 +188,9 @@ def make_detections(rng, n, w, h, cx, cy, score_lo, score_hi):
     return dets
 
 
-def appearance(rng, ch, sigma):
-    head = ch.head_center + rng.normal(0.0, sigma, size=ch.head_center.shape)
-    body = ch.body_center + rng.normal(0.0, sigma, size=ch.body_center.shape)
+def appearance(rng, ch):
+    head = ch.head_center + rng.normal(0.0, corpus_module.SIGMA, size=ch.head_center.shape)
+    body = ch.body_center + rng.normal(0.0, corpus_module.SIGMA, size=ch.body_center.shape)
     return head, body
 
 
@@ -206,8 +213,8 @@ def train_linker(corpus, config, seed):
     instances = linker.build_link_instances(corpus, norm)
     names = {nid: k for k, nid in enumerate(sorted({i.name_id for i in instances}))}
     d_head = instances[0].features.shape[1]
-    flat, params = pack_params(linker.init_linker_params(config, len(names), d_head, seed))
-    opt = Adam(lr=config.lr)
+    flat, params = pack_params(linker.init_linker_params(len(names), d_head, seed))
+    opt = Adam(lr=linker.LR)
     rng = rng_stream(seed, "linker-train")
     padded = linker._padded_instances(instances, names)
     history = []
@@ -215,10 +222,10 @@ def train_linker(corpus, config, seed):
     for _ in range(config.epochs):
         order = rng.permutation(len(instances))
         total = 0.0
-        for start in range(0, len(order), config.batch_size):
-            idx = order[start:start + config.batch_size]
+        for start in range(0, len(order), linker.BATCH_SIZE):
+            idx = order[start:start + linker.BATCH_SIZE]
             gflat.fill(0.0)
-            total += linker._batch_loss_and_grads(params, config, linker._batch(padded, idx), grads)
+            total += linker._batch_loss_and_grads(params, linker._batch(padded, idx), grads)
             gflat /= len(idx)
             opt.step(flat, gflat)
         history.append(total / len(instances))
@@ -233,7 +240,7 @@ def train_decoder(corpus, supervision, config, seed):
     vocab = corpus.vocab
     flat, params = pack_params(decoder.init_decoder_params(
         config, len(vocab), *(len(norm.mean[blk]) for blk in NormStats.BLOCKS), d_global, seed))
-    opt = Adam(lr=config.lr)
+    opt = Adam(lr=decoder.LR)
     rng = rng_stream(seed, "decoder-train")
     trained = decoder.TrainedDecoder(params=params, config=config, vocab=vocab, norm=norm,
                                      history=[])
@@ -241,8 +248,8 @@ def train_decoder(corpus, supervision, config, seed):
     for epoch in range(config.epochs):
         order = rng.permutation(len(items))
         tot = wl = al = 0.0
-        for start in range(0, len(order), config.batch_size):
-            batch = [items[i] for i in order[start:start + config.batch_size]]
+        for start in range(0, len(order), decoder.BATCH_SIZE):
+            batch = [items[i] for i in order[start:start + decoder.BATCH_SIZE]]
             gflat.fill(0.0)
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 total, word, att, _, skipped = decoder.sentence_loss(
@@ -251,8 +258,42 @@ def train_decoder(corpus, supervision, config, seed):
                 tot, wl, al = tot + t, wl + w, al + a
             trained.skipped_targets += skipped
             gflat /= len(batch)
-            trained.clipped_batches += _clip_gradients(gflat, grads, config.grad_clip)
+            trained.clipped_batches += _clip_gradients(gflat, grads, decoder.GRAD_CLIP)
             opt.step(flat, gflat)
         n = len(items)
         trained.history.append((tot / n, wl / n, al / n))
     return trained
+
+
+# the exactness oracle of multicut.solve_multicut
+
+def _set_partitions(n):
+    """All set partitions of range(n) as label arrays (restricted growth)."""
+    labels = np.zeros(n, dtype=int)
+    maxes = np.zeros(n, dtype=int)
+    while True:
+        yield labels.copy()
+        i = n - 1
+        while i > 0:
+            if labels[i] <= maxes[i - 1]:
+                labels[i] += 1
+                maxes[i] = max(maxes[i - 1], labels[i])
+                labels[i + 1:] = 0
+                maxes[i + 1:] = maxes[i]
+                break
+            i -= 1
+        else:
+            return
+
+
+def brute_force_multicut(n, edges):
+    """Exhaustive enumeration over all set partitions; exact but tiny-n only."""
+    if n > 12:
+        raise ValueError("brute force is limited to n <= 12")
+    W = _cost_matrix(n, edges)
+    best_obj, best_labels = -np.inf, None
+    for labels in _set_partitions(n):
+        obj = _objective(W, labels)
+        if obj > best_obj + 1e-15:
+            best_obj, best_labels = obj, labels
+    return Partition(labels=best_labels, objective=best_obj)

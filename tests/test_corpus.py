@@ -10,19 +10,26 @@ from hypothesis import strategies as st
 import references
 from charcap import corpus
 from charcap.corpus import (
-    BOS, EOS, NAME_TOKENS, PERSON_TOKENS, Clip, ClipPair, ConfigError, Corpus, CorpusConfig,
+    BOS, EOS, PERSON_TOKENS, Clip, ClipPair, ConfigError, Corpus, CorpusConfig,
     CorpusFormatError, Mention, Track, Vocabulary, export_jsonl, generate_corpus,
     ingest_jsonl, pair_supervision, planted_supervision,
 )
 from charcap.decoder import C_MAX, P_MAX, build_train_items
 from charcap.track_features import Detection, fit_norm_stats, track_stats
+from configs import corpus_config
+
+NAME_TOKENS = ("MaleName", "FemaleName")
 
 
-def small_config(**kw):
-    base = dict(n_pairs=12, n_characters=4, d_head=8, d_body=6, d_global=8,
-                sigma=0.05, margin=1.0)
-    base.update(kw)
-    return CorpusConfig(**base)
+@pytest.fixture
+def small_config(monkeypatch):
+    """``corpus_config`` of 12 pairs over 4 characters with 8-wide heads and
+    v_global and 6-wide bodies, the keywords overriding; the constants hold
+    for the test."""
+    def make(**kw):
+        return corpus_config(monkeypatch, **{"n_pairs": 12, "n_characters": 4, "D_HEAD": 8,
+                                             "D_BODY": 6, "D_GLOBAL": 8, **kw})
+    return make
 
 
 def grid_targets(pair, sup):
@@ -35,7 +42,7 @@ def grid_targets(pair, sup):
 
 
 class TestGeneration:
-    def test_same_config_seed_is_byte_identical(self, tmp_path):
+    def test_same_config_seed_is_byte_identical(self, tmp_path, small_config):
         paths = []
         for i in range(2):
             c = generate_corpus(small_config(), seed=99)
@@ -48,7 +55,7 @@ class TestGeneration:
     @pytest.mark.parametrize("config", [
         dict(), dict(n_pairs=32, n_characters=70, max_distractors=60),
         dict(n_pairs=4, two_mention_fraction=0.0, max_distractors=0, emit_frames=True),
-        dict(n_pairs=30, two_mention_fraction=1.0, singleton_fraction=0.0),
+        dict(n_pairs=30, two_mention_fraction=1.0, SINGLETON_FRACTION=0.0),
     ], ids=["default", "crowded", "chain", "two-mention"])
     def test_draws_match_the_reference_calls_bitwise(self, tmp_path, monkeypatch, config, seed):
         """The corpus equals the one ``references``' draw calls make, in its
@@ -66,32 +73,33 @@ class TestGeneration:
             return ((tmp_path / name).read_bytes(), (tmp_path / f"{name}.meta.json").read_bytes(),
                     [t.v_stat.tobytes() for clip in c.clips for t in clip.tracks])
 
-        got = export(generate_corpus(CorpusConfig(**config), seed), "got.jsonl")
+        config = corpus_config(monkeypatch, **config)
+        got = export(generate_corpus(config, seed), "got.jsonl")
         for name in ("make_characters", "described_geometry", "distractor_geometry",
                      "make_detections", "appearance"):
             monkeypatch.setattr(corpus, f"_{name}", getattr(references, name))
-        ref = generate_corpus(CorpusConfig(**config), seed)
+        ref = generate_corpus(config, seed)
         for t in (t for clip in ref.clips for t in clip.tracks):
             t.v_stat = references.track_stats(t)
         assert got == export(ref, "ref.jsonl")
 
-    def test_zero_shared_characters_means_all_names(self):
-        c = generate_corpus(small_config(coref_fraction=0.0, n_pairs=30), seed=5)
+    def test_zero_shared_characters_means_all_names(self, small_config):
+        c = generate_corpus(small_config(COREF_FRACTION=0.0, n_pairs=30), seed=5)
         for clip in c.clips:
             for m in clip.mentions:
                 assert clip.sentence[m.pos] in NAME_TOKENS
                 assert m.coref_prev is None
 
-    def test_noiseless_tracks_recover_characters(self):
-        c = generate_corpus(small_config(sigma=0.0, margin=1.0, n_pairs=20), seed=3)
+    def test_noiseless_tracks_recover_characters(self, small_config):
+        c = generate_corpus(small_config(SIGMA=0.0, MARGIN=1.0, n_pairs=20), seed=3)
         centers = np.stack([ch.head_center for ch in c.characters])
         for clip in c.clips:
             for t in clip.tracks:
                 nearest = int(np.argmin(np.linalg.norm(centers - t.v_head, axis=1)))
                 assert nearest == clip.track_chars[t.id]
 
-    def test_coref_mentions_have_previous_track(self):
-        c = generate_corpus(small_config(n_pairs=40, coref_fraction=0.8), seed=11)
+    def test_coref_mentions_have_previous_track(self, small_config):
+        c = generate_corpus(small_config(n_pairs=40, COREF_FRACTION=0.8), seed=11)
         saw_coref = False
         for pair in c.pairs:
             for m in pair.cur.mentions:
@@ -104,7 +112,7 @@ class TestGeneration:
                 assert any(pm.char_id == m.coref_prev for pm in pair.prev.mentions)
         assert saw_coref
 
-    def test_coref_token_iff_previous_mention(self):
+    def test_coref_token_iff_previous_mention(self, small_config):
         c = generate_corpus(small_config(n_pairs=40), seed=6)
         for pair in c.pairs:
             prev_chars = {m.char_id for m in pair.prev.mentions}
@@ -115,9 +123,9 @@ class TestGeneration:
                 else:
                     assert tok.endswith("Name") and m.coref_prev is None
 
-    def test_infeasible_margin_raises(self):
+    def test_infeasible_margin_raises(self, small_config):
         with pytest.raises(ConfigError):
-            generate_corpus(small_config(n_characters=40, d_head=2, margin=10.0),
+            generate_corpus(small_config(n_characters=40, D_HEAD=2, MARGIN=10.0),
                             seed=0)
 
     @pytest.mark.parametrize("field_name, value, extra", [
@@ -130,13 +138,25 @@ class TestGeneration:
         # values of the wrong type, which would be accepted or fail inside Python
         ("n_pairs", 2.5, {}), ("n_characters", 2.5, {}), ("d_head", 3.0, {}),
         ("frames_per_clip", 3.5, {"emit_frames": True}), ("cuts_per_clip", 1.5, {}),
-        ("max_distractors", 1.5, {}), ("n_pairs", True, {}), ("emit_frames", 1, {})])
-    def test_out_of_range_field_raises_naming_it(self, field_name, value, extra):
-        with pytest.raises(ConfigError, match=rf"CorpusConfig\.{field_name} "):
-            generate_corpus(small_config(**{field_name: value}, **extra), seed=0)
+        ("max_distractors", 1.5, {}), ("n_pairs", True, {}), ("emit_frames", 1, {}),
+        ("two_mention_fraction", True, {})])
+    def test_out_of_range_field_raises_naming_it(self, small_config, field_name, value, extra):
+        if field_name in {f.name for f in dataclasses.fields(CorpusConfig)}:
+            with pytest.raises(ConfigError, match=rf"CorpusConfig\.{field_name} "):
+                generate_corpus(small_config(**{field_name: value}, **extra), seed=0)
+        else:  # a module constant now, which the config rejects by name
+            with pytest.raises(TypeError, match=rf"unexpected keyword argument '{field_name}'"):
+                small_config(**{field_name: value}, **extra)
 
-    def test_alpha_targets_match_plant(self):
-        c = generate_corpus(small_config(n_pairs=30, coref_fraction=0.7), seed=8)
+    def test_integer_fraction_is_accepted(self, tmp_path, small_config):
+        # a float field takes an integer: the same corpus as the float
+        paths = [tmp_path / "int.jsonl", tmp_path / "float.jsonl"]
+        for path, fraction in zip(paths, (1, 1.0)):
+            export_jsonl(generate_corpus(small_config(two_mention_fraction=fraction), seed=4), path)
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    def test_alpha_targets_match_plant(self, small_config):
+        c = generate_corpus(small_config(n_pairs=30, COREF_FRACTION=0.7), seed=8)
         for pair in c.pairs:
             planted = planted_supervision(pair)
             targets = grid_targets(pair, planted)
@@ -148,15 +168,15 @@ class TestGeneration:
                 else:
                     assert planted.prev_grounding[p - 1][1] == m.coref_prev
 
-    def test_singleton_pairs_exist(self):
-        c = generate_corpus(small_config(n_pairs=60, singleton_fraction=0.4), seed=2)
+    def test_singleton_pairs_exist(self, small_config):
+        c = generate_corpus(small_config(n_pairs=60, SINGLETON_FRACTION=0.4), seed=2)
         singles = [p for p in c.pairs
                    if len(p.cur.tracks) == 1 and len(p.cur.mentions) == 1]
         assert singles
 
-    def test_frames_and_boundaries(self):
+    def test_frames_and_boundaries(self, small_config):
         c = generate_corpus(small_config(n_pairs=2, emit_frames=True,
-                                         frames_per_clip=8, cuts_per_clip=2), seed=4)
+                                         FRAMES_PER_CLIP=8, CUTS_PER_CLIP=2), seed=4)
         for clip in c.clips:
             assert len(clip.frames) == 8
             assert clip.frames[0].shape == (24, 32, 3)
@@ -185,7 +205,7 @@ class TestVocabulary:
 
 
 class TestJsonl:
-    def test_roundtrip_identity(self, tmp_path):
+    def test_roundtrip_identity(self, tmp_path, small_config):
         c = generate_corpus(small_config(), seed=42)
         p1 = tmp_path / "a.jsonl"
         p2 = tmp_path / "b.jsonl"
@@ -197,14 +217,14 @@ class TestJsonl:
         assert len(back.pairs) == len(c.pairs)
 
     @pytest.mark.parametrize("config", [
-        dict(coref_fraction=0.0), dict(coref_fraction=1.0),
-        dict(two_mention_fraction=1.0, singleton_fraction=0.0),
-        dict(n_characters=1), dict(n_characters=2, coref_fraction=1.0),
-        dict(emit_frames=True, frames_per_clip=5, cuts_per_clip=2),
+        dict(COREF_FRACTION=0.0), dict(COREF_FRACTION=1.0),
+        dict(two_mention_fraction=1.0, SINGLETON_FRACTION=0.0),
+        dict(n_characters=1), dict(n_characters=2, COREF_FRACTION=1.0),
+        dict(emit_frames=True, FRAMES_PER_CLIP=5, CUTS_PER_CLIP=2),
     ], ids=["no-coref", "all-coref", "two-mention", "one-character", "two-characters",
             "frames"])
     @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_roundtrip_restores_every_planted_fact(self, tmp_path, config, seed):
+    def test_roundtrip_restores_every_planted_fact(self, tmp_path, small_config, config, seed):
         c = generate_corpus(small_config(**config), seed)
         p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         export_jsonl(c, p1)
@@ -223,7 +243,7 @@ class TestJsonl:
         assert ([[t.id for t in clip.tracks] for clip in back.clips]
                 == [[t.id for t in clip.tracks] for clip in c.clips])
 
-    def test_three_clips_keep_every_track(self, tmp_path):
+    def test_three_clips_keep_every_track(self, tmp_path, small_config):
         c = generate_corpus(small_config(n_pairs=2), seed=7)
         clips = c.clips[:3]
         # blow up the first clip to 55 tracks
@@ -265,7 +285,7 @@ class TestJsonl:
         (("frames",), {"shape": [2, 1, 1, 3], "uint8": "AAAA"}, "frames"),
     ], ids=["track-not-object", "mention-not-object", "box-string", "frame-index-string",
             "score-string", "two-channel-frame", "frame-shapes-differ"])
-    def test_malformed_value_names_field_and_line(self, tmp_path, keys, value,
+    def test_malformed_value_names_field_and_line(self, tmp_path, small_config, keys, value,
                                                   field_name):
         c = generate_corpus(small_config(n_pairs=1), seed=1)
         p = tmp_path / "c.jsonl"
@@ -282,7 +302,7 @@ class TestJsonl:
             ingest_jsonl(p)
         assert (exc.value.line, exc.value.field) == (2, field_name)
 
-    def test_gt_track_must_exist(self, tmp_path):
+    def test_gt_track_must_exist(self, tmp_path, small_config):
         c = generate_corpus(small_config(n_pairs=1), seed=1)
         p = tmp_path / "c.jsonl"
         export_jsonl(c, p)
@@ -295,7 +315,7 @@ class TestJsonl:
             ingest_jsonl(p)
         assert exc.value.field == "gt_tracks"
 
-    def test_empty_frame_list_roundtrips(self, tmp_path):
+    def test_empty_frame_list_roundtrips(self, tmp_path, small_config):
         c = generate_corpus(small_config(n_pairs=1), seed=1)
         c.clips[1].frames = []
         p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
@@ -317,7 +337,7 @@ class TestJsonl:
         [np.zeros((2, 2, 3), dtype=np.uint8), np.zeros((2, 2, 3), dtype=np.int64)],
     ], ids=["pixel-300", "int64", "float", "nested-list", "two-channel", "two-axes",
             "zero-height", "shapes-differ", "second-frame-int64"])
-    def test_export_rejects_frames_not_uint8_grids(self, tmp_path, frames):
+    def test_export_rejects_frames_not_uint8_grids(self, tmp_path, small_config, frames):
         c = generate_corpus(small_config(n_pairs=1), seed=1)
         c.clips[1].frames = frames
         with pytest.raises(ValueError, match=rf"clip {c.clips[1].id}: frames"):
@@ -330,9 +350,9 @@ class TestJsonl:
         lambda m: {"pos": 1},  # the verb
         lambda m: {"pos": 3},  # past the sentence
     ], ids=["gender", "coref-flipped", "coref-other-character", "verb", "past-the-end"])
-    def test_export_rejects_a_mention_its_token_contradicts(self, tmp_path, edit):
+    def test_export_rejects_a_mention_its_token_contradicts(self, tmp_path, small_config, edit):
         # ingest would read the token's gender and co-reference, not the mention's
-        c = generate_corpus(small_config(n_pairs=2, coref_fraction=0.5), seed=3)
+        c = generate_corpus(small_config(n_pairs=2, COREF_FRACTION=0.5), seed=3)
         for clip in c.clips:
             m = clip.mentions[0]
             clip.mentions[0] = dataclasses.replace(m, **edit(m))
@@ -341,9 +361,9 @@ class TestJsonl:
                 export_jsonl(c, tmp_path / "c.jsonl")
             clip.mentions[0] = m
 
-    def test_nested_list_frames_rejected(self, tmp_path):
+    def test_nested_list_frames_rejected(self, tmp_path, small_config):
         c = generate_corpus(small_config(n_pairs=1, emit_frames=True,
-                                         frames_per_clip=3, cuts_per_clip=1), seed=2)
+                                         FRAMES_PER_CLIP=3, CUTS_PER_CLIP=1), seed=2)
         p = tmp_path / "c.jsonl"
         export_jsonl(c, p)
         objs = [json.loads(line) for line in p.read_text().splitlines()]
@@ -355,9 +375,10 @@ class TestJsonl:
 
     @pytest.mark.parametrize("boundaries", [[99], [0], [4], [1, 4]],
                              ids=["far-past-end", "zero", "last-frame", "second-past-end"])
-    def test_boundary_outside_the_clips_frames_names_clip(self, tmp_path, boundaries):
-        p, objs = _exported_lines(tmp_path, emit_frames=True, frames_per_clip=4,
-                                  cuts_per_clip=1)
+    def test_boundary_outside_the_clips_frames_names_clip(self, tmp_path, small_config,
+                                                          boundaries):
+        p, objs = _exported_lines(tmp_path, small_config, emit_frames=True, FRAMES_PER_CLIP=4,
+                                  CUTS_PER_CLIP=1)
         objs[1]["gt_boundaries"] = boundaries
         _write_lines(p, objs)
         with pytest.raises(CorpusFormatError, match=r"in 1\.\.3") as exc:
@@ -368,17 +389,17 @@ class TestJsonl:
         assert ingest_jsonl(p).clips[1].gt_boundaries == [1, 3]
 
     @pytest.mark.parametrize("line", [2, 3, 4])
-    def test_repeated_clip_id_names_its_line(self, tmp_path, line):
-        p, objs = _exported_lines(tmp_path)
+    def test_repeated_clip_id_names_its_line(self, tmp_path, small_config, line):
+        p, objs = _exported_lines(tmp_path, small_config)
         objs[line - 1]["id"] = objs[0]["id"]
         _write_lines(p, objs)
         with pytest.raises(CorpusFormatError, match=f"clip id {objs[0]['id']} repeats") as exc:
             ingest_jsonl(p)
         assert (exc.value.line, exc.value.field) == (line, "id")
 
-    def test_frames_survive_roundtrip(self, tmp_path):
+    def test_frames_survive_roundtrip(self, tmp_path, small_config):
         c = generate_corpus(small_config(n_pairs=2, emit_frames=True,
-                                         frames_per_clip=5, cuts_per_clip=2), seed=9)
+                                         FRAMES_PER_CLIP=5, CUTS_PER_CLIP=2), seed=9)
         p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         export_jsonl(c, p1)
         back = ingest_jsonl(p1)
@@ -392,14 +413,14 @@ class TestJsonl:
                 np.testing.assert_array_equal(g, f)
             assert got.gt_boundaries == orig.gt_boundaries
 
-    def test_split(self):
+    def test_split(self, small_config):
         c = generate_corpus(small_config(n_pairs=10), seed=3)
         a, b = c.split(7)
         assert len(a.pairs) == 7 and len(b.pairs) == 3
         assert a.vocab.tokens == b.vocab.tokens
 
 
-def _exported_lines(tmp_path, **config):
+def _exported_lines(tmp_path, small_config, **config):
     """An exported two-pair corpus: its path and its lines, parsed."""
     p = tmp_path / "c.jsonl"
     export_jsonl(generate_corpus(small_config(n_pairs=2, **config), seed=1), p)
@@ -508,9 +529,9 @@ class TestIngestErrors:
             "coref-not-in-previous-clip", "coref-without-previous-clip",
             "mention-gender", "mention-coref_prev", "boundaries-number", "boundaries-object",
             "boundaries-string", "boundaries-bool", "boundaries-float", "boundaries-zero"])
-    def test_malformed_value_names_field_and_line(self, tmp_path, line, keys, value,
-                                                  field_name):
-        p, objs = _exported_lines(tmp_path)
+    def test_malformed_value_names_field_and_line(self, tmp_path, small_config, line, keys,
+                                                  value, field_name):
+        p, objs = _exported_lines(tmp_path, small_config)
         _replace(objs[line - 1], keys, value)
         _write_lines(p, objs)
         with pytest.raises(CorpusFormatError) as exc:
@@ -518,8 +539,9 @@ class TestIngestErrors:
         assert (exc.value.line, exc.value.field) == (line, field_name)
 
     @pytest.mark.parametrize("first, then", [("score", "boxes"), ("boxes", "score")])
-    def test_first_track_whose_statistics_overflow_is_named(self, tmp_path, first, then):
-        p, objs = _exported_lines(tmp_path)
+    def test_first_track_whose_statistics_overflow_is_named(self, tmp_path, small_config, first,
+                                                            then):
+        p, objs = _exported_lines(tmp_path, small_config)
         tracks = objs[1]["tracks"]
         tracks.append(json.loads(json.dumps(tracks[0])))
         tracks[-1]["id"] = max(t["id"] for t in tracks) + 1
@@ -553,8 +575,8 @@ class TestIngestErrors:
             "vocab-without-bos", "vocab-without-eos", "vocab-without-a-person-token",
             "boundaries-number", "boundaries-strings", "boundaries-bools",
             "boundaries-list", "boundaries-old-format"])
-    def test_malformed_meta_names_its_key(self, tmp_path, edit, field_name):
-        p, _ = _exported_lines(tmp_path)
+    def test_malformed_meta_names_its_key(self, tmp_path, small_config, edit, field_name):
+        p, _ = _exported_lines(tmp_path, small_config)
         meta_path = tmp_path / "c.jsonl.meta.json"
         meta = edit(json.loads(meta_path.read_text()))
         meta_path.write_text(meta if isinstance(meta, str) else json.dumps(meta))
@@ -585,16 +607,16 @@ class TestIngestErrors:
             "uint8-newline", "uint8-bad-padding", "uint8-data-after-padding",
             "uint8-non-ascii", "bytes-short", "bytes-long", "second-frame-missing",
             "no-frames-with-bytes", "huge-shape"])
-    def test_malformed_frames_block_names_frames_and_line(self, tmp_path, block):
-        p, objs = _exported_lines(tmp_path)
+    def test_malformed_frames_block_names_frames_and_line(self, tmp_path, small_config, block):
+        p, objs = _exported_lines(tmp_path, small_config)
         objs[1]["frames"] = block
         _write_lines(p, objs)
         with pytest.raises(CorpusFormatError) as exc:
             ingest_jsonl(p)
         assert (exc.value.line, exc.value.field) == (2, "frames")
 
-    def test_coref_into_a_previous_clip_without_mentions_rejected(self, tmp_path):
-        p, objs = _exported_lines(tmp_path)
+    def test_coref_into_a_previous_clip_without_mentions_rejected(self, tmp_path, small_config):
+        p, objs = _exported_lines(tmp_path, small_config)
         # line 2 co-refers to the character line 1 mentions, and ingests ...
         objs[1]["sentence"][0] = objs[0]["sentence"][0].replace("Name", "Coref")
         objs[1]["mentions"][0]["char"] = objs[0]["mentions"][0]["char"]
@@ -607,8 +629,8 @@ class TestIngestErrors:
             ingest_jsonl(p)
         assert (exc.value.line, exc.value.field) == (2, "char")
 
-    def test_vector_width_must_match_earlier_clips_without_meta(self, tmp_path):
-        p, objs = _exported_lines(tmp_path)
+    def test_vector_width_must_match_earlier_clips_without_meta(self, tmp_path, small_config):
+        p, objs = _exported_lines(tmp_path, small_config)
         (tmp_path / "c.jsonl.meta.json").unlink()
         ingest_jsonl(p)  # the unedited corpus needs no meta
         objs[2]["tracks"][0]["v_body"] = [1.0]
@@ -621,8 +643,8 @@ class TestIngestErrors:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
     def test_any_one_field_replaced_gives_typed_error_or_valid_corpus(self, tmp_path,
-                                                                       data):
-        p, objs = _exported_lines(tmp_path)
+                                                                       small_config, data):
+        p, objs = _exported_lines(tmp_path, small_config)
         line = data.draw(st.integers(0, len(objs) - 1), label="line")
         keys = data.draw(st.sampled_from(list(_paths(objs[line]))), label="path")
         _replace(objs[line], keys, data.draw(JSON_VALUES, label="value"))
@@ -642,9 +664,9 @@ class TestIngestErrors:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
     def test_any_frames_entry_replaced_gives_frames_error_or_valid_corpus(self, tmp_path,
-                                                                           data):
-        p, objs = _exported_lines(tmp_path, emit_frames=True, frames_per_clip=3,
-                                  cuts_per_clip=1)
+                                                                           small_config, data):
+        p, objs = _exported_lines(tmp_path, small_config, emit_frames=True, FRAMES_PER_CLIP=3,
+                                  CUTS_PER_CLIP=1)
         line = data.draw(st.integers(0, len(objs) - 1), label="line")
         keys = data.draw(st.sampled_from([("frames",), *_paths(objs[line]["frames"],
                                                                 ("frames",))]), label="path")
@@ -719,8 +741,8 @@ class TestPairSupervision:
             build_train_items(Corpus([pair], Vocabulary.build()),
                               [pair_supervision(pair, [], [(m, tid)])], fit_norm_stats(tracks))
 
-    def test_planted_and_equal_linked_groundings_agree(self):
-        c = generate_corpus(small_config(n_pairs=30, coref_fraction=0.7,
+    def test_planted_and_equal_linked_groundings_agree(self, small_config):
+        c = generate_corpus(small_config(n_pairs=30, COREF_FRACTION=0.7,
                                          two_mention_fraction=0.6), seed=8)
 
         def linked(clip):  # the track planted for each mention's character

@@ -3,7 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from charcap.corpus import CorpusConfig, generate_corpus, planted_supervision
+from charcap import linker as linker_module
+from charcap.corpus import generate_corpus, planted_supervision
 from charcap.decoder import build_train_items
 from charcap.linker import (
     Linker, LinkerConfig, build_attention_gt, build_link_instances,
@@ -18,52 +19,62 @@ from charcap.numerics import (
 )
 from charcap.track_features import apply_norm, fit_norm_stats
 import references
+from configs import corpus_config
 from references import cross_entropy, finite_diff_check, softmax
 
 
-def corpus_cfg(**kw):
-    base = dict(n_pairs=60, n_characters=6, d_head=16, d_body=8, d_global=8,
-                sigma=0.0, singleton_fraction=0.2)
-    base.update(kw)
-    return CorpusConfig(**base)
+def corpus_cfg(mp, **kw):
+    """``corpus_config`` of 60 pairs over 6 characters, 16-wide heads, 8-wide
+    bodies and v_global, noiseless appearance and 20 % singleton pairs, the
+    keywords overriding."""
+    return corpus_config(mp, **{"n_pairs": 60, "n_characters": 6, "D_HEAD": 16, "D_BODY": 8,
+                                "D_GLOBAL": 8, "SIGMA": 0.0, "SINGLETON_FRACTION": 0.2, **kw})
+
+
+def small_widths(mp, d_emb, hidden, scorer_hidden, recon_hidden):
+    """Sets the linker's widths through ``mp``, a ``pytest.MonkeyPatch``."""
+    for name, value in (("D_EMB", d_emb), ("HIDDEN", hidden), ("SCORER_HIDDEN", scorer_hidden),
+                        ("RECON_HIDDEN", recon_hidden)):
+        mp.setattr(linker_module, name, value)
 
 
 @pytest.fixture(scope="module")
 def trained():
-    corpus = generate_corpus(corpus_cfg(n_pairs=110), seed=7)
+    with pytest.MonkeyPatch.context() as mp:
+        corpus = generate_corpus(corpus_cfg(mp, n_pairs=110), seed=7)
     train, test = corpus.split(80)
     linker = train_linker(train, LinkerConfig(epochs=50), seed=3)
     return linker, train, test
 
 
-def linker_loss(params, cfg, instances, names):
+def linker_loss(params, instances, names):
     """Mean loss and gradients over fixed instances."""
     grads = zeros_like_params(params)
     batch = _batch(_padded_instances(instances, names), np.arange(len(instances)))
-    total = _batch_loss_and_grads(params, cfg, batch, grads)
+    total = _batch_loss_and_grads(params, batch, grads)
     for k in grads:
         grads[k] /= len(instances)
     return total / len(instances), grads
 
 
-def one_mention(params, cfg, gender_row, name_row, features):
+def one_mention(params, gender_row, name_row, features):
     """``_score``'s attention for a single mention over all of ``features``."""
-    return _score(params, cfg, [gender_row], [name_row], features[None],
+    return _score(params, [gender_row], [name_row], features[None],
                   np.ones((1, len(features)), dtype=bool))[0][0]
 
 
 class TestForward:
-    def test_single_track_attention_is_one(self):
-        cfg = LinkerConfig(d_emb=4, hidden=5, scorer_hidden=4, recon_hidden=4)
-        params = init_linker_params(cfg, n_names=3, d_head=6, seed=0)
-        att = one_mention(params, cfg, 0, 2, np.ones((1, 6)))
+    def test_single_track_attention_is_one(self, monkeypatch):
+        small_widths(monkeypatch, 4, 5, 4, 4)
+        params = init_linker_params(n_names=3, d_head=6, seed=0)
+        att = one_mention(params, 0, 2, np.ones((1, 6)))
         np.testing.assert_allclose(att, [1.0])
 
-    def test_untrained_distribution_normalized(self):
-        cfg = LinkerConfig(d_emb=4, hidden=5, scorer_hidden=4, recon_hidden=4)
-        params = init_linker_params(cfg, n_names=3, d_head=6, seed=1)
+    def test_untrained_distribution_normalized(self, monkeypatch):
+        small_widths(monkeypatch, 4, 5, 4, 4)
+        params = init_linker_params(n_names=3, d_head=6, seed=1)
         rng = rng_stream(2, "feat")
-        att = one_mention(params, cfg, 1, 3, rng.normal(size=(7, 6)))
+        att = one_mention(params, 1, 3, rng.normal(size=(7, 6)))
         assert abs(att.sum() - 1.0) <= 1e-9
         assert (att >= 0).all()
 
@@ -84,15 +95,15 @@ class TestForward:
 
 
 class TestGradients:
-    def test_matches_finite_differences(self):
-        corpus = generate_corpus(corpus_cfg(n_pairs=3, sigma=0.3), seed=1)
+    def test_matches_finite_differences(self, monkeypatch):
+        corpus = generate_corpus(corpus_cfg(monkeypatch, n_pairs=3, SIGMA=0.3), seed=1)
         norm = fit_norm_stats([t for c in corpus.clips for t in c.tracks])
         insts = build_link_instances(corpus, norm)[:4]
-        cfg = LinkerConfig(d_emb=5, hidden=6, scorer_hidden=5, recon_hidden=5)
+        small_widths(monkeypatch, 5, 6, 5, 5)
         names = {n: k for k, n in enumerate(sorted({i.name_id for i in insts}))}
-        params = init_linker_params(cfg, len(names), 16, seed=0)
+        params = init_linker_params(len(names), 16, seed=0)
         err = finite_diff_check(
-            lambda p: linker_loss(p, cfg, insts, names), params,
+            lambda p: linker_loss(p, insts, names), params,
             max_coords_per_array=6)
         assert err <= 1e-4
 
@@ -118,7 +129,7 @@ class TestTraining:
                 # right only when the permutation fixes the ground-truth row
                 perm = rng.permutation(c)
                 g, nrow = linker._rows(m.gender, m.char_id)
-                att = one_mention(linker.params, linker.config, g, nrow, feats[perm])
+                att = one_mention(linker.params, g, nrow, feats[perm])
                 chosen = clip.tracks[int(np.argmax(att))].id
                 hits += chosen in m.gt_track_ids
                 n += 1
@@ -127,14 +138,15 @@ class TestTraining:
         assert acc < 0.55
         assert abs(acc - inv_c / n) < 0.25
 
-    def test_divergence_aborts_with_last_good_params(self):
+    def test_divergence_aborts_with_last_good_params(self, monkeypatch):
         # lr = 1e308 carries the weights to the edge of the float range in one
         # step: the first epoch's loss is finite, the second's is not
-        corpus = generate_corpus(CorpusConfig(n_pairs=6, n_characters=4, d_head=8, d_body=6,
-                                              d_global=8, sigma=0.05), seed=2)
+        corpus = generate_corpus(corpus_config(monkeypatch, n_pairs=6, n_characters=4, D_HEAD=8,
+                                               D_BODY=6, D_GLOBAL=8), seed=2)
+        monkeypatch.setattr(linker_module, "LR", 1e308)
         with pytest.raises(TrainingDiverged) as exc:
-            train_linker(corpus, LinkerConfig(epochs=4, lr=1e308), seed=1)
-        after_first = train_linker(corpus, LinkerConfig(epochs=1, lr=1e308), seed=1).params
+            train_linker(corpus, LinkerConfig(epochs=4), seed=1)
+        after_first = train_linker(corpus, LinkerConfig(epochs=1), seed=1).params
         assert exc.value.epoch == 1
         assert all(np.isfinite(v).all() for v in exc.value.params.values())
         assert list(exc.value.params) == list(after_first)
@@ -142,11 +154,12 @@ class TestTraining:
 
     @pytest.mark.parametrize("seed", [0, 1])
     @pytest.mark.parametrize("epochs, batch_size", [(0, 4), (3, 5), (3, 4), (2, 16)])
-    def test_matches_its_own_loop_bitwise(self, seed, epochs, batch_size):
-        corpus = generate_corpus(corpus_cfg(n_pairs=4, sigma=0.3), seed=3)
+    def test_matches_its_own_loop_bitwise(self, monkeypatch, seed, epochs, batch_size):
+        corpus = generate_corpus(corpus_cfg(monkeypatch, n_pairs=4, SIGMA=0.3), seed=3)
         assert sum(len(c.mentions) for c in corpus.clips) == 10  # 5 divides it, 4 does not
-        cfg = LinkerConfig(d_emb=5, hidden=6, scorer_hidden=5, recon_hidden=5, epochs=epochs,
-                           batch_size=batch_size)
+        small_widths(monkeypatch, 5, 6, 5, 5)
+        monkeypatch.setattr(linker_module, "BATCH_SIZE", batch_size)
+        cfg = LinkerConfig(epochs=epochs)
         got = train_linker(corpus, cfg, seed=seed)
         want = references.train_linker(corpus, cfg, seed)
         assert list(got.params) == list(want.params)
@@ -205,10 +218,10 @@ class TestAttentionGt:
         assert checked > 0
 
 
-def _reference_instance(params, cfg, inst, name_row, name_index, grads):
+def _reference_instance(params, inst, name_row, name_index, grads):
     """One instance's loss, its gradients added into ``grads``: one mention
     at a time, with the scorer input [m; v] tiled per track."""
-    H = cfg.hidden
+    H = params["W_lstm"].shape[0] // 4
     g = Linker.GENDER_ROWS[inst.gender]
     W, b, E = params["W_lstm"], params["b_lstm"], params["E_tok"]
     h1, c1, k1 = lstm_step_forward(W, b, E[g], np.zeros(H), np.zeros(H))
@@ -252,24 +265,24 @@ def _reference_instance(params, cfg, inst, name_row, name_index, grads):
 
 class TestBatch:
     @staticmethod
-    def _batch():
+    def _batch(mp):
         # C = 1 and C > 1, supervised and not, padded to C = 4
         rng = rng_stream(8, "batch")
-        cfg = LinkerConfig(d_emb=5, hidden=6, scorer_hidden=5, recon_hidden=5)
+        small_widths(mp, 5, 6, 5, 5)
         spec = [("M", 0, 1, True), ("F", 1, 4, False), ("F", 2, 1, False),
                 ("M", 1, 3, True), ("M", 2, 2, False)]
         insts = [LinkInstance(gender=g, name_id=n, features=rng.normal(size=(C, 7)),
                               supervised=sup)
                  for g, n, C, sup in spec]
         names = {n: n for n in range(3)}
-        return cfg, init_linker_params(cfg, 3, 7, seed=4), insts, names
+        return init_linker_params(3, 7, seed=4), insts, names
 
-    def test_batched_loss_and_gradients_equal_per_instance(self):
+    def test_batched_loss_and_gradients_equal_per_instance(self, monkeypatch):
         # the batch sums in another order: equal to 1e-12 of each array
-        cfg, params, insts, names = self._batch()
-        loss, grads = linker_loss(params, cfg, insts, names)
+        params, insts, names = self._batch(monkeypatch)
+        loss, grads = linker_loss(params, insts, names)
         want = {k: np.zeros_like(v) for k, v in params.items()}
-        want_loss = sum(_reference_instance(params, cfg, i, 2 + names[i.name_id],
+        want_loss = sum(_reference_instance(params, i, 2 + names[i.name_id],
                                             names[i.name_id], want)
                         for i in insts) / len(insts)
         assert abs(loss - want_loss) <= 1e-12 * want_loss
@@ -277,32 +290,33 @@ class TestBatch:
             want[k] /= len(insts)
             assert np.abs(grads[k] - want[k]).max() <= 1e-12 * np.abs(want[k]).max(), k
 
-    def test_supervised_flag_changes_nothing(self):
+    def test_supervised_flag_changes_nothing(self, monkeypatch):
         # a singleton clip's link is known but adds no loss term
-        cfg, params, insts, names = self._batch()
+        params, insts, names = self._batch(monkeypatch)
         flipped = [dataclasses.replace(i, supervised=not i.supervised) for i in insts]
-        loss, grads = linker_loss(params, cfg, insts, names)
-        loss_f, grads_f = linker_loss(params, cfg, flipped, names)
+        loss, grads = linker_loss(params, insts, names)
+        loss_f, grads_f = linker_loss(params, flipped, names)
         assert loss == loss_f
         for k in params:
             assert grads[k].tobytes() == grads_f[k].tobytes(), k
 
-    def test_padding_tracks_get_zero_attention(self):
-        cfg, params, insts, names = self._batch()
+    def test_padding_tracks_get_zero_attention(self, monkeypatch):
+        params, insts, names = self._batch(monkeypatch)
         genders, classes, V, valid = _batch(_padded_instances(insts, names),
                                             np.arange(len(insts)))
         rows = 2 + classes
-        att = _score(params, cfg, genders, rows, V, valid)[0]
+        att = _score(params, genders, rows, V, valid)[0]
         assert valid.sum() < valid.size
         assert (att[~valid] == 0.0).all()
         for b, inst in enumerate(insts):
-            one = one_mention(params, cfg, genders[b], rows[b], inst.features)
+            one = one_mention(params, genders[b], rows[b], inst.features)
             np.testing.assert_allclose(att[b, :len(one)], one, rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("idx", [[2, 0], [4, 2, 3], [1], [3, 0, 4, 1, 2]])
-    def test_batch_cut_from_the_padded_instances_is_pad_rows_of_its_features(self, idx):
+    def test_batch_cut_from_the_padded_instances_is_pad_rows_of_its_features(self, monkeypatch,
+                                                                              idx):
         # track counts 1, 4, 1, 3, 2: a cut without instance 1 is narrower than the padding
-        _, _, insts, names = self._batch()
+        _, insts, names = self._batch(monkeypatch)
         genders, classes, V, valid = _batch(_padded_instances(insts, names), np.array(idx))
         want_V, want_valid = pad_rows([insts[i].features for i in idx])
         assert V.shape == want_V.shape and V.tobytes() == want_V.tobytes()
@@ -313,8 +327,8 @@ class TestBatch:
 
 
 class TestHeads:
-    def test_equal_to_apply_norm_bitwise(self):
-        corpus = generate_corpus(corpus_cfg(n_pairs=6, sigma=0.3), seed=2)
+    def test_equal_to_apply_norm_bitwise(self, monkeypatch):
+        corpus = generate_corpus(corpus_cfg(monkeypatch, n_pairs=6, SIGMA=0.3), seed=2)
         norm = fit_norm_stats([t for c in corpus.clips for t in c.tracks[:2]])
         for clip in corpus.clips:
             want = np.stack([(t.v_head - norm.mean["v_head"]) / norm.std["v_head"]
@@ -332,8 +346,8 @@ class TestPacked:
 
 
 class TestCounts:
-    def test_supervised_instances_are_the_singleton_clip_mentions(self):
-        corpus = generate_corpus(corpus_cfg(n_pairs=12), seed=5)
+    def test_supervised_instances_are_the_singleton_clip_mentions(self, monkeypatch):
+        corpus = generate_corpus(corpus_cfg(monkeypatch, n_pairs=12), seed=5)
         want = sum(1 for pair in corpus.pairs for clip in (pair.prev, pair.cur)
                    if clip is not None and len(clip.tracks) == 1 and len(clip.mentions) == 1)
         assert want > 0

@@ -5,13 +5,13 @@ import pytest
 
 from charcap import multicut
 from charcap.multicut import (
-    PairwisePotentialModel, Partition, brute_force_multicut, build_tracks,
-    filter_detections, fit_pairwise_model, greedy_contraction, _cost_matrix,
-    _objective, pairwise_feature, solve_multicut,
+    PairwisePotentialModel, build_tracks, filter_detections, fit_pairwise_model,
+    greedy_contraction, _cost_matrix, _objective, pairwise_feature, solve_multicut,
 )
 from charcap.numerics import rng_stream, sigmoid
 from charcap.track_features import Detection
 import references
+from references import brute_force_multicut
 
 
 def det(t, x, y, w=50.0, h=50.0, score=0.9):

@@ -1,6 +1,5 @@
 import tracemalloc
 import warnings
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -327,8 +326,7 @@ class TestTrainMinibatches:
 
     def run(self, batch_loss, epochs, grad_clip=0.0):
         """Ten items in batches of 4; the loop packs a copy of ``INIT``."""
-        config = SimpleNamespace(lr=0.01, epochs=epochs, batch_size=4)
-        return train_minibatches(self.INIT, 10, batch_loss, config, rng_stream(3, "loop"),
+        return train_minibatches(self.INIT, 10, batch_loss, epochs, 4, 0.01, rng_stream(3, "loop"),
                                  grad_clip)
 
     def test_each_epoch_visits_its_permutation_once_in_batches(self):
