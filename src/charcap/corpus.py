@@ -14,7 +14,8 @@ numpy's Generator computes them (``lo + (hi - lo) * rng.random()`` for
 per-call cost; ``tests/references.py`` keeps the ``uniform``/``normal``
 calls and the tests pin the two bitwise. A clip's and a line's track
 statistics are one ``track_stats`` call. ``CorpusConfig`` holds the five
-settings a workload varies; the vector widths ``D_HEAD``, ``D_BODY`` and
+settings a workload varies, frozen and checked when it is made
+(``numerics.check_config``); the vector widths ``D_HEAD``, ``D_BODY`` and
 ``D_GLOBAL``, the noise ``SIGMA``, the character ``MARGIN``, the
 ``COREF_FRACTION`` and ``SINGLETON_FRACTION`` and a clip's
 ``FRAMES_PER_CLIP`` and ``CUTS_PER_CLIP`` are module constants, read at
@@ -73,10 +74,6 @@ MARGIN = 1.0  # least distance between two characters' head centers
 COREF_FRACTION = 0.5  # chance that a previous-clip character returns in the current clip
 SINGLETON_FRACTION = 0.15  # chance that a pair has no distractors and one mention a clip
 FRAMES_PER_CLIP, CUTS_PER_CLIP = 9, 2  # a clip's video when emit_frames is set
-
-
-class ConfigError(ValueError):
-    pass
 
 
 class CorpusFormatError(ValueError):
@@ -199,7 +196,7 @@ class Corpus:
         return a, b
 
 
-@dataclass
+@dataclass(frozen=True)
 class CorpusConfig:
     n_pairs: int = 100
     n_characters: int = 6
@@ -207,21 +204,9 @@ class CorpusConfig:
     two_mention_fraction: float = 0.3
     emit_frames: bool = False
 
-    def validate(self):
-        """Raise ``ConfigError`` naming the first field of the wrong type
-        (``numerics.check_config``) or out of its range."""
-        try:
-            check_config("CorpusConfig.validate", self)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-        for name, ok, rule in (
-                ("n_pairs", self.n_pairs >= 1, "must be >= 1"),
-                ("n_characters", self.n_characters >= 1, "must be >= 1"),
-                ("max_distractors", self.max_distractors >= 0, "must be >= 0"),
-                ("two_mention_fraction", 0 <= self.two_mention_fraction <= 1,
-                 "must be in [0, 1]")):
-            if not ok:
-                raise ConfigError(f"CorpusConfig.{name} {rule}, got {getattr(self, name)!r}")
+    def __post_init__(self):
+        check_config(self, {"n_pairs": (1, math.inf), "n_characters": (1, math.inf),
+                            "max_distractors": (0, math.inf), "two_mention_fraction": (0, 1)})
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +228,7 @@ def _make_characters(config, rng):
                 placed = v
                 break
         if placed is None:
-            raise ConfigError(
+            raise ValueError(
                 f"cannot place {config.n_characters} characters with margin "
                 f"{MARGIN} in {D_HEAD} dims")
         body = rng.normal(0.0, MARGIN, size=D_BODY)
@@ -367,7 +352,6 @@ def _pick(rng, pool, k):
 def generate_corpus(config: CorpusConfig, seed):
     """Deterministic corpus of clip pairs; equal (config, seed) gives
     byte-identical JSONL exports."""
-    config.validate()
     rng = rng_stream(seed, "corpus")
     chars = _make_characters(config, rng)
     by_id = {c.id: c for c in chars}

@@ -45,11 +45,12 @@ after item: padding is dropped.
 The feature widths come from the data, as in the linker: ``d_head``,
 ``d_body`` and ``d_stat`` are the widths of the norm fitted on the
 training tracks, ``d_global`` that of the clips' ``v_global``.
-``DecoderConfig`` holds the three model widths and the epoch count; the
-learning rate, batch size and clip norm above and ``decode_pair``'s
-``MAX_LEN`` are module constants, read at each call. Every function that
-holds the weights or the features reads the feature widths off them
-(``_widths``).
+``DecoderConfig`` holds the three model widths and the epoch count,
+checked when it is made; the learning rate, batch size and clip norm
+above and ``decode_pair``'s ``MAX_LEN`` are module constants, read at
+each call. Every function that holds the weights or the features reads
+the feature widths off them (``_widths``), and the hidden width off
+``W_h``.
 
 A checkpoint (format version 5) is a one-line JSON header followed by
 one little-endian float64 vector, and states each fact once. The header
@@ -57,11 +58,8 @@ holds the magic string, the version, the config, the vocabulary and the
 four widths; from these alone the loader works out the vector's layout
 (``_checkpoint_arrays``): the 13 weights in ``_param_shapes`` order, then
 each norm block's mean and std. The loader reads the vector in one call,
-and every loaded array is a view of it. Version 4's config also held
-``max_len``, ``lr``, ``batch_size`` and ``grad_clip``, version 3 listed
-the arrays in the header and wrote the norm as JSON, version 2 repeated
-the widths in the config and version 1 had an attention logit bias; a
-file of any of them is rejected by its stamp.
+and every loaded array is a view of it. A file of another version is
+rejected by its stamp.
 """
 
 import json
@@ -89,19 +87,16 @@ BATCH_SIZE = 8  # pairs per mini-batch
 GRAD_CLIP = 5.0  # global norm a mini-batch's mean gradient is clipped to
 
 
-@dataclass
+@dataclass(frozen=True)
 class DecoderConfig:
     d_att: int = 64
     d_emb: int = 64
     hidden: int = 128
     epochs: int = 30
 
-
-def _check_config(where, config: DecoderConfig):
-    """``check_config`` with the decoder's bounds: ``d_emb`` and ``epochs``
-    at least 0, ``d_att`` and ``hidden`` at least 1. Training and loading
-    run it, so a config that trains also loads."""
-    check_config(where, config, (("d_att", 1), ("d_emb", 0), ("hidden", 1), ("epochs", 0)))
+    def __post_init__(self):
+        check_config(self, {"d_att": (1, math.inf), "d_emb": (0, math.inf),
+                            "hidden": (1, math.inf), "epochs": (0, math.inf)})
 
 
 def _param_shapes(config: DecoderConfig, vocab_size, d_head, d_body, d_stat, d_global):
@@ -311,7 +306,7 @@ def _split_lstm(params):
     return W_rec, W[:, gr:glob], params["E"] @ W[:, glob:-H].T
 
 
-def sentence_loss(params, config, vocab, batch, grads):
+def sentence_loss(params, vocab, batch, grads):
     """Teacher-forced loss of a mini-batch of ``TrainItem``s, run as one
     recurrence over ``(B, ·)`` rows; adds the gradients of all 13 weights
     into ``grads``.
@@ -322,9 +317,10 @@ def sentence_loss(params, config, vocab, batch, grads):
     a pair without one. Returns (total, word_loss, att_loss, grads,
     skipped): the first three are lists with one float per item. When a
     word logit is not finite, every word loss is inf, so that training
-    aborts, and ``grads`` is left untouched.
+    aborts, and ``grads`` is left untouched. The hidden width is read off
+    ``W_h``.
     """
-    B, H = len(batch), config.hidden
+    B, H = len(batch), params["W_h"].shape[1]
     # one PairFeatures with a batch axis; each pair's slots padded with invalid zero slots
     feats = PairFeatures(v_global=np.stack([item.feats.v_global for item in batch]), **{
         name: pad_rows([getattr(item.feats, name) for item in batch])[0] for name in (
@@ -491,13 +487,11 @@ def train_decoder(corpus: Corpus, supervision, config: DecoderConfig, seed=0):
     ``d_stat`` those of the norm fitted on the corpus's tracks,
     ``d_global`` that of its clips' ``v_global``. Supervision without
     links trains the words alone (the words-only arm). Raises ValueError
-    when a config field is of the wrong type or out of range
-    (``_check_config``), a track's block is not as wide as the first
-    track's (``fit_norm_stats``) or a clip's ``v_global`` not as wide as
-    the first clip's, and TrainingDiverged with the last finite-loss
-    parameters if the loss or a weight goes non-finite.
+    when a track's block is not as wide as the first track's
+    (``fit_norm_stats``) or a clip's ``v_global`` not as wide as the first
+    clip's, and TrainingDiverged with the last finite-loss parameters if
+    the loss or a weight goes non-finite.
     """
-    _check_config("train_decoder", config)
     norm = fit_norm_stats([t for c in corpus.clips for t in c.tracks])
     d_global = len(corpus.clips[0].v_global)
     for clip in corpus.clips:
@@ -511,7 +505,7 @@ def train_decoder(corpus: Corpus, supervision, config: DecoderConfig, seed=0):
     skipped = []  # per batch
 
     def batch_loss(params, idx, grads):
-        *rows, _, n = sentence_loss(params, config, vocab, [items[i] for i in idx], grads)
+        *rows, _, n = sentence_loss(params, vocab, [items[i] for i in idx], grads)
         skipped.append(n)
         return zip(*rows)  # (total, word, att) per item
 
@@ -553,7 +547,7 @@ def decode_pair(trained: TrainedDecoder, pair: ClipPair, prev_grounding):
     grounding and co-reference. Raises ValueError when the pair's vectors
     are not as wide as the trained decoder's.
     """
-    params, config, vocab = trained.params, trained.config, trained.vocab
+    params, vocab = trained.params, trained.vocab
     feats = pair_features(pair, prev_grounding, trained.norm)
     W_rec, W_glob, EW = _split_lstm(params)
     if len(feats.v_global) != W_glob.shape[1]:
@@ -561,7 +555,7 @@ def decode_pair(trained: TrainedDecoder, pair: ClipPair, prev_grounding):
                          f"v_global, the decoder's is {W_glob.shape[1]} wide")
     terms = attention_terms(params, feats)
     base = W_glob @ feats.v_global + params["b_lstm"]
-    h = c = np.zeros(config.hidden, dtype=FLOAT)
+    h = c = np.zeros(params["W_h"].shape[1], dtype=FLOAT)
     grounded = terms.valid.any()
     w_prev = vocab.index(BOS)
     eos = vocab.index(EOS)
@@ -619,8 +613,9 @@ def save_checkpoint(path, trained: TrainedDecoder):
 
 def _header_contents(path, header):
     """Config, vocabulary and widths of a checkpoint header whose magic
-    string and version are checked. The config must pass ``_check_config``,
-    each width be a non-negative integer and the vocabulary keep
+    string and version are checked. The config must give every
+    ``DecoderConfig`` key and no other, and make a ``DecoderConfig``; each
+    width must be a non-negative integer and the vocabulary keep
     ``Vocabulary``'s rules."""
     missing = [k for k in ("config", "vocab", *_WIDTHS) if k not in header]
     if missing:
@@ -628,11 +623,16 @@ def _header_contents(path, header):
     cfg, vocab = header["config"], header["vocab"]
     if not isinstance(cfg, dict):
         raise ValueError(f"{path}: checkpoint config is not a JSON object")
-    unknown = sorted(set(cfg) - {f.name for f in fields(DecoderConfig)})
+    names = {f.name for f in fields(DecoderConfig)}
+    unknown, lacking = sorted(set(cfg) - names), sorted(names - set(cfg))
     if unknown:
         raise ValueError(f"{path}: config keys {unknown} are not DecoderConfig settings")
-    config = DecoderConfig(**cfg)
-    _check_config(f"{path}: checkpoint config", config)
+    if lacking:
+        raise ValueError(f"{path}: checkpoint config lacks {lacking}")
+    try:
+        config = DecoderConfig(**cfg)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     for k in _WIDTHS:
         if not (_is_number(header[k], int) and header[k] >= 0):
             raise ValueError(f"{path}: checkpoint {k} = {header[k]!r} "
@@ -650,12 +650,13 @@ def load_checkpoint(path):
     """Inverse of ``save_checkpoint``: the arrays are views of one vector.
     A malformed header, a missing magic string or version, another version
     (an older file included), a missing config, vocab or width, config keys
-    ``DecoderConfig`` does not know, a config value of the wrong type or out
-    of range, a width that is not a non-negative integer, a vocabulary that
-    repeats a token or lacks a special one, a file that ends inside an array
-    (named) or has bytes after the last, a stored value that is not finite
-    (its array named) and a norm std of 0 or less (its block named) raise
-    ValueError naming the file."""
+    ``DecoderConfig`` does not know or a config without one of its keys
+    (named), a config value of the wrong type or out of range, a width
+    that is not a non-negative integer, a vocabulary that repeats a token
+    or lacks a special one, a file that ends inside an array (named) or has
+    bytes after the last, a stored value that is not finite (its array
+    named) and a norm std of 0 or less (its block named) raise ValueError
+    naming the file."""
     with open(path, "rb") as fh:
         try:
             header = json.loads(fh.readline().decode("utf-8"))

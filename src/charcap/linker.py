@@ -14,16 +14,17 @@ masked out of the softmax (training pads every mention once and cuts each
 batch from that); ``Linker.link_clip`` scores all mentions of a
 clip the same way. Training runs the decoder's loop,
 ``numerics.train_minibatches``, unclipped, with a batch's summed loss as
-its one loss row. ``LinkerConfig`` holds the epoch count alone; the
-widths ``D_EMB``, ``HIDDEN``, ``SCORER_HIDDEN`` and ``RECON_HIDDEN``,
-Adam's ``LR`` and the ``BATCH_SIZE`` are module constants, read when the
-weights are made and trained; every other function reads the widths off
-the weights. The trained linker grounds every mention, and
-``corpus.pair_supervision`` turns those groundings into each pair's
-previous-clip candidates and current-clip links, which the decoder places
-on its attention grid as supervision targets.
+its one loss row. ``LinkerConfig`` holds the epoch count alone, checked
+when it is made; the widths ``D_EMB``, ``HIDDEN``, ``SCORER_HIDDEN`` and
+``RECON_HIDDEN``, Adam's ``LR`` and the ``BATCH_SIZE`` are module
+constants, read when the weights are made and trained; every other
+function reads the widths off the weights. The trained linker grounds
+every mention, and ``corpus.pair_supervision`` turns those groundings
+into each pair's previous-clip candidates and current-clip links, which
+the decoder places on its attention grid as supervision targets.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,9 +44,12 @@ LR = 0.01  # Adam's learning rate
 BATCH_SIZE = 16  # mentions per mini-batch
 
 
-@dataclass
+@dataclass(frozen=True)
 class LinkerConfig:
     epochs: int = 60
+
+    def __post_init__(self):
+        check_config(self, {"epochs": (0, math.inf)})
 
 
 @dataclass
@@ -220,12 +224,10 @@ def build_link_instances(corpus: Corpus, norm: NormStats):
 
 def train_linker(corpus: Corpus, config: LinkerConfig = None, seed=0):
     """Train on every mention of the corpus; returns a ready ``Linker``.
-    Raises ValueError when ``epochs`` is not a non-negative integer
-    (``check_config``) or the corpus has no mentions, and
+    Raises ValueError when the corpus has no mentions, and
     ``numerics.TrainingDiverged`` with the last finite-loss parameters if
     the loss or a weight goes non-finite."""
     config = config or LinkerConfig()
-    check_config("train_linker", config, (("epochs", 0),))
     norm = fit_norm_stats([t for clip in corpus.clips for t in clip.tracks])
     instances = build_link_instances(corpus, norm)
     if not instances:

@@ -5,7 +5,9 @@ Everything is float64 numpy. Parameters of a model are kept in a plain
 The linker and the decoder train in one loop, ``train_minibatches``, on
 weights and gradients packed by ``pack_params`` into one vector each,
 which ``Adam`` steps whole. Each forward kernel has a hand-written
-backward, checked by central differences in the tests.
+backward, checked by central differences in the tests. The configs of
+``corpus``, ``linker`` and ``decoder`` are frozen dataclasses that check
+their field types and ranges with ``check_config`` when they are made.
 
 The module needs numpy alone. ``sigmoid`` is numpy's ``exp`` rather than
 ``scipy.special.expit``, whose import took longer than the rest of
@@ -308,18 +310,20 @@ _KIND = {int: ("an integer", lambda v: _is_number(v, int)), float: ("a finite nu
          bool: ("a boolean", lambda v: isinstance(v, bool))}
 
 
-def check_config(where, config, low=()):
+def check_config(config, bounds):
     """Raise ValueError naming the first field of the dataclass ``config``
-    that is not of its annotated type or is out of range. An ``int`` field
-    takes an integer but no boolean or float, a ``float`` field a finite
-    number (an integer too) but no boolean, a ``bool`` field a boolean.
-    Then each field that ``low``'s (name, bound) pairs name is at least its
-    bound."""
-    cls = type(config).__name__
+    that is not of its annotated type or lies outside its range, as
+    ``<Class>.<field> = <value!r> is not <kind>`` or ``... is out of
+    range``. An ``int`` field takes an integer but no boolean or float, a
+    ``float`` field a finite number (an integer too) but no boolean, a
+    ``bool`` field a boolean. ``bounds`` maps a field to its inclusive
+    ``(low, high)`` range. Each config's ``__post_init__`` calls it, so a
+    config that exists is valid."""
     for f in fields(config):
         kind, ok = _KIND[f.type]
-        if not ok(getattr(config, f.name)):
-            raise ValueError(f"{where}: {cls}.{f.name} = {getattr(config, f.name)!r} is not {kind}")
-    for name, bound in low:
-        if not getattr(config, name) >= bound:
-            raise ValueError(f"{where}: {cls}.{name} = {getattr(config, name)!r} is out of range")
+        value = getattr(config, f.name)
+        if not ok(value):
+            raise ValueError(f"{type(config).__name__}.{f.name} = {value!r} is not {kind}")
+        low, high = bounds.get(f.name, (-math.inf, math.inf))
+        if not low <= value <= high:
+            raise ValueError(f"{type(config).__name__}.{f.name} = {value!r} is out of range")

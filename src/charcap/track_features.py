@@ -1,12 +1,8 @@
 """Track data types, box overlap, track statistics, and normalization.
 
 ``track_stats`` and ``apply_norm`` take a list of tracks and return one
-row per track; ``fit_norm_stats`` reduces the list.
-
-Boxes come in two layouts. A ``Detection`` stores a *center-anchored* box
-(x, y are the box center in pixels). Free-standing box tuples, as used by
-the IOU helpers, are *corner-anchored* ``(x, y, w, h)`` with (x, y) the
-top-left corner.
+row per track; ``fit_norm_stats`` reduces the list. A ``Detection``'s box
+is center-anchored: x, y are the box center in pixels.
 """
 
 from dataclasses import dataclass
@@ -28,9 +24,6 @@ class Detection:
     h: float
     score: float = 1.0
 
-    def corner_box(self):
-        return (self.x - self.w / 2.0, self.y - self.h / 2.0, self.w, self.h)
-
 
 @dataclass
 class Track:
@@ -44,19 +37,15 @@ class Track:
         return float(np.mean([d.w * d.h for d in self.detections]))
 
 
-def box_iou(a, b):
-    """IOU of two corner-anchored (x, y, w, h) boxes."""
-    ax0, ay0, aw, ah = a
-    bx0, by0, bw, bh = b
-    ix = max(0.0, min(ax0 + aw, bx0 + bw) - max(ax0, bx0))
-    iy = max(0.0, min(ay0 + ah, by0 + bh) - max(ay0, by0))
-    inter = ix * iy
-    union = aw * ah + bw * bh - inter
-    return inter / union if union > 0 else 0.0
-
-
 def detection_iou(a: Detection, b: Detection):
-    return box_iou(a.corner_box(), b.corner_box())
+    """IOU of two detections' boxes, from their top-left corners."""
+    ax0, ay0 = a.x - a.w / 2.0, a.y - a.h / 2.0
+    bx0, by0 = b.x - b.w / 2.0, b.y - b.h / 2.0
+    ix = max(0.0, min(ax0 + a.w, bx0 + b.w) - max(ax0, bx0))
+    iy = max(0.0, min(ay0 + a.h, by0 + b.h) - max(ay0, by0))
+    inter = ix * iy
+    union = a.w * a.h + b.w * b.h - inter
+    return inter / union if union > 0 else 0.0
 
 
 def track_stats(tracks):

@@ -13,7 +13,7 @@ import numpy as np
 
 from charcap import corpus as corpus_module
 from charcap import decoder, linker
-from charcap.corpus import FRAME_H, FRAME_W, Character, ConfigError
+from charcap.corpus import FRAME_H, FRAME_W, Character
 from charcap.multicut import Partition, _cost_matrix, _objective
 from charcap.numerics import Adam, pack_params, rng_stream, zeros_like_params
 from charcap.track_features import Detection, NormStats, fit_norm_stats
@@ -146,7 +146,7 @@ def make_characters(config, rng):
                 placed = v
                 break
         if placed is None:
-            raise ConfigError("cannot place the characters")
+            raise ValueError("cannot place the characters")
         body = rng.normal(0.0, corpus_module.MARGIN, size=corpus_module.D_BODY)
         body[0] = corpus_module.MARGIN if gender == "M" else -corpus_module.MARGIN
         centers.append(placed)
@@ -252,8 +252,7 @@ def train_decoder(corpus, supervision, config, seed):
             batch = [items[i] for i in order[start:start + decoder.BATCH_SIZE]]
             gflat.fill(0.0)
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                total, word, att, _, skipped = decoder.sentence_loss(
-                    params, config, vocab, batch, grads)
+                total, word, att, _, skipped = decoder.sentence_loss(params, vocab, batch, grads)
             for t, w, a in zip(total, word, att):
                 tot, wl, al = tot + t, wl + w, al + a
             trained.skipped_targets += skipped

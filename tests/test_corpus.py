@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 import references
 from charcap import corpus
 from charcap.corpus import (
-    BOS, EOS, PERSON_TOKENS, Clip, ClipPair, ConfigError, Corpus, CorpusConfig,
+    BOS, EOS, PERSON_TOKENS, Clip, ClipPair, Corpus, CorpusConfig,
     CorpusFormatError, Mention, Track, Vocabulary, export_jsonl, generate_corpus,
     ingest_jsonl, pair_supervision, planted_supervision,
 )
@@ -124,7 +125,7 @@ class TestGeneration:
                     assert tok.endswith("Name") and m.coref_prev is None
 
     def test_infeasible_margin_raises(self, small_config):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError, match="cannot place 40 characters"):
             generate_corpus(small_config(n_characters=40, D_HEAD=2, MARGIN=10.0),
                             seed=0)
 
@@ -139,11 +140,13 @@ class TestGeneration:
         ("n_pairs", 2.5, {}), ("n_characters", 2.5, {}), ("d_head", 3.0, {}),
         ("frames_per_clip", 3.5, {"emit_frames": True}), ("cuts_per_clip", 1.5, {}),
         ("max_distractors", 1.5, {}), ("n_pairs", True, {}), ("emit_frames", 1, {}),
-        ("two_mention_fraction", True, {})])
+        ("two_mention_fraction", True, {}), ("two_mention_fraction", 1.5, {})])
     def test_out_of_range_field_raises_naming_it(self, small_config, field_name, value, extra):
         if field_name in {f.name for f in dataclasses.fields(CorpusConfig)}:
-            with pytest.raises(ConfigError, match=rf"CorpusConfig\.{field_name} "):
-                generate_corpus(small_config(**{field_name: value}, **extra), seed=0)
+            # raised when the config is made, so no corpus sees it
+            with pytest.raises(ValueError, match=rf"^CorpusConfig\.{field_name} = "
+                                                 rf"{re.escape(repr(value))} is "):
+                small_config(**{field_name: value}, **extra)
         else:  # a module constant now, which the config rejects by name
             with pytest.raises(TypeError, match=rf"unexpected keyword argument '{field_name}'"):
                 small_config(**{field_name: value}, **extra)

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from charcap.decoder import (
     pair_features, save_checkpoint, sentence_loss, train_decoder,
 )
 from charcap.decoder import TrainItem, attention_terms
-from charcap.linker import LinkerConfig, train_linker
+from charcap.linker import LinkerConfig
 from charcap.numerics import lstm_step_backward, lstm_step_forward, rng_stream, zeros_like_params
 from charcap.track_features import Detection, Track, fit_norm_stats, track_stats
 import references
@@ -62,11 +63,11 @@ def planted(corpus):
     return [planted_supervision(p) for p in corpus.pairs]
 
 
-def pair_loss(params, cfg, vocab, feats, sentence, targets=None):
+def pair_loss(params, vocab, feats, sentence, targets=None):
     """``sentence_loss`` of a batch of one pair, with its losses as floats
     and its weight gradients added into zeros."""
     total, word, att, grads, skipped = sentence_loss(
-        params, cfg, vocab, [TrainItem(0, feats, sentence, targets or {})],
+        params, vocab, [TrainItem(0, feats, sentence, targets or {})],
         zeros_like_params(params))
     return total[0], word[0], att[0], grads, skipped
 
@@ -205,7 +206,7 @@ class TestGradients:
         params = init_decoder_params(cfg, len(corpus.vocab), **TINY, seed=0)
 
         def loss_fn(p):
-            t, _, _, grads, _ = pair_loss(p, cfg, corpus.vocab, feats,
+            t, _, _, grads, _ = pair_loss(p, corpus.vocab, feats,
                                           pair.cur.sentence, targets)
             return t, grads
 
@@ -223,7 +224,7 @@ class TestSentenceLoss:
     def test_no_person_tokens_no_attention_loss(self):
         vocab, cfg, params, rng = self._setup()
         feats = rand_feats(rng, C=3, P=1)
-        _, _, att, _, _ = pair_loss(params, cfg, vocab, feats,
+        _, _, att, _, _ = pair_loss(params, vocab, feats,
                                     ["walks", "street"],
                                     {0: (0, 1), 1: (0, 1)})
         assert att == 0.0
@@ -232,7 +233,7 @@ class TestSentenceLoss:
         # a single real cell makes alpha exactly one-hot: -log 1 = 0
         vocab, cfg, params, rng = self._setup(1)
         feats = rand_feats(rng, C=1, P=0)
-        _, _, att, _, _ = pair_loss(params, cfg, vocab, feats,
+        _, _, att, _, _ = pair_loss(params, vocab, feats,
                                     ["MaleName", "walks"], {0: (0, 1)})
         assert att == 0.0
 
@@ -240,7 +241,7 @@ class TestSentenceLoss:
         vocab, cfg, params, rng = self._setup(2)
         feats = rand_feats(rng, C=2, P=1)
         tot, word, att, _, skipped = pair_loss(
-            params, cfg, vocab, feats, ["MaleName", "walks"], {0: (1, 7)})
+            params, vocab, feats, ["MaleName", "walks"], {0: (1, 7)})
         assert skipped == 1
         assert att == 0.0
 
@@ -248,7 +249,7 @@ class TestSentenceLoss:
         # a verb, the end-of-sentence step and a step past it
         vocab, cfg, params, rng = self._setup(4)
         feats = rand_feats(rng, C=2, P=1)
-        _, _, att, _, skipped = pair_loss(params, cfg, vocab, feats,
+        _, _, att, _, skipped = pair_loss(params, vocab, feats,
                                           ["FemaleCoref", "walks", "street"],
                                           {1: (0, 1), 3: (0, 1), 9: (0, 1)})
         assert skipped == 3
@@ -258,13 +259,13 @@ class TestSentenceLoss:
         vocab, cfg, params, rng = self._setup(6)
         feats = rand_feats(rng, C=0, P=0)
         sentence, targets = ["MaleName", "walks"], {0: (0, 1)}
-        _, _, att, grads, skipped = pair_loss(params, cfg, vocab, feats, sentence, targets)
+        _, _, att, grads, skipped = pair_loss(params, vocab, feats, sentence, targets)
         assert skipped == 1 and att == 0.0
         for k in ("W_id", "W_head", "W_body", "W_stat", "b_v", "W_h", "b_h", "w_att"):
             assert (grads[k] == 0.0).all(), k
 
         def loss_fn(p):
-            t, _, _, grads, _ = pair_loss(p, cfg, vocab, feats, sentence, targets)
+            t, _, _, grads, _ = pair_loss(p, vocab, feats, sentence, targets)
             return t, grads
 
         assert finite_diff_check(loss_fn, params, max_coords_per_array=6) <= 1e-4
@@ -274,7 +275,7 @@ class TestSentenceLoss:
         vocab, cfg, params, rng = self._setup(3)
         feats = rand_feats(rng, C=2, P=1)
         params["b_pred"][vocab.index("walks")] = -800.0
-        tot, word, _, grads, _ = pair_loss(params, cfg, vocab, feats, ["walks"])
+        tot, word, _, grads, _ = pair_loss(params, vocab, feats, ["walks"])
         assert np.isfinite(tot) and word > 790.0
         assert all(np.all(np.isfinite(g)) for g in grads.values())
 
@@ -290,7 +291,7 @@ class TestSentenceLoss:
         logits = cache[-1]
         expected = np.log(np.exp(logits - logits.max()).sum()) - (logits[p, c] - logits.max())
         _, _, att, grads, skipped = pair_loss(
-            params, cfg, vocab, feats, ["MaleName", "walks"], {0: (p, c + 1)})
+            params, vocab, feats, ["MaleName", "walks"], {0: (p, c + 1)})
         assert skipped == 0
         assert att > 700.0 and abs(att - expected) <= 1e-9 * expected
         assert all(np.all(np.isfinite(g)) for g in grads.values())
@@ -300,11 +301,11 @@ class TestSentenceLoss:
         runs = [(rand_feats(rng, C=3, P=2), ["MaleName", "walks", "FemaleCoref"],
                  {0: (1, 2), 2: (0, 3)}),
                 (rand_feats(rng, C=2, P=1), ["FemaleName", "street"], {0: (1, 1)})]
-        fresh = [pair_loss(params, cfg, vocab, *r)[3] for r in runs]
+        fresh = [pair_loss(params, vocab, *r)[3] for r in runs]
         shared = {k: np.zeros_like(v) for k, v in params.items()}
         for feats, sentence, targets in runs:
             item = TrainItem(0, feats, sentence, targets)
-            assert sentence_loss(params, cfg, vocab, [item], shared)[3] is shared
+            assert sentence_loss(params, vocab, [item], shared)[3] is shared
         for k in params:
             np.testing.assert_allclose(shared[k], fresh[0][k] + fresh[1][k],
                                        rtol=0, atol=1e-12)
@@ -320,7 +321,7 @@ class TestSentenceLoss:
         feats = rand_feats(rng, C=2, P=1, widths=widths)
         sentence = ["MaleName", "walks", "street"]
         targets = {0: (1, 2)}
-        total, word, att, _, _ = pair_loss(params, cfg, vocab, feats,
+        total, word, att, _, _ = pair_loss(params, vocab, feats,
                                            sentence, targets)
 
         # ---- oracle: direct loops over the published equations ----
@@ -671,6 +672,15 @@ class TestCheckpointVersion:
                                              r"\['attention_supervision', 'c_max', 'p_max'\]"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("key", ["d_att", "d_emb", "hidden", "epochs"])
+    def test_config_lacking_a_key_rejected_by_name(self, separable, tmp_path, key):
+        # not read as the default: a file trained for 25 epochs once loaded as 30
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, separable[0])
+        self._rewrite_header(path, lambda h: h["config"].pop(key))
+        with pytest.raises(ValueError, match=rf"model\.ckpt: checkpoint config lacks \['{key}'\]$"):
+            load_checkpoint(path)
+
     @pytest.mark.parametrize("key, value, why", [
         ("max_len", "7", UNKNOWN), ("max_len", 7.0, UNKNOWN),
         ("max_len", True, UNKNOWN), ("hidden", None, "is not an integer"),
@@ -690,8 +700,8 @@ class TestCheckpointVersion:
         self._rewrite_header(path, lambda h: h["config"].update({key: value}))
         # max_len, batch_size, lr and grad_clip are module constants now: a
         # header that gives one is rejected by the key, whatever its value
-        at = (rf"{key} = .*" if key in {f.name for f in dataclasses.fields(DecoderConfig)}
-              else rf"\['{key}'\] ")
+        fields = {f.name for f in dataclasses.fields(DecoderConfig)}
+        at = rf"DecoderConfig\.{key} = .*" if key in fields else rf"\['{key}'\] "
         with pytest.raises(ValueError, match=rf"model\.ckpt: .*{at}{why}"):
             load_checkpoint(path)
 
@@ -854,7 +864,7 @@ class TestAttentionTerms:
         got = {k: np.zeros_like(v) for k, v in params.items()}
         want = {k: np.zeros_like(v) for k, v in params.items()}
         for feats, sentence, targets in runs:
-            sentence_loss(params, cfg, vocab, [TrainItem(0, feats, sentence, targets)], got)
+            sentence_loss(params, vocab, [TrainItem(0, feats, sentence, targets)], got)
             for k, g in _reference_sentence_grads(params, cfg, vocab, feats,
                                                   sentence, targets).items():
                 want[k] += g
@@ -906,7 +916,7 @@ class TestBatchGradients:
         for items, kept, n_skipped in [(three, [item.alpha_targets for item in three], 0),
                                        (*mixed_batch(cfg, rng), 1),
                                        (same_step, [{0: (1, 3), 2: (0, 2)}, {0: (2, 1)}], 1)]:
-            total, word, att, grads, skipped = sentence_loss(params, cfg, vocab, items,
+            total, word, att, grads, skipped = sentence_loss(params, vocab, items,
                                                              zeros_like_params(params))
             want = zeros_like_params(params)
             alone_skipped = 0
@@ -916,7 +926,7 @@ class TestBatchGradients:
                     want[k] += g
                 # a batch runs its LSTM and attention products as gemm, a batch
                 # of one as gemv: the rounding can differ (by 1.1e-16 relative)
-                alone = pair_loss(params, cfg, vocab, item.feats, item.sentence,
+                alone = pair_loss(params, vocab, item.feats, item.sentence,
                                   item.alpha_targets)
                 np.testing.assert_allclose((total[b], word[b], att[b]), alone[:3],
                                            rtol=1e-12, atol=0)
@@ -940,10 +950,10 @@ class TestBatchedRecurrence:
         params = init_decoder_params(cfg, len(vocab), **TINY, seed=16)
         items, _ = mixed_batch(cfg, rng_stream(16, "batched"))
         order = [3, 0, 2, 1]
-        total, word, att, grads, skipped = sentence_loss(params, cfg, vocab, items,
+        total, word, att, grads, skipped = sentence_loss(params, vocab, items,
                                                          zeros_like_params(params))
         p_total, p_word, p_att, p_grads, p_skipped = sentence_loss(
-            params, cfg, vocab, [items[i] for i in order], zeros_like_params(params))
+            params, vocab, [items[i] for i in order], zeros_like_params(params))
         assert p_skipped == skipped == 1
         for got, want in ((p_total, total), (p_word, word), (p_att, att)):
             np.testing.assert_allclose(got, [want[i] for i in order], rtol=1e-12, atol=0)
@@ -962,7 +972,7 @@ class TestBatchedRecurrence:
         items[1].feats.v_global[0] = np.nan
         grads = {k: rng.normal(size=v.shape) for k, v in params.items()}
         before = {k: v.copy() for k, v in grads.items()}
-        total, word, att, got, skipped = sentence_loss(params, cfg, vocab, items, grads)
+        total, word, att, got, skipped = sentence_loss(params, vocab, items, grads)
         assert total == word == [np.inf] * len(items)
         assert np.isfinite(att).all() and skipped == 1
         assert got is grads
@@ -1042,21 +1052,24 @@ class TestTrainingCounts:
          ("linker", "hidden", 0), ("linker", "scorer_hidden", 0), ("linker", "recon_hidden", 0),
          ("linker", "d_emb", 0), ("linker", "epochs", True), ("linker", "epochs", 2.5),
          ("linker", "batch_size", 2.5), ("linker", "hidden", 2.0)])
-    def test_out_of_range_setting_raises_naming_it(self, monkeypatch, trainer, field_name, value):
-        corpus = self._corpus(monkeypatch)
+    def test_out_of_range_setting_raises_naming_it(self, trainer, field_name, value):
         config = {"decoder": DecoderConfig, "linker": LinkerConfig}[trainer]
         if field_name not in {f.name for f in dataclasses.fields(config)}:
             # a module constant now, which the config rejects by name
             with pytest.raises(TypeError, match=rf"unexpected keyword argument '{field_name}'"):
                 config(**{field_name: value})
             return
-        name = config.__name__
-        with pytest.raises(ValueError, match=rf"train_{trainer}: {name}\.{field_name} = "):
-            if trainer == "linker":
-                train_linker(corpus, LinkerConfig(**{"epochs": 1, field_name: value}))
-            else:
-                train_decoder(corpus, planted(corpus),
-                              DecoderConfig(**{**self.DIMS, field_name: value}))
+        # raised when the config is made, so no trainer sees it
+        with pytest.raises(ValueError, match=rf"^{config.__name__}\.{field_name} = "
+                                             rf"{re.escape(repr(value))} is "):
+            config(**{field_name: value})
+
+    @pytest.mark.parametrize("config", [CorpusConfig, LinkerConfig, DecoderConfig])
+    def test_a_made_config_cannot_be_changed(self, config):
+        made = config()
+        for f in dataclasses.fields(made):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(made, f.name, getattr(made, f.name))
 
     def test_capped_tracks_are_counted_and_not_saved(self, monkeypatch, tmp_path):
         corpus = self._corpus(monkeypatch)
@@ -1092,13 +1105,11 @@ class TestCheckpointRoundTrip:
     @given(config=st.builds(DecoderConfig, **{k: st.sampled_from(v) for k, v in IN_RANGE.items()}),
            odd=st.none() | st.sampled_from([(k, v) for k, vs in ODD.items() for v in vs]))
     def test_every_config_that_trains_also_loads(self, tiny, tmp_path, config, odd):
-        if odd is not None:  # one field of the wrong type or out of range
-            config = dataclasses.replace(config, **dict([odd]))
-        try:
-            trained = train_decoder(tiny, planted(tiny), config, seed=2)
-        except ValueError as exc:
-            assert "train_decoder: DecoderConfig." in str(exc)
+        if odd is not None:  # one field of the wrong type or out of range: no such config
+            with pytest.raises(ValueError, match=rf"^DecoderConfig\.{odd[0]} = "):
+                dataclasses.replace(config, **dict([odd]))
             return
+        trained = train_decoder(tiny, planted(tiny), config, seed=2)
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, trained)
         back = load_checkpoint(path)

@@ -5,7 +5,7 @@ import pytest
 
 from charcap.numerics import rng_stream
 from charcap.track_features import (
-    Detection, NormStats, Track, apply_norm, box_iou, detection_iou,
+    Detection, NormStats, Track, apply_norm, detection_iou,
     STAT_DIM, fit_norm_stats, track_stats,
 )
 import references
@@ -21,10 +21,14 @@ def _track(dets, d=4, tid=1, rng=None):
 
 class TestIou:
     def test_identical(self):
-        assert box_iou((0, 0, 10, 10), (0, 0, 10, 10)) == 1.0
+        a = Detection(t=0, x=5, y=5, w=10, h=10)
+        assert detection_iou(a, a) == 1.0
 
     def test_disjoint(self):
-        assert box_iou((0, 0, 10, 10), (20, 20, 5, 5)) == 0.0
+        # the corner boxes (0, 0, 10, 10) and (20, 20, 5, 5)
+        a = Detection(t=0, x=5, y=5, w=10, h=10)
+        b = Detection(t=0, x=22.5, y=22.5, w=5, h=5)
+        assert detection_iou(a, b) == 0.0
 
     def test_detection_iou_uses_centers(self):
         a = Detection(t=0, x=10, y=10, w=20, h=20)
