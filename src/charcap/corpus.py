@@ -37,10 +37,11 @@ base64 of the frames' n*H*W*3 bytes in C order (frame, row, column, then
 R, G, B); "gt_boundaries" are its planted cuts, in 1..n-1. A mention's
 gender and ``coref_prev`` are its person token's (``person_of``): a Coref
 token co-refers to its own character, whom the pair's previous clip must
-mention. Ingestion validates all invariants and reports the offending
-line and field, and keeps every track. A grounding (planted or linked)
-becomes a ``PairSupervision`` of track ids; only the decoder knows its
-attention grid and the grid's caps.
+mention. Track ids start at 1, as 0 is the decoder's null slot, and no
+two mentions of a clip share a position. Ingestion validates all
+invariants and reports the offending line and field, and keeps every
+track. A grounding (planted or linked) becomes a ``PairSupervision`` of
+track ids; only the decoder knows its attention grid and the grid's caps.
 """
 
 import base64
@@ -443,6 +444,8 @@ def planted_supervision(pair: ClipPair):
 def _clip_to_obj(clip: Clip):
     tracks = []
     for t in clip.tracks:
+        if not t.id >= 1:  # 0 is the decoder's null slot
+            raise ValueError(f"clip {clip.id}: track id {t.id!r} is below 1")
         dets = sorted(t.detections, key=lambda d: d.t)
         tracks.append({
             "id": t.id,
@@ -473,6 +476,8 @@ def _mention_obj(clip: Clip, m: Mention):
     token = clip.sentence[m.pos] if 0 <= m.pos < len(clip.sentence) else None
     if token not in PERSON_TOKENS:
         raise ValueError(f"clip {clip.id}: mention at pos {m.pos} is not on a person token")
+    if [o.pos for o in clip.mentions].count(m.pos) > 1:
+        raise ValueError(f"clip {clip.id}: two mentions at pos {m.pos}")
     gender, coref = person_of(token)
     if (m.gender, m.coref_prev) != (gender, m.char_id if coref else None):
         raise ValueError(f"clip {clip.id}: mention at pos {m.pos} has gender {m.gender!r} "
@@ -501,9 +506,9 @@ def export_jsonl(corpus: Corpus, path):
     "uint8": <base64 of the C-order bytes>}``. Raises ValueError naming
     the clip when its frames are not equal-shaped (H, W, 3) uint8 arrays.
     A mention's gender and ``coref_prev`` are not written: ingest reads
-    them off its person token, and a mention that contradicts its token, or
-    is not on one, raises ValueError naming the clip and the mention's
-    ``pos``."""
+    them off its person token, and a mention that contradicts its token, is
+    not on one or shares its ``pos`` with another raises ValueError naming
+    the clip and the ``pos``; so does a track id below 1, naming the clip."""
     with open(path, "w", encoding="utf-8") as fh:
         for pair in corpus.pairs:
             if pair.prev is not None:
@@ -575,8 +580,8 @@ def _parse_clip(obj, line, dims, tokens, prev):
         if not isinstance(traw, dict):
             raise CorpusFormatError(line, "tracks", "each track must be a JSON object")
         tid = _need(traw, "id", line)
-        if not _is_number(tid, int):
-            raise CorpusFormatError(line, "id", "track ids must be integers")
+        if not (_is_number(tid, int) and tid >= 1):
+            raise CorpusFormatError(line, "id", "track ids must be integers from 1")
         frames = _need(traw, "frames", line, list)
         boxes = _need(traw, "boxes", line, list)
         scores = _need(traw, "score", line, list)
@@ -634,6 +639,8 @@ def _parse_clip(obj, line, dims, tokens, prev):
             raise CorpusFormatError(line, "pos", "mention position out of range")
         if sentence[pos] not in PERSON_TOKENS:
             raise CorpusFormatError(line, "pos", "mention does not point at a person token")
+        if any(m.pos == pos for m in mentions):
+            raise CorpusFormatError(line, "pos", f"a second mention at position {pos}")
         char = _need(mraw, "char", line)
         if not _is_number(char, int):
             raise CorpusFormatError(line, "char", "character ids must be integers")
@@ -698,8 +705,9 @@ def ingest_jsonl(path):
     ``d_body`` and ``d_global`` fix the vector widths and its ``vocab``
     the tokens a sentence may use. A malformed meta raises
     ``CorpusFormatError`` with line None; any other fault names its line
-    and field: ``"id"`` for a repeated clip id, ``"char"`` for a Coref token
-    whose character the pair's previous clip does not mention.
+    and field: ``"id"`` for a repeated clip id or a track id below 1,
+    ``"pos"`` for a second mention at one position, ``"char"`` for a Coref
+    token whose character the pair's previous clip does not mention.
 
     A clip's ``frames`` block becomes ``Clip.frames``, a list of n
     writable (H, W, 3) uint8 arrays. Older files fail on the field that

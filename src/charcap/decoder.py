@@ -526,7 +526,7 @@ class GroundingPrediction:
     tau: int
     word: str
     c_track: int   # current track id
-    p_track: int   # previous track id, 0 = null
+    p_track: int   # previous track id, 0 = null (track ids start at 1)
     cell: tuple    # (p index, c index) in the attention grid, c 1-based
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import FLOAT, _is_finite, rng_stream
+from .numerics import FLOAT, rng_stream
 from .track_features import Detection, Track, detection_iou, track_stats
 
 MIN_DET_SCORE = 0.5
@@ -60,27 +60,6 @@ class PairwisePotentialModel:
     def cost(self, features):
         """Join log-odds of a feature vector (or batch); the multicut edge cost."""
         return np.asarray(features, dtype=FLOAT) @ self.weights + self.bias
-
-    def to_json(self):
-        return {"weights": self.weights.tolist(), "bias": float(self.bias)}
-
-    @classmethod
-    def from_json(cls, obj):
-        """Inverse of ``to_json``. A ``weights`` that is not a list of
-        ``PAIR_FEATURES`` finite numbers, or a ``bias`` that is missing or
-        not a finite number, raises ``ValueError`` naming the key."""
-        if not isinstance(obj, dict):
-            raise ValueError(f"PairwisePotentialModel: expected a JSON object, "
-                             f"got {type(obj).__name__}")
-        weights, bias = obj.get("weights"), obj.get("bias")
-        if not (isinstance(weights, list) and len(weights) == PAIR_FEATURES
-                and all(_is_finite(v) for v in weights)):
-            raise ValueError(f"PairwisePotentialModel: 'weights' must be a list of "
-                             f"{PAIR_FEATURES} finite numbers, got {weights!r}")
-        if not _is_finite(bias):
-            raise ValueError(f"PairwisePotentialModel: 'bias' must be a finite number, "
-                             f"got {bias!r}")
-        return cls(weights=np.array(weights, dtype=FLOAT), bias=float(bias))
 
 
 def fit_pairwise_model(samples):

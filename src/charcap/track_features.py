@@ -93,29 +93,43 @@ class NormStats:
     BLOCKS = ("v_head", "v_body", "v_stat")
 
 
-def _block(track, name, caller):
-    v = getattr(track, name)
-    if v is None:
-        raise ValueError(f"{caller}: track {track.id} is missing {name}")
-    return np.asarray(v, dtype=FLOAT)
+def _rows(tracks, name, caller, d=None):
+    """The ``name`` block of every track as one ``(len(tracks), d)`` array,
+    ``d`` the first track's width when not given. The blocks are stacked
+    in one call; only when that fails, or gives another shape, are the
+    tracks walked to raise ValueError naming ``caller`` and the first
+    track whose block is missing, not a flat vector or not ``d`` wide."""
+    blocks = [getattr(t, name) for t in tracks]
+    try:
+        rows = np.array(blocks, dtype=FLOAT)
+    except ValueError:  # a missing block beside present ones, or blocks of two shapes
+        rows = np.empty(0)
+    if rows.ndim == 2 and d in (None, rows.shape[1]):
+        return rows
+    for t, v in zip(tracks, blocks):
+        if v is None:
+            raise ValueError(f"{caller}: track {t.id} is missing {name}")
+        if np.ndim(v) != 1:
+            raise ValueError(f"{caller}: track {t.id} has a {np.shape(v)}-shaped {name}, "
+                             "not a flat vector")
+        if len(v) != (len(blocks[0]) if d is None else d):
+            against = (f"the first track's is {len(blocks[0])}" if d is None
+                       else f"the norm statistics are {d}")
+            raise ValueError(f"{caller}: track {t.id} has a {len(v)}-wide {name}, {against} wide")
+    return np.array(blocks, dtype=FLOAT).reshape(len(tracks), d)  # no track: (0, d)
 
 
 def fit_norm_stats(tracks):
     """Per-dimension mean and std of each feature block over ``tracks``
     (the training split only); constant dimensions get std 1, so
-    ``apply_norm`` maps them to zero. A track whose block is not as wide
-    as the first track's raises ValueError naming it."""
+    ``apply_norm`` maps them to zero. A track whose block is missing, not
+    a flat vector or not as wide as the first track's raises ValueError
+    naming it."""
     if not tracks:
         raise ValueError("fit_norm_stats: empty training split")
     mean, std = {}, {}
     for blk in NormStats.BLOCKS:
-        blocks = [_block(t, blk, "fit_norm_stats") for t in tracks]
-        try:
-            data = np.stack(blocks)
-        except ValueError:  # some block is not as wide as the first
-            track, v = next((t, v) for t, v in zip(tracks, blocks) if v.shape != blocks[0].shape)
-            raise ValueError(f"fit_norm_stats: track {track.id} has a {v.size}-wide {blk}, "
-                             f"the first track's is {blocks[0].size} wide") from None
+        data = _rows(tracks, blk, "fit_norm_stats")
         mean[blk] = data.mean(axis=0)
         sd = data.std(axis=0)
         sd[sd < STD_FLOOR] = 1.0
@@ -126,14 +140,7 @@ def fit_norm_stats(tracks):
 def apply_norm(tracks, stats: NormStats, name):
     """The ``name`` block (``v_head``, ``v_body`` or ``v_stat``) of every
     track, standardised with ``stats``, as one ``(len(tracks), d)`` array.
-    A track missing the block, or whose block is not ``d`` wide, raises
-    ValueError naming it."""
-    d = len(stats.mean[name])
-    blocks = [_block(t, name, "apply_norm") for t in tracks]
-    try:
-        rows = np.array(blocks, dtype=FLOAT).reshape(len(tracks), d)
-    except ValueError:  # some block is not d wide
-        track, v = next((t, v) for t, v in zip(tracks, blocks) if v.shape != (d,))
-        raise ValueError(f"apply_norm: track {track.id} has a {v.size}-wide {name}, "
-                         f"the norm statistics are {d} wide") from None
+    A track whose block is missing, not a flat vector or not ``d`` wide
+    raises ValueError naming it."""
+    rows = _rows(tracks, name, "apply_norm", len(stats.mean[name]))
     return (rows - stats.mean[name]) / stats.std[name]

@@ -364,6 +364,21 @@ class TestJsonl:
                 export_jsonl(c, tmp_path / "c.jsonl")
             clip.mentions[0] = m
 
+    @pytest.mark.parametrize("tid", [0, -1])
+    def test_export_rejects_a_track_id_below_1(self, tmp_path, small_config, tid):
+        c = generate_corpus(small_config(n_pairs=1), seed=1)
+        c.clips[1].tracks[0].id = tid
+        with pytest.raises(ValueError, match=rf"clip {c.clips[1].id}: track id {tid} "):
+            export_jsonl(c, tmp_path / "c.jsonl")
+
+    def test_export_rejects_two_mentions_at_one_pos(self, tmp_path, small_config):
+        c = generate_corpus(small_config(n_pairs=1), seed=1)
+        clip = c.clips[1]
+        clip.mentions.append(dataclasses.replace(clip.mentions[0], gt_track_ids=[]))
+        with pytest.raises(ValueError, match=rf"clip {clip.id}: two mentions at pos "
+                                             rf"{clip.mentions[0].pos}$"):
+            export_jsonl(c, tmp_path / "c.jsonl")
+
     def test_nested_list_frames_rejected(self, tmp_path, small_config):
         c = generate_corpus(small_config(n_pairs=1, emit_frames=True,
                                          FRAMES_PER_CLIP=3, CUTS_PER_CLIP=1), seed=2)
@@ -450,7 +465,7 @@ def _assert_valid(c):
             assert isinstance(clip.id, int) and not isinstance(clip.id, bool)
             vectors = [("v_global", clip.v_global)]
             for t in clip.tracks:
-                assert isinstance(t.id, int) and not isinstance(t.id, bool)
+                assert isinstance(t.id, int) and not isinstance(t.id, bool) and t.id >= 1
                 assert np.isfinite(t.v_stat).all()
                 vectors += [("v_head", t.v_head), ("v_body", t.v_body)]
                 for d in t.detections:
@@ -466,6 +481,7 @@ def _assert_valid(c):
                     assert f.dtype == np.uint8 and f.shape == clip.frames[0].shape
                     assert f.ndim == 3 and f.shape[2] == 3 and f.flags.writeable
             ids = {t.id for t in clip.tracks}
+            assert len({m.pos for m in clip.mentions}) == len(clip.mentions)
             for m in clip.mentions:
                 assert isinstance(m.char_id, int) and not isinstance(m.char_id, bool)
                 assert set(m.gt_track_ids) <= ids
@@ -500,6 +516,9 @@ class TestIngestErrors:
         (2, ("v_global", 3), float("inf"), "v_global"),
         (2, ("tracks", 0, "id"), "x", "id"),
         (2, ("tracks", 0, "id"), [1], "id"),
+        # 0 is the decoder's null slot
+        (2, ("tracks", 0, "id"), 0, "id"),
+        (2, ("tracks", 0, "id"), -1, "id"),
         (2, ("id",), "1", "id"),
         (2, ("id",), [1], "id"),
         (2, ("id",), True, "id"),
@@ -526,6 +545,7 @@ class TestIngestErrors:
         (3, ("gt_boundaries",), [0], "gt_boundaries"),
     ], ids=["v_head-string", "v_body-string", "v_global-string", "v_head-nested",
             "v_global-nan", "v_global-inf", "track-id-string", "track-id-list",
+            "track-id-zero", "track-id-negative",
             "clip-id-string", "clip-id-list", "clip-id-bool",
             "char-string", "char-list", "box-width-nan", "box-x-inf", "score-nan",
             "box-x-overflows-stats", "v_global-width", "token-not-in-vocab",
@@ -540,6 +560,15 @@ class TestIngestErrors:
         with pytest.raises(CorpusFormatError) as exc:
             ingest_jsonl(p)
         assert (exc.value.line, exc.value.field) == (line, field_name)
+
+    def test_second_mention_at_one_position_names_pos(self, tmp_path, small_config):
+        # the decoder keys attention targets by position, so one would be lost
+        p, objs = _exported_lines(tmp_path, small_config)
+        objs[1]["mentions"].append(dict(objs[1]["mentions"][0], gt_tracks=[]))
+        _write_lines(p, objs)
+        with pytest.raises(CorpusFormatError, match="a second mention at position") as exc:
+            ingest_jsonl(p)
+        assert (exc.value.line, exc.value.field) == (2, "pos")
 
     @pytest.mark.parametrize("first, then", [("score", "boxes"), ("boxes", "score")])
     def test_first_track_whose_statistics_overflow_is_named(self, tmp_path, small_config, first,

@@ -3,10 +3,11 @@ import dataclasses
 import numpy as np
 import pytest
 
+from charcap.corpus import CorpusConfig, generate_corpus
 from charcap.numerics import rng_stream
 from charcap.track_features import (
     Detection, NormStats, Track, apply_norm, detection_iou,
-    STAT_DIM, fit_norm_stats, track_stats,
+    STAT_DIM, STD_FLOOR, fit_norm_stats, track_stats,
 )
 import references
 
@@ -146,23 +147,58 @@ class TestNormalization:
         assert np.abs(data.mean(axis=0)).max() > 1e-6
 
     def test_missing_block_names_the_track(self):
-        tracks = self._tracks(n=4)
-        stats = fit_norm_stats(tracks)
-        tracks[2].v_stat = None
-        missing = f"track {tracks[2].id} is missing v_stat"
-        with pytest.raises(ValueError, match=f"^apply_norm: {missing}"):
-            apply_norm(tracks, stats, "v_stat")
-        with pytest.raises(ValueError, match=f"^fit_norm_stats: {missing}"):
-            fit_norm_stats(tracks)
+        # a missing block, then a first track whose block is (1, d)
+        for at, fault in ((2, "missing"), (0, "2-d")):
+            tracks = self._tracks(n=4)
+            stats = fit_norm_stats(tracks)
+            v = tracks[at].v_stat
+            tracks[at].v_stat = None if fault == "missing" else v[None, :]
+            named = (f"track {at} is missing v_stat" if fault == "missing" else
+                     rf"track {at} has a \(1, {v.size}\)-shaped v_stat, not a flat vector")
+            with pytest.raises(ValueError, match=f"^apply_norm: {named}$"):
+                apply_norm(tracks, stats, "v_stat")
+            with pytest.raises(ValueError, match=f"^fit_norm_stats: {named}$"):
+                fit_norm_stats(tracks)
 
     @pytest.mark.parametrize("blk", NormStats.BLOCKS)
     def test_block_of_another_width_names_the_track(self, blk):
-        tracks = self._tracks(n=4)
-        setattr(tracks[2], blk, np.append(getattr(tracks[2], blk), 0.0))
-        width = len(getattr(tracks[0], blk))
-        with pytest.raises(ValueError, match=rf"track {tracks[2].id} has a {width + 1}-wide "
-                                             rf"{blk}, the first track's is {width} wide"):
-            fit_norm_stats(tracks)
+        # one block a dimension wider, then every block (1, d): that once
+        # gave a (1, d) mean, and apply_norm then claimed that the norm
+        # statistics were 1 wide
+        for fault in ("one-wider", "every-2d"):
+            tracks = self._tracks(n=4)
+            stats = fit_norm_stats(tracks)
+            width = len(getattr(tracks[0], blk))
+            if fault == "one-wider":
+                setattr(tracks[2], blk, np.append(getattr(tracks[2], blk), 0.0))
+                named = f"track 2 has a {width + 1}-wide {blk}, "
+                fit_end = f"the first track's is {width} wide"
+                apply_end = f"the norm statistics are {width} wide"
+            else:
+                for t in tracks:
+                    setattr(t, blk, getattr(t, blk)[None, :])
+                named = rf"track 0 has a \(1, {width}\)-shaped {blk}, "
+                fit_end = apply_end = "not a flat vector"
+            with pytest.raises(ValueError, match=f"^fit_norm_stats: {named}{fit_end}$"):
+                fit_norm_stats(tracks)
+            with pytest.raises(ValueError, match=f"^apply_norm: {named}{apply_end}$"):
+                apply_norm(tracks, stats, blk)
+
+    def test_rows_are_the_stacked_blocks_bitwise(self):
+        # the crowded benchmark's corpus: 1 788 tracks over 64 clips
+        c = generate_corpus(CorpusConfig(n_pairs=32, n_characters=70, max_distractors=60), seed=1)
+        tracks = [t for clip in c.clips for t in clip.tracks]
+        stats = fit_norm_stats(tracks)
+        for blk in NormStats.BLOCKS:
+            data = np.stack([getattr(t, blk) for t in tracks])
+            sd = data.std(axis=0)
+            sd[sd < STD_FLOOR] = 1.0
+            assert stats.mean[blk].tobytes() == data.mean(axis=0).tobytes()
+            assert stats.std[blk].tobytes() == sd.tobytes()
+            normed = (data - stats.mean[blk]) / stats.std[blk]
+            assert apply_norm(tracks, stats, blk).tobytes() == normed.tobytes()
+            none = apply_norm([], stats, blk)
+            assert none.shape == (0, data.shape[1]) and none.dtype == np.float64
 
     def test_empty_fit_split_rejected(self):
         with pytest.raises(ValueError):
