@@ -34,14 +34,22 @@ current-only pair. `boxes` entries are center-anchored [cx, cy, w, h]. The
 optional clip-level "frames" field holds the clip's n RGB video frames for
 the shot-boundary stage as one block: "uint8" is the standard, padded
 base64 of the frames' n*H*W*3 bytes in C order (frame, row, column, then
-R, G, B); "gt_boundaries" are its planted cuts, in 1..n-1. A mention's
-gender and ``coref_prev`` are its person token's (``person_of``): a Coref
-token co-refers to its own character, whom the pair's previous clip must
-mention. Track ids start at 1, as 0 is the decoder's null slot, and no
-two mentions of a clip share a position. Ingestion validates all
-invariants and reports the offending line and field, and keeps every
-track. A grounding (planted or linked) becomes a ``PairSupervision`` of
-track ids; only the decoder knows its attention grid and the grid's caps.
+R, G, B); "gt_boundaries" are its planted cuts. A mention's gender and
+``coref_prev`` are its person token's (``person_of``): a Coref token
+co-refers to its own character.
+
+Ingestion keeps every track and names the line and field of each fault.
+Each field's JSON kind is a row of a table (``_CLIP``, ``_TRACK``,
+``_MENTION``, ``_FRAMES``, ``_META``) read by ``numerics._read_object``;
+there track ids start at 1, as 0 is the decoder's null slot. The rules
+that span fields are code: a track's frames, boxes and scores are equally
+long and not empty; a vector is as wide as the meta says or the corpus's
+first; track statistics are finite; clip ids, and a clip's track ids,
+are distinct; a mention's pos is on a person token no other mention of
+its clip holds, its gt_tracks are its clip's, and a Coref token's
+character is one the pair's previous clip mentions; "gt_boundaries" lie
+in 1..n-1. A grounding (planted or linked) becomes a ``PairSupervision``
+of track ids; only the decoder knows its attention grid and its caps.
 """
 
 import base64
@@ -50,10 +58,13 @@ import math
 import os
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
-from .numerics import FLOAT, _is_finite, _is_number, check_config, rng_stream
+from .numerics import (
+    FLOAT, _is_finite, _is_number, _json_value, _read_object, check_config, rng_stream,
+)
 from .shots import synthetic_cut_video
 from .track_features import Detection, Track, track_stats
 
@@ -520,21 +531,44 @@ def export_jsonl(corpus: Corpus, path):
         json.dump(meta, fh, sort_keys=True)
 
 
-def _need(obj, key, line, kind=None):
-    if key not in obj:
-        raise CorpusFormatError(line, key, "missing field")
-    val = obj[key]
-    if kind is not None and not isinstance(val, kind):
-        raise CorpusFormatError(line, key, f"expected {kind}, got {type(val).__name__}")
-    return val
+# The format's fields and their JSON kinds, key -> (test, kind), each read
+# by numerics._read_object; the rules that span fields are code after it.
+
+def _list_of(test, least=0):
+    return lambda v: isinstance(v, list) and len(v) >= least and all(map(test, v))
 
 
-def _parse_vector(obj, key, line, dims):
-    """A flat list of finite numbers, as wide as every earlier ``key``
-    vector of the corpus (``dims`` records the widths seen)."""
-    raw = _need(obj, key, line, list)
-    if not raw or not all(_is_finite(v) for v in raw):
-        raise CorpusFormatError(line, key, "expected a non-empty flat list of finite numbers")
+_is_int = partial(_is_number, kind=int)
+_is_ints, _is_finites = _list_of(_is_int), _list_of(_is_finite)
+_is_strings = _list_of(lambda v: isinstance(v, str))
+_INT, _INTS = (_is_int, "an integer"), (_is_ints, "a list of integers")
+_OBJECTS = (_list_of(lambda v: isinstance(v, dict)), "a list of JSON objects")
+_VECTOR = (_list_of(_is_finite, least=1), "a non-empty list of finite numbers")
+_VOCAB = (_is_strings, "a list of strings")  # the meta's, and a checkpoint's
+
+_CLIP = {"id": _INT, "tracks": _OBJECTS, "v_global": _VECTOR,
+         "sentence": (lambda v: _is_strings(v) and BOS not in v and EOS not in v,
+                      f"a list of strings without {BOS} or {EOS}"),
+         "mentions": _OBJECTS, "gt_boundaries": _INTS,
+         "frames": (lambda v: isinstance(v, dict), 'a {"shape", "uint8"} object')}
+_TRACK = {"id": (lambda v: _is_int(v) and v >= 1, "an integer from 1"),  # 0: the null slot
+          "frames": _INTS,
+          "boxes": (_list_of(lambda b: _is_finites(b) and len(b) == 4 and b[2] > 0 and b[3] > 0),
+                    "a list of [cx, cy, w, h], finite with w, h > 0"),
+          "score": (_is_finites, "a list of finite numbers"), "v_head": _VECTOR, "v_body": _VECTOR}
+_MOVED = (lambda v: False, "absent (an older format's field)")
+_MENTION = {"pos": _INT, "char": _INT, "gt_tracks": _INTS, "gender": _MOVED, "coref_prev": _MOVED}
+_FRAMES = {"shape": (lambda s: _is_ints(s) and len(s) == 4 and s[0] >= 0 and min(s[1:3]) >= 1
+                     and s[3] == 3, "[n, H, W, 3] with n >= 0, H >= 1 and W >= 1"),
+           "uint8": (lambda v: isinstance(v, str), "a base64 string")}
+_META = {**dict.fromkeys(("d_head", "d_body", "d_global"),
+                         (lambda v: _is_int(v) and v > 0, "a positive integer")),
+         "vocab": _VOCAB, "gt_boundaries": _MOVED}
+
+
+def _vector(raw, key, line, dims):
+    """``raw`` as a float vector, as wide as every earlier ``key`` vector
+    of the corpus (``dims`` records the widths seen)."""
     if dims.setdefault(key, len(raw)) != len(raw):
         raise CorpusFormatError(line, key, f"{len(raw)} entries, the corpus has {dims[key]!r}")
     return np.asarray(raw, dtype=FLOAT)
@@ -543,18 +577,8 @@ def _parse_vector(obj, key, line, dims):
 def _parse_frames(raw, line):
     """A ``{"shape": [n, H, W, 3], "uint8": <base64>}`` block as n
     writable (H, W, 3) uint8 arrays, views of one buffer."""
-    if not isinstance(raw, dict):
-        raise CorpusFormatError(line, "frames", 'expected {"shape": [n, H, W, 3], '
-                                '"uint8": <base64>}')
-    shape = raw.get("shape")
-    if not (isinstance(shape, list) and len(shape) == 4
-            and all(_is_number(v, int) for v in shape)
-            and shape[0] >= 0 and shape[1] >= 1 and shape[2] >= 1 and shape[3] == 3):
-        raise CorpusFormatError(line, "frames", f"shape {shape!r} is not [n, H, W, 3] "
-                                "with n >= 0, H >= 1 and W >= 1")
-    encoded = raw.get("uint8")
-    if not isinstance(encoded, str):
-        raise CorpusFormatError(line, "frames", "uint8 must be a base64 string")
+    shape, encoded = _read_object(raw, _FRAMES,
+                                  lambda key, msg: CorpusFormatError(line, "frames", msg))
     try:
         data = bytearray(base64.b64decode(encoded, validate=True))
     except ValueError as exc:  # binascii.Error, or a non-ASCII character
@@ -565,47 +589,25 @@ def _parse_frames(raw, line):
     return list(np.frombuffer(data, dtype=np.uint8).reshape(shape))
 
 
-def _parse_clip(obj, line, dims, tokens, prev):
-    """One clip line. ``dims`` holds the corpus's vector widths so far;
-    ``tokens``, if not None, is the set of tokens a sentence may use;
-    ``prev`` is the pair's previous clip, or None; a Coref token must name
-    a character ``prev`` mentions."""
-    if not isinstance(obj, dict):
-        raise CorpusFormatError(line, "<root>", "clip line must be a JSON object")
-    clip_id = _need(obj, "id", line)
-    if not _is_number(clip_id, int):
-        raise CorpusFormatError(line, "id", "clip ids must be integers")
+def _parse_clip(raw, line, dims, tokens, prev):
+    """One clip line, its bytes. ``dims`` holds the corpus's vector widths
+    so far; ``tokens``, if not None, is the set of tokens a sentence may
+    use; ``prev`` is the pair's previous clip, or None; a Coref token must
+    name a character ``prev`` mentions."""
+    error = partial(CorpusFormatError, line)
+    clip_id, track_objs, v_global, sentence, mention_objs, cuts, block = _read_object(
+        _json_value(raw, error), _CLIP, error, optional=("frames", "gt_boundaries"))
     tracks = []
-    for traw in _need(obj, "tracks", line, list):
-        if not isinstance(traw, dict):
-            raise CorpusFormatError(line, "tracks", "each track must be a JSON object")
-        tid = _need(traw, "id", line)
-        if not (_is_number(tid, int) and tid >= 1):
-            raise CorpusFormatError(line, "id", "track ids must be integers from 1")
-        frames = _need(traw, "frames", line, list)
-        boxes = _need(traw, "boxes", line, list)
-        scores = _need(traw, "score", line, list)
+    for traw in track_objs:
+        tid, frames, boxes, scores, v_head, v_body = _read_object(traw, _TRACK, error)
         if not (len(frames) == len(boxes) == len(scores)):
             raise CorpusFormatError(line, "boxes", "frames/boxes/score lengths differ")
         if not frames:
             raise CorpusFormatError(line, "frames", "track has no detections")
-        dets = []
-        for t, box, s in zip(frames, boxes, scores):
-            if not (isinstance(box, list) and len(box) == 4):
-                raise CorpusFormatError(line, "boxes", "each box must be [cx, cy, w, h]")
-            if not all(_is_finite(v) for v in box):
-                raise CorpusFormatError(line, "boxes", "box values must be finite numbers")
-            if not _is_number(t, int):
-                raise CorpusFormatError(line, "frames", "frame indices must be integers")
-            if not _is_finite(s):
-                raise CorpusFormatError(line, "score", "scores must be finite numbers")
-            if box[2] <= 0 or box[3] <= 0:
-                raise CorpusFormatError(line, "boxes", "box width/height must be positive")
-            dets.append(Detection(t=int(t), x=float(box[0]), y=float(box[1]),
-                                  w=float(box[2]), h=float(box[3]), score=float(s)))
-        tracks.append(Track(id=tid, detections=dets,
-                            v_head=_parse_vector(traw, "v_head", line, dims),
-                            v_body=_parse_vector(traw, "v_body", line, dims)))
+        dets = [Detection(t=t, x=float(x), y=float(y), w=float(w), h=float(h), score=float(s))
+                for t, (x, y, w, h), s in zip(frames, boxes, scores)]
+        tracks.append(Track(id=tid, detections=dets, v_head=_vector(v_head, "v_head", line, dims),
+                            v_body=_vector(v_body, "v_body", line, dims)))
     with np.errstate(over="ignore", invalid="ignore"):
         stats = track_stats(tracks)
     finite = np.isfinite(stats)
@@ -615,39 +617,27 @@ def _parse_clip(obj, line, dims, tokens, prev):
                                 "values overflow the track statistics")
     for tr, row in zip(tracks, stats):
         tr.v_stat = row
-    if len({t.id for t in tracks}) != len(tracks):
-        raise CorpusFormatError(line, "tracks", "duplicate track ids")
     ids = {t.id for t in tracks}
+    if len(ids) != len(tracks):
+        raise CorpusFormatError(line, "tracks", "duplicate track ids")
 
-    v_global = _parse_vector(obj, "v_global", line, dims)
-    sentence = _need(obj, "sentence", line, list)
-    if not all(isinstance(t, str) for t in sentence):
-        raise CorpusFormatError(line, "sentence", "tokens must be strings")
+    v_global = _vector(v_global, "v_global", line, dims)
     if tokens is not None and not tokens.issuperset(sentence):
         unknown = sorted(set(sentence) - tokens)
         raise CorpusFormatError(line, "sentence", f"tokens {unknown} are not in the vocabulary")
     prev_chars = {m.char_id for m in prev.mentions} if prev is not None else set()
     mentions = []
-    for mraw in _need(obj, "mentions", line, list):
-        if not isinstance(mraw, dict):
-            raise CorpusFormatError(line, "mentions", "each mention must be a JSON object")
-        old = [k for k in ("gender", "coref_prev") if k in mraw]
-        if old:
-            raise CorpusFormatError(line, old[0], "an older format: the token states it")
-        pos = _need(mraw, "pos", line)
-        if not (_is_number(pos, int) and 0 <= pos < len(sentence)):
+    for mraw in mention_objs:
+        pos, char, gt, _, _ = _read_object(mraw, _MENTION, error,
+                                           optional=("gender", "coref_prev"))
+        if not 0 <= pos < len(sentence):
             raise CorpusFormatError(line, "pos", "mention position out of range")
         if sentence[pos] not in PERSON_TOKENS:
             raise CorpusFormatError(line, "pos", "mention does not point at a person token")
         if any(m.pos == pos for m in mentions):
             raise CorpusFormatError(line, "pos", f"a second mention at position {pos}")
-        char = _need(mraw, "char", line)
-        if not _is_number(char, int):
-            raise CorpusFormatError(line, "char", "character ids must be integers")
-        gt = _need(mraw, "gt_tracks", line, list)
-        for gid in gt:
-            if not (_is_number(gid, int) and gid in ids):
-                raise CorpusFormatError(line, "gt_tracks", f"unknown track id {gid!r}")
+        if not ids.issuperset(gt):
+            raise CorpusFormatError(line, "gt_tracks", f"unknown track ids {sorted(set(gt) - ids)}")
         gender, coref = person_of(sentence[pos])
         if coref and char not in prev_chars:
             raise CorpusFormatError(line, "char", f"{sentence[pos]} names character {char}, "
@@ -656,11 +646,11 @@ def _parse_clip(obj, line, dims, tokens, prev):
                                 coref_prev=char if coref else None))
     clip = Clip(id=clip_id, tracks=tracks, v_global=v_global,
                 sentence=list(sentence), mentions=mentions)
-    if "frames" in obj:
-        clip.frames = _parse_frames(obj["frames"], line)
-    if "gt_boundaries" in obj:
-        cuts, n = obj["gt_boundaries"], math.inf if clip.frames is None else len(clip.frames)
-        if not (isinstance(cuts, list) and all(_is_number(b, int) and 1 <= b < n for b in cuts)):
+    if block is not None:
+        clip.frames = _parse_frames(block, line)
+    if cuts is not None:
+        n = math.inf if clip.frames is None else len(clip.frames)
+        if not all(1 <= b < n for b in cuts):
             raise CorpusFormatError(line, "gt_boundaries", f"{cuts!r} is not a list of "
                                     f"frame indices in 1..{n - 1}")
         clip.gt_boundaries = list(cuts)
@@ -673,28 +663,14 @@ def _read_meta(path):
     ``Vocabulary`` (None when it has no ``vocab``)."""
     if not os.path.exists(path):
         return {}, None
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            meta = json.load(fh)
-        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
-            raise CorpusFormatError(None, "<json>", f"{path} is not JSON: {exc}") from None
-    if not isinstance(meta, dict):
-        raise CorpusFormatError(None, "<root>", f"{path} must hold a JSON object")
-    for key in ("d_head", "d_body", "d_global"):
-        if key in meta and not (_is_number(meta[key], int) and meta[key] > 0):
-            raise CorpusFormatError(None, key, "expected a positive integer")
-    vocab = None
-    if "vocab" in meta:
-        tokens = meta["vocab"]
-        if not (isinstance(tokens, list) and all(isinstance(t, str) for t in tokens)):
-            raise CorpusFormatError(None, "vocab", "expected a list of strings")
-        try:
-            vocab = Vocabulary(tuple(tokens))
-        except ValueError as exc:
-            raise CorpusFormatError(None, "vocab", str(exc)) from None
-    if "gt_boundaries" in meta:
-        raise CorpusFormatError(None, "gt_boundaries", "an older format: cuts ride on "
-                                "each clip's line")
+    error = partial(CorpusFormatError, None)
+    with open(path, "rb") as fh:
+        meta = _json_value(fh.read(), error)
+    *_, tokens, _ = _read_object(meta, _META, error, optional=_META)
+    try:
+        vocab = None if tokens is None else Vocabulary(tuple(tokens))
+    except ValueError as exc:
+        raise CorpusFormatError(None, "vocab", str(exc)) from None
     return meta, vocab
 
 
@@ -704,10 +680,9 @@ def ingest_jsonl(path):
     The sidecar meta, when present, is read first: its ``d_head``,
     ``d_body`` and ``d_global`` fix the vector widths and its ``vocab``
     the tokens a sentence may use. A malformed meta raises
-    ``CorpusFormatError`` with line None; any other fault names its line
-    and field: ``"id"`` for a repeated clip id or a track id below 1,
-    ``"pos"`` for a second mention at one position, ``"char"`` for a Coref
-    token whose character the pair's previous clip does not mention.
+    ``CorpusFormatError`` with line None, any other fault with its line;
+    a line that is not UTF-8 JSON, or nests past the recursion limit, names
+    the field ``"<json>"``.
 
     A clip's ``frames`` block becomes ``Clip.frames``, a list of n
     writable (H, W, 3) uint8 arrays. Older files fail on the field that
@@ -719,17 +694,13 @@ def ingest_jsonl(path):
     known = set(vocab.tokens) if vocab is not None else None
 
     clips, ids = [], set()
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         for line_no, raw in enumerate(fh, start=1):
             raw = raw.strip()
             if not raw:
                 continue
-            try:
-                obj = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise CorpusFormatError(line_no, "<json>", f"invalid JSON: {exc}") from None
             prev = clips[-1] if len(clips) % 2 else None  # odd positions are current clips
-            clip = _parse_clip(obj, line_no, dims, known, prev)
+            clip = _parse_clip(raw, line_no, dims, known, prev)
             if clip.id in ids:
                 raise CorpusFormatError(line_no, "id", f"clip id {clip.id} repeats")
             ids.add(clip.id)

@@ -71,9 +71,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .corpus import BOS, EOS, PERSON_TOKENS, ClipPair, Corpus, Vocabulary
+from .corpus import BOS, EOS, PERSON_TOKENS, ClipPair, Corpus, Vocabulary, _VOCAB
 from .numerics import (
-    FLOAT, TrainingDiverged, _is_number, check_config, glorot_uniform, lstm_init,
+    FLOAT, _is_number, _json_value, _read_object, check_config, glorot_uniform, lstm_init,
     lstm_step_backward, lstm_step_forward, masked_softmax, pad_rows, rng_stream,
     softmax_cross_entropy, train_minibatches,
 )
@@ -611,18 +611,26 @@ def save_checkpoint(path, trained: TrainedDecoder):
             fh.write(np.ascontiguousarray(stored[name], dtype="<f8").tobytes())
 
 
-def _header_contents(path, header):
-    """Config, vocabulary and widths of a checkpoint header whose magic
-    string and version are checked. The config must give every
-    ``DecoderConfig`` key and no other, and make a ``DecoderConfig``; each
-    width must be a non-negative integer and the vocabulary keep
+_HEADER = {"config": (lambda v: isinstance(v, dict), "a JSON object"), "vocab": _VOCAB,
+           **dict.fromkeys(_WIDTHS, (lambda v: _is_number(v, int) and v >= 0,
+                                     "a non-negative integer"))}
+
+
+def _read_header(path, line):
+    """Config, vocabulary and widths of the checkpoint header ``line``, whose
+    magic string and version must be this format's. The config must give
+    every ``DecoderConfig`` key and no other, and make a ``DecoderConfig``;
+    each width must be a non-negative integer and the vocabulary keep
     ``Vocabulary``'s rules."""
-    missing = [k for k in ("config", "vocab", *_WIDTHS) if k not in header]
-    if missing:
-        raise ValueError(f"{path}: checkpoint header lacks {missing}")
-    cfg, vocab = header["config"], header["vocab"]
-    if not isinstance(cfg, dict):
-        raise ValueError(f"{path}: checkpoint config is not a JSON object")
+    def error(key, msg):
+        return ValueError(f"{path}: checkpoint header {msg}")
+    header = _json_value(line, error)
+    stamp = ((header.get("magic"), header.get("version")) if isinstance(header, dict)
+             else (None, None))
+    if stamp != (CHECKPOINT_MAGIC, CHECKPOINT_VERSION):
+        raise ValueError(f"{path}: not a version-{CHECKPOINT_VERSION} charcap decoder "
+                         f"checkpoint (magic string {stamp[0]!r}, format version {stamp[1]!r})")
+    cfg, tokens, *widths = _read_object(header, _HEADER, error)
     names = {f.name for f in fields(DecoderConfig)}
     unknown, lacking = sorted(set(cfg) - names), sorted(names - set(cfg))
     if unknown:
@@ -633,23 +641,18 @@ def _header_contents(path, header):
         config = DecoderConfig(**cfg)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    for k in _WIDTHS:
-        if not (_is_number(header[k], int) and header[k] >= 0):
-            raise ValueError(f"{path}: checkpoint {k} = {header[k]!r} "
-                             "is not a non-negative integer")
-    if not (isinstance(vocab, list) and all(isinstance(t, str) for t in vocab)):
-        raise ValueError(f"{path}: checkpoint vocab is not a list of strings")
     try:
-        vocab = Vocabulary(tuple(vocab))
+        vocab = Vocabulary(tuple(tokens))
     except ValueError as exc:
         raise ValueError(f"{path}: checkpoint {exc}") from None
-    return config, vocab, [header[k] for k in _WIDTHS]
+    return config, vocab, widths
 
 
 def load_checkpoint(path):
     """Inverse of ``save_checkpoint``: the arrays are views of one vector.
-    A malformed header, a missing magic string or version, another version
-    (an older file included), a missing config, vocab or width, config keys
+    A header that is not UTF-8 JSON (nested past the recursion limit
+    included), a missing magic string or version, another version (an
+    older file included), a missing config, vocab or width, config keys
     ``DecoderConfig`` does not know or a config without one of its keys
     (named), a config value of the wrong type or out of range, a width
     that is not a non-negative integer, a vocabulary that repeats a token
@@ -658,17 +661,7 @@ def load_checkpoint(path):
     named) and a norm std of 0 or less (its block named) raise ValueError
     naming the file."""
     with open(path, "rb") as fh:
-        try:
-            header = json.loads(fh.readline().decode("utf-8"))
-        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
-            raise ValueError(f"{path}: checkpoint header is not JSON: {exc}") from None
-        if not isinstance(header, dict):
-            raise ValueError(f"{path}: checkpoint header is not a JSON object")
-        stamp = (header.get("magic"), header.get("version"))
-        if stamp != (CHECKPOINT_MAGIC, CHECKPOINT_VERSION):
-            raise ValueError(f"{path}: not a version-{CHECKPOINT_VERSION} charcap decoder "
-                             f"checkpoint (magic string {stamp[0]!r}, format version {stamp[1]!r})")
-        config, vocab, widths = _header_contents(path, header)
+        config, vocab, widths = _read_header(path, fh.readline())
         shapes = _checkpoint_arrays(config, len(vocab), *widths)
         ends = list(accumulate(math.prod(shape) for shape in shapes.values()))
         size = os.fstat(fh.fileno()).st_size - fh.tell()

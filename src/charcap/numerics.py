@@ -7,15 +7,18 @@ weights and gradients packed by ``pack_params`` into one vector each,
 which ``Adam`` steps whole. Each forward kernel has a hand-written
 backward, checked by central differences in the tests. The configs of
 ``corpus``, ``linker`` and ``decoder`` are frozen dataclasses that check
-their field types and ranges with ``check_config`` when they are made.
+their field types and ranges with ``check_config`` when they are made,
+and ``_json_value`` and ``_read_object`` check the JSON read from files.
 
 The module needs numpy alone. ``sigmoid`` is numpy's ``exp`` rather than
 ``scipy.special.expit``, whose import took longer than the rest of
 ``charcap``'s, so ``corpus``, ``linker`` and ``decoder`` load no scipy.
 """
 
+import json
 import math
 import operator
+import reprlib
 import zlib
 from dataclasses import fields
 from functools import reduce
@@ -88,8 +91,7 @@ def _is_number(v, kind=(int, float)):
 
 def _is_finite(v):
     """A JSON number (not a boolean) that is a finite float; the check of
-    outside input (a corpus file, a saved model) in ``corpus`` and
-    ``multicut``."""
+    outside input (a corpus file) in ``corpus``."""
     try:
         return _is_number(v) and math.isfinite(v)
     except OverflowError:  # an integer past the float range
@@ -327,3 +329,34 @@ def check_config(config, bounds):
         low, high = bounds.get(f.name, (-math.inf, math.inf))
         if not low <= value <= high:
             raise ValueError(f"{type(config).__name__}.{f.name} = {value!r} is out of range")
+
+
+def _json_value(data, error):
+    """The JSON value of the UTF-8 bytes ``data``. Bytes that are not UTF-8
+    or JSON, or nest past the recursion limit, raise ``error("<json>", msg)``."""
+    try:
+        return json.loads(data.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:  # UnicodeDecodeError is a ValueError
+        raise error("<json>", f"is not JSON: {exc}") from None
+
+
+def _read_object(obj, table, error, optional=()):
+    """The values of the JSON object ``obj`` at the keys of ``table``, in
+    table order. ``table`` maps a key to ``(test, kind)``: its value must
+    pass ``test``, and ``kind`` says what passes. A key of ``optional`` may
+    be absent, and reads as None. The first fault raises ``error(key,
+    msg)``: key ``"<root>"`` for an ``obj`` that is not an object, else the
+    key that is missing (``"lacks ['<key>']"``) or fails its test
+    (``"<key> = <value> is not <kind>"``, the value's repr cut short)."""
+    if not isinstance(obj, dict):
+        raise error("<root>", "is not a JSON object")
+    values = []
+    for key, (test, kind) in table.items():
+        value = obj.get(key)
+        if key not in obj:
+            if key not in optional:
+                raise error(key, f"lacks [{key!r}]")
+        elif not test(value):
+            raise error(key, f"{key} = {reprlib.repr(value)} is not {kind}")
+        values.append(value)
+    return values

@@ -530,6 +530,9 @@ class TestIngestErrors:
         (2, ("tracks", 0, "boxes", 0, 0), 1e200, "boxes"),
         (2, ("v_global",), [0.0, 1.0, 2.0], "v_global"),
         (2, ("sentence", 1), "flies", "sentence"),
+        # in the vocabulary, but the decoder would train an end of sentence mid-sentence
+        (2, ("sentence", 1), EOS, "sentence"),
+        (2, ("sentence", 1), BOS, "sentence"),
         # a Coref token whose character the pair's previous clip does not mention
         (2, ("sentence", 0), "MaleCoref", "char"),
         (3, ("sentence", 0), "MaleCoref", "char"),
@@ -549,6 +552,7 @@ class TestIngestErrors:
             "clip-id-string", "clip-id-list", "clip-id-bool",
             "char-string", "char-list", "box-width-nan", "box-x-inf", "score-nan",
             "box-x-overflows-stats", "v_global-width", "token-not-in-vocab",
+            "sentence-eos", "sentence-bos",
             "coref-not-in-previous-clip", "coref-without-previous-clip",
             "mention-gender", "mention-coref_prev", "boundaries-number", "boundaries-object",
             "boundaries-string", "boundaries-bool", "boundaries-float", "boundaries-zero"])
@@ -560,6 +564,18 @@ class TestIngestErrors:
         with pytest.raises(CorpusFormatError) as exc:
             ingest_jsonl(p)
         assert (exc.value.line, exc.value.field) == (line, field_name)
+
+    @pytest.mark.parametrize("line", [1, 3])
+    @pytest.mark.parametrize("data", [b'{"id": "\xff"}', b"[" * 100000 + b"]" * 100000],
+                             ids=["not-utf8", "nested-past-the-recursion-limit"])
+    def test_undecodable_line_names_json_and_line(self, tmp_path, small_config, data, line):
+        p, _ = _exported_lines(tmp_path, small_config)
+        lines = p.read_bytes().splitlines()
+        lines[line - 1] = data
+        p.write_bytes(b"\n".join(lines) + b"\n")
+        with pytest.raises(CorpusFormatError) as exc:
+            ingest_jsonl(p)
+        assert (exc.value.line, exc.value.field) == (line, "<json>")
 
     def test_second_mention_at_one_position_names_pos(self, tmp_path, small_config):
         # the decoder keys attention targets by position, so one would be lost
@@ -586,6 +602,7 @@ class TestIngestErrors:
 
     @pytest.mark.parametrize("edit, field_name", [
         (lambda m: "{not json", "<json>"),
+        (lambda m: "[" * 100000 + "]" * 100000, "<json>"),
         (lambda m: [m], "<root>"),
         (lambda m: {**m, "d_head": "8"}, "d_head"),
         (lambda m: {**m, "d_head": True}, "d_head"),
@@ -602,7 +619,7 @@ class TestIngestErrors:
         (lambda m: {**m, "gt_boundaries": {"0": [True]}}, "gt_boundaries"),
         (lambda m: {**m, "gt_boundaries": [1]}, "gt_boundaries"),
         (lambda m: {**m, "gt_boundaries": {"0": [1]}}, "gt_boundaries"),
-    ], ids=["not-json", "not-an-object", "d_head-string", "d_head-bool", "d_body-zero",
+    ], ids=["not-json", "nested-past-the-recursion-limit", "not-an-object", "d_head-string", "d_head-bool", "d_body-zero",
             "d_global-float", "vocab-string", "vocab-number", "vocab-duplicate",
             "vocab-without-bos", "vocab-without-eos", "vocab-without-a-person-token",
             "boundaries-number", "boundaries-strings", "boundaries-bools",

@@ -14,16 +14,19 @@ from charcap.corpus import (
     planted_supervision,
 )
 from charcap.decoder import (
-    C_MAX, DecoderConfig, PairFeatures, TrainingDiverged, attention_step,
+    C_MAX, DecoderConfig, PairFeatures, attention_step,
     build_train_items, decode_pair, init_decoder_params, load_checkpoint,
     pair_features, save_checkpoint, sentence_loss, train_decoder,
 )
 from charcap.decoder import TrainItem, attention_terms
 from charcap.linker import LinkerConfig
-from charcap.numerics import lstm_step_backward, lstm_step_forward, rng_stream, zeros_like_params
+from charcap.numerics import (
+    TrainingDiverged, lstm_step_backward, lstm_step_forward, rng_stream, zeros_like_params,
+)
 from charcap.track_features import Detection, Track, fit_norm_stats, track_stats
 import references
 from configs import corpus_config
+from test_corpus import JSON_VALUES, _paths, _replace
 from references import finite_diff_check, softmax
 
 
@@ -753,6 +756,32 @@ class TestCheckpointVersion:
         self._rewrite_header(path, edit)
         with pytest.raises(ValueError, match=rf"model\.ckpt: .*{why}"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("head", [b'{"magic": "\xff"}', b"[" * 100000 + b"]" * 100000],
+                             ids=["not-utf8", "nested-past-the-recursion-limit"])
+    def test_undecodable_header_rejected_by_name(self, separable, tmp_path, head):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, separable[0])
+        path.write_bytes(head + b"\n" + path.read_bytes().split(b"\n", 1)[1])
+        with pytest.raises(ValueError, match=r"model\.ckpt: checkpoint header is not JSON"):
+            load_checkpoint(path)
+
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_any_one_header_value_replaced_gives_named_error_or_loads(self, separable, tmp_path,
+                                                                      data):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, separable[0])
+        head, rest = path.read_bytes().split(b"\n", 1)
+        header = json.loads(head)
+        _replace(header, data.draw(st.sampled_from(list(_paths(header))), label="path"),
+                 data.draw(JSON_VALUES, label="value"))
+        path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + rest)
+        try:
+            load_checkpoint(path)
+        except ValueError as exc:
+            assert str(exc).startswith(f"{path}: ")
 
     def test_repeated_vocabulary_token_rejected(self, separable, tmp_path):
         # the same number of tokens, so that the layout still fits the file
